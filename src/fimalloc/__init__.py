@@ -3,7 +3,7 @@ sensor-selection / transmit-power-allocation solvers that maximize it."""
 
 from . import errors, fisher, model, quantcomm, solvers, verify
 from .errors import FimallocError
-from .fisher import g_kernel, t_k, t_k_derivative, tabulate_t, trace_fim
+from .fisher import t_k, t_k_derivative, tabulate_t, trace_fim
 from .model import (
     Network,
     Prior,
@@ -17,7 +17,6 @@ from .model import (
 )
 from .quantcomm import (
     QuantizerSpec,
-    TransitionMatrix,
     alpha_matrix,
     beta,
     beta_dot,
@@ -30,7 +29,6 @@ from .solvers import (
     Allocation,
     PowerGrid,
     make_power_grid,
-    solve_boolean_relaxation,
     solve_bruteforce,
     solve_greedy,
     solve_mckp,

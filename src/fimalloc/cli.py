@@ -6,9 +6,9 @@ Subcommands:
     sweep   run algorithms across a budget grid and write trend rows as CSV
     verify  run the oracle suites and report pass/fail per check
 
-Exit codes: 0 ok, 2 usage, 3 generation failure, 4 solver failure,
-5 verification failure.  All data outputs are deterministic given the
-flags (wall-time columns excepted).
+Exit codes: 0 ok, 2 usage or a numeric flag out of range, 3 generation or
+scenario-loading failure, 4 solver failure, 5 verification failure.  All
+data outputs are deterministic given the flags (wall-time columns excepted).
 """
 
 from __future__ import annotations
@@ -32,22 +32,6 @@ EXIT_SOLVER = 4
 EXIT_VERIFY = 5
 
 DEFAULT_SWEEP_GRID = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
-ALGORITHMS = ("ufa", "usu", "greedy", "mckp", "brute")
-
-
-def _run_algorithm(name: str, network: model.Network, p_tot: float,
-                   grid_n: int, eps0: float) -> solvers.Allocation:
-    if name == "ufa":
-        return solvers.solve_ufa(network, p_tot)
-    if name == "usu":
-        return solvers.solve_usu(network, p_tot)
-    if name == "greedy":
-        return solvers.solve_greedy(network, p_tot, eps0)
-    if name == "mckp":
-        return solvers.solve_mckp_network(network, p_tot, grid_n)
-    if name == "brute":
-        return solvers.solve_bruteforce(network, p_tot, min(grid_n, solvers.BRUTE_MAX_N))
-    raise ValueError(f"unknown algorithm {name!r}")
 
 
 def write_allocation_csv(alloc: solvers.Allocation, p_tot: float, path) -> None:
@@ -109,6 +93,22 @@ def read_sweep_csv(path):
     return rows
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _at_least(minimum: int):
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
+        return value
+    return count
+
+
 def _parse_gain(text: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(",")])
@@ -156,7 +156,7 @@ def cmd_solve(args) -> int:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_GENERATION
     try:
-        alloc = _run_algorithm(args.alg, network, args.ptot, args.grid_n, args.eps0)
+        alloc = solvers.SOLVERS[args.alg](network, args.ptot, args.grid_n, args.eps0)
     except FimallocError as exc:
         print(f"solver failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -173,8 +173,8 @@ def cmd_sweep(args) -> int:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_GENERATION
     if args.ptot_min is not None or args.ptot_max is not None:
-        if args.ptot_min is None or args.ptot_max is None or args.steps < 1:
-            print("sweep needs --ptot-min, --ptot-max and --steps >= 1", file=sys.stderr)
+        if args.ptot_min is None or args.ptot_max is None:
+            print("sweep needs both --ptot-min and --ptot-max", file=sys.stderr)
             return EXIT_USAGE
         grid = list(np.linspace(args.ptot_min, args.ptot_max, args.steps))
     else:
@@ -184,7 +184,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     algorithms = [a.strip() for a in args.alg.split(",")]
     for name in algorithms:
-        if name not in ALGORITHMS:
+        if name not in solvers.SOLVERS:
             print(f"unknown algorithm {name!r}", file=sys.stderr)
             return EXIT_USAGE
     scenario_id = Path(args.scenario).stem
@@ -195,7 +195,7 @@ def cmd_sweep(args) -> int:
         for name in algorithms:
             start = time.perf_counter()
             try:
-                alloc = _run_algorithm(name, network, float(p_tot), args.grid_n, args.eps0)
+                alloc = solvers.SOLVERS[name](network, float(p_tot), args.grid_n, args.eps0)
                 elapsed = 1000.0 * (time.perf_counter() - start)
                 rows.append({
                     "ptot": float(p_tot), "algorithm": name,
@@ -264,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one algorithm on a scenario")
     solve.add_argument("--scenario", required=True)
-    solve.add_argument("--alg", required=True, choices=ALGORITHMS)
-    solve.add_argument("--ptot", type=float, required=True)
-    solve.add_argument("--grid-n", type=int, default=100)
-    solve.add_argument("--eps0", type=float, default=solvers.DEFAULT_EPS0)
+    solve.add_argument("--alg", required=True, choices=tuple(solvers.SOLVERS))
+    solve.add_argument("--ptot", type=_positive_float, required=True)
+    solve.add_argument("--grid-n", type=_at_least(1), default=100)
+    solve.add_argument("--eps0", type=_positive_float, default=solvers.DEFAULT_EPS0)
     solve.add_argument("--out", default=None)
     solve.set_defaults(func=cmd_solve)
 
@@ -275,18 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scenario", required=True)
     sweep.add_argument("--alg", default="ufa,usu,greedy,mckp",
                        help="comma-separated algorithm list")
-    sweep.add_argument("--ptot-min", type=float, default=None)
-    sweep.add_argument("--ptot-max", type=float, default=None)
-    sweep.add_argument("--steps", type=int, default=10)
-    sweep.add_argument("--grid-n", type=int, default=100)
-    sweep.add_argument("--eps0", type=float, default=solvers.DEFAULT_EPS0)
+    sweep.add_argument("--ptot-min", type=_positive_float, default=None)
+    sweep.add_argument("--ptot-max", type=_positive_float, default=None)
+    sweep.add_argument("--steps", type=_at_least(1), default=10)
+    sweep.add_argument("--grid-n", type=_at_least(1), default=100)
+    sweep.add_argument("--eps0", type=_positive_float, default=solvers.DEFAULT_EPS0)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run the oracle suites")
     ver.add_argument("--suite", default="all",
                      choices=sorted(verify.SUITES) + ["all"])
-    ver.add_argument("--trials", type=int, default=0,
+    ver.add_argument("--trials", type=_at_least(0), default=0,
                      help="override the suite's sample count (0 = default)")
     ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     ver.set_defaults(func=cmd_verify)

@@ -41,10 +41,6 @@ class BelowFloor(FimallocError):
     """Power argument is below the derivative's admissible floor."""
 
 
-class BadCardinality(FimallocError):
-    """Requested selection cardinality is outside 1..K."""
-
-
 class ConcavityViolation(FimallocError):
     """Per-sensor information is not concave in power where assumed."""
 

@@ -11,15 +11,14 @@ The integrand concentrates in bumps of width sigma_n around the quantizer
 decision boundaries while the Gaussian density has width sigma_s, and the
 two scales separate badly for strong gains, so a plain Hermite rule stalls.
 The integral is therefore evaluated over Gauss-Legendre panels refined
-around the boundaries, with the `nodes` argument acting as the resolution
-knob and an automatic resolution-doubling convergence guard on top.
+around the boundaries, at Gauss-Legendre order nodes / 8 per panel; only
+`t_k` takes `nodes`, and each value is re-checked one rung up a (nodes,
+2 nodes - 1, 4 nodes - 3) resolution ladder.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,8 +26,6 @@ import numpy as np
 from .errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
 from .model import Network, Prior, Sensor
 from .quantcomm import (
-    QuantizerSpec,
-    TransitionMatrix,
     _alpha_entries,
     _beta_dot_table,
     _beta_table,
@@ -36,8 +33,6 @@ from .quantcomm import (
     bit_error_prob,
     make_quantizer,
 )
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_NODES = 81
 _QUAD_RTOL = 1e-6
@@ -127,29 +122,31 @@ def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes:
     return weights, b, bd
 
 
-def g_kernel(s: float, transition: TransitionMatrix, quantizer: QuantizerSpec,
-             sigma_n: float) -> float:
-    """Information kernel at projection s under the given confusion matrix.
+def _kernel_sum(weights: np.ndarray, b: np.ndarray, bd: np.ndarray,
+                alpha: np.ndarray, alpha_slope: np.ndarray | None = None) -> float:
+    """Weighted sum over the nodes of the information kernel, or of its p-slope.
 
-    Sums, over received levels t, the squared confusion-weighted slope
-    divided by the confusion-weighted cell probability.  Terms whose
-    denominator falls below 1e-300 are skipped; they vanish faster in the
-    numerator than the denominator, so dropping them is conservative.
+    At each node of the (n, M) tables b and bd, sums over received levels
+    the squared confusion-weighted slope over the confusion-weighted cell
+    probability.  Terms whose denominator falls below _DEN_FLOOR are
+    skipped; they vanish faster in the numerator than the denominator, so
+    dropping them is conservative.  Given alpha_slope = d(alpha)/dp, sums
+    the kernel's p-derivative instead.
     """
-    if transition.m != quantizer.m:
-        raise DimensionMismatch(
-            f"transition is {transition.m}x{transition.m}, quantizer has {quantizer.m} levels"
-        )
-    s_arr = np.array([float(s)])
-    b = _beta_table(s_arr, quantizer, sigma_n)[0]
-    bd = _beta_dot_table(s_arr, quantizer, sigma_n)[0]
-    num = transition.entries @ bd
-    den = transition.entries @ b
+    num = bd @ alpha.T
+    den = b @ alpha.T
     keep = den >= _DEN_FLOOR
-    if not np.all(keep):
-        logger.debug("g_kernel skipped %d term(s) with denominator < %g",
-                     int(np.sum(~keep)), _DEN_FLOOR)
-    return float(np.sum(num[keep] ** 2 / den[keep]))
+    safe = np.where(keep, den, 1.0)
+    if alpha_slope is None:
+        g = np.sum(np.where(keep, num * num / safe, 0.0), axis=1)
+    else:
+        num_d = bd @ alpha_slope.T
+        den_d = b @ alpha_slope.T
+        g = np.sum(
+            np.where(keep, (2.0 * num * num_d * safe - num * num * den_d) / (safe * safe), 0.0),
+            axis=1,
+        )
+    return float(weights @ g)
 
 
 def _alpha_slope(bits: int, p: float) -> np.ndarray:
@@ -190,31 +187,16 @@ class InfoKernel:
         """Gaussian expectation of the information kernel at bit-error rate p_bit."""
         if self._weights is None:
             return 0.0
-        alpha = _alpha_entries(self.sensor.bits, p_bit)
-        num = self._bd @ alpha.T
-        den = self._b @ alpha.T
-        keep = den >= _DEN_FLOOR
-        safe = np.where(keep, den, 1.0)
-        g = np.sum(np.where(keep, num * num / safe, 0.0), axis=1)
-        return float(self._weights @ g)
+        return _kernel_sum(self._weights, self._b, self._bd,
+                           _alpha_entries(self.sensor.bits, p_bit))
 
     def expected_g_slope(self, p_bit: float) -> float:
         """d/dp of expected_g, by differentiating the confusion entries."""
         if self._weights is None:
             return 0.0
-        alpha = _alpha_entries(self.sensor.bits, p_bit)
-        slope = _alpha_slope(self.sensor.bits, p_bit)
-        num = self._bd @ alpha.T
-        den = self._b @ alpha.T
-        num_d = self._bd @ slope.T
-        den_d = self._b @ slope.T
-        keep = den >= _DEN_FLOOR
-        safe = np.where(keep, den, 1.0)
-        dg = np.sum(
-            np.where(keep, (2.0 * num * num_d * safe - num * num * den_d) / (safe * safe), 0.0),
-            axis=1,
-        )
-        return float(self._weights @ dg)
+        bits = self.sensor.bits
+        return _kernel_sum(self._weights, self._b, self._bd,
+                           _alpha_entries(bits, p_bit), _alpha_slope(bits, p_bit))
 
     def t(self, power: float) -> float:
         """Information contribution at the given transmit power."""
@@ -241,34 +223,44 @@ def _converged(coarse: float, fine: float) -> bool:
     return abs(fine - coarse) <= _QUAD_RTOL * scale
 
 
-def t_k(power: float, sensor: Sensor, prior: Prior, *, nodes: int = DEFAULT_NODES) -> float:
-    """Per-sensor information contribution t(P), with a quadrature guard.
+def _guarded_t(kernels: list, sensor: Sensor, prior: Prior, nodes: int, power: float) -> float:
+    """t at `power` from the coarsest ladder rung that the next rung confirms.
 
-    Evaluates the Gaussian expectation at `nodes` points and checks it
-    against roughly double the nodes; escalates once more before raising
-    QuadratureNotConverged.  Returns the coarsest estimate that passed its
-    doubled check.  Nonnegative, and exactly zero at P = 0 up to roundoff.
+    `kernels` holds this sensor's InfoKernels, one per rung, each built when
+    first needed; a caller that keeps the list reuses them across powers.
     """
-    if power < 0.0:
-        raise ValueError(f"power must be nonnegative, got {power}")
     ladder = (nodes, 2 * nodes - 1, 4 * nodes - 3)
     p = bit_error_prob(power, sensor)
-    estimates = []
-    for n in ladder:
-        kernel = InfoKernel(sensor, prior, n)
+    previous = None
+    for rung, n in enumerate(ladder):
+        if rung == len(kernels):
+            kernels.append(InfoKernel(sensor, prior, n))
+        kernel = kernels[rung]
         if kernel.prefactor == 0.0:
             return 0.0
-        estimates.append(kernel.prefactor * kernel.expected_g(p))
-        if len(estimates) >= 2 and _converged(estimates[-2], estimates[-1]):
-            return estimates[-2]
+        estimate = kernel.prefactor * kernel.expected_g(p)
+        if previous is not None and _converged(previous, estimate):
+            return previous
+        previous = estimate
     raise QuadratureNotConverged(
-        f"t_k at power {power} still moved by more than {_QUAD_RTOL:g} relative "
+        f"t at power {power} still moved by more than {_QUAD_RTOL:g} relative "
         f"after escalating to {ladder[-1]} nodes"
     )
 
 
-def t_k_derivative(power: float, sensor: Sensor, prior: Prior, *,
-                   nodes: int = DEFAULT_NODES, floor: float = 0.0) -> float:
+def t_k(power: float, sensor: Sensor, prior: Prior, *, nodes: int = DEFAULT_NODES) -> float:
+    """Per-sensor information contribution t(P), with a quadrature guard.
+
+    Evaluates the Gaussian expectation on the `nodes` rung of the resolution
+    ladder and checks it against roughly double the resolution; escalates
+    once more before raising QuadratureNotConverged.  Returns the coarsest
+    estimate that passed its doubled check.  Nonnegative, and exactly zero at
+    P = 0 up to roundoff.
+    """
+    return _guarded_t([], sensor, prior, nodes, power)
+
+
+def t_k_derivative(power: float, sensor: Sensor, prior: Prior, *, floor: float = 0.0) -> float:
     """dt/dP via the chain rule through the bit-error rate.
 
     The confusion entries are differentiated analytically in p and the same
@@ -278,10 +270,10 @@ def t_k_derivative(power: float, sensor: Sensor, prior: Prior, *,
     """
     if power <= 0.0 or power < floor:
         raise BelowFloor(f"power {power} is below the derivative floor {max(floor, 0.0)}")
-    return InfoKernel(sensor, prior, nodes).t_prime(power)
+    return InfoKernel(sensor, prior).t_prime(power)
 
 
-def trace_fim(powers, selection, network: Network, *, nodes: int = DEFAULT_NODES) -> float:
+def trace_fim(powers, selection, network: Network) -> float:
     """Objective value: prior baseline plus the selected sensors' contributions.
 
     Unselected sensors contribute nothing regardless of their power entry.
@@ -298,76 +290,25 @@ def trace_fim(powers, selection, network: Network, *, nodes: int = DEFAULT_NODES
     total = network.prior.inverse_trace
     for i, sensor in enumerate(network.sensors):
         if selection[i]:
-            total += t_k(float(powers[i]), sensor, network.prior, nodes=nodes)
+            total += t_k(float(powers[i]), sensor, network.prior)
     return total
 
 
-def tabulate_t(network: Network, power_grid, *, nodes: int = DEFAULT_NODES) -> np.ndarray:
+def tabulate_t(network: Network, power_grid) -> np.ndarray:
     """Table of t values: entry (k, j) is sensor k's contribution at grid[j].
 
-    Rows reuse one set of quadrature tables per sensor; each entry keeps the
-    same node-doubling guard as t_k.
+    Each entry equals t_k at that power; a row builds its sensor's
+    quadrature tables once and reuses them for every grid power.
     """
     grid = np.asarray(power_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("power grid must be a non-empty vector")
     if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0:
         raise ValueError("power grid must be ascending and nonnegative")
-    ladder = (nodes, 2 * nodes - 1, 4 * nodes - 3)
     table = np.zeros((network.k, grid.size))
     for row, sensor in enumerate(network.sensors):
-        kernels = [InfoKernel(sensor, network.prior, n) for n in ladder[:2]]
-        if kernels[0].prefactor == 0.0:
-            continue
+        kernels: list = []
         for j, power in enumerate(grid):
-            p = bit_error_prob(float(power), sensor)
-            coarse = kernels[0].prefactor * kernels[0].expected_g(p)
-            fine = kernels[1].prefactor * kernels[1].expected_g(p)
-            if _converged(coarse, fine):
-                table[row, j] = coarse
-                continue
-            if len(kernels) == 2:
-                kernels.append(InfoKernel(sensor, network.prior, ladder[2]))
-            finest = kernels[2].prefactor * kernels[2].expected_g(p)
-            if not _converged(fine, finest):
-                raise QuadratureNotConverged(
-                    f"t table entry (sensor {row}, power {power}) did not settle "
-                    f"at {ladder[2]} nodes"
-                )
-            table[row, j] = fine
+            table[row, j] = _guarded_t(kernels, sensor, network.prior, DEFAULT_NODES,
+                                       float(power))
     return table
-
-
-@dataclass(frozen=True)
-class SensorInfoCurve:
-    """Sampled information curve of one sensor: t and dt/dP over a power grid."""
-
-    sensor_id: int
-    powers: np.ndarray
-    values: np.ndarray
-    derivative_cache: np.ndarray
-
-
-def info_curve(network: Network, sensor_id: int, powers, *,
-               nodes: int = DEFAULT_NODES) -> SensorInfoCurve:
-    """Sample one sensor's t(P) and dt/dP along an ascending power grid.
-
-    The derivative at P = 0 is recorded as NaN (it is not defined there).
-    """
-    grid = np.asarray(powers, dtype=float)
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("powers must be strictly ascending")
-    sensor = network.sensors[sensor_id]
-    values = np.array([t_k(float(p), sensor, network.prior, nodes=nodes) for p in grid])
-    kernel = InfoKernel(sensor, network.prior, nodes)
-    deriv = np.array([kernel.t_prime(float(p)) if p > 0.0 else math.nan for p in grid])
-    return SensorInfoCurve(sensor_id=sensor_id, powers=grid, values=values,
-                           derivative_cache=deriv)
-
-
-def write_curve_csv(curve: SensorInfoCurve, path) -> None:
-    """Dump a sampled curve as CSV: sensor_id,power,t_value,dt_dP."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sensor_id,power,t_value,dt_dP\n")
-        for p, v, d in zip(curve.powers, curve.values, curve.derivative_cache):
-            fh.write(f"{curve.sensor_id},{float(p)!r},{float(v)!r},{float(d)!r}\n")

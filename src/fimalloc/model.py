@@ -77,6 +77,8 @@ class Sensor:
         gain = np.array(self.gain, dtype=float)  # copy, then freeze our copy
         if gain.ndim != 1:
             raise DimensionMismatch(f"gain must be a vector, got shape {gain.shape}")
+        if not np.all(np.isfinite(gain)):
+            raise ValueError(f"gain must be finite, got {gain}")
         gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
         if self.bits < 1:
@@ -128,14 +130,6 @@ class Network:
     @property
     def seed(self) -> Optional[int]:
         return self.geometry.seed if self.geometry is not None else None
-
-    @property
-    def source_positions(self) -> Optional[np.ndarray]:
-        return self.geometry.source_positions if self.geometry is not None else None
-
-    @property
-    def sensor_positions(self) -> Optional[np.ndarray]:
-        return self.geometry.sensor_positions if self.geometry is not None else None
 
 
 def make_prior(covariance) -> Prior:
@@ -203,14 +197,12 @@ def generate_deployment(
     k: int,
     *,
     field_half_width: float = DEFAULT_FIELD_HALF_WIDTH,
-    source_positions=None,
     decay_exponent: float = DEFAULT_DECAY_EXPONENT,
     d_min: float = DEFAULT_D_MIN,
     sigma_n=DEFAULT_SIGMA_N,
     sigma_nu=DEFAULT_SIGMA_NU,
     h_mag=DEFAULT_H_MAG,
     bits: Union[int, Sequence[int]] = DEFAULT_BITS,
-    prior: Optional[Prior] = None,
 ) -> Network:
     """Place k sensors uniformly in the square field and derive their gains.
 
@@ -228,15 +220,10 @@ def generate_deployment(
         raise ValueError(f"k must be >= 1, got {k}")
     if d_min <= 0.0:
         raise ValueError(f"d_min must be positive, got {d_min}")
-    if prior is None:
-        prior = make_prior(DEFAULT_COVARIANCE)
-    sources = _default_sources() if source_positions is None else np.array(source_positions, dtype=float)
-    if sources.shape != (2, 2):
-        raise DimensionMismatch(f"source_positions must be 2x2, got shape {sources.shape}")
+    prior = make_prior(DEFAULT_COVARIANCE)
+    sources = _default_sources()
     if np.any(np.abs(sources) > field_half_width + 1e-12):
         raise ValueError("sources must lie inside or on the field")
-    if prior.q != 2:
-        raise DimensionMismatch("deployment gains are 2-dimensional; prior must have q=2")
 
     sig_n = _per_sensor(sigma_n, k, "sigma_n")
     sig_nu = _per_sensor(sigma_nu, k, "sigma_nu")
@@ -301,11 +288,9 @@ def homogeneous_network(
     sigma_nu: float = DEFAULT_SIGMA_NU,
     h_mag: float = DEFAULT_H_MAG,
     bits: int = DEFAULT_BITS,
-    prior: Optional[Prior] = None,
 ) -> Network:
     """Network of k identical sensors sharing one gain vector (no geometry)."""
-    if prior is None:
-        prior = make_prior(DEFAULT_COVARIANCE)
+    prior = make_prior(DEFAULT_COVARIANCE)
     gain = np.asarray(gain, dtype=float)
     tau = make_tau(gain, sigma_n, prior)
     sensor = Sensor(
@@ -387,7 +372,10 @@ def network_from_dict(payload: dict) -> Network:
     if not isinstance(prior_obj, dict):
         raise ParseError('field "prior" must be an object')
     _reject_unknown(prior_obj, {"covariance"}, "prior")
-    prior = make_prior(_require(prior_obj, "covariance", "prior"))
+    try:
+        prior = make_prior(_require(prior_obj, "covariance", "prior"))
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"prior.covariance: {exc}") from exc
 
     sensors_obj = _require(payload, "sensors", "scenario")
     if not isinstance(sensors_obj, list) or not sensors_obj:
@@ -398,16 +386,19 @@ def network_from_dict(payload: dict) -> Network:
         if not isinstance(entry, dict):
             raise ParseError(f"{where} must be an object")
         _reject_unknown(entry, _SENSOR_KEYS, where)
-        sensors.append(
-            Sensor(
-                gain=np.asarray(_require(entry, "gain", where), dtype=float),
-                sigma_n=float(_require(entry, "sigma_n", where)),
-                h_mag=float(_require(entry, "h_mag", where)),
-                sigma_nu=float(_require(entry, "sigma_nu", where)),
-                bits=int(_require(entry, "bits", where)),
-                tau=float(_require(entry, "tau", where)),
+        try:
+            sensors.append(
+                Sensor(
+                    gain=np.asarray(_require(entry, "gain", where), dtype=float),
+                    sigma_n=float(_require(entry, "sigma_n", where)),
+                    h_mag=float(_require(entry, "h_mag", where)),
+                    sigma_nu=float(_require(entry, "sigma_nu", where)),
+                    bits=int(_require(entry, "bits", where)),
+                    tau=float(_require(entry, "tau", where)),
+                )
             )
-        )
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"{where}: {exc}") from exc
 
     geometry = None
     if "geometry" in payload:
@@ -415,18 +406,21 @@ def network_from_dict(payload: dict) -> Network:
         if not isinstance(g, dict):
             raise ParseError('field "geometry" must be an object')
         _reject_unknown(g, _GEOMETRY_KEYS, "geometry")
-        sources = np.array(_require(g, "source_positions", "geometry"), dtype=float)
-        positions = np.array(_require(g, "sensor_positions", "geometry"), dtype=float)
-        sources.setflags(write=False)
-        positions.setflags(write=False)
-        geometry = Geometry(
-            seed=int(_require(g, "seed", "geometry")),
-            field_half_width=float(_require(g, "field_half_width", "geometry")),
-            source_positions=sources,
-            sensor_positions=positions,
-            decay_exponent=float(_require(g, "decay_exponent", "geometry")),
-            d_min=float(_require(g, "d_min", "geometry")),
-        )
+        try:
+            sources = np.array(_require(g, "source_positions", "geometry"), dtype=float)
+            positions = np.array(_require(g, "sensor_positions", "geometry"), dtype=float)
+            sources.setflags(write=False)
+            positions.setflags(write=False)
+            geometry = Geometry(
+                seed=int(_require(g, "seed", "geometry")),
+                field_half_width=float(_require(g, "field_half_width", "geometry")),
+                source_positions=sources,
+                sensor_positions=positions,
+                decay_exponent=float(_require(g, "decay_exponent", "geometry")),
+                d_min=float(_require(g, "d_min", "geometry")),
+            )
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"geometry: {exc}") from exc
     return Network(sensors=tuple(sensors), prior=prior, geometry=geometry)
 
 

@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc
 
-from .errors import DimensionMismatch
 from .model import Sensor
 
 _SQRT2 = math.sqrt(2.0)
@@ -75,18 +74,6 @@ def make_quantizer(bits: int, tau: float) -> QuantizerSpec:
     return QuantizerSpec(bits=bits, levels=levels, step=step, boundaries=boundaries)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Symbol confusion matrix: entries[t, l] = P(decode level t+1 | sent level l+1)."""
-
-    p_bit: float
-    entries: np.ndarray  # (M, M), symmetric, doubly stochastic
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-
 @lru_cache(maxsize=32)
 def _hamming_matrix(bits: int) -> np.ndarray:
     """Pairwise Hamming distances of the natural-binary codewords 0..2**bits-1."""
@@ -124,10 +111,13 @@ def bit_error_prob(power: float, sensor: Sensor) -> float:
     return float(_q_tail(z))
 
 
-def alpha_matrix(power: float, sensor: Sensor) -> TransitionMatrix:
-    """Symbol confusion matrix induced by independent per-bit errors."""
-    p = bit_error_prob(power, sensor)
-    return TransitionMatrix(p_bit=p, entries=_alpha_entries(sensor.bits, p))
+def alpha_matrix(power: float, sensor: Sensor) -> np.ndarray:
+    """Symbol confusion matrix induced by independent per-bit errors.
+
+    Entry [t, l] is P(decode level t+1 | sent level l+1); the (M, M) matrix
+    is symmetric, doubly stochastic and read-only.
+    """
+    return _alpha_entries(sensor.bits, bit_error_prob(power, sensor))
 
 
 def _beta_table(s_values: np.ndarray, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
@@ -229,10 +219,3 @@ def mc_beta_oracle(s: float, sensor: Sensor, trials: int, seed: int) -> np.ndarr
     cells = np.searchsorted(interior, x, side="right")
     return np.bincount(cells, minlength=quantizer.m) / float(trials)
 
-
-def write_empirical_csv(matrix: np.ndarray, path) -> None:
-    """Dump an empirical confusion matrix: row = decoded, column = transmitted."""
-    out = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in out:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

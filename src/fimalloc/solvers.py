@@ -6,7 +6,8 @@ budget: a uniform-full-activation baseline, a rank-then-sweep heuristic
 that re-optimizes continuous powers each time a sensor is added, and a
 dynamic program over discretized power levels (one choice per sensor).
 A brute-force enumerator over the same discretization serves as the
-reference oracle for small instances.
+reference oracle for small instances.  SOLVERS maps each algorithm's name
+to one call signature; the CLI's --alg choices are its keys.
 
 The continuous subproblem (maximize the summed information of a fixed
 active set subject to the budget) is concave and separable; it is solved
@@ -25,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    BadCardinality,
     ConcavityViolation,
     ConcavityWarning,
     DimensionMismatch,
@@ -33,7 +33,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
 )
-from .fisher import DEFAULT_NODES, InfoKernel, t_k, tabulate_t, trace_fim
+from .fisher import InfoKernel, t_k, tabulate_t, trace_fim
 from .model import Network
 
 BUDGET_RTOL = 1e-8
@@ -72,10 +72,6 @@ class PowerGrid:
     samples: np.ndarray
     unit: float
 
-    @property
-    def n(self) -> int:
-        return self.samples.size - 1
-
 
 def make_power_grid(p_tot: float, n: int) -> PowerGrid:
     if p_tot <= 0.0:
@@ -88,12 +84,11 @@ def make_power_grid(p_tot: float, n: int) -> PowerGrid:
     return PowerGrid(samples=samples, unit=unit)
 
 
-def _finish(selection, powers, network, algorithm, iterations, diagnostics,
-            nodes) -> Allocation:
+def _finish(selection, powers, network, algorithm, iterations, diagnostics) -> Allocation:
     selection = np.asarray(selection, dtype=np.int8).copy()
     powers = np.asarray(powers, dtype=float).copy()
     powers[selection == 0] = 0.0
-    objective = trace_fim(powers, selection, network, nodes=nodes)
+    objective = trace_fim(powers, selection, network)
     selection.setflags(write=False)
     powers.setflags(write=False)
     return Allocation(
@@ -106,8 +101,7 @@ def _finish(selection, powers, network, algorithm, iterations, diagnostics,
     )
 
 
-def verify_allocation(alloc: Allocation, network: Network, p_tot: float, *,
-                      nodes: int = DEFAULT_NODES) -> None:
+def verify_allocation(alloc: Allocation, network: Network, p_tot: float) -> None:
     """Independent feasibility and objective re-check; raises on violation."""
     k = network.k
     if alloc.selection.shape != (k,) or alloc.powers.shape != (k,):
@@ -119,7 +113,7 @@ def verify_allocation(alloc: Allocation, network: Network, p_tot: float, *,
         raise ValueError(f"allocation spends {total}, budget is {p_tot}")
     if np.any(alloc.powers[alloc.selection == 0] != 0.0):
         raise ValueError("unselected sensor carries nonzero power")
-    recomputed = trace_fim(alloc.powers, alloc.selection, network, nodes=nodes)
+    recomputed = trace_fim(alloc.powers, alloc.selection, network)
     if abs(recomputed - alloc.objective) > 1e-9 * abs(recomputed):
         raise ValueError(
             f"stored objective {alloc.objective} differs from recomputed {recomputed}"
@@ -130,46 +124,33 @@ def verify_allocation(alloc: Allocation, network: Network, p_tot: float, *,
 # Baseline and ranking-based selection.
 # ---------------------------------------------------------------------------
 
-def solve_ufa(network: Network, p_tot: float, *, nodes: int = DEFAULT_NODES) -> Allocation:
+def solve_ufa(network: Network, p_tot: float) -> Allocation:
     """Uniform full activation: every sensor on, equal share of the budget."""
     if p_tot <= 0.0:
         raise ValueError(f"p_tot must be positive, got {p_tot}")
     k = network.k
-    return _finish(np.ones(k), np.full(k, p_tot / k), network, "ufa", 1, (), nodes)
+    return _finish(np.ones(k), np.full(k, p_tot / k), network, "ufa", 1, ())
 
 
-def solve_boolean_relaxation(t_values, i: int) -> np.ndarray:
-    """Relaxed selection of cardinality i: indicator of the i largest values.
-
-    The box-constrained relaxation of picking i sensors by value is a linear
-    program whose optimum sits at a vertex, i.e. exactly the top-i indicator;
-    ties break toward the lower sensor index.
-    """
-    t = np.asarray(t_values, dtype=float)
-    k = t.size
-    if not 1 <= i <= k:
-        raise BadCardinality(f"cardinality {i} is outside 1..{k}")
-    order = np.argsort(-t, kind="stable")
-    w = np.zeros(k)
-    w[order[:i]] = 1.0
-    return w
-
-
-def solve_usu(network: Network, p_tot: float, *, nodes: int = DEFAULT_NODES) -> Allocation:
+def solve_usu(network: Network, p_tot: float) -> Allocation:
     """Rank under uniform power, then sweep the activation cardinality.
 
     Sensors are ranked once by their contribution at the all-on uniform
     power P/K (the ranking step is the same every iteration, so it is not
-    repeated).  For i = 1, 2, ... the top-i sensors get uniform power P/i;
-    the sweep stops at the first i whose objective does not improve, or at
-    i = K, and the best configuration seen is returned.
+    repeated).  Picking i sensors by value relaxes to a box-constrained
+    linear program whose optimum sits at a vertex, i.e. exactly the top-i
+    indicator, so the selection of cardinality i is the i best-ranked
+    sensors, ties going to the lower index.  For i = 1, 2, ... the top-i
+    sensors get uniform power P/i; the sweep stops at the first i whose
+    objective does not improve, or at i = K, and the best configuration
+    seen is returned.
     """
     if p_tot <= 0.0:
         raise ValueError(f"p_tot must be positive, got {p_tot}")
     k = network.k
     prior = network.prior
     t_uniform = np.array(
-        [t_k(p_tot / k, s, prior, nodes=nodes) for s in network.sensors]
+        [t_k(p_tot / k, s, prior) for s in network.sensors]
     )
     order = np.argsort(-t_uniform, kind="stable")
     diagnostics = []
@@ -179,7 +160,7 @@ def solve_usu(network: Network, p_tot: float, *, nodes: int = DEFAULT_NODES) -> 
         chosen = order[:i]
         share = p_tot / i
         objective = prior.inverse_trace + sum(
-            t_k(share, network.sensors[j], prior, nodes=nodes) for j in chosen
+            t_k(share, network.sensors[j], prior) for j in chosen
         )
         diagnostics.append((i, objective))
         if objective <= objective_prev:
@@ -191,7 +172,7 @@ def solve_usu(network: Network, p_tot: float, *, nodes: int = DEFAULT_NODES) -> 
     selection[chosen] = 1
     powers = np.zeros(k)
     powers[chosen] = share
-    return _finish(selection, powers, network, "usu", len(diagnostics), diagnostics, nodes)
+    return _finish(selection, powers, network, "usu", len(diagnostics), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +246,7 @@ def _projected_gradient(t_primes: Sequence[Callable[[float], float]],
 
 
 def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
-                         p_tot: float, *, budget_rtol: float = BUDGET_RTOL,
-                         kkt_rtol: float = KKT_RTOL,
-                         max_iter: int = MAX_ITER) -> PowerSolution:
+                         p_tot: float) -> PowerSolution:
     """Dual bisection on the budget multiplier over arbitrary callables.
 
     Factored out so tests can exercise the solver (including the projected
@@ -309,10 +288,10 @@ def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
     iterations = 0
     while True:
         iterations += 1
-        if iterations > max_iter:
+        if iterations > MAX_ITER:
             raise NoConvergence(
-                f"budget bisection did not reach {budget_rtol:g} relative after "
-                f"{max_iter} iterations"
+                f"budget bisection did not reach {BUDGET_RTOL:g} relative after "
+                f"{MAX_ITER} iterations"
             )
         lam = 0.5 * (lam_lo + lam_hi)
         for j, tp in enumerate(t_primes):
@@ -331,7 +310,7 @@ def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
                 )
                 interior[j] = True
         total = float(np.sum(powers))
-        if abs(total - p_tot) <= budget_rtol * p_tot:
+        if abs(total - p_tot) <= BUDGET_RTOL * p_tot:
             break
         if total > p_tot:
             lam_lo = lam
@@ -349,57 +328,39 @@ def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
         residual = max(abs(t_primes[j](powers[j]) - lam) for j in np.nonzero(interior)[0])
     else:
         residual = 0.0
-    if residual > kkt_rtol * max(lam, 1e-300):
+    if residual > KKT_RTOL * max(lam, 1e-300):
         raise NoConvergence(
-            f"stationarity residual {residual:.3e} exceeds {kkt_rtol:g} * multiplier"
+            f"stationarity residual {residual:.3e} exceeds {KKT_RTOL:g} * multiplier"
         )
     if total > p_tot:
         powers *= p_tot / total
     return PowerSolution(powers, lam, residual, iterations, False)
 
 
-def _power_allocation_detailed(active_set, network: Network, p_tot: float, *,
-                               budget_rtol: float = BUDGET_RTOL,
-                               kkt_rtol: float = KKT_RTOL,
-                               max_iter: int = MAX_ITER,
-                               nodes: int = DEFAULT_NODES) -> PowerSolution:
-    active = list(active_set)
-    if len(active) == 0:
-        raise ValueError("active set must be nonempty")
+def _power_allocation_detailed(active_set, network: Network, p_tot: float) -> PowerSolution:
     if p_tot <= 0.0:
         raise ValueError(f"p_tot must be positive, got {p_tot}")
-    kernels = [InfoKernel(network.sensors[j], network.prior, nodes) for j in active]
-    t_primes = [kern.t_prime for kern in kernels]
-    return _allocate_power_core(
-        t_primes, p_tot, budget_rtol=budget_rtol, kkt_rtol=kkt_rtol, max_iter=max_iter
-    )
+    kernels = [InfoKernel(network.sensors[j], network.prior) for j in active_set]
+    return _allocate_power_core([kern.t_prime for kern in kernels], p_tot)
 
 
-def solve_power_allocation(active_set, network: Network, p_tot: float, *,
-                           budget_rtol: float = BUDGET_RTOL,
-                           kkt_rtol: float = KKT_RTOL,
-                           max_iter: int = MAX_ITER,
-                           nodes: int = DEFAULT_NODES) -> np.ndarray:
+def solve_power_allocation(active_set, network: Network, p_tot: float) -> np.ndarray:
     """Optimal budget split over a fixed active set, aligned with active_set.
 
     Maximizes the summed information of the active sensors subject to the
     powers adding up to the budget.  Bisection on the budget multiplier
     drives each sensor's derivative to the common value; the budget matches
-    within budget_rtol and the stationarity residual of interior sensors
-    stays within kkt_rtol of the multiplier.
+    within BUDGET_RTOL and the stationarity residual of interior sensors
+    stays within KKT_RTOL of the multiplier.
     """
-    return _power_allocation_detailed(
-        active_set, network, p_tot, budget_rtol=budget_rtol, kkt_rtol=kkt_rtol,
-        max_iter=max_iter, nodes=nodes,
-    ).powers
+    return _power_allocation_detailed(active_set, network, p_tot).powers
 
 
 # ---------------------------------------------------------------------------
 # Greedy activation with continuous re-optimization.
 # ---------------------------------------------------------------------------
 
-def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0, *,
-                 nodes: int = DEFAULT_NODES) -> Allocation:
+def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> Allocation:
     """Add one sensor per round, re-optimizing the continuous power split.
 
     Every inactive sensor is tried as the next addition (the candidate's
@@ -425,12 +386,12 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0, *,
         best_solution = None
         for j in inactive:
             candidate = active + [j]
-            solution = _power_allocation_detailed(candidate, network, p_tot, nodes=nodes)
+            solution = _power_allocation_detailed(candidate, network, p_tot)
             powers_full = np.zeros(k)
             powers_full[candidate] = solution.powers
             selection = np.zeros(k)
             selection[candidate] = 1
-            objective = trace_fim(powers_full, selection, network, nodes=nodes)
+            objective = trace_fim(powers_full, selection, network)
             if objective > best_obj:
                 best_obj = objective
                 best_j = j
@@ -448,7 +409,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0, *,
     selection = np.zeros(k)
     selection[active] = 1
     label = "greedy(pg-fallback)" if fallback_seen else "greedy"
-    return _finish(selection, accepted_powers, network, label, rounds, diagnostics, nodes)
+    return _finish(selection, accepted_powers, network, label, rounds, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +475,14 @@ def solve_mckp(value_table, grid: PowerGrid, p_tot: float, *,
     )
 
 
-def solve_mckp_network(network: Network, p_tot: float, n: int = 100, *,
-                       nodes: int = DEFAULT_NODES) -> Allocation:
+def solve_mckp_network(network: Network, p_tot: float, n: int = 100) -> Allocation:
     """Tabulate the network's contributions on a fresh grid and run the DP."""
     grid = make_power_grid(p_tot, n)
-    table = tabulate_t(network, grid.samples, nodes=nodes)
+    table = tabulate_t(network, grid.samples)
     return solve_mckp(table, grid, p_tot, baseline=network.prior.inverse_trace)
 
 
-def solve_bruteforce(network: Network, p_tot: float, n_small: int, *,
-                     nodes: int = DEFAULT_NODES) -> Allocation:
+def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation:
     """Exhaustive search over every discretized assignment; small cases only."""
     k = network.k
     if k > BRUTE_MAX_K or n_small > BRUTE_MAX_N:
@@ -534,7 +493,7 @@ def solve_bruteforce(network: Network, p_tot: float, n_small: int, *,
     if n_small < 1:
         raise ValueError(f"n_small must be >= 1, got {n_small}")
     grid = make_power_grid(p_tot, n_small)
-    table = tabulate_t(network, grid.samples, nodes=nodes)
+    table = tabulate_t(network, grid.samples)
     n1 = n_small + 1
     value = np.zeros((n1,) * k)
     units = np.zeros((n1,) * k, dtype=int)
@@ -561,3 +520,15 @@ def solve_bruteforce(network: Network, p_tot: float, n_small: int, *,
         iterations=int(np.sum(feasible)),
         diagnostics=(),
     )
+
+
+# Every algorithm behind one signature; the lambdas look each solver up at
+# call time, so rebinding a module-level solver (as tracing does) reaches it.
+SOLVERS = {
+    "ufa": lambda network, p_tot, grid_n, eps0: solve_ufa(network, p_tot),
+    "usu": lambda network, p_tot, grid_n, eps0: solve_usu(network, p_tot),
+    "greedy": lambda network, p_tot, grid_n, eps0: solve_greedy(network, p_tot, eps0),
+    "mckp": lambda network, p_tot, grid_n, eps0: solve_mckp_network(network, p_tot, grid_n),
+    "brute": lambda network, p_tot, grid_n, eps0: solve_bruteforce(
+        network, p_tot, min(grid_n, BRUTE_MAX_N)),
+}

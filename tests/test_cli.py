@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,64 @@ class TestSolve:
             run(["solve", "--alg", "nope", "--ptot", "1", "--scenario", "x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--ptot", ["solve", "--alg", "ufa", "--ptot", "0"]),
+        ("--grid-n", ["solve", "--alg", "mckp", "--ptot", "5", "--grid-n", "0"]),
+        ("--eps0", ["solve", "--alg", "greedy", "--ptot", "5", "--eps0", "0"]),
+        ("--ptot", ["solve", "--alg", "ufa", "--ptot", "nan"]),
+        ("--ptot-min", ["sweep", "--ptot-min", "-1", "--ptot-max", "5", "--out", "x"]),
+        ("--ptot-max", ["sweep", "--ptot-min", "1", "--ptot-max", "0", "--out", "x"]),
+        ("--steps", ["sweep", "--ptot-min", "1", "--ptot-max", "5", "--steps", "0",
+                     "--out", "x"]),
+        ("--trials", ["verify", "--suite", "mckp", "--trials", "-1"]),
+    ])
+    def test_bad_numeric_flag_exits_two(self, flag, argv, golden_scenario_path, capsys):
+        if argv[0] != "verify":
+            argv = argv + ["--scenario", str(golden_scenario_path)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, value, where", [
+        (("sensors", 0, "gain"), [float("nan"), 1.0], "sensors[0]"),
+        (("sensors", 0, "sigma_n"), -1, "sensors[0]"),
+        (("sensors", 0, "bits"), "three", "sensors[0]"),
+        (("prior", "covariance"), [[float("nan"), 0.5], [0.5, 0.25]], "prior.covariance"),
+        (("geometry", "seed"), "x", "geometry"),
+    ])
+    def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
+                                            tmp_path, capsys):
+        payload = json.loads(golden_scenario_path.read_text())
+        parent = payload
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = run(["solve", "--scenario", str(path), "--alg", "ufa", "--ptot", "5"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "cannot load scenario" in err and where in err
+
+    @pytest.mark.parametrize("name", ["ufa", "usu", "greedy", "mckp", "brute"])
+    def test_solver_table_matches_cli(self, name, tmp_path):
+        assert set(solvers.SOLVERS) == {"ufa", "usu", "greedy", "mckp", "brute"}
+        path = tmp_path / "s.json"
+        model.save_scenario(model.generate_deployment(11, 3), path)
+        direct = solvers.SOLVERS[name](model.load_scenario(path), 6.0, 6,
+                                       solvers.DEFAULT_EPS0)
+        out = tmp_path / "alloc.csv"
+        assert run(["solve", "--scenario", str(path), "--alg", name, "--ptot", "6",
+                    "--grid-n", "6", "--out", str(out)]) == 0
+        header, _, _ = cli.read_allocation_csv(out)
+        assert float(header["objective"]) == direct.objective
+        rows_out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--scenario", str(path), "--alg", name, "--ptot-min", "6",
+                    "--ptot-max", "6", "--steps", "1", "--grid-n", "6",
+                    "--out", str(rows_out)]) == 0
+        assert cli.read_sweep_csv(rows_out)[0]["tr_j"] == direct.objective
+
 
 @pytest.fixture(scope="module")
 def small_scenario(tmp_path_factory):
@@ -122,7 +182,7 @@ class TestSweep:
 
 class TestVerifyCommand:
     def test_passing_suite(self, capsys):
-        assert run(["verify", "--suite", "lp", "--trials", "20"]) == 0
+        assert run(["verify", "--suite", "mckp", "--trials", "20"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "checks passed" in out
 
@@ -133,6 +193,6 @@ class TestVerifyCommand:
             return [verify_mod.CheckResult(name="fake", passed=False,
                                            measured=9.0, threshold=1.0)]
 
-        monkeypatch.setitem(verify_mod.SUITES, "lp", fake_check)
-        assert run(["verify", "--suite", "lp"]) == 5
+        monkeypatch.setitem(verify_mod.SUITES, "mckp", fake_check)
+        assert run(["verify", "--suite", "mckp"]) == 5
         assert "[FAIL]" in capsys.readouterr().out

@@ -6,42 +6,66 @@ from fimalloc.errors import BelowFloor, DimensionMismatch
 from conftest import random_network
 
 
+def single_node_g(s, alpha, quantizer, sigma_n):
+    """The kernel core on a one-node table of unit weight: G at s itself."""
+    b = quantcomm.beta(s, quantizer, sigma_n)[None, :]
+    bd = quantcomm.beta_dot(s, quantizer, sigma_n)[None, :]
+    return fisher._kernel_sum(np.ones(1), b, bd, alpha)
+
+
 class TestGKernel:
     def test_two_cell_hand_value(self):
         # One-bit quantizer, tau = sigma = 1, error-free channel, s = 0:
         # beta = [1/2, 1/2], beta_dot = [-1, +1], so G = 2 * 1 / (1/2) = 4.
         q = quantcomm.make_quantizer(1, 1.0)
-        transition = quantcomm.TransitionMatrix(p_bit=0.0, entries=np.eye(2))
-        assert fisher.g_kernel(0.0, transition, q, 1.0) == pytest.approx(4.0, abs=1e-12)
+        assert single_node_g(0.0, np.eye(2), q, 1.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_uniform_confusion_kills_information(self, reference_sensor):
         q = quantcomm.make_quantizer(reference_sensor.bits, reference_sensor.tau)
-        transition = quantcomm.alpha_matrix(0.0, reference_sensor)
+        alpha = quantcomm.alpha_matrix(0.0, reference_sensor)
         for s in (-1.0, 0.0, 2.5):
-            assert fisher.g_kernel(s, transition, q, 1.0) < 1e-12
+            assert single_node_g(s, alpha, q, 1.0) < 1e-12
 
     def test_error_free_reduces_to_quantized_information(self):
         q = quantcomm.make_quantizer(2, 3.0)
-        transition = quantcomm.TransitionMatrix(p_bit=0.0, entries=np.eye(4))
         s, sigma = 0.7, 1.2
         expected = np.sum(
             quantcomm.beta_dot(s, q, sigma) ** 2 / quantcomm.beta(s, q, sigma)
         )
-        assert fisher.g_kernel(s, transition, q, sigma) == pytest.approx(expected, rel=1e-12)
-
-    def test_size_mismatch(self, reference_sensor):
-        q = quantcomm.make_quantizer(2, 3.0)
-        transition = quantcomm.alpha_matrix(1.0, reference_sensor)  # 8x8
-        with pytest.raises(DimensionMismatch):
-            fisher.g_kernel(0.0, transition, q, 1.0)
+        assert single_node_g(s, np.eye(4), q, sigma) == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative(self, reference_sensor):
         q = quantcomm.make_quantizer(reference_sensor.bits, reference_sensor.tau)
         rng = np.random.default_rng(5)
         for _ in range(30):
-            transition = quantcomm.alpha_matrix(float(rng.uniform(0, 20)), reference_sensor)
-            value = fisher.g_kernel(float(rng.uniform(-8, 8)), transition, q, 1.0)
+            alpha = quantcomm.alpha_matrix(float(rng.uniform(0, 20)), reference_sensor)
+            value = single_node_g(float(rng.uniform(-8, 8)), alpha, q, 1.0)
             assert value >= 0.0 and np.isfinite(value)
+
+    def test_expected_kernels_match_reference_formulas(self, golden_network):
+        # The kernel and its p-slope written out in full; the shared core
+        # must reproduce them bit for bit.
+        for sensor in golden_network.sensors[:3]:
+            kernel = fisher.InfoKernel(sensor, golden_network.prior)
+            w, b, bd = kernel._weights, kernel._b, kernel._bd
+            for p in np.geomspace(1e-8, 0.49, 50):
+                p = float(p)
+                alpha = quantcomm._alpha_entries(sensor.bits, p)
+                slope = fisher._alpha_slope(sensor.bits, p)
+                num = bd @ alpha.T
+                den = b @ alpha.T
+                num_d = bd @ slope.T
+                den_d = b @ slope.T
+                keep = den >= 1e-300
+                safe = np.where(keep, den, 1.0)
+                g = np.sum(np.where(keep, num * num / safe, 0.0), axis=1)
+                dg = np.sum(
+                    np.where(keep, (2.0 * num * num_d * safe - num * num * den_d)
+                             / (safe * safe), 0.0),
+                    axis=1,
+                )
+                assert kernel.expected_g(p) == float(w @ g)
+                assert kernel.expected_g_slope(p) == float(w @ dg)
 
 
 class TestTk:
@@ -79,7 +103,7 @@ class TestTk:
             theta = rng.standard_normal((trials, net.prior.q)) @ chol.T
             s = theta @ sensor.gain
             q = quantcomm.make_quantizer(sensor.bits, sensor.tau)
-            alpha = quantcomm.alpha_matrix(power, sensor).entries
+            alpha = quantcomm.alpha_matrix(power, sensor)
             b = quantcomm._beta_table(s, q, sensor.sigma_n)
             bd = quantcomm._beta_dot_table(s, q, sensor.sigma_n)
             num = bd @ alpha.T
@@ -197,23 +221,3 @@ class TestTabulate:
     def test_rejects_bad_grid(self, golden_network):
         with pytest.raises(ValueError):
             fisher.tabulate_t(golden_network, [1.0, 0.5])
-
-
-class TestInfoCurve:
-    def test_curve_and_csv(self, reference_sensor, default_prior, tmp_path):
-        net = model.Network(sensors=(reference_sensor,), prior=default_prior)
-        curve = fisher.info_curve(net, 0, [0.5, 1.0, 4.0, 9.0])
-        assert np.all(curve.values >= 0.0)
-        assert np.all(np.diff(curve.powers) > 0)
-        np.testing.assert_allclose(
-            curve.derivative_cache,
-            [fisher.t_k_derivative(p, reference_sensor, default_prior)
-             for p in curve.powers],
-        )
-        path = tmp_path / "curve.csv"
-        fisher.write_curve_csv(curve, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "sensor_id,power,t_value,dt_dP"
-        cells = lines[1].split(",")
-        assert float(cells[1]) == curve.powers[0]
-        assert float(cells[2]) == curve.values[0]

@@ -129,23 +129,23 @@ class TestBitErrorProb:
 
 class TestAlphaMatrix:
     def test_uniform_confusion_at_zero_power(self, reference_sensor):
-        entries = quantcomm.alpha_matrix(0.0, reference_sensor).entries
+        entries = quantcomm.alpha_matrix(0.0, reference_sensor)
         np.testing.assert_allclose(entries, np.full((8, 8), 0.125), rtol=1e-12)
 
     def test_identity_at_large_power(self, reference_sensor):
-        entries = quantcomm.alpha_matrix(1e9, reference_sensor).entries
+        entries = quantcomm.alpha_matrix(1e9, reference_sensor)
         np.testing.assert_allclose(entries, np.eye(8), atol=1e-12)
 
     def test_doubly_stochastic_and_symmetric(self, reference_sensor):
         for power in [0.0] + list(np.geomspace(1e-3, 1e4, 12)):
-            entries = quantcomm.alpha_matrix(float(power), reference_sensor).entries
+            entries = quantcomm.alpha_matrix(float(power), reference_sensor)
             np.testing.assert_allclose(entries.sum(axis=0), 1.0, atol=1e-12)
             np.testing.assert_allclose(entries.sum(axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(entries, entries.T, rtol=1e-12)
 
     def test_diagonal_monotone_in_power(self, reference_sensor):
         grid = np.geomspace(1e-2, 1e4, 15)
-        diags = [np.diag(quantcomm.alpha_matrix(float(p), reference_sensor).entries)
+        diags = [np.diag(quantcomm.alpha_matrix(float(p), reference_sensor))
                  for p in grid]
         for a, b in zip(diags, diags[1:]):
             assert np.all(b >= a)
@@ -153,7 +153,7 @@ class TestAlphaMatrix:
     def test_matches_simulation(self, reference_sensor):
         trials = 50_000
         power = 3.0 / 0.49
-        analytic = quantcomm.alpha_matrix(power, reference_sensor).entries
+        analytic = quantcomm.alpha_matrix(power, reference_sensor)
         empirical = quantcomm.mc_alpha_oracle(power, reference_sensor, trials, seed=55)
         sigma = binomial_sigma(analytic, trials)
         assert np.all(np.abs(empirical - analytic) <= 4.0 * sigma)
@@ -194,11 +194,3 @@ class TestMonteCarloOracles:
         a = quantcomm.mc_alpha_oracle(2.0, reference_sensor, 3000, seed=77)
         b = quantcomm.mc_alpha_oracle(2.0, reference_sensor, 3000, seed=77)
         np.testing.assert_array_equal(a, b)
-
-    def test_empirical_csv_roundtrip(self, reference_sensor, tmp_path):
-        freq = quantcomm.mc_alpha_oracle(2.0, reference_sensor, 1024, seed=6)
-        path = tmp_path / "confusion.csv"
-        quantcomm.write_empirical_csv(freq, path)
-        back = np.array([[float(cell) for cell in line.split(",")]
-                         for line in path.read_text().strip().splitlines()])
-        np.testing.assert_array_equal(back, freq)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fimalloc import fisher, model, solvers, verify
-from fimalloc.errors import BadCardinality, ConcavityWarning, GridMismatch, TooLarge
+from fimalloc.errors import ConcavityWarning, GridMismatch, TooLarge
 from conftest import random_network
 
 
@@ -42,33 +42,6 @@ class TestUfa:
     def test_feasible(self, golden_network):
         alloc = solvers.solve_ufa(golden_network, 30.0)
         solvers.verify_allocation(alloc, golden_network, 30.0)
-
-
-class TestBooleanRelaxation:
-    def test_top_two(self):
-        np.testing.assert_array_equal(
-            solvers.solve_boolean_relaxation([3.0, 1.0, 2.0], 2), [1.0, 0.0, 1.0]
-        )
-
-    def test_all_selected(self):
-        np.testing.assert_array_equal(
-            solvers.solve_boolean_relaxation([0.5, 0.1, 0.9], 3), np.ones(3)
-        )
-
-    def test_tie_goes_to_lower_index(self):
-        np.testing.assert_array_equal(
-            solvers.solve_boolean_relaxation([2.0, 2.0, 1.0], 1), [1.0, 0.0, 0.0]
-        )
-
-    def test_bad_cardinality(self):
-        with pytest.raises(BadCardinality):
-            solvers.solve_boolean_relaxation([1.0, 2.0], 0)
-        with pytest.raises(BadCardinality):
-            solvers.solve_boolean_relaxation([1.0, 2.0], 3)
-
-    def test_matches_exhaustive_subsets(self):
-        results = verify.check_lp(vectors=100)
-        assert all(r.passed for r in results), [r.line() for r in results]
 
 
 class TestUsu:
