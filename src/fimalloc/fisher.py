@@ -27,9 +27,9 @@ from .errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
 from .model import Network, Prior, Sensor
 from .quantcomm import (
     _alpha_entries,
+    _alpha_slope,
     _beta_dot_table,
     _beta_table,
-    _hamming_matrix,
     bit_error_prob,
     make_quantizer,
 )
@@ -147,14 +147,6 @@ def _kernel_sum(weights: np.ndarray, b: np.ndarray, bd: np.ndarray,
             axis=1,
         )
     return float(weights @ g)
-
-
-def _alpha_slope(bits: int, p: float) -> np.ndarray:
-    """Elementwise derivative of the confusion entries with respect to p."""
-    d = _hamming_matrix(bits)
-    rising = d * p ** np.maximum(d - 1, 0) * (1.0 - p) ** (bits - d)
-    falling = (bits - d) * p ** d * (1.0 - p) ** np.maximum(bits - d - 1, 0)
-    return rising - falling
 
 
 class InfoKernel:

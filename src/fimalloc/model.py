@@ -321,6 +321,16 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _require_integer(mapping: dict, key: str, where: str) -> int:
+    """An integer field; JSON booleans and fractional numbers are rejected."""
+    value = _require(mapping, key, where)
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ParseError(f"{where}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _reject_unknown(mapping: dict, allowed: set, where: str):
     unknown = set(mapping) - allowed
     if unknown:
@@ -393,7 +403,7 @@ def network_from_dict(payload: dict) -> Network:
                     sigma_n=float(_require(entry, "sigma_n", where)),
                     h_mag=float(_require(entry, "h_mag", where)),
                     sigma_nu=float(_require(entry, "sigma_nu", where)),
-                    bits=int(_require(entry, "bits", where)),
+                    bits=_require_integer(entry, "bits", where),
                     tau=float(_require(entry, "tau", where)),
                 )
             )

@@ -89,12 +89,27 @@ def _hamming_matrix(bits: int) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _alpha_entries(bits: int, p: float) -> np.ndarray:
-    """Confusion probabilities p**d * (1-p)**(L-d) over codeword Hamming distance d."""
-    dist = _hamming_matrix(bits)
+    """Confusion probabilities p**d * (1-p)**(L-d) over codeword Hamming distance d.
+
+    Computed once per distance d = 0..L and spread over the matrix by the
+    Hamming distances, which is elementwise the same arithmetic.
+    """
+    d = np.arange(bits + 1)
     with np.errstate(invalid="ignore"):
-        entries = p ** dist * (1.0 - p) ** (bits - dist)
+        entries = (p ** d * (1.0 - p) ** (bits - d))[_hamming_matrix(bits)]
     entries.setflags(write=False)
     return entries
+
+
+@lru_cache(maxsize=4096)
+def _alpha_slope(bits: int, p: float) -> np.ndarray:
+    """Elementwise derivative of the confusion entries with respect to p."""
+    d = np.arange(bits + 1)
+    rising = d * p ** np.maximum(d - 1, 0) * (1.0 - p) ** (bits - d)
+    falling = (bits - d) * p ** d * (1.0 - p) ** np.maximum(bits - d - 1, 0)
+    slope = (rising - falling)[_hamming_matrix(bits)]
+    slope.setflags(write=False)
+    return slope
 
 
 def bit_error_prob(power: float, sensor: Sensor) -> float:

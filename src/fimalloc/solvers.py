@@ -3,7 +3,8 @@
 Four entry points returning feasible allocations under a shared power
 budget: a uniform-full-activation baseline, a rank-then-sweep heuristic
 (uniform power, top-i selection, sweep the cardinality), a greedy scheme
-that re-optimizes continuous powers each time a sensor is added, and a
+that re-optimizes continuous powers each time a sensor is added (skipping
+candidates a Lagrangian dual bound rules out), and a
 dynamic program over discretized power levels (one choice per sensor).
 A brute-force enumerator over the same discretization serves as the
 reference oracle for small instances.  SOLVERS maps each algorithm's name
@@ -33,7 +34,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
 )
-from .fisher import InfoKernel, t_k, tabulate_t, trace_fim
+from .fisher import DEFAULT_NODES, InfoKernel, _guarded_t, t_k, tabulate_t, trace_fim
 from .model import Network
 
 BUDGET_RTOL = 1e-8
@@ -43,6 +44,11 @@ POWER_FLOOR_SCALE = 1e-9
 DEFAULT_EPS0 = 1e-3
 BRUTE_MAX_K = 6
 BRUTE_MAX_N = 8
+# Relative slack on greedy's dual bound before it may skip a candidate or end
+# a round.  The bound and the objective share one quadrature, so only rounding
+# and the root tolerance could lift an objective above its bound; measured
+# objectives sit at least 1e-10 relative below their bounds.
+_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,11 @@ def _projected_gradient(t_primes: Sequence[Callable[[float], float]],
     return powers
 
 
+def _slope_rises(slope_at_floor, slope_at_top):
+    """True where the derivative rises over the power interval: t is not concave."""
+    return slope_at_top > slope_at_floor + 1e-12 * np.abs(slope_at_floor) + 1e-300
+
+
 def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
                          p_tot: float) -> PowerSolution:
     """Dual bisection on the budget multiplier over arbitrary callables.
@@ -261,7 +272,7 @@ def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
     slope_at_floor = np.array([tp(floor) for tp in t_primes])
     slope_at_top = np.array([tp(p_tot) for tp in t_primes])
 
-    if np.any(slope_at_top > slope_at_floor + 1e-12 * np.abs(slope_at_floor) + 1e-300):
+    if np.any(_slope_rises(slope_at_floor, slope_at_top)):
         # Derivative rises over the interval: the concavity the dual method
         # relies on does not hold.  Switch to projected gradient.
         warnings.warn(
@@ -360,39 +371,133 @@ def solve_power_allocation(active_set, network: Network, p_tot: float) -> np.nda
 # Greedy activation with continuous re-optimization.
 # ---------------------------------------------------------------------------
 
+class _DualBound:
+    """Lagrangian upper bounds on greedy's objectives, for one solve.
+
+    For any multiplier lam >= 0, weak duality bounds every split of the
+    budget over a set S by prior + lam * p_tot + sum over i in S of
+    max_P [t_i(P) - lam * P], each max taken over [0, p_tot].  Each term is
+    evaluated with the guarded t that trace_fim uses.  A term whose slope
+    at the power floor is already at most lam is bounded by t_i(floor),
+    since t rises and concavity puts the max over [floor, p_tot] at the
+    floor; one whose slope at p_tot is still at least lam peaks at p_tot;
+    otherwise the max sits at the root of t_i' = lam.  Endpoint slopes are
+    taken once per sensor and solve.
+    """
+
+    def __init__(self, network: Network, p_tot: float, kernels: Sequence[InfoKernel]):
+        self.network = network
+        self.p_tot = p_tot
+        self.floor = POWER_FLOOR_SCALE * p_tot
+        self.kernels = kernels
+        self._rungs = [[] for _ in kernels]
+        self._slopes: dict = {}
+        self._roots: dict = {}
+
+    def slopes(self, i: int) -> tuple:
+        """t_i' at the power floor and at p_tot."""
+        if i not in self._slopes:
+            t_prime = self.kernels[i].t_prime
+            self._slopes[i] = (t_prime(self.floor), t_prime(self.p_tot))
+        return self._slopes[i]
+
+    def concave(self, i: int) -> bool:
+        return not _slope_rises(*self.slopes(i))
+
+    def _t(self, i: int, power: float) -> float:
+        return _guarded_t(self._rungs[i], self.network.sensors[i], self.network.prior,
+                          DEFAULT_NODES, power)
+
+    def bounds(self, lam: float, active: Sequence[int], powers: np.ndarray,
+               candidates: Sequence[int]) -> dict:
+        """UB_j for each candidate j, given the set `active` split as `powers` at `lam`.
+
+        Every bound is infinite when none applies: lam is not a finite
+        nonnegative number, or a member's derivative rises.  A candidate
+        whose derivative rises, or whose bound comes out NaN, gets an
+        infinite bound too.
+        """
+        if not (0.0 <= lam < math.inf and all(self.concave(i) for i in active)):
+            return dict.fromkeys(candidates, math.inf)
+        base = self.network.prior.inverse_trace + lam * self.p_tot + sum(
+            self.term(i, lam, powers[i]) for i in active)
+        ub = {}
+        for j in candidates:
+            u = base + self.term(j, lam) if self.concave(j) else math.inf
+            ub[j] = math.inf if math.isnan(u) else u
+        return ub
+
+    def term(self, i: int, lam: float, power: float | None = None) -> float:
+        """Bound on max_P [t_i(P) - lam * P]; `power` is a known interior maximizer."""
+        at_floor, at_top = self.slopes(i)
+        if at_floor - lam <= 0.0:
+            return self._t(i, self.floor)
+        if at_top - lam >= 0.0:
+            return self._t(i, self.p_tot) - lam * self.p_tot
+        if power is None:
+            t_prime = self.kernels[i].t_prime
+            power = _newton_root(lambda x: t_prime(x) - lam, self.floor, self.p_tot,
+                                 at_floor - lam, at_top - lam,
+                                 self._roots.get(i, 0.5 * self.p_tot), 1e-12 * self.p_tot)
+            self._roots[i] = power
+        return self._t(i, power) - lam * power
+
+
 def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> Allocation:
     """Add one sensor per round, re-optimizing the continuous power split.
 
-    Every inactive sensor is tried as the next addition (the candidate's
-    active set gets a fresh continuous solve); the best candidate joins, and
-    the loop stops once the relative objective improvement drops to eps0 or
-    every sensor is active.  The last accepted configuration is returned.
+    Every inactive sensor is a candidate for the next addition (its active
+    set gets a fresh continuous solve); the best candidate joins, ties going
+    to the lower index, and the loop stops once the relative objective
+    improvement drops to eps0 or every sensor is active.  The last accepted
+    configuration is returned.
+
+    Candidates that cannot win are skipped without a solve.  With the
+    accepted set A split at multiplier lam (t'(p_tot) for a single sensor),
+    weak duality bounds each candidate's objective by
+    UB_j = prior + lam * p_tot + sum over i in A + j of max_P [t_i(P) - lam * P]
+    (see _DualBound).  A round whose largest bound, widened by
+    _BOUND_SLACK, improves on the accepted objective by at most eps0
+    relative stops the loop at once.  Otherwise candidates are solved in
+    order of decreasing bound, ties by index, until the next widened bound
+    falls below the best objective so far.  No bound is used after a
+    projected-gradient split or a non-finite multiplier, and a candidate
+    whose derivative rises over the power interval is always solved.  The
+    result is the same as solving every candidate.
     """
     if p_tot <= 0.0:
         raise ValueError(f"p_tot must be positive, got {p_tot}")
     if eps0 <= 0.0:
         raise ValueError(f"eps0 must be positive, got {eps0}")
     k = network.k
+    kernels = [InfoKernel(sensor, network.prior) for sensor in network.sensors]
+    bound = _DualBound(network, p_tot, kernels)
     active: list = []
     inactive = list(range(k))
     objective_prev = 1e-12
     accepted_powers = np.zeros(k)
+    lam = math.nan
     diagnostics = []
     fallback_seen = False
     rounds = 0
     while inactive:
+        ub = bound.bounds(lam, active, accepted_powers, inactive)
+        if (max(ub.values()) * (1.0 + _BOUND_SLACK) - objective_prev) / objective_prev <= eps0:
+            break
         best_obj = -math.inf
         best_j = None
         best_solution = None
-        for j in inactive:
+        for j in sorted(inactive, key=lambda j: (-ub[j], j)):
+            if ub[j] * (1.0 + _BOUND_SLACK) < best_obj:
+                break
             candidate = active + [j]
-            solution = _power_allocation_detailed(candidate, network, p_tot)
+            solution = _allocate_power_core([kernels[i].t_prime for i in candidate], p_tot)
             powers_full = np.zeros(k)
             powers_full[candidate] = solution.powers
             selection = np.zeros(k)
             selection[candidate] = 1
             objective = trace_fim(powers_full, selection, network)
-            if objective > best_obj:
+            if objective > best_obj or (objective == best_obj and j < best_j):
                 best_obj = objective
                 best_j = j
                 best_solution = solution
@@ -403,6 +508,12 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
         accepted_powers = np.zeros(k)
         accepted_powers[active] = best_solution.powers
         fallback_seen = fallback_seen or best_solution.fallback
+        if best_solution.fallback:
+            lam = math.nan
+        elif len(active) == 1:
+            lam = bound.slopes(best_j)[1]
+        else:
+            lam = best_solution.multiplier
         objective_prev = best_obj
         rounds += 1
         diagnostics.append((rounds, best_obj))

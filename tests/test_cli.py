@@ -93,6 +93,8 @@ class TestSolve:
         (("sensors", 0, "bits"), "three", "sensors[0]"),
         (("prior", "covariance"), [[float("nan"), 0.5], [0.5, 0.25]], "prior.covariance"),
         (("geometry", "seed"), "x", "geometry"),
+        (("sensors", 0, "bits"), 3.7, "sensors[0].bits"),
+        (("sensors", 0, "bits"), True, "sensors[0].bits"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):

@@ -51,7 +51,7 @@ class TestGKernel:
             for p in np.geomspace(1e-8, 0.49, 50):
                 p = float(p)
                 alpha = quantcomm._alpha_entries(sensor.bits, p)
-                slope = fisher._alpha_slope(sensor.bits, p)
+                slope = quantcomm._alpha_slope(sensor.bits, p)
                 num = bd @ alpha.T
                 den = b @ alpha.T
                 num_d = bd @ slope.T

@@ -150,6 +150,21 @@ class TestAlphaMatrix:
         for a, b in zip(diags, diags[1:]):
             assert np.all(b >= a)
 
+    def test_entries_and_slope_match_elementwise_formulas(self):
+        # The per-distance construction must reproduce the matrix-wide
+        # formulas bit for bit, down to p = 1e-300 and at p = 0.
+        ps = np.concatenate(([0.0, 1e-300, 0.5], np.geomspace(1e-300, 0.5, 400)))
+        for bits in range(1, 6):
+            dist = quantcomm._hamming_matrix(bits)
+            for p in ps:
+                p = float(p)
+                entries = p ** dist * (1.0 - p) ** (bits - dist)
+                rising = dist * p ** np.maximum(dist - 1, 0) * (1.0 - p) ** (bits - dist)
+                falling = (bits - dist) * p ** dist * (1.0 - p) ** np.maximum(bits - dist - 1, 0)
+                assert np.array_equal(quantcomm._alpha_entries(bits, p), entries)
+                assert np.array_equal(quantcomm._alpha_slope(bits, p), rising - falling)
+        assert not quantcomm._alpha_slope(3, 0.1).flags.writeable
+
     def test_matches_simulation(self, reference_sensor):
         trials = 50_000
         power = 3.0 / 0.49

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,131 @@ class TestGreedy:
         np.testing.assert_array_equal(a.selection, b.selection)
         assert a.objective == b.objective
         assert a.diagnostics == b.diagnostics
+
+
+def _greedy_every_candidate(network, p_tot, eps0):
+    """Greedy without bounds: every inactive candidate gets a split each round.
+
+    Returns the allocation and, per round, the accepted set, its powers, its
+    multiplier (t'(p_tot) for one sensor) and every candidate's objective.
+    """
+    k = network.k
+    active = []
+    inactive = list(range(k))
+    objective_prev = 1e-12
+    accepted_powers = np.zeros(k)
+    lam = math.nan
+    diagnostics = []
+    fallback_seen = False
+    rounds = 0
+    history = []
+    while inactive:
+        best_obj = -math.inf
+        best_j = None
+        best_solution = None
+        objectives = {}
+        for j in inactive:
+            candidate = active + [j]
+            solution = solvers._power_allocation_detailed(candidate, network, p_tot)
+            powers_full = np.zeros(k)
+            powers_full[candidate] = solution.powers
+            selection = np.zeros(k)
+            selection[candidate] = 1
+            objective = fisher.trace_fim(powers_full, selection, network)
+            objectives[j] = objective
+            if objective > best_obj:
+                best_obj = objective
+                best_j = j
+                best_solution = solution
+        history.append((list(active), accepted_powers, lam, objectives))
+        if (best_obj - objective_prev) / objective_prev <= eps0:
+            break
+        active.append(best_j)
+        inactive.remove(best_j)
+        accepted_powers = np.zeros(k)
+        accepted_powers[active] = best_solution.powers
+        fallback_seen = fallback_seen or best_solution.fallback
+        lam = best_solution.multiplier if len(active) > 1 else fisher.InfoKernel(
+            network.sensors[best_j], network.prior).t_prime(p_tot)
+        objective_prev = best_obj
+        rounds += 1
+        diagnostics.append((rounds, best_obj))
+    selection = np.zeros(k)
+    selection[active] = 1
+    label = "greedy(pg-fallback)" if fallback_seen else "greedy"
+    alloc = solvers._finish(selection, accepted_powers, network, label, rounds, diagnostics)
+    return alloc, history
+
+
+_PRUNING_NETWORKS = {
+    "homogeneous-6": lambda: model.homogeneous_network(6),
+    "deployment-44-8": lambda: model.generate_deployment(44, 8),
+    "deployment-46-8": lambda: model.generate_deployment(46, 8),
+}
+
+
+@pytest.fixture(scope="module", params=[
+    ("golden", 5.0, solvers.DEFAULT_EPS0),
+    ("golden", 15.0, solvers.DEFAULT_EPS0),
+    ("homogeneous-6", 12.0, 1e-6),
+    ("deployment-44-8", 20.0, solvers.DEFAULT_EPS0),
+    ("deployment-46-8", 3.0, solvers.DEFAULT_EPS0),
+], ids=lambda case: f"{case[0]}@{case[1]:g}")
+def every_candidate(request):
+    name, p_tot, eps0 = request.param
+    network = (request.getfixturevalue("golden_network") if name == "golden"
+               else _PRUNING_NETWORKS[name]())
+    return network, p_tot, eps0, _greedy_every_candidate(network, p_tot, eps0)
+
+
+class TestGreedyPruning:
+    def test_identical_to_solving_every_candidate(self, every_candidate):
+        network, p_tot, eps0, (reference, _) = every_candidate
+        alloc = solvers.solve_greedy(network, p_tot, eps0)
+        assert alloc.selection.tolist() == reference.selection.tolist()
+        assert alloc.powers.tolist() == reference.powers.tolist()
+        assert alloc.objective == reference.objective
+        assert alloc.diagnostics == reference.diagnostics
+        assert alloc.iterations == reference.iterations
+        assert alloc.algorithm == reference.algorithm
+
+    def test_every_candidate_within_its_bound(self, every_candidate):
+        network, p_tot, _, (_, history) = every_candidate
+        kernels = [fisher.InfoKernel(s, network.prior) for s in network.sensors]
+        bound = solvers._DualBound(network, p_tot, kernels)
+        checked = 0
+        for active, powers, lam, objectives in history[1:]:
+            ub = bound.bounds(lam, active, powers, list(objectives))
+            assert set(ub) == set(objectives)
+            assert all(math.isfinite(u) for u in ub.values())
+            for j, objective in objectives.items():
+                assert objective <= ub[j] * (1.0 + 1e-12), (active, j)
+                checked += 1
+        assert checked > 0
+
+    def test_golden_p5_solves_one_candidate_after_round_one(self, golden_network,
+                                                           monkeypatch):
+        sizes = []
+        core = solvers._allocate_power_core
+
+        def counted(t_primes, p_tot):
+            sizes.append(len(t_primes))
+            return core(t_primes, p_tot)
+
+        monkeypatch.setattr(solvers, "_allocate_power_core", counted)
+        alloc = solvers.solve_greedy(golden_network, 5.0)
+        assert alloc.num_selected == 2
+        assert sizes == [1] * 20 + [2]
+
+    def test_equal_objectives_go_to_the_lower_index(self, monkeypatch):
+        # Bounds that put higher indices first, and every candidate tied: the
+        # lowest index must still win, as when every candidate is solved in order.
+        monkeypatch.setattr(solvers._DualBound, "bounds",
+                            lambda self, lam, active, powers, candidates:
+                            {j: 100.0 + j for j in candidates})
+        monkeypatch.setattr(solvers, "trace_fim", lambda powers, selection, network: 10.0)
+        alloc = solvers.solve_greedy(model.generate_deployment(44, 4), 5.0)
+        assert alloc.selection.tolist() == [1, 0, 0, 0]
 
 
 class TestMckp:
