@@ -12,8 +12,9 @@ decision boundaries while the Gaussian density has width sigma_s, and the
 two scales separate badly for strong gains, so a plain Hermite rule stalls.
 The integral is therefore evaluated over Gauss-Legendre panels refined
 around the boundaries, at Gauss-Legendre order nodes / 8 per panel; only
-`t_k` takes `nodes`, and each value is re-checked one rung up a (nodes,
-2 nodes - 1, 4 nodes - 3) resolution ladder.
+`t_k` takes `nodes`.  Each guarded value is re-checked one rung up a (nodes,
+2 nodes - 1, 4 nodes - 3) resolution ladder; the ladder lives on InfoKernel
+(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
 """
 
 from __future__ import annotations
@@ -154,8 +155,10 @@ class InfoKernel:
 
     Builds the quadrature tables once and reuses them for every power, so
     tabulating a power grid or iterating inside a solver costs one confusion
-    matrix per power instead of a fresh quadrature setup.  Performs no
-    convergence check; `t_k` wraps this with the node-doubling guard.
+    matrix per power instead of a fresh quadrature setup.  `t` and `t_prime`
+    perform no convergence check; `t_checked` re-checks `t` on the finer
+    rungs of the (n, 2n - 1, 4n - 3) node ladder, which the kernel builds
+    when first needed and keeps for later powers.
     """
 
     def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
@@ -165,7 +168,9 @@ class InfoKernel:
                 f"sensor gain has dimension {gain.shape[0]}, prior has q={prior.q}"
             )
         self.sensor = sensor
+        self.prior = prior
         self.n_nodes = n_nodes
+        self._finer: list = []
         self.prefactor = float(gain @ gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
         self.sigma_s = math.sqrt(max(float(gain @ prior.covariance @ gain), 0.0))
         if self.sigma_s > 0.0:
@@ -196,6 +201,28 @@ class InfoKernel:
             return 0.0
         return self.prefactor * self.expected_g(bit_error_prob(power, self.sensor))
 
+    def t_checked(self, power: float) -> float:
+        """t at `power` from the coarsest ladder rung that the next rung confirms.
+
+        Raises QuadratureNotConverged when even the 4n - 3 rung moves by more
+        than _QUAD_RTOL relative from the 2n - 1 one.
+        """
+        p = bit_error_prob(power, self.sensor)  # raises on a negative power, even at zero gain
+        if self.prefactor == 0.0:
+            return 0.0
+        previous = self.prefactor * self.expected_g(p)
+        for rung, n in enumerate((2 * self.n_nodes - 1, 4 * self.n_nodes - 3)):
+            if rung == len(self._finer):
+                self._finer.append(InfoKernel(self.sensor, self.prior, n))
+            estimate = self.prefactor * self._finer[rung].expected_g(p)
+            if _converged(previous, estimate):
+                return previous
+            previous = estimate
+        raise QuadratureNotConverged(
+            f"t at power {power} still moved by more than {_QUAD_RTOL:g} relative "
+            f"after escalating to {4 * self.n_nodes - 3} nodes"
+        )
+
     def t_prime(self, power: float) -> float:
         """Derivative of the contribution with respect to power (power > 0)."""
         if self.prefactor == 0.0:
@@ -215,53 +242,27 @@ def _converged(coarse: float, fine: float) -> bool:
     return abs(fine - coarse) <= _QUAD_RTOL * scale
 
 
-def _guarded_t(kernels: list, sensor: Sensor, prior: Prior, nodes: int, power: float) -> float:
-    """t at `power` from the coarsest ladder rung that the next rung confirms.
-
-    `kernels` holds this sensor's InfoKernels, one per rung, each built when
-    first needed; a caller that keeps the list reuses them across powers.
-    """
-    ladder = (nodes, 2 * nodes - 1, 4 * nodes - 3)
-    p = bit_error_prob(power, sensor)
-    previous = None
-    for rung, n in enumerate(ladder):
-        if rung == len(kernels):
-            kernels.append(InfoKernel(sensor, prior, n))
-        kernel = kernels[rung]
-        if kernel.prefactor == 0.0:
-            return 0.0
-        estimate = kernel.prefactor * kernel.expected_g(p)
-        if previous is not None and _converged(previous, estimate):
-            return previous
-        previous = estimate
-    raise QuadratureNotConverged(
-        f"t at power {power} still moved by more than {_QUAD_RTOL:g} relative "
-        f"after escalating to {ladder[-1]} nodes"
-    )
-
-
 def t_k(power: float, sensor: Sensor, prior: Prior, *, nodes: int = DEFAULT_NODES) -> float:
     """Per-sensor information contribution t(P), with a quadrature guard.
 
-    Evaluates the Gaussian expectation on the `nodes` rung of the resolution
-    ladder and checks it against roughly double the resolution; escalates
-    once more before raising QuadratureNotConverged.  Returns the coarsest
-    estimate that passed its doubled check.  Nonnegative, and exactly zero at
-    P = 0 up to roundoff.
+    A fresh InfoKernel at `nodes` evaluates `t_checked`: the Gaussian
+    expectation on the `nodes` rung, checked against roughly double the
+    resolution, escalating once more before raising QuadratureNotConverged.
+    Nonnegative, and exactly zero at P = 0 up to roundoff.
     """
-    return _guarded_t([], sensor, prior, nodes, power)
+    return InfoKernel(sensor, prior, nodes).t_checked(power)
 
 
-def t_k_derivative(power: float, sensor: Sensor, prior: Prior, *, floor: float = 0.0) -> float:
+def t_k_derivative(power: float, sensor: Sensor, prior: Prior) -> float:
     """dt/dP via the chain rule through the bit-error rate.
 
     The confusion entries are differentiated analytically in p and the same
     quadrature integrates the result; the bit-error slope supplies dp/dP.
-    Raises BelowFloor for powers at or below `floor` (or nonpositive ones),
-    where the 1/sqrt(P) factor in dp/dP blows up.
+    Raises BelowFloor for nonpositive powers, where the 1/sqrt(P) factor in
+    dp/dP blows up.
     """
-    if power <= 0.0 or power < floor:
-        raise BelowFloor(f"power {power} is below the derivative floor {max(floor, 0.0)}")
+    if power <= 0.0:
+        raise BelowFloor(f"power {power} is below the derivative floor 0.0")
     return InfoKernel(sensor, prior).t_prime(power)
 
 
@@ -289,8 +290,9 @@ def trace_fim(powers, selection, network: Network) -> float:
 def tabulate_t(network: Network, power_grid) -> np.ndarray:
     """Table of t values: entry (k, j) is sensor k's contribution at grid[j].
 
-    Each entry equals t_k at that power; a row builds its sensor's
-    quadrature tables once and reuses them for every grid power.
+    Each entry equals t_k at that power; a row evaluates one InfoKernel,
+    so its sensor's ladder rungs are built once and reused for every grid
+    power.
     """
     grid = np.asarray(power_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -299,8 +301,7 @@ def tabulate_t(network: Network, power_grid) -> np.ndarray:
         raise ValueError("power grid must be ascending and nonnegative")
     table = np.zeros((network.k, grid.size))
     for row, sensor in enumerate(network.sensors):
-        kernels: list = []
+        kernel = InfoKernel(sensor, network.prior)
         for j, power in enumerate(grid):
-            table[row, j] = _guarded_t(kernels, sensor, network.prior, DEFAULT_NODES,
-                                       float(power))
+            table[row, j] = kernel.t_checked(float(power))
     return table

@@ -422,7 +422,7 @@ def network_from_dict(payload: dict) -> Network:
             sources.setflags(write=False)
             positions.setflags(write=False)
             geometry = Geometry(
-                seed=int(_require(g, "seed", "geometry")),
+                seed=_require_integer(g, "seed", "geometry"),
                 field_half_width=float(_require(g, "field_half_width", "geometry")),
                 source_positions=sources,
                 sensor_positions=positions,

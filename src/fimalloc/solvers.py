@@ -34,7 +34,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
 )
-from .fisher import DEFAULT_NODES, InfoKernel, _guarded_t, t_k, tabulate_t, trace_fim
+from .fisher import InfoKernel, t_k, tabulate_t, trace_fim
 from .model import Network
 
 BUDGET_RTOL = 1e-8
@@ -79,9 +79,14 @@ class PowerGrid:
     unit: float
 
 
+def _check_budget(p_tot: float) -> None:
+    """Reject a budget that is not a positive finite number (NaN included)."""
+    if not 0.0 < p_tot < math.inf:
+        raise ValueError(f"p_tot must be positive and finite, got {p_tot}")
+
+
 def make_power_grid(p_tot: float, n: int) -> PowerGrid:
-    if p_tot <= 0.0:
-        raise ValueError(f"p_tot must be positive, got {p_tot}")
+    _check_budget(p_tot)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     unit = p_tot / n
@@ -90,11 +95,11 @@ def make_power_grid(p_tot: float, n: int) -> PowerGrid:
     return PowerGrid(samples=samples, unit=unit)
 
 
-def _finish(selection, powers, network, algorithm, iterations, diagnostics) -> Allocation:
+def _finish(selection, powers, objective, algorithm, iterations, diagnostics) -> Allocation:
+    """Freeze copies of the result vectors, zero power where unselected, into an Allocation."""
     selection = np.asarray(selection, dtype=np.int8).copy()
     powers = np.asarray(powers, dtype=float).copy()
     powers[selection == 0] = 0.0
-    objective = trace_fim(powers, selection, network)
     selection.setflags(write=False)
     powers.setflags(write=False)
     return Allocation(
@@ -132,10 +137,10 @@ def verify_allocation(alloc: Allocation, network: Network, p_tot: float) -> None
 
 def solve_ufa(network: Network, p_tot: float) -> Allocation:
     """Uniform full activation: every sensor on, equal share of the budget."""
-    if p_tot <= 0.0:
-        raise ValueError(f"p_tot must be positive, got {p_tot}")
+    _check_budget(p_tot)
     k = network.k
-    return _finish(np.ones(k), np.full(k, p_tot / k), network, "ufa", 1, ())
+    selection, powers = np.ones(k), np.full(k, p_tot / k)
+    return _finish(selection, powers, trace_fim(powers, selection, network), "ufa", 1, ())
 
 
 def solve_usu(network: Network, p_tot: float) -> Allocation:
@@ -151,8 +156,7 @@ def solve_usu(network: Network, p_tot: float) -> Allocation:
     objective does not improve, or at i = K, and the best configuration
     seen is returned.
     """
-    if p_tot <= 0.0:
-        raise ValueError(f"p_tot must be positive, got {p_tot}")
+    _check_budget(p_tot)
     k = network.k
     prior = network.prior
     t_uniform = np.array(
@@ -178,7 +182,8 @@ def solve_usu(network: Network, p_tot: float) -> Allocation:
     selection[chosen] = 1
     powers = np.zeros(k)
     powers[chosen] = share
-    return _finish(selection, powers, network, "usu", len(diagnostics), diagnostics)
+    return _finish(selection, powers, trace_fim(powers, selection, network), "usu",
+                   len(diagnostics), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +354,7 @@ def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
 
 
 def _power_allocation_detailed(active_set, network: Network, p_tot: float) -> PowerSolution:
-    if p_tot <= 0.0:
-        raise ValueError(f"p_tot must be positive, got {p_tot}")
+    _check_budget(p_tot)
     kernels = [InfoKernel(network.sensors[j], network.prior) for j in active_set]
     return _allocate_power_core([kern.t_prime for kern in kernels], p_tot)
 
@@ -377,7 +381,8 @@ class _DualBound:
     For any multiplier lam >= 0, weak duality bounds every split of the
     budget over a set S by prior + lam * p_tot + sum over i in S of
     max_P [t_i(P) - lam * P], each max taken over [0, p_tot].  Each term is
-    evaluated with the guarded t that trace_fim uses.  A term whose slope
+    evaluated through greedy's own kernels with `InfoKernel.t_checked`, the
+    ladder-guarded t that trace_fim uses.  A term whose slope
     at the power floor is already at most lam is bounded by t_i(floor),
     since t rises and concavity puts the max over [floor, p_tot] at the
     floor; one whose slope at p_tot is still at least lam peaks at p_tot;
@@ -385,12 +390,11 @@ class _DualBound:
     taken once per sensor and solve.
     """
 
-    def __init__(self, network: Network, p_tot: float, kernels: Sequence[InfoKernel]):
-        self.network = network
+    def __init__(self, baseline: float, p_tot: float, kernels: Sequence[InfoKernel]):
+        self.baseline = baseline
         self.p_tot = p_tot
         self.floor = POWER_FLOOR_SCALE * p_tot
         self.kernels = kernels
-        self._rungs = [[] for _ in kernels]
         self._slopes: dict = {}
         self._roots: dict = {}
 
@@ -404,10 +408,6 @@ class _DualBound:
     def concave(self, i: int) -> bool:
         return not _slope_rises(*self.slopes(i))
 
-    def _t(self, i: int, power: float) -> float:
-        return _guarded_t(self._rungs[i], self.network.sensors[i], self.network.prior,
-                          DEFAULT_NODES, power)
-
     def bounds(self, lam: float, active: Sequence[int], powers: np.ndarray,
                candidates: Sequence[int]) -> dict:
         """UB_j for each candidate j, given the set `active` split as `powers` at `lam`.
@@ -419,7 +419,7 @@ class _DualBound:
         """
         if not (0.0 <= lam < math.inf and all(self.concave(i) for i in active)):
             return dict.fromkeys(candidates, math.inf)
-        base = self.network.prior.inverse_trace + lam * self.p_tot + sum(
+        base = self.baseline + lam * self.p_tot + sum(
             self.term(i, lam, powers[i]) for i in active)
         ub = {}
         for j in candidates:
@@ -430,17 +430,18 @@ class _DualBound:
     def term(self, i: int, lam: float, power: float | None = None) -> float:
         """Bound on max_P [t_i(P) - lam * P]; `power` is a known interior maximizer."""
         at_floor, at_top = self.slopes(i)
+        t_checked = self.kernels[i].t_checked
         if at_floor - lam <= 0.0:
-            return self._t(i, self.floor)
+            return t_checked(self.floor)
         if at_top - lam >= 0.0:
-            return self._t(i, self.p_tot) - lam * self.p_tot
+            return t_checked(self.p_tot) - lam * self.p_tot
         if power is None:
             t_prime = self.kernels[i].t_prime
             power = _newton_root(lambda x: t_prime(x) - lam, self.floor, self.p_tot,
                                  at_floor - lam, at_top - lam,
                                  self._roots.get(i, 0.5 * self.p_tot), 1e-12 * self.p_tot)
             self._roots[i] = power
-        return self._t(i, power) - lam * power
+        return t_checked(power) - lam * power
 
 
 def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> Allocation:
@@ -465,13 +466,12 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     whose derivative rises over the power interval is always solved.  The
     result is the same as solving every candidate.
     """
-    if p_tot <= 0.0:
-        raise ValueError(f"p_tot must be positive, got {p_tot}")
+    _check_budget(p_tot)
     if eps0 <= 0.0:
         raise ValueError(f"eps0 must be positive, got {eps0}")
     k = network.k
     kernels = [InfoKernel(sensor, network.prior) for sensor in network.sensors]
-    bound = _DualBound(network, p_tot, kernels)
+    bound = _DualBound(network.prior.inverse_trace, p_tot, kernels)
     active: list = []
     inactive = list(range(k))
     objective_prev = 1e-12
@@ -520,7 +520,8 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     selection = np.zeros(k)
     selection[active] = 1
     label = "greedy(pg-fallback)" if fallback_seen else "greedy"
-    return _finish(selection, accepted_powers, network, label, rounds, diagnostics)
+    return _finish(selection, accepted_powers, trace_fim(accepted_powers, selection, network),
+                   label, rounds, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +538,7 @@ def solve_mckp(value_table, grid: PowerGrid, p_tot: float, *,
     the program is exact on the discretization.  Ties prefer the smaller
     grid index.  The prior's baseline is folded into the stored objective.
     """
+    _check_budget(p_tot)
     table = np.asarray(value_table, dtype=float)
     if table.ndim != 2:
         raise GridMismatch(f"value table must be 2-D, got shape {table.shape}")
@@ -571,19 +573,8 @@ def solve_mckp(value_table, grid: PowerGrid, p_tot: float, *,
     for row in range(k - 1, -1, -1):
         picks[row] = choice[row, units_left]
         units_left -= picks[row]
-    powers = samples[picks]
-    selection = (picks > 0).astype(np.int8)
-    powers = powers.copy()
-    powers.setflags(write=False)
-    selection.setflags(write=False)
-    return Allocation(
-        selection=selection,
-        powers=powers,
-        objective=baseline + float(best[n]),
-        algorithm="mckp",
-        iterations=k,
-        diagnostics=((k, baseline + float(best[n])),),
-    )
+    objective = baseline + float(best[n])
+    return _finish(picks > 0, samples[picks], objective, "mckp", k, ((k, objective),))
 
 
 def solve_mckp_network(network: Network, p_tot: float, n: int = 100) -> Allocation:
@@ -618,19 +609,9 @@ def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation
     value = np.where(feasible, value, -np.inf)
     flat = int(np.argmax(value))  # C order: lexicographically smallest tie wins
     picks = np.array(np.unravel_index(flat, value.shape))
-    powers = grid.samples[picks].copy()
-    selection = (picks > 0).astype(np.int8)
-    powers.setflags(write=False)
-    selection.setflags(write=False)
     objective = network.prior.inverse_trace + float(value.flat[flat])
-    return Allocation(
-        selection=selection,
-        powers=powers,
-        objective=objective,
-        algorithm="brute",
-        iterations=int(np.sum(feasible)),
-        diagnostics=(),
-    )
+    return _finish(picks > 0, grid.samples[picks], objective, "brute",
+                   int(np.sum(feasible)), ())
 
 
 # Every algorithm behind one signature; the lambdas look each solver up at

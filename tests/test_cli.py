@@ -95,6 +95,8 @@ class TestSolve:
         (("geometry", "seed"), "x", "geometry"),
         (("sensors", 0, "bits"), 3.7, "sensors[0].bits"),
         (("sensors", 0, "bits"), True, "sensors[0].bits"),
+        (("geometry", "seed"), 42.7, "geometry.seed"),
+        (("geometry", "seed"), True, "geometry.seed"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fimalloc import fisher, model, quantcomm, verify
-from fimalloc.errors import BelowFloor, DimensionMismatch
+from fimalloc.errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
 from conftest import random_network
 
 
@@ -123,12 +123,67 @@ class TestTk:
             assert abs(coarse - fine) <= 1e-8 * max(abs(fine), 1e-30)
 
 
+class TestLadder:
+    """InfoKernel.t_checked returns the coarsest rung that the next rung confirms."""
+
+    @staticmethod
+    def fake_g(monkeypatch, values):
+        seen = []
+
+        def expected_g(self, p_bit):
+            seen.append(self.n_nodes)
+            return values[self.n_nodes]
+
+        monkeypatch.setattr(fisher.InfoKernel, "expected_g", expected_g)
+        return seen
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        init = fisher.InfoKernel.__init__
+
+        def counted(self, sensor, prior, n_nodes=fisher.DEFAULT_NODES):
+            built.append(n_nodes)
+            init(self, sensor, prior, n_nodes)
+
+        monkeypatch.setattr(fisher.InfoKernel, "__init__", counted)
+        return built
+
+    def test_rung_one_confirms_rung_zero(self, monkeypatch, reference_sensor, default_prior):
+        seen = self.fake_g(monkeypatch, {81: 1.0, 161: 1.0 + 1e-7, 321: 5.0})
+        kernel = fisher.InfoKernel(reference_sensor, default_prior)
+        assert kernel.t_checked(2.0) == kernel.prefactor * 1.0
+        assert seen == [81, 161]
+
+    def test_only_rung_two_confirms_rung_one(self, monkeypatch, reference_sensor,
+                                             default_prior):
+        seen = self.fake_g(monkeypatch, {81: 1.0, 161: 2.0, 321: 2.0 * (1.0 + 1e-7)})
+        kernel = fisher.InfoKernel(reference_sensor, default_prior)
+        assert kernel.t_checked(2.0) == kernel.prefactor * 2.0
+        assert seen == [81, 161, 321]
+
+    def test_no_rung_confirms(self, monkeypatch, reference_sensor, default_prior):
+        self.fake_g(monkeypatch, {81: 1.0, 161: 2.0, 321: 3.0})
+        with pytest.raises(QuadratureNotConverged, match=r"power 2\.5 .* 321 nodes"):
+            fisher.t_k(2.5, reference_sensor, default_prior)
+
+    def test_each_finer_rung_built_once(self, monkeypatch, reference_sensor, default_prior):
+        self.fake_g(monkeypatch, {81: 1.0, 161: 2.0, 321: 2.0})
+        built = self.count_builds(monkeypatch)
+        kernel = fisher.InfoKernel(reference_sensor, default_prior)
+        for power in np.linspace(0.0, 50.0, 11):
+            kernel.t_checked(float(power))
+        assert built == [81, 161, 321]
+        net = model.Network(sensors=(reference_sensor,) * 2, prior=default_prior)
+        built.clear()
+        fisher.tabulate_t(net, np.linspace(0.0, 50.0, 11))
+        assert built == [81, 161, 321] * 2
+
+
 class TestTkDerivative:
     def test_below_floor(self, reference_sensor, default_prior):
         with pytest.raises(BelowFloor):
             fisher.t_k_derivative(0.0, reference_sensor, default_prior)
-        with pytest.raises(BelowFloor):
-            fisher.t_k_derivative(1e-6, reference_sensor, default_prior, floor=1e-3)
 
     def test_finite_difference_reference_points(self, reference_sensor, default_prior):
         kernel = fisher.InfoKernel(reference_sensor, default_prior)

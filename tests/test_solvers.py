@@ -24,6 +24,22 @@ class TestPowerGrid:
             solvers.make_power_grid(5.0, 0)
 
 
+class TestBudgetCheck:
+    @pytest.mark.parametrize("p_tot", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(solvers.SOLVERS))
+    def test_every_solver_rejects_a_bad_budget(self, name, p_tot):
+        network = model.generate_deployment(11, 3)
+        with pytest.raises(ValueError, match="p_tot must be positive and finite"):
+            solvers.SOLVERS[name](network, p_tot, 6, solvers.DEFAULT_EPS0)
+
+    @pytest.mark.parametrize("p_tot", [math.nan, math.inf])
+    def test_split_and_table_entry_points_reject_a_bad_budget(self, p_tot):
+        with pytest.raises(ValueError, match="p_tot must be positive and finite"):
+            solvers.solve_power_allocation([0, 1], model.generate_deployment(11, 3), p_tot)
+        with pytest.raises(ValueError, match="p_tot must be positive and finite"):
+            solvers.solve_mckp(np.zeros((3, 6)), solvers.make_power_grid(10.0, 5), p_tot)
+
+
 class TestUfa:
     def test_single_sensor(self, reference_sensor, default_prior):
         net = model.Network(sensors=(reference_sensor,), prior=default_prior)
@@ -214,7 +230,8 @@ def _greedy_every_candidate(network, p_tot, eps0):
     selection = np.zeros(k)
     selection[active] = 1
     label = "greedy(pg-fallback)" if fallback_seen else "greedy"
-    alloc = solvers._finish(selection, accepted_powers, network, label, rounds, diagnostics)
+    objective = fisher.trace_fim(accepted_powers, selection, network)
+    alloc = solvers._finish(selection, accepted_powers, objective, label, rounds, diagnostics)
     return alloc, history
 
 
@@ -253,7 +270,7 @@ class TestGreedyPruning:
     def test_every_candidate_within_its_bound(self, every_candidate):
         network, p_tot, _, (_, history) = every_candidate
         kernels = [fisher.InfoKernel(s, network.prior) for s in network.sensors]
-        bound = solvers._DualBound(network, p_tot, kernels)
+        bound = solvers._DualBound(network.prior.inverse_trace, p_tot, kernels)
         checked = 0
         for active, powers, lam, objectives in history[1:]:
             ub = bound.bounds(lam, active, powers, list(objectives))
