@@ -27,7 +27,6 @@ from .quantcomm import (
 )
 from .solvers import (
     Allocation,
-    PowerGrid,
     make_power_grid,
     solve_bruteforce,
     solve_greedy,

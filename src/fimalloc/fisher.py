@@ -11,10 +11,11 @@ The integrand concentrates in bumps of width sigma_n around the quantizer
 decision boundaries while the Gaussian density has width sigma_s, and the
 two scales separate badly for strong gains, so a plain Hermite rule stalls.
 The integral is therefore evaluated over Gauss-Legendre panels refined
-around the boundaries, at Gauss-Legendre order nodes / 8 per panel; only
-`t_k` takes `nodes`.  Each guarded value is re-checked one rung up a (nodes,
-2 nodes - 1, 4 nodes - 3) resolution ladder; the ladder lives on InfoKernel
-(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
+around the boundaries, at Gauss-Legendre order n_nodes / 8 per panel
+(DEFAULT_NODES everywhere but in an explicit InfoKernel).  Each guarded
+value is re-checked one rung up an (n, 2n - 1, 4n - 3) resolution ladder;
+the ladder lives on InfoKernel (`t_checked`), so `t_k`, `tabulate_t` and
+the solvers share one policy.
 """
 
 from __future__ import annotations
@@ -242,15 +243,15 @@ def _converged(coarse: float, fine: float) -> bool:
     return abs(fine - coarse) <= _QUAD_RTOL * scale
 
 
-def t_k(power: float, sensor: Sensor, prior: Prior, *, nodes: int = DEFAULT_NODES) -> float:
+def t_k(power: float, sensor: Sensor, prior: Prior) -> float:
     """Per-sensor information contribution t(P), with a quadrature guard.
 
-    A fresh InfoKernel at `nodes` evaluates `t_checked`: the Gaussian
-    expectation on the `nodes` rung, checked against roughly double the
-    resolution, escalating once more before raising QuadratureNotConverged.
+    A fresh InfoKernel evaluates `t_checked`: the Gaussian expectation on
+    the DEFAULT_NODES rung, checked against roughly double the resolution,
+    escalating once more before raising QuadratureNotConverged.
     Nonnegative, and exactly zero at P = 0 up to roundoff.
     """
-    return InfoKernel(sensor, prior, nodes).t_checked(power)
+    return InfoKernel(sensor, prior).t_checked(power)
 
 
 def t_k_derivative(power: float, sensor: Sensor, prior: Prior) -> float:

@@ -34,6 +34,10 @@ DEFAULT_SIGMA_N = 1.0
 DEFAULT_SIGMA_NU = 1.0
 DEFAULT_H_MAG = 0.7
 DEFAULT_BITS = 3
+# Largest codeword length a Sensor accepts.  The quadrature node tables grow
+# about 4x per bit: one t at bits=8 peaks near 620 MB, and bits=10 was killed
+# for lack of memory on an 8 GB host.
+MAX_BITS = 8
 DEFAULT_DECAY_EXPONENT = 2.0
 DEFAULT_FIELD_HALF_WIDTH = 1.0
 DEFAULT_D_MIN = 0.1
@@ -62,7 +66,7 @@ class Sensor:
     sigma_n   observation noise standard deviation (> 0)
     h_mag     channel fading magnitude (> 0)
     sigma_nu  channel noise std per real dimension (> 0)
-    bits      codeword length, so the quantizer has 2**bits levels
+    bits      codeword length, 1 to MAX_BITS, so the quantizer has 2**bits levels
     tau       quantizer half-range (> 0)
     """
 
@@ -81,8 +85,8 @@ class Sensor:
             raise ValueError(f"gain must be finite, got {gain}")
         gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"bits must be in [1, {MAX_BITS}], got {self.bits}")
         for name in ("sigma_n", "h_mag", "sigma_nu", "tau"):
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):

@@ -14,7 +14,9 @@ The continuous subproblem (maximize the summed information of a fixed
 active set subject to the budget) is concave and separable; it is solved
 by bisection on the budget multiplier with a safeguarded Newton root per
 sensor, falling back to projected gradient if the per-sensor derivative
-turns out not to be monotone.
+turns out not to be monotone.  Each sensor's step is `_Curve.power`, the
+maximizer of t(P) - lam * P; greedy's dual bound (`_dual_bounds`) sums the
+matching `_Curve.term`s, so the clip-or-root rule is written once.
 """
 
 from __future__ import annotations
@@ -71,28 +73,20 @@ class Allocation:
         return int(np.sum(self.selection))
 
 
-@dataclass(frozen=True)
-class PowerGrid:
-    """Uniform discretization of the budget: samples[j] = j * unit, j = 0..N."""
-
-    samples: np.ndarray
-    unit: float
-
-
 def _check_budget(p_tot: float) -> None:
     """Reject a budget that is not a positive finite number (NaN included)."""
     if not 0.0 < p_tot < math.inf:
         raise ValueError(f"p_tot must be positive and finite, got {p_tot}")
 
 
-def make_power_grid(p_tot: float, n: int) -> PowerGrid:
+def make_power_grid(p_tot: float, n: int) -> np.ndarray:
+    """Read-only uniform discretization of the budget: samples[j] = j * (p_tot / n), j = 0..n."""
     _check_budget(p_tot)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    unit = p_tot / n
-    samples = np.arange(n + 1) * unit
+    samples = np.arange(n + 1) * (p_tot / n)
     samples.setflags(write=False)
-    return PowerGrid(samples=samples, unit=unit)
+    return samples
 
 
 def _finish(selection, powers, objective, algorithm, iterations, diagnostics) -> Allocation:
@@ -202,8 +196,8 @@ class PowerSolution:
 
 
 def _newton_root(f: Callable[[float], float], lo: float, hi: float,
-                 f_lo: float, f_hi: float, x0: float, x_tol: float) -> float:
-    """Root of a decreasing f on [lo, hi] with f(lo) > 0 > f(hi).
+                 f_lo: float, x0: float, x_tol: float) -> float:
+    """Root of a decreasing f on [lo, hi] with f(lo) = f_lo > 0 > f(hi).
 
     Newton-like secant steps through the last two evaluations, safeguarded
     by the shrinking bracket; steps leaving the bracket fall back to
@@ -220,9 +214,9 @@ def _newton_root(f: Callable[[float], float], lo: float, hi: float,
         if fx == 0.0:
             return x
         if fx > 0.0:
-            lo, f_lo = x, fx
+            lo = x
         else:
-            hi, f_hi = x, fx
+            hi = x
         if hi - lo <= x_tol:
             break
         denom = fx - f_prev
@@ -256,28 +250,82 @@ def _projected_gradient(t_primes: Sequence[Callable[[float], float]],
     return powers
 
 
-def _slope_rises(slope_at_floor, slope_at_top):
-    """True where the derivative rises over the power interval: t is not concave."""
-    return slope_at_top > slope_at_floor + 1e-12 * np.abs(slope_at_floor) + 1e-300
+class _Curve:
+    """One sensor's t and t' on [floor, p_tot] for one budget.
+
+    Evaluates t' at the power floor (POWER_FLOOR_SCALE * p_tot) and at
+    p_tot once, when built; `concave` is False when t' rises between them.
+    `power` is the per-sensor step of the budget split and `term` the
+    per-sensor term of the Lagrangian bound; both reach the maximizer of
+    t(P) - lam * P through the one clip-or-root rule below.  `t` is needed
+    only by `term`; greedy passes the ladder-guarded `InfoKernel.t_checked`
+    that trace_fim uses, so a bound and an objective share one quadrature.
+    """
+
+    def __init__(self, t_prime: Callable[[float], float], p_tot: float,
+                 t: Callable[[float], float] | None = None):
+        self.t_prime = t_prime
+        self.t = t
+        self.p_tot = p_tot
+        self.floor = POWER_FLOOR_SCALE * p_tot
+        self.at_floor = t_prime(self.floor)
+        self.at_top = t_prime(p_tot)
+        self.concave = not self.at_top > self.at_floor + 1e-12 * abs(self.at_floor) + 1e-300
+        self._root = 0.5 * p_tot
+
+    def _endpoint(self, lam: float) -> float | None:
+        """The end of [floor, p_tot] where t(P) - lam * P peaks, or None if it peaks inside."""
+        if self.at_floor - lam <= 0.0:
+            return self.floor
+        if self.at_top - lam >= 0.0:
+            return self.p_tot
+        return None
+
+    def power(self, lam: float, x0: float) -> tuple:
+        """Maximizer of t(P) - lam * P on [floor, p_tot], and whether it is interior.
+
+        An interior maximizer is the root of t' = lam, warm-started at x0.
+        """
+        end = self._endpoint(lam)
+        if end is not None:
+            return end, False
+        t_prime = self.t_prime
+        return _newton_root(lambda x: t_prime(x) - lam, self.floor, self.p_tot,
+                            self.at_floor - lam, x0, 1e-12 * self.p_tot), True
+
+    def term(self, lam: float, power: float | None = None) -> float:
+        """Upper bound on max_P [t(P) - lam * P] over [0, p_tot], for concave t.
+
+        At the floor end the bound is t(floor), not t(floor) - lam * floor,
+        which can undershoot the max over [0, floor].  `power` is a known
+        interior maximizer, used as given; otherwise the root starts from
+        the last root this curve found.
+        """
+        end = self._endpoint(lam)
+        if end == self.floor:
+            return self.t(self.floor)
+        if end is not None:
+            power = end
+        elif power is None:
+            power, _ = self.power(lam, self._root)
+            self._root = power
+        return self.t(power) - lam * power
 
 
-def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
-                         p_tot: float) -> PowerSolution:
-    """Dual bisection on the budget multiplier over arbitrary callables.
+def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolution:
+    """Dual bisection on the budget multiplier over per-sensor curves.
 
     Factored out so tests can exercise the solver (including the projected
-    gradient fallback) on synthetic derivative functions.
+    gradient fallback) on synthetic derivative functions.  A one-sensor set
+    takes the whole budget at multiplier t'(p_tot).
     """
-    m = len(t_primes)
+    m = len(curves)
     if m == 0:
         raise ValueError("active set must be nonempty")
     if m == 1:
-        return PowerSolution(np.array([p_tot]), math.nan, 0.0, 0, False)
-    floor = POWER_FLOOR_SCALE * p_tot
-    slope_at_floor = np.array([tp(floor) for tp in t_primes])
-    slope_at_top = np.array([tp(p_tot) for tp in t_primes])
+        return PowerSolution(np.array([p_tot]), curves[0].at_top, 0.0, 0, False)
 
-    if np.any(_slope_rises(slope_at_floor, slope_at_top)):
+    if not all(curve.concave for curve in curves):
         # Derivative rises over the interval: the concavity the dual method
         # relies on does not hold.  Switch to projected gradient.
         warnings.warn(
@@ -285,21 +333,21 @@ def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
             "falling back to projected gradient",
             ConcavityWarning,
         )
-        powers = _projected_gradient(t_primes, p_tot, floor)
+        powers = _projected_gradient([curve.t_prime for curve in curves], p_tot,
+                                     curves[0].floor)
         if not np.all(np.isfinite(powers)):
             raise ConcavityViolation(
                 "projected-gradient fallback produced non-finite powers"
             )
         return PowerSolution(powers, math.nan, math.inf, 0, True)
 
-    lam_hi = float(np.max(slope_at_floor))
+    lam_hi = float(np.max([curve.at_floor for curve in curves]))
     if lam_hi <= 0.0:
         # No sensor gains anything from power; split the budget evenly.
         return PowerSolution(np.full(m, p_tot / m), 0.0, 0.0, 0, False)
     lam_lo = 0.0
     powers = np.full(m, p_tot / m)
     interior = np.zeros(m, dtype=bool)
-    x_tol = 1e-12 * p_tot
     total = math.inf
     iterations = 0
     while True:
@@ -310,21 +358,8 @@ def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
                 f"{MAX_ITER} iterations"
             )
         lam = 0.5 * (lam_lo + lam_hi)
-        for j, tp in enumerate(t_primes):
-            if slope_at_floor[j] - lam <= 0.0:
-                powers[j] = floor
-                interior[j] = False
-            elif slope_at_top[j] - lam >= 0.0:
-                powers[j] = p_tot
-                interior[j] = False
-            else:
-                powers[j] = _newton_root(
-                    lambda x, tp=tp: tp(x) - lam,
-                    floor, p_tot,
-                    slope_at_floor[j] - lam, slope_at_top[j] - lam,
-                    powers[j], x_tol,
-                )
-                interior[j] = True
+        for j, curve in enumerate(curves):
+            powers[j], interior[j] = curve.power(lam, powers[j])
         total = float(np.sum(powers))
         if abs(total - p_tot) <= BUDGET_RTOL * p_tot:
             break
@@ -341,7 +376,7 @@ def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
     # check the interior coordinates against the final multiplier before the
     # (at most 1e-8 relative) feasibility rescale below.
     if np.any(interior):
-        residual = max(abs(t_primes[j](powers[j]) - lam) for j in np.nonzero(interior)[0])
+        residual = max(abs(curves[j].t_prime(powers[j]) - lam) for j in np.nonzero(interior)[0])
     else:
         residual = 0.0
     if residual > KKT_RTOL * max(lam, 1e-300):
@@ -355,8 +390,9 @@ def _allocate_power_core(t_primes: Sequence[Callable[[float], float]],
 
 def _power_allocation_detailed(active_set, network: Network, p_tot: float) -> PowerSolution:
     _check_budget(p_tot)
-    kernels = [InfoKernel(network.sensors[j], network.prior) for j in active_set]
-    return _allocate_power_core([kern.t_prime for kern in kernels], p_tot)
+    curves = [_Curve(InfoKernel(network.sensors[j], network.prior).t_prime, p_tot)
+              for j in active_set]
+    return _allocate_power_core(curves, p_tot)
 
 
 def solve_power_allocation(active_set, network: Network, p_tot: float) -> np.ndarray:
@@ -375,73 +411,27 @@ def solve_power_allocation(active_set, network: Network, p_tot: float) -> np.nda
 # Greedy activation with continuous re-optimization.
 # ---------------------------------------------------------------------------
 
-class _DualBound:
-    """Lagrangian upper bounds on greedy's objectives, for one solve.
+def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: float,
+                 active: Sequence[int], powers: np.ndarray, candidates: Sequence[int]) -> dict:
+    """Lagrangian upper bound UB_j on greedy's objective for each candidate j.
 
     For any multiplier lam >= 0, weak duality bounds every split of the
-    budget over a set S by prior + lam * p_tot + sum over i in S of
-    max_P [t_i(P) - lam * P], each max taken over [0, p_tot].  Each term is
-    evaluated through greedy's own kernels with `InfoKernel.t_checked`, the
-    ladder-guarded t that trace_fim uses.  A term whose slope
-    at the power floor is already at most lam is bounded by t_i(floor),
-    since t rises and concavity puts the max over [floor, p_tot] at the
-    floor; one whose slope at p_tot is still at least lam peaks at p_tot;
-    otherwise the max sits at the root of t_i' = lam.  Endpoint slopes are
-    taken once per sensor and solve.
+    budget over a set S by baseline + lam * p_tot + sum over i in S of
+    max_P [t_i(P) - lam * P], each max taken over [0, p_tot] and bounded by
+    `_Curve.term`.  `active` is split as `powers` at `lam`, so its interior
+    members' powers are their maximizers.  Every bound is infinite when none
+    applies: lam is not a finite nonnegative number, or a member's
+    derivative rises.  A candidate whose derivative rises, or whose bound
+    comes out NaN, gets an infinite bound too.
     """
-
-    def __init__(self, baseline: float, p_tot: float, kernels: Sequence[InfoKernel]):
-        self.baseline = baseline
-        self.p_tot = p_tot
-        self.floor = POWER_FLOOR_SCALE * p_tot
-        self.kernels = kernels
-        self._slopes: dict = {}
-        self._roots: dict = {}
-
-    def slopes(self, i: int) -> tuple:
-        """t_i' at the power floor and at p_tot."""
-        if i not in self._slopes:
-            t_prime = self.kernels[i].t_prime
-            self._slopes[i] = (t_prime(self.floor), t_prime(self.p_tot))
-        return self._slopes[i]
-
-    def concave(self, i: int) -> bool:
-        return not _slope_rises(*self.slopes(i))
-
-    def bounds(self, lam: float, active: Sequence[int], powers: np.ndarray,
-               candidates: Sequence[int]) -> dict:
-        """UB_j for each candidate j, given the set `active` split as `powers` at `lam`.
-
-        Every bound is infinite when none applies: lam is not a finite
-        nonnegative number, or a member's derivative rises.  A candidate
-        whose derivative rises, or whose bound comes out NaN, gets an
-        infinite bound too.
-        """
-        if not (0.0 <= lam < math.inf and all(self.concave(i) for i in active)):
-            return dict.fromkeys(candidates, math.inf)
-        base = self.baseline + lam * self.p_tot + sum(
-            self.term(i, lam, powers[i]) for i in active)
-        ub = {}
-        for j in candidates:
-            u = base + self.term(j, lam) if self.concave(j) else math.inf
-            ub[j] = math.inf if math.isnan(u) else u
-        return ub
-
-    def term(self, i: int, lam: float, power: float | None = None) -> float:
-        """Bound on max_P [t_i(P) - lam * P]; `power` is a known interior maximizer."""
-        at_floor, at_top = self.slopes(i)
-        t_checked = self.kernels[i].t_checked
-        if at_floor - lam <= 0.0:
-            return t_checked(self.floor)
-        if at_top - lam >= 0.0:
-            return t_checked(self.p_tot) - lam * self.p_tot
-        if power is None:
-            t_prime = self.kernels[i].t_prime
-            power = _newton_root(lambda x: t_prime(x) - lam, self.floor, self.p_tot,
-                                 at_floor - lam, at_top - lam,
-                                 self._roots.get(i, 0.5 * self.p_tot), 1e-12 * self.p_tot)
-            self._roots[i] = power
-        return t_checked(power) - lam * power
+    if not (0.0 <= lam < math.inf and all(curves[i].concave for i in active)):
+        return dict.fromkeys(candidates, math.inf)
+    base = baseline + lam * p_tot + sum(curves[i].term(lam, powers[i]) for i in active)
+    ub = {}
+    for j in candidates:
+        u = base + curves[j].term(lam) if curves[j].concave else math.inf
+        ub[j] = math.inf if math.isnan(u) else u
+    return ub
 
 
 def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> Allocation:
@@ -453,11 +443,12 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     improvement drops to eps0 or every sensor is active.  The last accepted
     configuration is returned.
 
-    Candidates that cannot win are skipped without a solve.  With the
-    accepted set A split at multiplier lam (t'(p_tot) for a single sensor),
-    weak duality bounds each candidate's objective by
+    Each sensor gets one _Curve for the solve, shared by the splits and the
+    bound.  Candidates that cannot win are skipped without a solve.  With
+    the accepted set A split at multiplier lam (the split reports t'(p_tot)
+    for a single sensor), weak duality bounds each candidate's objective by
     UB_j = prior + lam * p_tot + sum over i in A + j of max_P [t_i(P) - lam * P]
-    (see _DualBound).  A round whose largest bound, widened by
+    (see _dual_bounds).  A round whose largest bound, widened by
     _BOUND_SLACK, improves on the accepted objective by at most eps0
     relative stops the loop at once.  Otherwise candidates are solved in
     order of decreasing bound, ties by index, until the next widened bound
@@ -471,7 +462,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
         raise ValueError(f"eps0 must be positive, got {eps0}")
     k = network.k
     kernels = [InfoKernel(sensor, network.prior) for sensor in network.sensors]
-    bound = _DualBound(network.prior.inverse_trace, p_tot, kernels)
+    curves = [_Curve(kern.t_prime, p_tot, kern.t_checked) for kern in kernels]
     active: list = []
     inactive = list(range(k))
     objective_prev = 1e-12
@@ -481,7 +472,8 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     fallback_seen = False
     rounds = 0
     while inactive:
-        ub = bound.bounds(lam, active, accepted_powers, inactive)
+        ub = _dual_bounds(curves, network.prior.inverse_trace, p_tot, lam,
+                          active, accepted_powers, inactive)
         if (max(ub.values()) * (1.0 + _BOUND_SLACK) - objective_prev) / objective_prev <= eps0:
             break
         best_obj = -math.inf
@@ -491,7 +483,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
             if ub[j] * (1.0 + _BOUND_SLACK) < best_obj:
                 break
             candidate = active + [j]
-            solution = _allocate_power_core([kernels[i].t_prime for i in candidate], p_tot)
+            solution = _allocate_power_core([curves[i] for i in candidate], p_tot)
             powers_full = np.zeros(k)
             powers_full[candidate] = solution.powers
             selection = np.zeros(k)
@@ -508,12 +500,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
         accepted_powers = np.zeros(k)
         accepted_powers[active] = best_solution.powers
         fallback_seen = fallback_seen or best_solution.fallback
-        if best_solution.fallback:
-            lam = math.nan
-        elif len(active) == 1:
-            lam = bound.slopes(best_j)[1]
-        else:
-            lam = best_solution.multiplier
+        lam = best_solution.multiplier
         objective_prev = best_obj
         rounds += 1
         diagnostics.append((rounds, best_obj))
@@ -528,11 +515,12 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
 # Discretized formulation: one power level per sensor, shared capacity.
 # ---------------------------------------------------------------------------
 
-def solve_mckp(value_table, grid: PowerGrid, p_tot: float, *,
+def solve_mckp(value_table, samples: np.ndarray, p_tot: float, *,
                baseline: float = 0.0) -> Allocation:
     """Exact optimum of the discretized problem by dynamic programming.
 
-    value_table[k, j] is sensor k's contribution at grid.samples[j]; the
+    value_table[k, j] is sensor k's contribution at samples[j], a grid from
+    make_power_grid; the
     zero-power column lets the program leave a sensor out, which marks it
     unselected in the result.  Capacity runs over integer grid units, so
     the program is exact on the discretization.  Ties prefer the smaller
@@ -543,7 +531,6 @@ def solve_mckp(value_table, grid: PowerGrid, p_tot: float, *,
     if table.ndim != 2:
         raise GridMismatch(f"value table must be 2-D, got shape {table.shape}")
     k, cols = table.shape
-    samples = grid.samples
     if cols != samples.size:
         raise GridMismatch(
             f"value table has {cols} columns, grid has {samples.size} samples"
@@ -579,9 +566,9 @@ def solve_mckp(value_table, grid: PowerGrid, p_tot: float, *,
 
 def solve_mckp_network(network: Network, p_tot: float, n: int = 100) -> Allocation:
     """Tabulate the network's contributions on a fresh grid and run the DP."""
-    grid = make_power_grid(p_tot, n)
-    table = tabulate_t(network, grid.samples)
-    return solve_mckp(table, grid, p_tot, baseline=network.prior.inverse_trace)
+    samples = make_power_grid(p_tot, n)
+    table = tabulate_t(network, samples)
+    return solve_mckp(table, samples, p_tot, baseline=network.prior.inverse_trace)
 
 
 def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation:
@@ -594,8 +581,8 @@ def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation
         )
     if n_small < 1:
         raise ValueError(f"n_small must be >= 1, got {n_small}")
-    grid = make_power_grid(p_tot, n_small)
-    table = tabulate_t(network, grid.samples)
+    samples = make_power_grid(p_tot, n_small)
+    table = tabulate_t(network, samples)
     n1 = n_small + 1
     value = np.zeros((n1,) * k)
     units = np.zeros((n1,) * k, dtype=int)
@@ -610,7 +597,7 @@ def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation
     flat = int(np.argmax(value))  # C order: lexicographically smallest tie wins
     picks = np.array(np.unravel_index(flat, value.shape))
     objective = network.prior.inverse_trace + float(value.flat[flat])
-    return _finish(picks > 0, grid.samples[picks], objective, "brute",
+    return _finish(picks > 0, samples[picks], objective, "brute",
                    int(np.sum(feasible)), ())
 
 

@@ -42,35 +42,26 @@ class CheckResult:
         return text
 
 
-def _reference_sensor() -> model.Sensor:
-    prior = model.make_prior(model.DEFAULT_COVARIANCE)
-    gain = np.asarray(model.DEFAULT_GAIN, dtype=float)
-    return model.Sensor(
-        gain=gain,
-        sigma_n=model.DEFAULT_SIGMA_N,
-        h_mag=model.DEFAULT_H_MAG,
-        sigma_nu=model.DEFAULT_SIGMA_NU,
-        bits=model.DEFAULT_BITS,
-        tau=model.make_tau(gain, model.DEFAULT_SIGMA_N, prior),
-    )
+def _worst_z(analytic: np.ndarray, empirical: np.ndarray, trials: int) -> float:
+    """Largest |empirical - analytic| in binomial standard deviations.
 
-
-def _binomial_sigma(prob: np.ndarray, trials: int) -> np.ndarray:
-    return np.sqrt(np.maximum(prob * (1.0 - prob), 0.0) / trials)
+    A zero-variance entry scores 0 when the two agree exactly, else inf.
+    """
+    sigma = np.sqrt(np.maximum(analytic * (1.0 - analytic), 0.0) / trials)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.abs(empirical - analytic) / sigma
+    z = np.where(sigma == 0.0, np.where(empirical == analytic, 0.0, np.inf), z)
+    return float(np.max(z))
 
 
 def check_alpha(trials: int = 100_000, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Analytic confusion matrix within 4 binomial sigma of simulation."""
-    sensor = _reference_sensor()
+    sensor = model.homogeneous_network(1).sensors[0]
     results = []
     for k, power in enumerate((2.0, 3.0 / 0.49, 20.0)):
         analytic = quantcomm.alpha_matrix(power, sensor)
         empirical = quantcomm.mc_alpha_oracle(power, sensor, trials, seed + k)
-        sigma = _binomial_sigma(analytic, trials)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.abs(empirical - analytic) / sigma
-        z = np.where(sigma == 0.0, np.where(empirical == analytic, 0.0, np.inf), z)
-        worst = float(np.max(z))
+        worst = _worst_z(analytic, empirical, trials)
         results.append(
             CheckResult(
                 name=f"alpha vs simulation, power={power:.4g}",
@@ -85,17 +76,13 @@ def check_alpha(trials: int = 100_000, seed: int = DEFAULT_SEED) -> List[CheckRe
 
 def check_beta(trials: int = 1_000_000, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Analytic cell probabilities within 4 binomial sigma of simulation."""
-    sensor = _reference_sensor()
+    sensor = model.homogeneous_network(1).sensors[0]
     quantizer = quantcomm.make_quantizer(sensor.bits, sensor.tau)
     results = []
     for k, s in enumerate((0.0, 1.0, -2.5)):
         analytic = quantcomm.beta(s, quantizer, sensor.sigma_n)
         empirical = quantcomm.mc_beta_oracle(s, sensor, trials, seed + 100 + k)
-        sigma = _binomial_sigma(analytic, trials)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.abs(empirical - analytic) / sigma
-        z = np.where(sigma == 0.0, np.where(empirical == analytic, 0.0, np.inf), z)
-        worst = float(np.max(z))
+        worst = _worst_z(analytic, empirical, trials)
         results.append(
             CheckResult(
                 name=f"beta vs simulation, s={s:.4g}",
@@ -131,8 +118,8 @@ def mc_t_oracle(power: float, sensor: model.Sensor, prior: model.Prior,
 
 def check_tk(trials: int = 100_000, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Quadrature value of t within 2% of the Monte Carlo expectation."""
-    prior = model.make_prior(model.DEFAULT_COVARIANCE)
-    sensor = _reference_sensor()
+    network = model.homogeneous_network(1)
+    sensor, prior = network.sensors[0], network.prior
     results = []
     for k, power in enumerate((1.0, 10.0, 30.0)):
         quad = fisher.t_k(power, sensor, prior)
@@ -217,8 +204,7 @@ def check_mckp(instances: int = 50, seed: int = DEFAULT_SEED) -> List[CheckResul
         table = np.sort(rng.uniform(0.0, 1.0, size=(k, n + 1)), axis=1)
         table[:, 0] = 0.0
         p_tot = float(n)
-        grid = solvers.make_power_grid(p_tot, n)
-        alloc = solvers.solve_mckp(table, grid, p_tot)
+        alloc = solvers.solve_mckp(table, solvers.make_power_grid(p_tot, n), p_tot)
         reference = enumerate_mckp(table, n)
         diff = abs(alloc.objective - reference)
         worst = max(worst, diff)

@@ -33,6 +33,10 @@ class TestGen:
         code = run(["gen", "--k", "4", "--d-min", "5.0", "--out", str(path)])
         assert code == 3
         assert "generation failed" in capsys.readouterr().err
+        code = run(["gen", "--k", "4", "--bits", str(model.MAX_BITS + 1), "--out", str(path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "generation failed" in err and "bits" in err
 
 
 class TestSolve:
@@ -97,6 +101,7 @@ class TestSolve:
         (("sensors", 0, "bits"), True, "sensors[0].bits"),
         (("geometry", "seed"), 42.7, "geometry.seed"),
         (("geometry", "seed"), True, "geometry.seed"),
+        (("sensors", 0, "bits"), 9, "sensors[0]"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):

@@ -118,8 +118,8 @@ class TestTk:
 
     def test_resolution_doubling_agreement(self, reference_sensor, default_prior):
         for power in np.geomspace(0.1, 100.0, 12):
-            coarse = fisher.t_k(float(power), reference_sensor, default_prior, nodes=81)
-            fine = fisher.t_k(float(power), reference_sensor, default_prior, nodes=161)
+            coarse = fisher.t_k(float(power), reference_sensor, default_prior)
+            fine = fisher.InfoKernel(reference_sensor, default_prior, 161).t_checked(float(power))
             assert abs(coarse - fine) <= 1e-8 * max(abs(fine), 1e-30)
 
 

@@ -12,10 +12,9 @@ class TestPowerGrid:
     def test_samples_are_exact_multiples(self):
         grid = solvers.make_power_grid(30.0, 100)
         unit = 30.0 / 100
-        assert grid.unit == unit
         for j in range(101):
-            assert grid.samples[j] == j * unit
-        assert grid.samples[0] == 0.0
+            assert grid[j] == j * unit
+        assert grid[0] == 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -93,6 +92,11 @@ class TestPowerAllocation:
         powers = solvers.solve_power_allocation([3], golden_network, 14.0)
         np.testing.assert_allclose(powers, [14.0])
 
+    def test_single_sensor_multiplier_is_slope_at_budget(self, golden_network):
+        solution = solvers._power_allocation_detailed([3], golden_network, 14.0)
+        kernel = fisher.InfoKernel(golden_network.sensors[3], golden_network.prior)
+        assert solution.multiplier == kernel.t_prime(14.0)
+
     def test_identical_sensors_split_evenly(self, reference_sensor, default_prior):
         net = model.Network(sensors=(reference_sensor,) * 2, prior=default_prior)
         powers = solvers.solve_power_allocation([0, 1], net, 10.0)
@@ -129,7 +133,8 @@ class TestPowerAllocation:
         # must warn, switch to projected gradient, and stay feasible.
         t_primes = [lambda p: 1.0 + 0.1 * p, lambda p: 2.0 / (1.0 + p)]
         with pytest.warns(ConcavityWarning):
-            solution = solvers._allocate_power_core(t_primes, 8.0)
+            solution = solvers._allocate_power_core(
+                [solvers._Curve(tp, 8.0) for tp in t_primes], 8.0)
         assert solution.fallback
         assert np.all(solution.powers >= 0.0)
         assert solution.powers.sum() == pytest.approx(8.0, rel=1e-6)
@@ -141,7 +146,8 @@ class TestPowerAllocation:
         a = np.array([2.0, 1.0])
         p_tot = 7.0
         t_primes = [lambda p: 2.0 / (1.0 + p), lambda p: 1.0 / (1.0 + p)]
-        solution = solvers._allocate_power_core(t_primes, p_tot)
+        solution = solvers._allocate_power_core(
+            [solvers._Curve(tp, p_tot) for tp in t_primes], p_tot)
         # lam = sum(a) / (p_tot + 2) ; p_i = a_i / lam - 1
         lam = a.sum() / (p_tot + 2.0)
         expected = a / lam - 1.0
@@ -222,8 +228,7 @@ def _greedy_every_candidate(network, p_tot, eps0):
         accepted_powers = np.zeros(k)
         accepted_powers[active] = best_solution.powers
         fallback_seen = fallback_seen or best_solution.fallback
-        lam = best_solution.multiplier if len(active) > 1 else fisher.InfoKernel(
-            network.sensors[best_j], network.prior).t_prime(p_tot)
+        lam = best_solution.multiplier
         objective_prev = best_obj
         rounds += 1
         diagnostics.append((rounds, best_obj))
@@ -270,10 +275,11 @@ class TestGreedyPruning:
     def test_every_candidate_within_its_bound(self, every_candidate):
         network, p_tot, _, (_, history) = every_candidate
         kernels = [fisher.InfoKernel(s, network.prior) for s in network.sensors]
-        bound = solvers._DualBound(network.prior.inverse_trace, p_tot, kernels)
+        curves = [solvers._Curve(kern.t_prime, p_tot, kern.t_checked) for kern in kernels]
         checked = 0
         for active, powers, lam, objectives in history[1:]:
-            ub = bound.bounds(lam, active, powers, list(objectives))
+            ub = solvers._dual_bounds(curves, network.prior.inverse_trace, p_tot, lam,
+                                      active, powers, list(objectives))
             assert set(ub) == set(objectives)
             assert all(math.isfinite(u) for u in ub.values())
             for j, objective in objectives.items():
@@ -286,20 +292,38 @@ class TestGreedyPruning:
         sizes = []
         core = solvers._allocate_power_core
 
-        def counted(t_primes, p_tot):
-            sizes.append(len(t_primes))
-            return core(t_primes, p_tot)
+        def counted(curves, p_tot):
+            sizes.append(len(curves))
+            return core(curves, p_tot)
 
         monkeypatch.setattr(solvers, "_allocate_power_core", counted)
         alloc = solvers.solve_greedy(golden_network, 5.0)
         assert alloc.num_selected == 2
         assert sizes == [1] * 20 + [2]
 
+    def test_each_endpoint_slope_evaluated_once(self, golden_network, monkeypatch):
+        # The splits and the bound share one curve per sensor, so t' is taken
+        # at most once at the power floor and once at p_tot for each sensor.
+        p_tot = 5.0
+        endpoints = (solvers.POWER_FLOOR_SCALE * p_tot, p_tot)
+        seen = []
+        t_prime = fisher.InfoKernel.t_prime
+
+        def counted(self, power):
+            if power in endpoints:
+                seen.append((id(self.sensor), power))
+            return t_prime(self, power)
+
+        monkeypatch.setattr(fisher.InfoKernel, "t_prime", counted)
+        solvers.solve_greedy(golden_network, p_tot)
+        assert seen
+        assert len(seen) == len(set(seen))
+
     def test_equal_objectives_go_to_the_lower_index(self, monkeypatch):
         # Bounds that put higher indices first, and every candidate tied: the
         # lowest index must still win, as when every candidate is solved in order.
-        monkeypatch.setattr(solvers._DualBound, "bounds",
-                            lambda self, lam, active, powers, candidates:
+        monkeypatch.setattr(solvers, "_dual_bounds",
+                            lambda curves, baseline, p_tot, lam, active, powers, candidates:
                             {j: 100.0 + j for j in candidates})
         monkeypatch.setattr(solvers, "trace_fim", lambda powers, selection, network: 10.0)
         alloc = solvers.solve_greedy(model.generate_deployment(44, 4), 5.0)
@@ -364,7 +388,7 @@ class TestBruteforce:
             p_tot = float(rng.uniform(2.0, 20.0))
             brute = solvers.solve_bruteforce(net, p_tot, n)
             grid = solvers.make_power_grid(p_tot, n)
-            table = fisher.tabulate_t(net, grid.samples)
+            table = fisher.tabulate_t(net, grid)
             dp = solvers.solve_mckp(table, grid, p_tot,
                                     baseline=net.prior.inverse_trace)
             assert brute.objective == dp.objective
