@@ -66,7 +66,8 @@ class Sensor:
     sigma_n   observation noise standard deviation (> 0)
     h_mag     channel fading magnitude (> 0)
     sigma_nu  channel noise std per real dimension (> 0)
-    bits      codeword length, 1 to MAX_BITS, so the quantizer has 2**bits levels
+    bits      codeword length, an integer from 1 to MAX_BITS, so the quantizer has
+              2**bits levels; integral floats and numpy integers are stored as int
     tau       quantizer half-range (> 0)
     """
 
@@ -85,8 +86,15 @@ class Sensor:
             raise ValueError(f"gain must be finite, got {gain}")
         gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
-        if not 1 <= self.bits <= MAX_BITS:
-            raise ValueError(f"bits must be in [1, {MAX_BITS}], got {self.bits}")
+        bits = self.bits
+        if isinstance(bits, (bool, np.bool_)) or not (
+            isinstance(bits, (int, np.integer))
+            or (isinstance(bits, (float, np.floating)) and float(bits).is_integer())
+        ):
+            raise ValueError(f"bits must be an integer, got {bits!r}")
+        if not 1 <= bits <= MAX_BITS:
+            raise ValueError(f"bits must be in [1, {MAX_BITS}], got {bits}")
+        object.__setattr__(self, "bits", int(bits))
         for name in ("sigma_n", "h_mag", "sigma_nu", "tau"):
             value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
@@ -232,9 +240,9 @@ def generate_deployment(
     sig_n = _per_sensor(sigma_n, k, "sigma_n")
     sig_nu = _per_sensor(sigma_nu, k, "sigma_nu")
     h = _per_sensor(h_mag, k, "h_mag")
-    bits_arr = np.asarray(bits)
+    bits_arr = np.asarray(bits, dtype=object)  # object keeps True and 3.7 for Sensor to reject
     if bits_arr.ndim == 0:
-        bits_arr = np.full(k, int(bits_arr))
+        bits_arr = np.full(k, bits_arr[()], dtype=object)
     elif bits_arr.shape != (k,):
         raise DimensionMismatch(f"bits must be scalar or length-{k}")
 
@@ -267,7 +275,7 @@ def generate_deployment(
                 sigma_n=float(sig_n[i]),
                 h_mag=float(h[i]),
                 sigma_nu=float(sig_nu[i]),
-                bits=int(bits_arr[i]),
+                bits=bits_arr[i],
                 tau=tau,
             )
         )

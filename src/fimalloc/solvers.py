@@ -16,7 +16,10 @@ by bisection on the budget multiplier with a safeguarded Newton root per
 sensor, falling back to projected gradient if the per-sensor derivative
 turns out not to be monotone.  Each sensor's step is `_Curve.power`, the
 maximizer of t(P) - lam * P; greedy's dual bound (`_dual_bounds`) sums the
-matching `_Curve.term`s, so the clip-or-root rule is written once.
+matching `_Curve.term`s, so the clip-or-root rule is written once.  Twins
+(sensors with equal parameters) share one curve (`_shared_curves`): greedy
+splits one candidate per twin slot, and each bisection step roots a twin
+class once, with results bit-identical to treating every sensor apart.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     TooLarge,
 )
 from .fisher import InfoKernel, t_k, tabulate_t, trace_fim
-from .model import Network
+from .model import Network, Prior, Sensor
 
 BUDGET_RTOL = 1e-8
 KKT_RTOL = 1e-6
@@ -258,8 +261,7 @@ class _Curve:
     `power` is the per-sensor step of the budget split and `term` the
     per-sensor term of the Lagrangian bound; both reach the maximizer of
     t(P) - lam * P through the one clip-or-root rule below.  `t` is needed
-    only by `term`; greedy passes the ladder-guarded `InfoKernel.t_checked`
-    that trace_fim uses, so a bound and an objective share one quadrature.
+    only by `term`.
     """
 
     def __init__(self, t_prime: Callable[[float], float], p_tot: float,
@@ -317,7 +319,13 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
 
     Factored out so tests can exercise the solver (including the projected
     gradient fallback) on synthetic derivative functions.  A one-sensor set
-    takes the whole budget at multiplier t'(p_tot).
+    takes the whole budget at multiplier t'(p_tot).  Twins share one curve
+    object (see _shared_curves); within one bisection step, a curve already
+    stepped from the same warm start reuses that (power, interior) pair
+    instead of finding its root again.  `_Curve.power` depends only on the
+    curve, the multiplier and the warm start, so the reuse is exact, and
+    twins that start level stay level, which leaves one root per twin class
+    per step.
     """
     m = len(curves)
     if m == 0:
@@ -358,8 +366,12 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
                 f"{MAX_ITER} iterations"
             )
         lam = 0.5 * (lam_lo + lam_hi)
+        step = {}
         for j, curve in enumerate(curves):
-            powers[j], interior[j] = curve.power(lam, powers[j])
+            key = (curve, powers[j])
+            if key not in step:
+                step[key] = curve.power(lam, powers[j])
+            powers[j], interior[j] = step[key]
         total = float(np.sum(powers))
         if abs(total - p_tot) <= BUDGET_RTOL * p_tot:
             break
@@ -388,10 +400,46 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     return PowerSolution(powers, lam, residual, iterations, False)
 
 
+def _shared_curves(sensors: Sequence[Sensor], prior: Prior, p_tot: float) -> list:
+    """One _Curve per sensor, with twins sharing one kernel and one curve.
+
+    Twins are sensors whose parameters are equal (gain bytes, sigma_n,
+    h_mag, sigma_nu, bits, tau): their t and t' agree at every power, so one
+    curve per twin class takes each endpoint slope and builds each ladder
+    rung once.  `t` is the ladder-guarded `InfoKernel.t_checked` that
+    trace_fim uses, so a bound and an objective share one quadrature.
+    """
+    classes: dict = {}
+    curves = []
+    for sensor in sensors:
+        key = (sensor.gain.tobytes(), sensor.sigma_n, sensor.h_mag, sensor.sigma_nu,
+               sensor.bits, sensor.tau)
+        if key not in classes:
+            kernel = InfoKernel(sensor, prior)
+            classes[key] = _Curve(kernel.t_prime, p_tot, kernel.t_checked)
+        curves.append(classes[key])
+    return curves
+
+
+def _check_active_set(active_set, k: int) -> list:
+    """The active set as a list of distinct sensor indices in [0, k); raises ValueError."""
+    indices = list(active_set)
+    seen = set()
+    for j in indices:
+        if isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer)):
+            raise ValueError(f"active set index {j!r} is not an integer")
+        if not 0 <= j < k:
+            raise ValueError(f"active set index {j} is out of range for {k} sensors")
+        if j in seen:
+            raise ValueError(f"active set index {j} appears more than once")
+        seen.add(j)
+    return indices
+
+
 def _power_allocation_detailed(active_set, network: Network, p_tot: float) -> PowerSolution:
     _check_budget(p_tot)
-    curves = [_Curve(InfoKernel(network.sensors[j], network.prior).t_prime, p_tot)
-              for j in active_set]
+    active = _check_active_set(active_set, network.k)
+    curves = _shared_curves([network.sensors[j] for j in active], network.prior, p_tot)
     return _allocate_power_core(curves, p_tot)
 
 
@@ -443,9 +491,16 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     improvement drops to eps0 or every sensor is active.  The last accepted
     configuration is returned.
 
-    Each sensor gets one _Curve for the solve, shared by the splits and the
-    bound.  Candidates that cannot win are skipped without a solve.  With
-    the accepted set A split at multiplier lam (the split reports t'(p_tot)
+    Each twin class (see _shared_curves) gets one _Curve for the solve,
+    shared by the splits and the bound.  Each round, among inactive twins
+    with the same number of active indices below them, only the lowest
+    index is a candidate: a higher twin's split is the same list of curves,
+    so its powers are bit-identical, and trace_fim, which adds in index
+    order, puts its term in the same place, so its objective ties and the
+    lower index wins.
+
+    Candidates that cannot win are skipped without a solve.  With the
+    accepted set A split at multiplier lam (the split reports t'(p_tot)
     for a single sensor), weak duality bounds each candidate's objective by
     UB_j = prior + lam * p_tot + sum over i in A + j of max_P [t_i(P) - lam * P]
     (see _dual_bounds).  A round whose largest bound, widened by
@@ -461,8 +516,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     if eps0 <= 0.0:
         raise ValueError(f"eps0 must be positive, got {eps0}")
     k = network.k
-    kernels = [InfoKernel(sensor, network.prior) for sensor in network.sensors]
-    curves = [_Curve(kern.t_prime, p_tot, kern.t_checked) for kern in kernels]
+    curves = _shared_curves(network.sensors, network.prior, p_tot)
     active: list = []
     inactive = list(range(k))
     objective_prev = 1e-12
@@ -472,14 +526,17 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     fallback_seen = False
     rounds = 0
     while inactive:
+        slots: dict = {}
+        for j in inactive:  # ascending, so each slot keeps its lowest twin
+            slots.setdefault((curves[j], sum(i < j for i in active)), j)
         ub = _dual_bounds(curves, network.prior.inverse_trace, p_tot, lam,
-                          active, accepted_powers, inactive)
+                          active, accepted_powers, list(slots.values()))
         if (max(ub.values()) * (1.0 + _BOUND_SLACK) - objective_prev) / objective_prev <= eps0:
             break
         best_obj = -math.inf
         best_j = None
         best_solution = None
-        for j in sorted(inactive, key=lambda j: (-ub[j], j)):
+        for j in sorted(ub, key=lambda j: (-ub[j], j)):
             if ub[j] * (1.0 + _BOUND_SLACK) < best_obj:
                 break
             candidate = active + [j]

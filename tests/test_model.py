@@ -142,6 +142,34 @@ class TestGenerateDeployment:
             assert sensor.bits == b
         assert [s.h_mag for s in net.sensors] == [0.5, 0.7, 0.9]
 
+    @pytest.mark.parametrize("bits", [3.7, [True, 2.9], [True, 2], True])
+    def test_fractional_or_boolean_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            model.generate_deployment(1, 2, bits=bits)
+
+
+class TestSensorBits:
+    @staticmethod
+    def _sensor(bits):
+        return model.Sensor(gain=np.array([1.0, 0.5]), sigma_n=1.0, h_mag=0.7,
+                            sigma_nu=1.0, bits=bits, tau=3.0)
+
+    @pytest.mark.parametrize("bits", [3.7, 2.5, True, np.True_, False, "3", float("nan")])
+    def test_non_integer_rejected(self, bits):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            self._sensor(bits)
+
+    @pytest.mark.parametrize("bits", [3, 3.0, np.int64(3), np.float32(3.0)])
+    def test_integral_values_stored_as_int(self, bits):
+        sensor = self._sensor(bits)
+        assert type(sensor.bits) is int and sensor.bits == 3
+        assert type(sensor.levels_count) is int and sensor.levels_count == 8
+
+    @pytest.mark.parametrize("bits", [0, 9, 9.0])
+    def test_out_of_range_rejected(self, bits):
+        with pytest.raises(ValueError, match=r"bits must be in \[1, 8\]"):
+            self._sensor(bits)
+
 
 class TestScenarioIO:
     def test_roundtrip_byte_equal(self, tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +110,43 @@ class TestPowerAllocation:
             assert powers.sum() == pytest.approx(25.0, rel=1e-8)
             assert np.all(powers >= 0.0)
 
+    @pytest.mark.parametrize("active, message", [
+        ([-1, 0], "active set index -1 is out of range for 3 sensors"),
+        ([0, 3], "active set index 3 is out of range for 3 sensors"),
+        ([0, 1.0], "active set index 1.0 is not an integer"),
+        ([True, 2], "active set index True is not an integer"),
+        ([0, 0], "active set index 0 appears more than once"),
+        ([2, 1, 2], "active set index 2 appears more than once"),
+    ], ids=["negative", "out-of-range", "float", "bool", "repeated", "repeated-later"])
+    def test_rejects_a_bad_active_set(self, active, message):
+        network = model.generate_deployment(11, 3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solvers.solve_power_allocation(active, network, 5.0)
+
+    def test_twins_split_as_with_one_curve_per_sensor(self, golden_network):
+        # Twins share one curve, and a bisection step roots each twin class
+        # once; the split must still equal one curve per sensor, byte for byte.
+        network = _twin_network(golden_network)
+        for active, p_tot in (([0, 2, 6, 1, 4], 15.0), (list(range(12)), 30.0)):
+            shared = solvers._power_allocation_detailed(active, network, p_tot)
+            separate = solvers._allocate_power_core(
+                [solvers._Curve(fisher.InfoKernel(network.sensors[j], network.prior).t_prime,
+                                p_tot) for j in active], p_tot)
+            assert shared.powers.tolist() == separate.powers.tolist()
+            assert (shared.multiplier, shared.kkt_residual, shared.iterations, shared.fallback) \
+                == (separate.multiplier, separate.kkt_residual, separate.iterations,
+                    separate.fallback)
+
+    def test_twins_need_every_parameter_equal(self, reference_sensor, default_prior):
+        changes = {"gain": reference_sensor.gain * 1.5, "sigma_n": 1.5, "h_mag": 0.9,
+                   "sigma_nu": 1.2, "bits": 2, "tau": 4.0}
+        variants = [dataclasses.replace(reference_sensor, **{name: value})
+                    for name, value in changes.items()]
+        copy = dataclasses.replace(reference_sensor, gain=reference_sensor.gain.copy())
+        curves = solvers._shared_curves([reference_sensor, copy] + variants, default_prior, 5.0)
+        assert curves[1] is curves[0]
+        assert len({id(curve) for curve in curves}) == 1 + len(variants)
+
     def test_kkt_residual_within_tolerance(self, golden_network):
         solution = solvers._power_allocation_detailed([1, 3, 6, 9], golden_network, 30.0)
         assert solution.kkt_residual <= 1e-6 * max(solution.multiplier, 1e-300)
@@ -186,8 +225,16 @@ class TestGreedy:
         assert a.diagnostics == b.diagnostics
 
 
+def _twin_network(golden, picks=(3, 0, 3, 5, 0, 7, 3, 11, 0, 15, 5, 5)):
+    """Golden sensors picked by index, with repeats; the default repeats 3, 0 and 5 thrice."""
+    return model.Network(sensors=tuple(golden.sensors[i] for i in picks), prior=golden.prior)
+
+
 def _greedy_every_candidate(network, p_tot, eps0):
     """Greedy without bounds: every inactive candidate gets a split each round.
+
+    Every candidate's split builds one curve per sensor, twins included, so
+    no work is shared between twins.
 
     Returns the allocation and, per round, the accepted set, its powers, its
     multiplier (t'(p_tot) for one sensor) and every candidate's objective.
@@ -209,7 +256,9 @@ def _greedy_every_candidate(network, p_tot, eps0):
         objectives = {}
         for j in inactive:
             candidate = active + [j]
-            solution = solvers._power_allocation_detailed(candidate, network, p_tot)
+            solution = solvers._allocate_power_core(
+                [solvers._Curve(fisher.InfoKernel(network.sensors[i], network.prior).t_prime,
+                                p_tot) for i in candidate], p_tot)
             powers_full = np.zeros(k)
             powers_full[candidate] = solution.powers
             selection = np.zeros(k)
@@ -241,9 +290,14 @@ def _greedy_every_candidate(network, p_tot, eps0):
 
 
 _PRUNING_NETWORKS = {
-    "homogeneous-6": lambda: model.homogeneous_network(6),
-    "deployment-44-8": lambda: model.generate_deployment(44, 8),
-    "deployment-46-8": lambda: model.generate_deployment(46, 8),
+    "golden": lambda golden: golden,
+    "homogeneous-6": lambda golden: model.homogeneous_network(6),
+    "deployment-44-8": lambda golden: model.generate_deployment(44, 8),
+    "deployment-46-8": lambda golden: model.generate_deployment(46, 8),
+    "golden-twins": _twin_network,
+    # Round 2 has twins 0 and 5 in different slots (sensor 2 is active), and
+    # 5 wins by one ulp of trace_fim's summation order.
+    "golden-twin-slots": lambda golden: _twin_network(golden, (1, 5, 3, 15, 0, 1)),
 }
 
 
@@ -253,11 +307,12 @@ _PRUNING_NETWORKS = {
     ("homogeneous-6", 12.0, 1e-6),
     ("deployment-44-8", 20.0, solvers.DEFAULT_EPS0),
     ("deployment-46-8", 3.0, solvers.DEFAULT_EPS0),
+    ("golden-twins", 15.0, 1e-6),
+    ("golden-twin-slots", 15.0, 1e-6),
 ], ids=lambda case: f"{case[0]}@{case[1]:g}")
 def every_candidate(request):
     name, p_tot, eps0 = request.param
-    network = (request.getfixturevalue("golden_network") if name == "golden"
-               else _PRUNING_NETWORKS[name]())
+    network = _PRUNING_NETWORKS[name](request.getfixturevalue("golden_network"))
     return network, p_tot, eps0, _greedy_every_candidate(network, p_tot, eps0)
 
 
@@ -318,6 +373,32 @@ class TestGreedyPruning:
         solvers.solve_greedy(golden_network, p_tot)
         assert seen
         assert len(seen) == len(set(seen))
+
+    def test_twin_class_splits_once_per_round(self, monkeypatch):
+        # Ten twins: each round has one candidate slot, and the one shared
+        # curve takes t' once at the power floor and once at p_tot.
+        p_tot = 5.0
+        sizes = []
+        core = solvers._allocate_power_core
+
+        def counted_core(curves, p_tot):
+            sizes.append(len(curves))
+            return core(curves, p_tot)
+
+        endpoints = []
+        t_prime = fisher.InfoKernel.t_prime
+
+        def counted_t_prime(self, power):
+            if power in (solvers.POWER_FLOOR_SCALE * p_tot, p_tot):
+                endpoints.append(power)
+            return t_prime(self, power)
+
+        monkeypatch.setattr(solvers, "_allocate_power_core", counted_core)
+        monkeypatch.setattr(fisher.InfoKernel, "t_prime", counted_t_prime)
+        alloc = solvers.solve_greedy(model.homogeneous_network(10), p_tot, eps0=1e-5)
+        assert alloc.num_selected == 10
+        assert sizes == list(range(1, 11))
+        assert endpoints == [solvers.POWER_FLOOR_SCALE * p_tot, p_tot]
 
     def test_equal_objectives_go_to_the_lower_index(self, monkeypatch):
         # Bounds that put higher indices first, and every candidate tied: the
