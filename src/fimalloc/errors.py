@@ -34,7 +34,7 @@ class SchemaVersionMismatch(FimallocError):
 
 
 class QuadratureNotConverged(FimallocError):
-    """Doubling the quadrature nodes still moves the result too much."""
+    """The quadrature guard's finest rungs still disagree by too much."""
 
 
 class BelowFloor(FimallocError):

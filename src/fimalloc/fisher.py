@@ -13,9 +13,11 @@ two scales separate badly for strong gains, so a plain Hermite rule stalls.
 The integral is therefore evaluated over Gauss-Legendre panels refined
 around the boundaries, at Gauss-Legendre order n_nodes / 8 per panel
 (DEFAULT_NODES everywhere but in an explicit InfoKernel).  Each guarded
-value is re-checked one rung up an (n, 2n - 1, 4n - 3) resolution ladder;
-the ladder lives on InfoKernel (`t_checked`), so `t_k`, `tabulate_t` and
-the solvers share one policy.
+value is checked against the Gauss-Kronrod extension of the same panels,
+which reuses the kernel values at the Gauss nodes and adds order + 1 nodes
+per panel; when the two disagree, the value escalates to the 2n - 1 rung,
+confirmed by the 4n - 3 rung.  The guard lives on InfoKernel
+(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
 """
 
 from __future__ import annotations
@@ -51,6 +53,75 @@ def _gl_rule(order: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _kronrod_b(order: int) -> np.ndarray:
+    """Recurrence coefficients b_0 .. b_2n of the 2n + 1 point Kronrod rule, n = order.
+
+    Laurie's algorithm (Math. Comp. 66, 1997) extends the monic Legendre
+    recurrence b_0 = 2, b_k = k^2 / (4 k^2 - 1) to the Jacobi matrix whose
+    eigenvalues are the Gauss-Kronrod nodes.  It is specialised here to the
+    symmetric Legendre weight, where every diagonal coefficient is zero.
+    s and t hold two consecutive rows of mixed moments.
+    """
+    n = order
+    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b = np.zeros(2 * n + 1)
+    b[0] = 2.0
+    b[1:k.size + 1] = k * k / (4.0 * k * k - 1.0)
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for j in range((m + 1) // 2, -1, -1):
+            u += b[j + n + 1] * s[j] - b[m - j] * s[j + 1]
+            s[j + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for j in range(m + 1 - n, (m - 1) // 2 + 1):
+            i = n - 1 - m + j
+            u += b[m - j] * s[i + 2] - b[j + n + 1] * s[i + 1]
+            s[i + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[i + 1] / s[i + 2]
+        s, t = t, s
+    return b
+
+
+@lru_cache(maxsize=64)
+def _gk_rule(order: int):
+    """Gauss-Kronrod extension of the order-point Gauss-Legendre rule on [-1, 1].
+
+    Returns (x, wx, y, wy): x is _gl_rule(order)'s node array itself, wx the
+    Kronrod weights at those nodes, y the order + 1 Kronrod-only nodes in
+    ascending order and wy their weights.  The 2 order + 1 point rule is
+    exact for polynomials of degree 3 order + 1.  The Kronrod-only nodes are
+    eigenvalues of Laurie's Jacobi matrix; every weight is the Christoffel
+    number 1 / sum_k q_k(x)^2 over the matrix's orthonormal polynomials,
+    which is more accurate than one read off an eigenvector.
+    """
+    x, _ = _gl_rule(order)
+    b = _kronrod_b(order)
+    root_b = np.sqrt(b)
+    y = np.linalg.eigvalsh(np.diag(root_b[1:], 1) + np.diag(root_b[1:], -1))[0::2]
+    y = 0.5 * (y - y[::-1])
+
+    def christoffel(z):
+        q_prev, q = 0.0, np.full_like(z, 1.0 / root_b[0])
+        total = q * q
+        for k in range(2 * order):
+            q_prev, q = q, (z * q - root_b[k] * q_prev) / root_b[k + 1]
+            total = total + q * q
+        w = 1.0 / total
+        return 0.5 * (w + w[::-1])
+
+    wx, wy = christoffel(x), christoffel(y)
+    for array in (wx, y, wy):
+        array.setflags(write=False)
+    return x, wx, y, wy
 
 
 # Panel layout constants: half-width of the density support kept, boundary
@@ -98,6 +169,32 @@ def _resolution_to_order(n_nodes: int) -> int:
     return max(4, int(round(n_nodes / 8)))
 
 
+def _panel_nodes(x: np.ndarray, w: np.ndarray, centers: np.ndarray, halves: np.ndarray,
+                 sigma_s: float):
+    """Nodes s of rule (x, w) on every panel, and weights folding in the density."""
+    s = (centers[:, None] + halves[:, None] * x[None, :]).ravel()
+    density = np.exp(-0.5 * (s / sigma_s) ** 2) / (sigma_s * math.sqrt(2.0 * math.pi))
+    weights = (halves[:, None] * w[None, :]).ravel() * density
+    weights.setflags(write=False)
+    return s, weights
+
+
+def _cell_tables(s: np.ndarray, quantizer, sigma_n: float):
+    """Read-only cell probabilities b and scaled slopes bd at the nodes s."""
+    b = _beta_table(s, quantizer, sigma_n)
+    bd = _beta_dot_table(s, quantizer, sigma_n)
+    b.setflags(write=False)
+    bd.setflags(write=False)
+    return b, bd
+
+
+def _panels(bits: int, tau: float, sigma_n: float, sigma_s: float):
+    """The sensor's quantizer, and the centres and half-widths of its panels."""
+    quantizer = make_quantizer(bits, tau)
+    edges = _panel_edges(quantizer.boundaries, sigma_n, sigma_s)
+    return quantizer, 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+
+
 @lru_cache(maxsize=512)
 def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes: int):
     """Cell-probability tables at the quadrature nodes for one sensor.
@@ -108,47 +205,56 @@ def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes:
     values approximates the expectation.  Cached by value, so identical
     sensors share tables.
     """
-    quantizer = make_quantizer(bits, tau)
+    quantizer, centers, halves = _panels(bits, tau, sigma_n, sigma_s)
     x, w = _gl_rule(_resolution_to_order(n_nodes))
-    edges = _panel_edges(quantizer.boundaries, sigma_n, sigma_s)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    s = (centers[:, None] + halves[:, None] * x[None, :]).ravel()
-    density = np.exp(-0.5 * (s / sigma_s) ** 2) / (sigma_s * math.sqrt(2.0 * math.pi))
-    weights = (halves[:, None] * w[None, :]).ravel() * density
-    b = _beta_table(s, quantizer, sigma_n)
-    bd = _beta_dot_table(s, quantizer, sigma_n)
-    weights.setflags(write=False)
-    b.setflags(write=False)
-    bd.setflags(write=False)
-    return weights, b, bd
+    s, weights = _panel_nodes(x, w, centers, halves, sigma_s)
+    return (weights, *_cell_tables(s, quantizer, sigma_n))
 
 
-def _kernel_sum(weights: np.ndarray, b: np.ndarray, bd: np.ndarray,
-                alpha: np.ndarray, alpha_slope: np.ndarray | None = None) -> float:
-    """Weighted sum over the nodes of the information kernel, or of its p-slope.
+@lru_cache(maxsize=512)
+def _kronrod_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes: int):
+    """The Gauss-Kronrod extension of _node_tables on the same panels.
 
-    At each node of the (n, M) tables b and bd, sums over received levels
-    the squared confusion-weighted slope over the confusion-weighted cell
-    probability.  Terms whose denominator falls below _DEN_FLOOR are
-    skipped; they vanish faster in the numerator than the denominator, so
-    dropping them is conservative.  Given alpha_slope = d(alpha)/dp, sums
-    the kernel's p-derivative instead.
+    Returns (gauss_weights, weights, b, bd): gauss_weights are the Kronrod
+    weights at _node_tables' nodes, in its order, and the rest are the
+    tables at the Kronrod-only nodes, so the extended rule's sum is
+    gauss_weights @ g(gauss nodes) + weights @ g(Kronrod-only nodes).
+    """
+    x, wx, y, wy = _gk_rule(_resolution_to_order(n_nodes))
+    quantizer, centers, halves = _panels(bits, tau, sigma_n, sigma_s)
+    _, gauss_weights = _panel_nodes(x, wx, centers, halves, sigma_s)
+    s, weights = _panel_nodes(y, wy, centers, halves, sigma_s)
+    return (gauss_weights, weights, *_cell_tables(s, quantizer, sigma_n))
+
+
+def _kernel_values(b: np.ndarray, bd: np.ndarray, alpha: np.ndarray,
+                   alpha_slope: np.ndarray | None = None) -> np.ndarray:
+    """The information kernel, or its p-slope, at each node of the (n, M) tables b and bd.
+
+    At each node, sums over received levels the squared confusion-weighted
+    slope over the confusion-weighted cell probability.  Terms whose
+    denominator falls below _DEN_FLOOR are skipped; they vanish faster in
+    the numerator than the denominator, so dropping them is conservative.
+    Given alpha_slope = d(alpha)/dp, returns the kernel's p-derivative
+    instead.
     """
     num = bd @ alpha.T
     den = b @ alpha.T
     keep = den >= _DEN_FLOOR
-    safe = np.where(keep, den, 1.0)
     if alpha_slope is None:
-        g = np.sum(np.where(keep, num * num / safe, 0.0), axis=1)
+        terms = np.divide(num * num, den, out=np.zeros_like(den), where=keep)
     else:
         num_d = bd @ alpha_slope.T
         den_d = b @ alpha_slope.T
-        g = np.sum(
-            np.where(keep, (2.0 * num * num_d * safe - num * num * den_d) / (safe * safe), 0.0),
-            axis=1,
-        )
-    return float(weights @ g)
+        terms = np.divide(2.0 * num * num_d * den - num * num * den_d, den * den,
+                          out=np.zeros_like(den), where=keep)
+    return np.sum(terms, axis=1)
+
+
+def _kernel_sum(weights: np.ndarray, b: np.ndarray, bd: np.ndarray,
+                alpha: np.ndarray, alpha_slope: np.ndarray | None = None) -> float:
+    """Weighted sum over the nodes of the information kernel, or of its p-slope."""
+    return float(weights @ _kernel_values(b, bd, alpha, alpha_slope))
 
 
 class InfoKernel:
@@ -157,9 +263,11 @@ class InfoKernel:
     Builds the quadrature tables once and reuses them for every power, so
     tabulating a power grid or iterating inside a solver costs one confusion
     matrix per power instead of a fresh quadrature setup.  `t` and `t_prime`
-    perform no convergence check; `t_checked` re-checks `t` on the finer
-    rungs of the (n, 2n - 1, 4n - 3) node ladder, which the kernel builds
-    when first needed and keeps for later powers.
+    perform no convergence check.  `t_checked` checks `t` against the
+    Gauss-Kronrod extension of the same panels (tables built when first
+    needed) and, where the two disagree, escalates to the 2n - 1 and 4n - 3
+    rungs, which the kernel builds on the first failure and keeps for later
+    powers.
     """
 
     def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
@@ -171,6 +279,7 @@ class InfoKernel:
         self.sensor = sensor
         self.prior = prior
         self.n_nodes = n_nodes
+        self._kronrod = None
         self._finer: list = []
         self.prefactor = float(gain @ gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
         self.sigma_s = math.sqrt(max(float(gain @ prior.covariance @ gain), 0.0))
@@ -181,12 +290,27 @@ class InfoKernel:
         else:
             self._weights = self._b = self._bd = None
 
-    def expected_g(self, p_bit: float) -> float:
-        """Gaussian expectation of the information kernel at bit-error rate p_bit."""
+    def expected_g(self, p_bit: float, with_check: bool = False):
+        """Gaussian expectation of the information kernel at bit-error rate p_bit.
+
+        With `with_check`, returns the pair (expectation, check): the check
+        is the Gauss-Kronrod extension's sum on the same panels, which
+        reuses the kernel values at the Gauss nodes and adds those at the
+        Kronrod-only nodes (tables built on first use).
+        """
         if self._weights is None:
-            return 0.0
-        return _kernel_sum(self._weights, self._b, self._bd,
-                           _alpha_entries(self.sensor.bits, p_bit))
+            return (0.0, 0.0) if with_check else 0.0
+        bits = self.sensor.bits
+        alpha = _alpha_entries(bits, p_bit)
+        g = _kernel_values(self._b, self._bd, alpha)
+        value = float(self._weights @ g)
+        if not with_check:
+            return value
+        if self._kronrod is None:
+            self._kronrod = _kronrod_tables(bits, self.sensor.tau, self.sensor.sigma_n,
+                                            self.sigma_s, self.n_nodes)
+        gauss_weights, weights, b, bd = self._kronrod
+        return value, float(gauss_weights @ g) + _kernel_sum(weights, b, bd, alpha)
 
     def expected_g_slope(self, p_bit: float) -> float:
         """d/dp of expected_g, by differentiating the confusion entries."""
@@ -203,22 +327,26 @@ class InfoKernel:
         return self.prefactor * self.expected_g(bit_error_prob(power, self.sensor))
 
     def t_checked(self, power: float) -> float:
-        """t at `power` from the coarsest ladder rung that the next rung confirms.
+        """t at `power`, checked by the Gauss-Kronrod extension or else by the ladder.
 
-        Raises QuadratureNotConverged when even the 4n - 3 rung moves by more
-        than _QUAD_RTOL relative from the 2n - 1 one.
+        Returns t itself when its Gauss-Kronrod check value agrees within
+        _QUAD_RTOL relative.  Otherwise returns the 2n - 1 rung's value when
+        the 4n - 3 rung confirms it, and raises QuadratureNotConverged when
+        it does not.
         """
         p = bit_error_prob(power, self.sensor)  # raises on a negative power, even at zero gain
         if self.prefactor == 0.0:
             return 0.0
-        previous = self.prefactor * self.expected_g(p)
-        for rung, n in enumerate((2 * self.n_nodes - 1, 4 * self.n_nodes - 3)):
-            if rung == len(self._finer):
-                self._finer.append(InfoKernel(self.sensor, self.prior, n))
-            estimate = self.prefactor * self._finer[rung].expected_g(p)
-            if _converged(previous, estimate):
-                return previous
-            previous = estimate
+        gauss, kronrod = self.expected_g(p, with_check=True)
+        value = self.prefactor * gauss
+        if _converged(value, self.prefactor * kronrod):
+            return value
+        if not self._finer:
+            self._finer = [InfoKernel(self.sensor, self.prior, n)
+                           for n in (2 * self.n_nodes - 1, 4 * self.n_nodes - 3)]
+        coarse, fine = (self.prefactor * rung.expected_g(p) for rung in self._finer)
+        if _converged(coarse, fine):
+            return coarse
         raise QuadratureNotConverged(
             f"t at power {power} still moved by more than {_QUAD_RTOL:g} relative "
             f"after escalating to {4 * self.n_nodes - 3} nodes"
@@ -247,8 +375,9 @@ def t_k(power: float, sensor: Sensor, prior: Prior) -> float:
     """Per-sensor information contribution t(P), with a quadrature guard.
 
     A fresh InfoKernel evaluates `t_checked`: the Gaussian expectation on
-    the DEFAULT_NODES rung, checked against roughly double the resolution,
-    escalating once more before raising QuadratureNotConverged.
+    the DEFAULT_NODES rung, checked against its Gauss-Kronrod extension,
+    escalating to the 2n - 1 and 4n - 3 rungs before raising
+    QuadratureNotConverged.
     Nonnegative, and exactly zero at P = 0 up to roundoff.
     """
     return InfoKernel(sensor, prior).t_checked(power)
@@ -292,8 +421,8 @@ def tabulate_t(network: Network, power_grid) -> np.ndarray:
     """Table of t values: entry (k, j) is sensor k's contribution at grid[j].
 
     Each entry equals t_k at that power; a row evaluates one InfoKernel,
-    so its sensor's ladder rungs are built once and reused for every grid
-    power.
+    so its sensor's Kronrod tables and ladder rungs are built once and
+    reused for every grid power.
     """
     grid = np.asarray(power_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -58,6 +58,10 @@ class Prior:
         return self.covariance.shape[0]
 
 
+def _is_bool(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class Sensor:
     """One sensor: observation gain and noise, channel, and quantizer range.
@@ -69,6 +73,8 @@ class Sensor:
     bits      codeword length, an integer from 1 to MAX_BITS, so the quantizer has
               2**bits levels; integral floats and numpy integers are stored as int
     tau       quantizer half-range (> 0)
+
+    Booleans are rejected wherever a number is expected.
     """
 
     gain: np.ndarray
@@ -79,6 +85,8 @@ class Sensor:
     tau: float
 
     def __post_init__(self):
+        if any(_is_bool(v) for v in np.ravel(np.asarray(self.gain, dtype=object))):
+            raise ValueError(f"gain entries must be numbers, got {self.gain!r}")
         gain = np.array(self.gain, dtype=float)  # copy, then freeze our copy
         if gain.ndim != 1:
             raise DimensionMismatch(f"gain must be a vector, got shape {gain.shape}")
@@ -87,7 +95,7 @@ class Sensor:
         gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
         bits = self.bits
-        if isinstance(bits, (bool, np.bool_)) or not (
+        if _is_bool(bits) or not (
             isinstance(bits, (int, np.integer))
             or (isinstance(bits, (float, np.floating)) and float(bits).is_integer())
         ):
@@ -97,6 +105,8 @@ class Sensor:
         object.__setattr__(self, "bits", int(bits))
         for name in ("sigma_n", "h_mag", "sigma_nu", "tau"):
             value = getattr(self, name)
+            if _is_bool(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
@@ -343,6 +353,24 @@ def _require_integer(mapping: dict, key: str, where: str) -> int:
     return int(value)
 
 
+def _require_number(mapping: dict, key: str, where: str) -> float:
+    """A real-number field; JSON booleans, strings and null are rejected."""
+    value = _require(mapping, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _require_numbers(mapping: dict, key: str, where: str) -> np.ndarray:
+    """An array-of-numbers field, as a float vector; each entry as in _require_number."""
+    value = _require(mapping, key, where)
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
+    ):
+        raise ParseError(f"{where}.{key} must be an array of numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _reject_unknown(mapping: dict, allowed: set, where: str):
     unknown = set(mapping) - allowed
     if unknown:
@@ -411,12 +439,12 @@ def network_from_dict(payload: dict) -> Network:
         try:
             sensors.append(
                 Sensor(
-                    gain=np.asarray(_require(entry, "gain", where), dtype=float),
-                    sigma_n=float(_require(entry, "sigma_n", where)),
-                    h_mag=float(_require(entry, "h_mag", where)),
-                    sigma_nu=float(_require(entry, "sigma_nu", where)),
+                    gain=_require_numbers(entry, "gain", where),
+                    sigma_n=_require_number(entry, "sigma_n", where),
+                    h_mag=_require_number(entry, "h_mag", where),
+                    sigma_nu=_require_number(entry, "sigma_nu", where),
                     bits=_require_integer(entry, "bits", where),
-                    tau=float(_require(entry, "tau", where)),
+                    tau=_require_number(entry, "tau", where),
                 )
             )
         except (ValueError, TypeError) as exc:

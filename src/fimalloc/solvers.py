@@ -386,11 +386,10 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
             )
     # Stationarity holds for clipped sensors by the clip tests themselves;
     # check the interior coordinates against the final multiplier before the
-    # (at most 1e-8 relative) feasibility rescale below.
-    if np.any(interior):
-        residual = max(abs(curves[j].t_prime(powers[j]) - lam) for j in np.nonzero(interior)[0])
-    else:
-        residual = 0.0
+    # (at most 1e-8 relative) feasibility rescale below, once per distinct
+    # (curve, power) pair, as in the step.
+    pairs = dict.fromkeys((curves[j], powers[j]) for j in np.nonzero(interior)[0])
+    residual = max((abs(curve.t_prime(power) - lam) for curve, power in pairs), default=0.0)
     if residual > KKT_RTOL * max(lam, 1e-300):
         raise NoConvergence(
             f"stationarity residual {residual:.3e} exceeds {KKT_RTOL:g} * multiplier"
@@ -405,9 +404,9 @@ def _shared_curves(sensors: Sequence[Sensor], prior: Prior, p_tot: float) -> lis
 
     Twins are sensors whose parameters are equal (gain bytes, sigma_n,
     h_mag, sigma_nu, bits, tau): their t and t' agree at every power, so one
-    curve per twin class takes each endpoint slope and builds each ladder
-    rung once.  `t` is the ladder-guarded `InfoKernel.t_checked` that
-    trace_fim uses, so a bound and an objective share one quadrature.
+    curve per twin class takes each endpoint slope and builds its Kronrod
+    tables and ladder rungs once.  `t` is the guarded `InfoKernel.t_checked`
+    that trace_fim uses, so a bound and an objective share one quadrature.
     """
     classes: dict = {}
     curves = []
@@ -470,11 +469,14 @@ def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: f
     members' powers are their maximizers.  Every bound is infinite when none
     applies: lam is not a finite nonnegative number, or a member's
     derivative rises.  A candidate whose derivative rises, or whose bound
-    comes out NaN, gets an infinite bound too.
+    comes out NaN, gets an infinite bound too.  Twins at the same power
+    share one term evaluation, summed once per member in index order.
     """
     if not (0.0 <= lam < math.inf and all(curves[i].concave for i in active)):
         return dict.fromkeys(candidates, math.inf)
-    base = baseline + lam * p_tot + sum(curves[i].term(lam, powers[i]) for i in active)
+    pairs = [(curves[i], powers[i]) for i in active]
+    terms = {pair: pair[0].term(lam, pair[1]) for pair in dict.fromkeys(pairs)}
+    base = baseline + lam * p_tot + sum(terms[pair] for pair in pairs)
     ub = {}
     for j in candidates:
         u = base + curves[j].term(lam) if curves[j].concave else math.inf

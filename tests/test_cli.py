@@ -102,6 +102,8 @@ class TestSolve:
         (("geometry", "seed"), 42.7, "geometry.seed"),
         (("geometry", "seed"), True, "geometry.seed"),
         (("sensors", 0, "bits"), 9, "sensors[0]"),
+        (("sensors", 3, "sigma_n"), True, "sensors[3].sigma_n"),
+        (("sensors", 3, "gain"), [True, 0.5], "sensors[3].gain"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):

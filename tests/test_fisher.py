@@ -124,15 +124,17 @@ class TestTk:
 
 
 class TestLadder:
-    """InfoKernel.t_checked returns the coarsest rung that the next rung confirms."""
+    """InfoKernel.t_checked returns rung 0 when its Gauss-Kronrod extension agrees;
+    otherwise the 2n - 1 rung when the 4n - 3 rung confirms it."""
 
     @staticmethod
-    def fake_g(monkeypatch, values):
+    def fake_kernels(monkeypatch, gk, rungs):
+        """Rung 0 checks as the (Gauss, Kronrod) pair gk; rung n reports rungs[n]."""
         seen = []
 
-        def expected_g(self, p_bit):
-            seen.append(self.n_nodes)
-            return values[self.n_nodes]
+        def expected_g(self, p_bit, with_check=False):
+            seen.append(("gk", self.n_nodes) if with_check else self.n_nodes)
+            return gk if with_check else rungs[self.n_nodes]
 
         monkeypatch.setattr(fisher.InfoKernel, "expected_g", expected_g)
         return seen
@@ -149,26 +151,28 @@ class TestLadder:
         monkeypatch.setattr(fisher.InfoKernel, "__init__", counted)
         return built
 
-    def test_rung_one_confirms_rung_zero(self, monkeypatch, reference_sensor, default_prior):
-        seen = self.fake_g(monkeypatch, {81: 1.0, 161: 1.0 + 1e-7, 321: 5.0})
+    def test_kronrod_confirms_rung_zero(self, monkeypatch, reference_sensor, default_prior):
+        seen = self.fake_kernels(monkeypatch, (1.0, 1.0 + 1e-7), {161: 5.0, 321: 5.0})
+        built = self.count_builds(monkeypatch)
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         assert kernel.t_checked(2.0) == kernel.prefactor * 1.0
-        assert seen == [81, 161]
+        assert seen == [("gk", 81)]
+        assert built == [81]
 
-    def test_only_rung_two_confirms_rung_one(self, monkeypatch, reference_sensor,
-                                             default_prior):
-        seen = self.fake_g(monkeypatch, {81: 1.0, 161: 2.0, 321: 2.0 * (1.0 + 1e-7)})
+    def test_kronrod_fails_rung_two_confirms_rung_one(self, monkeypatch, reference_sensor,
+                                                     default_prior):
+        seen = self.fake_kernels(monkeypatch, (1.0, 1.1), {161: 2.0, 321: 2.0 * (1.0 + 1e-7)})
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         assert kernel.t_checked(2.0) == kernel.prefactor * 2.0
-        assert seen == [81, 161, 321]
+        assert seen == [("gk", 81), 161, 321]
 
     def test_no_rung_confirms(self, monkeypatch, reference_sensor, default_prior):
-        self.fake_g(monkeypatch, {81: 1.0, 161: 2.0, 321: 3.0})
+        self.fake_kernels(monkeypatch, (1.0, 2.0), {161: 2.0, 321: 3.0})
         with pytest.raises(QuadratureNotConverged, match=r"power 2\.5 .* 321 nodes"):
             fisher.t_k(2.5, reference_sensor, default_prior)
 
     def test_each_finer_rung_built_once(self, monkeypatch, reference_sensor, default_prior):
-        self.fake_g(monkeypatch, {81: 1.0, 161: 2.0, 321: 2.0})
+        self.fake_kernels(monkeypatch, (1.0, 2.0), {161: 2.0, 321: 2.0})
         built = self.count_builds(monkeypatch)
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         for power in np.linspace(0.0, 50.0, 11):
@@ -178,6 +182,82 @@ class TestLadder:
         built.clear()
         fisher.tabulate_t(net, np.linspace(0.0, 50.0, 11))
         assert built == [81, 161, 321] * 2
+
+    def test_gauss_value_is_expected_g(self, golden_network):
+        for sensor in golden_network.sensors[:5]:
+            kernel = fisher.InfoKernel(sensor, golden_network.prior)
+            for power in (0.0, 0.7, 5.0, 30.0, 200.0):
+                p = quantcomm.bit_error_prob(power, sensor)
+                gauss, _ = kernel.expected_g(p, with_check=True)
+                assert gauss == kernel.expected_g(p)
+                assert kernel.t_checked(power) == kernel.t(power)
+
+    def test_flags_every_point_the_doubled_rung_flags(self, golden_network):
+        """Where rung 0 and the 2n - 1 rung disagree, rung 0 and its Kronrod rule do too."""
+        powers = np.concatenate((0.5 * np.arange(1, 101), [100.0, 200.0, 400.0]))
+        doubled_flags, kronrod_flags = set(), set()
+        for i, sensor in enumerate(golden_network.sensors):
+            kernel = fisher.InfoKernel(sensor, golden_network.prior)
+            doubled = fisher.InfoKernel(sensor, golden_network.prior, 161)
+            scale = kernel.prefactor
+            for power in powers:
+                p = quantcomm.bit_error_prob(float(power), sensor)
+                gauss, kronrod = kernel.expected_g(p, with_check=True)
+                if not fisher._converged(scale * gauss, scale * doubled.expected_g(p)):
+                    doubled_flags.add((i, power))
+                if not fisher._converged(scale * gauss, scale * kronrod):
+                    kronrod_flags.add((i, power))
+        assert doubled_flags  # the high-SNR end fails the doubled-rung check
+        assert doubled_flags <= kronrod_flags
+
+
+# QUADPACK's dqk21 abscissae and weights (Piessens et al., 1983): the
+# nonnegative half of the 21-point Kronrod extension of the 10-point
+# Gauss-Legendre rule, in descending order; even entries (from 0) are
+# Kronrod-only nodes, odd entries Gauss nodes.
+QUADPACK_XGK21 = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+QUADPACK_WGK21 = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+
+
+class TestGaussKronrodRule:
+    @pytest.mark.parametrize("order", [4, 10, 20])
+    def test_gauss_subset_is_the_gauss_legendre_rule(self, order):
+        x, _, y, _ = fisher._gk_rule(order)
+        gl_x, _ = fisher._gl_rule(order)
+        assert x.dtype == gl_x.dtype and x.tobytes() == gl_x.tobytes()
+        assert y.size == order + 1
+        nodes = np.sort(np.concatenate((x, y)))
+        assert np.array_equal(nodes[1::2], np.sort(gl_x))  # Kronrod nodes interlace
+        assert np.all(np.abs(y) < 1.0)
+
+    @pytest.mark.parametrize("order", [4, 10, 20])
+    def test_exact_on_monomials_to_degree_3n_plus_1(self, order):
+        x, wx, y, wy = fisher._gk_rule(order)
+        for degree in range(3 * order + 2):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert wx @ x ** degree + wy @ y ** degree == pytest.approx(exact, abs=4e-15)
+
+    def test_order_10_matches_quadpack(self):
+        x, wx, y, wy = fisher._gk_rule(10)
+        nodes = np.concatenate((x, y))
+        weights = np.concatenate((wx, wy))
+        half = np.argsort(-nodes)[:11]
+        assert np.max(np.abs(nodes[half] - QUADPACK_XGK21)) <= 1e-15
+        assert np.max(np.abs(weights[half] - QUADPACK_WGK21)) <= 1e-15
 
 
 class TestTkDerivative:

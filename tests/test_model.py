@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,42 @@ class TestSensorBits:
     def test_out_of_range_rejected(self, bits):
         with pytest.raises(ValueError, match=r"bits must be in \[1, 8\]"):
             self._sensor(bits)
+
+
+class TestBooleanPhysicalFields:
+    @staticmethod
+    def _sensor(**changes):
+        fields = dict(gain=np.array([1.0, 0.5]), sigma_n=1.0, h_mag=0.7, sigma_nu=1.0,
+                      bits=3, tau=3.0)
+        fields.update(changes)
+        return model.Sensor(**fields)
+
+    @pytest.mark.parametrize("name", ["sigma_n", "h_mag", "sigma_nu", "tau"])
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_sensor_rejects_boolean(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            self._sensor(**{name: value})
+
+    @pytest.mark.parametrize("gain", [[True, 0.5], (0.5, np.True_), np.array([True, False])])
+    def test_sensor_rejects_boolean_gain(self, gain):
+        with pytest.raises(ValueError, match="gain entries must be numbers"):
+            self._sensor(gain=gain)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_n", True),
+        ("h_mag", True),
+        ("sigma_nu", False),
+        ("tau", True),
+        ("gain", [True, 0.5]),
+        ("sigma_n", "1.0"),
+        ("tau", None),
+        ("gain", 0.5),
+    ])
+    def test_scenario_names_the_field(self, field, value, golden_scenario_path):
+        payload = json.loads(golden_scenario_path.read_text())
+        payload["sensors"][3][field] = value
+        with pytest.raises(ParseError, match=re.escape(f"sensors[3].{field} must be")):
+            model.network_from_dict(payload)
 
 
 class TestScenarioIO:

@@ -147,6 +147,58 @@ class TestPowerAllocation:
         assert curves[1] is curves[0]
         assert len({id(curve) for curve in curves}) == 1 + len(variants)
 
+    def test_twins_take_one_residual_slope(self, default_prior):
+        # Six twins end at one power, so the stationarity check after the
+        # last bisection step evaluates t' once, not once per sensor.
+        net = model.homogeneous_network(6)
+        curve = solvers._shared_curves(net.sensors, default_prior, 12.0)[0]
+        events = []
+        t_prime, power = curve.t_prime, curve.power
+
+        def logged_t_prime(x):
+            events.append("t'")
+            return t_prime(x)
+
+        def logged_power(lam, x0):
+            result = power(lam, x0)
+            events.append("step")
+            return result
+
+        curve.t_prime, curve.power = logged_t_prime, logged_power
+        solution = solvers._allocate_power_core([curve] * 6, 12.0)
+        assert len(set(solution.powers.tolist())) == 1
+        assert solution.kkt_residual <= solvers.KKT_RTOL * solution.multiplier
+        last_step = len(events) - 1 - events[::-1].index("step")
+        assert events[last_step + 1:] == ["t'"]
+
+    def test_twins_take_one_bound_term(self, default_prior):
+        net = model.homogeneous_network(5)
+        p_tot = 10.0
+        curve = solvers._shared_curves(net.sensors, default_prior, p_tot)[0]
+        solution = solvers._allocate_power_core([curve] * 5, p_tot)
+        calls = []
+        t = curve.t
+
+        def counted_t(x):
+            calls.append(x)
+            return t(x)
+
+        curve.t = counted_t
+        ub = solvers._dual_bounds([curve] * 5, 1.0, p_tot, solution.multiplier, range(5),
+                                  solution.powers, [])
+        assert ub == {} and len(calls) == 1
+        # The shared term still enters once per member, summed in index order.
+        lam = solution.multiplier
+        each = curve.term(lam, solution.powers[0])
+        odd = dataclasses.replace(net.sensors[0], h_mag=0.9)
+
+        def fresh_odd_curve():
+            return solvers._shared_curves([odd], default_prior, p_tot)[0]
+
+        ub = solvers._dual_bounds([curve] * 5 + [fresh_odd_curve()], 1.0, p_tot, lam, range(5),
+                                  solution.powers, [5])
+        assert ub[5] == 1.0 + lam * p_tot + sum([each] * 5) + fresh_odd_curve().term(lam)
+
     def test_kkt_residual_within_tolerance(self, golden_network):
         solution = solvers._power_allocation_detailed([1, 3, 6, 9], golden_network, 30.0)
         assert solution.kkt_residual <= 1e-6 * max(solution.multiplier, 1e-300)
