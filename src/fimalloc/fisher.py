@@ -15,9 +15,11 @@ around the boundaries, at Gauss-Legendre order n_nodes / 8 per panel
 (DEFAULT_NODES everywhere but in an explicit InfoKernel).  Each guarded
 value is checked against the Gauss-Kronrod extension of the same panels,
 which reuses the kernel values at the Gauss nodes and adds order + 1 nodes
-per panel; when the two disagree, the value escalates to the 2n - 1 rung,
-confirmed by the 4n - 3 rung.  The guard lives on InfoKernel
-(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
+per panel.  The check is local: each of the m panels may contribute 1/m of
+the tolerance.  A value it flags walks the (n, 2n - 1, 4n - 3) ladder,
+which returns the coarsest rung that the next rung confirms.  The guard
+lives on InfoKernel (`t_checked`), so `t_k`, `tabulate_t` and the solvers
+share one policy.
 """
 
 from __future__ import annotations
@@ -215,16 +217,24 @@ def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes:
 def _kronrod_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes: int):
     """The Gauss-Kronrod extension of _node_tables on the same panels.
 
-    Returns (gauss_weights, weights, b, bd): gauss_weights are the Kronrod
-    weights at _node_tables' nodes, in its order, and the rest are the
-    tables at the Kronrod-only nodes, so the extended rule's sum is
-    gauss_weights @ g(gauss nodes) + weights @ g(Kronrod-only nodes).
+    Returns (gap_weights, weights, b, bd).  gap_weights[i, 0] holds the
+    Gauss weights less the Kronrod weights at panel i's Gauss nodes, in
+    _node_tables' order; weights[i, 0] holds the Kronrod weights at its
+    Kronrod-only nodes, and b and bd the tables there.  Panel i's Gauss sum
+    less its Kronrod sum is gap_weights[i] @ g(its Gauss nodes) -
+    weights[i] @ g(its Kronrod-only nodes), one matrix product per rule for
+    all panels.
     """
-    x, wx, y, wy = _gk_rule(_resolution_to_order(n_nodes))
+    order = _resolution_to_order(n_nodes)
+    x, wx, y, wy = _gk_rule(order)
     quantizer, centers, halves = _panels(bits, tau, sigma_n, sigma_s)
-    _, gauss_weights = _panel_nodes(x, wx, centers, halves, sigma_s)
+    _, gauss_weights = _panel_nodes(x, _gl_rule(order)[1], centers, halves, sigma_s)
+    _, kronrod_at_gauss = _panel_nodes(x, wx, centers, halves, sigma_s)
+    gap_weights = (gauss_weights - kronrod_at_gauss).reshape(-1, 1, order)
+    gap_weights.setflags(write=False)
     s, weights = _panel_nodes(y, wy, centers, halves, sigma_s)
-    return (gauss_weights, weights, *_cell_tables(s, quantizer, sigma_n))
+    return (gap_weights, weights.reshape(-1, 1, order + 1),
+            *_cell_tables(s, quantizer, sigma_n))
 
 
 def _kernel_values(b: np.ndarray, bd: np.ndarray, alpha: np.ndarray,
@@ -265,9 +275,9 @@ class InfoKernel:
     matrix per power instead of a fresh quadrature setup.  `t` and `t_prime`
     perform no convergence check.  `t_checked` checks `t` against the
     Gauss-Kronrod extension of the same panels (tables built when first
-    needed) and, where the two disagree, escalates to the 2n - 1 and 4n - 3
-    rungs, which the kernel builds on the first failure and keeps for later
-    powers.
+    needed) and sends a value that check flags up the (n, 2n - 1, 4n - 3)
+    ladder, whose rungs the kernel builds when first needed and keeps for
+    later powers.
     """
 
     def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
@@ -293,10 +303,14 @@ class InfoKernel:
     def expected_g(self, p_bit: float, with_check: bool = False):
         """Gaussian expectation of the information kernel at bit-error rate p_bit.
 
-        With `with_check`, returns the pair (expectation, check): the check
-        is the Gauss-Kronrod extension's sum on the same panels, which
-        reuses the kernel values at the Gauss nodes and adds those at the
-        Kronrod-only nodes (tables built on first use).
+        With `with_check`, returns the pair (expectation, error).  error is
+        m times the largest gap, over the m panels, between a panel's Gauss
+        sum and its Gauss-Kronrod sum, which reuses the kernel values at the
+        Gauss nodes and adds those at the Kronrod-only nodes (tables built on
+        first use).  It is at least the sum of the panels' absolute gaps, so
+        never below the whole rule's gap.  The check rides on this method,
+        not a separate one, so that the tracer in perfbench/, which wraps
+        expected_g by name, counts one call per checked value.
         """
         if self._weights is None:
             return (0.0, 0.0) if with_check else 0.0
@@ -309,8 +323,11 @@ class InfoKernel:
         if self._kronrod is None:
             self._kronrod = _kronrod_tables(bits, self.sensor.tau, self.sensor.sigma_n,
                                             self.sigma_s, self.n_nodes)
-        gauss_weights, weights, b, bd = self._kronrod
-        return value, float(gauss_weights @ g) + _kernel_sum(weights, b, bd, alpha)
+        gap_weights, weights, b, bd = self._kronrod
+        panels = gap_weights.shape[0]
+        gaps = gap_weights @ g.reshape(panels, -1, 1) \
+            - weights @ _kernel_values(b, bd, alpha).reshape(panels, -1, 1)
+        return value, panels * float(np.abs(gaps).max())
 
     def expected_g_slope(self, p_bit: float) -> float:
         """d/dp of expected_g, by differentiating the confusion entries."""
@@ -327,26 +344,28 @@ class InfoKernel:
         return self.prefactor * self.expected_g(bit_error_prob(power, self.sensor))
 
     def t_checked(self, power: float) -> float:
-        """t at `power`, checked by the Gauss-Kronrod extension or else by the ladder.
+        """t at `power`, checked by its Gauss-Kronrod extension or else by the ladder.
 
-        Returns t itself when its Gauss-Kronrod check value agrees within
-        _QUAD_RTOL relative.  Otherwise returns the 2n - 1 rung's value when
-        the 4n - 3 rung confirms it, and raises QuadratureNotConverged when
-        it does not.
+        Returns t itself when the Kronrod error estimate is within
+        _QUAD_RTOL relative.  Otherwise returns the coarsest rung of the
+        (n, 2n - 1, 4n - 3) ladder that the next rung confirms, and raises
+        QuadratureNotConverged when even the 4n - 3 rung moves by more than
+        _QUAD_RTOL relative from the 2n - 1 one.
         """
         p = bit_error_prob(power, self.sensor)  # raises on a negative power, even at zero gain
         if self.prefactor == 0.0:
             return 0.0
-        gauss, kronrod = self.expected_g(p, with_check=True)
-        value = self.prefactor * gauss
-        if _converged(value, self.prefactor * kronrod):
-            return value
-        if not self._finer:
-            self._finer = [InfoKernel(self.sensor, self.prior, n)
-                           for n in (2 * self.n_nodes - 1, 4 * self.n_nodes - 3)]
-        coarse, fine = (self.prefactor * rung.expected_g(p) for rung in self._finer)
-        if _converged(coarse, fine):
-            return coarse
+        gauss, error = self.expected_g(p, with_check=True)
+        previous = self.prefactor * gauss
+        if _within_tolerance(previous, self.prefactor * error):
+            return previous
+        for rung, n in enumerate((2 * self.n_nodes - 1, 4 * self.n_nodes - 3)):
+            if rung == len(self._finer):
+                self._finer.append(InfoKernel(self.sensor, self.prior, n))
+            estimate = self.prefactor * self._finer[rung].expected_g(p)
+            if _converged(previous, estimate):
+                return previous
+            previous = estimate
         raise QuadratureNotConverged(
             f"t at power {power} still moved by more than {_QUAD_RTOL:g} relative "
             f"after escalating to {4 * self.n_nodes - 3} nodes"
@@ -371,13 +390,24 @@ def _converged(coarse: float, fine: float) -> bool:
     return abs(fine - coarse) <= _QUAD_RTOL * scale
 
 
+def _within_tolerance(value: float, error: float) -> bool:
+    """Whether an error estimate for value is within _QUAD_RTOL relative of it.
+
+    Passes without the relative test only where value and error together
+    are numerically zero.
+    """
+    if abs(value) + error < _ZERO_SCALE:
+        return True
+    return error <= _QUAD_RTOL * abs(value)
+
+
 def t_k(power: float, sensor: Sensor, prior: Prior) -> float:
     """Per-sensor information contribution t(P), with a quadrature guard.
 
     A fresh InfoKernel evaluates `t_checked`: the Gaussian expectation on
     the DEFAULT_NODES rung, checked against its Gauss-Kronrod extension,
-    escalating to the 2n - 1 and 4n - 3 rungs before raising
-    QuadratureNotConverged.
+    and where that check flags it, up the (n, 2n - 1, 4n - 3) ladder before
+    raising QuadratureNotConverged.
     Nonnegative, and exactly zero at P = 0 up to roundoff.
     """
     return InfoKernel(sensor, prior).t_checked(power)

@@ -124,17 +124,18 @@ class TestTk:
 
 
 class TestLadder:
-    """InfoKernel.t_checked returns rung 0 when its Gauss-Kronrod extension agrees;
-    otherwise the 2n - 1 rung when the 4n - 3 rung confirms it."""
+    """InfoKernel.t_checked returns rung 0 when its Gauss-Kronrod check passes, and
+    otherwise the coarsest rung of the (n, 2n - 1, 4n - 3) ladder that the next
+    rung confirms."""
 
     @staticmethod
-    def fake_kernels(monkeypatch, gk, rungs):
-        """Rung 0 checks as the (Gauss, Kronrod) pair gk; rung n reports rungs[n]."""
+    def fake_kernels(monkeypatch, error, values):
+        """Rung n reports values[n]; rung 0's Kronrod error estimate is `error`."""
         seen = []
 
         def expected_g(self, p_bit, with_check=False):
-            seen.append(("gk", self.n_nodes) if with_check else self.n_nodes)
-            return gk if with_check else rungs[self.n_nodes]
+            seen.append(("check", self.n_nodes) if with_check else self.n_nodes)
+            return (values[self.n_nodes], error) if with_check else values[self.n_nodes]
 
         monkeypatch.setattr(fisher.InfoKernel, "expected_g", expected_g)
         return seen
@@ -152,27 +153,41 @@ class TestLadder:
         return built
 
     def test_kronrod_confirms_rung_zero(self, monkeypatch, reference_sensor, default_prior):
-        seen = self.fake_kernels(monkeypatch, (1.0, 1.0 + 1e-7), {161: 5.0, 321: 5.0})
+        seen = self.fake_kernels(monkeypatch, 0.9e-6, {81: 1.0, 161: 5.0, 321: 5.0})
         built = self.count_builds(monkeypatch)
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         assert kernel.t_checked(2.0) == kernel.prefactor * 1.0
-        assert seen == [("gk", 81)]
+        assert seen == [("check", 81)]
         assert built == [81]
 
-    def test_kronrod_fails_rung_two_confirms_rung_one(self, monkeypatch, reference_sensor,
-                                                     default_prior):
-        seen = self.fake_kernels(monkeypatch, (1.0, 1.1), {161: 2.0, 321: 2.0 * (1.0 + 1e-7)})
+    @pytest.mark.parametrize("error, escalates", [(1.9e-6, False), (2.1e-6, True)])
+    def test_kronrod_error_is_relative_to_rung_zero(self, monkeypatch, reference_sensor,
+                                                    default_prior, error, escalates):
+        seen = self.fake_kernels(monkeypatch, error, {81: 2.0, 161: 2.0, 321: 2.0})
+        kernel = fisher.InfoKernel(reference_sensor, default_prior)
+        kernel.t_checked(2.0)
+        assert seen == [("check", 81)] + [161] * escalates
+
+    def test_rung_one_confirms_rung_zero(self, monkeypatch, reference_sensor, default_prior):
+        seen = self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 1.0 + 1e-7, 321: 5.0})
+        kernel = fisher.InfoKernel(reference_sensor, default_prior)
+        assert kernel.t_checked(2.0) == kernel.prefactor * 1.0
+        assert seen == [("check", 81), 161]
+
+    def test_only_rung_two_confirms_rung_one(self, monkeypatch, reference_sensor,
+                                             default_prior):
+        seen = self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 2.0 * (1.0 + 1e-7)})
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         assert kernel.t_checked(2.0) == kernel.prefactor * 2.0
-        assert seen == [("gk", 81), 161, 321]
+        assert seen == [("check", 81), 161, 321]
 
     def test_no_rung_confirms(self, monkeypatch, reference_sensor, default_prior):
-        self.fake_kernels(monkeypatch, (1.0, 2.0), {161: 2.0, 321: 3.0})
+        self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 3.0})
         with pytest.raises(QuadratureNotConverged, match=r"power 2\.5 .* 321 nodes"):
             fisher.t_k(2.5, reference_sensor, default_prior)
 
     def test_each_finer_rung_built_once(self, monkeypatch, reference_sensor, default_prior):
-        self.fake_kernels(monkeypatch, (1.0, 2.0), {161: 2.0, 321: 2.0})
+        self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 2.0})
         built = self.count_builds(monkeypatch)
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         for power in np.linspace(0.0, 50.0, 11):
@@ -192,23 +207,73 @@ class TestLadder:
                 assert gauss == kernel.expected_g(p)
                 assert kernel.t_checked(power) == kernel.t(power)
 
-    def test_flags_every_point_the_doubled_rung_flags(self, golden_network):
-        """Where rung 0 and the 2n - 1 rung disagree, rung 0 and its Kronrod rule do too."""
-        powers = np.concatenate((0.5 * np.arange(1, 101), [100.0, 200.0, 400.0]))
+    def test_error_bounds_the_whole_rule_gap(self, golden_network):
+        """The estimate is at least |Gauss sum - Gauss-Kronrod sum| over all panels."""
+        sensor, prior = golden_network.sensors[3], golden_network.prior
+        kernel = fisher.InfoKernel(sensor, prior)
+        order = fisher._resolution_to_order(kernel.n_nodes)
+        x, wx, y, wy = fisher._gk_rule(order)
+        quantizer, centers, halves = fisher._panels(sensor.bits, sensor.tau, sensor.sigma_n,
+                                                    kernel.sigma_s)
+        rule = [fisher._panel_nodes(nodes, weights, centers, halves, kernel.sigma_s)
+                for nodes, weights in ((x, wx), (y, wy))]
+        tables = [fisher._cell_tables(s, quantizer, sensor.sigma_n) for s, _ in rule]
+        for power in (0.5, 5.0, 50.0, 215.3, 700.0):
+            p = quantcomm.bit_error_prob(power, sensor)
+            alpha = quantcomm._alpha_entries(sensor.bits, p)
+            gauss, error = kernel.expected_g(p, with_check=True)
+            kronrod = sum(fisher._kernel_sum(weights, b, bd, alpha)
+                          for (_, weights), (b, bd) in zip(rule, tables))
+            assert error >= abs(gauss - kronrod) - 1e-14 * gauss
+            assert error > 0.0
+
+    @staticmethod
+    def check_flags(network, powers):
+        """Points where the doubled rung flags rung 0, and points where the Kronrod check does."""
         doubled_flags, kronrod_flags = set(), set()
-        for i, sensor in enumerate(golden_network.sensors):
-            kernel = fisher.InfoKernel(sensor, golden_network.prior)
-            doubled = fisher.InfoKernel(sensor, golden_network.prior, 161)
+        for i, sensor in enumerate(network.sensors):
+            kernel = fisher.InfoKernel(sensor, network.prior)
+            doubled = fisher.InfoKernel(sensor, network.prior, 161)
             scale = kernel.prefactor
             for power in powers:
                 p = quantcomm.bit_error_prob(float(power), sensor)
-                gauss, kronrod = kernel.expected_g(p, with_check=True)
+                gauss, error = kernel.expected_g(p, with_check=True)
                 if not fisher._converged(scale * gauss, scale * doubled.expected_g(p)):
-                    doubled_flags.add((i, power))
-                if not fisher._converged(scale * gauss, scale * kronrod):
-                    kronrod_flags.add((i, power))
-        assert doubled_flags  # the high-SNR end fails the doubled-rung check
+                    doubled_flags.add((i, float(power)))
+                if not fisher._within_tolerance(scale * gauss, scale * error):
+                    kronrod_flags.add((i, float(power)))
+        return doubled_flags, kronrod_flags
+
+    def test_flags_every_point_the_doubled_rung_flags(self, golden_network):
+        """Where rung 0 and the 2n - 1 rung disagree, the Kronrod check flags rung 0.
+
+        The log grid holds the high-SNR points where the whole-rule Kronrod gap
+        passes values the doubled rung flags: sensors 3 and 11 at P = 215.3,
+        sensor 9 at 338.8 and sensor 10 at 720.9.
+        """
+        log_grid = np.geomspace(50.0, 2e4, 120)
+        powers = np.concatenate((0.5 * np.arange(1, 101), [100.0, 200.0, 400.0, 700.0],
+                                 log_grid[log_grid <= 1000.0]))
+        doubled_flags, kronrod_flags = self.check_flags(golden_network, powers)
+        for point in ((3, 215.3), (11, 215.3), (9, 338.8), (10, 720.9), (0, 700.0)):
+            assert any(i == point[0] and abs(power - point[1]) < 0.1
+                       for i, power in doubled_flags)
         assert doubled_flags <= kronrod_flags
+        assert not any(power <= 50.0 for _, power in kronrod_flags)
+
+    def test_flags_every_point_the_doubled_rung_flags_fuzzed(self):
+        rng = np.random.default_rng(2024)
+        doubled_total = 0
+        for _ in range(40):
+            net = random_network(rng)
+            doubled_flags, kronrod_flags = self.check_flags(net, np.geomspace(40.0, 1000.0, 24))
+            doubled_total += len(doubled_flags)
+            assert doubled_flags <= kronrod_flags
+        assert doubled_total > 0
+
+    def test_high_snr_failure_still_raises(self, golden_network):
+        with pytest.raises(QuadratureNotConverged, match=r"power 700\.0 "):
+            fisher.t_k(700.0, golden_network.sensors[0], golden_network.prior)
 
 
 # QUADPACK's dqk21 abscissae and weights (Piessens et al., 1983): the
