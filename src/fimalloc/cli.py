@@ -6,9 +6,10 @@ Subcommands:
     sweep   run algorithms across a budget grid and write trend rows as CSV
     verify  run the oracle suites and report pass/fail per check
 
-Exit codes: 0 ok, 2 usage or a numeric flag out of range, 3 generation or
-scenario-loading failure, 4 solver failure, 5 verification failure.  All
-data outputs are deterministic given the flags (wall-time columns excepted).
+Exit codes: 0 ok, 2 usage, a numeric flag out of range or an --out that
+cannot be opened for writing, 3 generation or scenario-loading failure,
+4 solver failure, 5 verification failure.  All data outputs are
+deterministic given the flags (wall-time columns excepted).
 """
 
 from __future__ import annotations
@@ -116,6 +117,20 @@ def _parse_gain(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad gain vector {text!r}") from exc
 
 
+def _out_unwritable(path) -> bool:
+    """Report an --out that cannot be opened for writing, before any solve runs.
+
+    The file is opened for appending, so it is created if missing but an
+    existing file keeps its contents until the command writes it.
+    """
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        print(f"cannot write --out {path!r}: {exc.strerror}", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_gen(args) -> int:
     try:
         if args.k is None:
@@ -155,6 +170,8 @@ def cmd_solve(args) -> int:
     except (FimallocError, OSError) as exc:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_GENERATION
+    if args.out and _out_unwritable(args.out):
+        return EXIT_USAGE
     try:
         alloc = solvers.SOLVERS[args.alg](network, args.ptot, args.grid_n, args.eps0)
     except FimallocError as exc:
@@ -187,6 +204,8 @@ def cmd_sweep(args) -> int:
         if name not in solvers.SOLVERS:
             print(f"unknown algorithm {name!r}", file=sys.stderr)
             return EXIT_USAGE
+    if _out_unwritable(args.out):
+        return EXIT_USAGE
     scenario_id = Path(args.scenario).stem
     seed = network.seed if network.seed is not None else ""
     rows = []

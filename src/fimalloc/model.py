@@ -5,13 +5,21 @@ each described by its observation gain, observation noise, channel
 magnitude, channel noise, bit budget, and quantizer half-range.  Random
 deployments place sensors uniformly in a square field and derive gains
 from inverse-distance decay toward two source locations.
+
+Sensor, Geometry and make_prior check their own values: a numeric field
+takes a real number (an integer for bits and seed), never a boolean, a
+string or None, and a bad value raises ValueError naming the field.  The
+generators pass caller values straight through, and the scenario reader
+builds each record from its dataclass fields, prefixing the message with
+where the record sits, e.g. "sensors[3].sigma_n must be a number".
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -58,8 +66,33 @@ class Prior:
         return self.covariance.shape[0]
 
 
-def _is_bool(value) -> bool:
-    return isinstance(value, (bool, np.bool_))
+def _number(value, name: str) -> float:
+    """A real number as a Python float; booleans, strings and None are rejected."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """A new float array of numbers nested to any depth, each entry as in _number."""
+    entries = np.asarray(value, dtype=object)
+    try:
+        return np.array([_number(v, name) for v in entries.ravel()]).reshape(entries.shape)
+    except ValueError:
+        raise ValueError(f"{name} must be an array of numbers, got {value!r}") from None
+
+
+def _integer(value, name: str) -> int:
+    """An integer, or an integral float, as a Python int; booleans are rejected."""
+    if isinstance(value, (bool, np.bool_)) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -74,7 +107,8 @@ class Sensor:
               2**bits levels; integral floats and numpy integers are stored as int
     tau       quantizer half-range (> 0)
 
-    Booleans are rejected wherever a number is expected.
+    The four physical fields are stored as Python floats and gain as a
+    read-only float vector; booleans, strings and None are rejected.
     """
 
     gain: np.ndarray
@@ -85,30 +119,22 @@ class Sensor:
     tau: float
 
     def __post_init__(self):
-        if any(_is_bool(v) for v in np.ravel(np.asarray(self.gain, dtype=object))):
-            raise ValueError(f"gain entries must be numbers, got {self.gain!r}")
-        gain = np.array(self.gain, dtype=float)  # copy, then freeze our copy
+        gain = _numbers(self.gain, "gain")  # a new array: freezing it leaves the caller's alone
         if gain.ndim != 1:
             raise DimensionMismatch(f"gain must be a vector, got shape {gain.shape}")
         if not np.all(np.isfinite(gain)):
             raise ValueError(f"gain must be finite, got {gain}")
         gain.setflags(write=False)
         object.__setattr__(self, "gain", gain)
-        bits = self.bits
-        if _is_bool(bits) or not (
-            isinstance(bits, (int, np.integer))
-            or (isinstance(bits, (float, np.floating)) and float(bits).is_integer())
-        ):
-            raise ValueError(f"bits must be an integer, got {bits!r}")
+        bits = _integer(self.bits, "bits")
         if not 1 <= bits <= MAX_BITS:
             raise ValueError(f"bits must be in [1, {MAX_BITS}], got {bits}")
-        object.__setattr__(self, "bits", int(bits))
+        object.__setattr__(self, "bits", bits)
         for name in ("sigma_n", "h_mag", "sigma_nu", "tau"):
-            value = getattr(self, name)
-            if _is_bool(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            value = _number(getattr(self, name), name)
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def levels_count(self) -> int:
@@ -117,7 +143,11 @@ class Sensor:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Deployment metadata; carried along so scenario files round-trip."""
+    """Deployment metadata; carried along so scenario files round-trip.
+
+    Stores seed as an int, the three scalars as Python floats and the
+    positions as read-only float arrays, with the same value rules as Sensor.
+    """
 
     seed: int
     field_half_width: float
@@ -125,6 +155,15 @@ class Geometry:
     sensor_positions: np.ndarray   # (K, 2)
     decay_exponent: float
     d_min: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        for name in ("field_half_width", "decay_exponent", "d_min"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        for name in ("source_positions", "sensor_positions"):
+            positions = _numbers(getattr(self, name), name)
+            positions.setflags(write=False)
+            object.__setattr__(self, name, positions)
 
 
 @dataclass(frozen=True)
@@ -161,7 +200,7 @@ def make_prior(covariance) -> Prior:
     eigendecomposition with relative tolerance 1e-12 on the smallest
     eigenvalue.
     """
-    cov = np.array(covariance, dtype=float)
+    cov = _numbers(covariance, "covariance")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DimensionMismatch(f"covariance must be square, got shape {cov.shape}")
     if not np.all(np.isfinite(cov)):
@@ -199,9 +238,10 @@ def make_tau(gain, sigma_n: float, prior: Prior) -> float:
 
 
 def _per_sensor(value, k: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    """Length-k object array, so Sensor sees and checks each caller value unconverted."""
+    arr = np.asarray(value, dtype=object)
     if arr.ndim == 0:
-        return np.full(k, float(arr))
+        return np.full(k, arr[()], dtype=object)
     if arr.shape != (k,):
         raise DimensionMismatch(f"{name} must be scalar or length-{k}, got shape {arr.shape}")
     return arr
@@ -250,11 +290,7 @@ def generate_deployment(
     sig_n = _per_sensor(sigma_n, k, "sigma_n")
     sig_nu = _per_sensor(sigma_nu, k, "sigma_nu")
     h = _per_sensor(h_mag, k, "h_mag")
-    bits_arr = np.asarray(bits, dtype=object)  # object keeps True and 3.7 for Sensor to reject
-    if bits_arr.ndim == 0:
-        bits_arr = np.full(k, bits_arr[()], dtype=object)
-    elif bits_arr.shape != (k,):
-        raise DimensionMismatch(f"bits must be scalar or length-{k}")
+    bits_arr = _per_sensor(bits, k, "bits")
 
     rng = np.random.default_rng(seed)
     d_origin = np.linalg.norm(sources, axis=1)
@@ -280,24 +316,16 @@ def generate_deployment(
         gain = (d_origin / dist) ** decay_exponent
         tau = make_tau(gain, sig_n[i], prior)
         sensors.append(
-            Sensor(
-                gain=gain,
-                sigma_n=float(sig_n[i]),
-                h_mag=float(h[i]),
-                sigma_nu=float(sig_nu[i]),
-                bits=bits_arr[i],
-                tau=tau,
-            )
+            Sensor(gain=gain, sigma_n=sig_n[i], h_mag=h[i], sigma_nu=sig_nu[i],
+                   bits=bits_arr[i], tau=tau)
         )
-    positions.setflags(write=False)
-    sources.setflags(write=False)
     geometry = Geometry(
-        seed=int(seed),
-        field_half_width=float(field_half_width),
+        seed=seed,
+        field_half_width=field_half_width,
         source_positions=sources,
         sensor_positions=positions,
-        decay_exponent=float(decay_exponent),
-        d_min=float(d_min),
+        decay_exponent=decay_exponent,
+        d_min=d_min,
     )
     return Network(sensors=tuple(sensors), prior=prior, geometry=geometry)
 
@@ -313,7 +341,6 @@ def homogeneous_network(
 ) -> Network:
     """Network of k identical sensors sharing one gain vector (no geometry)."""
     prior = make_prior(DEFAULT_COVARIANCE)
-    gain = np.asarray(gain, dtype=float)
     tau = make_tau(gain, sigma_n, prior)
     sensor = Sensor(
         gain=gain, sigma_n=sigma_n, h_mag=h_mag, sigma_nu=sigma_nu, bits=bits, tau=tau
@@ -325,15 +352,6 @@ def homogeneous_network(
 # Scenario files: UTF-8 JSON, strict schema, full round-trip precision.
 # ---------------------------------------------------------------------------
 
-_SENSOR_KEYS = {"gain", "sigma_n", "h_mag", "sigma_nu", "bits", "tau"}
-_GEOMETRY_KEYS = {
-    "seed",
-    "field_half_width",
-    "source_positions",
-    "sensor_positions",
-    "decay_exponent",
-    "d_min",
-}
 _TOP_KEYS = {"version", "prior", "sensors", "geometry"}
 
 
@@ -343,34 +361,6 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _require_integer(mapping: dict, key: str, where: str) -> int:
-    """An integer field; JSON booleans and fractional numbers are rejected."""
-    value = _require(mapping, key, where)
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ParseError(f"{where}.{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _require_number(mapping: dict, key: str, where: str) -> float:
-    """A real-number field; JSON booleans, strings and null are rejected."""
-    value = _require(mapping, key, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _require_numbers(mapping: dict, key: str, where: str) -> np.ndarray:
-    """An array-of-numbers field, as a float vector; each entry as in _require_number."""
-    value = _require(mapping, key, where)
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        raise ParseError(f"{where}.{key} must be an array of numbers, got {value!r}")
-    return np.asarray(value, dtype=float)
-
-
 def _reject_unknown(mapping: dict, allowed: set, where: str):
     unknown = set(mapping) - allowed
     if unknown:
@@ -378,33 +368,35 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
         raise ParseError(f'unknown field "{name}" in {where}')
 
 
+def _to_dict(record) -> dict:
+    """A Sensor or Geometry as a JSON object, one key per dataclass field."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
+
+
+def _from_dict(cls, entry, where: str):
+    """Build a Sensor or Geometry from its JSON object; errors name where.field."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where} must be an object")
+    names = [f.name for f in fields(cls)]
+    _reject_unknown(entry, set(names), where)
+    for name in names:
+        _require(entry, name, where)
+    try:
+        return cls(**entry)
+    except (ValueError, TypeError, DimensionMismatch) as exc:
+        raise ParseError(f"{where}.{exc}") from exc
+
+
 def network_to_dict(network: Network) -> dict:
     """Plain-dict form of a Network, the scenario file's JSON payload."""
     payload = {
         "version": SCHEMA_VERSION,
         "prior": {"covariance": network.prior.covariance.tolist()},
-        "sensors": [
-            {
-                "gain": s.gain.tolist(),
-                "sigma_n": float(s.sigma_n),
-                "h_mag": float(s.h_mag),
-                "sigma_nu": float(s.sigma_nu),
-                "bits": int(s.bits),
-                "tau": float(s.tau),
-            }
-            for s in network.sensors
-        ],
+        "sensors": [_to_dict(s) for s in network.sensors],
     }
     if network.geometry is not None:
-        g = network.geometry
-        payload["geometry"] = {
-            "seed": g.seed,
-            "field_half_width": g.field_half_width,
-            "source_positions": g.source_positions.tolist(),
-            "sensor_positions": g.sensor_positions.tolist(),
-            "decay_exponent": g.decay_exponent,
-            "d_min": g.d_min,
-        }
+        payload["geometry"] = _to_dict(network.geometry)
     return payload
 
 
@@ -424,54 +416,18 @@ def network_from_dict(payload: dict) -> Network:
     _reject_unknown(prior_obj, {"covariance"}, "prior")
     try:
         prior = make_prior(_require(prior_obj, "covariance", "prior"))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"prior.covariance: {exc}") from exc
+    except (ValueError, TypeError, DimensionMismatch) as exc:
+        raise ParseError(f"prior.{exc}") from exc
 
     sensors_obj = _require(payload, "sensors", "scenario")
     if not isinstance(sensors_obj, list) or not sensors_obj:
         raise ParseError('field "sensors" must be a non-empty array')
-    sensors = []
-    for i, entry in enumerate(sensors_obj):
-        where = f"sensors[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where} must be an object")
-        _reject_unknown(entry, _SENSOR_KEYS, where)
-        try:
-            sensors.append(
-                Sensor(
-                    gain=_require_numbers(entry, "gain", where),
-                    sigma_n=_require_number(entry, "sigma_n", where),
-                    h_mag=_require_number(entry, "h_mag", where),
-                    sigma_nu=_require_number(entry, "sigma_nu", where),
-                    bits=_require_integer(entry, "bits", where),
-                    tau=_require_number(entry, "tau", where),
-                )
-            )
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-
+    sensors = tuple(_from_dict(Sensor, entry, f"sensors[{i}]")
+                    for i, entry in enumerate(sensors_obj))
     geometry = None
     if "geometry" in payload:
-        g = payload["geometry"]
-        if not isinstance(g, dict):
-            raise ParseError('field "geometry" must be an object')
-        _reject_unknown(g, _GEOMETRY_KEYS, "geometry")
-        try:
-            sources = np.array(_require(g, "source_positions", "geometry"), dtype=float)
-            positions = np.array(_require(g, "sensor_positions", "geometry"), dtype=float)
-            sources.setflags(write=False)
-            positions.setflags(write=False)
-            geometry = Geometry(
-                seed=_require_integer(g, "seed", "geometry"),
-                field_half_width=float(_require(g, "field_half_width", "geometry")),
-                source_positions=sources,
-                sensor_positions=positions,
-                decay_exponent=float(_require(g, "decay_exponent", "geometry")),
-                d_min=float(_require(g, "d_min", "geometry")),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"geometry: {exc}") from exc
-    return Network(sensors=tuple(sensors), prior=prior, geometry=geometry)
+        geometry = _from_dict(Geometry, payload["geometry"], "geometry")
+    return Network(sensors=sensors, prior=prior, geometry=geometry)
 
 
 def save_scenario(network: Network, path) -> None:
@@ -482,10 +438,17 @@ def save_scenario(network: Network, path) -> None:
 
 
 def load_scenario(path) -> Network:
-    """Read and validate a scenario file written by save_scenario."""
+    """Read and validate a scenario file written by save_scenario.
+
+    Text that is not UTF-8 JSON, or nests too deeply to parse, raises ParseError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"scenario is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError("scenario nests arrays or objects too deeply to parse") from exc
     return network_from_dict(payload)

@@ -104,6 +104,11 @@ class TestSolve:
         (("sensors", 0, "bits"), 9, "sensors[0]"),
         (("sensors", 3, "sigma_n"), True, "sensors[3].sigma_n"),
         (("sensors", 3, "gain"), [True, 0.5], "sensors[3].gain"),
+        (("geometry", "d_min"), True, "geometry.d_min"),
+        (("geometry", "decay_exponent"), "2", "geometry.decay_exponent"),
+        (("geometry", "source_positions", 0, 1), True, "geometry.source_positions"),
+        (("prior", "covariance"), [[True, 0.0], [0.0, True]], "prior.covariance"),
+        (("sensors", 0, "bits"), 9, "sensors[0].bits must be in [1, 8], got 9"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):
@@ -118,6 +123,22 @@ class TestSolve:
         assert code == 3
         err = capsys.readouterr().err
         assert "cannot load scenario" in err and where in err
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe\x00", b"[" * 100_000],
+                             ids=["not-utf8", "nested-100000-deep"])
+    def test_unreadable_scenario_exits_three(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code = run(["solve", "--scenario", str(path), "--alg", "ufa", "--ptot", "5"])
+        assert code == 3
+        assert "cannot load scenario" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_two(self, golden_scenario_path, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "alloc.csv"
+        code = run(["solve", "--scenario", str(golden_scenario_path), "--alg", "ufa",
+                    "--ptot", "5", "--out", str(out)])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["ufa", "usu", "greedy", "mckp", "brute"])
     def test_solver_table_matches_cli(self, name, tmp_path):
@@ -175,6 +196,18 @@ class TestSweep:
         for row in rows:
             assert np.isnan(row["tr_j"])
             assert "TooLarge" in row["diagnostic"]
+
+    def test_unwritable_out_exits_two_before_solving(self, small_scenario, tmp_path,
+                                                     monkeypatch, capsys):
+        def no_solve(*args):
+            raise AssertionError("a solve ran before --out was checked")
+
+        monkeypatch.setitem(solvers.SOLVERS, "ufa", no_solve)
+        out = tmp_path / "no" / "such" / "dir" / "sweep.csv"
+        code = run(["sweep", "--scenario", str(small_scenario), "--alg", "ufa",
+                    "--out", str(out)])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_deterministic_data_columns(self, small_scenario, tmp_path):
         outs = []

@@ -15,6 +15,16 @@ from fimalloc.errors import (
 )
 
 
+def _golden_with(path, keys, value) -> dict:
+    """The golden scenario payload with the entry at the key path set to value."""
+    payload = json.loads(path.read_text())
+    parent = payload
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    return payload
+
+
 class TestMakePrior:
     def test_reference_covariance_inverse_trace(self):
         # Closed form for [[4, .5], [.5, .25]]: det = 0.75,
@@ -188,7 +198,7 @@ class TestBooleanPhysicalFields:
 
     @pytest.mark.parametrize("gain", [[True, 0.5], (0.5, np.True_), np.array([True, False])])
     def test_sensor_rejects_boolean_gain(self, gain):
-        with pytest.raises(ValueError, match="gain entries must be numbers"):
+        with pytest.raises(ValueError, match="gain must be an array of numbers"):
             self._sensor(gain=gain)
 
     @pytest.mark.parametrize("field, value", [
@@ -206,6 +216,68 @@ class TestBooleanPhysicalFields:
         payload["sensors"][3][field] = value
         with pytest.raises(ParseError, match=re.escape(f"sensors[3].{field} must be")):
             model.network_from_dict(payload)
+
+    @pytest.mark.parametrize("value", [True, "1", None])
+    @pytest.mark.parametrize("keys", [
+        ("sensors", 3, "gain"),
+        ("sensors", 3, "sigma_n"),
+        ("sensors", 3, "h_mag"),
+        ("sensors", 3, "sigma_nu"),
+        ("sensors", 3, "bits"),
+        ("sensors", 3, "tau"),
+        ("geometry", "seed"),
+        ("geometry", "field_half_width"),
+        ("geometry", "source_positions"),
+        ("geometry", "sensor_positions"),
+        ("geometry", "decay_exponent"),
+        ("geometry", "d_min"),
+        ("prior", "covariance"),
+    ])
+    def test_every_numeric_field_named(self, keys, value, golden_scenario_path):
+        payload = _golden_with(golden_scenario_path, keys, value)
+        where = f"sensors[3].{keys[-1]}" if keys[0] == "sensors" else ".".join(keys)
+        with pytest.raises(ParseError, match=re.escape(f"{where} must be")):
+            model.network_from_dict(payload)
+
+    def test_integer_beyond_float_range_named(self, golden_scenario_path):
+        payload = _golden_with(golden_scenario_path, ("sensors", 3, "sigma_n"), 10 ** 400)
+        with pytest.raises(ParseError, match=re.escape("sensors[3].sigma_n must be finite")):
+            model.network_from_dict(payload)
+
+    @pytest.mark.parametrize("keys, where", [
+        (("sensors", 3, "gain", 1), "sensors[3].gain"),
+        (("geometry", "source_positions", 0, 1), "geometry.source_positions"),
+        (("geometry", "sensor_positions", 5, 0), "geometry.sensor_positions"),
+        (("prior", "covariance", 1, 1), "prior.covariance"),
+    ])
+    def test_boolean_array_entry_named(self, keys, where, golden_scenario_path):
+        payload = _golden_with(golden_scenario_path, keys, True)
+        with pytest.raises(ParseError, match=re.escape(f"{where} must be an array of numbers")):
+            model.network_from_dict(payload)
+
+    @pytest.mark.parametrize("name, value", [
+        ("sigma_n", True),
+        ("h_mag", True),
+        ("sigma_nu", True),
+        ("decay_exponent", True),
+        ("field_half_width", True),
+        ("sigma_n", [0.9, True]),
+        ("h_mag", [0.7, np.True_]),
+        ("sigma_nu", [0.9, True]),
+    ])
+    def test_generate_deployment_rejects_boolean(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            model.generate_deployment(1, 2, **{name: value})
+
+    def test_homogeneous_network_rejects_boolean_gain(self):
+        with pytest.raises(ValueError, match="gain must be an array of numbers"):
+            model.homogeneous_network(2, gain=[True, 0.5])
+
+    @pytest.mark.parametrize("covariance", [[[True, 0.0], [0.0, True]],
+                                            np.array([[True, False], [False, True]])])
+    def test_make_prior_rejects_boolean(self, covariance):
+        with pytest.raises(ValueError, match="covariance must be an array of numbers"):
+            model.make_prior(covariance)
 
 
 class TestScenarioIO:
