@@ -15,11 +15,12 @@ around the boundaries, at Gauss-Legendre order n_nodes / 8 per panel
 (DEFAULT_NODES everywhere but in an explicit InfoKernel).  Each guarded
 value is checked against the Gauss-Kronrod extension of the same panels,
 which reuses the kernel values at the Gauss nodes and adds order + 1 nodes
-per panel.  The check is local: each of the m panels may contribute 1/m of
-the tolerance.  A value it flags walks the (n, 2n - 1, 4n - 3) ladder,
-which returns the coarsest rung that the next rung confirms.  The guard
-lives on InfoKernel (`t_checked`), so `t_k`, `tabulate_t` and the solvers
-share one policy.
+per panel; one cached build per sensor and node count (`_node_tables`)
+lays out the panels once and makes the tables of both rules.  The check
+is local: each of the m panels may contribute 1/m of the tolerance.  A
+value it flags walks the (n, 2n - 1, 4n - 3) ladder, which returns the
+coarsest rung that the next rung confirms.  The guard lives on InfoKernel
+(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .quantcomm import (
     _alpha_slope,
     _beta_dot_table,
     _beta_table,
+    _bit_error_slope,
     bit_error_prob,
     make_quantizer,
 )
@@ -199,42 +201,31 @@ def _panels(bits: int, tau: float, sigma_n: float, sigma_s: float):
 
 @lru_cache(maxsize=512)
 def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes: int):
-    """Cell-probability tables at the quadrature nodes for one sensor.
+    """Quadrature tables for one sensor: its Gauss rule and that rule's Kronrod check.
 
-    Returns (weights, b, bd) where b[i, l] and bd[i, l] are the cell
-    probability and its scaled slope at node s_i, and the weights fold in
-    the Gaussian density and panel half-widths, so a weighted sum of kernel
-    values approximates the expectation.  Cached by value, so identical
-    sensors share tables.
-    """
-    quantizer, centers, halves = _panels(bits, tau, sigma_n, sigma_s)
-    x, w = _gl_rule(_resolution_to_order(n_nodes))
-    s, weights = _panel_nodes(x, w, centers, halves, sigma_s)
-    return (weights, *_cell_tables(s, quantizer, sigma_n))
-
-
-@lru_cache(maxsize=512)
-def _kronrod_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes: int):
-    """The Gauss-Kronrod extension of _node_tables on the same panels.
-
-    Returns (gap_weights, weights, b, bd).  gap_weights[i, 0] holds the
-    Gauss weights less the Kronrod weights at panel i's Gauss nodes, in
-    _node_tables' order; weights[i, 0] holds the Kronrod weights at its
-    Kronrod-only nodes, and b and bd the tables there.  Panel i's Gauss sum
-    less its Kronrod sum is gap_weights[i] @ g(its Gauss nodes) -
-    weights[i] @ g(its Kronrod-only nodes), one matrix product per rule for
-    all panels.
+    Returns (weights, b, bd, kronrod).  b[i, l] and bd[i, l] are the cell
+    probability and its scaled slope at Gauss node s_i, and the weights
+    fold in the Gaussian density and panel half-widths, so a weighted sum
+    of kernel values approximates the expectation.  kronrod is
+    (gap_weights, weights, b, bd) on the same panels: gap_weights[i, 0]
+    holds the Gauss weights less the Kronrod weights at panel i's Gauss
+    nodes, weights[i, 0] the Kronrod weights at its Kronrod-only nodes, and
+    b and bd the tables there.  Panel i's Gauss sum less its Kronrod sum is
+    gap_weights[i] @ g(its Gauss nodes) - weights[i] @ g(its Kronrod-only
+    nodes), one matrix product per rule for all panels.  Cached by value,
+    so identical sensors share tables.
     """
     order = _resolution_to_order(n_nodes)
     x, wx, y, wy = _gk_rule(order)
     quantizer, centers, halves = _panels(bits, tau, sigma_n, sigma_s)
-    _, gauss_weights = _panel_nodes(x, _gl_rule(order)[1], centers, halves, sigma_s)
+    s, weights = _panel_nodes(x, _gl_rule(order)[1], centers, halves, sigma_s)
     _, kronrod_at_gauss = _panel_nodes(x, wx, centers, halves, sigma_s)
-    gap_weights = (gauss_weights - kronrod_at_gauss).reshape(-1, 1, order)
+    gap_weights = (weights - kronrod_at_gauss).reshape(-1, 1, order)
     gap_weights.setflags(write=False)
-    s, weights = _panel_nodes(y, wy, centers, halves, sigma_s)
-    return (gap_weights, weights.reshape(-1, 1, order + 1),
-            *_cell_tables(s, quantizer, sigma_n))
+    s_kronrod, kronrod_weights = _panel_nodes(y, wy, centers, halves, sigma_s)
+    kronrod = (gap_weights, kronrod_weights.reshape(-1, 1, order + 1),
+               *_cell_tables(s_kronrod, quantizer, sigma_n))
+    return (weights, *_cell_tables(s, quantizer, sigma_n), kronrod)
 
 
 def _kernel_values(b: np.ndarray, bd: np.ndarray, alpha: np.ndarray,
@@ -274,10 +265,11 @@ class InfoKernel:
     tabulating a power grid or iterating inside a solver costs one confusion
     matrix per power instead of a fresh quadrature setup.  `t` and `t_prime`
     perform no convergence check.  `t_checked` checks `t` against the
-    Gauss-Kronrod extension of the same panels (tables built when first
-    needed) and sends a value that check flags up the (n, 2n - 1, 4n - 3)
-    ladder, whose rungs the kernel builds when first needed and keeps for
-    later powers.
+    Gauss-Kronrod extension of the same panels (whose tables come with the
+    node tables) and sends a value that check flags up the (n, 2n - 1,
+    4n - 3) ladder, whose rungs the kernel builds when first needed and
+    keeps for later powers.  `t_prime` takes p and dp/dP from quantcomm,
+    which owns the link.
     """
 
     def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
@@ -289,16 +281,15 @@ class InfoKernel:
         self.sensor = sensor
         self.prior = prior
         self.n_nodes = n_nodes
-        self._kronrod = None
         self._finer: list = []
         self.prefactor = float(gain @ gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
         self.sigma_s = math.sqrt(max(float(gain @ prior.covariance @ gain), 0.0))
         if self.sigma_s > 0.0:
-            self._weights, self._b, self._bd = _node_tables(
+            self._weights, self._b, self._bd, self._kronrod_check = _node_tables(
                 sensor.bits, sensor.tau, sensor.sigma_n, self.sigma_s, n_nodes
             )
         else:
-            self._weights = self._b = self._bd = None
+            self._weights = self._b = self._bd = self._kronrod_check = None
 
     def expected_g(self, p_bit: float, with_check: bool = False):
         """Gaussian expectation of the information kernel at bit-error rate p_bit.
@@ -306,24 +297,20 @@ class InfoKernel:
         With `with_check`, returns the pair (expectation, error).  error is
         m times the largest gap, over the m panels, between a panel's Gauss
         sum and its Gauss-Kronrod sum, which reuses the kernel values at the
-        Gauss nodes and adds those at the Kronrod-only nodes (tables built on
-        first use).  It is at least the sum of the panels' absolute gaps, so
-        never below the whole rule's gap.  The check rides on this method,
-        not a separate one, so that the tracer in perfbench/, which wraps
-        expected_g by name, counts one call per checked value.
+        Gauss nodes and adds those at the Kronrod-only nodes.  It is at least
+        the sum of the panels' absolute gaps, so never below the whole
+        rule's gap.  The check rides on this method, not a separate one, so
+        that the tracer in perfbench/, which wraps expected_g by name,
+        counts one call per checked value.
         """
         if self._weights is None:
             return (0.0, 0.0) if with_check else 0.0
-        bits = self.sensor.bits
-        alpha = _alpha_entries(bits, p_bit)
+        alpha = _alpha_entries(self.sensor.bits, p_bit)
         g = _kernel_values(self._b, self._bd, alpha)
         value = float(self._weights @ g)
         if not with_check:
             return value
-        if self._kronrod is None:
-            self._kronrod = _kronrod_tables(bits, self.sensor.tau, self.sensor.sigma_n,
-                                            self.sigma_s, self.n_nodes)
-        gap_weights, weights, b, bd = self._kronrod
+        gap_weights, weights, b, bd = self._kronrod_check
         panels = gap_weights.shape[0]
         gaps = gap_weights @ g.reshape(panels, -1, 1) \
             - weights @ _kernel_values(b, bd, alpha).reshape(panels, -1, 1)
@@ -352,7 +339,7 @@ class InfoKernel:
         QuadratureNotConverged when even the 4n - 3 rung moves by more than
         _QUAD_RTOL relative from the 2n - 1 one.
         """
-        p = bit_error_prob(power, self.sensor)  # raises on a negative power, even at zero gain
+        p = bit_error_prob(power, self.sensor)  # a negative or NaN power raises, even at zero gain
         if self.prefactor == 0.0:
             return 0.0
         gauss, error = self.expected_g(p, with_check=True)
@@ -375,12 +362,8 @@ class InfoKernel:
         """Derivative of the contribution with respect to power (power > 0)."""
         if self.prefactor == 0.0:
             return 0.0
-        sensor = self.sensor
-        p = bit_error_prob(power, sensor)
-        z = sensor.h_mag * math.sqrt(power / sensor.bits) / sensor.sigma_nu
-        dp_dpower = -math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) \
-            * sensor.h_mag / (2.0 * sensor.sigma_nu * math.sqrt(power * sensor.bits))
-        return self.prefactor * self.expected_g_slope(p) * dp_dpower
+        p = bit_error_prob(power, self.sensor)
+        return self.prefactor * self.expected_g_slope(p) * _bit_error_slope(power, self.sensor)
 
 
 def _converged(coarse: float, fine: float) -> bool:
@@ -451,8 +434,8 @@ def tabulate_t(network: Network, power_grid) -> np.ndarray:
     """Table of t values: entry (k, j) is sensor k's contribution at grid[j].
 
     Each entry equals t_k at that power; a row evaluates one InfoKernel,
-    so its sensor's Kronrod tables and ladder rungs are built once and
-    reused for every grid power.
+    so its sensor's tables and ladder rungs are built once and reused for
+    every grid power.
     """
     grid = np.asarray(power_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

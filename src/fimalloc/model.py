@@ -95,7 +95,7 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sensor:
     """One sensor: observation gain and noise, channel, and quantizer range.
 
@@ -109,6 +109,8 @@ class Sensor:
 
     The four physical fields are stored as Python floats and gain as a
     read-only float vector; booleans, strings and None are rejected.
+    Sensors compare and hash by value (gain by its bytes, so -0.0 and 0.0
+    differ): equal sensors are twins, with equal t and t' at every power.
     """
 
     gain: np.ndarray
@@ -135,6 +137,15 @@ class Sensor:
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
             object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return (self.gain.tobytes(), self.sigma_n, self.h_mag, self.sigma_nu, self.bits, self.tau)
+
+    def __eq__(self, other):
+        return isinstance(other, Sensor) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def levels_count(self) -> int:
@@ -228,12 +239,14 @@ def make_tau(gain, sigma_n: float, prior: Prior) -> float:
     """Quantizer half-range: 3 * sqrt(sigma_n^2 + gain' C gain).
 
     Three standard deviations of the observation, so clipping is negligible.
+    A bad gain or sigma_n raises ValueError naming it, as in Sensor.
     """
-    a = np.asarray(gain, dtype=float)
+    a = _numbers(gain, "gain")
     if a.shape != (prior.q,):
         raise DimensionMismatch(
             f"gain has dimension {a.shape}, prior covariance is {prior.q}x{prior.q}"
         )
+    sigma_n = _number(sigma_n, "sigma_n")
     return 3.0 * math.sqrt(sigma_n ** 2 + float(a @ prior.covariance @ a))
 
 
@@ -280,6 +293,9 @@ def generate_deployment(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    field_half_width = _number(field_half_width, "field_half_width")
+    decay_exponent = _number(decay_exponent, "decay_exponent")
+    d_min = _number(d_min, "d_min")
     if d_min <= 0.0:
         raise ValueError(f"d_min must be positive, got {d_min}")
     prior = make_prior(DEFAULT_COVARIANCE)

@@ -5,7 +5,8 @@ levels.  The level index is sent as a natural-binary codeword, one BPSK
 symbol per bit, over a fading channel with additive Gaussian noise and
 coherent detection.  Independent per-bit errors induce a symbol confusion
 matrix; the cell probabilities and their slope drive the information
-computation downstream.
+computation downstream.  The bit-error rate p(P) and its slope dp/dP
+share one link SNR z(P), the one check that a power is nonnegative.
 
 The confusion matrix and cell-probability kernels here are reconstructions
 from that channel model; the Monte Carlo oracles in this module exist to
@@ -29,11 +30,6 @@ _SQRT2 = math.sqrt(2.0)
 def _phi(x):
     """Standard normal CDF via erfc (relative accuracy better than 1e-12)."""
     return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
-
-
-def _q_tail(x):
-    """Standard normal upper tail Q(x) = 1 - Phi(x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -112,18 +108,29 @@ def _alpha_slope(bits: int, p: float) -> np.ndarray:
     return slope
 
 
+def _link_snr(power: float, sensor: Sensor) -> float:
+    """z = h_mag * sqrt(power / bits) / sigma_nu; a negative or NaN power raises ValueError."""
+    if not power >= 0.0:
+        raise ValueError(f"power must be nonnegative, got {power}")
+    return sensor.h_mag * math.sqrt(power / sensor.bits) / sensor.sigma_nu
+
+
 def bit_error_prob(power: float, sensor: Sensor) -> float:
     """Per-bit error probability of coherent BPSK at the given transmit power.
 
     The power is split evenly over the sensor's `bits` symbols; the
     detection statistic has amplitude h_mag * sqrt(power / bits) against
-    noise of std sigma_nu, so p = Q(h_mag * sqrt(power / bits) / sigma_nu).
+    noise of std sigma_nu, so p = Q(z) = Phi(-z) with z from _link_snr.
     Decreasing in power, with p(0) = 1/2.
     """
-    if power < 0.0:
-        raise ValueError(f"power must be nonnegative, got {power}")
-    z = sensor.h_mag * math.sqrt(power / sensor.bits) / sensor.sigma_nu
-    return float(_q_tail(z))
+    return float(_phi(-_link_snr(power, sensor)))
+
+
+def _bit_error_slope(power: float, sensor: Sensor) -> float:
+    """dp/dP of bit_error_prob (power > 0): -phi(z) * dz/dP, with phi the normal density."""
+    z = _link_snr(power, sensor)
+    return -math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) \
+        * sensor.h_mag / (2.0 * sensor.sigma_nu * math.sqrt(power * sensor.bits))
 
 
 def alpha_matrix(power: float, sensor: Sensor) -> np.ndarray:

@@ -17,9 +17,9 @@ sensor, falling back to projected gradient if the per-sensor derivative
 turns out not to be monotone.  Each sensor's step is `_Curve.power`, the
 maximizer of t(P) - lam * P; greedy's dual bound (`_dual_bounds`) sums the
 matching `_Curve.term`s, so the clip-or-root rule is written once.  Twins
-(sensors with equal parameters) share one curve (`_shared_curves`): greedy
-splits one candidate per twin slot, and each bisection step roots a twin
-class once, with results bit-identical to treating every sensor apart.
+(equal Sensors, which compare by value) share one curve (`_shared_curves`):
+greedy splits one candidate per twin slot, and each bisection step roots a
+twin class once, with results bit-identical to treating every sensor apart.
 """
 
 from __future__ import annotations
@@ -402,21 +402,19 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
 def _shared_curves(sensors: Sequence[Sensor], prior: Prior, p_tot: float) -> list:
     """One _Curve per sensor, with twins sharing one kernel and one curve.
 
-    Twins are sensors whose parameters are equal (gain bytes, sigma_n,
-    h_mag, sigma_nu, bits, tau): their t and t' agree at every power, so one
-    curve per twin class takes each endpoint slope and builds its Kronrod
-    tables and ladder rungs once.  `t` is the guarded `InfoKernel.t_checked`
-    that trace_fim uses, so a bound and an objective share one quadrature.
+    Twins are equal Sensors (Sensor compares by value): their t and t'
+    agree at every power, so one curve per twin class takes each endpoint
+    slope and builds its ladder rungs once.  `t` is the guarded
+    `InfoKernel.t_checked` that trace_fim uses, so a bound and an objective
+    share one quadrature.
     """
     classes: dict = {}
     curves = []
     for sensor in sensors:
-        key = (sensor.gain.tobytes(), sensor.sigma_n, sensor.h_mag, sensor.sigma_nu,
-               sensor.bits, sensor.tau)
-        if key not in classes:
+        if sensor not in classes:
             kernel = InfoKernel(sensor, prior)
-            classes[key] = _Curve(kernel.t_prime, p_tot, kernel.t_checked)
-        curves.append(classes[key])
+            classes[sensor] = _Curve(kernel.t_prime, p_tot, kernel.t_checked)
+        curves.append(classes[sensor])
     return curves
 
 

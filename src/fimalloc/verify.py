@@ -224,18 +224,8 @@ def check_mckp(instances: int = 50, seed: int = DEFAULT_SEED) -> List[CheckResul
 def check_p3(seed: int = DEFAULT_SEED, grid_steps: int = 2000) -> List[CheckResult]:
     """Continuous power split within 1e-5 relative of a fine grid search."""
     prior = model.make_prior(model.DEFAULT_COVARIANCE)
-    gains = (np.array([4.0, 4.0 / 9.0]), np.array([1.0, 1.0]))
-    sensors = tuple(
-        model.Sensor(
-            gain=g,
-            sigma_n=model.DEFAULT_SIGMA_N,
-            h_mag=model.DEFAULT_H_MAG,
-            sigma_nu=model.DEFAULT_SIGMA_NU,
-            bits=model.DEFAULT_BITS,
-            tau=model.make_tau(g, model.DEFAULT_SIGMA_N, prior),
-        )
-        for g in gains
-    )
+    sensors = tuple(model.homogeneous_network(1, gain).sensors[0]
+                    for gain in ((4.0, 4.0 / 9.0), (1.0, 1.0)))
     network = model.Network(sensors=sensors, prior=prior)
     p_tot = 10.0
     powers = solvers.solve_power_allocation([0, 1], network, p_tot)

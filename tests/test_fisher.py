@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fimalloc import fisher, model, quantcomm, verify
+from fimalloc import fisher, model, quantcomm, solvers, verify
 from fimalloc.errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
 from conftest import random_network
 
@@ -421,3 +421,29 @@ class TestTabulate:
     def test_rejects_bad_grid(self, golden_network):
         with pytest.raises(ValueError):
             fisher.tabulate_t(golden_network, [1.0, 0.5])
+
+
+_NAN = float("nan")
+_TWO = model.homogeneous_network(2)
+
+
+def _nan_power_allocation():
+    """An allocation whose stored objective is what a NaN power used to score (t = 0)."""
+    objective = fisher.trace_fim([0.0, 2.0], [1, 1], _TWO)
+    alloc = solvers._finish([1, 1], [_NAN, 2.0], objective, "ufa", 1, ())
+    solvers.verify_allocation(alloc, _TWO, 5.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: quantcomm.bit_error_prob(_NAN, _TWO.sensors[0]),
+    lambda: fisher.InfoKernel(_TWO.sensors[0], _TWO.prior).t_prime(_NAN),
+    lambda: fisher.InfoKernel(_TWO.sensors[0], _TWO.prior).t_checked(_NAN),
+    lambda: fisher.t_k(_NAN, _TWO.sensors[0], _TWO.prior),
+    lambda: fisher.trace_fim([_NAN, 2.0], [1, 1], _TWO),
+    lambda: fisher.tabulate_t(_TWO, [0.0, _NAN]),
+    _nan_power_allocation,
+], ids=["bit_error_prob", "t_prime", "t_checked", "t_k", "trace_fim", "tabulate_t",
+        "verify_allocation"])
+def test_nan_power_rejected(call):
+    with pytest.raises(ValueError, match="power must be nonnegative, got nan"):
+        call()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -351,3 +352,56 @@ class TestHomogeneousNetwork:
                            sigma_nu=1.0, bits=2, tau=3.0)
         with pytest.raises(DimensionMismatch):
             model.Network(sensors=(good, bad), prior=default_prior)
+
+
+class TestSensorEquality:
+    def test_equal_values_compare_and_hash_equal(self, reference_sensor):
+        copies = [
+            dataclasses.replace(reference_sensor, gain=list(reference_sensor.gain)),
+            dataclasses.replace(reference_sensor, gain=reference_sensor.gain.copy(),
+                                bits=np.int64(reference_sensor.bits)),
+        ]
+        for copy in copies:
+            assert copy == reference_sensor and not copy != reference_sensor
+            assert hash(copy) == hash(reference_sensor)
+
+    @pytest.mark.parametrize("change", [
+        {"gain": [0.6, 0.8000000000000002]},
+        {"sigma_n": 1.5},
+        {"h_mag": 0.75},
+        {"sigma_nu": 0.9},
+        {"bits": 2},
+        {"tau": 5.0},
+    ])
+    def test_one_field_changed_is_unequal(self, reference_sensor, change):
+        assert dataclasses.replace(reference_sensor, **change) != reference_sensor
+
+    def test_signed_zero_gains_differ(self):
+        sensors = [model.Sensor(gain=[g, 1.0], sigma_n=1.0, h_mag=0.7, sigma_nu=1.0,
+                                bits=2, tau=3.0) for g in (0.0, -0.0)]
+        assert sensors[0] != sensors[1]
+
+    def test_other_types_and_dict_keys(self, reference_sensor):
+        assert (reference_sensor == "x") is False
+        assert reference_sensor != "x"
+        twin = dataclasses.replace(reference_sensor)
+        assert twin is not reference_sensor
+        assert {reference_sensor: 1}[twin] == 1
+        assert len({reference_sensor, twin}) == 1
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: model.generate_deployment(1, 2, sigma_n="1"), "sigma_n"),
+    (lambda: model.generate_deployment(1, 2, sigma_n=None), "sigma_n"),
+    (lambda: model.generate_deployment(1, 2, sigma_n=[1.0, "1"]), "sigma_n"),
+    (lambda: model.generate_deployment(1, 2, decay_exponent="2"), "decay_exponent"),
+    (lambda: model.generate_deployment(1, 2, decay_exponent=None), "decay_exponent"),
+    (lambda: model.generate_deployment(1, 2, d_min="0.1"), "d_min"),
+    (lambda: model.generate_deployment(1, 2, field_half_width=np.True_), "field_half_width"),
+    (lambda: model.homogeneous_network(2, gain=["a", 1.0]), "gain"),
+    (lambda: model.homogeneous_network(2, sigma_n="1"), "sigma_n"),
+], ids=["sigma_n-str", "sigma_n-none", "sigma_n-entry", "decay-str", "decay-none",
+        "d_min-str", "half_width-np-bool", "homogeneous-gain", "homogeneous-sigma_n"])
+def test_generators_name_the_field(call, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        call()

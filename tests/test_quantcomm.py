@@ -209,3 +209,16 @@ class TestMonteCarloOracles:
         a = quantcomm.mc_alpha_oracle(2.0, reference_sensor, 3000, seed=77)
         b = quantcomm.mc_alpha_oracle(2.0, reference_sensor, 3000, seed=77)
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3])
+@pytest.mark.parametrize("power", [0.05, 0.7, 4.0, 25.0])
+def test_bit_error_slope_matches_finite_difference(bits, power):
+    sensor = model.Sensor(gain=[0.6, 0.8], sigma_n=1.0, h_mag=0.7, sigma_nu=1.0,
+                          bits=bits, tau=3.0)
+    h = 1e-5 * power
+    fd = (quantcomm.bit_error_prob(power + h, sensor)
+          - quantcomm.bit_error_prob(power - h, sensor)) / (2.0 * h)
+    slope = quantcomm._bit_error_slope(power, sensor)
+    assert slope < 0.0
+    assert slope == pytest.approx(fd, rel=1e-6)
