@@ -21,6 +21,12 @@ is local: each of the m panels may contribute 1/m of the tolerance.  A
 value it flags walks the (n, 2n - 1, 4n - 3) ladder, which returns the
 coarsest rung that the next rung confirms.  The guard lives on InfoKernel
 (`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
+
+`_kernel(sensor, prior)` is the one way the library gets a sensor's kernel:
+a bounded cache keyed by value, like `_node_tables`, so equal sensors under
+equal priors share one InfoKernel, its ladder rungs and its memo of checked
+t values.  `t_checked` is deterministic for a given kernel and power, so a
+budget sweep, whose grids repeat many powers, computes each power once.
 """
 
 from __future__ import annotations
@@ -259,7 +265,7 @@ def _kernel_sum(weights: np.ndarray, b: np.ndarray, bd: np.ndarray,
 
 
 class InfoKernel:
-    """Cached per-sensor evaluator of t(P) and dt/dP at fixed node count.
+    """Per-sensor evaluator of t(P) and dt/dP at fixed node count.
 
     Builds the quadrature tables once and reuses them for every power, so
     tabulating a power grid or iterating inside a solver costs one confusion
@@ -268,8 +274,10 @@ class InfoKernel:
     Gauss-Kronrod extension of the same panels (whose tables come with the
     node tables) and sends a value that check flags up the (n, 2n - 1,
     4n - 3) ladder, whose rungs the kernel builds when first needed and
-    keeps for later powers.  `t_prime` takes p and dp/dP from quantcomm,
-    which owns the link.
+    keeps for later powers; it memoizes each value it returns, keyed by
+    power.  `t_prime` takes p and dp/dP from quantcomm, which owns the link.
+    The library shares one DEFAULT_NODES kernel per sensor and prior through
+    `_kernel`; a kernel built directly starts with an empty memo.
     """
 
     def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
@@ -282,6 +290,7 @@ class InfoKernel:
         self.prior = prior
         self.n_nodes = n_nodes
         self._finer: list = []
+        self._checked: dict = {}
         self.prefactor = float(gain @ gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
         self.sigma_s = math.sqrt(max(float(gain @ prior.covariance @ gain), 0.0))
         if self.sigma_s > 0.0:
@@ -337,8 +346,17 @@ class InfoKernel:
         _QUAD_RTOL relative.  Otherwise returns the coarsest rung of the
         (n, 2n - 1, 4n - 3) ladder that the next rung confirms, and raises
         QuadratureNotConverged when even the 4n - 3 rung moves by more than
-        _QUAD_RTOL relative from the 2n - 1 one.
+        _QUAD_RTOL relative from the 2n - 1 one.  A returned value is
+        memoized by power (-0.0 and 0.0 share an entry, as they share p);
+        a power that raises is never stored, so it raises on every call.
         """
+        value = self._checked.get(power)
+        if value is None:
+            value = self._checked[power] = self._ladder(power)
+        return value
+
+    def _ladder(self, power: float) -> float:
+        """t_checked without the memo."""
         p = bit_error_prob(power, self.sensor)  # a negative or NaN power raises, even at zero gain
         if self.prefactor == 0.0:
             return 0.0
@@ -384,16 +402,29 @@ def _within_tolerance(value: float, error: float) -> bool:
     return error <= _QUAD_RTOL * abs(value)
 
 
+@lru_cache(maxsize=512)
+def _kernel(sensor: Sensor, prior: Prior) -> InfoKernel:
+    """The shared DEFAULT_NODES InfoKernel of a sensor under a prior.
+
+    Cached by value, like _node_tables (Sensor and Prior compare by value),
+    so equal sensors under equal priors get one kernel object, with its
+    ladder rungs and its memo of checked t values.  A gain that does not
+    match the prior raises DimensionMismatch on every lookup.
+    """
+    return InfoKernel(sensor, prior)
+
+
 def t_k(power: float, sensor: Sensor, prior: Prior) -> float:
     """Per-sensor information contribution t(P), with a quadrature guard.
 
-    A fresh InfoKernel evaluates `t_checked`: the Gaussian expectation on
-    the DEFAULT_NODES rung, checked against its Gauss-Kronrod extension,
-    and where that check flags it, up the (n, 2n - 1, 4n - 3) ladder before
-    raising QuadratureNotConverged.
+    The sensor's shared kernel (`_kernel`) evaluates `t_checked`: the
+    Gaussian expectation on the DEFAULT_NODES rung, checked against its
+    Gauss-Kronrod extension, and where that check flags it, up the
+    (n, 2n - 1, 4n - 3) ladder before raising QuadratureNotConverged.  The
+    kernel memoizes the value, so a repeated power costs a dict lookup.
     Nonnegative, and exactly zero at P = 0 up to roundoff.
     """
-    return InfoKernel(sensor, prior).t_checked(power)
+    return _kernel(sensor, prior).t_checked(power)
 
 
 def t_k_derivative(power: float, sensor: Sensor, prior: Prior) -> float:
@@ -406,7 +437,7 @@ def t_k_derivative(power: float, sensor: Sensor, prior: Prior) -> float:
     """
     if power <= 0.0:
         raise BelowFloor(f"power {power} is below the derivative floor 0.0")
-    return InfoKernel(sensor, prior).t_prime(power)
+    return _kernel(sensor, prior).t_prime(power)
 
 
 def trace_fim(powers, selection, network: Network) -> float:
@@ -433,9 +464,10 @@ def trace_fim(powers, selection, network: Network) -> float:
 def tabulate_t(network: Network, power_grid) -> np.ndarray:
     """Table of t values: entry (k, j) is sensor k's contribution at grid[j].
 
-    Each entry equals t_k at that power; a row evaluates one InfoKernel,
-    so its sensor's tables and ladder rungs are built once and reused for
-    every grid power.
+    Each entry equals t_k at that power: a row reads its sensor's shared
+    kernel (`_kernel`), so twins share one kernel, its tables and ladder
+    rungs are built once, and a power that an earlier table or solve
+    already checked is read from the kernel's memo.
     """
     grid = np.asarray(power_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -444,7 +476,7 @@ def tabulate_t(network: Network, power_grid) -> np.ndarray:
         raise ValueError("power grid must be ascending and nonnegative")
     table = np.zeros((network.k, grid.size))
     for row, sensor in enumerate(network.sensors):
-        kernel = InfoKernel(sensor, network.prior)
+        kernel = _kernel(sensor, network.prior)
         for j, power in enumerate(grid):
             table[row, j] = kernel.t_checked(float(power))
     return table

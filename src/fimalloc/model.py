@@ -9,9 +9,10 @@ from inverse-distance decay toward two source locations.
 Sensor, Geometry and make_prior check their own values: a numeric field
 takes a real number (an integer for bits and seed), never a boolean, a
 string or None, and a bad value raises ValueError naming the field.  The
-generators pass caller values straight through, and the scenario reader
-builds each record from its dataclass fields, prefixing the message with
-where the record sits, e.g. "sensors[3].sigma_n must be a number".
+generators check seed and k themselves and pass the other caller values
+straight through, and the scenario reader builds each record from its
+dataclass fields, prefixing the message with where the record sits, e.g.
+"sensors[3].sigma_n must be a number".
 """
 
 from __future__ import annotations
@@ -53,13 +54,24 @@ DEFAULT_D_MIN = 0.1
 _SPD_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prior:
-    """Zero-mean Gaussian prior: covariance, its inverse, and the inverse trace."""
+    """Zero-mean Gaussian prior: covariance, its inverse, and the inverse trace.
+
+    Priors compare and hash by value, keyed on the covariance's bytes (the
+    matrix is square, and the inverse and its trace follow from it), as
+    Sensor is keyed on its gain, so a (sensor, prior) pair can key a cache.
+    """
 
     covariance: np.ndarray
     inverse: np.ndarray
     inverse_trace: float
+
+    def __eq__(self, other):
+        return isinstance(other, Prior) and self.covariance.tobytes() == other.covariance.tobytes()
+
+    def __hash__(self):
+        return hash(self.covariance.tobytes())
 
     @property
     def q(self) -> int:
@@ -291,6 +303,10 @@ def generate_deployment(
 
     Raises InfeasibleGeometry when the re-draw budget runs out.
     """
+    seed = _integer(seed, "seed")
+    k = _integer(k, "k")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     field_half_width = _number(field_half_width, "field_half_width")
@@ -356,6 +372,7 @@ def homogeneous_network(
     bits: int = DEFAULT_BITS,
 ) -> Network:
     """Network of k identical sensors sharing one gain vector (no geometry)."""
+    k = _integer(k, "k")
     prior = make_prior(DEFAULT_COVARIANCE)
     tau = make_tau(gain, sigma_n, prior)
     sensor = Sensor(

@@ -39,7 +39,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
 )
-from .fisher import InfoKernel, t_k, tabulate_t, trace_fim
+from .fisher import _kernel, t_k, tabulate_t, trace_fim
 from .model import Network, Prior, Sensor
 
 BUDGET_RTOL = 1e-8
@@ -402,20 +402,16 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
 def _shared_curves(sensors: Sequence[Sensor], prior: Prior, p_tot: float) -> list:
     """One _Curve per sensor, with twins sharing one kernel and one curve.
 
-    Twins are equal Sensors (Sensor compares by value): their t and t'
-    agree at every power, so one curve per twin class takes each endpoint
-    slope and builds its ladder rungs once.  `t` is the guarded
-    `InfoKernel.t_checked` that trace_fim uses, so a bound and an objective
-    share one quadrature.
+    Twins are equal Sensors (Sensor compares by value), so fisher's kernel
+    lookup gives them one kernel object, and their t and t' agree at every
+    power: one curve per kernel takes each endpoint slope once.  `t` is
+    the guarded, memoized `InfoKernel.t_checked` that trace_fim reads
+    through t_k, so a bound and an objective share one quadrature.
     """
-    classes: dict = {}
-    curves = []
-    for sensor in sensors:
-        if sensor not in classes:
-            kernel = InfoKernel(sensor, prior)
-            classes[sensor] = _Curve(kernel.t_prime, p_tot, kernel.t_checked)
-        curves.append(classes[sensor])
-    return curves
+    kernels = [_kernel(sensor, prior) for sensor in sensors]
+    curves = {kernel: _Curve(kernel.t_prime, p_tot, kernel.t_checked)
+              for kernel in dict.fromkeys(kernels)}
+    return [curves[kernel] for kernel in kernels]
 
 
 def _check_active_set(active_set, k: int) -> list:

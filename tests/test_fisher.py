@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from fimalloc import fisher, model, quantcomm, solvers, verify
+from fimalloc import cli, fisher, model, quantcomm, solvers, verify
 from fimalloc.errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
 from conftest import random_network
 
@@ -128,6 +130,13 @@ class TestLadder:
     otherwise the coarsest rung of the (n, 2n - 1, 4n - 3) ladder that the next
     rung confirms."""
 
+    @pytest.fixture(autouse=True)
+    def fresh_kernels(self):
+        """No shared kernel or memo crosses into or out of these tests, which fake the kernel."""
+        fisher._kernel.cache_clear()
+        yield
+        fisher._kernel.cache_clear()
+
     @staticmethod
     def fake_kernels(monkeypatch, error, values):
         """Rung n reports values[n]; rung 0's Kronrod error estimate is `error`."""
@@ -193,10 +202,14 @@ class TestLadder:
         for power in np.linspace(0.0, 50.0, 11):
             kernel.t_checked(float(power))
         assert built == [81, 161, 321]
+        # Twins share one cached kernel: a table over two of them builds one
+        # kernel and its rungs, and a second table builds nothing.
         net = model.Network(sensors=(reference_sensor,) * 2, prior=default_prior)
         built.clear()
         fisher.tabulate_t(net, np.linspace(0.0, 50.0, 11))
-        assert built == [81, 161, 321] * 2
+        assert built == [81, 161, 321]
+        fisher.tabulate_t(net, np.linspace(0.0, 50.0, 11))
+        assert built == [81, 161, 321]
 
     def test_gauss_value_is_expected_g(self, golden_network):
         for sensor in golden_network.sensors[:5]:
@@ -274,6 +287,75 @@ class TestLadder:
     def test_high_snr_failure_still_raises(self, golden_network):
         with pytest.raises(QuadratureNotConverged, match=r"power 700\.0 "):
             fisher.t_k(700.0, golden_network.sensors[0], golden_network.prior)
+
+
+class TestSharedKernel:
+    """t_k, tabulate_t and the solvers read one cached kernel per sensor, with a memo."""
+
+    @staticmethod
+    def sweep_grids():
+        return [solvers.make_power_grid(p_tot, 100) for p_tot in cli.DEFAULT_SWEEP_GRID]
+
+    @pytest.mark.parametrize("which", ["golden", "fuzzed"])
+    def test_sweep_tables_equal_fresh_kernels(self, which, golden_network):
+        # All ten sweep grids in sweep order, so later grids read earlier values
+        # from the memo; each entry must equal a fresh kernel's, bit for bit.
+        if which == "golden":
+            networks = [golden_network]
+        else:
+            rng = np.random.default_rng(77)
+            networks = [random_network(rng) for _ in range(3)]
+        fisher._kernel.cache_clear()
+        for network in networks:
+            prior = network.prior
+            for grid in self.sweep_grids():
+                table = fisher.tabulate_t(network, grid)
+                fresh = [[fisher.InfoKernel(sensor, prior).t_checked(float(power))
+                          for power in grid] for sensor in network.sensors]
+                assert table.tolist() == fresh
+            distinct = {float(power) for grid in self.sweep_grids() for power in grid}
+            for sensor in network.sensors:
+                assert set(fisher._kernel(sensor, prior)._checked) == distinct
+        assert len(distinct) == 580
+
+    def test_equal_sensors_and_priors_share_one_kernel(self, reference_sensor, default_prior):
+        twin = model.homogeneous_network(1).sensors[0]
+        same_prior = model.make_prior(model.DEFAULT_COVARIANCE)
+        assert twin is not reference_sensor and same_prior is not default_prior
+        kernel = fisher._kernel(reference_sensor, default_prior)
+        assert fisher._kernel(twin, same_prior) is kernel
+        assert fisher._kernel(reference_sensor, model.make_prior(np.eye(2))) is not kernel
+
+    def test_not_converged_raises_on_every_call(self, golden_network):
+        sensor, prior = golden_network.sensors[1], golden_network.prior
+        kernel = fisher._kernel(sensor, prior)
+        kernel.t_checked(5.0)
+        for _ in range(2):
+            with pytest.raises(QuadratureNotConverged, match=r"power 230\.0 "):
+                kernel.t_checked(230.0)
+            with pytest.raises(QuadratureNotConverged, match=r"power 230\.0 "):
+                fisher.t_k(230.0, sensor, prior)
+        assert 230.0 not in kernel._checked
+
+    @pytest.mark.parametrize("power", [math.nan, -1.0, -math.inf], ids=["nan", "negative", "-inf"])
+    def test_bad_power_raises_after_values_are_memoized(self, power, reference_sensor,
+                                                        default_prior):
+        kernel = fisher._kernel(reference_sensor, default_prior)
+        for good in (0.0, 1.0, 7.5):
+            kernel.t_checked(good)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="power must be nonnegative"):
+                kernel.t_checked(power)
+            with pytest.raises(ValueError, match="power must be nonnegative"):
+                fisher.t_k(power, reference_sensor, default_prior)
+        assert all(key >= 0.0 for key in kernel._checked)
+
+    def test_signed_zero_power(self, reference_sensor, default_prior):
+        fresh = [fisher.InfoKernel(reference_sensor, default_prior).t_checked(zero)
+                 for zero in (-0.0, 0.0)]
+        assert fresh[0] == fresh[1]
+        assert fisher.t_k(-0.0, reference_sensor, default_prior) \
+            == fisher.t_k(0.0, reference_sensor, default_prior) == fresh[1]
 
 
 # QUADPACK's dqk21 abscissae and weights (Piessens et al., 1983): the

@@ -390,6 +390,19 @@ class TestSensorEquality:
         assert len({reference_sensor, twin}) == 1
 
 
+class TestPriorEquality:
+    def test_equal_covariances_are_equal_priors(self, default_prior):
+        again = model.make_prior([[4.0, 0.5], [0.5, 0.25]])
+        assert again is not default_prior
+        assert again == default_prior and hash(again) == hash(default_prior)
+        assert {default_prior: 1}[again] == 1
+
+    def test_other_covariances_and_types_differ(self, default_prior):
+        assert model.make_prior([[4.0, 0.5], [0.5, 0.3]]) != default_prior
+        assert model.make_prior(np.eye(3)) != model.make_prior(np.eye(2))
+        assert (default_prior == "x") is False
+
+
 @pytest.mark.parametrize("call, field", [
     (lambda: model.generate_deployment(1, 2, sigma_n="1"), "sigma_n"),
     (lambda: model.generate_deployment(1, 2, sigma_n=None), "sigma_n"),
@@ -400,8 +413,24 @@ class TestSensorEquality:
     (lambda: model.generate_deployment(1, 2, field_half_width=np.True_), "field_half_width"),
     (lambda: model.homogeneous_network(2, gain=["a", 1.0]), "gain"),
     (lambda: model.homogeneous_network(2, sigma_n="1"), "sigma_n"),
+    (lambda: model.generate_deployment(1, "2"), "k"),
+    (lambda: model.generate_deployment(1, 2.5), "k"),
+    (lambda: model.generate_deployment(1, True), "k"),
+    (lambda: model.generate_deployment("1", 2), "seed"),
+    (lambda: model.generate_deployment(1.5, 2), "seed"),
+    (lambda: model.generate_deployment(None, 2), "seed"),
+    (lambda: model.generate_deployment(-1, 2), "seed"),
+    (lambda: model.homogeneous_network("2"), "k"),
+    (lambda: model.homogeneous_network(2.5), "k"),
 ], ids=["sigma_n-str", "sigma_n-none", "sigma_n-entry", "decay-str", "decay-none",
-        "d_min-str", "half_width-np-bool", "homogeneous-gain", "homogeneous-sigma_n"])
+        "d_min-str", "half_width-np-bool", "homogeneous-gain", "homogeneous-sigma_n",
+        "k-str", "k-fraction", "k-bool", "seed-str", "seed-fraction", "seed-none",
+        "seed-negative", "homogeneous-k-str", "homogeneous-k-fraction"])
 def test_generators_name_the_field(call, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         call()
+
+
+def test_generators_take_integral_floats_for_seed_and_k():
+    assert model.generate_deployment(7.0, 3.0).sensors == model.generate_deployment(7, 3).sensors
+    assert model.homogeneous_network(np.int64(3)).k == 3

@@ -463,6 +463,36 @@ class TestGreedyPruning:
         assert alloc.selection.tolist() == [1, 0, 0, 0]
 
 
+class TestSharedKernels:
+    """Solvers read each sensor's kernel from fisher's one bounded, value-keyed lookup."""
+
+    @pytest.mark.parametrize("which", ["relabelled-golden", "homogeneous"])
+    def test_twins_share_one_curve_and_one_kernel(self, which, golden_network):
+        if which == "homogeneous":
+            network = model.homogeneous_network(10)
+        else:
+            picks = tuple(np.random.default_rng(8).permutation(20)) + (4, 11, 4, 0)
+            network = _twin_network(golden_network, picks)
+        curves = solvers._shared_curves(network.sensors, network.prior, 15.0)
+        for i, sensor in enumerate(network.sensors):
+            kernel = fisher._kernel(sensor, network.prior)
+            assert curves[i].t_prime.__self__ is kernel and curves[i].t.__self__ is kernel
+            for j, other in enumerate(network.sensors):
+                assert (curves[i] is curves[j]) == (sensor == other)
+        assert len({id(curve) for curve in curves}) == len(set(network.sensors))
+
+    def test_kernels_stay_bounded(self, default_prior):
+        base = model.homogeneous_network(1).sensors[0]
+        sensors = [dataclasses.replace(base, sigma_nu=1.0 + i / 1000) for i in range(600)]
+        kernels = [fisher._kernel(sensor, default_prior) for sensor in sensors]
+        assert len(set(map(id, kernels))) == 600
+        info = fisher._kernel.cache_info()
+        assert info.maxsize == 512 and info.currsize <= 512
+        # An evicted sensor gets a new kernel with the same values.
+        assert fisher._kernel(sensors[0], default_prior) is not kernels[0]
+        assert fisher.t_k(3.0, sensors[0], default_prior) == kernels[0].t_checked(3.0)
+
+
 class TestMckp:
     def test_all_zero_table_selects_nothing(self):
         grid = solvers.make_power_grid(10.0, 5)
