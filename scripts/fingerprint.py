@@ -1,0 +1,180 @@
+"""Fingerprint of the solvers' outputs, to show that a change leaves them unchanged.
+
+    python scripts/fingerprint.py write OUT.json
+    python scripts/fingerprint.py diff A.json B.json
+
+`write` runs every solver in `solvers.SOLVERS` on golden at p = 5, 15, 30
+and 50, on `homogeneous_network(k)` for k = 2, 3, 5, 6, 7 and 10 at the
+same budgets, and on 30 seeded `random_network`s (tests/conftest.py) at
+p = 5, 20 and 50.  Each case records the selection, the repr of every
+power, the repr of the objective and the iteration count, or the
+exception's type and message.  It also records the golden sweep CSV
+(`fimalloc sweep --alg ufa,usu,mckp`, default grid) without its
+`wall_time_ms` column, and the repr of `t_k` for every golden sensor at 26
+powers over [0, 50].  Everything runs in one process, in this order, so
+kernel memos carry over as they do in a sweep.
+
+`diff` reports, per field, how many cases match exactly and the largest
+relative difference among numeric fields that differ; it exits 1 if any
+field differs.  Run `write` with PYTHONPATH pointing at each version's
+`src/` to compare two versions (`diff` needs no fimalloc).  This is a
+tool, not a test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "fixtures" / "golden_k20_seed42.json"
+BUDGETS = (5.0, 15.0, 30.0, 50.0)
+RANDOM_BUDGETS = (5.0, 20.0, 50.0)
+HOMOGENEOUS_K = (2, 3, 5, 6, 7, 10)
+RANDOM_SEED = 2024
+RANDOM_COUNT = 30
+
+
+def _solve(name, network, p_tot) -> dict:
+    from fimalloc import solvers
+
+    try:
+        alloc = solvers.SOLVERS[name](network, p_tot, 100, solvers.DEFAULT_EPS0)
+    except Exception as exc:  # a solver's failure is part of its output
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {
+        "selection": [int(s) for s in alloc.selection],
+        "powers": [repr(float(p)) for p in alloc.powers],
+        "objective": repr(float(alloc.objective)),
+        "iterations": int(alloc.iterations),
+    }
+
+
+def _networks():
+    sys.path.insert(0, str(ROOT / "tests"))
+    from conftest import random_network
+    from fimalloc import model
+
+    golden = model.load_scenario(GOLDEN)
+    yield "golden", golden, BUDGETS
+    for k in HOMOGENEOUS_K:
+        yield f"homogeneous{k}", model.homogeneous_network(k), BUDGETS
+    rng = np.random.default_rng(RANDOM_SEED)
+    for i in range(RANDOM_COUNT):
+        yield f"random{i}", random_network(rng), RANDOM_BUDGETS
+
+
+def _sweep_rows() -> list:
+    from fimalloc import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        code = cli.main(["sweep", "--scenario", str(GOLDEN), "--alg", "ufa,usu,mckp",
+                         "--out", str(out)])
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    for row in rows:
+        row.pop("wall_time_ms", None)
+    return [f"exit {code}"] + [",".join(f"{key}={value}" for key, value in row.items())
+                               for row in rows]
+
+
+def fingerprint() -> dict:
+    """Every case's output, keyed as the module docstring lists them."""
+    from fimalloc import fisher, model, solvers
+
+    cases = {}
+    for label, network, budgets in _networks():
+        for p_tot in budgets:
+            for name in solvers.SOLVERS:
+                cases[f"{label}/{name}@{p_tot:g}"] = _solve(name, network, p_tot)
+    golden = model.load_scenario(GOLDEN)
+    t_values = {}
+    for i, sensor in enumerate(golden.sensors):
+        for power in np.linspace(0.0, 50.0, 26):
+            try:
+                value = repr(fisher.t_k(float(power), sensor, golden.prior))
+            except Exception as exc:
+                value = f"{type(exc).__name__}: {exc}"
+            t_values[f"sensor{i}@{power:g}"] = value
+    return {"cases": cases, "sweep_csv": _sweep_rows(), "t_k": t_values}
+
+
+def _relative(a, b) -> float:
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return math.nan
+    if x == y:
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def diff(a: dict, b: dict) -> bool:
+    """Print per-field match counts and largest relative differences; True if identical."""
+    identical = True
+    fields: dict = {}
+    for key in sorted(set(a["cases"]) | set(b["cases"])):
+        left, right = a["cases"].get(key, {}), b["cases"].get(key, {})
+        for field in sorted(set(left) | set(right)):
+            stats = fields.setdefault(field, {"same": 0, "differ": [], "worst": 0.0})
+            x, y = left.get(field), right.get(field)
+            if x == y:
+                stats["same"] += 1
+                continue
+            stats["differ"].append(key)
+            if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+                rel = max(_relative(u, v) for u, v in zip(x, y))
+            else:
+                rel = _relative(x, y)
+            stats["worst"] = max(stats["worst"], rel) if not math.isnan(rel) else math.nan
+    for field, stats in fields.items():
+        line = f"cases.{field}: {stats['same']} identical, {len(stats['differ'])} differ"
+        if stats["differ"]:
+            identical = False
+            line += f" (largest relative difference {stats['worst']:.3g}): "
+            line += ", ".join(stats["differ"])
+        print(line)
+    for section in ("sweep_csv", "t_k"):
+        left, right = a[section], b[section]
+        if isinstance(left, dict):
+            keys = sorted(set(left) | set(right))
+            differ = [key for key in keys if left.get(key) != right.get(key)]
+            total = len(keys)
+        else:
+            total = max(len(left), len(right))
+            differ = [str(i) for i in range(total)
+                      if i >= len(left) or i >= len(right) or left[i] != right[i]]
+        print(f"{section}: {total - len(differ)} identical, {len(differ)} differ"
+              + (f": {', '.join(differ)}" if differ else ""))
+        identical = identical and not differ
+    return identical
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    write = sub.add_parser("write", help="write the fingerprint of the importable fimalloc")
+    write.add_argument("out")
+    compare = sub.add_parser("diff", help="compare two fingerprint files")
+    compare.add_argument("a")
+    compare.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "write":
+        with open(args.out, "w") as fh:
+            json.dump(fingerprint(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return 0
+    with open(args.a) as fa, open(args.b) as fb:
+        return 0 if diff(json.load(fa), json.load(fb)) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

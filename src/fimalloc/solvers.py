@@ -4,8 +4,13 @@ Four entry points returning feasible allocations under a shared power
 budget: a uniform-full-activation baseline, a rank-then-sweep heuristic
 (uniform power, top-i selection, sweep the cardinality), a greedy scheme
 that re-optimizes continuous powers each time a sensor is added (skipping
-candidates a Lagrangian dual bound rules out), and a
-dynamic program over discretized power levels (one choice per sensor).
+candidates a Lagrangian dual bound rules out), and the exact optimum over
+discretized power levels (one choice per sensor).  The discretized problem
+is solved by marginal analysis over lazily read t values, one grid unit at
+a time to the largest next increment, and the result is certified by a
+Lagrangian test per row (`_row_certified`); a budget it cannot certify
+falls back to tabulating every entry and the dynamic program
+(`solve_mckp`), so the answer is always the program's optimum.
 A brute-force enumerator over the same discretization serves as the
 reference oracle for small instances.  SOLVERS maps each algorithm's name
 to one call signature; the CLI's --alg choices are its keys.
@@ -24,6 +29,7 @@ twin class once, with results bit-identical to treating every sensor apart.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -122,7 +128,7 @@ def verify_allocation(alloc: Allocation, network: Network, p_tot: float) -> None
     if np.any(alloc.powers[alloc.selection == 0] != 0.0):
         raise ValueError("unselected sensor carries nonzero power")
     recomputed = trace_fim(alloc.powers, alloc.selection, network)
-    if abs(recomputed - alloc.objective) > 1e-9 * abs(recomputed):
+    if not abs(recomputed - alloc.objective) <= 1e-9 * abs(recomputed):  # NaN fails too
         raise ValueError(
             f"stored objective {alloc.objective} differs from recomputed {recomputed}"
         )
@@ -617,11 +623,98 @@ def solve_mckp(value_table, samples: np.ndarray, p_tot: float, *,
     return _finish(picks > 0, samples[picks], objective, "mckp", k, ((k, objective),))
 
 
+def _row_certified(value: Callable[[int], float], prefix: list, level: int, n: int,
+                   lam: float) -> bool:
+    """Whether a row's T_j - lam * j peaks at j = level over the whole grid 0..n.
+
+    `prefix` holds the row's values read so far, T_0 .. T_min(level + 1, n).
+    On it the increments must not increase and must bracket lam (the one
+    reaching `level` at least lam, the next at most lam); these compare the
+    very floats the heap ordered, so no tolerance enters.  Past the prefix
+    the row is read through value(j), bounded by monotonicity: every j in
+    (a, b] has T_j - lam * j <= T_b - lam * (a + 1), so the interval is
+    cleared when T_b - T_level <= lam * (a + 1 - level).  The last column
+    is read first, and an interval the bound cannot clear is halved.
+    """
+    steps = np.diff(prefix)
+    if not (np.all(steps[:-1] >= steps[1:])
+            and (level == 0 or steps[level - 1] >= lam)
+            and (level == n or lam >= steps[level])):
+        return False
+    top = prefix[level]
+    pending = [(level + 1, n, value(n))] if level + 1 < n else []
+    while pending:
+        a, b, at_b = pending.pop()
+        if at_b - top <= lam * (a + 1 - level):
+            continue
+        if b - a == 1:
+            return False
+        m = (a + b) // 2
+        pending += [(a, m, value(m)), (m, b, at_b)]
+    return True
+
+
+def _mckp_marginal(value: Callable[[int, int], float], k: int, samples: np.ndarray,
+                   p_tot: float, baseline: float,
+                   tabulate: Callable[[], np.ndarray]) -> Allocation:
+    """solve_mckp's optimum, reading the table entry by entry through value(row, j).
+
+    Marginal analysis hands out the n grid units one at a time, each to the
+    row with the largest next increment T[row, L + 1] - T[row, L], ties to
+    the lower row, and stops early at a nonpositive increment.  With lam the
+    last accepted increment (0 after an early stop), the levels L are
+    optimal when every row's T[row, j] - lam * j peaks at its level
+    (Lagrangian sufficiency), which `_row_certified` checks.  If any row
+    fails, the full table from `tabulate` goes to solve_mckp.  The
+    objective adds the picked entries in row order, as solve_mckp does.
+    """
+    n = samples.size - 1
+    prefixes = [[value(row, 0), value(row, 1)] for row in range(k)]
+    heap = [(prefix[0] - prefix[1], row) for row, prefix in enumerate(prefixes)]
+    heapq.heapify(heap)
+    levels = [0] * k
+    lam = 0.0
+    for _ in range(n):
+        negated, row = heap[0]
+        if not negated < 0.0:
+            lam = 0.0
+            break
+        lam = -negated
+        levels[row] += 1
+        level = levels[row]
+        if level == n:
+            break
+        prefix = prefixes[row]
+        prefix.append(value(row, level + 1))
+        heapq.heapreplace(heap, (prefix[level] - prefix[level + 1], row))
+    if not all(_row_certified(lambda j: value(row, j), prefixes[row], levels[row], n, lam)
+               for row in range(k)):
+        return solve_mckp(tabulate(), samples, p_tot, baseline=baseline)
+    total = 0.0
+    for row in range(k):
+        total += prefixes[row][levels[row]]
+    objective = baseline + total
+    picks = np.array(levels)
+    return _finish(picks > 0, samples[picks], objective, "mckp", k, ((k, objective),))
+
+
 def solve_mckp_network(network: Network, p_tot: float, n: int = 100) -> Allocation:
-    """Tabulate the network's contributions on a fresh grid and run the DP."""
+    """solve_mckp's optimum on a fresh grid, reading t only where marginal analysis needs it.
+
+    Each entry is the sensor's shared kernel's `t_checked` at the grid
+    power, the value tabulate_t would store; `_mckp_marginal` reads a row
+    about one grid point past the level it assigns, plus the few entries
+    its certificate needs.  t is nondecreasing in P (a noisier binary
+    symmetric channel is a garbling of a cleaner one, and Fisher
+    information obeys data processing), which the certificate's tail bound
+    uses.  A budget the certificate cannot clear falls back to
+    tabulate_t and solve_mckp.
+    """
     samples = make_power_grid(p_tot, n)
-    table = tabulate_t(network, samples)
-    return solve_mckp(table, samples, p_tot, baseline=network.prior.inverse_trace)
+    kernels = [_kernel(sensor, network.prior) for sensor in network.sensors]
+    return _mckp_marginal(lambda row, j: kernels[row].t_checked(float(samples[j])),
+                          network.k, samples, p_tot, network.prior.inverse_trace,
+                          lambda: tabulate_t(network, samples))
 
 
 def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation:

@@ -5,8 +5,9 @@ route: the confusion matrix and cell probabilities against Monte Carlo
 channel/quantizer simulation, the information contribution against a
 Monte Carlo expectation over the unknown vector (sharing only the kernel
 formula, fisher._kernel_sum, with the quadrature path), its power-derivative
-against central finite differences, the knapsack program against full
-enumeration, and the continuous power split against a fine grid search.
+against central finite differences, the knapsack program (the DP and the
+certified marginal-analysis path) against full enumeration, and the
+continuous power split against a fine grid search.
 The CLI's verify command and the acceptance tests both run these.
 """
 
@@ -193,31 +194,87 @@ def enumerate_mckp(value_table: np.ndarray, n: int) -> float:
     return best
 
 
-def check_mckp(instances: int = 50, seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """Knapsack DP exactly matches exhaustive enumeration on random tables."""
-    rng = np.random.default_rng(seed + 400)
+def mckp_marginal_on_table(table: np.ndarray, on_fallback=None) -> solvers.Allocation:
+    """The network solver's marginal-analysis path, reading its entries from a table.
+
+    The grid is 0..n with p_tot = n, as in check_mckp.  on_fallback, if
+    given, is called when the certificate sends the table to the DP.
+    """
+    n = table.shape[1] - 1
+
+    def tabulate():
+        if on_fallback is not None:
+            on_fallback()
+        return table
+
+    return solvers._mckp_marginal(lambda row, j: float(table[row, j]), table.shape[0],
+                                  solvers.make_power_grid(float(n), n), float(n), 0.0,
+                                  tabulate)
+
+
+def _against_enumeration(name: str, tables: list, solve, marginal: bool = False) -> CheckResult:
+    """solve(table) exactly matches enumerate_mckp on every table.
+
+    With `marginal`, solve is mckp_marginal_on_table, and the detail counts
+    the tables its certificate sent to the DP.
+    """
     mismatches = 0
     worst = 0.0
+    fallbacks = []
+    for table in tables:
+        alloc = solve(table, lambda: fallbacks.append(table)) if marginal else solve(table)
+        diff = abs(alloc.objective - enumerate_mckp(table, table.shape[1] - 1))
+        worst = max(worst, diff)
+        if diff != 0.0:
+            mismatches += 1
+    detail = f"largest objective gap {worst:.3g}"
+    if marginal:
+        detail += f", {len(fallbacks)} sent to the DP"
+    return CheckResult(
+        name=name,
+        passed=mismatches == 0,
+        measured=float(mismatches),
+        threshold=0.0,
+        detail=detail,
+    )
+
+
+def check_mckp(instances: int = 50, seed: int = DEFAULT_SEED) -> List[CheckResult]:
+    """Knapsack DP and marginal analysis exactly match exhaustive enumeration.
+
+    The DP and the marginal-analysis path both solve random nondecreasing
+    tables, whose rows are mostly not concave, so most reach the DP through
+    the certificate; the marginal path also solves random concave tables,
+    which its certificate clears.
+    """
+    rng = np.random.default_rng(seed + 400)
+    sorted_tables = []
     for _ in range(instances):
         k = int(rng.integers(2, 6))
         n = int(rng.integers(2, 7))
         table = np.sort(rng.uniform(0.0, 1.0, size=(k, n + 1)), axis=1)
         table[:, 0] = 0.0
-        p_tot = float(n)
-        alloc = solvers.solve_mckp(table, solvers.make_power_grid(p_tot, n), p_tot)
-        reference = enumerate_mckp(table, n)
-        diff = abs(alloc.objective - reference)
-        worst = max(worst, diff)
-        if diff != 0.0:
-            mismatches += 1
+        sorted_tables.append(table)
+    rng = np.random.default_rng(seed + 401)
+    concave_tables = []
+    for _ in range(instances):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(2, 7))
+        steps = -np.sort(-rng.uniform(0.0, 1.0, size=(k, n)), axis=1)
+        concave_tables.append(np.hstack([np.zeros((k, 1)), np.cumsum(steps, axis=1)]))
+
+    def dp(table):
+        n = table.shape[1] - 1
+        return solvers.solve_mckp(table, solvers.make_power_grid(float(n), n), float(n))
+
     return [
-        CheckResult(
-            name=f"knapsack DP vs enumeration ({instances} instances)",
-            passed=mismatches == 0,
-            measured=float(mismatches),
-            threshold=0.0,
-            detail=f"largest objective gap {worst:.3g}",
-        )
+        _against_enumeration(f"knapsack DP vs enumeration ({instances} instances)",
+                             sorted_tables, dp),
+        _against_enumeration(f"marginal analysis vs enumeration ({instances} instances)",
+                             sorted_tables, mckp_marginal_on_table, marginal=True),
+        _against_enumeration(
+            f"marginal analysis vs enumeration ({instances} concave instances)",
+            concave_tables, mckp_marginal_on_table, marginal=True),
     ]
 
 

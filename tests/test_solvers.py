@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fimalloc import fisher, model, solvers, verify
+from fimalloc import cli, fisher, model, solvers, verify
 from fimalloc.errors import ConcavityWarning, GridMismatch, TooLarge
 from conftest import random_network
 
@@ -493,6 +493,16 @@ class TestSharedKernels:
         assert fisher.t_k(3.0, sensors[0], default_prior) == kernels[0].t_checked(3.0)
 
 
+def _dp_on_network(network, p_tot, n=100):
+    samples = solvers.make_power_grid(p_tot, n)
+    return solvers.solve_mckp(fisher.tabulate_t(network, samples), samples, p_tot,
+                              baseline=network.prior.inverse_trace)
+
+
+def _no_dp(*args, **kwargs):
+    raise AssertionError("the certificate sent the budget to the DP")
+
+
 class TestMckp:
     def test_all_zero_table_selects_nothing(self):
         grid = solvers.make_power_grid(10.0, 5)
@@ -531,6 +541,84 @@ class TestMckp:
         table = np.zeros((2, 5))
         alloc = solvers.solve_mckp(table, grid, 4.0)
         np.testing.assert_array_equal(alloc.powers, np.zeros(2))
+
+    def test_equals_the_dp_on_the_golden_sweep(self, golden_network):
+        for p_tot in cli.DEFAULT_SWEEP_GRID:
+            lazy = solvers.solve_mckp_network(golden_network, p_tot)
+            dp = _dp_on_network(golden_network, p_tot)
+            assert lazy.objective == dp.objective, p_tot
+            np.testing.assert_array_equal(lazy.powers, dp.powers)
+            np.testing.assert_array_equal(lazy.selection, dp.selection)
+            assert (lazy.algorithm, lazy.iterations, lazy.diagnostics) == \
+                (dp.algorithm, dp.iterations, dp.diagnostics)
+
+    def test_golden_sweep_never_reaches_the_dp(self, golden_network, monkeypatch):
+        monkeypatch.setattr(solvers, "solve_mckp", _no_dp)
+        monkeypatch.setattr(solvers, "tabulate_t", _no_dp)
+        for p_tot in cli.DEFAULT_SWEEP_GRID:
+            solvers.solve_mckp_network(golden_network, p_tot)
+
+    def test_lambda_tie_is_certified_without_fallback(self, golden_network, monkeypatch):
+        # At p = 30 the last accepted increment is sensor 16's own first one,
+        # and T_0 - 0 <= T_1 - lam * 1 fails by T_0 (about 3e-33): only the
+        # increment form of the prefix check clears the row.
+        samples = solvers.make_power_grid(30.0, 100)
+        kernel = fisher._kernel(golden_network.sensors[16], golden_network.prior)
+        t0, t1 = kernel.t_checked(0.0), kernel.t_checked(float(samples[1]))
+        assert not t0 <= t1 - (t1 - t0)
+        seen = []
+        certified = solvers._row_certified
+
+        def logged(value, prefix, level, n, lam):
+            seen.append(lam)
+            return certified(value, prefix, level, n, lam)
+
+        monkeypatch.setattr(solvers, "_row_certified", logged)
+        monkeypatch.setattr(solvers, "solve_mckp", _no_dp)
+        alloc = solvers.solve_mckp_network(golden_network, 30.0)
+        assert alloc.powers[16] == samples[1]
+        assert len(seen) == golden_network.k and set(seen) == {t1 - t0}
+
+    def test_non_concave_rows_fall_back_to_the_dp(self):
+        # Nondecreasing rows that are mostly not concave (check_mckp's tables),
+        # and one where handing out units by increment alone is wrong.
+        rng = np.random.default_rng(verify.DEFAULT_SEED + 400)
+        tables = []
+        for _ in range(50):
+            k, n = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+            table = np.sort(rng.uniform(0.0, 1.0, size=(k, n + 1)), axis=1)
+            table[:, 0] = 0.0
+            tables.append(table)
+        tables.append(np.array([[0.0, 1.0, 2.0], [0.0, 0.1, 5.0]]))
+        fallbacks = []
+        for table in tables:
+            n = table.shape[1] - 1
+            lazy = verify.mckp_marginal_on_table(table, lambda: fallbacks.append(1))
+            dp = solvers.solve_mckp(table, solvers.make_power_grid(float(n), n), float(n))
+            assert lazy.objective == dp.objective
+            np.testing.assert_array_equal(lazy.powers, dp.powers)
+        assert len(fallbacks) >= 25
+        assert verify.mckp_marginal_on_table(tables[-1]).objective == 5.0
+
+    def test_concave_rows_are_certified(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            k, n = int(rng.integers(2, 6)), int(rng.integers(2, 9))
+            steps = -np.sort(-rng.uniform(0.0, 1.0, size=(k, n)), axis=1)
+            table = np.hstack([np.zeros((k, 1)), np.cumsum(steps, axis=1)])
+            lazy = verify.mckp_marginal_on_table(table, _no_dp)
+            assert lazy.objective == verify.enumerate_mckp(table, n)
+
+    @pytest.mark.parametrize("p_tot", [20.0, 50.0])
+    def test_twins_give_the_dp_objective(self, p_tot):
+        # Marginal analysis gives tied units to the lowest twins; the DP's
+        # backtrack picks other twins here (rows 2, 3 at p = 20, rows 0, 2 at
+        # p = 50), with a bit-identical objective.
+        network = model.homogeneous_network(7)
+        lazy = solvers.solve_mckp_network(network, p_tot)
+        assert lazy.objective == _dp_on_network(network, p_tot).objective
+        samples = solvers.make_power_grid(p_tot, 100)
+        np.testing.assert_array_equal(lazy.powers, samples[[15, 15, 14, 14, 14, 14, 14]])
 
 
 class TestBruteforce:
@@ -592,6 +680,12 @@ class TestAllocationInvariants:
         )
         with pytest.raises(ValueError):
             solvers.verify_allocation(bad, golden_network, 10.0)
+
+    @pytest.mark.parametrize("objective", [math.nan, math.inf, -math.inf])
+    def test_verify_allocation_rejects_a_non_finite_objective(self, golden_network, objective):
+        bad = dataclasses.replace(solvers.solve_ufa(golden_network, 5.0), objective=objective)
+        with pytest.raises(ValueError, match="stored objective"):
+            solvers.verify_allocation(bad, golden_network, 5.0)
 
     def test_objective_regression_goldens(self, golden_network, golden_objectives):
         # Frozen objectives for the shipped scenario; loose enough to ride
