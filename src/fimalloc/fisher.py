@@ -35,15 +35,15 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
 from .model import Network, Prior, Sensor
 from .quantcomm import (
     _alpha_entries,
     _alpha_slope,
-    _beta_dot_table,
-    _beta_table,
     _bit_error_slope,
+    _cell_tables,
     bit_error_prob,
     make_quantizer,
 )
@@ -54,12 +54,15 @@ _DEN_FLOOR = 1e-300
 # Estimates below this are numerically zero (the true scale of nonzero t
 # values is many orders larger); skip the relative convergence test there.
 _ZERO_SCALE = 1e-20
+# Entries a kernel's memo of checked t values holds before it starts over;
+# far above the ~100 distinct powers a solve or budget sweep checks.
+_CHECKED_CAP = 4096
 
 
 @lru_cache(maxsize=64)
 def _gl_rule(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -147,32 +150,31 @@ def _panel_edges(boundaries: np.ndarray, sigma_n: float, sigma_s: float) -> np.n
     """Panel edges covering the Gaussian support, refined at the boundaries."""
     lim = _DENSITY_SPAN * sigma_s
     interior = boundaries[1:-1]
-    edges = [-lim, lim]
-    for b in interior:
-        if -lim < b < lim:
-            edges.append(b)
-        for c in _REFINE_OFFSETS:
-            for e in (b - c * sigma_n, b + c * sigma_n):
-                if -lim < e < lim:
-                    edges.append(e)
-    edges = np.unique(np.asarray(edges))
-    # Drop near-duplicate edges so panel widths stay well conditioned.
+    offsets = np.array(_REFINE_OFFSETS) * sigma_n
+    candidates = np.concatenate((interior, (interior[:, None] - offsets).ravel(),
+                                 (interior[:, None] + offsets).ravel()))
+    inside = candidates[(candidates > -lim) & (candidates < lim)]
+    edges = np.sort(np.concatenate(([-lim, lim], inside)))
+    # Drop repeated and near-duplicate edges so panel widths stay well
+    # conditioned.  (np.sort, not np.unique: this drops repeats as well,
+    # and np.unique's first call imports numpy.ma, about 12 ms.)
     keep = np.concatenate(([True], np.diff(edges) > 1e-9 * max(lim, sigma_n)))
     edges = edges[keep]
     if edges[-1] != lim:
         edges = np.append(edges, lim)
     zone_lo = interior[0] - _REFINE_OFFSETS[-1] * sigma_n if interior.size else math.inf
     zone_hi = interior[-1] + _REFINE_OFFSETS[-1] * sigma_n if interior.size else -math.inf
-    refined = [edges[0]]
-    for left, right in zip(edges[:-1], edges[1:]):
-        in_zone = right > zone_lo and left < zone_hi
-        cap = min(_ZONE_CAP_FEATURE * sigma_n, _CAP_DENSITY * sigma_s) if in_zone \
-            else _CAP_DENSITY * sigma_s
-        pieces = max(1, int(math.ceil((right - left) / cap)))
-        step = (right - left) / pieces
-        for i in range(1, pieces + 1):
-            refined.append(left + i * step)
-    return np.asarray(refined)
+    # Split each gap into equal pieces no wider than its cap; piece i of gap
+    # [left, right] ends at left + i * step, i = 1 .. pieces.
+    left, right = edges[:-1], edges[1:]
+    in_zone = (right > zone_lo) & (left < zone_hi)
+    cap = np.where(in_zone, min(_ZONE_CAP_FEATURE * sigma_n, _CAP_DENSITY * sigma_s),
+                   _CAP_DENSITY * sigma_s)
+    pieces = np.maximum(1, np.ceil((right - left) / cap)).astype(np.intp)
+    step = (right - left) / pieces
+    gap = np.repeat(np.arange(left.size), pieces)
+    i = np.arange(1, gap.size + 1) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    return np.concatenate((edges[:1], left[gap] + i * step[gap]))
 
 
 def _resolution_to_order(n_nodes: int) -> int:
@@ -189,15 +191,6 @@ def _panel_nodes(x: np.ndarray, w: np.ndarray, centers: np.ndarray, halves: np.n
     return s, weights
 
 
-def _cell_tables(s: np.ndarray, quantizer, sigma_n: float):
-    """Read-only cell probabilities b and scaled slopes bd at the nodes s."""
-    b = _beta_table(s, quantizer, sigma_n)
-    bd = _beta_dot_table(s, quantizer, sigma_n)
-    b.setflags(write=False)
-    bd.setflags(write=False)
-    return b, bd
-
-
 def _panels(bits: int, tau: float, sigma_n: float, sigma_s: float):
     """The sensor's quantizer, and the centres and half-widths of its panels."""
     quantizer = make_quantizer(bits, tau)
@@ -209,14 +202,15 @@ def _panels(bits: int, tau: float, sigma_n: float, sigma_s: float):
 def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes: int):
     """Quadrature tables for one sensor: its Gauss rule and that rule's Kronrod check.
 
-    Returns (weights, b, bd, kronrod).  b[i, l] and bd[i, l] are the cell
-    probability and its scaled slope at Gauss node s_i, and the weights
+    Returns (weights, cells, kronrod).  cells is the read-only (2n, M) table
+    of `_cell_tables` at the n Gauss nodes: cells[i, l] and cells[n + i, l]
+    are the cell probability and its scaled slope at node s_i.  The weights
     fold in the Gaussian density and panel half-widths, so a weighted sum
     of kernel values approximates the expectation.  kronrod is
-    (gap_weights, weights, b, bd) on the same panels: gap_weights[i, 0]
+    (gap_weights, weights, cells) on the same panels: gap_weights[i, 0]
     holds the Gauss weights less the Kronrod weights at panel i's Gauss
     nodes, weights[i, 0] the Kronrod weights at its Kronrod-only nodes, and
-    b and bd the tables there.  Panel i's Gauss sum less its Kronrod sum is
+    cells the table there.  Panel i's Gauss sum less its Kronrod sum is
     gap_weights[i] @ g(its Gauss nodes) - weights[i] @ g(its Kronrod-only
     nodes), one matrix product per rule for all panels.  Cached by value,
     so identical sensors share tables.
@@ -229,39 +223,43 @@ def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes:
     gap_weights = (weights - kronrod_at_gauss).reshape(-1, 1, order)
     gap_weights.setflags(write=False)
     s_kronrod, kronrod_weights = _panel_nodes(y, wy, centers, halves, sigma_s)
-    kronrod = (gap_weights, kronrod_weights.reshape(-1, 1, order + 1),
-               *_cell_tables(s_kronrod, quantizer, sigma_n))
-    return (weights, *_cell_tables(s, quantizer, sigma_n), kronrod)
+    cells = _cell_tables(s, quantizer, sigma_n)
+    kronrod_cells = _cell_tables(s_kronrod, quantizer, sigma_n)
+    cells.setflags(write=False)
+    kronrod_cells.setflags(write=False)
+    return weights, cells, (gap_weights, kronrod_weights.reshape(-1, 1, order + 1), kronrod_cells)
 
 
-def _kernel_values(b: np.ndarray, bd: np.ndarray, alpha: np.ndarray,
+def _kernel_values(cells: np.ndarray, alpha: np.ndarray,
                    alpha_slope: np.ndarray | None = None) -> np.ndarray:
-    """The information kernel, or its p-slope, at each node of the (n, M) tables b and bd.
+    """The information kernel, or its p-slope, at each node of a (2n, M) `_cell_tables` table.
 
     At each node, sums over received levels the squared confusion-weighted
-    slope over the confusion-weighted cell probability.  Terms whose
-    denominator falls below _DEN_FLOOR are skipped; they vanish faster in
-    the numerator than the denominator, so dropping them is conservative.
-    Given alpha_slope = d(alpha)/dp, returns the kernel's p-derivative
-    instead.
+    slope over the confusion-weighted cell probability.  The probabilities
+    and slopes are stacked, so one product per confusion matrix mixes both.
+    Terms whose denominator falls below _DEN_FLOOR are skipped; they vanish
+    faster in the numerator than the denominator, so dropping them is
+    conservative.  Given alpha_slope = d(alpha)/dp, returns the kernel's
+    p-derivative instead.
     """
-    num = bd @ alpha.T
-    den = b @ alpha.T
+    n = cells.shape[0] // 2
+    mixed = cells @ alpha.T
+    den, num = mixed[:n], mixed[n:]
     keep = den >= _DEN_FLOOR
     if alpha_slope is None:
         terms = np.divide(num * num, den, out=np.zeros_like(den), where=keep)
     else:
-        num_d = bd @ alpha_slope.T
-        den_d = b @ alpha_slope.T
+        mixed_d = cells @ alpha_slope.T
+        den_d, num_d = mixed_d[:n], mixed_d[n:]
         terms = np.divide(2.0 * num * num_d * den - num * num * den_d, den * den,
                           out=np.zeros_like(den), where=keep)
     return np.sum(terms, axis=1)
 
 
-def _kernel_sum(weights: np.ndarray, b: np.ndarray, bd: np.ndarray,
+def _kernel_sum(weights: np.ndarray, cells: np.ndarray,
                 alpha: np.ndarray, alpha_slope: np.ndarray | None = None) -> float:
     """Weighted sum over the nodes of the information kernel, or of its p-slope."""
-    return float(weights @ _kernel_values(b, bd, alpha, alpha_slope))
+    return float(weights @ _kernel_values(cells, alpha, alpha_slope))
 
 
 class InfoKernel:
@@ -294,11 +292,12 @@ class InfoKernel:
         self.prefactor = float(gain @ gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
         self.sigma_s = math.sqrt(max(float(gain @ prior.covariance @ gain), 0.0))
         if self.sigma_s > 0.0:
-            self._weights, self._b, self._bd, self._kronrod_check = _node_tables(
+            self._weights, self._cells, self._kronrod_check = _node_tables(
                 sensor.bits, sensor.tau, sensor.sigma_n, self.sigma_s, n_nodes
             )
+            self._b, self._bd = np.split(self._cells, 2)
         else:
-            self._weights = self._b = self._bd = self._kronrod_check = None
+            self._weights = self._cells = self._b = self._bd = self._kronrod_check = None
 
     def expected_g(self, p_bit: float, with_check: bool = False):
         """Gaussian expectation of the information kernel at bit-error rate p_bit.
@@ -315,14 +314,14 @@ class InfoKernel:
         if self._weights is None:
             return (0.0, 0.0) if with_check else 0.0
         alpha = _alpha_entries(self.sensor.bits, p_bit)
-        g = _kernel_values(self._b, self._bd, alpha)
+        g = _kernel_values(self._cells, alpha)
         value = float(self._weights @ g)
         if not with_check:
             return value
-        gap_weights, weights, b, bd = self._kronrod_check
+        gap_weights, weights, cells = self._kronrod_check
         panels = gap_weights.shape[0]
         gaps = gap_weights @ g.reshape(panels, -1, 1) \
-            - weights @ _kernel_values(b, bd, alpha).reshape(panels, -1, 1)
+            - weights @ _kernel_values(cells, alpha).reshape(panels, -1, 1)
         return value, panels * float(np.abs(gaps).max())
 
     def expected_g_slope(self, p_bit: float) -> float:
@@ -330,7 +329,7 @@ class InfoKernel:
         if self._weights is None:
             return 0.0
         bits = self.sensor.bits
-        return _kernel_sum(self._weights, self._b, self._bd,
+        return _kernel_sum(self._weights, self._cells,
                            _alpha_entries(bits, p_bit), _alpha_slope(bits, p_bit))
 
     def t(self, power: float) -> float:
@@ -349,10 +348,15 @@ class InfoKernel:
         _QUAD_RTOL relative from the 2n - 1 one.  A returned value is
         memoized by power (-0.0 and 0.0 share an entry, as they share p);
         a power that raises is never stored, so it raises on every call.
+        The memo is emptied before it would grow past _CHECKED_CAP entries,
+        which bounds the memory of the up to 512 cached kernels.
         """
         value = self._checked.get(power)
         if value is None:
-            value = self._checked[power] = self._ladder(power)
+            value = self._ladder(power)
+            if len(self._checked) >= _CHECKED_CAP:
+                self._checked.clear()
+            self._checked[power] = value
         return value
 
     def _ladder(self, power: float) -> float:

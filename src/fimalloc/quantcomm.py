@@ -11,6 +11,18 @@ share one link SNR z(P), the one check that a power is nonnegative.
 The confusion matrix and cell-probability kernels here are reconstructions
 from that channel model; the Monte Carlo oracles in this module exist to
 validate them by simulation rather than by derivation.
+
+The one special function is the normal CDF Phi, written as
+erfc(x) = exp(-x^2) erfcx(x) with x = |z| / sqrt 2, the classic split of
+its Gaussian factor from a smooth, slowly varying one (Cody, "Rational
+Chebyshev approximations for the error function", Math. Comp. 1969).  The
+bit-error rate takes one value from the standard library's `math.erfc`,
+corrected for the rounding of z / sqrt 2, to a few units in the last
+place.  The cell tables take Phi over whole arrays from `_phi_from`: a
+piecewise polynomial for erfcx, fitted at import to `math.erfc` and
+`math.exp`, times the exp(-z^2 / 2) that the cell slopes need anyway.  Its
+relative error is below 1e-13 down to Phi = 1e-300 (see `_phi`).  Nothing
+here needs scipy.
 """
 
 from __future__ import annotations
@@ -20,16 +32,119 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
 from .model import Sensor
 
 _SQRT2 = math.sqrt(2.0)
 
+# The lower tail Phi(-a), a = |z|, is 0.5 exp(-a^2 / 2) erfcx(a / sqrt 2) with
+# erfcx(x) = exp(x^2) erfc(x), which is smooth and falls like 1 / (x sqrt pi).
+# s = _TAIL_SCALE / (a + _TAIL_SHIFT) maps a in [0, inf] onto s in [0, P],
+# P = _TAIL_PIECES, and on each piece j - 1 < s <= j the factor
+# 0.5 erfcx(a / sqrt 2) is one polynomial of degree _TAIL_DEGREE in
+# w = s - j, in (-1, 0].  Piece 0 holds s = 0, a = inf, where it is zero.
+_TAIL_PIECES = 64
+_TAIL_DEGREE = 6
+_TAIL_SHIFT = 3.0
+_TAIL_SCALE = _TAIL_PIECES * _TAIL_SHIFT
+_ASYMPTOTIC_X = 10.0
 
-def _phi(x):
-    """Standard normal CDF via erfc (relative accuracy better than 1e-12)."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
+
+def _split_square(v: float):
+    """v^2 as head + tail: head is exact, and tail is below 2^-25 v^2.
+
+    Veltkamp's split rounds v to root, its leading 26 bits, whose square
+    is exact; tail = (v - root)(v + root) carries the rest, to a relative
+    error of 2^-53.
+    """
+    scaled = 134217729.0 * v  # 2^27 + 1
+    root = scaled - (scaled - v)
+    return root * root, (v - root) * (v + root)
+
+
+def _erfcx_reference(x: float) -> float:
+    """exp(x^2) erfc(x) at one double x >= 0, to a few units in the last place.
+
+    Below _ASYMPTOTIC_X, math.erfc times exp(x^2), with x^2 from
+    `_split_square` so rounding x^2 costs nothing.  Above it, the
+    asymptotic series 1 / (x sqrt pi) sum_k (-1)^k (2k - 1)!! / (2x^2)^k,
+    summed until its terms fall below 1e-17, far before they start to grow.
+    """
+    if x >= _ASYMPTOTIC_X:
+        total = term = 1.0
+        k = 0
+        while abs(term) > 1e-17:
+            k += 1
+            term *= -(2 * k - 1) / (2.0 * x * x)
+            total += term
+        return total / (x * math.sqrt(math.pi))
+    head, tail = _split_square(x)
+    return math.erfc(x) * math.exp(head) * math.exp(tail)
+
+
+def _tail_coefficients() -> np.ndarray:
+    """Monomial coefficients of every piece's polynomial; shape (_TAIL_DEGREE + 1, P + 1).
+
+    Row k holds the w^k coefficients, column j piece j.  Each piece is
+    exact at its right end w = 0, where the constant term is the value
+    itself (so Phi(0) = 0.5 exactly), and interpolates 0.5 erfcx at the
+    _TAIL_DEGREE Chebyshev points of (-1, 0) elsewhere.  The nodes' w are
+    recomputed from their a as `_half_erfcx` does, so the fit sees the
+    rounding the evaluation will.
+    """
+    degree = _TAIL_DEGREE
+    right = np.arange(1, _TAIL_PIECES + 1, dtype=float)[:, None]
+    chebyshev = 0.5 * (np.cos(np.pi * (np.arange(degree) + 0.5) / degree) - 1.0)
+    a = _TAIL_SCALE / (right + np.concatenate(([0.0], chebyshev))) - _TAIL_SHIFT
+    w = _TAIL_SCALE / (a + _TAIL_SHIFT) - right
+    half = np.array([[0.5 * _erfcx_reference(v / _SQRT2) for v in row] for row in a.tolist()])
+    slopes = (half[:, 1:] - half[:, :1]) / w[:, 1:]
+    powers = w[:, 1:, None] ** np.arange(degree)
+    coefficients = np.zeros((degree + 1, _TAIL_PIECES + 1))
+    coefficients[0, 1:] = half[:, 0]
+    coefficients[1:, 1:] = np.linalg.solve(powers, slopes[:, :, None])[:, :, 0].T
+    coefficients.setflags(write=False)
+    return coefficients
+
+
+_TAIL = _tail_coefficients()
+
+
+def _half_erfcx(a: np.ndarray) -> np.ndarray:
+    """0.5 erfcx(a / sqrt 2) elementwise for a >= 0 (inf gives 0; NaN is not accepted)."""
+    s = _TAIL_SCALE / (a + _TAIL_SHIFT)
+    right = np.ceil(s)
+    w = s - right
+    piece = right.astype(np.intp)
+    value = _TAIL[-1].take(piece)
+    for row in _TAIL[-2::-1]:
+        value *= w
+        value += row.take(piece)
+    return value
+
+
+def _phi_from(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Standard normal CDF at z, given g = exp(-z^2 / 2) computed as -0.5 * z * z.
+
+    The lower tail Phi(-|z|) is g * 0.5 erfcx(|z| / sqrt 2) and Phi(z) for
+    z > 0 is 1 - Phi(-z), so Phi(z) + Phi(-z) = 1 to within one rounding.
+    """
+    lower = g * _half_erfcx(np.abs(z))
+    return np.where(z > 0.0, 1.0 - lower, lower)
+
+
+def _phi(z):
+    """Standard normal CDF, elementwise (see `_phi_from`).
+
+    The relative error is below 1e-13 wherever Phi(z) >= 1e-300, that is
+    z >= -37: the piecewise erfcx is within about 1e-15 of the true one,
+    and rounding z^2 / 2 moves exp(-z^2 / 2) by at most z^2 / 2 * 2^-53,
+    7.6e-14 at z = -37.  Phi(0) is 0.5 exactly.  Neighbouring pieces meet
+    to within about 1e-15 relative, so Phi is nondecreasing on any grid
+    whose steps move it by more than that.
+    """
+    z = np.asarray(z, dtype=float)
+    return _phi_from(z, np.exp(-0.5 * z * z))
 
 
 @dataclass(frozen=True)
@@ -120,10 +235,22 @@ def bit_error_prob(power: float, sensor: Sensor) -> float:
 
     The power is split evenly over the sensor's `bits` symbols; the
     detection statistic has amplitude h_mag * sqrt(power / bits) against
-    noise of std sigma_nu, so p = Q(z) = Phi(-z) with z from _link_snr.
-    Decreasing in power, with p(0) = 1/2.
+    noise of std sigma_nu, so p = Q(z) = Phi(-z) = erfc(z / sqrt 2) / 2
+    with z from _link_snr.  Accurate to a few units in the last place at
+    that z.  Decreasing in power, with p(0) = 1/2.
     """
-    return float(_phi(-_link_snr(power, sensor)))
+    z = _link_snr(power, sensor)
+    x = z / _SQRT2
+    p = 0.5 * math.erfc(x)
+    if p == 0.0:
+        return p
+    # erfc(x) = exp(-x^2) erfcx(x), and erfcx hardly moves with x, so the
+    # factor exp(x^2 - z^2 / 2) undoes the rounding of z / sqrt 2, which
+    # erfc would otherwise amplify z^2 times.  The two heads are exact and
+    # within a factor 2 of each other, so their difference is exact too.
+    head_x, tail_x = _split_square(x)
+    head_z, tail_z = _split_square(z)
+    return p * math.exp((head_x - 0.5 * head_z) + (tail_x - 0.5 * tail_z))
 
 
 def _bit_error_slope(power: float, sensor: Sensor) -> float:
@@ -142,31 +269,30 @@ def alpha_matrix(power: float, sensor: Sensor) -> np.ndarray:
     return _alpha_entries(sensor.bits, bit_error_prob(power, sensor))
 
 
-def _beta_table(s_values: np.ndarray, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
-    """Cell probabilities for each s in s_values; shape (len(s), M)."""
-    b = quantizer.boundaries
-    z = (b[None, :] - s_values[:, None]) / sigma_n
-    cdf = np.empty_like(z)
+def _cell_tables(s_values: np.ndarray, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
+    """Cell probabilities over their scaled slopes for each s in s_values; shape (2n, M).
+
+    With z_l = (b_l - s) / sigma_n at the boundaries b_l and
+    g_l = exp(-z_l^2 / 2), rows 0..n-1 hold the cell probabilities
+    Phi(z_l) - Phi(z_{l-1}) and rows n..2n-1 the scaled slopes
+    g_{l-1} - g_l, which are sigma * sqrt(2 pi) times the s-derivatives of
+    the cell probabilities.  The remaining normalization lives in the
+    information prefactor downstream, so it is deliberately not applied
+    here.  One build makes both halves: g is also the Gaussian factor of
+    Phi (see `_phi_from`).
+    """
+    n, m = s_values.size, quantizer.m
+    z = (quantizer.boundaries[1:-1] - s_values[:, None]) / sigma_n
+    g = np.zeros((n, m + 1))
+    g[:, 1:-1] = np.exp(-0.5 * z * z)
+    cdf = np.empty_like(g)
     cdf[:, 0] = 0.0
     cdf[:, -1] = 1.0
-    cdf[:, 1:-1] = _phi(z[:, 1:-1])
-    return np.diff(cdf, axis=1)
-
-
-def _beta_dot_table(s_values: np.ndarray, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
-    """Scaled slope of the cell probabilities; shape (len(s), M).
-
-    Entry l is exp(-(b_{l-1}-s)^2 / (2 sigma^2)) - exp(-(b_l-s)^2 / (2 sigma^2)),
-    which equals sigma * sqrt(2 pi) times the s-derivative of the cell
-    probability.  The remaining normalization lives in the information
-    prefactor downstream, so it is deliberately not applied here.
-    """
-    b = quantizer.boundaries
-    z = (b[None, :] - s_values[:, None]) / sigma_n
-    g = np.zeros_like(z)
-    inner = z[:, 1:-1]
-    g[:, 1:-1] = np.exp(-0.5 * inner * inner)
-    return g[:, :-1] - g[:, 1:]
+    cdf[:, 1:-1] = _phi_from(z, g[:, 1:-1])
+    tables = np.empty((2 * n, m))
+    np.subtract(cdf[:, 1:], cdf[:, :-1], out=tables[:n])
+    np.subtract(g[:, :-1], g[:, 1:], out=tables[n:])
+    return tables
 
 
 def beta(s: float, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
@@ -178,17 +304,17 @@ def beta(s: float, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
         raise ValueError(f"sigma_n must be positive, got {sigma_n}")
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    return _beta_table(np.array([float(s)]), quantizer, sigma_n)[0]
+    return _cell_tables(np.array([float(s)]), quantizer, sigma_n)[0]
 
 
 def beta_dot(s: float, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
-    """Slope kernel of the cell probabilities at s (scaled; see _beta_dot_table).
+    """Slope kernel of the cell probabilities at s (scaled; see _cell_tables).
 
     Entries telescope to zero.
     """
     if sigma_n <= 0.0:
         raise ValueError(f"sigma_n must be positive, got {sigma_n}")
-    return _beta_dot_table(np.array([float(s)]), quantizer, sigma_n)[0]
+    return _cell_tables(np.array([float(s)]), quantizer, sigma_n)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,10 @@ def mc_t_oracle(power: float, sensor: model.Sensor, prior: model.Prior,
     theta = rng.standard_normal((trials, prior.q)) @ chol.T
     s = theta @ sensor.gain
     quantizer = quantcomm.make_quantizer(sensor.bits, sensor.tau)
-    b = quantcomm._beta_table(s, quantizer, sensor.sigma_n)
-    bd = quantcomm._beta_dot_table(s, quantizer, sensor.sigma_n)
+    cells = quantcomm._cell_tables(s, quantizer, sensor.sigma_n)
     weights = np.full(trials, 1.0 / trials)
     prefactor = float(sensor.gain @ sensor.gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
-    return prefactor * fisher._kernel_sum(weights, b, bd, quantcomm.alpha_matrix(power, sensor))
+    return prefactor * fisher._kernel_sum(weights, cells, quantcomm.alpha_matrix(power, sensor))
 
 
 def check_tk(trials: int = 100_000, seed: int = DEFAULT_SEED) -> List[CheckResult]:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fimalloc
 from fimalloc import cli, model, solvers
 
 
@@ -240,3 +245,24 @@ class TestVerifyCommand:
         monkeypatch.setitem(verify_mod.SUITES, "mckp", fake_check)
         assert run(["verify", "--suite", "mckp"]) == 5
         assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_cli_and_solves_load_no_scipy():
+    # Every CLI call is a fresh interpreter, and importing scipy.special alone
+    # takes about 0.3 s, so the package must not pull in scipy anywhere.
+    code = (
+        "import sys\n"
+        "import fimalloc.cli\n"
+        "from fimalloc import model, solvers\n"
+        "network = model.homogeneous_network(3)\n"
+        "solvers.solve_greedy(network, 5.0)\n"
+        "solvers.solve_mckp_network(network, 5.0)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(fimalloc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -10,9 +10,9 @@ from conftest import random_network
 
 def single_node_g(s, alpha, quantizer, sigma_n):
     """The kernel core on a one-node table of unit weight: G at s itself."""
-    b = quantcomm.beta(s, quantizer, sigma_n)[None, :]
-    bd = quantcomm.beta_dot(s, quantizer, sigma_n)[None, :]
-    return fisher._kernel_sum(np.ones(1), b, bd, alpha)
+    cells = np.stack([quantcomm.beta(s, quantizer, sigma_n),
+                      quantcomm.beta_dot(s, quantizer, sigma_n)])
+    return fisher._kernel_sum(np.ones(1), cells, alpha)
 
 
 class TestGKernel:
@@ -106,8 +106,7 @@ class TestTk:
             s = theta @ sensor.gain
             q = quantcomm.make_quantizer(sensor.bits, sensor.tau)
             alpha = quantcomm.alpha_matrix(power, sensor)
-            b = quantcomm._beta_table(s, q, sensor.sigma_n)
-            bd = quantcomm._beta_dot_table(s, q, sensor.sigma_n)
+            b, bd = np.split(quantcomm._cell_tables(s, q, sensor.sigma_n), 2)
             num = bd @ alpha.T
             den = b @ alpha.T
             keep = den >= 1e-300
@@ -235,8 +234,8 @@ class TestLadder:
             p = quantcomm.bit_error_prob(power, sensor)
             alpha = quantcomm._alpha_entries(sensor.bits, p)
             gauss, error = kernel.expected_g(p, with_check=True)
-            kronrod = sum(fisher._kernel_sum(weights, b, bd, alpha)
-                          for (_, weights), (b, bd) in zip(rule, tables))
+            kronrod = sum(fisher._kernel_sum(weights, cells, alpha)
+                          for (_, weights), cells in zip(rule, tables))
             assert error >= abs(gauss - kronrod) - 1e-14 * gauss
             assert error > 0.0
 
@@ -317,6 +316,20 @@ class TestSharedKernel:
             for sensor in network.sensors:
                 assert set(fisher._kernel(sensor, prior)._checked) == distinct
         assert len(distinct) == 580
+
+    def test_memo_is_capped(self, reference_sensor, default_prior):
+        kernel = fisher.InfoKernel(reference_sensor, default_prior)
+        powers = np.linspace(0.0, 60.0, 10_000).tolist()
+        values, sizes = [], []
+        for power in powers:
+            values.append(kernel.t_checked(power))
+            sizes.append(len(kernel._checked))
+        assert max(sizes) == fisher._CHECKED_CAP
+        fresh = fisher.InfoKernel(reference_sensor, default_prior)
+        assert [fresh.t_checked(power) for power in powers[::7]] == values[::7]
+        # The first powers were dropped from the memo; checked again, they agree.
+        assert powers[0] not in kernel._checked
+        assert [kernel.t_checked(power) for power in powers[:50]] == values[:50]
 
     def test_equal_sensors_and_priors_share_one_kernel(self, reference_sensor, default_prior):
         twin = model.homogeneous_network(1).sensors[0]
@@ -405,6 +418,55 @@ class TestGaussKronrodRule:
         half = np.argsort(-nodes)[:11]
         assert np.max(np.abs(nodes[half] - QUADPACK_XGK21)) <= 1e-15
         assert np.max(np.abs(weights[half] - QUADPACK_WGK21)) <= 1e-15
+
+
+def _panel_edges_loop(boundaries, sigma_n, sigma_s):
+    """The panel layout written as loops, which fisher._panel_edges vectorizes."""
+    lim = fisher._DENSITY_SPAN * sigma_s
+    interior = boundaries[1:-1]
+    edges = [-lim, lim]
+    for b in interior:
+        if -lim < b < lim:
+            edges.append(b)
+        for c in fisher._REFINE_OFFSETS:
+            for e in (b - c * sigma_n, b + c * sigma_n):
+                if -lim < e < lim:
+                    edges.append(e)
+    edges = np.unique(np.asarray(edges))
+    keep = np.concatenate(([True], np.diff(edges) > 1e-9 * max(lim, sigma_n)))
+    edges = edges[keep]
+    if edges[-1] != lim:
+        edges = np.append(edges, lim)
+    zone_lo = interior[0] - fisher._REFINE_OFFSETS[-1] * sigma_n if interior.size else math.inf
+    zone_hi = interior[-1] + fisher._REFINE_OFFSETS[-1] * sigma_n if interior.size else -math.inf
+    refined = [edges[0]]
+    for left, right in zip(edges[:-1], edges[1:]):
+        in_zone = right > zone_lo and left < zone_hi
+        cap = min(fisher._ZONE_CAP_FEATURE * sigma_n, fisher._CAP_DENSITY * sigma_s) if in_zone \
+            else fisher._CAP_DENSITY * sigma_s
+        pieces = max(1, int(math.ceil((right - left) / cap)))
+        step = (right - left) / pieces
+        for i in range(1, pieces + 1):
+            refined.append(left + i * step)
+    return np.asarray(refined)
+
+
+class TestPanelEdges:
+    @pytest.mark.parametrize("which", ["golden", "fuzzed"])
+    def test_bit_identical_to_the_loop(self, which, golden_network):
+        if which == "golden":
+            networks = [golden_network]
+        else:
+            rng = np.random.default_rng(2024)
+            networks = [random_network(rng) for _ in range(30)]
+        for network in networks:
+            for sensor in network.sensors:
+                sigma_s = fisher.InfoKernel(sensor, network.prior).sigma_s
+                boundaries = quantcomm.make_quantizer(sensor.bits, sensor.tau).boundaries
+                for scale in (1.0, 0.05, 20.0):  # strong and weak gains move the zone
+                    args = (boundaries, sensor.sigma_n, scale * sigma_s)
+                    edges, loop = fisher._panel_edges(*args), _panel_edges_loop(*args)
+                    assert edges.dtype == loop.dtype and edges.tobytes() == loop.tobytes()
 
 
 class TestTkDerivative:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fimalloc import model, quantcomm
+from conftest import random_network
 
 
 def binomial_sigma(p, trials):
@@ -125,6 +126,78 @@ class TestBitErrorProb:
         values = [quantcomm.bit_error_prob(float(p), reference_sensor) for p in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 0.5 for v in values)
+
+
+    def test_matches_mpmath(self, golden_network, reference_sensor):
+        # Against Q at the double z itself, so the test measures the function,
+        # not the conditioning of z's own rounding.  The rounding of z / sqrt 2
+        # alone would cost up to z^2 * 2^-53, 1.5e-13 at z = 37.
+        mpmath = pytest.importorskip("mpmath")
+        sensors = [reference_sensor, *golden_network.sensors]
+        rng = np.random.default_rng(2024)
+        for _ in range(5):
+            sensors += random_network(rng).sensors
+        powers = [0.0, *np.geomspace(1e-2, 1e6, 120)]
+        with mpmath.workdps(50):
+            for sensor in sensors:
+                for power in powers:
+                    p = quantcomm.bit_error_prob(float(power), sensor)
+                    exact = mpmath.ncdf(-quantcomm._link_snr(float(power), sensor))
+                    if exact >= 1e-300:
+                        assert abs(p - exact) <= 1e-14 * exact, (sensor, power)
+                    else:
+                        assert 0.0 <= p <= 1e-300
+
+
+class TestPhi:
+    """The vectorized normal CDF behind the cell probabilities."""
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        z = np.concatenate((np.linspace(-38.0, 8.3, 2001), rng.uniform(-38.0, 8.3, 1000),
+                            rng.uniform(-2.0, 2.0, 200)))
+        phi = quantcomm._phi(z)
+        with mpmath.workdps(50):
+            for value, point in zip(phi.tolist(), z.tolist()):
+                exact = mpmath.ncdf(point)
+                if exact >= 1e-300:
+                    assert abs(value - exact) <= 1e-13 * exact, point
+                else:
+                    assert 0.0 <= value <= 1e-300, point
+
+    def test_zero_is_one_half(self):
+        assert quantcomm._phi(0.0) == 0.5
+        assert quantcomm._phi(-0.0) == 0.5
+        assert quantcomm._phi(np.zeros(3)).tolist() == [0.5] * 3
+
+    def test_infinities(self):
+        assert quantcomm._phi([-np.inf, np.inf]).tolist() == [0.0, 1.0]
+
+    def test_reflection(self):
+        z = np.concatenate((np.linspace(0.0, 40.0, 40001),
+                            np.random.default_rng(12).uniform(0.0, 10.0, 5000)))
+        assert np.all(np.abs(quantcomm._phi(z) + quantcomm._phi(-z) - 1.0) <= 2.0 ** -53)
+
+    def test_nondecreasing(self):
+        phi = quantcomm._phi(np.linspace(-40.0, 10.0, 500_001))
+        assert np.all(np.diff(phi) >= 0.0)
+        assert phi[0] == 0.0 and phi[-1] == 1.0
+
+    def test_cell_tables_stack_probabilities_over_slopes(self, reference_sensor):
+        # The fused build is bit for bit the two tables written out apart.
+        q = quantcomm.make_quantizer(reference_sensor.bits, reference_sensor.tau)
+        sigma = reference_sensor.sigma_n
+        s = np.linspace(-9.0, 9.0, 301)
+        z = (q.boundaries[None, :] - s[:, None]) / sigma
+        cdf = np.concatenate((np.zeros((s.size, 1)), quantcomm._phi(z[:, 1:-1]),
+                              np.ones((s.size, 1))), axis=1)
+        g = np.zeros_like(z)
+        g[:, 1:-1] = np.exp(-0.5 * z[:, 1:-1] * z[:, 1:-1])
+        cells = quantcomm._cell_tables(s, q, sigma)
+        assert cells.shape == (2 * s.size, q.m)
+        assert cells[:s.size].tobytes() == np.diff(cdf, axis=1).tobytes()
+        assert cells[s.size:].tobytes() == (g[:, :-1] - g[:, 1:]).tobytes()
 
 
 class TestAlphaMatrix:
