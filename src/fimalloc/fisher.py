@@ -7,6 +7,16 @@ of a kernel G built from the quantizer cell probabilities and the channel
 confusion matrix.  Because the kernel depends on theta only through s, the
 q-dimensional expectation collapses to a one-dimensional Gaussian integral.
 
+The kernel is even in s: the quantizer boundaries are symmetric about
+zero, so the cells at -s are those at s in reverse order, and the
+confusion entries depend only on the Hamming distance between codewords,
+which complementing both codewords (reversing the level order) keeps.
+Each received level at -s thus has the probability and squared slope of
+its mirror level at s, and the zero-mean Gaussian expectation over the
+whole line is exactly twice the integral over s >= 0 against the same
+density.  Every rule below integrates over [0, 8.5 sigma_s] only, with the
+density weights doubled.
+
 The integrand concentrates in bumps of width sigma_n around the quantizer
 decision boundaries while the Gaussian density has width sigma_s, and the
 two scales separate badly for strong gains, so a plain Hermite rule stalls.
@@ -137,7 +147,7 @@ def _gk_rule(order: int):
     return x, wx, y, wy
 
 
-# Panel layout constants: half-width of the density support kept, boundary
+# Panel layout constants: extent of the density support kept, boundary
 # refinement offsets in units of sigma_n, and panel width caps in units of
 # the feature scale (in the refined zone) and the density scale (outside).
 _DENSITY_SPAN = 8.5
@@ -147,17 +157,24 @@ _CAP_DENSITY = 2.5
 
 
 def _panel_edges(boundaries: np.ndarray, sigma_n: float, sigma_s: float) -> np.ndarray:
-    """Panel edges covering the Gaussian support, refined at the boundaries."""
+    """Panel edges covering [0, 8.5 sigma_s], refined at the boundaries.
+
+    The first edge is exactly 0 and the last 8.5 sigma_s (to rounding).  The
+    refinement points are the interior boundaries and their offsets that
+    fall inside, from both sides of zero, so the panels are the s >= 0 half
+    of the layout that the same rules make over the whole line.
+    """
     lim = _DENSITY_SPAN * sigma_s
     interior = boundaries[1:-1]
     offsets = np.array(_REFINE_OFFSETS) * sigma_n
     candidates = np.concatenate((interior, (interior[:, None] - offsets).ravel(),
                                  (interior[:, None] + offsets).ravel()))
-    inside = candidates[(candidates > -lim) & (candidates < lim)]
-    edges = np.sort(np.concatenate(([-lim, lim], inside)))
+    inside = candidates[(candidates > 0.0) & (candidates < lim)]
+    edges = np.sort(np.concatenate(([0.0, lim], inside)))
     # Drop repeated and near-duplicate edges so panel widths stay well
-    # conditioned.  (np.sort, not np.unique: this drops repeats as well,
-    # and np.unique's first call imports numpy.ma, about 12 ms.)
+    # conditioned; the first edge, 0, is always kept.  (np.sort, not
+    # np.unique: this drops repeats as well, and np.unique's first call
+    # imports numpy.ma, about 12 ms.)
     keep = np.concatenate(([True], np.diff(edges) > 1e-9 * max(lim, sigma_n)))
     edges = edges[keep]
     if edges[-1] != lim:
@@ -183,9 +200,13 @@ def _resolution_to_order(n_nodes: int) -> int:
 
 def _panel_nodes(x: np.ndarray, w: np.ndarray, centers: np.ndarray, halves: np.ndarray,
                  sigma_s: float):
-    """Nodes s of rule (x, w) on every panel, and weights folding in the density."""
+    """Nodes s of rule (x, w) on every panel, and weights folding in the density.
+
+    The density is doubled (the half-normal one), since the panels cover
+    s >= 0 only and the kernel is even in s.
+    """
     s = (centers[:, None] + halves[:, None] * x[None, :]).ravel()
-    density = np.exp(-0.5 * (s / sigma_s) ** 2) / (sigma_s * math.sqrt(2.0 * math.pi))
+    density = np.exp(-0.5 * (s / sigma_s) ** 2) / (0.5 * sigma_s * math.sqrt(2.0 * math.pi))
     weights = (halves[:, None] * w[None, :]).ravel() * density
     weights.setflags(write=False)
     return s, weights
@@ -204,9 +225,12 @@ def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes:
 
     Returns (weights, cells, kronrod).  cells is the read-only (2n, M) table
     of `_cell_tables` at the n Gauss nodes: cells[i, l] and cells[n + i, l]
-    are the cell probability and its scaled slope at node s_i.  The weights
-    fold in the Gaussian density and panel half-widths, so a weighted sum
-    of kernel values approximates the expectation.  kronrod is
+    are the cell probability and its scaled slope at node s_i.  The nodes
+    cover s >= 0 only, and the weights fold in twice the Gaussian density
+    and the panel half-widths, so a weighted sum of kernel values
+    approximates the expectation over the whole line: the kernel is even
+    in s (see the module docstring), so the half-line rule is exact and
+    does half the work of a whole-line one.  kronrod is
     (gap_weights, weights, cells) on the same panels: gap_weights[i, 0]
     holds the Gauss weights less the Kronrod weights at panel i's Gauss
     nodes, weights[i, 0] the Kronrod weights at its Kronrod-only nodes, and
@@ -249,10 +273,12 @@ def _kernel_values(cells: np.ndarray, alpha: np.ndarray,
     if alpha_slope is None:
         terms = np.divide(num * num, den, out=np.zeros_like(den), where=keep)
     else:
+        # d/dp (num^2 / den) in ratio form r (2 num_d - r den_d), r = num / den:
+        # no den^2, which underflows long before den falls below the floor.
         mixed_d = cells @ alpha_slope.T
         den_d, num_d = mixed_d[:n], mixed_d[n:]
-        terms = np.divide(2.0 * num * num_d * den - num * num * den_d, den * den,
-                          out=np.zeros_like(den), where=keep)
+        r = np.divide(num, den, out=np.zeros_like(den), where=keep)
+        terms = r * (2.0 * num_d - r * den_d)
     return np.sum(terms, axis=1)
 
 

@@ -18,7 +18,7 @@ its Gaussian factor from a smooth, slowly varying one (Cody, "Rational
 Chebyshev approximations for the error function", Math. Comp. 1969).  The
 bit-error rate takes one value from the standard library's `math.erfc`,
 corrected for the rounding of z / sqrt 2, to a few units in the last
-place.  The cell tables take Phi over whole arrays from `_phi_from`: a
+place.  The cell tables take the lower tail Phi(-|z|) over whole arrays: a
 piecewise polynomial for erfcx, fitted at import to `math.erfc` and
 `math.exp`, times the exp(-z^2 / 2) that the cell slopes need anyway.  Its
 relative error is below 1e-13 down to Phi = 1e-300 (see `_phi`).  Nothing
@@ -123,18 +123,13 @@ def _half_erfcx(a: np.ndarray) -> np.ndarray:
     return value
 
 
-def _phi_from(z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Standard normal CDF at z, given g = exp(-z^2 / 2) computed as -0.5 * z * z.
-
-    The lower tail Phi(-|z|) is g * 0.5 erfcx(|z| / sqrt 2) and Phi(z) for
-    z > 0 is 1 - Phi(-z), so Phi(z) + Phi(-z) = 1 to within one rounding.
-    """
-    lower = g * _half_erfcx(np.abs(z))
-    return np.where(z > 0.0, 1.0 - lower, lower)
-
-
 def _phi(z):
-    """Standard normal CDF, elementwise (see `_phi_from`).
+    """Standard normal CDF, elementwise.
+
+    The lower tail Phi(-|z|) is g * 0.5 erfcx(|z| / sqrt 2) with
+    g = exp(-z^2 / 2), and Phi(z) for z > 0 is 1 - Phi(-z), so
+    Phi(z) + Phi(-z) = 1 to within one rounding.  `_cell_tables` builds the
+    same lower tail from the g its slopes need.
 
     The relative error is below 1e-13 wherever Phi(z) >= 1e-300, that is
     z >= -37: the piecewise erfcx is within about 1e-15 of the true one,
@@ -144,7 +139,8 @@ def _phi(z):
     whose steps move it by more than that.
     """
     z = np.asarray(z, dtype=float)
-    return _phi_from(z, np.exp(-0.5 * z * z))
+    lower = np.exp(-0.5 * z * z) * _half_erfcx(np.abs(z))
+    return np.where(z > 0.0, 1.0 - lower, lower)
 
 
 @dataclass(frozen=True)
@@ -279,18 +275,25 @@ def _cell_tables(s_values: np.ndarray, quantizer: QuantizerSpec, sigma_n: float)
     the cell probabilities.  The remaining normalization lives in the
     information prefactor downstream, so it is deliberately not applied
     here.  One build makes both halves: g is also the Gaussian factor of
-    Phi (see `_phi_from`).
+    the lower tails Phi(-|z_l|) (see `_phi`).  A cell wholly above s
+    (z_{l-1} > 0) takes the difference of upper tails
+    Phi(-z_{l-1}) - Phi(-z_l), which keeps its relative accuracy however
+    small it is; the difference of two CDF values near 1 would carry an
+    absolute error near 1e-16.
     """
     n, m = s_values.size, quantizer.m
     z = (quantizer.boundaries[1:-1] - s_values[:, None]) / sigma_n
     g = np.zeros((n, m + 1))
     g[:, 1:-1] = np.exp(-0.5 * z * z)
-    cdf = np.empty_like(g)
-    cdf[:, 0] = 0.0
-    cdf[:, -1] = 1.0
-    cdf[:, 1:-1] = _phi_from(z, g[:, 1:-1])
+    lower = np.zeros_like(g)  # Phi(-|z_l|), which is 0 at z = -inf and +inf
+    lower[:, 1:-1] = g[:, 1:-1] * _half_erfcx(np.abs(z))
+    above = np.zeros(g.shape, dtype=bool)
+    above[:, 1:-1] = z > 0.0
+    above[:, -1] = True
+    cdf = np.where(above, 1.0 - lower, lower)
     tables = np.empty((2 * n, m))
     np.subtract(cdf[:, 1:], cdf[:, :-1], out=tables[:n])
+    np.subtract(lower[:, :-1], lower[:, 1:], out=tables[:n], where=above[:, :-1])
     np.subtract(g[:, :-1], g[:, 1:], out=tables[n:])
     return tables
 

@@ -1,5 +1,7 @@
 import math
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -61,11 +63,8 @@ class TestGKernel:
                 keep = den >= 1e-300
                 safe = np.where(keep, den, 1.0)
                 g = np.sum(np.where(keep, num * num / safe, 0.0), axis=1)
-                dg = np.sum(
-                    np.where(keep, (2.0 * num * num_d * safe - num * num * den_d)
-                             / (safe * safe), 0.0),
-                    axis=1,
-                )
+                r = np.where(keep, num / safe, 0.0)
+                dg = np.sum(r * (2.0 * num_d - r * den_d), axis=1)
                 assert kernel.expected_g(p) == float(w @ g)
                 assert kernel.expected_g_slope(p) == float(w @ dg)
 
@@ -240,12 +239,12 @@ class TestLadder:
             assert error > 0.0
 
     @staticmethod
-    def check_flags(network, powers):
+    def check_flags(network, powers, n_nodes=fisher.DEFAULT_NODES):
         """Points where the doubled rung flags rung 0, and points where the Kronrod check does."""
         doubled_flags, kronrod_flags = set(), set()
         for i, sensor in enumerate(network.sensors):
-            kernel = fisher.InfoKernel(sensor, network.prior)
-            doubled = fisher.InfoKernel(sensor, network.prior, 161)
+            kernel = fisher.InfoKernel(sensor, network.prior, n_nodes)
+            doubled = fisher.InfoKernel(sensor, network.prior, 2 * n_nodes - 1)
             scale = kernel.prefactor
             for power in powers:
                 p = quantcomm.bit_error_prob(float(power), sensor)
@@ -259,33 +258,40 @@ class TestLadder:
     def test_flags_every_point_the_doubled_rung_flags(self, golden_network):
         """Where rung 0 and the 2n - 1 rung disagree, the Kronrod check flags rung 0.
 
-        The log grid holds the high-SNR points where the whole-rule Kronrod gap
-        passes values the doubled rung flags: sensors 3 and 11 at P = 215.3,
-        sensor 9 at 338.8 and sensor 10 at 720.9.
+        A deliberately coarse 33-node kernel supplies the disagreements
+        (about a thousand of the 3,280 golden points); the DEFAULT_NODES
+        kernel flags none of them, up to P = 1000.
         """
         log_grid = np.geomspace(50.0, 2e4, 120)
         powers = np.concatenate((0.5 * np.arange(1, 101), [100.0, 200.0, 400.0, 700.0],
                                  log_grid[log_grid <= 1000.0]))
-        doubled_flags, kronrod_flags = self.check_flags(golden_network, powers)
-        for point in ((3, 215.3), (11, 215.3), (9, 338.8), (10, 720.9), (0, 700.0)):
-            assert any(i == point[0] and abs(power - point[1]) < 0.1
-                       for i, power in doubled_flags)
+        doubled_flags, kronrod_flags = self.check_flags(golden_network, powers, 33)
+        assert len(doubled_flags) > 500
         assert doubled_flags <= kronrod_flags
-        assert not any(power <= 50.0 for _, power in kronrod_flags)
+        assert self.check_flags(golden_network, powers) == (set(), set())
 
     def test_flags_every_point_the_doubled_rung_flags_fuzzed(self):
         rng = np.random.default_rng(2024)
         doubled_total = 0
         for _ in range(40):
             net = random_network(rng)
-            doubled_flags, kronrod_flags = self.check_flags(net, np.geomspace(40.0, 1000.0, 24))
+            doubled_flags, kronrod_flags = self.check_flags(net, np.geomspace(40.0, 1000.0, 24),
+                                                            33)
             doubled_total += len(doubled_flags)
             assert doubled_flags <= kronrod_flags
         assert doubled_total > 0
 
-    def test_high_snr_failure_still_raises(self, golden_network):
+    def test_high_snr_failure_still_raises(self, monkeypatch, golden_network):
+        """A ladder that no rung confirms raises through t_k at high SNR too.
+
+        The real kernel converges at P = 700 (see `test_golden_high_snr_shape`),
+        so the failing ladder is faked.
+        """
+        sensor, prior = golden_network.sensors[0], golden_network.prior
+        assert math.isfinite(fisher.InfoKernel(sensor, prior).t_checked(700.0))
+        self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 3.0})
         with pytest.raises(QuadratureNotConverged, match=r"power 700\.0 "):
-            fisher.t_k(700.0, golden_network.sensors[0], golden_network.prior)
+            fisher.t_k(700.0, sensor, prior)
 
 
 class TestSharedKernel:
@@ -339,16 +345,19 @@ class TestSharedKernel:
         assert fisher._kernel(twin, same_prior) is kernel
         assert fisher._kernel(reference_sensor, model.make_prior(np.eye(2))) is not kernel
 
-    def test_not_converged_raises_on_every_call(self, golden_network):
+    def test_not_converged_raises_on_every_call(self, monkeypatch, golden_network):
+        fisher._kernel.cache_clear()  # so no earlier test has memoized 230.0
         sensor, prior = golden_network.sensors[1], golden_network.prior
         kernel = fisher._kernel(sensor, prior)
         kernel.t_checked(5.0)
+        # From here on no rung confirms another, at any power.
+        TestLadder.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 3.0})
         for _ in range(2):
             with pytest.raises(QuadratureNotConverged, match=r"power 230\.0 "):
                 kernel.t_checked(230.0)
             with pytest.raises(QuadratureNotConverged, match=r"power 230\.0 "):
                 fisher.t_k(230.0, sensor, prior)
-        assert 230.0 not in kernel._checked
+        assert 230.0 not in kernel._checked and 5.0 in kernel._checked
 
     @pytest.mark.parametrize("power", [math.nan, -1.0, -math.inf], ids=["nan", "negative", "-inf"])
     def test_bad_power_raises_after_values_are_memoized(self, power, reference_sensor,
@@ -420,17 +429,22 @@ class TestGaussKronrodRule:
         assert np.max(np.abs(weights[half] - QUADPACK_WGK21)) <= 1e-15
 
 
-def _panel_edges_loop(boundaries, sigma_n, sigma_s):
-    """The panel layout written as loops, which fisher._panel_edges vectorizes."""
+def _panel_edges_loop(boundaries, sigma_n, sigma_s, whole_line=False):
+    """The panel layout written as loops, which fisher._panel_edges vectorizes.
+
+    With whole_line, the same rules lay the panels over [-lim, lim] instead
+    of [0, lim]: the layout of a rule that does not fold the even kernel.
+    """
     lim = fisher._DENSITY_SPAN * sigma_s
+    lo = -lim if whole_line else 0.0
     interior = boundaries[1:-1]
-    edges = [-lim, lim]
+    edges = [lo, lim]
     for b in interior:
-        if -lim < b < lim:
+        if lo < b < lim:
             edges.append(b)
         for c in fisher._REFINE_OFFSETS:
             for e in (b - c * sigma_n, b + c * sigma_n):
-                if -lim < e < lim:
+                if lo < e < lim:
                     edges.append(e)
     edges = np.unique(np.asarray(edges))
     keep = np.concatenate(([True], np.diff(edges) > 1e-9 * max(lim, sigma_n)))
@@ -467,6 +481,103 @@ class TestPanelEdges:
                     args = (boundaries, sensor.sigma_n, scale * sigma_s)
                     edges, loop = fisher._panel_edges(*args), _panel_edges_loop(*args)
                     assert edges.dtype == loop.dtype and edges.tobytes() == loop.tobytes()
+                    assert edges[0] == 0.0
+                    assert edges[-1] == pytest.approx(fisher._DENSITY_SPAN * args[2], rel=1e-15)
+                    assert np.all(np.diff(edges) > 0.0)
+
+    def test_first_edge_is_zero_where_a_refinement_point_nearly_is(self):
+        # A boundary 1e-12 above 0 is a near-duplicate of the edge at 0: the
+        # filter drops the boundary and keeps 0.
+        boundaries = np.array([-np.inf, 1e-12, np.inf])
+        edges = fisher._panel_edges(boundaries, 1.0, 1.0)
+        assert edges[0] == 0.0 and edges[1] > 1e-3
+        assert edges[-1] == pytest.approx(fisher._DENSITY_SPAN, rel=1e-15)
+
+
+def _whole_line_rule(sensor, prior, n_nodes=fisher.DEFAULT_NODES):
+    """Gauss weights and cell tables of the same rule over the whole line [-lim, lim]."""
+    sigma_s = fisher.InfoKernel(sensor, prior, n_nodes).sigma_s
+    quantizer = quantcomm.make_quantizer(sensor.bits, sensor.tau)
+    edges = _panel_edges_loop(quantizer.boundaries, sensor.sigma_n, sigma_s, whole_line=True)
+    x, w = fisher._gl_rule(fisher._resolution_to_order(n_nodes))
+    s, weights = fisher._panel_nodes(x, w, 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges),
+                                     sigma_s)
+    # _panel_nodes doubles the density for the half line; the whole line takes it once.
+    return 0.5 * weights, quantcomm._cell_tables(s, quantizer, sensor.sigma_n)
+
+
+def _fold_and_whole_line(sensor, prior, p_values):
+    """(expected_g, its whole-line value, expected_g_slope, its whole-line value) at each p."""
+    kernel = fisher.InfoKernel(sensor, prior)
+    weights, cells = _whole_line_rule(sensor, prior)
+    assert kernel._weights.size * 2 == weights.size
+    rows = []
+    for p in p_values:
+        alpha = quantcomm._alpha_entries(sensor.bits, p)
+        slope = quantcomm._alpha_slope(sensor.bits, p)
+        rows.append((kernel.expected_g(p), fisher._kernel_sum(weights, cells, alpha),
+                     kernel.expected_g_slope(p), fisher._kernel_sum(weights, cells, alpha, slope)))
+    return rows
+
+
+class TestHalfLineFold:
+    """The kernel is even in s, so the half-line rule equals the whole-line one."""
+
+    @pytest.mark.parametrize("which", ["golden", "fuzzed"])
+    def test_matches_the_whole_line_rule(self, which, golden_network):
+        if which == "golden":
+            networks = [golden_network]
+        else:
+            rng = np.random.default_rng(2024)
+            networks = [random_network(rng) for _ in range(30)]
+        p_values = np.geomspace(1e-8, 0.49, 25).tolist()
+        for network in networks:
+            for sensor in network.sensors:
+                for g, whole_g, slope, whole_slope in _fold_and_whole_line(
+                        sensor, network.prior, p_values):
+                    assert abs(g - whole_g) <= 1e-12 * whole_g
+                    assert abs(slope - whole_slope) <= 1e-12 * abs(whole_slope)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(
+        bits=st.integers(1, 4),
+        tau=st.floats(0.05, 20.0),
+        sigma_n=st.floats(0.05, 5.0),
+        gain=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2).filter(
+            lambda g: abs(g[0]) + abs(g[1]) > 1e-3),
+        factor=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        ridge=st.floats(0.05, 2.0),
+        p=st.floats(1e-8, 0.49),
+    )
+    def test_matches_the_whole_line_rule_property(self, bits, tau, sigma_n, gain, factor,
+                                                  ridge, p):
+        base = np.reshape(factor, (2, 2))
+        prior = model.make_prior(base @ base.T + ridge * np.eye(2))
+        sensor = model.Sensor(gain=np.array(gain), sigma_n=sigma_n, h_mag=1.0, sigma_nu=1.0,
+                              bits=bits, tau=tau)
+        [(g, whole_g, slope, whole_slope)] = _fold_and_whole_line(sensor, prior, [p])
+        assert abs(g - whole_g) <= 1e-12 * whole_g
+        # Near p = 0 the slope's level terms, each the size of the kernel's,
+        # cancel to first order, so its rounding is relative to the kernel.
+        assert abs(slope - whole_slope) <= 1e-12 * max(abs(whole_slope), whole_g)
+
+
+class TestHighSnr:
+    def test_golden_sensor_15_matches_a_fine_rung(self, golden_network):
+        sensor, prior = golden_network.sensors[15], golden_network.prior
+        fine = fisher.InfoKernel(sensor, prior, 2561).t(226.44)
+        value = fisher.InfoKernel(sensor, prior).t_checked(226.44)
+        assert abs(value - fine) <= 1e-9 * fine
+
+    def test_golden_high_snr_shape(self, golden_network):
+        """Over [10, 1e6], t is nondecreasing and t' finite and nonincreasing."""
+        powers = np.geomspace(10.0, 1e6, 200).tolist()
+        for sensor in golden_network.sensors:
+            kernel = fisher.InfoKernel(sensor, golden_network.prior)
+            values = [kernel.t_checked(power) for power in powers]
+            slopes = [kernel.t_prime(power) for power in powers]
+            assert np.all(np.diff(values) >= 0.0)
+            assert np.all(np.isfinite(slopes)) and np.all(np.diff(slopes) <= 0.0)
 
 
 class TestTkDerivative:

@@ -185,19 +185,42 @@ class TestPhi:
         assert phi[0] == 0.0 and phi[-1] == 1.0
 
     def test_cell_tables_stack_probabilities_over_slopes(self, reference_sensor):
-        # The fused build is bit for bit the two tables written out apart.
+        # The fused build is bit for bit the two tables written out apart: a
+        # cell wholly above s (z_{l-1} > 0) is the difference of upper tails
+        # Phi(-z_{l-1}) - Phi(-z_l), any other the difference of CDF values.
         q = quantcomm.make_quantizer(reference_sensor.bits, reference_sensor.tau)
         sigma = reference_sensor.sigma_n
         s = np.linspace(-9.0, 9.0, 301)
         z = (q.boundaries[None, :] - s[:, None]) / sigma
         cdf = np.concatenate((np.zeros((s.size, 1)), quantcomm._phi(z[:, 1:-1]),
                               np.ones((s.size, 1))), axis=1)
+        tail = quantcomm._phi(-z)
+        probabilities = np.where(z[:, :-1] > 0.0, tail[:, :-1] - tail[:, 1:],
+                                 np.diff(cdf, axis=1))
         g = np.zeros_like(z)
         g[:, 1:-1] = np.exp(-0.5 * z[:, 1:-1] * z[:, 1:-1])
         cells = quantcomm._cell_tables(s, q, sigma)
         assert cells.shape == (2 * s.size, q.m)
-        assert cells[:s.size].tobytes() == np.diff(cdf, axis=1).tobytes()
+        assert np.any(z[:, 1:-1] > 0.0) and np.any(z[:, 1:-1] < 0.0)
+        assert cells[:s.size].tobytes() == probabilities.tobytes()
         assert cells[s.size:].tobytes() == (g[:, :-1] - g[:, 1:]).tobytes()
+
+    def test_cells_far_above_s_keep_relative_accuracy(self):
+        # Cells far above the observation have probabilities far below the
+        # 1e-16 rounding of CDF values near 1; each must still be within
+        # 1e-13 relative of mpmath wherever it is at least 1e-300.
+        mpmath = pytest.importorskip("mpmath")
+        q = quantcomm.make_quantizer(3, 3.5)
+        sigma = 0.25
+        s = np.linspace(0.0, 3.0, 13)
+        cells = quantcomm._cell_tables(s, q, sigma)[:s.size]
+        with mpmath.workdps(50):
+            for row, point in zip(cells, s.tolist()):
+                cdf = [mpmath.ncdf((mpmath.mpf(b) - point) / sigma) for b in q.boundaries.tolist()]
+                for l, value in enumerate(row.tolist()):
+                    exact = cdf[l + 1] - cdf[l]
+                    if exact >= 1e-300:
+                        assert abs(value - exact) <= 1e-13 * exact, (point, l)
 
 
 class TestAlphaMatrix:
