@@ -17,18 +17,21 @@ to one call signature; the CLI's --alg choices are its keys.
 
 The continuous subproblem (maximize the summed information of a fixed
 active set subject to the budget) is concave and separable; it is solved
-by bisection on the budget multiplier with a safeguarded Newton root per
-sensor, falling back to projected gradient if the per-sensor derivative
-turns out not to be monotone.  Each sensor's step is `_Curve.power`, the
-maximizer of t(P) - lam * P; greedy's dual bound (`_dual_bounds`) sums the
-matching `_Curve.term`s, so the clip-or-root rule is written once.  Twins
-(equal Sensors, which compare by value) share one curve (`_shared_curves`):
-greedy splits one candidate per twin slot, and each bisection step roots a
-twin class once, with results bit-identical to treating every sensor apart.
+by bisection on the budget multiplier, falling back to projected gradient
+if the per-sensor derivative turns out not to be monotone.  Each sensor's
+maximizer of t(P) - lam * P is an end of [floor, p_tot] or the root of
+t' = lam, bracketed by a `_SlopeTable` of the slopes already evaluated and
+refined only as far as the bisection's decision needs; greedy's dual bound
+(`_dual_bounds`) sums the matching `_Curve.term`s, which root through the
+same table, so the clip-or-root rule is written once.  Twins (equal
+Sensors, which compare by value) share one curve (`_shared_curves`):
+greedy splits one candidate per twin slot, and a split keeps one table per
+twin class, with results bit-identical to treating every sensor apart.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import warnings
@@ -195,44 +198,19 @@ def solve_usu(network: Network, p_tot: float) -> Allocation:
 
 @dataclass(frozen=True)
 class PowerSolution:
-    """Continuous subproblem output: powers plus solver diagnostics."""
+    """Continuous subproblem output: powers plus solver diagnostics.
+
+    slope_evaluations counts the t' calls the split made itself: bracket
+    refinements, the stationarity check and any projected-gradient steps,
+    not the endpoint slopes its curves were built with.
+    """
 
     powers: np.ndarray
     multiplier: float
     kkt_residual: float
     iterations: int
     fallback: bool
-
-
-def _newton_root(f: Callable[[float], float], lo: float, hi: float,
-                 f_lo: float, x0: float, x_tol: float) -> float:
-    """Root of a decreasing f on [lo, hi] with f(lo) = f_lo > 0 > f(hi).
-
-    Newton-like secant steps through the last two evaluations, safeguarded
-    by the shrinking bracket; steps leaving the bracket fall back to
-    bisection.  Iterates to x accuracy (no residual shortcut), because a
-    residual-based stop returns stale points on flat stretches of f and
-    the budget loop upstream needs the summed response to keep moving.
-    """
-    x = min(max(x0, lo), hi)
-    if x == lo or x == hi:
-        x = 0.5 * (lo + hi)
-    x_prev, f_prev = lo, f_lo
-    for _ in range(100):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= x_tol:
-            break
-        denom = fx - f_prev
-        step = x - fx * (x - x_prev) / denom if denom != 0.0 and x != x_prev else math.nan
-        x_prev, f_prev = x, fx
-        x = step if lo < step < hi else 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    slope_evaluations: int
 
 
 def _project_budget(v: np.ndarray, total: float) -> np.ndarray:
@@ -246,17 +224,22 @@ def _project_budget(v: np.ndarray, total: float) -> np.ndarray:
 
 def _projected_gradient(t_primes: Sequence[Callable[[float], float]],
                         p_tot: float, floor: float,
-                        steps: int = 400) -> np.ndarray:
-    """Diminishing-step projected gradient ascent; fallback path only."""
+                        steps: int = 400) -> tuple:
+    """Diminishing-step projected gradient ascent; fallback path only.
+
+    Returns the powers and the number of t' calls made.
+    """
     m = len(t_primes)
     powers = np.full(m, p_tot / m)
+    evaluations = 0
     for r in range(1, steps + 1):
         grad = np.array([tp(max(p, floor)) for tp, p in zip(t_primes, powers)])
+        evaluations += m
         norm = float(np.linalg.norm(grad))
         if norm == 0.0:
             break
         powers = _project_budget(powers + (p_tot / math.sqrt(r)) * grad / norm, p_tot)
-    return powers
+    return powers, evaluations
 
 
 class _Curve:
@@ -264,10 +247,11 @@ class _Curve:
 
     Evaluates t' at the power floor (POWER_FLOOR_SCALE * p_tot) and at
     p_tot once, when built; `concave` is False when t' rises between them.
-    `power` is the per-sensor step of the budget split and `term` the
-    per-sensor term of the Lagrangian bound; both reach the maximizer of
-    t(P) - lam * P through the one clip-or-root rule below.  `t` is needed
-    only by `term`.
+    The maximizer of t(P) - lam * P is an end of the interval when an
+    endpoint slope says so (`_endpoint`), and otherwise the root of
+    t' = lam, found to x_tol by a `_SlopeTable`: the budget split keeps one
+    table per curve, and `term`, the per-sensor term of the Lagrangian
+    bound, starts a fresh one.  `t` is needed only by `term`.
     """
 
     def __init__(self, t_prime: Callable[[float], float], p_tot: float,
@@ -276,10 +260,10 @@ class _Curve:
         self.t = t
         self.p_tot = p_tot
         self.floor = POWER_FLOOR_SCALE * p_tot
+        self.x_tol = 1e-12 * p_tot
         self.at_floor = t_prime(self.floor)
         self.at_top = t_prime(p_tot)
         self.concave = not self.at_top > self.at_floor + 1e-12 * abs(self.at_floor) + 1e-300
-        self._root = 0.5 * p_tot
 
     def _endpoint(self, lam: float) -> float | None:
         """The end of [floor, p_tot] where t(P) - lam * P peaks, or None if it peaks inside."""
@@ -289,25 +273,13 @@ class _Curve:
             return self.p_tot
         return None
 
-    def power(self, lam: float, x0: float) -> tuple:
-        """Maximizer of t(P) - lam * P on [floor, p_tot], and whether it is interior.
-
-        An interior maximizer is the root of t' = lam, warm-started at x0.
-        """
-        end = self._endpoint(lam)
-        if end is not None:
-            return end, False
-        t_prime = self.t_prime
-        return _newton_root(lambda x: t_prime(x) - lam, self.floor, self.p_tot,
-                            self.at_floor - lam, x0, 1e-12 * self.p_tot), True
-
     def term(self, lam: float, power: float | None = None) -> float:
         """Upper bound on max_P [t(P) - lam * P] over [0, p_tot], for concave t.
 
         At the floor end the bound is t(floor), not t(floor) - lam * floor,
         which can undershoot the max over [0, floor].  `power` is a known
-        interior maximizer, used as given; otherwise the root starts from
-        the last root this curve found.
+        interior maximizer, used as given; otherwise a fresh slope table
+        finds it.
         """
         end = self._endpoint(lam)
         if end == self.floor:
@@ -315,9 +287,77 @@ class _Curve:
         if end is not None:
             power = end
         elif power is None:
-            power, _ = self.power(lam, self._root)
-            self._root = power
+            table = _SlopeTable(self)
+            lo, hi = table.ends(lam)
+            while hi - lo > self.x_tol:
+                table.refine(lam)
+                lo, hi = table.ends(lam)
+            power = 0.5 * (lo + hi)
         return self.t(power) - lam * power
+
+
+class _SlopeTable:
+    """The (P, t'(P)) points evaluated on one curve, sorted by P, starting from its endpoints.
+
+    t' is nonincreasing (the concavity `_Curve.concave` guards), so for a
+    multiplier lam strictly between the endpoint slopes the table brackets
+    the root of t'(P) = lam, at no cost, by its last point with t' > lam
+    and the next one.  `ends` reads that pair by bisection, which yields a
+    sign change even where rounding breaks the ordering.  `refine` adds one
+    point inside the bracket by false position.  Once the same end has
+    stayed put through two steps at one lam, the next step halves that
+    end's slope gap (the Illinois rule of Dowell and Jarratt, BIT 1971);
+    once it has stayed put through three, steps bisect until the other end
+    moves.  Without the bisection, brackets where t' falls by many orders
+    of magnitude (the saturated high-SNR range) close a few bits a step.
+    """
+
+    def __init__(self, curve: _Curve):
+        self.curve = curve
+        self.powers = [curve.floor, curve.p_tot]
+        self.keys = [-curve.at_floor, -curve.at_top]  # -t', nondecreasing in P
+        self.evaluations = 0
+        self._lam = math.nan
+        self._kept = 0  # steps in a row at _lam that kept the low (< 0) or high (> 0) end
+
+    def _bracket(self, lam: float) -> int:
+        """Index i with t'(powers[i - 1]) > lam >= t'(powers[i]); lam must be interior."""
+        return bisect.bisect_left(self.keys, -lam, 1, len(self.keys) - 1)
+
+    def ends(self, lam: float) -> tuple:
+        """(lo, hi) around the maximizer of t(P) - lam * P on [floor, p_tot].
+
+        Both are the maximizer when it is an end of the interval or a
+        tabled point where t' equals lam.
+        """
+        end = self.curve._endpoint(lam)
+        if end is not None:
+            return end, end
+        i = self._bracket(lam)
+        if self.keys[i] == -lam:
+            return self.powers[i], self.powers[i]
+        return self.powers[i - 1], self.powers[i]
+
+    def refine(self, lam: float) -> None:
+        """Evaluate t' once inside the open bracket at an interior lam."""
+        if lam != self._lam:
+            self._lam, self._kept = lam, 0
+        i = self._bracket(lam)
+        lo, hi = self.powers[i - 1], self.powers[i]
+        gap_lo, gap_hi = -self.keys[i - 1] - lam, lam + self.keys[i]  # both > 0
+        if self._kept == -2:
+            gap_lo *= 0.5
+        elif self._kept == 2:
+            gap_hi *= 0.5
+        x = lo + (hi - lo) * (gap_lo / (gap_lo + gap_hi))
+        if abs(self._kept) > 2 or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        slope = self.curve.t_prime(x)
+        self.evaluations += 1
+        self.powers.insert(i, x)
+        self.keys.insert(i, -slope)
+        kept = 1 if slope > lam else -1
+        self._kept = self._kept + kept if self._kept * kept > 0 else kept
 
 
 def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolution:
@@ -325,19 +365,31 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
 
     Factored out so tests can exercise the solver (including the projected
     gradient fallback) on synthetic derivative functions.  A one-sensor set
-    takes the whole budget at multiplier t'(p_tot).  Twins share one curve
-    object (see _shared_curves); within one bisection step, a curve already
-    stepped from the same warm start reuses that (power, interior) pair
-    instead of finding its root again.  `_Curve.power` depends only on the
-    curve, the multiplier and the warm start, so the reuse is exact, and
-    twins that start level stay level, which leaves one root per twin class
-    per step.
+    takes the whole budget at multiplier t'(p_tot).
+
+    Each distinct curve gets one `_SlopeTable` for this split, so each
+    bisection step at lam reads every sensor's bracket [lo, hi] around its
+    maximizer from the points earlier steps evaluated.  When the summed
+    brackets, widened by m * x_tol, lie wholly above or below the budget
+    band p_tot * (1 +- BUDGET_RTOL), the step takes that side with no new
+    evaluation.  Otherwise every open bracket is refined by one step, in
+    lockstep, until the sums decide or every bracket is at most x_tol wide;
+    then the bracket midpoints are the powers and their sum is tested
+    against the band.  Every point a root solve to x_tol could return lies
+    within x_tol of its bracket, so the decision is the one such a solve
+    would make, and the multiplier path is plain bisection's.  Twins share
+    one curve (see _shared_curves) and hence one table; the split equals
+    one curve per sensor, byte for byte, because each table depends only on
+    its curve and the multipliers visited.  The bisection gives up once
+    the multiplier bracket is within 1e-16 of its upper end, relative, so
+    the tiny multipliers of large budgets (down to about 1e-17 at
+    p_tot = 1e3 and 1e-176 at 1e4 on golden) still resolve.
     """
     m = len(curves)
     if m == 0:
         raise ValueError("active set must be nonempty")
     if m == 1:
-        return PowerSolution(np.array([p_tot]), curves[0].at_top, 0.0, 0, False)
+        return PowerSolution(np.array([p_tot]), curves[0].at_top, 0.0, 0, False, 0)
 
     if not all(curve.concave for curve in curves):
         # Derivative rises over the interval: the concavity the dual method
@@ -347,22 +399,23 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
             "falling back to projected gradient",
             ConcavityWarning,
         )
-        powers = _projected_gradient([curve.t_prime for curve in curves], p_tot,
-                                     curves[0].floor)
+        powers, evaluations = _projected_gradient([curve.t_prime for curve in curves], p_tot,
+                                                  curves[0].floor)
         if not np.all(np.isfinite(powers)):
             raise ConcavityViolation(
                 "projected-gradient fallback produced non-finite powers"
             )
-        return PowerSolution(powers, math.nan, math.inf, 0, True)
+        return PowerSolution(powers, math.nan, math.inf, 0, True, evaluations)
 
     lam_hi = float(np.max([curve.at_floor for curve in curves]))
     if lam_hi <= 0.0:
         # No sensor gains anything from power; split the budget evenly.
-        return PowerSolution(np.full(m, p_tot / m), 0.0, 0.0, 0, False)
+        return PowerSolution(np.full(m, p_tot / m), 0.0, 0.0, 0, False, 0)
     lam_lo = 0.0
-    powers = np.full(m, p_tot / m)
-    interior = np.zeros(m, dtype=bool)
-    total = math.inf
+    tables = {curve: _SlopeTable(curve) for curve in curves}
+    members = [tables[curve] for curve in curves]
+    widen = sum(curve.x_tol for curve in curves)
+    slack = BUDGET_RTOL * p_tot
     iterations = 0
     while True:
         iterations += 1
@@ -372,20 +425,30 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
                 f"{MAX_ITER} iterations"
             )
         lam = 0.5 * (lam_lo + lam_hi)
-        step = {}
-        for j, curve in enumerate(curves):
-            key = (curve, powers[j])
-            if key not in step:
-                step[key] = curve.power(lam, powers[j])
-            powers[j], interior[j] = step[key]
-        total = float(np.sum(powers))
-        if abs(total - p_tot) <= BUDGET_RTOL * p_tot:
+        side = None  # +1: the powers spend too much, -1: too little, 0: on budget
+        while side is None:
+            ends = {table: table.ends(lam) for table in tables.values()}
+            brackets = [ends[table] for table in members]
+            if sum(lo for lo, _ in brackets) - widen - p_tot > slack:
+                side = 1
+            elif p_tot - sum(hi for _, hi in brackets) - widen > slack:
+                side = -1
+            else:
+                open_tables = [table for table, (lo, hi) in ends.items()
+                               if hi - lo > table.curve.x_tol]
+                for table in open_tables:
+                    table.refine(lam)
+                if not open_tables:
+                    powers = np.array([0.5 * (lo + hi) for lo, hi in brackets])
+                    total = float(np.sum(powers))
+                    side = 0 if abs(total - p_tot) <= slack else 1 if total > p_tot else -1
+        if side == 0:
             break
-        if total > p_tot:
+        if side > 0:
             lam_lo = lam
         else:
             lam_hi = lam
-        if lam_hi - lam_lo <= 1e-16 * max(lam_hi, 1.0):
+        if lam_hi - lam_lo <= 1e-16 * lam_hi:
             raise NoConvergence(
                 "multiplier bracket collapsed before the budget matched; "
                 "the summed power response may be discontinuous"
@@ -393,16 +456,18 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     # Stationarity holds for clipped sensors by the clip tests themselves;
     # check the interior coordinates against the final multiplier before the
     # (at most 1e-8 relative) feasibility rescale below, once per distinct
-    # (curve, power) pair, as in the step.
-    pairs = dict.fromkeys((curves[j], powers[j]) for j in np.nonzero(interior)[0])
+    # (curve, power) pair, so once per twin class.
+    interior = [j for j, curve in enumerate(curves) if curve._endpoint(lam) is None]
+    pairs = dict.fromkeys((curves[j], powers[j]) for j in interior)
     residual = max((abs(curve.t_prime(power) - lam) for curve, power in pairs), default=0.0)
+    evaluations = len(pairs) + sum(table.evaluations for table in tables.values())
     if residual > KKT_RTOL * max(lam, 1e-300):
         raise NoConvergence(
             f"stationarity residual {residual:.3e} exceeds {KKT_RTOL:g} * multiplier"
         )
     if total > p_tot:
         powers *= p_tot / total
-    return PowerSolution(powers, lam, residual, iterations, False)
+    return PowerSolution(powers, lam, residual, iterations, False, evaluations)
 
 
 def _shared_curves(sensors: Sequence[Sensor], prior: Prior, p_tot: float) -> list:

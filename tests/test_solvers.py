@@ -2,6 +2,8 @@ import dataclasses
 import math
 import re
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -147,27 +149,29 @@ class TestPowerAllocation:
         assert curves[1] is curves[0]
         assert len({id(curve) for curve in curves}) == 1 + len(variants)
 
-    def test_twins_take_one_residual_slope(self, default_prior):
-        # Six twins end at one power, so the stationarity check after the
-        # last bisection step evaluates t' once, not once per sensor.
+    def test_twins_take_one_residual_slope(self, default_prior, monkeypatch):
+        # Six twins share one slope table and end at one power, so the
+        # stationarity check after the last refinement evaluates t' once,
+        # not once per sensor.
         net = model.homogeneous_network(6)
         curve = solvers._shared_curves(net.sensors, default_prior, 12.0)[0]
         events = []
-        t_prime, power = curve.t_prime, curve.power
+        t_prime, refine = curve.t_prime, solvers._SlopeTable.refine
 
         def logged_t_prime(x):
             events.append("t'")
             return t_prime(x)
 
-        def logged_power(lam, x0):
-            result = power(lam, x0)
+        def logged_refine(table, lam):
+            refine(table, lam)
             events.append("step")
-            return result
 
-        curve.t_prime, curve.power = logged_t_prime, logged_power
+        curve.t_prime = logged_t_prime
+        monkeypatch.setattr(solvers._SlopeTable, "refine", logged_refine)
         solution = solvers._allocate_power_core([curve] * 6, 12.0)
         assert len(set(solution.powers.tolist())) == 1
         assert solution.kkt_residual <= solvers.KKT_RTOL * solution.multiplier
+        assert events.count("step") == events.count("t'") - 1 == solution.slope_evaluations - 1
         last_step = len(events) - 1 - events[::-1].index("step")
         assert events[last_step + 1:] == ["t'"]
 
@@ -243,6 +247,68 @@ class TestPowerAllocation:
         lam = a.sum() / (p_tot + 2.0)
         expected = a / lam - 1.0
         np.testing.assert_allclose(solution.powers, expected, rtol=1e-6)
+
+
+def _log_curves(a, b, p_tot):
+    """Curves of t_i(P) = a_i * log(1 + b_i * P), one per (a_i, b_i)."""
+    return [solvers._Curve(lambda x, a=a_i, b=b_i: a * b / (1.0 + b * x), p_tot)
+            for a_i, b_i in zip(a, b)]
+
+
+class TestSplitProperties:
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(
+        lam=st.floats(1e-3, 1e3),
+        sensors=st.lists(st.tuples(st.floats(1e-2, 50.0), st.floats(1e-2, 1e2)),
+                         min_size=2, max_size=8),
+    )
+    def test_interior_split_matches_the_closed_form(self, lam, sensors):
+        # Each sensor's power P_i and b_i are drawn, and a_i puts every
+        # maximizer at P_i for the multiplier lam; the split only sees a, b
+        # and the budget, where lam* = sum a / (p_tot + sum 1 / b).
+        powers, b = (np.array(column) for column in zip(*sensors))
+        a = lam * (1.0 / b + powers)
+        p_tot = float(np.sum(powers))
+        exact = a.sum() / (p_tot + np.sum(1.0 / b))
+        solution = solvers._allocate_power_core(_log_curves(a, b, p_tot), p_tot)
+        # The bisection stops once the budget is met to BUDGET_RTOL, and each
+        # root is bracketed to x_tol, which bounds the multiplier's error.
+        x_tol = 1e-12 * p_tot
+        slack = (solvers.BUDGET_RTOL * p_tot + len(a) * x_tol) / (p_tot + np.sum(1.0 / b))
+        assert abs(solution.multiplier / exact - 1.0) <= slack * (1.0 + 1e-6) + 1e-14
+        # At the returned multiplier every power is its closed-form root to
+        # x_tol, before the final rescale by at most BUDGET_RTOL.
+        roots = a / solution.multiplier - 1.0 / b
+        assert np.all(np.abs(solution.powers - roots)
+                      <= x_tol + solvers.BUDGET_RTOL * roots + 1e-12 * np.abs(roots))
+        assert abs(solution.powers.sum() - p_tot) <= solvers.BUDGET_RTOL * p_tot
+        assert solution.powers.sum() <= p_tot * (1.0 + 1e-15)
+        residual = np.max(np.abs(a * b / (1.0 + b * solution.powers) - solution.multiplier))
+        assert solution.kkt_residual <= solvers.KKT_RTOL * solution.multiplier
+        assert residual <= solvers.KKT_RTOL * solution.multiplier
+        assert not solution.fallback
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(
+        classes=st.lists(st.tuples(st.floats(1e-2, 10.0), st.floats(1e-2, 1e2)),
+                         min_size=1, max_size=4),
+        pattern=st.lists(st.integers(0, 3), min_size=2, max_size=10),
+        p_tot=st.floats(0.1, 200.0),
+    )
+    def test_shared_curve_splits_as_separate_equal_curves(self, classes, pattern, p_tot):
+        pattern = [c % len(classes) for c in pattern]
+        a, b = zip(*classes)
+        shared = _log_curves(a, b, p_tot)
+        with_twins = solvers._allocate_power_core([shared[c] for c in pattern], p_tot)
+        apart = solvers._allocate_power_core(
+            _log_curves([a[c] for c in pattern], [b[c] for c in pattern], p_tot), p_tot)
+        assert with_twins.powers.tolist() == apart.powers.tolist()
+        assert (repr(with_twins.multiplier), repr(with_twins.kkt_residual),
+                with_twins.iterations, with_twins.fallback) \
+            == (repr(apart.multiplier), repr(apart.kkt_residual), apart.iterations,
+                apart.fallback)
+        # A twin class's table is refined, and its residual taken, once.
+        assert with_twins.slope_evaluations <= apart.slope_evaluations
 
 
 class TestGreedy:
@@ -461,6 +527,63 @@ class TestGreedyPruning:
         monkeypatch.setattr(solvers, "trace_fim", lambda powers, selection, network: 10.0)
         alloc = solvers.solve_greedy(model.generate_deployment(44, 4), 5.0)
         assert alloc.selection.tolist() == [1, 0, 0, 0]
+
+
+class TestSplitWork:
+    @pytest.mark.parametrize("case, newton_split_calls", [
+        ("golden@5", 333),
+        ("homogeneous-10@5", 1241),
+    ])
+    def test_slope_evaluations_at_most_half_of_rooting_each_step(self, case, newton_split_calls,
+                                                                golden_network, monkeypatch):
+        # Rooting every sensor afresh at each bisection step (safeguarded
+        # Newton from the previous step's power) took newton_split_calls t'
+        # calls inside the splits of these solves.  The slope tables carry
+        # brackets across steps, and slope_evaluations counts every t' call a
+        # split makes.
+        if case == "golden@5":
+            network, eps0 = golden_network, solvers.DEFAULT_EPS0
+        else:
+            network, eps0 = model.homogeneous_network(10), 1e-5
+        fisher._kernel.cache_clear()
+        reported = []
+        depth = [0]
+        made = [0]
+        core = solvers._allocate_power_core
+        t_prime = fisher.InfoKernel.t_prime
+
+        def counted_core(curves, p_tot):
+            depth[0] += 1
+            try:
+                solution = core(curves, p_tot)
+            finally:
+                depth[0] -= 1
+            reported.append(solution.slope_evaluations)
+            return solution
+
+        def counted_t_prime(self, power):
+            made[0] += depth[0] > 0
+            return t_prime(self, power)
+
+        monkeypatch.setattr(solvers, "_allocate_power_core", counted_core)
+        monkeypatch.setattr(fisher.InfoKernel, "t_prime", counted_t_prime)
+        solvers.solve_greedy(network, 5.0, eps0)
+        assert all(isinstance(count, int) for count in reported)
+        assert sum(reported) == made[0]
+        assert 0 < sum(reported) <= newton_split_calls // 2
+
+
+class TestHighSnrGreedy:
+    @pytest.mark.parametrize("p_tot, objective, selected", [
+        (1e3, 113.30507324053, 20),
+        # Saturated: tr(C^-1) + sum_k t_k(inf), which ufa, usu and mckp reach too.
+        (1e4, 114.58718623297428, 20),
+    ])
+    def test_greedy_solves_large_budgets(self, golden_network, p_tot, objective, selected):
+        alloc = solvers.solve_greedy(golden_network, p_tot)
+        solvers.verify_allocation(alloc, golden_network, p_tot)
+        assert alloc.objective == pytest.approx(objective, rel=1e-9)
+        assert alloc.num_selected == selected
 
 
 class TestSharedKernels:
