@@ -194,26 +194,44 @@ def _hamming_matrix(bits: int) -> np.ndarray:
     return dist
 
 
+@lru_cache(maxsize=32)
+def _distance_exponents(bits: int):
+    """Exponents of p and 1 - p at each Hamming distance d = 0..bits.
+
+    Returns (d, rest, d_less, rest_less) with rest = bits - d, and d - 1 and
+    rest - 1 floored at zero: the entries' exponents, then those of the
+    slope's rising and falling terms, whose factor d or rest is zero where
+    the floor applies.  Cached, so an entry or slope evaluation builds no
+    index arrays of its own.
+    """
+    d = np.arange(bits + 1)
+    exponents = (d, bits - d, np.maximum(d - 1, 0), np.maximum(bits - d - 1, 0))
+    for array in exponents:
+        array.setflags(write=False)
+    return exponents
+
+
 @lru_cache(maxsize=4096)
 def _alpha_entries(bits: int, p: float) -> np.ndarray:
     """Confusion probabilities p**d * (1-p)**(L-d) over codeword Hamming distance d.
 
     Computed once per distance d = 0..L and spread over the matrix by the
-    Hamming distances, which is elementwise the same arithmetic.
+    Hamming distances, which is elementwise the same arithmetic.  The
+    matrix is symmetric, and for p <= 1/2 its smallest entry is p**L, at
+    [0, -1] (codewords 0 and M - 1 differ in every bit).
     """
-    d = np.arange(bits + 1)
-    with np.errstate(invalid="ignore"):
-        entries = (p ** d * (1.0 - p) ** (bits - d))[_hamming_matrix(bits)]
+    d, rest, _, _ = _distance_exponents(bits)
+    entries = (p ** d * (1.0 - p) ** rest)[_hamming_matrix(bits)]
     entries.setflags(write=False)
     return entries
 
 
 @lru_cache(maxsize=4096)
 def _alpha_slope(bits: int, p: float) -> np.ndarray:
-    """Elementwise derivative of the confusion entries with respect to p."""
-    d = np.arange(bits + 1)
-    rising = d * p ** np.maximum(d - 1, 0) * (1.0 - p) ** (bits - d)
-    falling = (bits - d) * p ** d * (1.0 - p) ** np.maximum(bits - d - 1, 0)
+    """Elementwise derivative of the confusion entries with respect to p; symmetric."""
+    d, rest, d_less, rest_less = _distance_exponents(bits)
+    rising = d * p ** d_less * (1.0 - p) ** rest
+    falling = rest * p ** d * (1.0 - p) ** rest_less
     slope = (rising - falling)[_hamming_matrix(bits)]
     slope.setflags(write=False)
     return slope

@@ -380,10 +380,13 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     would make, and the multiplier path is plain bisection's.  Twins share
     one curve (see _shared_curves) and hence one table; the split equals
     one curve per sensor, byte for byte, because each table depends only on
-    its curve and the multipliers visited.  The bisection gives up once
-    the multiplier bracket is within 1e-16 of its upper end, relative, so
-    the tiny multipliers of large budgets (down to about 1e-17 at
-    p_tot = 1e3 and 1e-176 at 1e4 on golden) still resolve.
+    its curve and the multipliers visited.  The bisection raises
+    NoConvergence as soon as the bracket's midpoint rounds to one of its
+    ends, so the tiny multipliers of large budgets (down to about 1e-17 at
+    p_tot = 1e3 and 1e-176 at 1e4 on golden) still resolve.  Where every
+    positive multiplier spends too little, as when each slope vanishes
+    short of the budget (golden greedy at p_tot = 1e5), that is the
+    bracket [0, 5e-324], after about 1,075 halvings.
     """
     m = len(curves)
     if m == 0:
@@ -425,6 +428,11 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
                 f"{MAX_ITER} iterations"
             )
         lam = 0.5 * (lam_lo + lam_hi)
+        if lam == lam_lo or lam == lam_hi:
+            raise NoConvergence(
+                f"no positive multiplier spends the budget: the multiplier bracket "
+                f"[{lam_lo!r}, {lam_hi!r}] collapsed before the budget matched"
+            )
         side = None  # +1: the powers spend too much, -1: too little, 0: on budget
         while side is None:
             ends = {table: table.ends(lam) for table in tables.values()}
@@ -448,11 +456,6 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
             lam_lo = lam
         else:
             lam_hi = lam
-        if lam_hi - lam_lo <= 1e-16 * lam_hi:
-            raise NoConvergence(
-                "multiplier bracket collapsed before the budget matched; "
-                "the summed power response may be discontinuous"
-            )
     # Stationarity holds for clipped sensors by the clip tests themselves;
     # check the interior coordinates against the final multiplier before the
     # (at most 1e-8 relative) feasibility rescale below, once per distinct

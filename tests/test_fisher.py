@@ -47,26 +47,76 @@ class TestGKernel:
             assert value >= 0.0 and np.isfinite(value)
 
     def test_expected_kernels_match_reference_formulas(self, golden_network):
-        # The kernel and its p-slope written out in full; the shared core
-        # must reproduce them bit for bit.
-        for sensor in golden_network.sensors[:3]:
+        # The kernel, its p-slope and the Kronrod error estimate written out
+        # in full; the shared core must reproduce them bit for bit.  Rows
+        # are summed by a product with ones, as the core does.  Below about
+        # p = 1.26e-100, p**3 no longer clears twice the 1e-300 floor, and
+        # the core takes its masked branch.
+        def kernel_rows(cells, alpha, slope):
+            b, bd = np.split(cells, 2)
+            num, den = bd @ alpha.T, b @ alpha.T
+            num_d, den_d = bd @ slope.T, b @ slope.T
+            keep = den >= 1e-300
+            safe = np.where(keep, den, 1.0)
+            ones = np.ones(alpha.shape[0])
+            r = np.where(keep, num / safe, 0.0)
+            return (np.where(keep, num * num / safe, 0.0) @ ones,
+                    (r * (2.0 * num_d - r * den_d)) @ ones, keep.all())
+
+        p_values = np.concatenate((np.geomspace(1e-8, 0.49, 50),
+                                   [1.26e-100, 1.25e-100, 1e-100, 1e-101, 1e-120, 1e-200, 0.0]))
+        floored = 0
+        for sensor in (golden_network.sensors[i] for i in (0, 1, 3)):
             kernel = fisher.InfoKernel(sensor, golden_network.prior)
-            w, b, bd = kernel._weights, kernel._b, kernel._bd
-            for p in np.geomspace(1e-8, 0.49, 50):
+            w = kernel._weights
+            gap_weights, kronrod_weights, kronrod_cells = kernel._kronrod_check
+            panels = gap_weights.shape[0]
+            for p in p_values:
                 p = float(p)
                 alpha = quantcomm._alpha_entries(sensor.bits, p)
                 slope = quantcomm._alpha_slope(sensor.bits, p)
-                num = bd @ alpha.T
-                den = b @ alpha.T
-                num_d = bd @ slope.T
-                den_d = b @ slope.T
-                keep = den >= 1e-300
-                safe = np.where(keep, den, 1.0)
-                g = np.sum(np.where(keep, num * num / safe, 0.0), axis=1)
-                r = np.where(keep, num / safe, 0.0)
-                dg = np.sum(r * (2.0 * num_d - r * den_d), axis=1)
+                g, dg, kept = kernel_rows(kernel._cells, alpha, slope)
+                gk, _, _ = kernel_rows(kronrod_cells, alpha, slope)
+                floored += not kept
+                gaps = [gap_weights[i, 0] @ g_i - kronrod_weights[i, 0] @ gk_i
+                        for i, (g_i, gk_i) in enumerate(zip(np.split(g, panels),
+                                                            np.split(gk, panels)))]
                 assert kernel.expected_g(p) == float(w @ g)
+                assert kernel.expected_g(p, with_check=True) == (
+                    float(w @ g), panels * float(max(abs(gap) for gap in gaps)))
                 assert kernel.expected_g_slope(p) == float(w @ dg)
+        # Sensors 1 and 3 (sigma_s 21 and 38) drop terms from p = 1e-101 down.
+        assert floored == 2 * 4
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(
+        bits=st.integers(1, 5),
+        p=st.floats(0.0, 0.5),
+        tau=st.floats(0.05, 20.0),
+        sigma_n=st.floats(0.05, 5.0),
+        gain=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2).filter(
+            lambda g: abs(g[0]) + abs(g[1]) > 1e-3),
+        factor=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        ridge=st.floats(0.05, 2.0),
+    )
+    def test_properties_the_floor_decision_rests_on(self, bits, p, tau, sigma_n, gain, factor,
+                                                     ridge):
+        # The core multiplies by the confusion matrices untransposed, and
+        # skips the floor mask when p**L clears it: every denominator is a
+        # convex mix of confusion entries, the smallest of which is p**L.
+        alpha = quantcomm._alpha_entries(bits, p)
+        slope = quantcomm._alpha_slope(bits, p)
+        assert np.array_equal(alpha, alpha.T) and np.array_equal(slope, slope.T)
+        assert np.all(np.abs(alpha.sum(axis=1) - 1.0) <= 1e-15)
+        assert np.all(np.abs(slope.sum(axis=1)) <= 1e-15 * bits * 2 ** bits)
+        base = np.reshape(factor, (2, 2))
+        prior = model.make_prior(base @ base.T + ridge * np.eye(2))
+        sensor = model.Sensor(gain=np.array(gain), sigma_n=sigma_n, h_mag=1.0, sigma_nu=1.0,
+                              bits=bits, tau=tau)
+        kernel = fisher.InfoKernel(sensor, prior)
+        for cells in (kernel._cells, kernel._kronrod_check[2]):
+            den = np.split(cells, 2)[0] @ alpha
+            assert den.min() >= p ** bits * (1.0 - 1e-15)
 
 
 class TestTk:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fimalloc import cli, fisher, model, solvers, verify
-from fimalloc.errors import ConcavityWarning, GridMismatch, TooLarge
+from fimalloc.errors import ConcavityWarning, GridMismatch, NoConvergence, TooLarge
 from conftest import random_network
 
 
@@ -247,6 +247,29 @@ class TestPowerAllocation:
         lam = a.sum() / (p_tot + 2.0)
         expected = a / lam - 1.0
         np.testing.assert_allclose(solution.powers, expected, rtol=1e-6)
+
+    @pytest.mark.parametrize("t_prime, p_tot, bracket, most_steps", [
+        # Zero slope beyond P = 10: two sensors use at most 20 of 100 at any
+        # lam > 0, so the bisection halves lam all the way down to 0.
+        (lambda p: max(0.0, 1.0 - p / 10.0), 100.0, "[0.0, 5e-324]", 1100),
+        # The slope drops from 1 to 0.5 at P = 5: the powers jump from 10 to
+        # 24 in all as lam falls through 0.5, past the budget of 12.
+        (lambda p: 1.0 if p < 5.0 else 0.5, 12.0, "[0.5, 0.5000000000000001]", 100),
+    ], ids=["saturating", "jump"])
+    def test_collapse_raises_once_the_bracket_cannot_split(self, monkeypatch, t_prime, p_tot,
+                                                           bracket, most_steps):
+        multipliers = set()
+        ends = solvers._SlopeTable.ends
+
+        def logged_ends(table, lam):
+            multipliers.add(lam)
+            return ends(table, lam)
+
+        monkeypatch.setattr(solvers._SlopeTable, "ends", logged_ends)
+        with pytest.raises(NoConvergence, match="no positive multiplier spends the budget") as info:
+            solvers._allocate_power_core([solvers._Curve(t_prime, p_tot)] * 2, p_tot)
+        assert bracket in str(info.value)
+        assert len(multipliers) <= most_steps
 
 
 def _log_curves(a, b, p_tot):
@@ -584,6 +607,13 @@ class TestHighSnrGreedy:
         solvers.verify_allocation(alloc, golden_network, p_tot)
         assert alloc.objective == pytest.approx(objective, rel=1e-9)
         assert alloc.num_selected == selected
+
+    def test_greedy_names_the_collapse_beyond_saturation(self, golden_network):
+        # Every golden t' is 0 beyond about P = 9,037, so a split over fewer
+        # than 12 sensors cannot spend 1e5 at any positive multiplier.
+        with pytest.raises(NoConvergence, match=r"no positive multiplier spends the budget: "
+                                                r"the multiplier bracket \[0\.0, 5e-324\]"):
+            solvers.solve_greedy(golden_network, 1e5)
 
 
 class TestSharedKernels:
