@@ -36,6 +36,7 @@ import numpy as np
 from .model import Sensor
 
 _SQRT2 = math.sqrt(2.0)
+_TINY = np.finfo(float).tiny  # smallest normal float; `_cell_tables` flushes entries below it
 
 # The lower tail Phi(-a), a = |z|, is 0.5 exp(-a^2 / 2) erfcx(a / sqrt 2) with
 # erfcx(x) = exp(x^2) erfc(x), which is smooth and falls like 1 / (x sqrt pi).
@@ -298,6 +299,16 @@ def _cell_tables(s_values: np.ndarray, quantizer: QuantizerSpec, sigma_n: float)
     Phi(-z_{l-1}) - Phi(-z_l), which keeps its relative accuracy however
     small it is; the difference of two CDF values near 1 would carry an
     absolute error near 1e-16.
+
+    Entries below the smallest normal float, 2.2e-308, in magnitude are
+    flushed to zero: a product with subnormal operands takes the processor's
+    slow path, two to three times slower on some golden tables.  The flush
+    does not move a kernel value.  Each entry enters a den or a num times a
+    confusion entry of at most one, so it changes either by less than
+    2.2e-308.  A den is at least p**L (see fisher), and wherever that is at
+    least 2.0e-292 such a change is below half its last place.  Measured
+    over the rest: t and t' are the same bits with and without the flush
+    for golden and 60 fuzzed networks, at P = 0 and 160 powers up to 1e6.
     """
     n, m = s_values.size, quantizer.m
     z = (quantizer.boundaries[1:-1] - s_values[:, None]) / sigma_n
@@ -313,6 +324,7 @@ def _cell_tables(s_values: np.ndarray, quantizer: QuantizerSpec, sigma_n: float)
     np.subtract(cdf[:, 1:], cdf[:, :-1], out=tables[:n])
     np.subtract(lower[:, :-1], lower[:, 1:], out=tables[:n], where=above[:, :-1])
     np.subtract(g[:, :-1], g[:, 1:], out=tables[n:])
+    tables[np.abs(tables) < _TINY] = 0.0
     return tables
 
 

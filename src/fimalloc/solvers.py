@@ -21,7 +21,8 @@ by bisection on the budget multiplier, falling back to projected gradient
 if the per-sensor derivative turns out not to be monotone.  Each sensor's
 maximizer of t(P) - lam * P is an end of [floor, p_tot] or the root of
 t' = lam, bracketed by a `_SlopeTable` of the slopes already evaluated and
-refined only as far as the bisection's decision needs; greedy's dual bound
+refined only as far as the bisection's decision needs, at points placed to
+settle that decision (`_aim`) and kept for later steps; greedy's dual bound
 (`_dual_bounds`) sums the matching `_Curve.term`s, which root through the
 same table, so the clip-or-root rule is written once.  Twins (equal
 Sensors, which compare by value) share one curve (`_shared_curves`):
@@ -63,6 +64,13 @@ BRUTE_MAX_N = 8
 # and the root tolerance could lift an objective above its bound; measured
 # objectives sit at least 1e-10 relative below their bounds.
 _BOUND_SLACK = 1e-9
+# `_aim` puts a budget split's refinement points this fraction of the budget
+# band's width past its nearer edge, and aims only while t' falls by at most
+# _AIM_SPREAD across every open bracket: false position interpolates t'
+# linearly, and across a steeper bracket (the saturated high-SNR tail, where
+# t' falls hundreds of orders of magnitude) its estimate says little.
+_AIM_MARGIN = 0.05
+_AIM_SPREAD = 1e3
 
 
 @dataclass(frozen=True)
@@ -290,7 +298,7 @@ class _Curve:
             table = _SlopeTable(self)
             lo, hi = table.ends(lam)
             while hi - lo > self.x_tol:
-                table.refine(lam)
+                table.refine(lam, table.point(lam))
                 lo, hi = table.ends(lam)
             power = 0.5 * (lo + hi)
         return self.t(power) - lam * power
@@ -303,13 +311,16 @@ class _SlopeTable:
     multiplier lam strictly between the endpoint slopes the table brackets
     the root of t'(P) = lam, at no cost, by its last point with t' > lam
     and the next one.  `ends` reads that pair by bisection, which yields a
-    sign change even where rounding breaks the ordering.  `refine` adds one
-    point inside the bracket by false position.  Once the same end has
-    stayed put through two steps at one lam, the next step halves that
-    end's slope gap (the Illinois rule of Dowell and Jarratt, BIT 1971);
-    once it has stayed put through three, steps bisect until the other end
-    moves.  Without the bisection, brackets where t' falls by many orders
-    of magnitude (the saturated high-SNR range) close a few bits a step.
+    sign change even where rounding breaks the ordering.  `point` gives
+    the false-position point inside the bracket, the table's estimate of
+    the root, and `refine` evaluates t' at a point inside the bracket:
+    that one, or one the budget split aims elsewhere (`_aim`).  Once the
+    same end has stayed put through two steps at one lam, the next point
+    halves that end's slope gap (the Illinois rule of Dowell and Jarratt,
+    BIT 1971); once it has stayed put through three, points bisect until
+    the other end moves.  Without the bisection, brackets where t' falls by
+    many orders of magnitude (the saturated high-SNR range) close a few
+    bits a step.
     """
 
     def __init__(self, curve: _Curve):
@@ -338,26 +349,77 @@ class _SlopeTable:
             return self.powers[i], self.powers[i]
         return self.powers[i - 1], self.powers[i]
 
-    def refine(self, lam: float) -> None:
-        """Evaluate t' once inside the open bracket at an interior lam."""
-        if lam != self._lam:
-            self._lam, self._kept = lam, 0
+    def point(self, lam: float) -> float:
+        """The safeguarded false-position point inside the open bracket at an interior lam."""
+        kept = self._kept if lam == self._lam else 0
         i = self._bracket(lam)
         lo, hi = self.powers[i - 1], self.powers[i]
         gap_lo, gap_hi = -self.keys[i - 1] - lam, lam + self.keys[i]  # both > 0
-        if self._kept == -2:
+        if kept == -2:
             gap_lo *= 0.5
-        elif self._kept == 2:
+        elif kept == 2:
             gap_hi *= 0.5
         x = lo + (hi - lo) * (gap_lo / (gap_lo + gap_hi))
-        if abs(self._kept) > 2 or not lo < x < hi:
+        if abs(kept) > 2 or not lo < x < hi:
             x = 0.5 * (lo + hi)
+        return x
+
+    def steep(self, lam: float) -> bool:
+        """Whether t' falls by more than a factor _AIM_SPREAD across the open bracket at lam."""
+        i = self._bracket(lam)
+        return -self.keys[i - 1] > _AIM_SPREAD * -self.keys[i]
+
+    def refine(self, lam: float, x: float) -> None:
+        """Evaluate t' at x, a point inside the open bracket at an interior lam."""
+        if lam != self._lam:
+            self._lam, self._kept = lam, 0
         slope = self.curve.t_prime(x)
         self.evaluations += 1
+        i = bisect.bisect_left(self.powers, x)
         self.powers.insert(i, x)
         self.keys.insert(i, -slope)
         kept = 1 if slope > lam else -1
         self._kept = self._kept + kept if self._kept * kept > 0 else kept
+
+
+def _aim(lam: float, points: dict, ends: dict, members: Sequence[_SlopeTable],
+         low_edge: float, high_edge: float) -> dict:
+    """Move the refinement points so that, if each lands on its side of its root, the step settles.
+
+    points maps each open table to its `point` at this lam, the estimate of
+    its root; ends maps every table to its bracket (lo, hi), and members
+    lists the sensors' tables, twins repeated.  When the estimates, with
+    the midpoints of closed tables, sum above high_edge plus _AIM_MARGIN of
+    the band, each point moves the same fraction of the way down to its lo
+    so that the members' new points, with the closed tables' lo, sum to
+    that target: if every point lands below its root, the new lo sum
+    settles the step.  A sum below low_edge is handled the same way toward
+    each hi.  Otherwise the estimates are returned as they are: inside the
+    band, where some open bracket is `steep`, or where a point would not
+    move inside its bracket.
+    """
+    if any(table.steep(lam) for table in points):
+        return points
+    estimate = sum(points[table] if table in points else 0.5 * sum(ends[table])
+                   for table in members)
+    margin = _AIM_MARGIN * (high_edge - low_edge)
+    if estimate > high_edge + margin:
+        side, target = 0, high_edge + margin  # toward each lo
+    elif estimate < low_edge - margin:
+        side, target = 1, low_edge - margin  # toward each hi
+    else:
+        return points
+    base = sum(ends[table][side] for table in members)
+    room = sum(points[table] - ends[table][side] for table in members if table in points)
+    share = (target - base) / room
+    if not 0.0 < share < 1.0:
+        return points
+    aimed = {}
+    for table, x in points.items():
+        end = ends[table][side]
+        moved = end + share * (x - end)
+        aimed[table] = moved if min(end, x) < moved < max(end, x) else x
+    return aimed
 
 
 def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolution:
@@ -372,15 +434,24 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     maximizer from the points earlier steps evaluated.  When the summed
     brackets, widened by m * x_tol, lie wholly above or below the budget
     band p_tot * (1 +- BUDGET_RTOL), the step takes that side with no new
-    evaluation.  Otherwise every open bracket is refined by one step, in
+    evaluation.  Otherwise every open bracket takes one t' evaluation, in
     lockstep, until the sums decide or every bracket is at most x_tol wide;
     then the bracket midpoints are the powers and their sum is tested
-    against the band.  Every point a root solve to x_tol could return lies
-    within x_tol of its bracket, so the decision is the one such a solve
-    would make, and the multiplier path is plain bisection's.  Twins share
-    one curve (see _shared_curves) and hence one table; the split equals
-    one curve per sensor, byte for byte, because each table depends only on
-    its curve and the multipliers visited.  The bisection raises
+    against the band.  The evaluations sit where they settle the step: when
+    the brackets' false-position estimates sum beyond an edge of the
+    (widened) band, `_aim` moves each point toward its bracket's end so
+    that the points sum just past that edge.  If every point lands on its
+    side of its root, one evaluation per curve decides, and the points stay
+    tabled, deciding at no cost every later multiplier whose roots lie
+    beyond them.  Decisions still come only from bracket sums, and every
+    point a root solve to x_tol could return lies within x_tol of its
+    bracket, so the decision is the one such a solve would make, and the
+    multiplier path is plain bisection's; only the final powers move,
+    within x_tol, with where the points fall.  Twins share one curve (see
+    _shared_curves) and hence one table; the split equals one curve per
+    sensor, byte for byte, because a table's points depend only on its
+    curve, the multipliers visited and sums over the members, which are the
+    same either way.  The bisection raises
     NoConvergence as soon as the bracket's midpoint rounds to one of its
     ends, so the tiny multipliers of large budgets (down to about 1e-17 at
     p_tot = 1e3 and 1e-176 at 1e4 on golden) still resolve.  Where every
@@ -419,6 +490,7 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     members = [tables[curve] for curve in curves]
     widen = sum(curve.x_tol for curve in curves)
     slack = BUDGET_RTOL * p_tot
+    low_edge, high_edge = p_tot - slack - widen, p_tot + slack + widen
     iterations = 0
     while True:
         iterations += 1
@@ -442,11 +514,12 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
             elif p_tot - sum(hi for _, hi in brackets) - widen > slack:
                 side = -1
             else:
-                open_tables = [table for table, (lo, hi) in ends.items()
-                               if hi - lo > table.curve.x_tol]
-                for table in open_tables:
-                    table.refine(lam)
-                if not open_tables:
+                points = {table: table.point(lam) for table, (lo, hi) in ends.items()
+                          if hi - lo > table.curve.x_tol}
+                if points:
+                    for table, x in _aim(lam, points, ends, members, low_edge, high_edge).items():
+                        table.refine(lam, x)
+                else:
                     powers = np.array([0.5 * (lo + hi) for lo, hi in brackets])
                     total = float(np.sum(powers))
                     side = 0 if abs(total - p_tot) <= slack else 1 if total > p_tot else -1

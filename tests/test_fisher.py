@@ -544,6 +544,30 @@ class TestPanelEdges:
         assert edges[-1] == pytest.approx(fisher._DENSITY_SPAN, rel=1e-15)
 
 
+class TestNodeTables:
+    @pytest.mark.parametrize("which", ["golden", "fuzzed"])
+    def test_no_table_holds_a_subnormal(self, which, golden_network):
+        # Subnormal operands put a product on the processor's slow path;
+        # golden sensor 9's Gauss table held 62 before `_cell_tables` flushed them.
+        if which == "golden":
+            networks = [golden_network]
+        else:
+            rng = np.random.default_rng(2024)
+            networks = [random_network(rng) for _ in range(30)]
+        tiny = np.finfo(float).tiny
+        checked = 0
+        for network in networks:
+            for sensor in network.sensors:
+                for n_nodes in (fisher.DEFAULT_NODES, 2 * fisher.DEFAULT_NODES - 1,
+                                4 * fisher.DEFAULT_NODES - 3):  # rung 0 and the ladder's rungs
+                    kernel = fisher.InfoKernel(sensor, network.prior, n_nodes)
+                    for table in (kernel._cells, kernel._kronrod_check[2]):
+                        magnitudes = np.abs(table)
+                        assert not np.any((magnitudes > 0.0) & (magnitudes < tiny))
+                        checked += 1
+        assert checked > 0
+
+
 def _whole_line_rule(sensor, prior, n_nodes=fisher.DEFAULT_NODES):
     """Gauss weights and cell tables of the same rule over the whole line [-lim, lim]."""
     sigma_s = fisher.InfoKernel(sensor, prior, n_nodes).sigma_s
