@@ -26,8 +26,9 @@ around the boundaries, at Gauss-Legendre order n_nodes / 8 per panel
 value is checked against the Gauss-Kronrod extension of the same panels,
 which reuses the kernel values at the Gauss nodes and adds order + 1 nodes
 per panel; one cached build per sensor and node count (`_node_tables`)
-lays out the panels once and makes the tables of both rules.  The check
-is local: each of the m panels may contribute 1/m of the tolerance.  A
+lays out the panels once and makes the tables of both rules, and a checked
+value is one kernel pass over both rules' nodes at once.  The check is
+local: each of the m panels may contribute 1/m of the tolerance.  A
 value it flags walks the (n, 2n - 1, 4n - 3) ladder, which returns the
 coarsest rung that the next rung confirms.  The guard lives on InfoKernel
 (`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
@@ -247,11 +248,15 @@ def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes:
     does half the work of a whole-line one.  kronrod is
     (gap_weights, weights, cells) on the same panels: gap_weights[i, 0]
     holds the Gauss weights less the Kronrod weights at panel i's Gauss
-    nodes, weights[i, 0] the Kronrod weights at its Kronrod-only nodes, and
-    cells the table there.  Panel i's Gauss sum less its Kronrod sum is
-    gap_weights[i] @ g(its Gauss nodes) - weights[i] @ g(its Kronrod-only
-    nodes), one matrix product per rule for all panels.  Cached by value,
-    so identical sensors share tables.
+    nodes and weights[i, 0] the Kronrod weights at its Kronrod-only nodes.
+    cells is the unsplit table of both rules, laid out as [probabilities at
+    the n Gauss nodes; at the Kronrod-only nodes; slopes at the Gauss nodes;
+    at the Kronrod-only nodes], so one kernel pass over it gives g at the
+    Gauss nodes in its first n values and at the Kronrod-only nodes after
+    them.  Panel i's Gauss sum less its Kronrod sum is gap_weights[i] @
+    g(its Gauss nodes) - weights[i] @ g(its Kronrod-only nodes), one matrix
+    product per rule for all panels.  Cached by value, so identical sensors
+    share tables.
     """
     order = _resolution_to_order(n_nodes)
     x, wx, y, wy = _gk_rule(order)
@@ -263,15 +268,14 @@ def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes:
     gap_weights = (weights - kronrod_at_gauss).reshape(-1, 1, order)
     gap_weights.setflags(write=False)
     s_kronrod, kronrod_weights = _panel_nodes(y, wy, centers, halves, sigma_s)
-    # One table for both rules (it is elementwise in s), split into each
-    # rule's probabilities over slopes.
+    # One table for both rules (it is elementwise in s); the check keeps it
+    # whole, and the Gauss rule alone gets its probabilities over slopes.
     n, total = s.size, s.size + s_kronrod.size
     both = _cell_tables(np.concatenate((s, s_kronrod)), quantizer, sigma_n)
     cells = np.concatenate((both[:n], both[total:total + n]))
-    kronrod_cells = np.concatenate((both[n:total], both[total + n:]))
     cells.setflags(write=False)
-    kronrod_cells.setflags(write=False)
-    return weights, cells, (gap_weights, kronrod_weights.reshape(-1, 1, order + 1), kronrod_cells)
+    both.setflags(write=False)
+    return weights, cells, (gap_weights, kronrod_weights.reshape(-1, 1, order + 1), both)
 
 
 @lru_cache(maxsize=16)
@@ -364,7 +368,10 @@ class InfoKernel:
         With `with_check`, returns the pair (expectation, error).  error is
         m times the largest gap, over the m panels, between a panel's Gauss
         sum and its Gauss-Kronrod sum, which reuses the kernel values at the
-        Gauss nodes and adds those at the Kronrod-only nodes.  It is at least
+        Gauss nodes and adds those at the Kronrod-only nodes; one kernel pass
+        over the check's unsplit table gives both, and the expectation is
+        the same bits as the Gauss table's (each node's row is mixed and
+        summed alone, whichever table holds it).  It is at least
         the sum of the panels' absolute gaps, so never below the whole
         rule's gap.  The check rides on this method, not a separate one, so
         that the tracer in perfbench/, which wraps expected_g by name,
@@ -373,15 +380,14 @@ class InfoKernel:
         if self._weights is None:
             return (0.0, 0.0) if with_check else 0.0
         alpha = _alpha_entries(self.sensor.bits, p_bit)
-        g = _kernel_values(self._cells, alpha)
-        value = float(self._weights @ g)
         if not with_check:
-            return value
+            return float(self._weights @ _kernel_values(self._cells, alpha))
         gap_weights, weights, cells = self._kronrod_check
-        panels = gap_weights.shape[0]
-        gaps = gap_weights @ g.reshape(panels, -1, 1) \
-            - weights @ _kernel_values(cells, alpha).reshape(panels, -1, 1)
-        return value, panels * float(np.abs(gaps).max())
+        g = _kernel_values(cells, alpha)
+        n, panels = self._weights.size, gap_weights.shape[0]
+        gaps = gap_weights @ g[:n].reshape(panels, -1, 1) \
+            - weights @ g[n:].reshape(panels, -1, 1)
+        return float(self._weights @ g[:n]), panels * float(np.abs(gaps).max())
 
     def expected_g_slope(self, p_bit: float) -> float:
         """d/dp of expected_g, by differentiating the confusion entries."""

@@ -128,6 +128,7 @@ def _finish(selection, powers, objective, algorithm, iterations, diagnostics) ->
 
 def verify_allocation(alloc: Allocation, network: Network, p_tot: float) -> None:
     """Independent feasibility and objective re-check; raises on violation."""
+    _check_budget(p_tot)
     k = network.k
     if alloc.selection.shape != (k,) or alloc.powers.shape != (k,):
         raise DimensionMismatch("allocation vectors do not match the network size")
@@ -772,26 +773,34 @@ def _row_certified(value: Callable[[int], float], prefix: list, level: int, n: i
     On it the increments must not increase and must bracket lam (the one
     reaching `level` at least lam, the next at most lam); these compare the
     very floats the heap ordered, so no tolerance enters.  Past the prefix
-    the row is read through value(j), bounded by monotonicity: every j in
-    (a, b] has T_j - lam * j <= T_b - lam * (a + 1), so the interval is
-    cleared when T_b - T_level <= lam * (a + 1 - level).  The last column
-    is read first, and an interval the bound cannot clear is halved.
+    every j must have T_j - T_level <= lam * (j - level), and the row is
+    read through value(j), bounded by monotonicity: T_b alone clears every
+    j in (m, b] once T_b - T_level <= lam * (m + 1 - level).  The chain
+    reads the last column first, clears down to the smallest such m and
+    reads T_m next; when no m < b qualifies, j = b itself fails.
     """
     steps = np.diff(prefix)
     if not (np.all(steps[:-1] >= steps[1:])
             and (level == 0 or steps[level - 1] >= lam)
             and (level == n or lam >= steps[level])):
         return False
-    top = prefix[level]
-    pending = [(level + 1, n, value(n))] if level + 1 < n else []
-    while pending:
-        a, b, at_b = pending.pop()
-        if at_b - top <= lam * (a + 1 - level):
-            continue
-        if b - a == 1:
+    top, a, b = prefix[level], level + 1, n
+    while b > a:
+        rise = value(b) - top
+        if rise <= lam * (a + 1 - level):
+            return True
+        if not rise <= lam * (b - level):
             return False
-        m = (a + b) // 2
-        pending += [(a, m, value(m)), (m, b, at_b)]
+        # The bound clears (m, b] from m = level - 1 + rise / lam up.  The
+        # quotient, clamped to the interval before math.ceil sees it, lands
+        # within a step of the smallest such m, and the bound's own float
+        # comparison settles m, so no rounding enters the verdict.
+        m = min(max(level - 1 + math.ceil(min(rise / lam, b - level)), a + 1), b - 1)
+        while m > a + 1 and rise <= lam * (m - level):
+            m -= 1
+        while not rise <= lam * (m + 1 - level):
+            m += 1
+        b = m
     return True
 
 

@@ -69,14 +69,15 @@ class TestGKernel:
         for sensor in (golden_network.sensors[i] for i in (0, 1, 3)):
             kernel = fisher.InfoKernel(sensor, golden_network.prior)
             w = kernel._weights
-            gap_weights, kronrod_weights, kronrod_cells = kernel._kronrod_check
-            panels = gap_weights.shape[0]
+            gap_weights, kronrod_weights, both_cells = kernel._kronrod_check
+            panels, n = gap_weights.shape[0], w.size
             for p in p_values:
                 p = float(p)
                 alpha = quantcomm._alpha_entries(sensor.bits, p)
                 slope = quantcomm._alpha_slope(sensor.bits, p)
                 g, dg, kept = kernel_rows(kernel._cells, alpha, slope)
-                gk, _, _ = kernel_rows(kronrod_cells, alpha, slope)
+                # The check's table holds both rules; the Kronrod-only rows follow the n Gauss rows.
+                gk = kernel_rows(both_cells, alpha, slope)[0][n:]
                 floored += not kept
                 gaps = [gap_weights[i, 0] @ g_i - kronrod_weights[i, 0] @ gk_i
                         for i, (g_i, gk_i) in enumerate(zip(np.split(g, panels),

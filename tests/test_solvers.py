@@ -43,6 +43,13 @@ class TestBudgetCheck:
         with pytest.raises(ValueError, match="p_tot must be positive and finite"):
             solvers.solve_mckp(np.zeros((3, 6)), solvers.make_power_grid(10.0, 5), p_tot)
 
+    @pytest.mark.parametrize("p_tot", [math.nan, math.inf, 0.0, -1.0])
+    def test_verify_allocation_rejects_a_bad_budget(self, golden_network, p_tot):
+        # The spend test alone passes any total under a NaN budget (total > nan is False).
+        alloc = solvers.solve_ufa(golden_network, 50.0)
+        with pytest.raises(ValueError, match="p_tot must be positive and finite"):
+            solvers.verify_allocation(alloc, golden_network, p_tot)
+
 
 class TestUfa:
     def test_single_sensor(self, reference_sensor, default_prior):
@@ -781,6 +788,81 @@ class TestMckp:
         alloc = solvers.solve_mckp_network(golden_network, 30.0)
         assert alloc.powers[16] == samples[1]
         assert len(seen) == golden_network.k and set(seen) == {t1 - t0}
+
+    def test_golden_sweep_reads(self, golden_network, monkeypatch):
+        # Marginal analysis plus the certificate's chain read 2,562 entries
+        # over the 10 default budgets; halving the certificate's unread
+        # intervals read 2,911.
+        reads = []
+        checked = fisher.InfoKernel.t_checked
+
+        def counted(self, power):
+            reads.append(power)
+            return checked(self, power)
+
+        monkeypatch.setattr(fisher.InfoKernel, "t_checked", counted)
+        for p_tot in cli.DEFAULT_SWEEP_GRID:
+            solvers.solve_mckp_network(golden_network, p_tot)
+        assert len(reads) <= 2600
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(
+        steps=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-300])),
+                       min_size=1, max_size=30),
+        concave=st.booleans(),
+        place=st.floats(0.0, 1.0),
+        mix=st.floats(0.0, 1.0),
+        free_lam=st.one_of(st.none(), st.floats(0.0, 2.0),
+                           st.sampled_from([0.0, 5e-324, 1e-320, 1e-300])),
+    )
+    # Rows where the quotient rounds past the smallest clearing m (the
+    # first) and short of it (the second), so the float comparison must
+    # settle m.
+    @hypothesis.example(steps=[0.2, 0.1, 0.1, 0.1, 0.05, 0.05], concave=True, place=0.0,
+                        mix=0.0, free_lam=None)
+    @hypothesis.example(steps=[0.6, 0.6, 0.3, 0.3, 0.3, 0.2, 0.1], concave=True, place=0.0,
+                        mix=0.0, free_lam=None)
+    def test_row_certificate_decides_the_full_row_predicate(self, steps, concave, place, mix,
+                                                            free_lam):
+        # Nondecreasing rows, concave and not: the certificate's verdict is
+        # the predicate read off every entry, and its reads are the chain
+        # down from the last column, each step to the smallest m whose
+        # bound clears (m, b].  lam is drawn between the increments around
+        # the level, or freely.
+        if concave:
+            steps = sorted(steps, reverse=True)
+        row = [0.0]
+        for step in steps:
+            row.append(row[-1] + step)
+        n = len(steps)
+        level = min(int(place * (n + 1)), n)
+        increments = np.diff(row)
+        if free_lam is None:
+            low = increments[level] if level < n else 0.0
+            high = increments[level - 1] if level > 0 else low + 1.0
+            lam = float(low + mix * (high - low))
+        else:
+            lam = free_lam
+        reads = []
+
+        def value(j):
+            reads.append(j)
+            return row[j]
+
+        prefix = row[:min(level + 2, n + 1)]
+        head = increments[:min(level + 1, n)]
+        prefix_holds = (all(head[i] >= head[i + 1] for i in range(len(head) - 1))
+                        and (level == 0 or head[level - 1] >= lam)
+                        and (level == n or lam >= head[level]))
+        expected = prefix_holds and all(row[j] - row[level] <= lam * (j - level)
+                                        for j in range(level + 2, n + 1))
+        chain, a, b = [], level + 1, n
+        while prefix_holds and b > a:
+            chain.append(b)
+            rise = row[b] - row[level]
+            b = next((m for m in range(a, b) if rise <= lam * (m + 1 - level)), a)
+        assert solvers._row_certified(value, prefix, level, n, lam) == expected
+        assert reads == chain
 
     def test_non_concave_rows_fall_back_to_the_dp(self):
         # Nondecreasing rows that are mostly not concave (check_mckp's tables),
