@@ -26,8 +26,9 @@ settle that decision (`_aim`) and kept for later steps; greedy's dual bound
 (`_dual_bounds`) sums the matching `_Curve.term`s, which root through the
 same table, so the clip-or-root rule is written once.  Twins (equal
 Sensors, which compare by value) share one curve (`_shared_curves`):
-greedy splits one candidate per twin slot, and a split keeps one table per
-twin class, with results bit-identical to treating every sensor apart.
+greedy splits one candidate per twin slot, a split keeps one table per
+twin class, and a bound takes one term per curve, with results
+bit-identical to treating every sensor apart.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (
     TooLarge,
 )
 from .fisher import _kernel, t_k, tabulate_t, trace_fim
-from .model import Network, Prior, Sensor
+from .model import Network, Prior, Sensor, _integer
 
 BUDGET_RTOL = 1e-8
 KKT_RTOL = 1e-6
@@ -100,11 +101,19 @@ def _check_budget(p_tot: float) -> None:
 
 
 def make_power_grid(p_tot: float, n: int) -> np.ndarray:
-    """Read-only uniform discretization of the budget: samples[j] = j * (p_tot / n), j = 0..n."""
+    """Read-only uniform discretization of the budget: samples[j] = j * p_tot / n, j = 0..n.
+
+    n must be an integer (an integral float is accepted, a bool is not) of
+    at least 1.  Each sample is j * p_tot divided by n, so it is correctly
+    rounded whenever j * p_tot is exact: equal powers on grids of different
+    budgets are equal floats, as is p_tot / i for i dividing n, so a
+    kernel's memo serves them all.
+    """
     _check_budget(p_tot)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    samples = np.arange(n + 1) * (p_tot / n)
+    samples = np.arange(n + 1) * p_tot / n
     samples.setflags(write=False)
     return samples
 
@@ -611,17 +620,27 @@ def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: f
     members' powers are their maximizers.  Every bound is infinite when none
     applies: lam is not a finite nonnegative number, or a member's
     derivative rises.  A candidate whose derivative rises, or whose bound
-    comes out NaN, gets an infinite bound too.  Twins at the same power
-    share one term evaluation, summed once per member in index order.
+    comes out NaN, gets an infinite bound too.
+
+    Each distinct curve's term is evaluated once per bound.  Twins at the
+    same power share one term, summed once per member in index order.  A
+    candidate whose curve an active member or an earlier candidate holds
+    reuses that term (a split gives twins one power, so it is the very
+    float its active twins contribute); only a curve no member holds roots
+    t' = lam, with a fresh slope table.
     """
     if not (0.0 <= lam < math.inf and all(curves[i].concave for i in active)):
         return dict.fromkeys(candidates, math.inf)
     pairs = [(curves[i], powers[i]) for i in active]
     terms = {pair: pair[0].term(lam, pair[1]) for pair in dict.fromkeys(pairs)}
     base = baseline + lam * p_tot + sum(terms[pair] for pair in pairs)
+    by_curve = {curve: term for (curve, _), term in terms.items()}
     ub = {}
     for j in candidates:
-        u = base + curves[j].term(lam) if curves[j].concave else math.inf
+        curve = curves[j]
+        if curve.concave and curve not in by_curve:
+            by_curve[curve] = curve.term(lam)
+        u = base + by_curve[curve] if curve.concave else math.inf
         ub[j] = math.inf if math.isnan(u) else u
     return ub
 
@@ -647,7 +666,9 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     accepted set A split at multiplier lam (the split reports t'(p_tot)
     for a single sensor), weak duality bounds each candidate's objective by
     UB_j = prior + lam * p_tot + sum over i in A + j of max_P [t_i(P) - lam * P]
-    (see _dual_bounds).  A round whose largest bound, widened by
+    (see _dual_bounds), with one term per distinct curve: a candidate whose
+    twin is active, or is an earlier candidate, takes that twin's term and
+    roots nothing.  A round whose largest bound, widened by
     _BOUND_SLACK, improves on the accepted objective by at most eps0
     relative stops the loop at once.  Otherwise candidates are solved in
     order of decreasing bound, ties by index, until the next widened bound
@@ -657,8 +678,8 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     result is the same as solving every candidate.
     """
     _check_budget(p_tot)
-    if eps0 <= 0.0:
-        raise ValueError(f"eps0 must be positive, got {eps0}")
+    if not 0.0 < eps0 < math.inf:
+        raise ValueError(f"eps0 must be positive and finite, got {eps0}")
     k = network.k
     curves = _shared_curves(network.sensors, network.prior, p_tot)
     active: list = []

@@ -372,7 +372,7 @@ class TestSharedKernel:
             distinct = {float(power) for grid in self.sweep_grids() for power in grid}
             for sensor in network.sensors:
                 assert set(fisher._kernel(sensor, prior)._checked) == distinct
-        assert len(distinct) == 580
+        assert len(distinct) == 493
 
     def test_memo_is_capped(self, reference_sensor, default_prior):
         kernel = fisher.InfoKernel(reference_sensor, default_prior)

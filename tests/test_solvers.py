@@ -16,16 +16,39 @@ from conftest import random_network
 class TestPowerGrid:
     def test_samples_are_exact_multiples(self):
         grid = solvers.make_power_grid(30.0, 100)
-        unit = 30.0 / 100
         for j in range(101):
-            assert grid[j] == j * unit
+            assert grid[j] == j * 30.0 / 100
         assert grid[0] == 0.0
+
+    def test_shared_powers_are_equal_floats(self):
+        # j * p_tot is exact here, so each sample is correctly rounded: a power
+        # two budgets share, and ufa's and usu's p_tot / i, are the same float.
+        shared = (solvers.make_power_grid(15.0, 100)[7], solvers.make_power_grid(35.0, 100)[3])
+        assert shared == (1.05, 1.05)
+        grid = solvers.make_power_grid(35.0, 100)
+        for i in (1, 2, 4, 5, 10, 20, 25, 50, 100):
+            assert grid[100 // i] == 35.0 / i
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             solvers.make_power_grid(0.0, 10)
         with pytest.raises(ValueError):
             solvers.make_power_grid(5.0, 0)
+
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n must be an integer, got 2.5"),
+        (True, "n must be an integer, got True"),
+        (0, "n must be >= 1, got 0"),
+    ])
+    def test_rejects_a_bad_point_count(self, n, message):
+        # A fractional n once gave [0, 2, 4, 6] for p_tot 5, a grid past the budget.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solvers.make_power_grid(5.0, n)
+
+    def test_accepts_an_integral_count(self):
+        grid = solvers.make_power_grid(5.0, 4.0)
+        assert grid.tolist() == solvers.make_power_grid(5.0, np.int64(4)).tolist() \
+            == [0.0, 1.25, 2.5, 3.75, 5.0]
 
 
 class TestBudgetCheck:
@@ -210,6 +233,21 @@ class TestPowerAllocation:
         ub = solvers._dual_bounds([curve] * 5 + [fresh_odd_curve()], 1.0, p_tot, lam, range(5),
                                   solution.powers, [5])
         assert ub[5] == 1.0 + lam * p_tot + sum([each] * 5) + fresh_odd_curve().term(lam)
+        # A sixth twin as the candidate reuses its active twins' term: no t'
+        # call, and no t call past the one the active term takes.
+        slopes = []
+        t_prime = curve.t_prime
+
+        def counted_t_prime(x):
+            slopes.append(x)
+            return t_prime(x)
+
+        curve.t_prime = counted_t_prime
+        calls.clear()
+        ub = solvers._dual_bounds([curve] * 6, 1.0, p_tot, lam, range(5),
+                                  np.append(solution.powers, 0.0), [5])
+        assert ub == {5: 1.0 + lam * p_tot + sum([each] * 5) + each}
+        assert slopes == [] and len(calls) == 1
 
     def test_kkt_residual_within_tolerance(self, golden_network):
         solution = solvers._power_allocation_detailed([1, 3, 6, 9], golden_network, 30.0)
@@ -376,6 +414,13 @@ class TestSplitProperties:
 
 
 class TestGreedy:
+    @pytest.mark.parametrize("eps0", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_eps0(self, golden_network, eps0):
+        # A NaN eps0 once switched the stopping rule off, and an infinite one
+        # returned an empty selection.
+        with pytest.raises(ValueError, match="eps0 must be positive and finite"):
+            solvers.solve_greedy(golden_network, 5.0, eps0)
+
     def test_single_sensor(self, reference_sensor, default_prior):
         net = model.Network(sensors=(reference_sensor,), prior=default_prior)
         alloc = solvers.solve_greedy(net, 11.0)
@@ -474,6 +519,7 @@ def _greedy_every_candidate(network, p_tot, eps0):
 _PRUNING_NETWORKS = {
     "golden": lambda golden: golden,
     "homogeneous-6": lambda golden: model.homogeneous_network(6),
+    "homogeneous-10": lambda golden: model.homogeneous_network(10),
     "deployment-44-8": lambda golden: model.generate_deployment(44, 8),
     "deployment-46-8": lambda golden: model.generate_deployment(46, 8),
     "golden-twins": _twin_network,
@@ -487,6 +533,7 @@ _PRUNING_NETWORKS = {
     ("golden", 5.0, solvers.DEFAULT_EPS0),
     ("golden", 15.0, solvers.DEFAULT_EPS0),
     ("homogeneous-6", 12.0, 1e-6),
+    ("homogeneous-10", 5.0, 1e-5),
     ("deployment-44-8", 20.0, solvers.DEFAULT_EPS0),
     ("deployment-46-8", 3.0, solvers.DEFAULT_EPS0),
     ("golden-twins", 15.0, 1e-6),
@@ -509,10 +556,8 @@ class TestGreedyPruning:
         assert alloc.iterations == reference.iterations
         assert alloc.algorithm == reference.algorithm
 
-    def test_every_candidate_within_its_bound(self, every_candidate):
-        network, p_tot, _, (_, history) = every_candidate
-        kernels = [fisher.InfoKernel(s, network.prior) for s in network.sensors]
-        curves = [solvers._Curve(kern.t_prime, p_tot, kern.t_checked) for kern in kernels]
+    @staticmethod
+    def _assert_within_bounds(network, p_tot, history, curves):
         checked = 0
         for active, powers, lam, objectives in history[1:]:
             ub = solvers._dual_bounds(curves, network.prior.inverse_trace, p_tot, lam,
@@ -523,6 +568,19 @@ class TestGreedyPruning:
                 assert objective <= ub[j] * (1.0 + 1e-12), (active, j)
                 checked += 1
         assert checked > 0
+
+    def test_every_candidate_within_its_bound(self, every_candidate):
+        network, p_tot, _, (_, history) = every_candidate
+        kernels = [fisher.InfoKernel(s, network.prior) for s in network.sensors]
+        curves = [solvers._Curve(kern.t_prime, p_tot, kern.t_checked) for kern in kernels]
+        self._assert_within_bounds(network, p_tot, history, curves)
+
+    def test_every_candidate_within_its_shared_curve_bound(self, every_candidate):
+        # As greedy builds them: twins share one curve, so a twin candidate
+        # reuses the term of an active twin or an earlier candidate.
+        network, p_tot, _, (_, history) = every_candidate
+        curves = solvers._shared_curves(network.sensors, network.prior, p_tot)
+        self._assert_within_bounds(network, p_tot, history, curves)
 
     def test_golden_p5_solves_one_candidate_after_round_one(self, golden_network,
                                                            monkeypatch):
@@ -581,6 +639,29 @@ class TestGreedyPruning:
         assert alloc.num_selected == 10
         assert sizes == list(range(1, 11))
         assert endpoints == [solvers.POWER_FLOOR_SCALE * p_tot, p_tot]
+
+    def test_homogeneous_10_roots_each_bound_term_once(self, monkeypatch):
+        # Ten twins at p = 5: each round's bound takes its one candidate's
+        # term from the active twins, so t' is evaluated only by the curve's
+        # endpoints and the splits.  Rooting every candidate's term afresh
+        # took 97 t' calls and 18 checked t computations.
+        fisher._kernel.cache_clear()
+        slopes, checked = [0], [0]
+        t_prime, ladder = fisher.InfoKernel.t_prime, fisher.InfoKernel._ladder
+
+        def counted_t_prime(self, power):
+            slopes[0] += 1
+            return t_prime(self, power)
+
+        def counted_ladder(self, power):
+            checked[0] += 1
+            return ladder(self, power)
+
+        monkeypatch.setattr(fisher.InfoKernel, "t_prime", counted_t_prime)
+        monkeypatch.setattr(fisher.InfoKernel, "_ladder", counted_ladder)
+        alloc = solvers.solve_greedy(model.homogeneous_network(10), 5.0, eps0=1e-5)
+        assert alloc.num_selected == 10
+        assert slopes[0] <= 50 and checked[0] <= 10
 
     def test_equal_objectives_go_to_the_lower_index(self, monkeypatch):
         # Bounds that put higher indices first, and every candidate tied: the
