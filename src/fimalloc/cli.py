@@ -212,25 +212,18 @@ def cmd_sweep(args) -> int:
     failures = 0
     for p_tot in grid:
         for name in algorithms:
+            row = {"ptot": float(p_tot), "algorithm": name,
+                   "scenario_id": scenario_id, "seed": seed}
             start = time.perf_counter()
             try:
                 alloc = solvers.SOLVERS[name](network, float(p_tot), args.grid_n, args.eps0)
-                elapsed = 1000.0 * (time.perf_counter() - start)
-                rows.append({
-                    "ptot": float(p_tot), "algorithm": name,
-                    "tr_j": alloc.objective, "num_selected": alloc.num_selected,
-                    "wall_time_ms": elapsed, "scenario_id": scenario_id,
-                    "seed": seed, "diagnostic": "",
-                })
+                row.update(tr_j=alloc.objective, num_selected=alloc.num_selected, diagnostic="")
             except FimallocError as exc:
-                elapsed = 1000.0 * (time.perf_counter() - start)
                 failures += 1
-                rows.append({
-                    "ptot": float(p_tot), "algorithm": name,
-                    "tr_j": math.nan, "num_selected": 0,
-                    "wall_time_ms": elapsed, "scenario_id": scenario_id,
-                    "seed": seed, "diagnostic": f"{type(exc).__name__}: {exc}",
-                })
+                row.update(tr_j=math.nan, num_selected=0,
+                           diagnostic=f"{type(exc).__name__}: {exc}")
+            row["wall_time_ms"] = 1000.0 * (time.perf_counter() - start)
+            rows.append(row)
     rows.sort(key=lambda r: (r["ptot"], r["algorithm"]))
     write_sweep_csv(rows, args.out)
     if failures:

@@ -45,10 +45,6 @@ class ConcavityViolation(FimallocError):
     """Per-sensor information is not concave in power where assumed."""
 
 
-class ConcavityWarning(UserWarning):
-    """Non-monotone derivative detected; solver switched to its fallback."""
-
-
 class NoConvergence(FimallocError):
     """Iterative solver hit its iteration cap."""
 

@@ -17,18 +17,18 @@ to one call signature; the CLI's --alg choices are its keys.
 
 The continuous subproblem (maximize the summed information of a fixed
 active set subject to the budget) is concave and separable; it is solved
-by bisection on the budget multiplier, falling back to projected gradient
-if the per-sensor derivative turns out not to be monotone.  Each sensor's
-maximizer of t(P) - lam * P is an end of [floor, p_tot] or the root of
-t' = lam, bracketed by a `_SlopeTable` of the slopes already evaluated and
-refined only as far as the bisection's decision needs, at points placed to
-settle that decision (`_aim`) and kept for later steps; greedy's dual bound
-(`_dual_bounds`) sums the matching `_Curve.term`s, which root through the
-same table, so the clip-or-root rule is written once.  Twins (equal
-Sensors, which compare by value) share one curve (`_shared_curves`):
-greedy splits one candidate per twin slot, a split keeps one table per
-twin class, and a bound takes one term per curve, with results
-bit-identical to treating every sensor apart.
+by bisection on the budget multiplier (`_Curve` raises ConcavityViolation
+for a sensor whose t' rises).  Each sensor's maximizer of t(P) - lam * P
+is an end of [floor, p_tot] or the root of t' = lam, bracketed by a
+`_SlopeTable` of the slopes already evaluated and refined only as far as
+the bisection's decision needs, at points placed to settle that decision
+(`_aim`) and kept for later steps; greedy's dual bound (`_dual_bounds`)
+sums the matching `_Curve.term`s, which root through the same table, so
+the clip-or-root rule is written once.  Twins (equal Sensors, which
+compare by value) share one curve (`_shared_curves`): greedy splits one
+candidate per twin slot, a split keeps one table per twin class, and a
+bound takes one term per curve, with results bit-identical to treating
+every sensor apart.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,7 +43,6 @@ import numpy as np
 
 from .errors import (
     ConcavityViolation,
-    ConcavityWarning,
     DimensionMismatch,
     GridMismatch,
     NoConvergence,
@@ -219,57 +217,30 @@ class PowerSolution:
     """Continuous subproblem output: powers plus solver diagnostics.
 
     slope_evaluations counts the t' calls the split made itself: bracket
-    refinements, the stationarity check and any projected-gradient steps,
-    not the endpoint slopes its curves were built with.
+    refinements and the stationarity check, not the endpoint slopes its
+    curves were built with.
     """
 
     powers: np.ndarray
     multiplier: float
     kkt_residual: float
     iterations: int
-    fallback: bool
+    fallback: bool  # always False; the benchmark tracer's power_split.fallbacks reads it
     slope_evaluations: int
-
-
-def _project_budget(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto the simplex {x >= 0, sum x = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    rho = np.nonzero(u - css / np.arange(1, v.size + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _projected_gradient(t_primes: Sequence[Callable[[float], float]],
-                        p_tot: float, floor: float,
-                        steps: int = 400) -> tuple:
-    """Diminishing-step projected gradient ascent; fallback path only.
-
-    Returns the powers and the number of t' calls made.
-    """
-    m = len(t_primes)
-    powers = np.full(m, p_tot / m)
-    evaluations = 0
-    for r in range(1, steps + 1):
-        grad = np.array([tp(max(p, floor)) for tp, p in zip(t_primes, powers)])
-        evaluations += m
-        norm = float(np.linalg.norm(grad))
-        if norm == 0.0:
-            break
-        powers = _project_budget(powers + (p_tot / math.sqrt(r)) * grad / norm, p_tot)
-    return powers, evaluations
 
 
 class _Curve:
     """One sensor's t and t' on [floor, p_tot] for one budget.
 
     Evaluates t' at the power floor (POWER_FLOOR_SCALE * p_tot) and at
-    p_tot once, when built; `concave` is False when t' rises between them.
-    The maximizer of t(P) - lam * P is an end of the interval when an
-    endpoint slope says so (`_endpoint`), and otherwise the root of
-    t' = lam, found to x_tol by a `_SlopeTable`: the budget split keeps one
-    table per curve, and `term`, the per-sensor term of the Lagrangian
-    bound, starts a fresh one.  `t` is needed only by `term`.
+    p_tot once, when built, and raises ConcavityViolation when t' rises
+    between them (beyond 1e-12 relative) or either is NaN: the one
+    concavity check that the split and greedy's bound rest on.  The
+    maximizer of t(P) - lam * P is an end of the interval when an endpoint
+    slope says so (`_endpoint`), and otherwise the root of t' = lam, found
+    to x_tol by a `_SlopeTable`: the budget split keeps one table per
+    curve, and `term`, the per-sensor term of the Lagrangian bound, starts
+    a fresh one.  `t` is needed only by `term`.
     """
 
     def __init__(self, t_prime: Callable[[float], float], p_tot: float,
@@ -281,7 +252,9 @@ class _Curve:
         self.x_tol = 1e-12 * p_tot
         self.at_floor = t_prime(self.floor)
         self.at_top = t_prime(p_tot)
-        self.concave = not self.at_top > self.at_floor + 1e-12 * abs(self.at_floor) + 1e-300
+        if not self.at_top <= self.at_floor + 1e-12 * abs(self.at_floor) + 1e-300:
+            raise ConcavityViolation(f"t' is {self.at_floor!r} at the power floor and "
+                                     f"{self.at_top!r} at p_tot {p_tot!r}: t is not concave")
 
     def _endpoint(self, lam: float) -> float | None:
         """The end of [floor, p_tot] where t(P) - lam * P peaks, or None if it peaks inside."""
@@ -317,7 +290,7 @@ class _Curve:
 class _SlopeTable:
     """The (P, t'(P)) points evaluated on one curve, sorted by P, starting from its endpoints.
 
-    t' is nonincreasing (the concavity `_Curve.concave` guards), so for a
+    t' is nonincreasing (the concavity `_Curve` checks), so for a
     multiplier lam strictly between the endpoint slopes the table brackets
     the root of t'(P) = lam, at no cost, by its last point with t' > lam
     and the next one.  `ends` reads that pair by bisection, which yields a
@@ -435,9 +408,9 @@ def _aim(lam: float, points: dict, ends: dict, members: Sequence[_SlopeTable],
 def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolution:
     """Dual bisection on the budget multiplier over per-sensor curves.
 
-    Factored out so tests can exercise the solver (including the projected
-    gradient fallback) on synthetic derivative functions.  A one-sensor set
-    takes the whole budget at multiplier t'(p_tot).
+    Factored out so tests can exercise the solver on synthetic derivative
+    functions; each curve has already checked its concavity.  A one-sensor
+    set takes the whole budget at multiplier t'(p_tot).
 
     Each distinct curve gets one `_SlopeTable` for this split, so each
     bisection step at lam reads every sensor's bracket [lo, hi] around its
@@ -474,22 +447,6 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
         raise ValueError("active set must be nonempty")
     if m == 1:
         return PowerSolution(np.array([p_tot]), curves[0].at_top, 0.0, 0, False, 0)
-
-    if not all(curve.concave for curve in curves):
-        # Derivative rises over the interval: the concavity the dual method
-        # relies on does not hold.  Switch to projected gradient.
-        warnings.warn(
-            "derivative is not monotone over the power interval; "
-            "falling back to projected gradient",
-            ConcavityWarning,
-        )
-        powers, evaluations = _projected_gradient([curve.t_prime for curve in curves], p_tot,
-                                                  curves[0].floor)
-        if not np.all(np.isfinite(powers)):
-            raise ConcavityViolation(
-                "projected-gradient fallback produced non-finite powers"
-            )
-        return PowerSolution(powers, math.nan, math.inf, 0, True, evaluations)
 
     lam_hi = float(np.max([curve.at_floor for curve in curves]))
     if lam_hi <= 0.0:
@@ -617,10 +574,9 @@ def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: f
     budget over a set S by baseline + lam * p_tot + sum over i in S of
     max_P [t_i(P) - lam * P], each max taken over [0, p_tot] and bounded by
     `_Curve.term`.  `active` is split as `powers` at `lam`, so its interior
-    members' powers are their maximizers.  Every bound is infinite when none
-    applies: lam is not a finite nonnegative number, or a member's
-    derivative rises.  A candidate whose derivative rises, or whose bound
-    comes out NaN, gets an infinite bound too.
+    members' powers are their maximizers.  Every bound is infinite when
+    lam is not a finite nonnegative number (round 1's NaN multiplier), and
+    a candidate whose bound comes out NaN gets an infinite bound too.
 
     Each distinct curve's term is evaluated once per bound.  Twins at the
     same power share one term, summed once per member in index order.  A
@@ -629,7 +585,7 @@ def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: f
     float its active twins contribute); only a curve no member holds roots
     t' = lam, with a fresh slope table.
     """
-    if not (0.0 <= lam < math.inf and all(curves[i].concave for i in active)):
+    if not 0.0 <= lam < math.inf:
         return dict.fromkeys(candidates, math.inf)
     pairs = [(curves[i], powers[i]) for i in active]
     terms = {pair: pair[0].term(lam, pair[1]) for pair in dict.fromkeys(pairs)}
@@ -638,9 +594,9 @@ def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: f
     ub = {}
     for j in candidates:
         curve = curves[j]
-        if curve.concave and curve not in by_curve:
+        if curve not in by_curve:
             by_curve[curve] = curve.term(lam)
-        u = base + by_curve[curve] if curve.concave else math.inf
+        u = base + by_curve[curve]
         ub[j] = math.inf if math.isnan(u) else u
     return ub
 
@@ -672,10 +628,11 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     _BOUND_SLACK, improves on the accepted objective by at most eps0
     relative stops the loop at once.  Otherwise candidates are solved in
     order of decreasing bound, ties by index, until the next widened bound
-    falls below the best objective so far.  No bound is used after a
-    projected-gradient split or a non-finite multiplier, and a candidate
-    whose derivative rises over the power interval is always solved.  The
-    result is the same as solving every candidate.
+    falls below the best objective so far.  Round 1 has no multiplier yet,
+    so its bounds are infinite and every candidate is solved.  The result
+    is the same as solving every candidate.  A sensor whose t' rises
+    between the power floor and p_tot raises ConcavityViolation when the
+    curves are built, before any split.
     """
     _check_budget(p_tot)
     if not 0.0 < eps0 < math.inf:
@@ -688,7 +645,6 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     accepted_powers = np.zeros(k)
     lam = math.nan
     diagnostics = []
-    fallback_seen = False
     rounds = 0
     while inactive:
         slots: dict = {}
@@ -721,16 +677,14 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
         inactive.remove(best_j)
         accepted_powers = np.zeros(k)
         accepted_powers[active] = best_solution.powers
-        fallback_seen = fallback_seen or best_solution.fallback
         lam = best_solution.multiplier
         objective_prev = best_obj
         rounds += 1
         diagnostics.append((rounds, best_obj))
     selection = np.zeros(k)
     selection[active] = 1
-    label = "greedy(pg-fallback)" if fallback_seen else "greedy"
     return _finish(selection, accepted_powers, trace_fim(accepted_powers, selection, network),
-                   label, rounds, diagnostics)
+                   "greedy", rounds, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -741,29 +695,36 @@ def solve_mckp(value_table, samples: np.ndarray, p_tot: float, *,
                baseline: float = 0.0) -> Allocation:
     """Exact optimum of the discretized problem by dynamic programming.
 
-    value_table[k, j] is sensor k's contribution at samples[j], a grid from
-    make_power_grid; the
-    zero-power column lets the program leave a sensor out, which marks it
-    unselected in the result.  Capacity runs over integer grid units, so
-    the program is exact on the discretization.  Ties prefer the smaller
-    grid index.  The prior's baseline is folded into the stored objective.
+    value_table[k, j] is sensor k's contribution at samples[j], which must
+    be make_power_grid(p_tot, n) to 1e-9 relative, with n + 1 columns; the
+    zero-power column, whose entries must be zero, lets the program leave a
+    sensor out, which marks it unselected in the result.  Every entry must
+    be finite.  Capacity runs over integer grid units, so the program is
+    exact on the discretization.  Ties prefer the smaller grid index.  The
+    prior's baseline is folded into the stored objective.
     """
     _check_budget(p_tot)
     table = np.asarray(value_table, dtype=float)
+    samples = np.asarray(samples, dtype=float)
     if table.ndim != 2:
         raise GridMismatch(f"value table must be 2-D, got shape {table.shape}")
     k, cols = table.shape
-    if cols != samples.size:
-        raise GridMismatch(
-            f"value table has {cols} columns, grid has {samples.size} samples"
-        )
-    if samples[0] != 0.0 or np.any(np.abs(table[:, 0]) > 1e-12):
-        raise GridMismatch("grid must start at zero power with zero value")
+    if cols < 2 or samples.shape != (cols,):
+        raise GridMismatch(f"value table has {cols} columns and grid shape {samples.shape}: "
+                           "each column needs one sample, and there must be at least 2")
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, j = bad[0]
+        raise GridMismatch(f"value table entry [{row}, {j}] is {table[row, j]}, not finite")
+    if np.any(np.abs(table[:, 0]) > 1e-12):
+        raise GridMismatch("value table's zero-power column must be zero")
     n = cols - 1
-    if abs(samples[-1] - p_tot) > 1e-9 * max(p_tot, 1.0):
-        raise GridMismatch(
-            f"grid tops out at {samples[-1]}, budget is {p_tot}"
-        )
+    expected = make_power_grid(p_tot, n)
+    off = np.flatnonzero(~(np.abs(samples - expected) <= 1e-9 * max(p_tot, 1.0)))
+    if off.size:
+        j = int(off[0])
+        raise GridMismatch(f"grid sample {j} is {float(samples[j])!r}, "
+                           f"not {float(expected[j])!r} = {j} * {p_tot!r} / {n}")
 
     capacities = np.arange(n + 1)
     best = np.zeros(n + 1)

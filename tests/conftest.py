@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fimalloc import model
+from fimalloc import fisher, model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,3 +66,10 @@ def random_network(rng, k=None, q=2):
             )
         )
     return model.Network(sensors=tuple(sensors), prior=prior)
+
+
+def make_slope_rise(monkeypatch, sensor):
+    """Patch InfoKernel.t_prime so that every sensor equal to `sensor` has t'(P) = 1 + P / 10."""
+    t_prime = fisher.InfoKernel.t_prime
+    monkeypatch.setattr(fisher.InfoKernel, "t_prime", lambda kernel, power: (
+        1.0 + 0.1 * power if kernel.sensor == sensor else t_prime(kernel, power)))

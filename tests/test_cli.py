@@ -9,6 +9,7 @@ import pytest
 
 import fimalloc
 from fimalloc import cli, model, solvers
+from conftest import make_slope_rise
 
 
 def run(argv):
@@ -56,6 +57,14 @@ class TestSolve:
                     "--alg", "brute", "--ptot", "30"])
         assert code == 4
         assert "TooLarge" in capsys.readouterr().err
+
+    def test_rising_slope_exits_four(self, golden_scenario_path, golden_network, monkeypatch,
+                                     capsys):
+        make_slope_rise(monkeypatch, golden_network.sensors[3])
+        code = run(["solve", "--scenario", str(golden_scenario_path),
+                    "--alg", "greedy", "--ptot", "5"])
+        assert code == 4
+        assert "solver failed: ConcavityViolation: " in capsys.readouterr().err
 
     def test_mckp_allocation_csv_roundtrip(self, golden_scenario_path, golden_network,
                                            tmp_path):

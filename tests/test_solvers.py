@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from fimalloc import cli, fisher, model, solvers, verify
-from fimalloc.errors import ConcavityWarning, GridMismatch, NoConvergence, TooLarge
-from conftest import random_network
+from fimalloc.errors import ConcavityViolation, GridMismatch, NoConvergence, TooLarge
+from conftest import make_slope_rise, random_network
 
 
 class TestPowerGrid:
@@ -258,27 +258,19 @@ class TestPowerAllocation:
         results = verify.check_p3()
         assert all(r.passed for r in results), [r.line() for r in results]
 
-    def test_projection_helper(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            v = rng.uniform(-3, 3, size=int(rng.integers(1, 8)))
-            total = float(rng.uniform(0.5, 10))
-            proj = solvers._project_budget(v, total)
-            assert np.all(proj >= 0.0)
-            assert proj.sum() == pytest.approx(total, rel=1e-9)
-        feasible = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(solvers._project_budget(feasible, 6.0), feasible)
-
-    def test_fallback_on_non_monotone_derivative(self):
-        # Synthetic rising derivative defeats the dual method; the solver
-        # must warn, switch to projected gradient, and stay feasible.
-        t_primes = [lambda p: 1.0 + 0.1 * p, lambda p: 2.0 / (1.0 + p)]
-        with pytest.warns(ConcavityWarning):
-            solution = solvers._allocate_power_core(
-                [solvers._Curve(tp, 8.0) for tp in t_primes], 8.0)
-        assert solution.fallback
-        assert np.all(solution.powers >= 0.0)
-        assert solution.powers.sum() == pytest.approx(8.0, rel=1e-6)
+    @pytest.mark.parametrize("t_prime", [
+        lambda p: 1.0 + 0.1 * p,
+        # A NaN slope at p_tot once passed as concave, and the split then ran
+        # MAX_ITER bisection steps before a misleading NoConvergence.
+        lambda p: math.nan if p == 8.0 else 2.0 / (1.0 + p),
+        lambda p: 2.0 / (1.0 + p) if p == 8.0 else math.nan,
+    ], ids=["rising", "nan-at-p_tot", "nan-at-floor"])
+    def test_non_monotone_derivative_raises(self, t_prime):
+        # The split and greedy's bound rest on t being concave; a curve whose
+        # t' rises, or is NaN, between the power floor and p_tot is refused
+        # when it is built.
+        with pytest.raises(ConcavityViolation, match="t is not concave"):
+            solvers._Curve(t_prime, 8.0)
 
     def test_synthetic_concave_exact(self):
         # Two closed-form concave objectives: t_i(p) = a_i * log(1 + p).
@@ -451,6 +443,18 @@ class TestGreedy:
         assert a.objective == b.objective
         assert a.diagnostics == b.diagnostics
 
+    def test_rising_slope_raises_before_any_split(self, golden_network, monkeypatch):
+        # One golden sensor whose t' rises: greedy builds every curve before
+        # its first split, so it stops there, naming the concavity it needs.
+        make_slope_rise(monkeypatch, golden_network.sensors[3])
+        monkeypatch.setattr(solvers, "_allocate_power_core", _no_split)
+        with pytest.raises(ConcavityViolation, match="t is not concave"):
+            solvers.solve_greedy(golden_network, 5.0)
+
+
+def _no_split(curves, p_tot):
+    raise AssertionError("a split ran over a curve whose t' rises")
+
 
 def _twin_network(golden, picks=(3, 0, 3, 5, 0, 7, 3, 11, 0, 15, 5, 5)):
     """Golden sensors picked by index, with repeats; the default repeats 3, 0 and 5 thrice."""
@@ -473,7 +477,6 @@ def _greedy_every_candidate(network, p_tot, eps0):
     accepted_powers = np.zeros(k)
     lam = math.nan
     diagnostics = []
-    fallback_seen = False
     rounds = 0
     history = []
     while inactive:
@@ -503,16 +506,14 @@ def _greedy_every_candidate(network, p_tot, eps0):
         inactive.remove(best_j)
         accepted_powers = np.zeros(k)
         accepted_powers[active] = best_solution.powers
-        fallback_seen = fallback_seen or best_solution.fallback
         lam = best_solution.multiplier
         objective_prev = best_obj
         rounds += 1
         diagnostics.append((rounds, best_obj))
     selection = np.zeros(k)
     selection[active] = 1
-    label = "greedy(pg-fallback)" if fallback_seen else "greedy"
     objective = fisher.trace_fim(accepted_powers, selection, network)
-    alloc = solvers._finish(selection, accepted_powers, objective, label, rounds, diagnostics)
+    alloc = solvers._finish(selection, accepted_powers, objective, "greedy", rounds, diagnostics)
     return alloc, history
 
 
@@ -815,6 +816,28 @@ class TestMckp:
             solvers.solve_mckp(np.ones((3, 6)), grid, 10.0)  # nonzero first column
         with pytest.raises(GridMismatch):
             solvers.solve_mckp(np.zeros((3, 6)), grid, 11.0)  # wrong budget
+
+    @pytest.mark.parametrize("table, samples, message", [
+        # Ends on the grid, middle off it: this once returned powers
+        # [1.9, 1.9], which spend 3.8 of a 2.0 budget.
+        ([[0, 1, 1.05], [0, 1, 1.05]], [0, 1.9, 2.0],
+         "grid sample 1 is 1.9, not 1.0 = 1 * 2.0 / 2"),
+        ([[0, 1, 1.05]], [0, 1.0, math.nan], "grid sample 2 is nan, not 2.0 = 2 * 2.0 / 2"),
+        ([[0, math.nan, 1.05]], [0, 1.0, 2.0], "value table entry [0, 1] is nan, not finite"),
+        ([[0, 1, 1.05], [0, 1, math.inf]], [0, 1.0, 2.0],
+         "value table entry [1, 2] is inf, not finite"),
+        ([[0.0], [0.0]], [0.0], "there must be at least 2"),
+        ([[0, 1, 1.05]], [[0, 1.0, 2.0]], "value table has 3 columns and grid shape (1, 3)"),
+    ], ids=["off-grid-sample", "nan-sample", "nan-entry", "inf-entry", "one-column",
+            "2-d-grid"])
+    def test_rejects_what_the_program_cannot_solve(self, table, samples, message):
+        with pytest.raises(GridMismatch, match=re.escape(message)):
+            solvers.solve_mckp(table, samples, 2.0)
+
+    def test_accepts_a_list_grid(self):
+        # A list once failed with an AttributeError on `samples.size`.
+        alloc = solvers.solve_mckp([[0, 1, 1.05], [0, 1, 1.05]], [0.0, 1.0, 2.0], 2.0)
+        assert alloc.powers.tolist() == [1.0, 1.0] and alloc.objective == 2.0
 
     def test_budget_respected(self, golden_network):
         alloc = solvers.solve_mckp_network(golden_network, 30.0, 100)
