@@ -6,6 +6,12 @@ Subcommands:
     sweep   run algorithms across a budget grid and write trend rows as CSV
     verify  run the oracle suites and report pass/fail per check
 
+A sweep solves its budgets from the largest down, so mckp's certificates
+at the smaller budgets find bounds among the t values the larger ones
+memoized, and writes its rows sorted by budget, then algorithm.  Each
+objective equals a lone `solve`'s at that budget; each wall_time_ms times
+its own solve, so the first one also carries the kernel builds.
+
 Exit codes: 0 ok, 2 usage, a numeric flag out of range or an --out that
 cannot be opened for writing, 3 generation or scenario-loading failure,
 4 solver failure, 5 verification failure.  All data outputs are
@@ -210,7 +216,10 @@ def cmd_sweep(args) -> int:
     seed = network.seed if network.seed is not None else ""
     rows = []
     failures = 0
-    for p_tot in grid:
+    # Largest budget first: its solves fill the kernel memos, whose values
+    # at powers above a smaller budget's grid points bound mckp's
+    # certificate entries there (solvers.solve_mckp_network).
+    for p_tot in reversed(grid):
         for name in algorithms:
             row = {"ptot": float(p_tot), "algorithm": name,
                    "scenario_id": scenario_id, "seed": seed}

@@ -48,11 +48,14 @@ masked divide runs.  Either way the values are the same bits.
 a bounded cache keyed by value, like `_node_tables`, so equal sensors under
 equal priors share one InfoKernel, its ladder rungs and its memo of checked
 t values.  `t_checked` is deterministic for a given kernel and power, so a
-budget sweep, whose grids repeat many powers, computes each power once.
+budget sweep, whose grids repeat many powers, computes each power once,
+and `t_bound` gives mckp's certificate the memoized value at the nearest
+power at or above one it would otherwise compute.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import lru_cache
 
@@ -353,6 +356,7 @@ class InfoKernel:
         self.n_nodes = n_nodes
         self._finer: list = []
         self._checked: dict = {}
+        self._powers: list = []  # the memo's powers, ascending
         self.prefactor = float(gain @ gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
         self.sigma_s = math.sqrt(max(float(gain @ prior.covariance @ gain), 0.0))
         if self.sigma_s > 0.0:
@@ -414,15 +418,28 @@ class InfoKernel:
         memoized by power (-0.0 and 0.0 share an entry, as they share p);
         a power that raises is never stored, so it raises on every call.
         The memo is emptied before it would grow past _CHECKED_CAP entries,
-        which bounds the memory of the up to 512 cached kernels.
+        which bounds the memory of the up to 512 cached kernels.  Its powers
+        are also kept in ascending order, emptied with it, for `t_bound`.
         """
         value = self._checked.get(power)
         if value is None:
             value = self._ladder(power)
             if len(self._checked) >= _CHECKED_CAP:
                 self._checked.clear()
+                self._powers.clear()
             self._checked[power] = value
+            bisect.insort(self._powers, power)
         return value
+
+    def t_bound(self, power: float) -> float | None:
+        """The memoized t_checked at the smallest memoized power >= power, or None.
+
+        Computed t is nondecreasing in P (see solvers.solve_mckp_network), so
+        the value bounds t_checked(power) from above without computing it;
+        None when no memoized power is that large.
+        """
+        i = bisect.bisect_left(self._powers, power)
+        return self._checked[self._powers[i]] if i < len(self._powers) else None
 
     def _ladder(self, power: float) -> float:
         """t_checked without the memo."""

@@ -170,6 +170,8 @@ class Geometry:
 
     Stores seed as an int, the three scalars as Python floats and the
     positions as read-only float arrays, with the same value rules as Sensor.
+    The positions must be finite, two sources and K sensors of two
+    coordinates each; Network checks that K is its sensor count.
     """
 
     seed: int
@@ -183,8 +185,16 @@ class Geometry:
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         for name in ("field_half_width", "decay_exponent", "d_min"):
             object.__setattr__(self, name, _number(getattr(self, name), name))
-        for name in ("source_positions", "sensor_positions"):
+        for name, rows in (("source_positions", "2"), ("sensor_positions", "K")):
             positions = _numbers(getattr(self, name), name)
+            shape = positions.shape[:1] + (2,) if rows == "K" else (2, 2)
+            if positions.shape != shape:
+                raise DimensionMismatch(f"{name} must have shape ({rows}, 2), "
+                                        f"got {positions.shape}")
+            bad = np.argwhere(~np.isfinite(positions))
+            if bad.size:
+                i, j = bad[0]
+                raise ValueError(f"{name} must be finite, got {positions[i, j]} at [{i}, {j}]")
             positions.setflags(write=False)
             object.__setattr__(self, name, positions)
 
@@ -206,6 +216,11 @@ class Network:
                 raise DimensionMismatch(
                     f"sensor {i} gain has dimension {sensor.gain.shape[0]}, prior has q={q}"
                 )
+        if self.geometry is not None and self.geometry.sensor_positions.shape[0] != self.k:
+            raise DimensionMismatch(
+                f"geometry.sensor_positions has {self.geometry.sensor_positions.shape[0]} "
+                f"rows for {self.k} sensors"
+            )
 
     @property
     def k(self) -> int:

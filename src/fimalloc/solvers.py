@@ -8,7 +8,8 @@ candidates a Lagrangian dual bound rules out), and the exact optimum over
 discretized power levels (one choice per sensor).  The discretized problem
 is solved by marginal analysis over lazily read t values, one grid unit at
 a time to the largest next increment, and the result is certified by a
-Lagrangian test per row (`_row_certified`); a budget it cannot certify
+Lagrangian test per row (`_row_certified`), which takes t values memoized
+at larger powers as bounds in place of reads; a budget it cannot certify
 falls back to tabulating every entry and the dynamic program
 (`solve_mckp`), so the answer is always the program's optimum.
 A brute-force enumerator over the same discretization serves as the
@@ -748,7 +749,7 @@ def solve_mckp(value_table, samples: np.ndarray, p_tot: float, *,
 
 
 def _row_certified(value: Callable[[int], float], prefix: list, level: int, n: int,
-                   lam: float) -> bool:
+                   lam: float, bound: Callable[[int], float | None]) -> bool:
     """Whether a row's T_j - lam * j peaks at j = level over the whole grid 0..n.
 
     `prefix` holds the row's values read so far, T_0 .. T_min(level + 1, n).
@@ -758,8 +759,13 @@ def _row_certified(value: Callable[[int], float], prefix: list, level: int, n: i
     every j must have T_j - T_level <= lam * (j - level), and the row is
     read through value(j), bounded by monotonicity: T_b alone clears every
     j in (m, b] once T_b - T_level <= lam * (m + 1 - level).  The chain
-    reads the last column first, clears down to the smallest such m and
-    reads T_m next; when no m < b qualifies, j = b itself fails.
+    starts at the last column, clears down to the smallest such m and
+    goes on at m; when no m < b qualifies, j = b itself fails.  At each b
+    the chain first asks bound(b) for a value at least T_b (or None): one
+    that clears b itself clears (m, b] as T_b would, with the same
+    smallest-m rule, and only otherwise is T_b read.  So the verdict is
+    the predicate over the whole row whatever the bounds, and with no
+    bound the reads are the chain's alone.
     """
     steps = np.diff(prefix)
     if not (np.all(steps[:-1] >= steps[1:])
@@ -768,7 +774,11 @@ def _row_certified(value: Callable[[int], float], prefix: list, level: int, n: i
         return False
     top, a, b = prefix[level], level + 1, n
     while b > a:
-        rise = value(b) - top
+        upper = bound(b)
+        if upper is not None and upper - top <= lam * (b - level):
+            rise = upper - top
+        else:
+            rise = value(b) - top
         if rise <= lam * (a + 1 - level):
             return True
         if not rise <= lam * (b - level):
@@ -788,7 +798,8 @@ def _row_certified(value: Callable[[int], float], prefix: list, level: int, n: i
 
 def _mckp_marginal(value: Callable[[int, int], float], k: int, samples: np.ndarray,
                    p_tot: float, baseline: float,
-                   tabulate: Callable[[], np.ndarray]) -> Allocation:
+                   tabulate: Callable[[], np.ndarray],
+                   bound: Callable[[int, int], float | None]) -> Allocation:
     """solve_mckp's optimum, reading the table entry by entry through value(row, j).
 
     Marginal analysis hands out the n grid units one at a time, each to the
@@ -796,9 +807,11 @@ def _mckp_marginal(value: Callable[[int, int], float], k: int, samples: np.ndarr
     the lower row, and stops early at a nonpositive increment.  With lam the
     last accepted increment (0 after an early stop), the levels L are
     optimal when every row's T[row, j] - lam * j peaks at its level
-    (Lagrangian sufficiency), which `_row_certified` checks.  If any row
-    fails, the full table from `tabulate` goes to solve_mckp.  The
-    objective adds the picked entries in row order, as solve_mckp does.
+    (Lagrangian sufficiency), which `_row_certified` checks, taking
+    bound(row, j), a value at least T[row, j] or None, in place of an
+    entry it would clear.  If any row fails, the full table from
+    `tabulate` goes to solve_mckp.  The objective adds the picked entries
+    in row order, as solve_mckp does.
     """
     n = samples.size - 1
     prefixes = [[value(row, 0), value(row, 1)] for row in range(k)]
@@ -819,7 +832,8 @@ def _mckp_marginal(value: Callable[[int, int], float], k: int, samples: np.ndarr
         prefix = prefixes[row]
         prefix.append(value(row, level + 1))
         heapq.heapreplace(heap, (prefix[level] - prefix[level + 1], row))
-    if not all(_row_certified(lambda j: value(row, j), prefixes[row], levels[row], n, lam)
+    if not all(_row_certified(lambda j: value(row, j), prefixes[row], levels[row], n, lam,
+                              lambda j: bound(row, j))
                for row in range(k)):
         return solve_mckp(tabulate(), samples, p_tot, baseline=baseline)
     total = 0.0
@@ -839,14 +853,20 @@ def solve_mckp_network(network: Network, p_tot: float, n: int = 100) -> Allocati
     its certificate needs.  t is nondecreasing in P (a noisier binary
     symmetric channel is a garbling of a cleaner one, and Fisher
     information obeys data processing), which the certificate's tail bound
-    uses.  A budget the certificate cannot clear falls back to
+    uses, and so does its bound on an entry: the kernel's memoized t at
+    the smallest power at or above the entry's (`InfoKernel.t_bound`).
+    With an empty memo there is none; after a larger budget of a sweep
+    (which `fimalloc sweep` solves first) there is often one, and the
+    certificate computes far fewer entries.  Either way the allocation is
+    the same bits.  A budget the certificate cannot clear falls back to
     tabulate_t and solve_mckp.
     """
     samples = make_power_grid(p_tot, n)
     kernels = [_kernel(sensor, network.prior) for sensor in network.sensors]
     return _mckp_marginal(lambda row, j: kernels[row].t_checked(float(samples[j])),
                           network.k, samples, p_tot, network.prior.inverse_trace,
-                          lambda: tabulate_t(network, samples))
+                          lambda: tabulate_t(network, samples),
+                          lambda row, j: kernels[row].t_bound(float(samples[j])))
 
 
 def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation:

@@ -197,7 +197,8 @@ def mckp_marginal_on_table(table: np.ndarray, on_fallback=None) -> solvers.Alloc
     """The network solver's marginal-analysis path, reading its entries from a table.
 
     The grid is 0..n with p_tot = n, as in check_mckp.  on_fallback, if
-    given, is called when the certificate sends the table to the DP.
+    given, is called when the certificate sends the table to the DP.  The
+    certificate gets no bounds, so it reads every entry its chain visits.
     """
     n = table.shape[1] - 1
 
@@ -208,7 +209,7 @@ def mckp_marginal_on_table(table: np.ndarray, on_fallback=None) -> solvers.Alloc
 
     return solvers._mckp_marginal(lambda row, j: float(table[row, j]), table.shape[0],
                                   solvers.make_power_grid(float(n), n), float(n), 0.0,
-                                  tabulate)
+                                  tabulate, lambda row, j: None)
 
 
 def _against_enumeration(name: str, tables: list, solve, marginal: bool = False) -> CheckResult:

@@ -123,6 +123,15 @@ class TestSolve:
         (("geometry", "source_positions", 0, 1), True, "geometry.source_positions"),
         (("prior", "covariance"), [[True, 0.0], [0.0, True]], "prior.covariance"),
         (("sensors", 0, "bits"), 9, "sensors[0].bits must be in [1, 8], got 9"),
+        # Malformed geometry: these once loaded, and the solve exited 0.
+        (("geometry", "sensor_positions"), [[0.1, 0.2]] * 3,
+         "geometry.sensor_positions has 3 rows for 20 sensors"),
+        (("geometry", "sensor_positions"), [[0.1, 0.2, 0.3]] * 20,
+         "geometry.sensor_positions must have shape (K, 2), got (20, 3)"),
+        (("geometry", "sensor_positions", 5, 0), float("nan"),
+         "geometry.sensor_positions must be finite, got nan at [5, 0]"),
+        (("geometry", "source_positions"), [1.0],
+         "geometry.source_positions must have shape (2, 2), got (1,)"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):

@@ -388,6 +388,22 @@ class TestSharedKernel:
         assert powers[0] not in kernel._checked
         assert [kernel.t_checked(power) for power in powers[:50]] == values[:50]
 
+    def test_bound_lookup_follows_the_memo_through_a_clear(self, monkeypatch, reference_sensor,
+                                                           default_prior):
+        # The sorted powers are emptied with the memo, so t_bound never
+        # returns a dropped entry.
+        monkeypatch.setattr(fisher, "_CHECKED_CAP", 5)
+        kernel = fisher.InfoKernel(reference_sensor, default_prior)
+        assert kernel.t_bound(0.0) is None
+        values = {}
+        for power in (9.0, 1.0, 7.0, 3.0, 5.0, 2.0, 8.0):
+            values[power] = kernel.t_checked(power)
+            assert kernel._powers == sorted(kernel._checked)
+        assert kernel._powers == [2.0, 8.0]
+        assert kernel.t_bound(8.5) is None and kernel.t_bound(9.0) is None
+        assert kernel.t_bound(2.5) == kernel.t_bound(8.0) == values[8.0]
+        assert kernel.t_bound(-0.0) == kernel.t_bound(2.0) == values[2.0]
+
     def test_equal_sensors_and_priors_share_one_kernel(self, reference_sensor, default_prior):
         twin = model.homogeneous_network(1).sensors[0]
         same_prior = model.make_prior(model.DEFAULT_COVARIANCE)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from fimalloc import model
 from fimalloc.errors import (
     DimensionMismatch,
+    FimallocError,
     InfeasibleGeometry,
     NotPositiveDefinite,
     NotSymmetric,
@@ -325,6 +327,28 @@ class TestScenarioIO:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaVersionMismatch):
             model.load_scenario(path)
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("geometry", "sensor_positions"), [[0.1, 0.2]] * 3,
+         "geometry.sensor_positions has 3 rows for 20 sensors"),
+        (("geometry", "sensor_positions"), [[0.1, 0.2, 0.3]] * 20,
+         "geometry.sensor_positions must have shape (K, 2), got (20, 3)"),
+        (("geometry", "sensor_positions"), [0.1, 0.2],
+         "geometry.sensor_positions must have shape (K, 2), got (2,)"),
+        (("geometry", "sensor_positions", 5, 0), math.nan,
+         "geometry.sensor_positions must be finite, got nan at [5, 0]"),
+        (("geometry", "source_positions", 1, 1), -math.inf,
+         "geometry.source_positions must be finite, got -inf at [1, 1]"),
+        (("geometry", "source_positions"), [1.0],
+         "geometry.source_positions must have shape (2, 2), got (1,)"),
+        (("geometry", "source_positions"), [[0.0, 1.0]] * 3,
+         "geometry.source_positions must have shape (2, 2), got (3, 2)"),
+    ], ids=["3-rows", "3-columns", "vector", "nan", "inf-source", "source-vector",
+            "3-sources"])
+    def test_malformed_geometry_named(self, keys, value, message, golden_scenario_path):
+        payload = _golden_with(golden_scenario_path, keys, value)
+        with pytest.raises(FimallocError, match=re.escape(message)):
+            model.network_from_dict(payload)
 
     def test_golden_fixture_loads(self, golden_network):
         assert golden_network.k == 20

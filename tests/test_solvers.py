@@ -883,9 +883,9 @@ class TestMckp:
         seen = []
         certified = solvers._row_certified
 
-        def logged(value, prefix, level, n, lam):
+        def logged(value, prefix, level, n, lam, bound):
             seen.append(lam)
-            return certified(value, prefix, level, n, lam)
+            return certified(value, prefix, level, n, lam, bound)
 
         monkeypatch.setattr(solvers, "_row_certified", logged)
         monkeypatch.setattr(solvers, "solve_mckp", _no_dp)
@@ -894,9 +894,12 @@ class TestMckp:
         assert len(seen) == golden_network.k and set(seen) == {t1 - t0}
 
     def test_golden_sweep_reads(self, golden_network, monkeypatch):
-        # Marginal analysis plus the certificate's chain read 2,562 entries
-        # over the 10 default budgets; halving the certificate's unread
-        # intervals read 2,911.
+        # From fresh kernels, marginal analysis plus the certificate's chain
+        # read 2,118 entries over the 10 default budgets in ascending order,
+        # and 1,601 largest first, as `fimalloc sweep` runs them: the chain
+        # takes a memoized t at a larger power in place of an entry it
+        # clears.  With no such bound it read 2,562; halving the
+        # certificate's unread intervals read 2,911.
         reads = []
         checked = fisher.InfoKernel.t_checked
 
@@ -905,9 +908,56 @@ class TestMckp:
             return checked(self, power)
 
         monkeypatch.setattr(fisher.InfoKernel, "t_checked", counted)
-        for p_tot in cli.DEFAULT_SWEEP_GRID:
-            solvers.solve_mckp_network(golden_network, p_tot)
-        assert len(reads) <= 2600
+        for budgets, most in ((cli.DEFAULT_SWEEP_GRID, 2118),
+                              (cli.DEFAULT_SWEEP_GRID[::-1], 1601)):
+            fisher._kernel.cache_clear()
+            reads.clear()
+            for p_tot in budgets:
+                solvers.solve_mckp_network(golden_network, p_tot)
+            assert len(reads) <= most
+
+    def test_memoized_t_is_nondecreasing_in_power(self, golden_network, golden_scenario_path,
+                                                  tmp_path):
+        # The certificate's bounds take a memoized t at a larger power as an
+        # upper bound, which holds only while computed t is nondecreasing
+        # in P: after the golden sweep (1,038 memoized values) and after
+        # mckp on 60 fuzzed networks (19,214), no memo falls anywhere.
+        fisher._kernel.cache_clear()
+        assert cli.main(["sweep", "--scenario", str(golden_scenario_path), "--alg",
+                         "mckp,ufa,usu", "--out", str(tmp_path / "sweep.csv")]) == 0
+        networks = [golden_network]
+        for seed in range(2024, 2084):
+            network = random_network(np.random.default_rng(seed))
+            for p_tot in (50.0, 20.0, 5.0):
+                solvers.solve_mckp_network(network, p_tot)
+            networks.append(network)
+        for network in networks:
+            for sensor in network.sensors:
+                kernel = fisher._kernel(sensor, network.prior)
+                memo = [kernel._checked[power] for power in kernel._powers]
+                assert len(memo) > 1 and all(a <= b for a, b in zip(memo, memo[1:]))
+
+    def test_golden_sweep_is_order_independent(self, golden_network):
+        # mckp's bounds depend on what earlier budgets memoized, but never
+        # its allocations; nor do any other solver's.
+        def sweep(budgets, fresh=False):
+            out = {}
+            for p_tot in budgets:
+                for name in ("mckp", "ufa", "usu", "greedy"):
+                    if fresh:
+                        fisher._kernel.cache_clear()
+                        fisher._node_tables.cache_clear()
+                    alloc = solvers.SOLVERS[name](golden_network, p_tot, 100,
+                                                  solvers.DEFAULT_EPS0)
+                    out[name, p_tot] = (repr(alloc.powers.tolist()), repr(alloc.objective))
+            return out
+
+        grid = cli.DEFAULT_SWEEP_GRID
+        fisher._kernel.cache_clear()
+        ascending = sweep(grid)
+        fisher._kernel.cache_clear()
+        assert sweep(grid[::-1]) == ascending
+        assert sweep(grid, fresh=True) == ascending
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
     @hypothesis.given(
@@ -918,21 +968,27 @@ class TestMckp:
         mix=st.floats(0.0, 1.0),
         free_lam=st.one_of(st.none(), st.floats(0.0, 2.0),
                            st.sampled_from([0.0, 5e-324, 1e-320, 1e-300])),
+        slack=st.lists(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1.0),
+                                 st.sampled_from([5e-324, 1e-300])),
+                       min_size=31, max_size=31),
     )
     # Rows where the quotient rounds past the smallest clearing m (the
     # first) and short of it (the second), so the float comparison must
     # settle m.
     @hypothesis.example(steps=[0.2, 0.1, 0.1, 0.1, 0.05, 0.05], concave=True, place=0.0,
-                        mix=0.0, free_lam=None)
+                        mix=0.0, free_lam=None, slack=[None] * 31)
     @hypothesis.example(steps=[0.6, 0.6, 0.3, 0.3, 0.3, 0.2, 0.1], concave=True, place=0.0,
-                        mix=0.0, free_lam=None)
+                        mix=0.0, free_lam=None, slack=[None] * 31)
     def test_row_certificate_decides_the_full_row_predicate(self, steps, concave, place, mix,
-                                                            free_lam):
+                                                            free_lam, slack):
         # Nondecreasing rows, concave and not: the certificate's verdict is
         # the predicate read off every entry, and its reads are the chain
         # down from the last column, each step to the smallest m whose
         # bound clears (m, b].  lam is drawn between the increments around
-        # the level, or freely.
+        # the level, or freely.  The chain runs twice: with no bounds, and
+        # with bounds that are None or at least the entry they bound
+        # (equal to it for zero slack), which replace exactly the reads
+        # they clear.
         if concave:
             steps = sorted(steps, reverse=True)
         row = [0.0]
@@ -960,13 +1016,20 @@ class TestMckp:
                         and (level == n or lam >= head[level]))
         expected = prefix_holds and all(row[j] - row[level] <= lam * (j - level)
                                         for j in range(level + 2, n + 1))
-        chain, a, b = [], level + 1, n
-        while prefix_holds and b > a:
-            chain.append(b)
-            rise = row[b] - row[level]
-            b = next((m for m in range(a, b) if rise <= lam * (m + 1 - level)), a)
-        assert solvers._row_certified(value, prefix, level, n, lam) == expected
-        assert reads == chain
+        bounds = [None if extra is None else entry + extra for entry, extra in zip(row, slack)]
+        for upper in ([None] * (n + 1), bounds):
+            chain, a, b = [], level + 1, n
+            while prefix_holds and b > a:
+                if upper[b] is not None and upper[b] - row[level] <= lam * (b - level):
+                    rise = upper[b] - row[level]
+                else:
+                    chain.append(b)
+                    rise = row[b] - row[level]
+                b = next((m for m in range(a, b) if rise <= lam * (m + 1 - level)), a)
+            reads.clear()
+            assert solvers._row_certified(value, prefix, level, n, lam,
+                                          upper.__getitem__) == expected
+            assert reads == chain
 
     def test_non_concave_rows_fall_back_to_the_dp(self):
         # Nondecreasing rows that are mostly not concave (check_mckp's tables),
