@@ -88,6 +88,15 @@ def _number(value, name: str) -> float:
         raise ValueError(f"{name} must be finite, got {value!r}") from None
 
 
+def _finite(value, name: str, positive: bool = False) -> float:
+    """_number, required finite, and positive too if asked; raises ValueError naming the field."""
+    value = _number(value, name)
+    if not math.isfinite(value) or (positive and not value > 0.0):
+        rule = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
 def _numbers(value, name: str) -> np.ndarray:
     """A new float array of numbers nested to any depth, each entry as in _number."""
     entries = np.asarray(value, dtype=object)
@@ -145,10 +154,7 @@ class Sensor:
             raise ValueError(f"bits must be in [1, {MAX_BITS}], got {bits}")
         object.__setattr__(self, "bits", bits)
         for name in ("sigma_n", "h_mag", "sigma_nu", "tau"):
-            value = _number(getattr(self, name), name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(getattr(self, name), name, positive=True))
 
     def _key(self) -> tuple:
         return (self.gain.tobytes(), self.sigma_n, self.h_mag, self.sigma_nu, self.bits, self.tau)
@@ -170,6 +176,9 @@ class Geometry:
 
     Stores seed as an int, the three scalars as Python floats and the
     positions as read-only float arrays, with the same value rules as Sensor.
+    The scalars take the rules generate_deployment applies before it
+    uses them: field_half_width and d_min positive and finite,
+    decay_exponent finite.
     The positions must be finite, two sources and K sensors of two
     coordinates each; Network checks that K is its sensor count.
     """
@@ -183,8 +192,9 @@ class Geometry:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        for name in ("field_half_width", "decay_exponent", "d_min"):
-            object.__setattr__(self, name, _number(getattr(self, name), name))
+        for name, positive in (("field_half_width", True), ("decay_exponent", False),
+                               ("d_min", True)):
+            object.__setattr__(self, name, _finite(getattr(self, name), name, positive))
         for name, rows in (("source_positions", "2"), ("sensor_positions", "K")):
             positions = _numbers(getattr(self, name), name)
             shape = positions.shape[:1] + (2,) if rows == "K" else (2, 2)
@@ -214,7 +224,7 @@ class Network:
         for i, sensor in enumerate(self.sensors):
             if sensor.gain.shape != (q,):
                 raise DimensionMismatch(
-                    f"sensor {i} gain has dimension {sensor.gain.shape[0]}, prior has q={q}"
+                    f"sensors[{i}].gain has dimension {sensor.gain.shape[0]}, prior has q={q}"
                 )
         if self.geometry is not None and self.geometry.sensor_positions.shape[0] != self.k:
             raise DimensionMismatch(
@@ -324,11 +334,9 @@ def generate_deployment(
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    field_half_width = _number(field_half_width, "field_half_width")
-    decay_exponent = _number(decay_exponent, "decay_exponent")
-    d_min = _number(d_min, "d_min")
-    if d_min <= 0.0:
-        raise ValueError(f"d_min must be positive, got {d_min}")
+    field_half_width = _finite(field_half_width, "field_half_width", positive=True)
+    decay_exponent = _finite(decay_exponent, "decay_exponent")
+    d_min = _finite(d_min, "d_min", positive=True)
     prior = make_prior(DEFAULT_COVARIANCE)
     sources = _default_sources()
     if np.any(np.abs(sources) > field_half_width + 1e-12):

@@ -8,10 +8,12 @@ candidates a Lagrangian dual bound rules out), and the exact optimum over
 discretized power levels (one choice per sensor).  The discretized problem
 is solved by marginal analysis over lazily read t values, one grid unit at
 a time to the largest next increment, and the result is certified by a
-Lagrangian test per row (`_row_certified`), which takes t values memoized
-at larger powers as bounds in place of reads; a budget it cannot certify
-falls back to tabulating every entry and the dynamic program
-(`solve_mckp`), so the answer is always the program's optimum.
+Lagrangian test per row (`_row_certified`).  Both take t values memoized
+at larger powers as upper bounds in place of reads: the heap ranks a row
+by its bounded increment and reads the entry only when the row reaches
+the top, and the certificate clears entries with them.  A budget it
+cannot certify falls back to tabulating every entry and the dynamic
+program (`solve_mckp`), so the answer is always the program's optimum.
 A brute-force enumerator over the same discretization serves as the
 reference oracle for small instances.  SOLVERS maps each algorithm's name
 to one call signature; the CLI's --alg choices are its keys.
@@ -752,13 +754,16 @@ def _row_certified(value: Callable[[int], float], prefix: list, level: int, n: i
                    lam: float, bound: Callable[[int], float | None]) -> bool:
     """Whether a row's T_j - lam * j peaks at j = level over the whole grid 0..n.
 
-    `prefix` holds the row's values read so far, T_0 .. T_min(level + 1, n).
-    On it the increments must not increase and must bracket lam (the one
-    reaching `level` at least lam, the next at most lam); these compare the
-    very floats the heap ordered, so no tolerance enters.  Past the prefix
-    every j must have T_j - T_level <= lam * (j - level), and the row is
-    read through value(j), bounded by monotonicity: T_b alone clears every
-    j in (m, b] once T_b - T_level <= lam * (m + 1 - level).  The chain
+    `prefix` holds T_0 .. T_min(level + 1, n), where T_(level + 1) may be
+    an upper bound in place of the entry: every test below only gets
+    harder as that value grows, so a row certified from a bound is
+    certified.  On the prefix the increments must not increase and must
+    bracket lam (the one reaching `level` at least lam, the next at most
+    lam); these compare the very floats the heap ordered, so no tolerance
+    enters.  Past the prefix every j must have T_j - T_level <= lam *
+    (j - level), and the row is read through value(j), bounded by
+    monotonicity: T_b alone clears every j in (m, b] once T_b - T_level <=
+    lam * (m + 1 - level).  The chain
     starts at the last column, clears down to the smallest such m and
     goes on at m; when no m < b qualifies, j = b itself fails.  At each b
     the chain first asks bound(b) for a value at least T_b (or None): one
@@ -767,8 +772,8 @@ def _row_certified(value: Callable[[int], float], prefix: list, level: int, n: i
     the predicate over the whole row whatever the bounds, and with no
     bound the reads are the chain's alone.
     """
-    steps = np.diff(prefix)
-    if not (np.all(steps[:-1] >= steps[1:])
+    steps = [b - a for a, b in zip(prefix, prefix[1:])]
+    if not (all(s >= t for s, t in zip(steps, steps[1:]))
             and (level == 0 or steps[level - 1] >= lam)
             and (level == n or lam >= steps[level])):
         return False
@@ -812,30 +817,63 @@ def _mckp_marginal(value: Callable[[int, int], float], k: int, samples: np.ndarr
     entry it would clear.  If any row fails, the full table from
     `tabulate` goes to solve_mckp.  The objective adds the picked entries
     in row order, as solve_mckp does.
+
+    The heap is lazy (Minoux 1978): where bound(row, L + 1) has a value,
+    row's entry holds the increment up to it, at least the exact one, and
+    T[row, L + 1] is read only when that entry reaches the top.  The exact
+    entry then goes back into the heap, unless it equals the bounded one
+    (a memo hit at the grid power itself), which stays on top as it is.
+    Only exact entries take units.  Entries order by (key, row), so every
+    unit, tie, early stop and lam is the eager heap's, from a subset of
+    its reads.  A row left holding a bound is certified with the bound in
+    its T[L + 1] slot, and again with the entry read if that fails.
     """
     n = samples.size - 1
-    prefixes = [[value(row, 0), value(row, 1)] for row in range(k)]
-    heap = [(prefix[0] - prefix[1], row) for row, prefix in enumerate(prefixes)]
-    heapq.heapify(heap)
     levels = [0] * k
+    prefixes = [[value(row, 0)] for row in range(k)]
+    uppers = [None] * k  # bound(row, L + 1) while T[row, L + 1] is unread
+
+    def read(row):
+        prefix = prefixes[row]
+        prefix.append(value(row, levels[row] + 1))
+        uppers[row] = None
+        return prefix[-2] - prefix[-1], row
+
+    def entry(row):
+        uppers[row] = bound(row, levels[row] + 1)
+        return read(row) if uppers[row] is None else (prefixes[row][-1] - uppers[row], row)
+
+    def certified(row, prefix):
+        return _row_certified(lambda j: value(row, j), prefix, levels[row], n, lam,
+                              lambda j: bound(row, j))
+
+    heap = [entry(row) for row in range(k)]
+    heapq.heapify(heap)
     lam = 0.0
-    for _ in range(n):
+    units = 0
+    while units < n:
         negated, row = heap[0]
         if not negated < 0.0:
             lam = 0.0
             break
+        if uppers[row] is not None:
+            exact = read(row)
+            if exact != heap[0]:
+                heapq.heapreplace(heap, exact)
+                continue
         lam = -negated
+        units += 1
         levels[row] += 1
-        level = levels[row]
-        if level == n:
+        if levels[row] == n:
             break
-        prefix = prefixes[row]
-        prefix.append(value(row, level + 1))
-        heapq.heapreplace(heap, (prefix[level] - prefix[level + 1], row))
-    if not all(_row_certified(lambda j: value(row, j), prefixes[row], levels[row], n, lam,
-                              lambda j: bound(row, j))
-               for row in range(k)):
-        return solve_mckp(tabulate(), samples, p_tot, baseline=baseline)
+        heapq.heapreplace(heap, entry(row))
+    for row in range(k):
+        if uppers[row] is not None:
+            if certified(row, prefixes[row] + [uppers[row]]):
+                continue
+            read(row)
+        if not certified(row, prefixes[row]):
+            return solve_mckp(tabulate(), samples, p_tot, baseline=baseline)
     total = 0.0
     for row in range(k):
         total += prefixes[row][levels[row]]
@@ -848,25 +886,27 @@ def solve_mckp_network(network: Network, p_tot: float, n: int = 100) -> Allocati
     """solve_mckp's optimum on a fresh grid, reading t only where marginal analysis needs it.
 
     Each entry is the sensor's shared kernel's `t_checked` at the grid
-    power, the value tabulate_t would store; `_mckp_marginal` reads a row
-    about one grid point past the level it assigns, plus the few entries
-    its certificate needs.  t is nondecreasing in P (a noisier binary
-    symmetric channel is a garbling of a cleaner one, and Fisher
-    information obeys data processing), which the certificate's tail bound
-    uses, and so does its bound on an entry: the kernel's memoized t at
-    the smallest power at or above the entry's (`InfoKernel.t_bound`).
-    With an empty memo there is none; after a larger budget of a sweep
-    (which `fimalloc sweep` solves first) there is often one, and the
-    certificate computes far fewer entries.  Either way the allocation is
-    the same bits.  A budget the certificate cannot clear falls back to
-    tabulate_t and solve_mckp.
+    power (taken from samples as Python floats), the value tabulate_t would
+    store; `_mckp_marginal` reads a row at most one grid point past the
+    level it assigns, plus the few entries its certificate needs.  t is
+    nondecreasing in P (a noisier binary symmetric channel is a garbling of
+    a cleaner one, and Fisher information obeys data processing), which the
+    certificate's tail bound uses, and so does the bound on an entry that
+    the heap and the certificate take: the kernel's memoized t at the
+    smallest power at or above the entry's (`InfoKernel.t_bound`).  With an
+    empty memo there is none; after a larger budget of a sweep (which
+    `fimalloc sweep` solves first) there is often one, and far fewer
+    entries are computed.  Either way the allocation is the same bits.  A
+    budget the certificate cannot clear falls back to tabulate_t and
+    solve_mckp.
     """
     samples = make_power_grid(p_tot, n)
+    powers = samples.tolist()
     kernels = [_kernel(sensor, network.prior) for sensor in network.sensors]
-    return _mckp_marginal(lambda row, j: kernels[row].t_checked(float(samples[j])),
+    return _mckp_marginal(lambda row, j: kernels[row].t_checked(powers[j]),
                           network.k, samples, p_tot, network.prior.inverse_trace,
                           lambda: tabulate_t(network, samples),
-                          lambda row, j: kernels[row].t_bound(float(samples[j])))
+                          lambda row, j: kernels[row].t_bound(powers[j]))
 
 
 def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation:

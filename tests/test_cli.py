@@ -132,6 +132,13 @@ class TestSolve:
          "geometry.sensor_positions must be finite, got nan at [5, 0]"),
         (("geometry", "source_positions"), [1.0],
          "geometry.source_positions must have shape (2, 2), got (1,)"),
+        (("geometry", "field_half_width"), -1.0,
+         "geometry.field_half_width must be positive and finite, got -1.0"),
+        (("geometry", "d_min"), float("nan"), "geometry.d_min must be positive and finite, got nan"),
+        (("geometry", "decay_exponent"), float("inf"),
+         "geometry.decay_exponent must be finite, got inf"),
+        (("sensors", 3, "gain"), [1.0, 2.0, 3.0],
+         "sensors[3].gain has dimension 3, prior has q=2"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):

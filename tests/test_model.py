@@ -343,8 +343,17 @@ class TestScenarioIO:
          "geometry.source_positions must have shape (2, 2), got (1,)"),
         (("geometry", "source_positions"), [[0.0, 1.0]] * 3,
          "geometry.source_positions must have shape (2, 2), got (3, 2)"),
+        (("geometry", "field_half_width"), -1.0,
+         "geometry.field_half_width must be positive and finite, got -1.0"),
+        (("geometry", "field_half_width"), 0.0,
+         "geometry.field_half_width must be positive and finite, got 0.0"),
+        (("geometry", "d_min"), math.nan, "geometry.d_min must be positive and finite, got nan"),
+        (("geometry", "d_min"), -0.1, "geometry.d_min must be positive and finite, got -0.1"),
+        (("geometry", "decay_exponent"), math.inf,
+         "geometry.decay_exponent must be finite, got inf"),
     ], ids=["3-rows", "3-columns", "vector", "nan", "inf-source", "source-vector",
-            "3-sources"])
+            "3-sources", "negative-half-width", "zero-half-width", "nan-d-min",
+            "negative-d-min", "inf-decay"])
     def test_malformed_geometry_named(self, keys, value, message, golden_scenario_path):
         payload = _golden_with(golden_scenario_path, keys, value)
         with pytest.raises(FimallocError, match=re.escape(message)):
@@ -446,10 +455,16 @@ class TestPriorEquality:
     (lambda: model.generate_deployment(-1, 2), "seed"),
     (lambda: model.homogeneous_network("2"), "k"),
     (lambda: model.homogeneous_network(2.5), "k"),
+    # Non-finite geometry once failed later: an unnamed OverflowError from
+    # the position draw, exhausted re-draws, or a non-finite gain.
+    (lambda: model.generate_deployment(1, 2, field_half_width=math.inf), "field_half_width"),
+    (lambda: model.generate_deployment(1, 2, d_min=math.nan), "d_min"),
+    (lambda: model.generate_deployment(1, 2, decay_exponent=math.nan), "decay_exponent"),
 ], ids=["sigma_n-str", "sigma_n-none", "sigma_n-entry", "decay-str", "decay-none",
         "d_min-str", "half_width-np-bool", "homogeneous-gain", "homogeneous-sigma_n",
         "k-str", "k-fraction", "k-bool", "seed-str", "seed-fraction", "seed-none",
-        "seed-negative", "homogeneous-k-str", "homogeneous-k-fraction"])
+        "seed-negative", "homogeneous-k-str", "homogeneous-k-fraction", "half_width-inf",
+        "d_min-nan", "decay-nan"])
 def test_generators_name_the_field(call, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         call()

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import math
 import re
 from unittest import mock
@@ -895,33 +896,42 @@ class TestMckp:
 
     def test_golden_sweep_reads(self, golden_network, monkeypatch):
         # From fresh kernels, marginal analysis plus the certificate's chain
-        # read 2,118 entries over the 10 default budgets in ascending order,
-        # and 1,601 largest first, as `fimalloc sweep` runs them: the chain
-        # takes a memoized t at a larger power in place of an entry it
-        # clears.  With no such bound it read 2,562; halving the
-        # certificate's unread intervals read 2,911.
-        reads = []
-        checked = fisher.InfoKernel.t_checked
+        # read 2,017 entries over the 10 default budgets in ascending order,
+        # and 1,469 largest first, as `fimalloc sweep` runs them, computing
+        # 1,120 and 797 of them: the chain takes a memoized t at a larger
+        # power in place of an entry it clears, and the heap reads an entry
+        # only once its bounded increment reaches the top.  With an eager
+        # heap it read 2,118 and 1,601 (computing 1,173 and 909); with no
+        # bound at all, 2,562.
+        reads, computed = [], []
+        checked, ladder = fisher.InfoKernel.t_checked, fisher.InfoKernel._ladder
 
         def counted(self, power):
             reads.append(power)
             return checked(self, power)
 
+        def computing(self, power):
+            computed.append(power)
+            return ladder(self, power)
+
         monkeypatch.setattr(fisher.InfoKernel, "t_checked", counted)
-        for budgets, most in ((cli.DEFAULT_SWEEP_GRID, 2118),
-                              (cli.DEFAULT_SWEEP_GRID[::-1], 1601)):
+        monkeypatch.setattr(fisher.InfoKernel, "_ladder", computing)
+        for budgets, most_reads, most_computed in ((cli.DEFAULT_SWEEP_GRID, 2017, 1120),
+                                                   (cli.DEFAULT_SWEEP_GRID[::-1], 1469, 797)):
             fisher._kernel.cache_clear()
             reads.clear()
+            computed.clear()
             for p_tot in budgets:
                 solvers.solve_mckp_network(golden_network, p_tot)
-            assert len(reads) <= most
+            assert len(reads) <= most_reads
+            assert len(computed) <= most_computed
 
     def test_memoized_t_is_nondecreasing_in_power(self, golden_network, golden_scenario_path,
                                                   tmp_path):
         # The certificate's bounds take a memoized t at a larger power as an
         # upper bound, which holds only while computed t is nondecreasing
-        # in P: after the golden sweep (1,038 memoized values) and after
-        # mckp on 60 fuzzed networks (19,214), no memo falls anywhere.
+        # in P: after the golden sweep (938 memoized values) and after
+        # mckp on 60 fuzzed networks (19,195), no memo falls anywhere.
         fisher._kernel.cache_clear()
         assert cli.main(["sweep", "--scenario", str(golden_scenario_path), "--alg",
                          "mckp,ufa,usu", "--out", str(tmp_path / "sweep.csv")]) == 0
@@ -1033,7 +1043,10 @@ class TestMckp:
 
     def test_non_concave_rows_fall_back_to_the_dp(self):
         # Nondecreasing rows that are mostly not concave (check_mckp's tables),
-        # and one where handing out units by increment alone is wrong.
+        # and one where handing out units by increment alone is wrong.  Each
+        # table runs again with every entry bounded by the next one, so the
+        # heap holds bounds and rows are certified from them: a bound that
+        # fails must be read and checked again, never taken as the verdict.
         rng = np.random.default_rng(verify.DEFAULT_SEED + 400)
         tables = []
         for _ in range(50):
@@ -1042,13 +1055,20 @@ class TestMckp:
             table[:, 0] = 0.0
             tables.append(table)
         tables.append(np.array([[0.0, 1.0, 2.0], [0.0, 0.1, 5.0]]))
-        fallbacks = []
+        fallbacks, bounded_fallbacks = [], []
         for table in tables:
-            n = table.shape[1] - 1
+            k, n = table.shape[0], table.shape[1] - 1
+            grid = solvers.make_power_grid(float(n), n)
             lazy = verify.mckp_marginal_on_table(table, lambda: fallbacks.append(1))
-            dp = solvers.solve_mckp(table, solvers.make_power_grid(float(n), n), float(n))
-            assert lazy.objective == dp.objective
+            bounded = solvers._mckp_marginal(
+                lambda row, j: float(table[row, j]), k, grid, float(n), 0.0,
+                lambda: bounded_fallbacks.append(1) or table,
+                lambda row, j: float(table[row, min(j + 1, n)]))
+            dp = solvers.solve_mckp(table, grid, float(n))
+            assert lazy.objective == bounded.objective == dp.objective
             np.testing.assert_array_equal(lazy.powers, dp.powers)
+            np.testing.assert_array_equal(bounded.powers, dp.powers)
+            assert len(bounded_fallbacks) == len(fallbacks)
         assert len(fallbacks) >= 25
         assert verify.mckp_marginal_on_table(tables[-1]).objective == 5.0
 
@@ -1071,6 +1091,121 @@ class TestMckp:
         assert lazy.objective == _dp_on_network(network, p_tot).objective
         samples = solvers.make_power_grid(p_tot, 100)
         np.testing.assert_array_equal(lazy.powers, samples[[15, 15, 14, 14, 14, 14, 14]])
+
+
+
+def _eager_mckp(network, p_tot, n=100):
+    """The eager heap mckp used before its heap was lazy, with a certificate given no bounds.
+
+    Returns the (row, j) entries it reads and the levels it assigns: the
+    reference for a lazy run with no bounds, which must read the same set.
+    """
+    samples = solvers.make_power_grid(p_tot, n)
+    kernels = [fisher._kernel(sensor, network.prior) for sensor in network.sensors]
+    reads = set()
+
+    def value(row, j):
+        reads.add((row, j))
+        return kernels[row].t_checked(float(samples[j]))
+
+    prefixes = [[value(row, 0), value(row, 1)] for row in range(network.k)]
+    heap = [(prefix[0] - prefix[1], row) for row, prefix in enumerate(prefixes)]
+    heapq.heapify(heap)
+    levels = [0] * network.k
+    lam = 0.0
+    for _ in range(n):
+        negated, row = heap[0]
+        if not negated < 0.0:
+            lam = 0.0
+            break
+        lam = -negated
+        levels[row] += 1
+        if levels[row] == n:
+            break
+        prefixes[row].append(value(row, levels[row] + 1))
+        heapq.heapreplace(heap, (prefixes[row][-2] - prefixes[row][-1], row))
+    for row in range(network.k):
+        if not solvers._row_certified(lambda j: value(row, j), prefixes[row], levels[row], n,
+                                      lam, lambda j: None):
+            break
+    return reads, levels
+
+
+def _lazy_mckp(network, budgets, bounded, monkeypatch):
+    """solve_mckp_network over budgets from fresh kernels, with the memo's bounds or none.
+
+    Returns, per budget, the allocation and the repr of its fields (every
+    float in full), the (row, j) entries read and whether the certificate
+    sent it to the DP; and the set of
+    (kernel's first row, power) pairs computed over the whole run.
+    """
+    fisher._kernel.cache_clear()
+    kernels = [fisher._kernel(sensor, network.prior) for sensor in network.sensors]
+    marginal, ladder, dp = solvers._mckp_marginal, fisher.InfoKernel._ladder, solvers.solve_mckp
+    runs, computed = [], set()
+
+    def logged_marginal(value, *args):
+        def logged(row, j):
+            runs[-1]["reads"].add((row, j))
+            return value(row, j)
+        return marginal(logged, *args)
+
+    def logged_ladder(kernel, power):
+        computed.add((kernels.index(kernel), power))
+        return ladder(kernel, power)
+
+    def logged_dp(*args, **kwargs):
+        runs[-1]["dp"] = True
+        return dp(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_mckp_marginal", logged_marginal)
+        patch.setattr(fisher.InfoKernel, "_ladder", logged_ladder)
+        patch.setattr(solvers, "solve_mckp", logged_dp)
+        if not bounded:
+            patch.setattr(fisher.InfoKernel, "t_bound", lambda kernel, power: None)
+        for p_tot in budgets:
+            runs.append({"reads": set(), "dp": False})
+            alloc = solvers.solve_mckp_network(network, p_tot)
+            runs[-1].update(alloc=alloc, repr=repr([
+                alloc.selection.tolist(), alloc.powers.tolist(), alloc.objective,
+                alloc.algorithm, alloc.iterations, alloc.diagnostics]))
+    return runs, computed
+
+
+class TestLazyHeap:
+    NETWORKS = (["golden", "homogeneous-7"]
+                + [f"random-{seed}" for seed in range(2024, 2084)])
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_bounds_change_no_allocation_and_only_drop_work(self, name, golden_network,
+                                                             monkeypatch):
+        # Largest budget first, so later budgets find bounds in the memo.
+        # With them the allocations and DP fallbacks are the same, the heap
+        # reads (entries up to a row's level + 1) are a subset of those read
+        # with none, and no more values are computed over the run, though
+        # not always a subset: a bound that clears a certificate's chain
+        # point can send the chain to entries the exact value would skip.
+        # With none, the entries read are the eager heap's, budget by budget.
+        if name == "golden":
+            network = golden_network
+        elif name == "homogeneous-7":
+            network = model.homogeneous_network(7)
+        else:
+            network = random_network(np.random.default_rng(int(name.split("-")[1])))
+        budgets = (50.0, 20.0, 5.0)
+        bounded, computed_bounded = _lazy_mckp(network, budgets, True, monkeypatch)
+        free, computed_free = _lazy_mckp(network, budgets, False, monkeypatch)
+        assert [run["repr"] for run in bounded] == [run["repr"] for run in free]
+        assert [run["dp"] for run in bounded] == [run["dp"] for run in free]
+        assert len(computed_bounded) <= len(computed_free)
+        for p_tot, run, lazy in zip(budgets, free, bounded):
+            reads, levels = _eager_mckp(network, p_tot)
+            assert run["reads"] == reads, p_tot
+            assert {(row, j) for row, j in lazy["reads"] if j <= levels[row] + 1} <= reads
+            if not run["dp"]:
+                powers = solvers.make_power_grid(p_tot, 100)[levels]
+                np.testing.assert_array_equal(run["alloc"].powers, powers)
 
 
 class TestBruteforce:
