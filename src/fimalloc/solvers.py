@@ -31,7 +31,9 @@ the clip-or-root rule is written once.  Twins (equal Sensors, which
 compare by value) share one curve (`_shared_curves`): greedy splits one
 candidate per twin slot, a split keeps one table per twin class, and a
 bound takes one term per curve, with results bit-identical to treating
-every sensor apart.
+every sensor apart.  A split whose members are all one curve (one twin
+class) needs no bisection: equal marginal utility puts every member at
+p_tot / m.
 """
 
 from __future__ import annotations
@@ -220,8 +222,9 @@ class PowerSolution:
     """Continuous subproblem output: powers plus solver diagnostics.
 
     slope_evaluations counts the t' calls the split made itself: bracket
-    refinements and the stationarity check, not the endpoint slopes its
-    curves were built with.
+    refinements and the stationarity check, or the closed form's one
+    multiplier for a twin class, not the endpoint slopes its curves were
+    built with.
     """
 
     powers: np.ndarray
@@ -412,10 +415,17 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     """Dual bisection on the budget multiplier over per-sensor curves.
 
     Factored out so tests can exercise the solver on synthetic derivative
-    functions; each curve has already checked its concavity.  A one-sensor
-    set takes the whole budget at multiplier t'(p_tot).
+    functions; each curve has already checked its concavity.  A set whose
+    every entry is one curve (one sensor, or one twin class; see
+    _shared_curves) is split in closed form: identical concave curves under
+    one budget have equal marginal utility at the equal split (Patriksson,
+    EJOR 2008), so each member gets p_tot / m at multiplier t'(p_tot / m),
+    with KKT residual 0, no iteration and that one t' call (one sensor takes
+    the whole budget at t'(p_tot), the endpoint slope its curve already
+    holds).  This holds wherever the bisection below would collapse too,
+    such as a budget past every slope's saturation.
 
-    Each distinct curve gets one `_SlopeTable` for this split, so each
+    Otherwise each distinct curve gets one `_SlopeTable` for this split, so each
     bisection step at lam reads every sensor's bracket [lo, hi] around its
     maximizer from the points earlier steps evaluated.  When the summed
     brackets, widened by m * x_tol, lie wholly above or below the budget
@@ -448,8 +458,12 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     m = len(curves)
     if m == 0:
         raise ValueError("active set must be nonempty")
-    if m == 1:
-        return PowerSolution(np.array([p_tot]), curves[0].at_top, 0.0, 0, False, 0)
+    curve = curves[0]
+    if all(other is curve for other in curves):
+        if m == 1:
+            return PowerSolution(np.array([p_tot]), curve.at_top, 0.0, 0, False, 0)
+        share = p_tot / m
+        return PowerSolution(np.full(m, share), curve.t_prime(share), 0.0, 0, False, 1)
 
     lam_hi = float(np.max([curve.at_floor for curve in curves]))
     if lam_hi <= 0.0:
@@ -521,7 +535,9 @@ def _shared_curves(sensors: Sequence[Sensor], prior: Prior, p_tot: float) -> lis
 
     Twins are equal Sensors (Sensor compares by value), so fisher's kernel
     lookup gives them one kernel object, and their t and t' agree at every
-    power: one curve per kernel takes each endpoint slope once.  `t` is
+    power: one curve per kernel takes each endpoint slope once, and a set
+    of one twin class is one curve repeated, which `_allocate_power_core`
+    splits in closed form.  `t` is
     the guarded, memoized `InfoKernel.t_checked` that trace_fim reads
     through t_k, so a bound and an objective share one quadrature.
     """
@@ -619,7 +635,9 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     index is a candidate: a higher twin's split is the same list of curves,
     so its powers are bit-identical, and trace_fim, which adds in index
     order, puts its term in the same place, so its objective ties and the
-    lower index wins.
+    lower index wins.  A candidate set of one twin class is split in closed
+    form, p_tot / m each, so on a homogeneous network greedy that
+    activates every sensor returns ufa's powers and objective.
 
     Candidates that cannot win are skipped without a solve.  With the
     accepted set A split at multiplier lam (the split reports t'(p_tot)

@@ -181,31 +181,53 @@ class TestPowerAllocation:
         assert curves[1] is curves[0]
         assert len({id(curve) for curve in curves}) == 1 + len(variants)
 
-    def test_twins_take_one_residual_slope(self, default_prior, monkeypatch):
-        # Six twins share one slope table and end at one power, so the
-        # stationarity check after the last refinement evaluates t' once,
-        # not once per sensor.
+    def test_twins_split_in_closed_form(self, default_prior, monkeypatch):
+        # Six twins share one curve: each gets p_tot / 6 at multiplier
+        # t'(p_tot / 6), from that one t' call, with no refinement.
         net = model.homogeneous_network(6)
         curve = solvers._shared_curves(net.sensors, default_prior, 12.0)[0]
-        events = []
-        t_prime, refine = curve.t_prime, solvers._SlopeTable.refine
+        calls = []
+        t_prime = curve.t_prime
 
         def logged_t_prime(x):
-            events.append("t'")
+            calls.append(x)
             return t_prime(x)
+
+        curve.t_prime = logged_t_prime
+        monkeypatch.setattr(solvers._SlopeTable, "refine", _no_refine)
+        solution = solvers._allocate_power_core([curve] * 6, 12.0)
+        assert solution.powers.tolist() == [2.0] * 6 and calls == [2.0]
+        assert (solution.multiplier, solution.kkt_residual, solution.iterations,
+                solution.slope_evaluations) == (t_prime(2.0), 0.0, 0, 1)
+
+    def test_twins_take_one_residual_slope(self, default_prior, monkeypatch):
+        # Three twins each of two sensors: each class shares one slope table
+        # and ends at one power, so the stationarity check after the last
+        # refinement evaluates t' once per class, not once per sensor.
+        sensor = model.homogeneous_network(1).sensors[0]
+        odd = dataclasses.replace(sensor, h_mag=0.9)
+        curves = solvers._shared_curves([sensor, odd], default_prior, 12.0)
+        events = []
+        refine = solvers._SlopeTable.refine
+        for curve in curves:
+            def logged_t_prime(x, t_prime=curve.t_prime):
+                events.append("t'")
+                return t_prime(x)
+
+            curve.t_prime = logged_t_prime
 
         def logged_refine(table, lam, x):
             refine(table, lam, x)
             events.append("step")
 
-        curve.t_prime = logged_t_prime
         monkeypatch.setattr(solvers._SlopeTable, "refine", logged_refine)
-        solution = solvers._allocate_power_core([curve] * 6, 12.0)
-        assert len(set(solution.powers.tolist())) == 1
+        solution = solvers._allocate_power_core([curves[0]] * 3 + [curves[1]] * 3, 12.0)
+        assert all(curve._endpoint(solution.multiplier) is None for curve in curves)
+        assert len(set(solution.powers[:3].tolist())) == len(set(solution.powers[3:].tolist())) == 1
         assert solution.kkt_residual <= solvers.KKT_RTOL * solution.multiplier
-        assert events.count("step") == events.count("t'") - 1 == solution.slope_evaluations - 1
+        assert events.count("step") == events.count("t'") - 2 == solution.slope_evaluations - 2
         last_step = len(events) - 1 - events[::-1].index("step")
-        assert events[last_step + 1:] == ["t'"]
+        assert events[last_step + 1:] == ["t'", "t'"]
 
     def test_twins_take_one_bound_term(self, default_prior):
         net = model.homogeneous_network(5)
@@ -306,9 +328,34 @@ class TestPowerAllocation:
 
         monkeypatch.setattr(solvers._SlopeTable, "ends", logged_ends)
         with pytest.raises(NoConvergence, match="no positive multiplier spends the budget") as info:
-            solvers._allocate_power_core([solvers._Curve(t_prime, p_tot)] * 2, p_tot)
+            solvers._allocate_power_core([solvers._Curve(t_prime, p_tot) for _ in range(2)],
+                                         p_tot)
         assert bracket in str(info.value)
         assert len(multipliers) <= most_steps
+
+    @pytest.mark.parametrize("t_prime, p_tot, lam", [
+        (lambda p: max(0.0, 1.0 - p / 10.0), 100.0, 0.0),
+        (lambda p: 1.0 if p < 5.0 else 0.5, 12.0, 0.5),
+    ], ids=["saturating", "jump"])
+    def test_one_shared_curve_splits_where_the_bracket_would_collapse(self, t_prime, p_tot,
+                                                                      lam):
+        # The curves of the test above, shared: the equal split is optimal,
+        # with no bisection to collapse.
+        solution = solvers._allocate_power_core([solvers._Curve(t_prime, p_tot)] * 2, p_tot)
+        assert solution.powers.tolist() == [p_tot / 2] * 2
+        assert (solution.multiplier, solution.kkt_residual, solution.iterations) == (lam, 0.0, 0)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(a=st.floats(1e-2, 50.0), b=st.floats(1e-2, 1e2), m=st.integers(2, 12),
+                      p_tot=st.floats(0.1, 1e4))
+    def test_identical_log_curves_split_equally(self, a, b, m, p_tot):
+        curve = _log_curves([a], [b], p_tot)[0]
+        solution = solvers._allocate_power_core([curve] * m, p_tot)
+        share = p_tot / m
+        assert solution.powers.tolist() == [share] * m
+        assert solution.multiplier == a * b / (1.0 + b * share)
+        assert (solution.kkt_residual, solution.iterations, solution.slope_evaluations) \
+            == (0.0, 0, 1)
 
 
 def _log_curves(a, b, p_tot):
@@ -364,6 +411,22 @@ class TestSplitProperties:
         with_twins = solvers._allocate_power_core([shared[c] for c in pattern], p_tot)
         apart = solvers._allocate_power_core(
             _log_curves([a[c] for c in pattern], [b[c] for c in pattern], p_tot), p_tot)
+        if len(set(pattern)) == 1:
+            # One class is split in closed form; bisecting the separate curves
+            # lands within the budget band of it and never above its objective.
+            (c,), m = set(pattern), len(pattern)
+            share = p_tot / m
+            assert with_twins.powers.tolist() == [share] * m
+            assert with_twins.multiplier == shared[c].t_prime(share)
+            assert (with_twins.kkt_residual, with_twins.iterations,
+                    with_twins.slope_evaluations) == (0.0, 0, 1)
+            assert np.all(np.abs(apart.powers - share) <= solvers.BUDGET_RTOL * p_tot)
+
+            def objective(powers):
+                return sum(a[c] * math.log1p(b[c] * power) for power in powers)
+
+            assert objective(apart.powers) <= objective(with_twins.powers) * (1.0 + 1e-14)
+            return
         assert with_twins.powers.tolist() == apart.powers.tolist()
         assert (repr(with_twins.multiplier), repr(with_twins.kkt_residual),
                 with_twins.iterations, with_twins.fallback) \
@@ -457,6 +520,10 @@ def _no_split(curves, p_tot):
     raise AssertionError("a split ran over a curve whose t' rises")
 
 
+def _no_refine(table, lam, x):
+    raise AssertionError("a split over one twin class refined a slope table")
+
+
 def _twin_network(golden, picks=(3, 0, 3, 5, 0, 7, 3, 11, 0, 15, 5, 5)):
     """Golden sensors picked by index, with repeats; the default repeats 3, 0 and 5 thrice."""
     return model.Network(sensors=tuple(golden.sensors[i] for i in picks), prior=golden.prior)
@@ -465,8 +532,9 @@ def _twin_network(golden, picks=(3, 0, 3, 5, 0, 7, 3, 11, 0, 15, 5, 5)):
 def _greedy_every_candidate(network, p_tot, eps0):
     """Greedy without bounds: every inactive candidate gets a split each round.
 
-    Every candidate's split builds one curve per sensor, twins included, so
-    no work is shared between twins.
+    Every candidate's split builds one fresh curve per distinct sensor in
+    it, so no work is shared between candidates or rounds, and a candidate
+    of one twin class takes the closed form, as greedy's splits do.
 
     Returns the allocation and, per round, the accepted set, its powers, its
     multiplier (t'(p_tot) for one sensor) and every candidate's objective.
@@ -487,9 +555,10 @@ def _greedy_every_candidate(network, p_tot, eps0):
         objectives = {}
         for j in inactive:
             candidate = active + [j]
-            solution = solvers._allocate_power_core(
-                [solvers._Curve(fisher.InfoKernel(network.sensors[i], network.prior).t_prime,
-                                p_tot) for i in candidate], p_tot)
+            sensors = [network.sensors[i] for i in candidate]
+            fresh = {sensor: solvers._Curve(fisher.InfoKernel(sensor, network.prior).t_prime, p_tot)
+                     for sensor in dict.fromkeys(sensors)}
+            solution = solvers._allocate_power_core([fresh[sensor] for sensor in sensors], p_tot)
             powers_full = np.zeros(k)
             powers_full[candidate] = solution.powers
             selection = np.zeros(k)
@@ -645,8 +714,10 @@ class TestGreedyPruning:
     def test_homogeneous_10_roots_each_bound_term_once(self, monkeypatch):
         # Ten twins at p = 5: each round's bound takes its one candidate's
         # term from the active twins, so t' is evaluated only by the curve's
-        # endpoints and the splits.  Rooting every candidate's term afresh
-        # took 97 t' calls and 18 checked t computations.
+        # endpoints and the splits, and each split of k > 1 twins is the
+        # closed form's one call: 2 + 9.  Rooting every candidate's term
+        # afresh took 97 t' calls and 18 checked t computations, and
+        # bisecting the twin splits took 49 t' calls.
         fisher._kernel.cache_clear()
         slopes, checked = [0], [0]
         t_prime, ladder = fisher.InfoKernel.t_prime, fisher.InfoKernel._ladder
@@ -663,7 +734,19 @@ class TestGreedyPruning:
         monkeypatch.setattr(fisher.InfoKernel, "_ladder", counted_ladder)
         alloc = solvers.solve_greedy(model.homogeneous_network(10), 5.0, eps0=1e-5)
         assert alloc.num_selected == 10
-        assert slopes[0] <= 50 and checked[0] <= 10
+        assert slopes[0] <= 11 and checked[0] <= 10
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 10])
+    @pytest.mark.parametrize("p_tot", [5.0, 50.0, 1e3, 1e5])
+    def test_full_homogeneous_activation_is_ufa(self, k, p_tot):
+        # Every split is of one twin class, so it is the equal split itself:
+        # at 1e5, past every slope's saturation, too.
+        network = model.homogeneous_network(k)
+        alloc = solvers.solve_greedy(network, p_tot, eps0=1e-12)
+        uniform = solvers.solve_ufa(network, p_tot)
+        assert alloc.num_selected == k
+        assert alloc.powers.tolist() == uniform.powers.tolist()
+        assert alloc.objective == uniform.objective
 
     def test_equal_objectives_go_to_the_lower_index(self, monkeypatch):
         # Bounds that put higher indices first, and every candidate tied: the
@@ -689,8 +772,10 @@ class TestSplitWork:
         # brackets across steps, and slope_evaluations counts every t' call a
         # split makes.  Refining at the false-position points alone took 102
         # and 477; points aimed at the budget band's edges settle most steps
-        # with one call per curve, and stay tabled for later steps.
-        most = {"golden@5": 60, "homogeneous-10@5": 120}[case]
+        # with one call per curve, and stay tabled for later steps (47 calls
+        # on homogeneous-10).  A split of k > 1 twins is the closed form's
+        # one call, so homogeneous-10 takes 9.
+        most = {"golden@5": 60, "homogeneous-10@5": 9}[case]
         if case == "golden@5":
             network, eps0 = golden_network, solvers.DEFAULT_EPS0
         else:
