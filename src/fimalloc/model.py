@@ -6,21 +6,24 @@ magnitude, channel noise, bit budget, and quantizer half-range.  Random
 deployments place sensors uniformly in a square field and derive gains
 from inverse-distance decay toward two source locations.
 
-Sensor, Geometry and make_prior check their own values: a numeric field
-takes a real number (an integer for bits and seed), never a boolean, a
-string or None, and a bad value raises ValueError naming the field.  The
-generators check seed and k themselves and pass the other caller values
-straight through, and the scenario reader builds each record from its
-dataclass fields, prefixing the message with where the record sits, e.g.
+Each field's rule (type, sign, finiteness, range, shape; never a boolean,
+string or None) is stated once, in the table _RULES, which _checked applies
+for Sensor, Geometry, Network, make_prior, make_tau and both generators: a
+bad value raises ValueError naming the field, DimensionMismatch for a wrong
+shape.  Network matches each gain to the prior's q, with gain' C gain
+finite, and the sensor positions to the sensor count.  The scenario reader
+raises every failure as a ParseError naming where the field sits, e.g.
 "sensors[3].sigma_n must be a number".
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -78,42 +81,99 @@ class Prior:
         return self.covariance.shape[0]
 
 
-def _number(value, name: str) -> float:
-    """A real number as a Python float; booleans, strings and None are rejected."""
+def _number(value, name: str, rule: str = "") -> float:
+    """A real number as a Python float; booleans, strings and None are rejected.
+
+    rule "finite" requires it finite, and "positive and finite" positive too.
+    """
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f"{name} must be finite, got {value!r}") from None
+    if rule and not (math.isfinite(number) and (rule == "finite" or number > 0.0)):
+        raise ValueError(f"{name} must be {rule}, got {number}")
+    return number
 
 
-def _finite(value, name: str, positive: bool = False) -> float:
-    """_number, required finite, and positive too if asked; raises ValueError naming the field."""
-    value = _number(value, name)
-    if not math.isfinite(value) or (positive and not value > 0.0):
-        rule = "positive and finite" if positive else "finite"
-        raise ValueError(f"{name} must be {rule}, got {value}")
-    return value
-
-
-def _numbers(value, name: str) -> np.ndarray:
-    """A new float array of numbers nested to any depth, each entry as in _number."""
-    entries = np.asarray(value, dtype=object)
-    try:
-        return np.array([_number(v, name) for v in entries.ravel()]).reshape(entries.shape)
-    except ValueError:
-        raise ValueError(f"{name} must be an array of numbers, got {value!r}") from None
-
-
-def _integer(value, name: str) -> int:
-    """An integer, or an integral float, as a Python int; booleans are rejected."""
+def _integer(value, name: str, low: Optional[int] = None, high: Optional[int] = None) -> int:
+    """An integer, or an integral float, as a Python int in [low, high]; booleans are rejected."""
     if isinstance(value, (bool, np.bool_)) or not (
         isinstance(value, numbers.Integral)
         or (isinstance(value, numbers.Real) and float(value).is_integer())
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        rule = f"in [{low}, {high}]" if high is not None else "nonnegative" if low == 0 else f">= {low}"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def _array(value, name: str, shape: tuple) -> np.ndarray:
+    """A new read-only float array of finite numbers, as in _number, in the given
+    shape; a letter in shape stands for any length, the same wherever it recurs.
+    """
+    entries = np.asarray(value, dtype=object)
+    try:  # a new array: freezing it leaves the caller's alone
+        array = np.array([_number(v, name) for v in entries.ravel()]).reshape(entries.shape)
+    except ValueError:
+        raise ValueError(f"{name} must be an array of numbers, got {value!r}") from None
+    lengths = dict(zip(shape, array.shape))  # each letter's length, where it last occurs
+    if array.shape != tuple(lengths.get(s) if isinstance(s, str) else s for s in shape):
+        rule = "be a vector" if len(shape) == 1 else "have shape " + str(shape).replace("'", "")
+        raise DimensionMismatch(f"{name} must {rule}, got {array.shape}")
+    if not np.isfinite(array).all():
+        at = np.argwhere(~np.isfinite(array))[0].tolist()
+        raise ValueError(f"{name} must be finite, got {array[tuple(at)]} at {at}")
+    array.setflags(write=False)
+    return array
+
+
+# The rule of every scenario field, by name: its type, sign, finiteness,
+# range and shape.  Sensor's fields come first, then Geometry's, then the
+# prior's covariance and the sensor count k.  In a shape, q is the prior's
+# dimension and K the sensor count, which Network matches across records.
+_POSITIVE = partial(_number, rule="positive and finite")
+_RULES = {
+    "gain": partial(_array, shape=("q",)),
+    "sigma_n": _POSITIVE,
+    "h_mag": _POSITIVE,
+    "sigma_nu": _POSITIVE,
+    "bits": partial(_integer, low=1, high=MAX_BITS),
+    "tau": _POSITIVE,
+    "seed": partial(_integer, low=0),
+    "field_half_width": _POSITIVE,
+    "source_positions": partial(_array, shape=(2, 2)),
+    "sensor_positions": partial(_array, shape=("K", 2)),
+    "decay_exponent": partial(_number, rule="finite"),
+    "d_min": _POSITIVE,
+    "covariance": partial(_array, shape=("q", "q")),
+    "k": partial(_integer, low=1),
+}
+
+
+def _checked(**values) -> dict:
+    """Each value as its field's rule in _RULES reads it; a bad one raises naming the field."""
+    return {name: _RULES[name](value, name) for name, value in values.items()}
+
+
+def _gain_form(gain: np.ndarray, prior: Prior, where: str) -> float:
+    """gain' C gain for a checked gain, which must match the prior's q and keep it finite."""
+    if gain.shape != (prior.q,):
+        raise DimensionMismatch(f"{where} has dimension {gain.shape[0]}, prior has q={prior.q}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = float(gain @ prior.covariance @ gain)
+    if not math.isfinite(form):
+        raise ValueError(f"{where} must keep gain' C gain finite, got {form}")
+    return form
+
+
+def _check_fields(record) -> None:
+    """Store every field of a frozen Sensor or Geometry as its rule reads it."""
+    for name, value in _checked(**vars(record)).items():
+        object.__setattr__(record, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,19 +202,7 @@ class Sensor:
     tau: float
 
     def __post_init__(self):
-        gain = _numbers(self.gain, "gain")  # a new array: freezing it leaves the caller's alone
-        if gain.ndim != 1:
-            raise DimensionMismatch(f"gain must be a vector, got shape {gain.shape}")
-        if not np.all(np.isfinite(gain)):
-            raise ValueError(f"gain must be finite, got {gain}")
-        gain.setflags(write=False)
-        object.__setattr__(self, "gain", gain)
-        bits = _integer(self.bits, "bits")
-        if not 1 <= bits <= MAX_BITS:
-            raise ValueError(f"bits must be in [1, {MAX_BITS}], got {bits}")
-        object.__setattr__(self, "bits", bits)
-        for name in ("sigma_n", "h_mag", "sigma_nu", "tau"):
-            object.__setattr__(self, name, _finite(getattr(self, name), name, positive=True))
+        _check_fields(self)
 
     def _key(self) -> tuple:
         return (self.gain.tobytes(), self.sigma_n, self.h_mag, self.sigma_nu, self.bits, self.tau)
@@ -176,11 +224,10 @@ class Geometry:
 
     Stores seed as an int, the three scalars as Python floats and the
     positions as read-only float arrays, with the same value rules as Sensor.
-    The scalars take the rules generate_deployment applies before it
-    uses them: field_half_width and d_min positive and finite,
-    decay_exponent finite.
-    The positions must be finite, two sources and K sensors of two
-    coordinates each; Network checks that K is its sensor count.
+    The fields take the rules generate_deployment applies before it uses
+    them: seed nonnegative, field_half_width and d_min positive and finite,
+    decay_exponent finite, two finite sources inside or on the field, and K
+    finite sensor positions; Network checks that K is its sensor count.
     """
 
     seed: int
@@ -191,22 +238,9 @@ class Geometry:
     d_min: float
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        for name, positive in (("field_half_width", True), ("decay_exponent", False),
-                               ("d_min", True)):
-            object.__setattr__(self, name, _finite(getattr(self, name), name, positive))
-        for name, rows in (("source_positions", "2"), ("sensor_positions", "K")):
-            positions = _numbers(getattr(self, name), name)
-            shape = positions.shape[:1] + (2,) if rows == "K" else (2, 2)
-            if positions.shape != shape:
-                raise DimensionMismatch(f"{name} must have shape ({rows}, 2), "
-                                        f"got {positions.shape}")
-            bad = np.argwhere(~np.isfinite(positions))
-            if bad.size:
-                i, j = bad[0]
-                raise ValueError(f"{name} must be finite, got {positions[i, j]} at [{i}, {j}]")
-            positions.setflags(write=False)
-            object.__setattr__(self, name, positions)
+        _check_fields(self)
+        if np.any(np.abs(self.source_positions) > self.field_half_width + 1e-12):
+            raise ValueError("source_positions must be inside or on the field")
 
 
 @dataclass(frozen=True)
@@ -218,19 +252,12 @@ class Network:
     geometry: Optional[Geometry] = None
 
     def __post_init__(self):
-        if len(self.sensors) < 1:
-            raise ValueError("a network needs at least one sensor")
-        q = self.prior.q
+        _checked(k=self.k)
         for i, sensor in enumerate(self.sensors):
-            if sensor.gain.shape != (q,):
-                raise DimensionMismatch(
-                    f"sensors[{i}].gain has dimension {sensor.gain.shape[0]}, prior has q={q}"
-                )
-        if self.geometry is not None and self.geometry.sensor_positions.shape[0] != self.k:
-            raise DimensionMismatch(
-                f"geometry.sensor_positions has {self.geometry.sensor_positions.shape[0]} "
-                f"rows for {self.k} sensors"
-            )
+            _gain_form(sensor.gain, self.prior, f"sensors[{i}].gain")
+        rows = self.k if self.geometry is None else self.geometry.sensor_positions.shape[0]
+        if rows != self.k:
+            raise DimensionMismatch(f"geometry.sensor_positions has {rows} rows for {self.k} sensors")
 
     @property
     def k(self) -> int:
@@ -248,22 +275,19 @@ def make_prior(covariance) -> Prior:
     eigendecomposition with relative tolerance 1e-12 on the smallest
     eigenvalue.
     """
-    cov = _numbers(covariance, "covariance")
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise DimensionMismatch(f"covariance must be square, got shape {cov.shape}")
-    if not np.all(np.isfinite(cov)):
-        raise ValueError("covariance has non-finite entries")
+    cov = _checked(covariance=covariance)["covariance"]
     scale = np.max(np.abs(cov))
     if scale == 0.0:
         raise NotPositiveDefinite("covariance is identically zero")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * scale):
         raise NotSymmetric("covariance is not symmetric")
-    cov = 0.5 * (cov + cov.T)
+    # Halving first is exact and cannot overflow, as halving the sum can.
+    cov = 0.5 * cov + 0.5 * cov.T
     eigvals = np.linalg.eigvalsh(cov)
     if eigvals[0] <= _SPD_RTOL * eigvals[-1]:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {eigvals[0]:.3e} is at or below tolerance "
-            f"{_SPD_RTOL * eigvals[-1]:.3e}"
+            f"covariance must be positive definite: smallest eigenvalue {eigvals[0]:.3e} "
+            f"is at or below tolerance {_SPD_RTOL * eigvals[-1]:.3e}"
         )
     inverse = np.linalg.inv(cov)
     inverse = 0.5 * (inverse + inverse.T)
@@ -278,13 +302,8 @@ def make_tau(gain, sigma_n: float, prior: Prior) -> float:
     Three standard deviations of the observation, so clipping is negligible.
     A bad gain or sigma_n raises ValueError naming it, as in Sensor.
     """
-    a = _numbers(gain, "gain")
-    if a.shape != (prior.q,):
-        raise DimensionMismatch(
-            f"gain has dimension {a.shape}, prior covariance is {prior.q}x{prior.q}"
-        )
-    sigma_n = _number(sigma_n, "sigma_n")
-    return 3.0 * math.sqrt(sigma_n ** 2 + float(a @ prior.covariance @ a))
+    gain, sigma_n = _checked(gain=gain, sigma_n=sigma_n).values()
+    return 3.0 * math.sqrt(sigma_n ** 2 + _gain_form(gain, prior, "gain"))
 
 
 def _per_sensor(value, k: int, name: str) -> np.ndarray:
@@ -328,19 +347,12 @@ def generate_deployment(
 
     Raises InfeasibleGeometry when the re-draw budget runs out.
     """
-    seed = _integer(seed, "seed")
-    k = _integer(k, "k")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    field_half_width = _finite(field_half_width, "field_half_width", positive=True)
-    decay_exponent = _finite(decay_exponent, "decay_exponent")
-    d_min = _finite(d_min, "d_min", positive=True)
+    k = _checked(k=k)["k"]
+    scalars = _checked(seed=seed, field_half_width=field_half_width,
+                       decay_exponent=decay_exponent, d_min=d_min)
+    seed, field_half_width, decay_exponent, d_min = scalars.values()
     prior = make_prior(DEFAULT_COVARIANCE)
     sources = _default_sources()
-    if np.any(np.abs(sources) > field_half_width + 1e-12):
-        raise ValueError("sources must lie inside or on the field")
 
     sig_n = _per_sensor(sigma_n, k, "sigma_n")
     sig_nu = _per_sensor(sigma_nu, k, "sigma_nu")
@@ -374,14 +386,7 @@ def generate_deployment(
             Sensor(gain=gain, sigma_n=sig_n[i], h_mag=h[i], sigma_nu=sig_nu[i],
                    bits=bits_arr[i], tau=tau)
         )
-    geometry = Geometry(
-        seed=seed,
-        field_half_width=field_half_width,
-        source_positions=sources,
-        sensor_positions=positions,
-        decay_exponent=decay_exponent,
-        d_min=d_min,
-    )
+    geometry = Geometry(source_positions=sources, sensor_positions=positions, **scalars)
     return Network(sensors=tuple(sensors), prior=prior, geometry=geometry)
 
 
@@ -395,7 +400,7 @@ def homogeneous_network(
     bits: int = DEFAULT_BITS,
 ) -> Network:
     """Network of k identical sensors sharing one gain vector (no geometry)."""
-    k = _integer(k, "k")
+    k = _checked(k=k)["k"]
     prior = make_prior(DEFAULT_COVARIANCE)
     tau = make_tau(gain, sigma_n, prior)
     sensor = Sensor(
@@ -408,40 +413,53 @@ def homogeneous_network(
 # Scenario files: UTF-8 JSON, strict schema, full round-trip precision.
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"version", "prior", "sensors", "geometry"}
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ParseError(f'missing field "{key}" in {where}')
-    return mapping[key]
-
-
-def _reject_unknown(mapping: dict, allowed: set, where: str):
-    unknown = set(mapping) - allowed
+def _load(build, entry, where: str):
+    """build(**entry) from the JSON object at where ("" at the top level), which holds
+    each parameter of build without a default and no other field.  Every failure is a
+    ParseError naming where.field.
+    """
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where or 'scenario root'} must be a JSON object")
+    prefix = f"{where}." if where else ""
+    parameters = _PARAMETERS[build]
+    unknown = sorted(set(entry) - set(parameters))
     if unknown:
-        name = sorted(unknown)[0]
-        raise ParseError(f'unknown field "{name}" in {where}')
+        raise ParseError(f'unknown field "{prefix}{unknown[0]}"')
+    missing = [name for name, p in parameters.items() if name not in entry and p.default is p.empty]
+    if missing:
+        raise ParseError(f'missing field "{prefix}{missing[0]}"')
+    try:
+        return build(**entry)
+    except (ValueError, DimensionMismatch, NotSymmetric, NotPositiveDefinite) as exc:
+        raise ParseError(f"{prefix}{exc}") from exc
+
+
+_ABSENT = object()
+
+
+def _scenario(version, prior, sensors, geometry=_ABSENT) -> Network:
+    """The Network a scenario file's top-level fields describe."""
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(
+            f"scenario declares version {version!r}, this build reads version {SCHEMA_VERSION}"
+        )
+    prior = _load(make_prior, prior, "prior")
+    if not isinstance(sensors, list) or not sensors:
+        raise ParseError("sensors must be a non-empty array")
+    sensors = tuple(_load(Sensor, entry, f"sensors[{i}]") for i, entry in enumerate(sensors))
+    geometry = None if geometry is _ABSENT else _load(Geometry, geometry, "geometry")
+    return Network(sensors=sensors, prior=prior, geometry=geometry)
+
+
+# The fields of each JSON object in a scenario file: the parameters of what builds it.
+_PARAMETERS = {build: inspect.signature(build).parameters
+               for build in (_scenario, make_prior, Sensor, Geometry)}
 
 
 def _to_dict(record) -> dict:
     """A Sensor or Geometry as a JSON object, one key per dataclass field."""
     values = {f.name: getattr(record, f.name) for f in fields(record)}
     return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
-
-
-def _from_dict(cls, entry, where: str):
-    """Build a Sensor or Geometry from its JSON object; errors name where.field."""
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where} must be an object")
-    names = [f.name for f in fields(cls)]
-    _reject_unknown(entry, set(names), where)
-    for name in names:
-        _require(entry, name, where)
-    try:
-        return cls(**entry)
-    except (ValueError, TypeError, DimensionMismatch) as exc:
-        raise ParseError(f"{where}.{exc}") from exc
 
 
 def network_to_dict(network: Network) -> dict:
@@ -457,33 +475,12 @@ def network_to_dict(network: Network) -> dict:
 
 
 def network_from_dict(payload: dict) -> Network:
-    """Inverse of network_to_dict, with strict field validation."""
-    if not isinstance(payload, dict):
-        raise ParseError("scenario root must be a JSON object")
-    _reject_unknown(payload, _TOP_KEYS, "scenario")
-    version = _require(payload, "version", "scenario")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"scenario declares version {version}, this build reads version {SCHEMA_VERSION}"
-        )
-    prior_obj = _require(payload, "prior", "scenario")
-    if not isinstance(prior_obj, dict):
-        raise ParseError('field "prior" must be an object')
-    _reject_unknown(prior_obj, {"covariance"}, "prior")
-    try:
-        prior = make_prior(_require(prior_obj, "covariance", "prior"))
-    except (ValueError, TypeError, DimensionMismatch) as exc:
-        raise ParseError(f"prior.{exc}") from exc
+    """Inverse of network_to_dict, with strict field validation.
 
-    sensors_obj = _require(payload, "sensors", "scenario")
-    if not isinstance(sensors_obj, list) or not sensors_obj:
-        raise ParseError('field "sensors" must be a non-empty array')
-    sensors = tuple(_from_dict(Sensor, entry, f"sensors[{i}]")
-                    for i, entry in enumerate(sensors_obj))
-    geometry = None
-    if "geometry" in payload:
-        geometry = _from_dict(Geometry, payload["geometry"], "geometry")
-    return Network(sensors=sensors, prior=prior, geometry=geometry)
+    A version other than SCHEMA_VERSION raises SchemaVersionMismatch; any
+    other failure is a ParseError naming the field, as <where>.<field>.
+    """
+    return _load(_scenario, payload, "")
 
 
 def save_scenario(network: Network, path) -> None:

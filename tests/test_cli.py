@@ -139,6 +139,13 @@ class TestSolve:
          "geometry.decay_exponent must be finite, got inf"),
         (("sensors", 3, "gain"), [1.0, 2.0, 3.0],
          "sensors[3].gain has dimension 3, prior has q=2"),
+        # These once loaded and solved, exited 3 unnamed, or exited 1 with a traceback.
+        (("version",), True, "scenario declares version True"),
+        (("geometry", "seed"), -1, "geometry.seed must be nonnegative, got -1"),
+        (("prior", "covariance"), [[4.0, 0.5], [0.6, 0.25]], "prior.covariance is not symmetric"),
+        (("prior", "covariance"), [[-4.0, -0.5], [-0.5, -0.25]],
+         "prior.covariance must be positive definite"),
+        (("sensors", 0, "gain"), [1e200, 1e200], "sensors[0].gain must keep gain' C gain finite"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):

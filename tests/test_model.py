@@ -1,12 +1,16 @@
+import copy
 import dataclasses
 import json
 import math
+import operator
 import re
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from fimalloc import model
+from fimalloc import model, solvers
 from fimalloc.errors import (
     DimensionMismatch,
     FimallocError,
@@ -16,6 +20,7 @@ from fimalloc.errors import (
     ParseError,
     SchemaVersionMismatch,
 )
+from conftest import FIXTURES
 
 
 def _golden_with(path, keys, value) -> dict:
@@ -54,6 +59,19 @@ class TestMakePrior:
     def test_inverse_times_covariance_is_identity(self, default_prior):
         product = default_prior.inverse @ default_prior.covariance
         np.testing.assert_allclose(product, np.eye(2), atol=1e-10)
+
+    def test_largest_finite_covariance_stays_finite(self):
+        # Symmetrizing as 0.5 * (C + C') overflowed this to inf.
+        cov = [[1e308, 0.0], [0.0, 1e308]]
+        np.testing.assert_array_equal(model.make_prior(cov).covariance, cov)
+
+    def test_symmetric_covariance_kept_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            base = rng.uniform(-1, 1, size=(3, 3)) * 10.0 ** rng.integers(-100, 100)
+            cov = base @ base.T + abs(base).max() ** 2 * np.eye(3)
+            cov = np.triu(cov) + np.triu(cov, 1).T
+            assert model.make_prior(cov).covariance.tobytes() == cov.tobytes()
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -351,12 +369,65 @@ class TestScenarioIO:
         (("geometry", "d_min"), -0.1, "geometry.d_min must be positive and finite, got -0.1"),
         (("geometry", "decay_exponent"), math.inf,
          "geometry.decay_exponent must be finite, got inf"),
+        (("geometry", "seed"), -1, "geometry.seed must be nonnegative, got -1"),
+        (("geometry", "field_half_width"), 0.5,
+         "geometry.source_positions must be inside or on the field"),
     ], ids=["3-rows", "3-columns", "vector", "nan", "inf-source", "source-vector",
             "3-sources", "negative-half-width", "zero-half-width", "nan-d-min",
-            "negative-d-min", "inf-decay"])
+            "negative-d-min", "inf-decay", "negative-seed", "sources-outside"])
     def test_malformed_geometry_named(self, keys, value, message, golden_scenario_path):
         payload = _golden_with(golden_scenario_path, keys, value)
         with pytest.raises(FimallocError, match=re.escape(message)):
+            model.network_from_dict(payload)
+
+    @pytest.mark.parametrize("covariance, message", [
+        ([[4.0, 0.5], [0.6, 0.25]], "prior.covariance is not symmetric"),
+        ([[0.0, 0.0], [0.0, 0.0]], "prior.covariance is identically zero"),
+        ([[-4.0, -0.5], [-0.5, -0.25]], "prior.covariance must be positive definite: "
+                                        "smallest eigenvalue -4.066e+00"),
+        ([[4.0, 0.5, 0.0], [0.5, 0.25, 0.0]], "prior.covariance must have shape (q, q), got (2, 3)"),
+        ([[4.0, 0.5], [0.5, math.nan]], "prior.covariance must be finite, got nan at [1, 1]"),
+    ], ids=["asymmetric", "zero", "indefinite", "not-square", "nan"])
+    def test_malformed_prior_named(self, covariance, message, golden_scenario_path):
+        payload = _golden_with(golden_scenario_path, ("prior", "covariance"), covariance)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            model.network_from_dict(payload)
+
+    @pytest.mark.parametrize("version", [True, False, "1", None, [1], 2, 1.5])
+    def test_version_checked_strictly(self, version, golden_scenario_path):
+        payload = _golden_with(golden_scenario_path, ("version",), version)
+        message = f"scenario declares version {version!r}, this build reads version 1"
+        with pytest.raises(SchemaVersionMismatch, match=re.escape(message)):
+            model.network_from_dict(payload)
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("sensors", 0, "gain"), [1e200, 1e200],
+         "sensors[0].gain must keep gain' C gain finite, got inf"),
+        (("sensors", 5, "gain"), [1e200, -1e200],
+         "sensors[5].gain must keep gain' C gain finite, got"),
+        (("sensors", 3, "surprise"), 1, 'unknown field "sensors[3].surprise"'),
+        (("geometry", "surprise"), 1, 'unknown field "geometry.surprise"'),
+        (("prior", "surprise"), 1, 'unknown field "prior.surprise"'),
+    ], ids=["gain-overflow", "gain-overflow-mixed-signs", "unknown-sensor-field",
+            "unknown-geometry-field", "unknown-prior-field"])
+    def test_bad_field_named(self, keys, value, message, golden_scenario_path):
+        payload = _golden_with(golden_scenario_path, keys, value)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            model.network_from_dict(payload)
+
+    @pytest.mark.parametrize("keys, where", [
+        (("sensors", 3), "sensors[3].tau"),
+        (("geometry",), "geometry.d_min"),
+        (("prior",), "prior.covariance"),
+        ((), "version"),
+    ])
+    def test_missing_field_named(self, keys, where, golden_scenario_path):
+        payload = json.loads(golden_scenario_path.read_text())
+        record = payload
+        for key in keys:
+            record = record[key]
+        del record[where.rsplit(".", 1)[-1]]
+        with pytest.raises(ParseError, match=re.escape(f'missing field "{where}"')):
             model.network_from_dict(payload)
 
     def test_golden_fixture_loads(self, golden_network):
@@ -460,11 +531,18 @@ class TestPriorEquality:
     (lambda: model.generate_deployment(1, 2, field_half_width=math.inf), "field_half_width"),
     (lambda: model.generate_deployment(1, 2, d_min=math.nan), "d_min"),
     (lambda: model.generate_deployment(1, 2, decay_exponent=math.nan), "decay_exponent"),
+    # One k rule for both generators, and the field rule for the sources.
+    (lambda: model.generate_deployment(1, 0), "k"),
+    (lambda: model.homogeneous_network(0), "k"),
+    (lambda: model.homogeneous_network(-2), "k"),
+    (lambda: model.Network(sensors=(), prior=model.make_prior(np.eye(2))), "k"),
+    (lambda: model.generate_deployment(1, 2, field_half_width=0.5), "source_positions"),
 ], ids=["sigma_n-str", "sigma_n-none", "sigma_n-entry", "decay-str", "decay-none",
         "d_min-str", "half_width-np-bool", "homogeneous-gain", "homogeneous-sigma_n",
         "k-str", "k-fraction", "k-bool", "seed-str", "seed-fraction", "seed-none",
         "seed-negative", "homogeneous-k-str", "homogeneous-k-fraction", "half_width-inf",
-        "d_min-nan", "decay-nan"])
+        "d_min-nan", "decay-nan", "k-zero", "homogeneous-k-zero", "homogeneous-k-negative",
+        "network-without-sensors", "sources-outside-field"])
 def test_generators_name_the_field(call, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         call()
@@ -473,3 +551,101 @@ def test_generators_name_the_field(call, field):
 def test_generators_take_integral_floats_for_seed_and_k():
     assert model.generate_deployment(7.0, 3.0).sensors == model.generate_deployment(7, 3).sensors
     assert model.homogeneous_network(np.int64(3)).k == 3
+
+
+# ---------------------------------------------------------------------------
+# One-leaf fuzz of the scenario reader: every field of golden, and every number
+# inside an array field, mutated alone.  Finite but extreme magnitudes (such as
+# tau = 1e300 or gain = [1e150, 1e150]) are left out: no range rule covers them.
+# ---------------------------------------------------------------------------
+
+GOLDEN = json.loads((FIXTURES / "golden_k20_seed42.json").read_text())
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _field(path):
+    """The key path of the field that holds path: where.field, or version at the top."""
+    return path[:3] if path[0] == "sensors" else path[:2]
+
+
+def _name(path) -> str:
+    """A key path as load errors name it, e.g. sensors[3].gain or prior.covariance."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text
+
+
+def _leaves(payload) -> list:
+    records = [("prior",), *(("sensors", i) for i in range(len(payload["sensors"]))), ("geometry",)]
+    fields = [("version",)] + [record + (key,) for record in records
+                               for key in sorted(_at(payload, record))]
+    entries = [path + index for path in fields if isinstance(_at(payload, path), list)
+               for index in np.ndindex(np.shape(_at(payload, path)))]
+    return fields + entries
+
+
+def _each(value, op):
+    """op applied to every number in a value nested in lists."""
+    return [_each(v, op) for v in value] if isinstance(value, list) else op(value)
+
+
+_RESHAPES = {
+    "wrap": lambda value: [value],
+    "drop": lambda value: value[:-1] if isinstance(value, list) else [],
+    "append": lambda value: value + value[-1:] if isinstance(value, list) else [value, value],
+}
+_NUMBER_OPS = {
+    "negate": operator.neg,
+    "zero": lambda x: 0 * x,
+    "nan": lambda x: math.nan,
+    "inf": lambda x: math.inf,
+    "-inf": lambda x: -math.inf,
+}
+MUTATIONS = st.one_of(
+    st.tuples(st.just("value"), st.one_of(st.booleans(), st.text(max_size=3), st.none())),
+    st.tuples(st.just("each"), st.sampled_from(sorted(_NUMBER_OPS))),
+    st.tuples(st.just("reshape"), st.sampled_from(sorted(_RESHAPES))),
+    st.tuples(st.just("delete"), st.none()),
+    st.tuples(st.just("unknown"), st.text(min_size=1, max_size=5)),
+)
+
+
+def _mutated(path, mutation):
+    """Golden with the leaf at path mutated, and the name a load failure must give."""
+    payload = copy.deepcopy(GOLDEN)
+    parent, key = _at(payload, path[:-1]), path[-1]
+    kind, arg = mutation
+    name = _name(_field(path))
+    if kind == "value":
+        parent[key] = arg
+    elif kind == "each":
+        parent[key] = _each(parent[key], _NUMBER_OPS[arg])
+    elif kind == "reshape":
+        parent[key] = _RESHAPES[arg](parent[key])
+    elif kind == "delete":
+        del parent[key]
+    else:
+        record = _field(path)[:-1]
+        hypothesis.assume(arg not in _at(payload, record))
+        _at(payload, record)[arg] = 1.0
+        name = _name(record + (arg,))
+    return payload, name
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+@hypothesis.given(path=st.sampled_from(_leaves(GOLDEN)), mutation=MUTATIONS)
+def test_one_leaf_mutation_is_named_or_solved(path, mutation):
+    """Either the load fails naming exactly the mutated field, or ufa solves the network."""
+    payload, name = _mutated(path, mutation)
+    try:
+        network = model.network_from_dict(payload)
+    except FimallocError as exc:
+        assert re.search(rf"(?<![\w.\[\]]){re.escape(name)}(?![\w\[])", str(exc)), (name, str(exc))
+        return
+    solvers.verify_allocation(solvers.solve_ufa(network, 5.0), network, 5.0)
