@@ -12,7 +12,9 @@ exception's type and message.  It also records the golden sweep CSV
 (`fimalloc sweep --alg ufa,usu,mckp`, default grid) without its
 `wall_time_ms` column, and the repr of `t_k` for every golden sensor at 26
 powers over [0, 50].  Everything runs in one process, in this order, so
-kernel memos carry over as they do in a sweep.
+kernel memos carry over as they do in a sweep.  The sweep goes through
+`cli.main`, not `solvers.sweep`, so that `write` also runs on checkouts
+older than `solvers.sweep`, and the CSV covers the CLI's row formatting.
 
 `diff` reports, per field, how many cases match exactly and the largest
 relative difference among numeric fields that differ; it exits 1 if any

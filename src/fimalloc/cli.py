@@ -6,11 +6,12 @@ Subcommands:
     sweep   run algorithms across a budget grid and write trend rows as CSV
     verify  run the oracle suites and report pass/fail per check
 
-A sweep solves its budgets from the largest down, so mckp's certificates
-at the smaller budgets find bounds among the t values the larger ones
-memoized, and writes its rows sorted by budget, then algorithm.  Each
-objective equals a lone `solve`'s at that budget; each wall_time_ms times
-its own solve, so the first one also carries the kernel builds.
+A sweep runs `solvers.sweep`, which owns the budget order (largest first,
+so mckp's certificates at the smaller budgets find bounds among the t
+values the larger ones memoized), and writes its rows sorted by budget,
+then algorithm.  Each objective equals a lone `solve`'s at that budget;
+each wall_time_ms times its own solve, so the first one also carries the
+kernel builds.
 
 Exit codes: 0 ok, 2 usage, a numeric flag out of range or an --out that
 cannot be opened for writing, 3 generation or scenario-loading failure,
@@ -24,7 +25,6 @@ import argparse
 import csv
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -69,23 +69,6 @@ def read_allocation_csv(path):
 
 SWEEP_COLUMNS = ("ptot", "algorithm", "tr_j", "num_selected", "wall_time_ms",
                  "scenario_id", "seed", "diagnostic")
-
-
-def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                repr(row["ptot"]),
-                row["algorithm"],
-                repr(row["tr_j"]),
-                row["num_selected"],
-                repr(row["wall_time_ms"]),
-                row["scenario_id"],
-                row["seed"],
-                row["diagnostic"],
-            ])
 
 
 def read_sweep_csv(path):
@@ -214,31 +197,22 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     scenario_id = Path(args.scenario).stem
     seed = network.seed if network.seed is not None else ""
-    rows = []
-    failures = 0
-    # Largest budget first: its solves fill the kernel memos, whose values
-    # at powers above a smaller budget's grid points bound mckp's
-    # certificate entries there (solvers.solve_mckp_network).
-    for p_tot in reversed(grid):
-        for name in algorithms:
-            row = {"ptot": float(p_tot), "algorithm": name,
-                   "scenario_id": scenario_id, "seed": seed}
-            start = time.perf_counter()
-            try:
-                alloc = solvers.SOLVERS[name](network, float(p_tot), args.grid_n, args.eps0)
-                row.update(tr_j=alloc.objective, num_selected=alloc.num_selected, diagnostic="")
-            except FimallocError as exc:
-                failures += 1
-                row.update(tr_j=math.nan, num_selected=0,
-                           diagnostic=f"{type(exc).__name__}: {exc}")
-            row["wall_time_ms"] = 1000.0 * (time.perf_counter() - start)
-            rows.append(row)
-    rows.sort(key=lambda r: (r["ptot"], r["algorithm"]))
-    write_sweep_csv(rows, args.out)
+    cells = solvers.sweep(network, grid, algorithms, args.grid_n, args.eps0)
+    failures = sum(isinstance(result, FimallocError) for _, _, result, _ in cells)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_COLUMNS)
+        for p_tot, name, result, seconds in cells:
+            if isinstance(result, FimallocError):
+                tr_j, selected, diagnostic = math.nan, 0, f"{type(result).__name__}: {result}"
+            else:
+                tr_j, selected, diagnostic = result.objective, result.num_selected, ""
+            writer.writerow([repr(p_tot), name, repr(tr_j), selected, repr(1000.0 * seconds),
+                             scenario_id, seed, diagnostic])
     if failures:
         print(f"wrote {args.out} with {failures} failed cell(s)", file=sys.stderr)
     else:
-        print(f"wrote {args.out}: {len(rows)} rows")
+        print(f"wrote {args.out}: {len(cells)} rows")
     return EXIT_OK
 
 
@@ -287,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--scenario", required=True)
     solve.add_argument("--alg", required=True, choices=tuple(solvers.SOLVERS))
     solve.add_argument("--ptot", type=_positive_float, required=True)
-    solve.add_argument("--grid-n", type=_at_least(1), default=100)
+    solve.add_argument("--grid-n", type=_at_least(1), default=solvers.DEFAULT_GRID_N)
     solve.add_argument("--eps0", type=_positive_float, default=solvers.DEFAULT_EPS0)
     solve.add_argument("--out", default=None)
     solve.set_defaults(func=cmd_solve)
@@ -299,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--ptot-min", type=_positive_float, default=None)
     sweep.add_argument("--ptot-max", type=_positive_float, default=None)
     sweep.add_argument("--steps", type=_at_least(1), default=10)
-    sweep.add_argument("--grid-n", type=_at_least(1), default=100)
+    sweep.add_argument("--grid-n", type=_at_least(1), default=solvers.DEFAULT_GRID_N)
     sweep.add_argument("--eps0", type=_positive_float, default=solvers.DEFAULT_EPS0)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)

@@ -63,7 +63,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
-from .model import Network, Prior, Sensor
+from .model import Network, Prior, Sensor, _gain_form
 from .quantcomm import (
     _alpha_entries,
     _alpha_slope,
@@ -347,10 +347,7 @@ class InfoKernel:
 
     def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
         gain = sensor.gain
-        if gain.shape != (prior.q,):
-            raise DimensionMismatch(
-                f"sensor gain has dimension {gain.shape[0]}, prior has q={prior.q}"
-            )
+        self.sigma_s = math.sqrt(max(_gain_form(gain, prior, "sensor gain"), 0.0))
         self.sensor = sensor
         self.prior = prior
         self.n_nodes = n_nodes
@@ -358,7 +355,6 @@ class InfoKernel:
         self._checked: dict = {}
         self._powers: list = []  # the memo's powers, ascending
         self.prefactor = float(gain @ gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
-        self.sigma_s = math.sqrt(max(float(gain @ prior.covariance @ gain), 0.0))
         if self.sigma_s > 0.0:
             self._weights, self._cells, self._kronrod_check = _node_tables(
                 sensor.bits, sensor.tau, sensor.sigma_n, self.sigma_s, n_nodes

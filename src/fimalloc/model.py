@@ -11,8 +11,9 @@ string or None) is stated once, in the table _RULES, which _checked applies
 for Sensor, Geometry, Network, make_prior, make_tau and both generators: a
 bad value raises ValueError naming the field, DimensionMismatch for a wrong
 shape.  Network matches each gain to the prior's q, with gain' C gain
-finite, and the sensor positions to the sensor count.  The scenario reader
-raises every failure as a ParseError naming where the field sits, e.g.
+finite, keeps each sigma_n ** 2 nonzero and the kernel prefactor finite, and
+matches the sensor positions to the sensor count.  The scenario reader raises every
+failure as a ParseError naming where the field sits, e.g.
 "sensors[3].sigma_n must be a number".
 """
 
@@ -170,6 +171,20 @@ def _gain_form(gain: np.ndarray, prior: Prior, where: str) -> float:
     return form
 
 
+def _noise_variance(gain: np.ndarray, sigma_n: float, where: str) -> float:
+    """sigma_n ** 2 for a checked gain and sigma_n: finite and nonzero, with the
+    information kernel's prefactor gain'gain / (2 pi sigma_n ** 2) finite."""
+    try:  # Python floats raise where sigma_n ** 2 overflows, or underflows to 0 and divides
+        variance = sigma_n ** 2
+        with np.errstate(over="ignore"):
+            if float(gain @ gain) / (2.0 * math.pi * variance) < math.inf:
+                return variance
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{where} must be such that sigma_n ** 2 is finite and nonzero and "
+                     f"gain'gain / (2 pi sigma_n ** 2) is finite, got {sigma_n}")
+
+
 def _check_fields(record) -> None:
     """Store every field of a frozen Sensor or Geometry as its rule reads it."""
     for name, value in _checked(**vars(record)).items():
@@ -255,6 +270,7 @@ class Network:
         _checked(k=self.k)
         for i, sensor in enumerate(self.sensors):
             _gain_form(sensor.gain, self.prior, f"sensors[{i}].gain")
+            _noise_variance(sensor.gain, sensor.sigma_n, f"sensors[{i}].sigma_n")
         rows = self.k if self.geometry is None else self.geometry.sensor_positions.shape[0]
         if rows != self.k:
             raise DimensionMismatch(f"geometry.sensor_positions has {rows} rows for {self.k} sensors")
@@ -303,7 +319,8 @@ def make_tau(gain, sigma_n: float, prior: Prior) -> float:
     A bad gain or sigma_n raises ValueError naming it, as in Sensor.
     """
     gain, sigma_n = _checked(gain=gain, sigma_n=sigma_n).values()
-    return 3.0 * math.sqrt(sigma_n ** 2 + _gain_form(gain, prior, "gain"))
+    form = _gain_form(gain, prior, "gain")
+    return 3.0 * math.sqrt(_noise_variance(gain, sigma_n, "sigma_n") + form)
 
 
 def _per_sensor(value, k: int, name: str) -> np.ndarray:

@@ -16,7 +16,8 @@ cannot certify falls back to tabulating every entry and the dynamic
 program (`solve_mckp`), so the answer is always the program's optimum.
 A brute-force enumerator over the same discretization serves as the
 reference oracle for small instances.  SOLVERS maps each algorithm's name
-to one call signature; the CLI's --alg choices are its keys.
+to one call signature; the CLI's --alg choices are its keys.  `sweep`, which
+`fimalloc sweep` calls, runs algorithms over a list of budgets, largest first.
 
 The continuous subproblem (maximize the summed information of a fixed
 active set subject to the budget) is concave and separable; it is solved
@@ -41,6 +42,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,6 +51,7 @@ import numpy as np
 from .errors import (
     ConcavityViolation,
     DimensionMismatch,
+    FimallocError,
     GridMismatch,
     NoConvergence,
     TooLarge,
@@ -61,6 +64,7 @@ KKT_RTOL = 1e-6
 MAX_ITER = 10_000
 POWER_FLOOR_SCALE = 1e-9
 DEFAULT_EPS0 = 1e-3
+DEFAULT_GRID_N = 100  # mckp's grid units per budget
 BRUTE_MAX_K = 6
 BRUTE_MAX_N = 8
 # Relative slack on greedy's dual bound before it may skip a candidate or end
@@ -900,7 +904,7 @@ def _mckp_marginal(value: Callable[[int, int], float], k: int, samples: np.ndarr
     return _finish(picks > 0, samples[picks], objective, "mckp", k, ((k, objective),))
 
 
-def solve_mckp_network(network: Network, p_tot: float, n: int = 100) -> Allocation:
+def solve_mckp_network(network: Network, p_tot: float, n: int = DEFAULT_GRID_N) -> Allocation:
     """solve_mckp's optimum on a fresh grid, reading t only where marginal analysis needs it.
 
     Each entry is the sensor's shared kernel's `t_checked` at the grid
@@ -913,8 +917,8 @@ def solve_mckp_network(network: Network, p_tot: float, n: int = 100) -> Allocati
     the heap and the certificate take: the kernel's memoized t at the
     smallest power at or above the entry's (`InfoKernel.t_bound`).  With an
     empty memo there is none; after a larger budget of a sweep (which
-    `fimalloc sweep` solves first) there is often one, and far fewer
-    entries are computed.  Either way the allocation is the same bits.  A
+    `sweep` solves first) there is often one, and far fewer entries are
+    computed.  Either way the allocation is the same bits.  A
     budget the certificate cannot clear falls back to tabulate_t and
     solve_mckp.
     """
@@ -967,3 +971,22 @@ SOLVERS = {
     "brute": lambda network, p_tot, grid_n, eps0: solve_bruteforce(
         network, p_tot, min(grid_n, BRUTE_MAX_N)),
 }
+
+
+def sweep(network: Network, budgets: Sequence[float], algorithms: Sequence[str],
+          grid_n: int = DEFAULT_GRID_N, eps0: float = DEFAULT_EPS0) -> list:
+    """(p_tot, algorithm, result, seconds) per budget and algorithm, sorted by budget, then
+    algorithm: result is SOLVERS[algorithm]'s Allocation (looked up at call time) or the
+    FimallocError it raised, and seconds times that call alone.  Budgets are solved largest
+    first, so mckp's certificates at the smaller ones find bounds among the t values the
+    larger ones memoized; each result is a lone solve's, bit for bit."""
+    cells = []
+    for p_tot in sorted(map(float, budgets), reverse=True):
+        for name in algorithms:
+            start = time.perf_counter()
+            try:
+                result = SOLVERS[name](network, p_tot, grid_n, eps0)
+            except FimallocError as exc:
+                result = exc
+            cells.append((p_tot, name, result, time.perf_counter() - start))
+    return sorted(cells, key=lambda cell: cell[:2])

@@ -150,13 +150,13 @@ def _random_sensor(rng: np.random.Generator, prior: model.Prior) -> model.Sensor
     )
 
 
-def check_grad(count: int = 20, seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """Analytic dt/dP within 1e-4 relative of central finite differences."""
+def check_grad(trials: int = 20, seed: int = DEFAULT_SEED) -> List[CheckResult]:
+    """Analytic dt/dP within 1e-4 relative of central finite differences, at `trials` points."""
     rng = np.random.default_rng(seed + 300)
     prior = model.make_prior(model.DEFAULT_COVARIANCE)
     worst = 0.0
     worst_at = ""
-    for _ in range(count):
+    for _ in range(trials):
         sensor = _random_sensor(rng, prior)
         power = float(np.exp(rng.uniform(math.log(0.3), math.log(50.0))))
         analytic = fisher.t_k_derivative(power, sensor, prior)
@@ -169,7 +169,7 @@ def check_grad(count: int = 20, seed: int = DEFAULT_SEED) -> List[CheckResult]:
             worst_at = f"power={power:.4g} bits={sensor.bits}"
     return [
         CheckResult(
-            name=f"dt/dP vs finite differences ({count} points)",
+            name=f"dt/dP vs finite differences ({trials} points)",
             passed=worst <= 1e-4,
             measured=worst,
             threshold=1e-4,
@@ -239,17 +239,17 @@ def _against_enumeration(name: str, tables: list, solve, marginal: bool = False)
     )
 
 
-def check_mckp(instances: int = 50, seed: int = DEFAULT_SEED) -> List[CheckResult]:
+def check_mckp(trials: int = 50, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Knapsack DP and marginal analysis exactly match exhaustive enumeration.
 
-    The DP and the marginal-analysis path both solve random nondecreasing
+    The DP and the marginal-analysis path both solve `trials` random nondecreasing
     tables, whose rows are mostly not concave, so most reach the DP through
-    the certificate; the marginal path also solves random concave tables,
-    which its certificate clears.
+    the certificate; the marginal path also solves `trials` random concave
+    tables, which its certificate clears.
     """
     rng = np.random.default_rng(seed + 400)
     sorted_tables = []
-    for _ in range(instances):
+    for _ in range(trials):
         k = int(rng.integers(2, 6))
         n = int(rng.integers(2, 7))
         table = np.sort(rng.uniform(0.0, 1.0, size=(k, n + 1)), axis=1)
@@ -257,7 +257,7 @@ def check_mckp(instances: int = 50, seed: int = DEFAULT_SEED) -> List[CheckResul
         sorted_tables.append(table)
     rng = np.random.default_rng(seed + 401)
     concave_tables = []
-    for _ in range(instances):
+    for _ in range(trials):
         k = int(rng.integers(2, 6))
         n = int(rng.integers(2, 7))
         steps = -np.sort(-rng.uniform(0.0, 1.0, size=(k, n)), axis=1)
@@ -268,12 +268,12 @@ def check_mckp(instances: int = 50, seed: int = DEFAULT_SEED) -> List[CheckResul
         return solvers.solve_mckp(table, solvers.make_power_grid(float(n), n), float(n))
 
     return [
-        _against_enumeration(f"knapsack DP vs enumeration ({instances} instances)",
+        _against_enumeration(f"knapsack DP vs enumeration ({trials} instances)",
                              sorted_tables, dp),
-        _against_enumeration(f"marginal analysis vs enumeration ({instances} instances)",
+        _against_enumeration(f"marginal analysis vs enumeration ({trials} instances)",
                              sorted_tables, mckp_marginal_on_table, marginal=True),
         _against_enumeration(
-            f"marginal analysis vs enumeration ({instances} concave instances)",
+            f"marginal analysis vs enumeration ({trials} concave instances)",
             concave_tables, mckp_marginal_on_table, marginal=True),
     ]
 
@@ -320,7 +320,8 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int = 0, seed: int = DEFAULT_SEED) -> List[CheckResult]:
-    """Run one named suite (or 'all'); trials=0 keeps each suite's default."""
+    """Run one named suite (or 'all'); trials > 0 sets every suite's sample count (p3,
+    which samples nothing, is the one exception), and 0 keeps each suite's default."""
     if name == "all":
         results = []
         for suite in SUITES:
@@ -328,11 +329,6 @@ def run_suite(name: str, trials: int = 0, seed: int = DEFAULT_SEED) -> List[Chec
         return results
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[name]
-    if name in ("alpha", "beta", "tk") and trials > 0:
-        return fn(trials=trials, seed=seed)
-    if name in ("mckp",) and trials > 0:
-        return fn(instances=trials, seed=seed)
-    if name in ("grad",) and trials > 0:
-        return fn(count=trials, seed=seed)
-    return fn(seed=seed)
+    if trials > 0 and name != "p3":
+        return SUITES[name](trials=trials, seed=seed)
+    return SUITES[name](seed=seed)

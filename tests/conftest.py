@@ -44,6 +44,16 @@ def golden_objectives():
         return json.load(fh)
 
 
+def golden_with(path, keys, value) -> dict:
+    """The golden scenario payload with the entry at the key path set to value."""
+    payload = json.loads(path.read_text())
+    parent = payload
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    return payload
+
+
 def random_network(rng, k=None, q=2):
     """Small random network for fuzzing: random SPD prior and sensors."""
     if k is None:

@@ -11,10 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from fimalloc import fisher, model, solvers, verify
+from fimalloc import cli, fisher, model, solvers, verify
 from conftest import random_network
 
-PTOT_GRID = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
 ALGORITHMS = ("ufa", "usu", "greedy", "mckp")
 # Greedy's convergence knob for the homogeneous experiment: the 10th
 # sensor's relative improvement at the smallest budget is about 1e-4, so
@@ -22,43 +21,39 @@ ALGORITHMS = ("ufa", "usu", "greedy", "mckp")
 HOMOGENEOUS_EPS0 = 1e-5
 
 
-MCKP_GRID_N = 100
-
-
 def _report(label, passed, detail):
     print(f"[{'PASS' if passed else 'FAIL'}] {label}: {detail}")
     assert passed, f"{label}: {detail}"
 
 
+def _sweep(network, eps0):
+    """solvers.sweep over the CLI's default grid: {"table": {p_tot: {algorithm: Allocation}},
+    "elapsed": seconds}; a solver error fails the fixture."""
+    start = time.perf_counter()
+    table = {}
+    for p_tot, name, alloc, _ in solvers.sweep(network, cli.DEFAULT_SWEEP_GRID, ALGORITHMS,
+                                               solvers.DEFAULT_GRID_N, eps0):
+        if isinstance(alloc, Exception):
+            raise alloc
+        table.setdefault(p_tot, {})[name] = alloc
+    return {"table": table, "elapsed": time.perf_counter() - start}
+
+
 @pytest.fixture(scope="session")
 def homogeneous_sweep():
-    network = model.homogeneous_network(10)
-    start = time.perf_counter()
-    table = {
-        p: {name: solvers.SOLVERS[name](network, p, MCKP_GRID_N, HOMOGENEOUS_EPS0)
-            for name in ALGORITHMS}
-        for p in PTOT_GRID
-    }
-    return {"table": table, "elapsed": time.perf_counter() - start, "k": 10}
+    return {**_sweep(model.homogeneous_network(10), HOMOGENEOUS_EPS0), "k": 10}
 
 
 @pytest.fixture(scope="session")
 def golden_sweep(golden_network):
-    start = time.perf_counter()
-    table = {
-        p: {name: solvers.SOLVERS[name](golden_network, p, MCKP_GRID_N,
-                                        solvers.DEFAULT_EPS0)
-            for name in ALGORITHMS}
-        for p in PTOT_GRID
-    }
-    return {"table": table, "elapsed": time.perf_counter() - start}
+    return _sweep(golden_network, solvers.DEFAULT_EPS0)
 
 
 def test_criterion_1_monotonicity(homogeneous_sweep):
     table = homogeneous_sweep["table"]
     worst = None
     for name in ALGORITHMS:
-        objectives = [table[p][name].objective for p in PTOT_GRID]
+        objectives = [table[p][name].objective for p in cli.DEFAULT_SWEEP_GRID]
         for a, b in zip(objectives, objectives[1:]):
             if b <= a:
                 worst = (name, a, b)
@@ -66,7 +61,7 @@ def test_criterion_1_monotonicity(homogeneous_sweep):
     _report(
         "criterion 1 (objective strictly increasing in budget, homogeneous K=10)",
         worst is None and elapsed < 120.0,
-        f"all four algorithms monotone over {PTOT_GRID}, sweep took {elapsed:.0f}s"
+        f"all four algorithms monotone over {cli.DEFAULT_SWEEP_GRID}, sweep took {elapsed:.0f}s"
         if worst is None else f"violation {worst}",
     )
 
@@ -76,7 +71,7 @@ def test_criterion_2_full_activation(homogeneous_sweep):
     k = homogeneous_sweep["k"]
     failures = []
     worst_gap = 0.0
-    for p in PTOT_GRID:
+    for p in cli.DEFAULT_SWEEP_GRID:
         ufa_obj = table[p]["ufa"].objective
         for name in ("usu", "greedy", "mckp"):
             alloc = table[p][name]
@@ -99,7 +94,7 @@ def test_criterion_3_algorithm_ordering(golden_sweep):
     table = golden_sweep["table"]
     failures = []
     worst_gap = 0.0
-    for p in PTOT_GRID:
+    for p in cli.DEFAULT_SWEEP_GRID:
         greedy = table[p]["greedy"].objective
         usu = table[p]["usu"].objective
         ufa = table[p]["ufa"].objective
@@ -123,14 +118,14 @@ def test_criterion_3_algorithm_ordering(golden_sweep):
 def test_criterion_4_selection_frugality(golden_sweep):
     table = golden_sweep["table"]
     failures = []
-    for p in PTOT_GRID:
+    for p in cli.DEFAULT_SWEEP_GRID:
         usu_n = table[p]["usu"].num_selected
         other = min(table[p]["greedy"].num_selected, table[p]["mckp"].num_selected)
         if usu_n > other:
             failures.append((p, usu_n, other))
     counts = {p: (table[p]["usu"].num_selected,
                   table[p]["greedy"].num_selected,
-                  table[p]["mckp"].num_selected) for p in PTOT_GRID}
+                  table[p]["mckp"].num_selected) for p in cli.DEFAULT_SWEEP_GRID}
     _report(
         "criterion 4 (usu never selects more sensors than greedy or knapsack)",
         not failures,
@@ -171,9 +166,9 @@ def test_criterion_6_probability_kernel_oracles():
 def test_criterion_7_solver_oracles():
     start = time.perf_counter()
     results = (
-        verify.check_mckp(instances=50)
+        verify.check_mckp(trials=50)
         + verify.check_p3()
-        + verify.check_grad(count=20)
+        + verify.check_grad(trials=20)
     )
     elapsed = time.perf_counter() - start
     failed = [r.line() for r in results if not r.passed]

@@ -9,7 +9,7 @@ import pytest
 
 import fimalloc
 from fimalloc import cli, model, solvers
-from conftest import make_slope_rise
+from conftest import golden_with, make_slope_rise
 
 
 def run(argv):
@@ -43,6 +43,9 @@ class TestGen:
         assert code == 3
         err = capsys.readouterr().err
         assert "generation failed" in err and "bits" in err
+        code = run(["gen", "--k", "3", "--sigma-n", "1e200", "--out", str(path)])
+        assert code == 3
+        assert "generation failed: sigma_n must be" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -146,16 +149,13 @@ class TestSolve:
         (("prior", "covariance"), [[-4.0, -0.5], [-0.5, -0.25]],
          "prior.covariance must be positive definite"),
         (("sensors", 0, "gain"), [1e200, 1e200], "sensors[0].gain must keep gain' C gain finite"),
+        (("sensors", 0, "sigma_n"), 1e-300, "sensors[0].sigma_n must be such that"),
+        (("sensors", 0, "sigma_n"), 1e-155, "sensors[0].sigma_n must be such that"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):
-        payload = json.loads(golden_scenario_path.read_text())
-        parent = payload
-        for key in keys[:-1]:
-            parent = parent[key]
-        parent[keys[-1]] = value
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(golden_with(golden_scenario_path, keys, value)))
         code = run(["solve", "--scenario", str(path), "--alg", "ufa", "--ptot", "5"])
         assert code == 3
         err = capsys.readouterr().err

@@ -685,7 +685,7 @@ class TestTkDerivative:
             assert abs(analytic - fd) / abs(fd) < 1e-4
 
     def test_finite_difference_randomized(self):
-        results = verify.check_grad(count=20, seed=verify.DEFAULT_SEED)
+        results = verify.check_grad(trials=20, seed=verify.DEFAULT_SEED)
         assert all(r.passed for r in results), [r.line() for r in results]
 
     def test_derivative_decreasing_on_log_grid(self, reference_sensor, default_prior):

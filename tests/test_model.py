@@ -20,17 +20,7 @@ from fimalloc.errors import (
     ParseError,
     SchemaVersionMismatch,
 )
-from conftest import FIXTURES
-
-
-def _golden_with(path, keys, value) -> dict:
-    """The golden scenario payload with the entry at the key path set to value."""
-    payload = json.loads(path.read_text())
-    parent = payload
-    for key in keys[:-1]:
-        parent = parent[key]
-    parent[keys[-1]] = value
-    return payload
+from conftest import FIXTURES, golden_with as _golden_with
 
 
 class TestMakePrior:
@@ -408,8 +398,10 @@ class TestScenarioIO:
         (("sensors", 3, "surprise"), 1, 'unknown field "sensors[3].surprise"'),
         (("geometry", "surprise"), 1, 'unknown field "geometry.surprise"'),
         (("prior", "surprise"), 1, 'unknown field "prior.surprise"'),
+        (("sensors", 0, "sigma_n"), 1e-300, "sensors[0].sigma_n must be such that sigma_n ** 2"),
+        (("sensors", 7, "sigma_n"), 1e-155, "(2 pi sigma_n ** 2) is finite, got 1e-155"),
     ], ids=["gain-overflow", "gain-overflow-mixed-signs", "unknown-sensor-field",
-            "unknown-geometry-field", "unknown-prior-field"])
+            "unknown-geometry-field", "unknown-prior-field", "sigma_n-1e-300", "sigma_n-1e-155"])
     def test_bad_field_named(self, keys, value, message, golden_scenario_path):
         payload = _golden_with(golden_scenario_path, keys, value)
         with pytest.raises(ParseError, match=re.escape(message)):
@@ -537,12 +529,15 @@ class TestPriorEquality:
     (lambda: model.homogeneous_network(-2), "k"),
     (lambda: model.Network(sensors=(), prior=model.make_prior(np.eye(2))), "k"),
     (lambda: model.generate_deployment(1, 2, field_half_width=0.5), "source_positions"),
+    (lambda: model.generate_deployment(1, 3, sigma_n=1e200), "sigma_n"),
+    (lambda: model.homogeneous_network(2, sigma_n=1e-155), "sigma_n"),
 ], ids=["sigma_n-str", "sigma_n-none", "sigma_n-entry", "decay-str", "decay-none",
         "d_min-str", "half_width-np-bool", "homogeneous-gain", "homogeneous-sigma_n",
         "k-str", "k-fraction", "k-bool", "seed-str", "seed-fraction", "seed-none",
         "seed-negative", "homogeneous-k-str", "homogeneous-k-fraction", "half_width-inf",
         "d_min-nan", "decay-nan", "k-zero", "homogeneous-k-zero", "homogeneous-k-negative",
-        "network-without-sensors", "sources-outside-field"])
+        "network-without-sensors", "sources-outside-field", "sigma_n-square-overflow",
+        "homogeneous-sigma_n-prefactor-overflow"])
 def test_generators_name_the_field(call, field):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         call()

@@ -891,7 +891,7 @@ class TestMckp:
         np.testing.assert_array_equal(alloc.powers, np.zeros(3))
 
     def test_matches_enumeration(self):
-        results = verify.check_mckp(instances=50)
+        results = verify.check_mckp(trials=50)
         assert all(r.passed for r in results), [r.line() for r in results]
 
     def test_grid_mismatch(self):
@@ -1001,25 +1001,25 @@ class TestMckp:
 
         monkeypatch.setattr(fisher.InfoKernel, "t_checked", counted)
         monkeypatch.setattr(fisher.InfoKernel, "_ladder", computing)
-        for budgets, most_reads, most_computed in ((cli.DEFAULT_SWEEP_GRID, 2017, 1120),
-                                                   (cli.DEFAULT_SWEEP_GRID[::-1], 1469, 797)):
+        for largest_first, most_reads, most_computed in ((False, 2017, 1120), (True, 1469, 797)):
             fisher._kernel.cache_clear()
             reads.clear()
             computed.clear()
-            for p_tot in budgets:
-                solvers.solve_mckp_network(golden_network, p_tot)
+            if largest_first:
+                solvers.sweep(golden_network, cli.DEFAULT_SWEEP_GRID, ["mckp"])
+            else:
+                for p_tot in cli.DEFAULT_SWEEP_GRID:
+                    solvers.solve_mckp_network(golden_network, p_tot)
             assert len(reads) <= most_reads
             assert len(computed) <= most_computed
 
-    def test_memoized_t_is_nondecreasing_in_power(self, golden_network, golden_scenario_path,
-                                                  tmp_path):
+    def test_memoized_t_is_nondecreasing_in_power(self, golden_network):
         # The certificate's bounds take a memoized t at a larger power as an
         # upper bound, which holds only while computed t is nondecreasing
         # in P: after the golden sweep (938 memoized values) and after
         # mckp on 60 fuzzed networks (19,195), no memo falls anywhere.
         fisher._kernel.cache_clear()
-        assert cli.main(["sweep", "--scenario", str(golden_scenario_path), "--alg",
-                         "mckp,ufa,usu", "--out", str(tmp_path / "sweep.csv")]) == 0
+        solvers.sweep(golden_network, cli.DEFAULT_SWEEP_GRID, ["mckp", "ufa", "usu"])
         networks = [golden_network]
         for seed in range(2024, 2084):
             network = random_network(np.random.default_rng(seed))
@@ -1034,8 +1034,9 @@ class TestMckp:
 
     def test_golden_sweep_is_order_independent(self, golden_network):
         # mckp's bounds depend on what earlier budgets memoized, but never
-        # its allocations; nor do any other solver's.
-        def sweep(budgets, fresh=False):
+        # its allocations; nor do any other solver's.  A sweep's errors fill
+        # their cells: brute refuses K = 20.
+        def solve_each(budgets, fresh=False):
             out = {}
             for p_tot in budgets:
                 for name in ("mckp", "ufa", "usu", "greedy"):
@@ -1044,15 +1045,18 @@ class TestMckp:
                         fisher._node_tables.cache_clear()
                     alloc = solvers.SOLVERS[name](golden_network, p_tot, 100,
                                                   solvers.DEFAULT_EPS0)
-                    out[name, p_tot] = (repr(alloc.powers.tolist()), repr(alloc.objective))
+                    out[p_tot, name] = (repr(alloc.powers.tolist()), repr(alloc.objective))
             return out
 
         grid = cli.DEFAULT_SWEEP_GRID
         fisher._kernel.cache_clear()
-        ascending = sweep(grid)
+        ascending = solve_each(grid)
         fisher._kernel.cache_clear()
-        assert sweep(grid[::-1]) == ascending
-        assert sweep(grid, fresh=True) == ascending
+        cells = solvers.sweep(golden_network, grid, ("mckp", "ufa", "brute", "usu", "greedy"))
+        assert [p_tot for p_tot, _, result, _ in cells if isinstance(result, TooLarge)] == grid
+        assert {(p_tot, name): (repr(alloc.powers.tolist()), repr(alloc.objective))
+                for p_tot, name, alloc, _ in cells if name != "brute"} == ascending
+        assert solve_each(grid, fresh=True) == ascending
 
     @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
     @hypothesis.given(
