@@ -25,13 +25,13 @@ around the boundaries, at Gauss-Legendre order n_nodes / 8 per panel
 (DEFAULT_NODES everywhere but in an explicit InfoKernel).  Each guarded
 value is checked against the Gauss-Kronrod extension of the same panels,
 which reuses the kernel values at the Gauss nodes and adds order + 1 nodes
-per panel; one cached build per sensor and node count (`_node_tables`)
-lays out the panels once and makes the tables of both rules, and a checked
-value is one kernel pass over both rules' nodes at once.  The check is
-local: each of the m panels may contribute 1/m of the tolerance.  A
-value it flags walks the (n, 2n - 1, 4n - 3) ladder, which returns the
-coarsest rung that the next rung confirms.  The guard lives on InfoKernel
-(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
+per panel; an InfoKernel lays out its panels once, when it is built, and
+makes the tables of both rules, and a checked value is one kernel pass
+over both rules' nodes at once.  The check is local: each of the m panels
+may contribute 1/m of the tolerance.  A value it flags walks the
+(n, 2n - 1, 4n - 3) ladder, which returns the coarsest rung that the next
+rung confirms.  The guard lives on InfoKernel (`t_checked`), so `t_k`,
+`tabulate_t` and the solvers share one policy.
 
 Each kernel value is a sum over received levels of num^2 / den, where den
 mixes the cell probabilities by the confusion entries, and a term whose
@@ -44,10 +44,11 @@ When that entry clears twice the floor, no term can be skipped, and a
 plain divide gives exactly what the masked one would; otherwise the
 masked divide runs.  Either way the values are the same bits.
 
-`_kernel(sensor, prior)` is the one way the library gets a sensor's kernel:
-a bounded cache keyed by value, like `_node_tables`, so equal sensors under
-equal priors share one InfoKernel, its ladder rungs and its memo of checked
-t values.  `t_checked` is deterministic for a given kernel and power, so a
+`_kernel(sensor, prior)` is the one way the library gets a sensor's kernel,
+and the one cache of per-sensor objects: bounded and keyed by value, so
+equal sensors under equal priors share one InfoKernel, its tables, its
+ladder rungs and its memo of checked t values, and an evicted kernel frees
+them all.  `t_checked` is deterministic for a given kernel and power, so a
 budget sweep, whose grids repeat many powers, computes each power once,
 and `t_bound` gives mckp's certificate the memoized value at the nearest
 power at or above one it would otherwise compute.
@@ -63,7 +64,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
-from .model import Network, Prior, Sensor, _gain_form
+from .model import Network, Prior, Sensor, _check_resolution, _gain_form
 from .quantcomm import (
     _alpha_entries,
     _alpha_slope,
@@ -230,57 +231,6 @@ def _panel_nodes(x: np.ndarray, w: np.ndarray, centers: np.ndarray, halves: np.n
     return s, weights
 
 
-def _panels(bits: int, tau: float, sigma_n: float, sigma_s: float):
-    """The sensor's quantizer, and the centres and half-widths of its panels."""
-    quantizer = make_quantizer(bits, tau)
-    edges = _panel_edges(quantizer.boundaries, sigma_n, sigma_s)
-    return quantizer, 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-
-
-@lru_cache(maxsize=512)
-def _node_tables(bits: int, tau: float, sigma_n: float, sigma_s: float, n_nodes: int):
-    """Quadrature tables for one sensor: its Gauss rule and that rule's Kronrod check.
-
-    Returns (weights, cells, kronrod).  cells is the read-only (2n, M) table
-    of `_cell_tables` at the n Gauss nodes: cells[i, l] and cells[n + i, l]
-    are the cell probability and its scaled slope at node s_i.  The nodes
-    cover s >= 0 only, and the weights fold in twice the Gaussian density
-    and the panel half-widths, so a weighted sum of kernel values
-    approximates the expectation over the whole line: the kernel is even
-    in s (see the module docstring), so the half-line rule is exact and
-    does half the work of a whole-line one.  kronrod is
-    (gap_weights, weights, cells) on the same panels: gap_weights[i, 0]
-    holds the Gauss weights less the Kronrod weights at panel i's Gauss
-    nodes and weights[i, 0] the Kronrod weights at its Kronrod-only nodes.
-    cells is the unsplit table of both rules, laid out as [probabilities at
-    the n Gauss nodes; at the Kronrod-only nodes; slopes at the Gauss nodes;
-    at the Kronrod-only nodes], so one kernel pass over it gives g at the
-    Gauss nodes in its first n values and at the Kronrod-only nodes after
-    them.  Panel i's Gauss sum less its Kronrod sum is gap_weights[i] @
-    g(its Gauss nodes) - weights[i] @ g(its Kronrod-only nodes), one matrix
-    product per rule for all panels.  Cached by value, so identical sensors
-    share tables.
-    """
-    order = _resolution_to_order(n_nodes)
-    x, wx, y, wy = _gk_rule(order)
-    quantizer, centers, halves = _panels(bits, tau, sigma_n, sigma_s)
-    s, (weights, kronrod_at_gauss) = _panel_nodes(x, np.stack((_gl_rule(order)[1], wx)),
-                                                  centers, halves, sigma_s)
-    weights = weights.copy()
-    weights.setflags(write=False)
-    gap_weights = (weights - kronrod_at_gauss).reshape(-1, 1, order)
-    gap_weights.setflags(write=False)
-    s_kronrod, kronrod_weights = _panel_nodes(y, wy, centers, halves, sigma_s)
-    # One table for both rules (it is elementwise in s); the check keeps it
-    # whole, and the Gauss rule alone gets its probabilities over slopes.
-    n, total = s.size, s.size + s_kronrod.size
-    both = _cell_tables(np.concatenate((s, s_kronrod)), quantizer, sigma_n)
-    cells = np.concatenate((both[:n], both[total:total + n]))
-    cells.setflags(write=False)
-    both.setflags(write=False)
-    return weights, cells, (gap_weights, kronrod_weights.reshape(-1, 1, order + 1), both)
-
-
 @lru_cache(maxsize=16)
 def _ones(m: int) -> np.ndarray:
     """A read-only vector of m ones: a product with it sums each row of an (n, m) array."""
@@ -336,18 +286,39 @@ class InfoKernel:
     tabulating a power grid or iterating inside a solver costs one confusion
     matrix per power instead of a fresh quadrature setup.  `t` and `t_prime`
     perform no convergence check.  `t_checked` checks `t` against the
-    Gauss-Kronrod extension of the same panels (whose tables come with the
-    node tables) and sends a value that check flags up the (n, 2n - 1,
+    Gauss-Kronrod extension of the same panels (whose tables are built with
+    the Gauss ones) and sends a value that check flags up the (n, 2n - 1,
     4n - 3) ladder, whose rungs the kernel builds when first needed and
     keeps for later powers; it memoizes each value it returns, keyed by
     power.  `t_prime` takes p and dp/dP from quantcomm, which owns the link.
     The library shares one DEFAULT_NODES kernel per sensor and prior through
-    `_kernel`; a kernel built directly starts with an empty memo.
+    `_kernel`, the only cache of a sensor's tables; a kernel built directly
+    starts with an empty memo and builds its own tables.
+
+    The tables, all read-only and None at zero gain: `_weights` and `_cells`
+    are the Gauss rule's n weights and the (2n, M) `_cell_tables` table at
+    its nodes, where cells[i, l] and cells[n + i, l] are the cell
+    probability and its scaled slope at node s_i.  The nodes cover s >= 0
+    only, and the weights fold in twice the Gaussian density and the panel
+    half-widths, so a weighted sum of kernel values approximates the
+    expectation over the whole line: the kernel is even in s (see the
+    module docstring), so the half-line rule is exact and does half the
+    work of a whole-line one.  `_check_cells` is the unsplit table of both
+    rules on the same panels, laid out as [probabilities at the n Gauss
+    nodes; at the Kronrod-only nodes; slopes at the Gauss nodes; at the
+    Kronrod-only nodes], so one kernel pass over it gives g at the Gauss
+    nodes in its first n values and at the Kronrod-only nodes after them.
+    `_gap_weights[i, 0]` holds the Gauss weights less the Kronrod weights at
+    panel i's Gauss nodes and `_kronrod_weights[i, 0]` the Kronrod weights
+    at its Kronrod-only nodes, so each panel's Gauss sum less its Kronrod
+    sum is one matrix product per rule for all panels.
     """
 
     def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
         gain = sensor.gain
-        self.sigma_s = math.sqrt(max(_gain_form(gain, prior, "sensor gain"), 0.0))
+        form = _gain_form(gain, prior, "sensor gain")
+        _check_resolution(sensor, form, "sensor")
+        self.sigma_s = sigma_s = math.sqrt(max(form, 0.0))
         self.sensor = sensor
         self.prior = prior
         self.n_nodes = n_nodes
@@ -355,12 +326,31 @@ class InfoKernel:
         self._checked: dict = {}
         self._powers: list = []  # the memo's powers, ascending
         self.prefactor = float(gain @ gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
-        if self.sigma_s > 0.0:
-            self._weights, self._cells, self._kronrod_check = _node_tables(
-                sensor.bits, sensor.tau, sensor.sigma_n, self.sigma_s, n_nodes
-            )
-        else:
-            self._weights = self._cells = self._kronrod_check = None
+        if sigma_s == 0.0:
+            self._weights = self._cells = self._check_cells = None
+            self._gap_weights = self._kronrod_weights = None
+            return
+        order = _resolution_to_order(n_nodes)
+        x, wx, y, wy = _gk_rule(order)
+        quantizer = make_quantizer(sensor.bits, sensor.tau)
+        edges = _panel_edges(quantizer.boundaries, sensor.sigma_n, sigma_s)
+        centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        s, (weights, kronrod_at_gauss) = _panel_nodes(x, np.stack((_gl_rule(order)[1], wx)),
+                                                      centers, halves, sigma_s)
+        self._weights = weights.copy()
+        self._weights.setflags(write=False)
+        self._gap_weights = (weights - kronrod_at_gauss).reshape(-1, 1, order)
+        self._gap_weights.setflags(write=False)
+        s_kronrod, kronrod_weights = _panel_nodes(y, wy, centers, halves, sigma_s)
+        self._kronrod_weights = kronrod_weights.reshape(-1, 1, order + 1)
+        # One table for both rules (it is elementwise in s); the check keeps it
+        # whole, and the Gauss rule alone gets its probabilities over slopes.
+        n, total = s.size, s.size + s_kronrod.size
+        both = _cell_tables(np.concatenate((s, s_kronrod)), quantizer, sensor.sigma_n)
+        self._cells = np.concatenate((both[:n], both[total:total + n]))
+        self._cells.setflags(write=False)
+        both.setflags(write=False)
+        self._check_cells = both
 
     def expected_g(self, p_bit: float, with_check: bool = False):
         """Gaussian expectation of the information kernel at bit-error rate p_bit.
@@ -369,9 +359,9 @@ class InfoKernel:
         m times the largest gap, over the m panels, between a panel's Gauss
         sum and its Gauss-Kronrod sum, which reuses the kernel values at the
         Gauss nodes and adds those at the Kronrod-only nodes; one kernel pass
-        over the check's unsplit table gives both, and the expectation is
-        the same bits as the Gauss table's (each node's row is mixed and
-        summed alone, whichever table holds it).  It is at least
+        over `_check_cells` gives both, and the expectation is the same bits
+        as the Gauss table's (each node's row is mixed and summed alone,
+        whichever table holds it).  It is at least
         the sum of the panels' absolute gaps, so never below the whole
         rule's gap.  The check rides on this method, not a separate one, so
         that the tracer in perfbench/, which wraps expected_g by name,
@@ -382,11 +372,10 @@ class InfoKernel:
         alpha = _alpha_entries(self.sensor.bits, p_bit)
         if not with_check:
             return float(self._weights @ _kernel_values(self._cells, alpha))
-        gap_weights, weights, cells = self._kronrod_check
-        g = _kernel_values(cells, alpha)
-        n, panels = self._weights.size, gap_weights.shape[0]
-        gaps = gap_weights @ g[:n].reshape(panels, -1, 1) \
-            - weights @ g[n:].reshape(panels, -1, 1)
+        g = _kernel_values(self._check_cells, alpha)
+        n, panels = self._weights.size, self._gap_weights.shape[0]
+        gaps = self._gap_weights @ g[:n].reshape(panels, -1, 1) \
+            - self._kronrod_weights @ g[n:].reshape(panels, -1, 1)
         return float(self._weights @ g[:n]), panels * float(np.abs(gaps).max())
 
     def expected_g_slope(self, p_bit: float) -> float:
@@ -488,10 +477,11 @@ def _within_tolerance(value: float, error: float) -> bool:
 def _kernel(sensor: Sensor, prior: Prior) -> InfoKernel:
     """The shared DEFAULT_NODES InfoKernel of a sensor under a prior.
 
-    Cached by value, like _node_tables (Sensor and Prior compare by value),
-    so equal sensors under equal priors get one kernel object, with its
-    ladder rungs and its memo of checked t values.  A gain that does not
-    match the prior raises DimensionMismatch on every lookup.
+    Cached by value (Sensor and Prior compare by value), so equal sensors
+    under equal priors get one kernel object, with its tables, its ladder
+    rungs and its memo of checked t values; no other cache holds a sensor's
+    tables.  A gain that does not match the prior raises DimensionMismatch
+    on every lookup.
     """
     return InfoKernel(sensor, prior)
 

@@ -11,10 +11,11 @@ string or None) is stated once, in the table _RULES, which _checked applies
 for Sensor, Geometry, Network, make_prior, make_tau and both generators: a
 bad value raises ValueError naming the field, DimensionMismatch for a wrong
 shape.  Network matches each gain to the prior's q, with gain' C gain
-finite, keeps each sigma_n ** 2 nonzero and the kernel prefactor finite, and
-matches the sensor positions to the sensor count.  The scenario reader raises every
-failure as a ParseError naming where the field sits, e.g.
-"sensors[3].sigma_n must be a number".
+finite, keeps each sigma_n ** 2 nonzero and the kernel prefactor finite,
+keeps tau / sigma_n and sqrt(gain' C gain) / sigma_n, times 2**bits, at
+most MAX_RESOLUTION, and matches the sensor positions to the sensor count.
+The scenario reader raises every failure as a ParseError naming where the
+field sits, e.g. "sensors[3].sigma_n must be a number".
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ DEFAULT_BITS = 3
 # about 4x per bit: one t at bits=8 peaks near 620 MB, and bits=10 was killed
 # for lack of memory on an 8 GB host.
 MAX_BITS = 8
+# Largest 2**bits * tau / sigma_n, and 2**bits * sqrt(gain' C gain) / sigma_n,
+# a sensor may have.  The quadrature's panels near the quantizer boundaries
+# are 6 sigma_n wide, so a kernel's nodes grow with tau / sigma_n (up to the
+# density's reach, 8.5 sqrt(gain' C gain)), and its tables with that times
+# 2**bits.  At the bound, bits=3 and tau / sigma_n = 16,384 make 23,620
+# nodes and 10 MB of tables, and the build peaks 31 MB above the 32 MB
+# before it (118 MB for the 4n - 3 ladder rung); bits=8 and tau / sigma_n
+# = 512 peak at 400 MB (1.45 GB at the 4n - 3 rung, against 0.9 GB at
+# tau / sigma_n = 5).  Golden's largest is 919.  Far past the bound, z^2
+# overflows in the cell tables, and a large sqrt(gain' C gain) makes the
+# panel layout drop every edge near 0 and refine the whole support.
+MAX_RESOLUTION = 2 ** 17
 DEFAULT_DECAY_EXPONENT = 2.0
 DEFAULT_FIELD_HALF_WIDTH = 1.0
 DEFAULT_D_MIN = 0.1
@@ -185,6 +198,17 @@ def _noise_variance(gain: np.ndarray, sigma_n: float, where: str) -> float:
                      f"gain'gain / (2 pi sigma_n ** 2) is finite, got {sigma_n}")
 
 
+def _check_resolution(sensor, form: float, where: str) -> None:
+    """Reject a checked sensor whose tau, or sqrt(form) with form = gain' C gain,
+    over sigma_n and times 2**bits passes MAX_RESOLUTION, naming the field."""
+    for name, what, scale in (("tau", "tau", sensor.tau),
+                              ("gain", "sqrt(gain' C gain)", math.sqrt(form))):
+        resolution = 2 ** sensor.bits * scale / sensor.sigma_n
+        if resolution > MAX_RESOLUTION:
+            raise ValueError(f"{where}.{name} must keep 2**bits * {what} / sigma_n at most "
+                             f"{MAX_RESOLUTION}, got {resolution:.6g}")
+
+
 def _check_fields(record) -> None:
     """Store every field of a frozen Sensor or Geometry as its rule reads it."""
     for name, value in _checked(**vars(record)).items():
@@ -269,8 +293,9 @@ class Network:
     def __post_init__(self):
         _checked(k=self.k)
         for i, sensor in enumerate(self.sensors):
-            _gain_form(sensor.gain, self.prior, f"sensors[{i}].gain")
+            form = _gain_form(sensor.gain, self.prior, f"sensors[{i}].gain")
             _noise_variance(sensor.gain, sensor.sigma_n, f"sensors[{i}].sigma_n")
+            _check_resolution(sensor, form, f"sensors[{i}]")
         rows = self.k if self.geometry is None else self.geometry.sensor_positions.shape[0]
         if rows != self.k:
             raise DimensionMismatch(f"geometry.sensor_positions has {rows} rows for {self.k} sensors")

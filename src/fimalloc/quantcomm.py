@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Sensor
+from .model import Sensor, _checked, _number
 
 _SQRT2 = math.sqrt(2.0)
 _TINY = np.finfo(float).tiny  # smallest normal float; `_cell_tables` flushes entries below it
@@ -328,16 +328,19 @@ def _cell_tables(s_values: np.ndarray, quantizer: QuantizerSpec, sigma_n: float)
     return tables
 
 
+def _one_node_tables(s: float, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
+    """`_cell_tables` at the one node s; a sigma_n that is not positive and finite,
+    or an s that is not finite, raises ValueError naming it."""
+    sigma_n = _checked(sigma_n=sigma_n)["sigma_n"]
+    return _cell_tables(np.array([_number(s, "s", "finite")]), quantizer, sigma_n)
+
+
 def beta(s: float, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
     """Probability that the observation s + noise lands in each quantizer cell.
 
     Entries are nonnegative and sum to one.
     """
-    if sigma_n <= 0.0:
-        raise ValueError(f"sigma_n must be positive, got {sigma_n}")
-    if not math.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
-    return _cell_tables(np.array([float(s)]), quantizer, sigma_n)[0]
+    return _one_node_tables(s, quantizer, sigma_n)[0]
 
 
 def beta_dot(s: float, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
@@ -345,9 +348,7 @@ def beta_dot(s: float, quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
 
     Entries telescope to zero.
     """
-    if sigma_n <= 0.0:
-        raise ValueError(f"sigma_n must be positive, got {sigma_n}")
-    return _cell_tables(np.array([float(s)]), quantizer, sigma_n)[1]
+    return _one_node_tables(s, quantizer, sigma_n)[1]
 
 
 # ---------------------------------------------------------------------------

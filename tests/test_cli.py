@@ -151,6 +151,9 @@ class TestSolve:
         (("sensors", 0, "gain"), [1e200, 1e200], "sensors[0].gain must keep gain' C gain finite"),
         (("sensors", 0, "sigma_n"), 1e-300, "sensors[0].sigma_n must be such that"),
         (("sensors", 0, "sigma_n"), 1e-155, "sensors[0].sigma_n must be such that"),
+        # Tables that would grow past MAX_RESOLUTION: a traceback, or a z^2 overflow.
+        (("sensors", 0, "gain"), [1e150, 1e150], "sensors[0].gain must keep 2**bits"),
+        (("sensors", 0, "tau"), 1e300, "sensors[0].tau must keep 2**bits"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):

@@ -69,7 +69,7 @@ class TestGKernel:
         for sensor in (golden_network.sensors[i] for i in (0, 1, 3)):
             kernel = fisher.InfoKernel(sensor, golden_network.prior)
             w = kernel._weights
-            gap_weights, kronrod_weights, both_cells = kernel._kronrod_check
+            gap_weights, kronrod_weights = kernel._gap_weights, kernel._kronrod_weights
             panels, n = gap_weights.shape[0], w.size
             for p in p_values:
                 p = float(p)
@@ -77,7 +77,7 @@ class TestGKernel:
                 slope = quantcomm._alpha_slope(sensor.bits, p)
                 g, dg, kept = kernel_rows(kernel._cells, alpha, slope)
                 # The check's table holds both rules; the Kronrod-only rows follow the n Gauss rows.
-                gk = kernel_rows(both_cells, alpha, slope)[0][n:]
+                gk = kernel_rows(kernel._check_cells, alpha, slope)[0][n:]
                 floored += not kept
                 gaps = [gap_weights[i, 0] @ g_i - kronrod_weights[i, 0] @ gk_i
                         for i, (g_i, gk_i) in enumerate(zip(np.split(g, panels),
@@ -115,7 +115,7 @@ class TestGKernel:
         sensor = model.Sensor(gain=np.array(gain), sigma_n=sigma_n, h_mag=1.0, sigma_nu=1.0,
                               bits=bits, tau=tau)
         kernel = fisher.InfoKernel(sensor, prior)
-        for cells in (kernel._cells, kernel._kronrod_check[2]):
+        for cells in (kernel._cells, kernel._check_cells):
             den = np.split(cells, 2)[0] @ alpha
             assert den.min() >= p ** bits * (1.0 - 1e-15)
 
@@ -275,8 +275,9 @@ class TestLadder:
         kernel = fisher.InfoKernel(sensor, prior)
         order = fisher._resolution_to_order(kernel.n_nodes)
         x, wx, y, wy = fisher._gk_rule(order)
-        quantizer, centers, halves = fisher._panels(sensor.bits, sensor.tau, sensor.sigma_n,
-                                                    kernel.sigma_s)
+        quantizer = quantcomm.make_quantizer(sensor.bits, sensor.tau)
+        edges = fisher._panel_edges(quantizer.boundaries, sensor.sigma_n, kernel.sigma_s)
+        centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
         rule = [fisher._panel_nodes(nodes, weights, centers, halves, kernel.sigma_s)
                 for nodes, weights in ((x, wx), (y, wy))]
         tables = [fisher._cell_tables(s, quantizer, sensor.sigma_n) for s, _ in rule]
@@ -355,7 +356,9 @@ class TestSharedKernel:
     @pytest.mark.parametrize("which", ["golden", "fuzzed"])
     def test_sweep_tables_equal_fresh_kernels(self, which, golden_network):
         # All ten sweep grids in sweep order, so later grids read earlier values
-        # from the memo; each entry must equal a fresh kernel's, bit for bit.
+        # from the memo; each entry must equal a fresh kernel's memo-free value
+        # (`_ladder`), bit for bit.  One fresh kernel per sensor serves every
+        # grid: its tables and rungs are fixed, and `_ladder` reads no memo.
         if which == "golden":
             networks = [golden_network]
         else:
@@ -364,11 +367,12 @@ class TestSharedKernel:
         fisher._kernel.cache_clear()
         for network in networks:
             prior = network.prior
+            kernels = [fisher.InfoKernel(sensor, prior) for sensor in network.sensors]
             for grid in self.sweep_grids():
                 table = fisher.tabulate_t(network, grid)
-                fresh = [[fisher.InfoKernel(sensor, prior).t_checked(float(power))
-                          for power in grid] for sensor in network.sensors]
+                fresh = [[kernel._ladder(float(power)) for power in grid] for kernel in kernels]
                 assert table.tolist() == fresh
+            assert all(not kernel._checked for kernel in kernels)
             distinct = {float(power) for grid in self.sweep_grids() for power in grid}
             for sensor in network.sensors:
                 assert set(fisher._kernel(sensor, prior)._checked) == distinct
@@ -578,7 +582,7 @@ class TestNodeTables:
                 for n_nodes in (fisher.DEFAULT_NODES, 2 * fisher.DEFAULT_NODES - 1,
                                 4 * fisher.DEFAULT_NODES - 3):  # rung 0 and the ladder's rungs
                     kernel = fisher.InfoKernel(sensor, network.prior, n_nodes)
-                    for table in (kernel._cells, kernel._kronrod_check[2]):
+                    for table in (kernel._cells, kernel._check_cells):
                         magnitudes = np.abs(table)
                         assert not np.any((magnitudes > 0.0) & (magnitudes < tiny))
                         checked += 1

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from fimalloc import model, solvers
+from fimalloc import fisher, model, solvers
 from fimalloc.errors import (
     DimensionMismatch,
     FimallocError,
@@ -20,7 +20,7 @@ from fimalloc.errors import (
     ParseError,
     SchemaVersionMismatch,
 )
-from conftest import FIXTURES, golden_with as _golden_with
+from conftest import FIXTURES, golden_with as _golden_with, random_network
 
 
 class TestMakePrior:
@@ -191,6 +191,50 @@ class TestSensorBits:
     def test_out_of_range_rejected(self, bits):
         with pytest.raises(ValueError, match=r"bits must be in \[1, 8\]"):
             self._sensor(bits)
+
+
+class TestResolution:
+    """2**bits * tau / sigma_n and 2**bits * sqrt(gain' C gain) / sigma_n are bounded."""
+
+    @staticmethod
+    def _network(bits, tau, gain=(1.0, 0.5)):
+        sensor = model.Sensor(gain=np.array(gain), sigma_n=0.5, h_mag=0.7, sigma_nu=1.0,
+                              bits=bits, tau=tau)
+        return model.Network(sensors=(sensor,), prior=model.make_prior(np.eye(2)))
+
+    @pytest.mark.parametrize("bits", [1, 3, 8])
+    def test_bound_takes_bits_into_account(self, bits):
+        at_bound = 0.5 * model.MAX_RESOLUTION / 2 ** bits
+        self._network(bits, at_bound)
+        with pytest.raises(ValueError, match=re.escape(
+                f"sensors[0].tau must keep 2**bits * tau / sigma_n at most "
+                f"{model.MAX_RESOLUTION}, got {2 * model.MAX_RESOLUTION}")):
+            self._network(bits, 2.0 * at_bound)
+        gain = (0.5 * model.MAX_RESOLUTION / 2 ** bits, 0.0)
+        self._network(bits, 1.0, gain)
+        with pytest.raises(ValueError, match=re.escape(
+                "sensors[0].gain must keep 2**bits * sqrt(gain' C gain) / sigma_n at most")):
+            self._network(bits, 1.0, (2.0 * gain[0], 0.0))
+
+    def test_generators_and_kernels_apply_it(self):
+        with pytest.raises(ValueError, match=re.escape("sensors[0].tau must keep 2**bits")):
+            model.homogeneous_network(2, gain=(1e5, 1e5))
+        sensor = self._network(3, 1.0).sensors[0]
+        huge = dataclasses.replace(sensor, tau=1e300)
+        with pytest.raises(ValueError, match=re.escape("sensor.tau must keep 2**bits")):
+            fisher.t_k(5.0, huge, model.make_prior(np.eye(2)))
+
+    def test_no_tested_sensor_comes_near_the_bound(self, golden_network, monkeypatch):
+        # Golden's largest is 919 and seeded deployments' 4,733 (seeds 0-199),
+        # so the bound is a memory guard, not a limit on any tested network.
+        monkeypatch.setattr(model, "MAX_RESOLUTION", model.MAX_RESOLUTION // 16)
+        model.Network(sensors=golden_network.sensors, prior=golden_network.prior)
+        model.homogeneous_network(10)
+        rng = np.random.default_rng(2024)  # the fuzzed networks of scripts/fingerprint.py
+        for _ in range(30):
+            random_network(rng)
+        for seed in range(200):
+            model.generate_deployment(seed, 20)
 
 
 class TestBooleanPhysicalFields:
@@ -400,8 +444,12 @@ class TestScenarioIO:
         (("prior", "surprise"), 1, 'unknown field "prior.surprise"'),
         (("sensors", 0, "sigma_n"), 1e-300, "sensors[0].sigma_n must be such that sigma_n ** 2"),
         (("sensors", 7, "sigma_n"), 1e-155, "(2 pi sigma_n ** 2) is finite, got 1e-155"),
+        (("sensors", 0, "gain"), [1e150, 1e150], "sensors[0].gain must keep 2**bits * sqrt("),
+        (("sensors", 0, "tau"), 1e300, "sensors[0].tau must keep 2**bits * tau / sigma_n"),
+        (("sensors", 4, "sigma_n"), 1e-6, "sensors[4].tau must keep 2**bits * tau / sigma_n"),
     ], ids=["gain-overflow", "gain-overflow-mixed-signs", "unknown-sensor-field",
-            "unknown-geometry-field", "unknown-prior-field", "sigma_n-1e-300", "sigma_n-1e-155"])
+            "unknown-geometry-field", "unknown-prior-field", "sigma_n-1e-300", "sigma_n-1e-155",
+            "gain-1e150", "tau-1e300", "sigma_n-1e-6"])
     def test_bad_field_named(self, keys, value, message, golden_scenario_path):
         payload = _golden_with(golden_scenario_path, keys, value)
         with pytest.raises(ParseError, match=re.escape(message)):

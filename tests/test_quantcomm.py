@@ -108,6 +108,22 @@ class TestBetaDot:
             np.testing.assert_allclose(quantcomm.beta_dot(s, q, sigma), scaled, atol=1e-6)
 
 
+class TestBadCellInputs:
+    """beta and beta_dot share one check of s and sigma_n, which names the input."""
+
+    @pytest.mark.parametrize("function", [quantcomm.beta, quantcomm.beta_dot])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_s(self, function, s):
+        with pytest.raises(ValueError, match=f"^s must be finite, got {s}$"):
+            function(s, quantcomm.make_quantizer(3, 2.0), 1.0)
+
+    @pytest.mark.parametrize("function", [quantcomm.beta, quantcomm.beta_dot])
+    @pytest.mark.parametrize("sigma_n", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_n_not_positive_and_finite(self, function, sigma_n):
+        with pytest.raises(ValueError, match=f"^sigma_n must be positive and finite, got {sigma_n}$"):
+            function(0.5, quantcomm.make_quantizer(3, 2.0), sigma_n)
+
+
 class TestBitErrorProb:
     def test_zero_power(self, reference_sensor):
         assert quantcomm.bit_error_prob(0.0, reference_sensor) == pytest.approx(0.5)
