@@ -1,7 +1,7 @@
 """Fingerprint of the solvers' outputs, to show that a change leaves them unchanged.
 
     python scripts/fingerprint.py write OUT.json
-    python scripts/fingerprint.py diff A.json B.json
+    python scripts/fingerprint.py diff A.json B.json [--rtol R]
 
 `write` runs every solver in `solvers.SOLVERS` on golden at p = 5, 15, 30
 and 50, on `homogeneous_network(k)` for k = 2, 3, 5, 6, 7 and 10 at the
@@ -18,9 +18,12 @@ older than `solvers.sweep`, and the CSV covers the CLI's row formatting.
 
 `diff` reports, per field, how many cases match exactly and the largest
 relative difference among numeric fields that differ; it exits 1 if any
-field differs.  Run `write` with PYTHONPATH pointing at each version's
-`src/` to compare two versions (`diff` needs no fimalloc).  This is a
-tool, not a test.
+field differs.  With `--rtol R`, objectives, powers, `t_k` values and the
+sweep CSV's numbers within R relative count as matching (and are counted
+apart); selections, iteration counts and error messages must still match
+exactly.  Run `write` with PYTHONPATH pointing at each version's `src/`
+to compare two versions (`diff` needs no fimalloc).  This is a tool, not
+a test.
 """
 
 from __future__ import annotations
@@ -119,44 +122,81 @@ def _relative(a, b) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
-def diff(a: dict, b: dict) -> bool:
-    """Print per-field match counts and largest relative differences; True if identical."""
-    identical = True
-    fields: dict = {}
+def _worst(differences) -> float:
+    """The largest of some relative differences, NaN if any is NaN, 0 if there are none."""
+    differences = list(differences)
+    return math.nan if any(map(math.isnan, differences)) else max(differences, default=0.0)
+
+
+def _largest(x, y) -> float:
+    """Largest relative difference between two values, or two equal-length lists of them."""
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        return _worst(_relative(u, v) for u, v in zip(x, y))
+    return _relative(x, y)
+
+
+def _row_difference(x: str, y: str) -> float:
+    """Largest relative difference between two sweep rows' values, field by field.
+
+    NaN unless both rows name the same fields and every non-numeric value
+    (algorithm, scenario id, diagnostic) is equal.
+    """
+    left, right = ([field.partition("=") for field in row.split(",")] for row in (x, y))
+    if len(left) != len(right) or any(u[0] != v[0] for u, v in zip(left, right)):
+        return math.nan
+    return _worst(_relative(u[2], v[2]) for u, v in zip(left, right) if u != v)
+
+
+# The numeric fields of a case that --rtol lets differ; selections,
+# iteration counts and error messages must always match exactly.
+_RTOL_FIELDS = ("objective", "powers")
+
+
+def diff(a: dict, b: dict, rtol: float = 0.0) -> bool:
+    """Print per-field match counts and largest relative differences; True if all match.
+
+    Values match when they are equal or, with rtol > 0, when they are
+    objectives, powers, t_k values or sweep-row numbers within rtol
+    relative (see `_RTOL_FIELDS`).
+    """
+    groups: dict = {}
+
+    def tally(group, key, x, y, numeric, rel):
+        stats = groups.setdefault(group, {"same": 0, "close": 0, "differ": [], "worst": 0.0})
+        if x == y:
+            stats["same"] += 1
+            return
+        stats["worst"] = max(stats["worst"], rel) if not math.isnan(rel) else math.nan
+        if numeric and rel <= rtol:
+            stats["close"] += 1
+        else:
+            stats["differ"].append(key)
+
     for key in sorted(set(a["cases"]) | set(b["cases"])):
         left, right = a["cases"].get(key, {}), b["cases"].get(key, {})
         for field in sorted(set(left) | set(right)):
-            stats = fields.setdefault(field, {"same": 0, "differ": [], "worst": 0.0})
             x, y = left.get(field), right.get(field)
-            if x == y:
-                stats["same"] += 1
-                continue
-            stats["differ"].append(key)
-            if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
-                rel = max(_relative(u, v) for u, v in zip(x, y))
-            else:
-                rel = _relative(x, y)
-            stats["worst"] = max(stats["worst"], rel) if not math.isnan(rel) else math.nan
-    for field, stats in fields.items():
-        line = f"cases.{field}: {stats['same']} identical, {len(stats['differ'])} differ"
-        if stats["differ"]:
-            identical = False
-            line += f" (largest relative difference {stats['worst']:.3g}): "
-            line += ", ".join(stats["differ"])
-        print(line)
+            tally(f"cases.{field}", key, x, y, field in _RTOL_FIELDS, _largest(x, y))
     for section in ("sweep_csv", "t_k"):
         left, right = a[section], b[section]
-        if isinstance(left, dict):
-            keys = sorted(set(left) | set(right))
-            differ = [key for key in keys if left.get(key) != right.get(key)]
-            total = len(keys)
-        else:
-            total = max(len(left), len(right))
-            differ = [str(i) for i in range(total)
-                      if i >= len(left) or i >= len(right) or left[i] != right[i]]
-        print(f"{section}: {total - len(differ)} identical, {len(differ)} differ"
-              + (f": {', '.join(differ)}" if differ else ""))
-        identical = identical and not differ
+        if isinstance(left, list):  # sweep rows, by position
+            left, right = dict(enumerate(left)), dict(enumerate(right))
+        for key in sorted(set(left) | set(right)):
+            x, y = left.get(key), right.get(key)
+            rel = _row_difference(x, y) if section == "sweep_csv" and x and y else _relative(x, y)
+            tally(section, str(key), x, y, True, rel)
+    identical = True
+    for group, stats in groups.items():
+        line = f"{group}: {stats['same']} identical"
+        if rtol > 0.0:
+            line += f", {stats['close']} within {rtol:g}"
+        line += f", {len(stats['differ'])} differ"
+        if stats["close"] or stats["differ"]:
+            line += f" (largest relative difference {stats['worst']:.3g})"
+        if stats["differ"]:
+            line += ": " + ", ".join(stats["differ"])
+        print(line)
+        identical = identical and not stats["differ"]
     return identical
 
 
@@ -168,6 +208,9 @@ def main(argv=None) -> int:
     compare = sub.add_parser("diff", help="compare two fingerprint files")
     compare.add_argument("a")
     compare.add_argument("b")
+    compare.add_argument("--rtol", type=float, default=0.0,
+                         help="let objectives, powers, t_k values and sweep numbers differ "
+                              "by this much relative (default 0: bit identity)")
     args = parser.parse_args(argv)
     if args.command == "write":
         with open(args.out, "w") as fh:
@@ -175,7 +218,7 @@ def main(argv=None) -> int:
             fh.write("\n")
         return 0
     with open(args.a) as fa, open(args.b) as fb:
-        return 0 if diff(json.load(fa), json.load(fb)) else 1
+        return 0 if diff(json.load(fa), json.load(fb), args.rtol) else 1
 
 
 if __name__ == "__main__":

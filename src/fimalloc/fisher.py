@@ -25,13 +25,13 @@ around the boundaries, at Gauss-Legendre order n_nodes / 8 per panel
 (DEFAULT_NODES everywhere but in an explicit InfoKernel).  Each guarded
 value is checked against the Gauss-Kronrod extension of the same panels,
 which reuses the kernel values at the Gauss nodes and adds order + 1 nodes
-per panel; an InfoKernel lays out its panels once, when it is built, and
-makes the tables of both rules, and a checked value is one kernel pass
-over both rules' nodes at once.  The check is local: each of the m panels
-may contribute 1/m of the tolerance.  A value it flags walks the
-(n, 2n - 1, 4n - 3) ladder, which returns the coarsest rung that the next
-rung confirms.  The guard lives on InfoKernel (`t_checked`), so `t_k`,
-`tabulate_t` and the solvers share one policy.
+per panel; one eigen-solve gives both rules (`_gk_rule`).  An InfoKernel
+lays out both rules' nodes and tables in one pass when it is built, and a
+checked value is one kernel pass over both rules' nodes at once.  The
+check is local: each of the m panels may contribute 1/m of the tolerance.
+A value it flags walks the (n, 2n - 1, 4n - 3) ladder, which returns the
+coarsest rung that the next rung confirms.  The guard lives on InfoKernel
+(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
 
 Each kernel value is a sum over received levels of num^2 / den, where den
 mixes the cell probabilities by the confusion entries, and a term whose
@@ -61,7 +61,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
 from .model import Network, Prior, Sensor, _check_resolution, _gain_form
@@ -85,31 +84,20 @@ _ZERO_SCALE = 1e-20
 _CHECKED_CAP = 4096
 
 
-@lru_cache(maxsize=64)
-def _gl_rule(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _kronrod_b(order: int) -> np.ndarray:
+def _kronrod_b(order: int) -> list:
     """Recurrence coefficients b_0 .. b_2n of the 2n + 1 point Kronrod rule, n = order.
 
     Laurie's algorithm (Math. Comp. 66, 1997) extends the monic Legendre
     recurrence b_0 = 2, b_k = k^2 / (4 k^2 - 1) to the Jacobi matrix whose
     eigenvalues are the Gauss-Kronrod nodes.  It is specialised here to the
     symmetric Legendre weight, where every diagonal coefficient is zero.
-    s and t hold two consecutive rows of mixed moments.
+    s and t hold two consecutive rows of mixed moments, all Python floats.
     """
     n = order
-    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
-    b = np.zeros(2 * n + 1)
-    b[0] = 2.0
-    b[1:k.size + 1] = k * k / (4.0 * k * k - 1.0)
-    s = np.zeros(n // 2 + 2)
-    t = np.zeros(n // 2 + 2)
+    b = [2.0] + [0.0] * (2 * n)
+    for k in range(1, (3 * n + 1) // 2 + 1):
+        b[k] = k * k / (4.0 * k * k - 1.0)
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
     t[1] = b[n + 1]
     for m in range(n - 1):
         u = 0.0
@@ -117,7 +105,7 @@ def _kronrod_b(order: int) -> np.ndarray:
             u += b[j + n + 1] * s[j] - b[m - j] * s[j + 1]
             s[j + 1] = u
         s, t = t, s
-    s[1:] = s[:-1].copy()
+    s[1:] = s[:-1]
     for m in range(n - 1, 2 * n - 2):
         u = 0.0
         for j in range(m + 1 - n, (m - 1) // 2 + 1):
@@ -130,37 +118,47 @@ def _kronrod_b(order: int) -> np.ndarray:
     return b
 
 
+def _legendre_slope(order: int, x: np.ndarray):
+    """P_order(x) and its derivative, by the three-term recurrence (|x| < 1)."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, order):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, order * (x * p - p_prev) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=64)
 def _gk_rule(order: int):
-    """Gauss-Kronrod extension of the order-point Gauss-Legendre rule on [-1, 1].
+    """The order-point Gauss-Legendre rule on [-1, 1] and its Gauss-Kronrod extension.
 
-    Returns (x, wx, y, wy): x is _gl_rule(order)'s node array itself, wx the
-    Kronrod weights at those nodes, y the order + 1 Kronrod-only nodes in
-    ascending order and wy their weights.  The 2 order + 1 point rule is
-    exact for polynomials of degree 3 order + 1.  The Kronrod-only nodes are
-    eigenvalues of Laurie's Jacobi matrix; every weight is the Christoffel
-    number 1 / sum_k q_k(x)^2 over the matrix's orthonormal polynomials,
-    which is more accurate than one read off an eigenvector.
+    Returns (x, w, wx, y, wy): the Gauss nodes and weights, the Kronrod
+    weights at the Gauss nodes, and the order + 1 Kronrod-only nodes and
+    their weights, nodes ascending; the 2 order + 1 point rule is exact to
+    degree 3 order + 1.  One eigen-solve gives both rules (Golub and Welsch,
+    Math. Comp. 23, 1969): Laurie's Jacobi matrix has the Kronrod-only nodes
+    and the Gauss nodes as its even- and odd-indexed eigenvalues.  A Gauss
+    node takes one Newton step on P_order, and the weight 2 / ((1 - x^2)
+    P_order'(x)^2); a Kronrod weight is the Christoffel number 1 / sum_k
+    q_k(z)^2 over the matrix's orthonormal polynomials.  Both node sets are
+    made symmetric about 0, and every later step keeps that exactly.
     """
-    x, _ = _gl_rule(order)
-    b = _kronrod_b(order)
-    root_b = np.sqrt(b)
-    y = np.linalg.eigvalsh(np.diag(root_b[1:], 1) + np.diag(root_b[1:], -1))[0::2]
-    y = 0.5 * (y - y[::-1])
-
-    def christoffel(z):
-        q_prev, q = 0.0, np.full_like(z, 1.0 / root_b[0])
-        total = q * q
-        for k in range(2 * order):
-            q_prev, q = q, (z * q - root_b[k] * q_prev) / root_b[k + 1]
-            total = total + q * q
-        w = 1.0 / total
-        return 0.5 * (w + w[::-1])
-
-    wx, wy = christoffel(x), christoffel(y)
-    for array in (wx, y, wy):
+    root_b = np.sqrt(_kronrod_b(order))
+    nodes = np.linalg.eigvalsh(np.diag(root_b[1:], 1) + np.diag(root_b[1:], -1))
+    p, slope = _legendre_slope(order, nodes[1::2])
+    x, y = nodes[1::2] - p / slope, nodes[0::2]
+    x, y = 0.5 * (x - x[::-1]), 0.5 * (y - y[::-1])
+    slope = _legendre_slope(order, x)[1]
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    z = np.concatenate((x, y))
+    q_prev, q = 0.0, np.full_like(z, 1.0 / root_b[0])
+    total = q * q
+    for k in range(2 * order):
+        q_prev, q = q, (z * q - root_b[k] * q_prev) / root_b[k + 1]
+        total += q * q
+    christoffel = 1.0 / total
+    rule = (x, w, christoffel[:order], y, christoffel[order:])
+    for array in rule:
         array.setflags(write=False)
-    return x, wx, y, wy
+    return rule
 
 
 # Panel layout constants: extent of the density support kept, boundary
@@ -178,36 +176,31 @@ def _panel_edges(boundaries: np.ndarray, sigma_n: float, sigma_s: float) -> np.n
     The first edge is exactly 0 and the last 8.5 sigma_s (to rounding).  The
     refinement points are the interior boundaries and their offsets that
     fall inside, from both sides of zero, so the panels are the s >= 0 half
-    of the layout that the same rules make over the whole line.
+    of the layout that the same rules make over the whole line.  Python
+    floats: a sensor has a few dozen edges.
     """
     lim = _DENSITY_SPAN * sigma_s
-    interior = boundaries[1:-1]
-    offsets = np.array(_REFINE_OFFSETS) * sigma_n
-    candidates = np.concatenate((interior, (interior[:, None] - offsets).ravel(),
-                                 (interior[:, None] + offsets).ravel()))
-    inside = candidates[(candidates > 0.0) & (candidates < lim)]
-    edges = np.sort(np.concatenate(([0.0, lim], inside)))
+    interior = boundaries[1:-1].tolist()
+    shifts = [0.0] + [sign * c * sigma_n for sign in (1.0, -1.0) for c in _REFINE_OFFSETS]
+    points = sorted([0.0, lim] + [e for b in interior for d in shifts if 0.0 < (e := b + d) < lim])
     # Drop repeated and near-duplicate edges so panel widths stay well
-    # conditioned; the first edge, 0, is always kept.  (np.sort, not
-    # np.unique: this drops repeats as well, and np.unique's first call
-    # imports numpy.ma, about 12 ms.)
-    keep = np.concatenate(([True], np.diff(edges) > 1e-9 * max(lim, sigma_n)))
-    edges = edges[keep]
+    # conditioned; the first edge, 0, is always kept.
+    tol = 1e-9 * max(lim, sigma_n)
+    edges = [0.0] + [right for left, right in zip(points, points[1:]) if right - left > tol]
     if edges[-1] != lim:
-        edges = np.append(edges, lim)
-    zone_lo = interior[0] - _REFINE_OFFSETS[-1] * sigma_n if interior.size else math.inf
-    zone_hi = interior[-1] + _REFINE_OFFSETS[-1] * sigma_n if interior.size else -math.inf
-    # Split each gap into equal pieces no wider than its cap; piece i of gap
-    # [left, right] ends at left + i * step, i = 1 .. pieces.
-    left, right = edges[:-1], edges[1:]
-    in_zone = (right > zone_lo) & (left < zone_hi)
-    cap = np.where(in_zone, min(_ZONE_CAP_FEATURE * sigma_n, _CAP_DENSITY * sigma_s),
-                   _CAP_DENSITY * sigma_s)
-    pieces = np.maximum(1, np.ceil((right - left) / cap)).astype(np.intp)
-    step = (right - left) / pieces
-    gap = np.repeat(np.arange(left.size), pieces)
-    i = np.arange(1, gap.size + 1) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    return np.concatenate((edges[:1], left[gap] + i * step[gap]))
+        edges.append(lim)
+    zone_lo = interior[0] - _REFINE_OFFSETS[-1] * sigma_n if interior else math.inf
+    zone_hi = interior[-1] + _REFINE_OFFSETS[-1] * sigma_n if interior else -math.inf
+    zone_cap = min(_ZONE_CAP_FEATURE * sigma_n, _CAP_DENSITY * sigma_s)
+    # Split each gap into equal pieces no wider than its cap (at least one,
+    # as right > left); piece i of gap [left, right] ends at left + i * step.
+    refined = [0.0]
+    for left, right in zip(edges, edges[1:]):
+        cap = zone_cap if right > zone_lo and left < zone_hi else _CAP_DENSITY * sigma_s
+        pieces = math.ceil((right - left) / cap)
+        step = (right - left) / pieces
+        refined += [left + i * step for i in range(1, pieces + 1)] if pieces > 1 else [left + step]
+    return np.array(refined)
 
 
 def _resolution_to_order(n_nodes: int) -> int:
@@ -316,7 +309,7 @@ class InfoKernel:
 
     def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
         gain = sensor.gain
-        form = _gain_form(gain, prior, "sensor gain")
+        form = _gain_form(gain, prior, "sensor")
         _check_resolution(sensor, form, "sensor")
         self.sigma_s = sigma_s = math.sqrt(max(form, 0.0))
         self.sensor = sensor
@@ -330,27 +323,28 @@ class InfoKernel:
             self._weights = self._cells = self._check_cells = None
             self._gap_weights = self._kronrod_weights = None
             return
-        order = _resolution_to_order(n_nodes)
-        x, wx, y, wy = _gk_rule(order)
+        n = _resolution_to_order(n_nodes)
+        x, w, wx, y, wy = _gk_rule(n)
         quantizer = make_quantizer(sensor.bits, sensor.tau)
         edges = _panel_edges(quantizer.boundaries, sensor.sigma_n, sigma_s)
         centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-        s, (weights, kronrod_at_gauss) = _panel_nodes(x, np.stack((_gl_rule(order)[1], wx)),
-                                                      centers, halves, sigma_s)
-        self._weights = weights.copy()
-        self._weights.setflags(write=False)
-        self._gap_weights = (weights - kronrod_at_gauss).reshape(-1, 1, order)
-        self._gap_weights.setflags(write=False)
-        s_kronrod, kronrod_weights = _panel_nodes(y, wy, centers, halves, sigma_s)
-        self._kronrod_weights = kronrod_weights.reshape(-1, 1, order + 1)
+        # Row i of s: panel i's Gauss nodes, then its Kronrod-only nodes;
+        # weights: [Gauss | Kronrod] and Kronrod weights at both.
+        s, weights = _panel_nodes(np.concatenate((x, y)), np.concatenate(((w, wx), (wy, wy)), 1),
+                                  centers, halves, sigma_s)
+        s, (weights, kronrod) = s.reshape(centers.size, -1), weights.reshape(2, centers.size, -1)
+        self._weights = weights[:, :n].ravel()
+        self._gap_weights = (weights[:, :n] - kronrod[:, :n])[:, None, :]
+        self._kronrod_weights = np.ascontiguousarray(weights[:, n:])[:, None, :]
         # One table for both rules (it is elementwise in s); the check keeps it
         # whole, and the Gauss rule alone gets its probabilities over slopes.
-        n, total = s.size, s.size + s_kronrod.size
-        both = _cell_tables(np.concatenate((s, s_kronrod)), quantizer, sensor.sigma_n)
-        self._cells = np.concatenate((both[:n], both[total:total + n]))
-        self._cells.setflags(write=False)
-        both.setflags(write=False)
+        gauss, total = s[:, :n].size, s.size
+        both = _cell_tables(np.concatenate((s[:, :n], s[:, n:]), axis=None), quantizer,
+                            sensor.sigma_n)
+        self._cells = np.concatenate((both[:gauss], both[total:total + gauss]))
         self._check_cells = both
+        for table in (self._weights, self._gap_weights, self._kronrod_weights, self._cells, both):
+            table.setflags(write=False)
 
     def expected_g(self, p_bit: float, with_check: bool = False):
         """Gaussian expectation of the information kernel at bit-error rate p_bit.
@@ -526,10 +520,16 @@ def trace_fim(powers, selection, network: Network) -> float:
         )
     if np.any(powers < 0.0):
         raise ValueError("powers must be nonnegative")
-    total = network.prior.inverse_trace
-    for i, sensor in enumerate(network.sensors):
-        if selection[i]:
-            total += t_k(float(powers[i]), sensor, network.prior)
+    return _objective(network.prior, (t_k(float(powers[i]), sensor, network.prior)
+                                      for i, sensor in enumerate(network.sensors) if selection[i]))
+
+
+def _objective(prior: Prior, terms) -> float:
+    """tr(C^-1) plus the terms in the order given: trace_fim's and greedy's one sum,
+    so the same t values in index order give the same bits."""
+    total = prior.inverse_trace
+    for term in terms:
+        total += term
     return total
 
 

@@ -14,6 +14,8 @@ shape.  Network matches each gain to the prior's q, with gain' C gain
 finite, keeps each sigma_n ** 2 nonzero and the kernel prefactor finite,
 keeps tau / sigma_n and sqrt(gain' C gain) / sigma_n, times 2**bits, at
 most MAX_RESOLUTION, and matches the sensor positions to the sensor count.
+A gain' C gain out of range names prior.covariance where the gain alone,
+under the identity covariance, would be in range, and the gain otherwise.
 The scenario reader raises every failure as a ParseError naming where the
 field sits, e.g. "sensors[3].sigma_n must be a number".
 """
@@ -174,14 +176,30 @@ def _checked(**values) -> dict:
 
 
 def _gain_form(gain: np.ndarray, prior: Prior, where: str) -> float:
-    """gain' C gain for a checked gain, which must match the prior's q and keep it finite."""
+    """gain' C gain for a checked gain, which must match the prior's q and keep it finite.
+
+    where names the record that holds the gain, e.g. "sensors[3]", or is ""
+    for a bare gain.  An infinite form is blamed as `_form_culprit` says.
+    """
     if gain.shape != (prior.q,):
-        raise DimensionMismatch(f"{where} has dimension {gain.shape[0]}, prior has q={prior.q}")
+        raise DimensionMismatch(f"{where + '.' if where else ''}gain has dimension "
+                                f"{gain.shape[0]}, prior has q={prior.q}")
     with np.errstate(over="ignore", invalid="ignore"):
         form = float(gain @ prior.covariance @ gain)
     if not math.isfinite(form):
-        raise ValueError(f"{where} must keep gain' C gain finite, got {form}")
+        raise ValueError(f"{_form_culprit(gain, math.isfinite, where)} must keep gain' C gain "
+                         f"finite, got {form}")
     return form
+
+
+def _form_culprit(gain: np.ndarray, passes, where: str) -> str:
+    """The field to name when gain' C gain fails a test: the gain's, where gain' gain
+    (the form under the identity covariance) fails passes too, else prior.covariance."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = float(gain @ gain)
+    if not passes(alone):
+        return f"{where}.gain" if where else "gain"
+    return f"prior.covariance, for {where or 'the gain'},"
 
 
 def _noise_variance(gain: np.ndarray, sigma_n: float, where: str) -> float:
@@ -200,13 +218,18 @@ def _noise_variance(gain: np.ndarray, sigma_n: float, where: str) -> float:
 
 def _check_resolution(sensor, form: float, where: str) -> None:
     """Reject a checked sensor whose tau, or sqrt(form) with form = gain' C gain,
-    over sigma_n and times 2**bits passes MAX_RESOLUTION, naming the field."""
-    for name, what, scale in (("tau", "tau", sensor.tau),
-                              ("gain", "sqrt(gain' C gain)", math.sqrt(form))):
-        resolution = 2 ** sensor.bits * scale / sensor.sigma_n
-        if resolution > MAX_RESOLUTION:
-            raise ValueError(f"{where}.{name} must keep 2**bits * {what} / sigma_n at most "
-                             f"{MAX_RESOLUTION}, got {resolution:.6g}")
+    over sigma_n and times 2**bits passes MAX_RESOLUTION, naming the field (for
+    the form, as `_form_culprit` says)."""
+    def resolution(scale: float) -> float:
+        return 2 ** sensor.bits * scale / sensor.sigma_n
+
+    for name, what, value in (("tau", "tau", resolution(sensor.tau)),
+                              ("gain", "sqrt(gain' C gain)", resolution(math.sqrt(form)))):
+        if value > MAX_RESOLUTION:
+            field = f"{where}.tau" if name == "tau" else _form_culprit(
+                sensor.gain, lambda alone: resolution(math.sqrt(alone)) <= MAX_RESOLUTION, where)
+            raise ValueError(f"{field} must keep 2**bits * {what} / sigma_n at most "
+                             f"{MAX_RESOLUTION}, got {value:.6g}")
 
 
 def _check_fields(record) -> None:
@@ -293,7 +316,7 @@ class Network:
     def __post_init__(self):
         _checked(k=self.k)
         for i, sensor in enumerate(self.sensors):
-            form = _gain_form(sensor.gain, self.prior, f"sensors[{i}].gain")
+            form = _gain_form(sensor.gain, self.prior, f"sensors[{i}]")
             _noise_variance(sensor.gain, sensor.sigma_n, f"sensors[{i}].sigma_n")
             _check_resolution(sensor, form, f"sensors[{i}]")
         rows = self.k if self.geometry is None else self.geometry.sensor_positions.shape[0]
@@ -344,7 +367,7 @@ def make_tau(gain, sigma_n: float, prior: Prior) -> float:
     A bad gain or sigma_n raises ValueError naming it, as in Sensor.
     """
     gain, sigma_n = _checked(gain=gain, sigma_n=sigma_n).values()
-    form = _gain_form(gain, prior, "gain")
+    form = _gain_form(gain, prior, "")
     return 3.0 * math.sqrt(_noise_variance(gain, sigma_n, "sigma_n") + form)
 
 

@@ -311,20 +311,20 @@ def _cell_tables(s_values: np.ndarray, quantizer: QuantizerSpec, sigma_n: float)
     for golden and 60 fuzzed networks, at P = 0 and 160 powers up to 1e6.
     """
     n, m = s_values.size, quantizer.m
-    z = (quantizer.boundaries[1:-1] - s_values[:, None]) / sigma_n
-    g = np.zeros((n, m + 1))
-    g[:, 1:-1] = np.exp(-0.5 * z * z)
-    lower = np.zeros_like(g)  # Phi(-|z_l|), which is 0 at z = -inf and +inf
-    lower[:, 1:-1] = g[:, 1:-1] * _half_erfcx(np.abs(z))
-    above = np.zeros(g.shape, dtype=bool)
-    above[:, 1:-1] = z > 0.0
-    above[:, -1] = True
-    cdf = np.where(above, 1.0 - lower, lower)
+    # Boundary by node, so each step runs over contiguous rows; rows z = -inf, +inf stay 0.
+    g, lower = np.zeros((m + 1, n)), np.zeros((m + 1, n))
+    z = lower[1:-1]  # until it takes Phi(-|z_l|)
+    np.divide(quantizer.boundaries[1:-1, None] - s_values, sigma_n, out=z)
+    above = lower > 0.0
+    above[-1] = True
+    np.exp(np.multiply(z, -0.5 * z), out=g[1:-1])
+    np.multiply(g[1:-1], _half_erfcx(np.abs(z)), out=z)
+    cdf = np.subtract(1.0, lower, out=lower.copy(), where=above)
     tables = np.empty((2 * n, m))
-    np.subtract(cdf[:, 1:], cdf[:, :-1], out=tables[:n])
-    np.subtract(lower[:, :-1], lower[:, 1:], out=tables[:n], where=above[:, :-1])
-    np.subtract(g[:, :-1], g[:, 1:], out=tables[n:])
-    tables[np.abs(tables) < _TINY] = 0.0
+    np.subtract(cdf[1:], cdf[:-1], out=tables[:n].T)
+    np.subtract(lower[:-1], lower[1:], out=tables[:n].T, where=above[:-1])
+    np.subtract(g[:-1], g[1:], out=tables[n:].T)
+    np.copyto(tables, 0.0, where=np.abs(tables) < _TINY)
     return tables
 
 

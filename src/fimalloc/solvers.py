@@ -56,7 +56,7 @@ from .errors import (
     NoConvergence,
     TooLarge,
 )
-from .fisher import _kernel, t_k, tabulate_t, trace_fim
+from .fisher import _kernel, _objective, t_k, tabulate_t, trace_fim
 from .model import Network, Prior, Sensor, _integer
 
 BUDGET_RTOL = 1e-8
@@ -250,7 +250,8 @@ class _Curve:
     slope says so (`_endpoint`), and otherwise the root of t' = lam, found
     to x_tol by a `_SlopeTable`: the budget split keeps one table per
     curve, and `term`, the per-sensor term of the Lagrangian bound, starts
-    a fresh one.  `t` is needed only by `term`.
+    a fresh one.  `t` is needed only by `term` and greedy's candidate
+    objectives.
     """
 
     def __init__(self, t_prime: Callable[[float], float], p_tot: float,
@@ -541,9 +542,9 @@ def _shared_curves(sensors: Sequence[Sensor], prior: Prior, p_tot: float) -> lis
     lookup gives them one kernel object, and their t and t' agree at every
     power: one curve per kernel takes each endpoint slope once, and a set
     of one twin class is one curve repeated, which `_allocate_power_core`
-    splits in closed form.  `t` is
-    the guarded, memoized `InfoKernel.t_checked` that trace_fim reads
-    through t_k, so a bound and an objective share one quadrature.
+    splits in closed form.  `t` is the guarded, memoized
+    `InfoKernel.t_checked` that trace_fim reads through t_k, so a bound, a
+    candidate's objective and trace_fim share one quadrature.
     """
     kernels = [_kernel(sensor, prior) for sensor in sensors]
     curves = {kernel: _Curve(kernel.t_prime, p_tot, kernel.t_checked)
@@ -637,11 +638,13 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     shared by the splits and the bound.  Each round, among inactive twins
     with the same number of active indices below them, only the lowest
     index is a candidate: a higher twin's split is the same list of curves,
-    so its powers are bit-identical, and trace_fim, which adds in index
+    so its powers are bit-identical, and the objective, which adds in index
     order, puts its term in the same place, so its objective ties and the
-    lower index wins.  A candidate set of one twin class is split in closed
-    form, p_tot / m each, so on a homogeneous network greedy that
-    activates every sensor returns ufa's powers and objective.
+    lower index wins.  A candidate's objective is its curves' t values at
+    its split, summed by fisher._objective as trace_fim sums them, so it
+    has the bits trace_fim would give.  A candidate set of one twin class
+    is split in closed form, p_tot / m each, so on a homogeneous network
+    greedy that activates every sensor returns ufa's powers and objective.
 
     Candidates that cannot win are skipped without a solve.  With the
     accepted set A split at multiplier lam (the split reports t'(p_tot)
@@ -687,11 +690,8 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
                 break
             candidate = active + [j]
             solution = _allocate_power_core([curves[i] for i in candidate], p_tot)
-            powers_full = np.zeros(k)
-            powers_full[candidate] = solution.powers
-            selection = np.zeros(k)
-            selection[candidate] = 1
-            objective = trace_fim(powers_full, selection, network)
+            objective = _objective(network.prior, (curves[i].t(float(power)) for i, power
+                                                   in sorted(zip(candidate, solution.powers))))
             if objective > best_obj or (objective == best_obj and j < best_j):
                 best_obj = objective
                 best_j = j

@@ -154,6 +154,11 @@ class TestSolve:
         # Tables that would grow past MAX_RESOLUTION: a traceback, or a z^2 overflow.
         (("sensors", 0, "gain"), [1e150, 1e150], "sensors[0].gain must keep 2**bits"),
         (("sensors", 0, "tau"), 1e300, "sensors[0].tau must keep 2**bits"),
+        # A large prior covariance is named, not the first sensor's gain.
+        (("prior", "covariance"), [[1e20, 0.0], [0.0, 1e20]],
+         "prior.covariance, for sensors[0], must keep 2**bits"),
+        (("prior", "covariance"), [[1e308, 0.0], [0.0, 1e308]],
+         "prior.covariance, for sensors[0], must keep gain' C gain finite"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):
@@ -282,17 +287,12 @@ class TestVerifyCommand:
         assert "[FAIL]" in capsys.readouterr().out
 
 
-def test_cli_and_solves_load_no_scipy():
-    # Every CLI call is a fresh interpreter, and importing scipy.special alone
-    # takes about 0.3 s, so the package must not pull in scipy anywhere.
+def _heavy_modules_after(code: str) -> list:
+    """The scipy and numpy.polynomial modules a fresh interpreter holds after running code."""
     code = (
-        "import sys\n"
-        "import fimalloc.cli\n"
-        "from fimalloc import model, solvers\n"
-        "network = model.homogeneous_network(3)\n"
-        "solvers.solve_greedy(network, 5.0)\n"
-        "solvers.solve_mckp_network(network, 5.0)\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "import json, sys\n" + code +
+        "print(json.dumps(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'\n"
+        "                        or name.startswith('numpy.polynomial'))))\n"
     )
     src = str(Path(fimalloc.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -300,4 +300,24 @@ def test_cli_and_solves_load_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_only_numpy():
+    # The package imports only numpy (scipy comes with the bench extra alone),
+    # and its quadrature rule needs no numpy.polynomial, whose import takes
+    # several milliseconds of every CLI call.
+    assert _heavy_modules_after("import fimalloc.cli\n") == []
+
+
+def test_cli_and_solves_load_no_scipy():
+    # Every CLI call is a fresh interpreter, and importing scipy.special alone
+    # takes about 0.3 s, so the package must not pull in scipy anywhere; nor
+    # numpy.polynomial, when a solve first builds its quadrature rule.
+    assert _heavy_modules_after(
+        "import fimalloc.cli\n"
+        "from fimalloc import model, solvers\n"
+        "network = model.homogeneous_network(3)\n"
+        "solvers.solve_greedy(network, 5.0)\n"
+        "solvers.solve_mckp_network(network, 5.0)\n"
+    ) == []

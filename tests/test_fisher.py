@@ -121,6 +121,34 @@ class TestGKernel:
 
 
 class TestTk:
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(
+        bits=st.integers(1, 4),
+        tau_scale=st.floats(0.1, 4.0),
+        sigma_n=st.floats(0.05, 5.0),
+        h_mag=st.floats(0.1, 3.0),
+        sigma_nu=st.floats(0.1, 3.0),
+        gain=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2).filter(
+            lambda g: abs(g[0]) + abs(g[1]) > 1e-3),
+        factor=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+        ridge=st.floats(0.05, 2.0),
+        powers=st.lists(st.one_of(st.just(0.0), st.just(1e6), st.floats(0.0, 1e6)),
+                        min_size=1, max_size=4),
+    )
+    def test_data_processing_bound(self, bits, tau_scale, sigma_n, h_mag, sigma_nu, gain,
+                                   factor, ridge, powers):
+        # The quantized, noisy link garbles y = gain' theta + n, whose
+        # information trace is |gain|^2 / sigma_n^2 (Zamir, IEEE TIT 1998),
+        # so no power can buy more; the bound needs no kernel.
+        base = np.reshape(factor, (2, 2))
+        prior = model.make_prior(base @ base.T + ridge * np.eye(2))
+        gain = np.array(gain)
+        sensor = model.Sensor(gain=gain, sigma_n=sigma_n, h_mag=h_mag, sigma_nu=sigma_nu,
+                              bits=bits, tau=tau_scale * model.make_tau(gain, sigma_n, prior))
+        bound = float(gain @ gain) / sigma_n ** 2
+        for power in powers:
+            assert 0.0 <= fisher.t_k(power, sensor, prior) <= bound
+
     def test_zero_power(self, reference_sensor, default_prior):
         assert abs(fisher.t_k(0.0, reference_sensor, default_prior)) < 1e-12
 
@@ -274,7 +302,7 @@ class TestLadder:
         sensor, prior = golden_network.sensors[3], golden_network.prior
         kernel = fisher.InfoKernel(sensor, prior)
         order = fisher._resolution_to_order(kernel.n_nodes)
-        x, wx, y, wy = fisher._gk_rule(order)
+        x, _, wx, y, wy = fisher._gk_rule(order)
         quantizer = quantcomm.make_quantizer(sensor.bits, sensor.tau)
         edges = fisher._panel_edges(quantizer.boundaries, sensor.sigma_n, kernel.sigma_s)
         centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
@@ -473,26 +501,67 @@ QUADPACK_WGK21 = (
 )
 
 
+def _gauss_legendre_reference(order: int, mpmath):
+    """Nodes (ascending) and weights of the order-point Gauss-Legendre rule, to 40 digits."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for k in range(order, 0, -1):
+            x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(0.25)) / (order + mpmath.mpf(0.5)))
+            for _ in range(100):
+                p_prev, p = mpmath.mpf(1), x
+                for j in range(1, order):
+                    p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+                slope = order * (x * p - p_prev) / (x * x - 1)
+                step = p / slope
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -38:
+                    break
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * slope * slope))
+    return nodes, weights
+
+
+def _ulps(values, reference) -> np.ndarray:
+    """Each float's distance from the double nearest its reference, in that double's ulps."""
+    nearest = np.array([float(r) for r in reference])
+    return np.abs(np.asarray(values) - nearest) / np.spacing(np.abs(nearest))
+
+
 class TestGaussKronrodRule:
-    @pytest.mark.parametrize("order", [4, 10, 20])
+    @pytest.mark.parametrize("order", [4, 10, 20, 40])
     def test_gauss_subset_is_the_gauss_legendre_rule(self, order):
-        x, _, y, _ = fisher._gk_rule(order)
-        gl_x, _ = fisher._gl_rule(order)
-        assert x.dtype == gl_x.dtype and x.tobytes() == gl_x.tobytes()
+        """Gauss nodes within 1 ulp of a 40-digit reference, and Gauss weights within
+        2 ulp of leggauss's worst error; the Kronrod nodes interlace."""
+        mpmath = pytest.importorskip("mpmath")
+        from numpy.polynomial.legendre import leggauss
+
+        x, w, _, y, _ = fisher._gk_rule(order)
+        ref_x, ref_w = _gauss_legendre_reference(order, mpmath)
+        assert x.shape == w.shape == (order,) and x.dtype == w.dtype == np.float64
+        assert np.max(_ulps(x, ref_x)) <= 1.0
+        assert np.max(_ulps(w, ref_w)) <= np.max(_ulps(leggauss(order)[1], ref_w)) + 2.0
         assert y.size == order + 1
         nodes = np.sort(np.concatenate((x, y)))
-        assert np.array_equal(nodes[1::2], np.sort(gl_x))  # Kronrod nodes interlace
+        assert np.array_equal(nodes[1::2], x)  # Kronrod nodes interlace
         assert np.all(np.abs(y) < 1.0)
+
+    @pytest.mark.parametrize("order", [4, 5, 10, 20, 40])
+    def test_symmetric_bit_for_bit(self, order):
+        x, w, wx, y, wy = fisher._gk_rule(order)
+        for nodes in (x, y):
+            assert np.array_equal(nodes, -nodes[::-1])
+        for weights in (w, wx, wy):
+            assert np.array_equal(weights, weights[::-1])
 
     @pytest.mark.parametrize("order", [4, 10, 20])
     def test_exact_on_monomials_to_degree_3n_plus_1(self, order):
-        x, wx, y, wy = fisher._gk_rule(order)
+        x, _, wx, y, wy = fisher._gk_rule(order)
         for degree in range(3 * order + 2):
             exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
             assert wx @ x ** degree + wy @ y ** degree == pytest.approx(exact, abs=4e-15)
 
     def test_order_10_matches_quadpack(self):
-        x, wx, y, wy = fisher._gk_rule(10)
+        x, _, wx, y, wy = fisher._gk_rule(10)
         nodes = np.concatenate((x, y))
         weights = np.concatenate((wx, wy))
         half = np.argsort(-nodes)[:11]
@@ -594,7 +663,7 @@ def _whole_line_rule(sensor, prior, n_nodes=fisher.DEFAULT_NODES):
     sigma_s = fisher.InfoKernel(sensor, prior, n_nodes).sigma_s
     quantizer = quantcomm.make_quantizer(sensor.bits, sensor.tau)
     edges = _panel_edges_loop(quantizer.boundaries, sensor.sigma_n, sigma_s, whole_line=True)
-    x, w = fisher._gl_rule(fisher._resolution_to_order(n_nodes))
+    x, w = fisher._gk_rule(fisher._resolution_to_order(n_nodes))[:2]
     s, weights = fisher._panel_nodes(x, w, 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges),
                                      sigma_s)
     # _panel_nodes doubles the density for the half line; the whole line takes it once.

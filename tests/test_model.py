@@ -447,9 +447,13 @@ class TestScenarioIO:
         (("sensors", 0, "gain"), [1e150, 1e150], "sensors[0].gain must keep 2**bits * sqrt("),
         (("sensors", 0, "tau"), 1e300, "sensors[0].tau must keep 2**bits * tau / sigma_n"),
         (("sensors", 4, "sigma_n"), 1e-6, "sensors[4].tau must keep 2**bits * tau / sigma_n"),
+        (("prior", "covariance"), [[1e20, 0.0], [0.0, 1e20]],
+         "prior.covariance, for sensors[0], must keep 2**bits * sqrt(gain' C gain) / sigma_n"),
+        (("prior", "covariance"), [[1e308, 0.0], [0.0, 1e308]],
+         "prior.covariance, for sensors[0], must keep gain' C gain finite, got inf"),
     ], ids=["gain-overflow", "gain-overflow-mixed-signs", "unknown-sensor-field",
             "unknown-geometry-field", "unknown-prior-field", "sigma_n-1e-300", "sigma_n-1e-155",
-            "gain-1e150", "tau-1e300", "sigma_n-1e-6"])
+            "gain-1e150", "tau-1e300", "sigma_n-1e-6", "covariance-1e20", "covariance-1e308"])
     def test_bad_field_named(self, keys, value, message, golden_scenario_path):
         payload = _golden_with(golden_scenario_path, keys, value)
         with pytest.raises(ParseError, match=re.escape(message)):
@@ -598,8 +602,11 @@ def test_generators_take_integral_floats_for_seed_and_k():
 
 # ---------------------------------------------------------------------------
 # One-leaf fuzz of the scenario reader: every field of golden, and every number
-# inside an array field, mutated alone.  Finite but extreme magnitudes (such as
-# tau = 1e300 or gain = [1e150, 1e150]) are left out: no range rule covers them.
+# inside an array field, mutated alone.  Finite but extreme magnitudes come from
+# scaling every number of a leaf by 1e20 or 1e300, which the range rules
+# (MAX_RESOLUTION, a finite gain' C gain) must pin on that leaf; a large prior
+# covariance, which the first sensor's gain once took the blame for, is always
+# among the examples.
 # ---------------------------------------------------------------------------
 
 GOLDEN = json.loads((FIXTURES / "golden_k20_seed42.json").read_text())
@@ -649,6 +656,8 @@ _NUMBER_OPS = {
     "nan": lambda x: math.nan,
     "inf": lambda x: math.inf,
     "-inf": lambda x: -math.inf,
+    "times-1e20": lambda x: 1e20 * x,
+    "times-1e300": lambda x: 1e300 * x,
 }
 MUTATIONS = st.one_of(
     st.tuples(st.just("value"), st.one_of(st.booleans(), st.text(max_size=3), st.none())),
@@ -683,6 +692,8 @@ def _mutated(path, mutation):
 
 @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
 @hypothesis.given(path=st.sampled_from(_leaves(GOLDEN)), mutation=MUTATIONS)
+@hypothesis.example(path=("prior", "covariance"), mutation=("each", "times-1e20"))
+@hypothesis.example(path=("prior", "covariance"), mutation=("each", "times-1e300"))
 def test_one_leaf_mutation_is_named_or_solved(path, mutation):
     """Either the load fails naming exactly the mutated field, or ufa solves the network."""
     payload, name = _mutated(path, mutation)

@@ -1,5 +1,6 @@
 import dataclasses
 import heapq
+import inspect
 import math
 import re
 from unittest import mock
@@ -617,6 +618,40 @@ def every_candidate(request):
 
 
 class TestGreedyPruning:
+    @pytest.mark.parametrize("name, p_tot, eps0", [
+        ("golden", 5.0, solvers.DEFAULT_EPS0),
+        ("golden", 50.0, solvers.DEFAULT_EPS0),
+        ("homogeneous-10", 5.0, 1e-5),
+        *((f"random-{i}", (5.0, 20.0, 50.0)[i % 3], solvers.DEFAULT_EPS0) for i in range(20)),
+    ])
+    def test_candidate_objectives_are_trace_fim(self, name, p_tot, eps0, golden_network,
+                                                monkeypatch):
+        # Greedy sums a candidate's objective from its curves' t values; it
+        # must be the bits trace_fim gives for the candidate's allocation.
+        if name.startswith("random-"):
+            rng = np.random.default_rng(2026)
+            network = [random_network(rng) for _ in range(int(name[7:]) + 1)][-1]
+        else:
+            network = _PRUNING_NETWORKS[name](golden_network)
+        seen = []
+        objective = solvers._objective
+
+        def spy(prior, terms):
+            value = objective(prior, terms)
+            caller = inspect.currentframe().f_back
+            assert caller.f_code is solvers.solve_greedy.__code__
+            seen.append((list(caller.f_locals["candidate"]), caller.f_locals["solution"].powers,
+                         value))
+            return value
+
+        monkeypatch.setattr(solvers, "_objective", spy)
+        solvers.solve_greedy(network, p_tot, eps0)
+        assert seen
+        for candidate, powers, value in seen:
+            full, selection = np.zeros(network.k), np.zeros(network.k)
+            full[candidate], selection[candidate] = powers, 1.0
+            assert value == fisher.trace_fim(full, selection, network), candidate
+
     def test_identical_to_solving_every_candidate(self, every_candidate):
         network, p_tot, eps0, (reference, _) = every_candidate
         alloc = solvers.solve_greedy(network, p_tot, eps0)
