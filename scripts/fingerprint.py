@@ -6,7 +6,9 @@
 `write` runs every solver in `solvers.SOLVERS` on golden at p = 5, 15, 30
 and 50, on `homogeneous_network(k)` for k = 2, 3, 5, 6, 7 and 10 at the
 same budgets, and on 30 seeded `random_network`s (tests/conftest.py) at
-p = 5, 20 and 50.  Each case records the selection, the repr of every
+p = 5, 20 and 50, and greedy on `homogeneous_network(10)` at p = 5 with
+eps0 = 1e-5 (the benchmark's `homog-k10` setting; every other case uses
+`DEFAULT_EPS0`).  Each case records the selection, the repr of every
 power, the repr of the objective and the iteration count, or the
 exception's type and message.  It also records the golden sweep CSV
 (`fimalloc sweep --alg ufa,usu,mckp`, default grid) without its
@@ -45,13 +47,15 @@ RANDOM_BUDGETS = (5.0, 20.0, 50.0)
 HOMOGENEOUS_K = (2, 3, 5, 6, 7, 10)
 RANDOM_SEED = 2024
 RANDOM_COUNT = 30
+HOMOG_K10_EPS0 = 1e-5
 
 
-def _solve(name, network, p_tot) -> dict:
+def _solve(name, network, p_tot, eps0=None) -> dict:
     from fimalloc import solvers
 
     try:
-        alloc = solvers.SOLVERS[name](network, p_tot, 100, solvers.DEFAULT_EPS0)
+        alloc = solvers.SOLVERS[name](network, p_tot, 100,
+                                      solvers.DEFAULT_EPS0 if eps0 is None else eps0)
     except Exception as exc:  # a solver's failure is part of its output
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {
@@ -100,6 +104,8 @@ def fingerprint() -> dict:
         for p_tot in budgets:
             for name in solvers.SOLVERS:
                 cases[f"{label}/{name}@{p_tot:g}"] = _solve(name, network, p_tot)
+    cases[f"homogeneous10/greedy@5/eps0={HOMOG_K10_EPS0:g}"] = _solve(
+        "greedy", model.homogeneous_network(10), 5.0, HOMOG_K10_EPS0)
     golden = model.load_scenario(GOLDEN)
     t_values = {}
     for i, sensor in enumerate(golden.sensors):

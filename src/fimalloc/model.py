@@ -218,16 +218,24 @@ def _noise_variance(gain: np.ndarray, sigma_n: float, where: str) -> float:
 
 def _check_resolution(sensor, form: float, where: str) -> None:
     """Reject a checked sensor whose tau, or sqrt(form) with form = gain' C gain,
-    over sigma_n and times 2**bits passes MAX_RESOLUTION, naming the field (for
-    the form, as `_form_culprit` says)."""
-    def resolution(scale: float) -> float:
-        return 2 ** sensor.bits * scale / sensor.sigma_n
+    over sigma_n and times 2**bits passes MAX_RESOLUTION, naming the field:
+    sigma_n where the same test passes at DEFAULT_SIGMA_N, else tau, or for the
+    form what `_form_culprit` says."""
+    def resolution(scale: float, sigma_n: float = sensor.sigma_n) -> float:
+        return 2 ** sensor.bits * scale / sigma_n
 
-    for name, what, value in (("tau", "tau", resolution(sensor.tau)),
-                              ("gain", "sqrt(gain' C gain)", resolution(math.sqrt(form)))):
+    for name, what, scale in (("tau", "tau", sensor.tau),
+                              ("gain", "sqrt(gain' C gain)", math.sqrt(form))):
+        value = resolution(scale)
         if value > MAX_RESOLUTION:
-            field = f"{where}.tau" if name == "tau" else _form_culprit(
-                sensor.gain, lambda alone: resolution(math.sqrt(alone)) <= MAX_RESOLUTION, where)
+            if resolution(scale, DEFAULT_SIGMA_N) <= MAX_RESOLUTION:
+                field = f"{where}.sigma_n"
+            elif name == "tau":
+                field = f"{where}.tau"
+            else:
+                field = _form_culprit(
+                    sensor.gain, lambda alone: resolution(math.sqrt(alone)) <= MAX_RESOLUTION,
+                    where)
             raise ValueError(f"{field} must keep 2**bits * {what} / sigma_n at most "
                              f"{MAX_RESOLUTION}, got {value:.6g}")
 

@@ -34,7 +34,10 @@ candidate per twin slot, a split keeps one table per twin class, and a
 bound takes one term per curve, with results bit-identical to treating
 every sensor apart.  A split whose members are all one curve (one twin
 class) needs no bisection: equal marginal utility puts every member at
-p_tot / m.
+p_tot / m, and its multiplier t'(p_tot / m) is taken only when read.  A
+greedy round whose every candidate split is such a closed form takes no
+dual bound and reads no multiplier, so it costs one kernel pass: its
+candidate's t at the equal split.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,18 +229,24 @@ def solve_usu(network: Network, p_tot: float) -> Allocation:
 class PowerSolution:
     """Continuous subproblem output: powers plus solver diagnostics.
 
-    slope_evaluations counts the t' calls the split made itself: bracket
-    refinements and the stationarity check, or the closed form's one
-    multiplier for a twin class, not the endpoint slopes its curves were
-    built with.
+    `multiplier`, the budget multiplier, is computed by `_multiplier` on its
+    first read and kept: a twin class's closed form defers its one t' call,
+    t'(p_tot / m), to that read, so a split whose multiplier nobody reads
+    takes no slope at all.  slope_evaluations counts the t' calls the split
+    made itself: bracket refinements and the stationarity check, not the
+    endpoint slopes its curves were built with, nor a deferred multiplier.
     """
 
     powers: np.ndarray
-    multiplier: float
+    _multiplier: Callable[[], float]
     kkt_residual: float
     iterations: int
     fallback: bool  # always False; the benchmark tracer's power_split.fallbacks reads it
     slope_evaluations: int
+
+    @cached_property
+    def multiplier(self) -> float:
+        return self._multiplier()
 
 
 class _Curve:
@@ -425,10 +435,11 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     _shared_curves) is split in closed form: identical concave curves under
     one budget have equal marginal utility at the equal split (Patriksson,
     EJOR 2008), so each member gets p_tot / m at multiplier t'(p_tot / m),
-    with KKT residual 0, no iteration and that one t' call (one sensor takes
-    the whole budget at t'(p_tot), the endpoint slope its curve already
-    holds).  This holds wherever the bisection below would collapse too,
-    such as a budget past every slope's saturation.
+    with KKT residual 0, no iteration and no t' call: that slope is taken
+    only when something reads the multiplier (see PowerSolution), and one
+    sensor takes the whole budget at t'(p_tot), the endpoint slope its
+    curve already holds.  This holds wherever the bisection below would
+    collapse too, such as a budget past every slope's saturation.
 
     Otherwise each distinct curve gets one `_SlopeTable` for this split, so each
     bisection step at lam reads every sensor's bracket [lo, hi] around its
@@ -466,14 +477,14 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     curve = curves[0]
     if all(other is curve for other in curves):
         if m == 1:
-            return PowerSolution(np.array([p_tot]), curve.at_top, 0.0, 0, False, 0)
+            return PowerSolution(np.array([p_tot]), lambda: curve.at_top, 0.0, 0, False, 0)
         share = p_tot / m
-        return PowerSolution(np.full(m, share), curve.t_prime(share), 0.0, 0, False, 1)
+        return PowerSolution(np.full(m, share), partial(curve.t_prime, share), 0.0, 0, False, 0)
 
     lam_hi = float(np.max([curve.at_floor for curve in curves]))
     if lam_hi <= 0.0:
         # No sensor gains anything from power; split the budget evenly.
-        return PowerSolution(np.full(m, p_tot / m), 0.0, 0.0, 0, False, 0)
+        return PowerSolution(np.full(m, p_tot / m), lambda: 0.0, 0.0, 0, False, 0)
     lam_lo = 0.0
     tables = {curve: _SlopeTable(curve) for curve in curves}
     members = [tables[curve] for curve in curves]
@@ -532,7 +543,7 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
         )
     if total > p_tot:
         powers *= p_tot / total
-    return PowerSolution(powers, lam, residual, iterations, False, evaluations)
+    return PowerSolution(powers, lambda: lam, residual, iterations, False, evaluations)
 
 
 def _shared_curves(sensors: Sequence[Sensor], prior: Prior, p_tot: float) -> list:
@@ -599,8 +610,9 @@ def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: f
     max_P [t_i(P) - lam * P], each max taken over [0, p_tot] and bounded by
     `_Curve.term`.  `active` is split as `powers` at `lam`, so its interior
     members' powers are their maximizers.  Every bound is infinite when
-    lam is not a finite nonnegative number (round 1's NaN multiplier), and
-    a candidate whose bound comes out NaN gets an infinite bound too.
+    lam is not a finite nonnegative number (the NaN greedy passes in a
+    twin round), and a candidate whose bound comes out NaN gets an
+    infinite bound too.
 
     Each distinct curve's term is evaluated once per bound.  Twins at the
     same power share one term, summed once per member in index order.  A
@@ -656,11 +668,23 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     _BOUND_SLACK, improves on the accepted objective by at most eps0
     relative stops the loop at once.  Otherwise candidates are solved in
     order of decreasing bound, ties by index, until the next widened bound
-    falls below the best objective so far.  Round 1 has no multiplier yet,
-    so its bounds are infinite and every candidate is solved.  The result
-    is the same as solving every candidate.  A sensor whose t' rises
-    between the power floor and p_tot raises ConcavityViolation when the
-    curves are built, before any split.
+    falls below the best objective so far.  The result is the same as
+    solving every candidate.
+
+    A round whose every candidate forms one twin class with A passes a
+    NaN multiplier, so every bound is infinite and nothing is skipped.  In
+    round 1 (A empty) there is no multiplier yet; in a later round (every
+    round on a homogeneous network) every candidate slot splits the same
+    list of curves in closed form, which takes no slope, and reads t at
+    the one power p_tot / m, so a bound could save no kernel pass.  Every
+    candidate is solved, in index order, and the objective test stops the
+    loop wherever a finite bound would have: a bound is never below the
+    objective it bounds (up to _BOUND_SLACK).  Such a round reads no
+    multiplier, so a twin split's t'(p_tot / m) is taken only if a later
+    round builds a bound from it, and a twin round costs one kernel pass,
+    its candidate's t.  A sensor whose t' rises between the power floor and
+    p_tot raises ConcavityViolation when the curves are built, before any
+    split.
     """
     _check_budget(p_tot)
     if not 0.0 < eps0 < math.inf:
@@ -671,15 +695,19 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     inactive = list(range(k))
     objective_prev = 1e-12
     accepted_powers = np.zeros(k)
-    lam = math.nan
+    accepted = None  # the accepted set's PowerSolution
     diagnostics = []
     rounds = 0
     while inactive:
         slots: dict = {}
         for j in inactive:  # ascending, so each slot keeps its lowest twin
             slots.setdefault((curves[j], sum(i < j for i in active)), j)
+        candidates = list(slots.values())
+        # A twin round's NaN multiplier makes every bound infinite, and reads no slope.
+        lam = (math.nan if all(curves[i] is curves[j] for j in candidates for i in active)
+               else accepted.multiplier)
         ub = _dual_bounds(curves, network.prior.inverse_trace, p_tot, lam,
-                          active, accepted_powers, list(slots.values()))
+                          active, accepted_powers, candidates)
         if (max(ub.values()) * (1.0 + _BOUND_SLACK) - objective_prev) / objective_prev <= eps0:
             break
         best_obj = -math.inf
@@ -702,7 +730,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
         inactive.remove(best_j)
         accepted_powers = np.zeros(k)
         accepted_powers[active] = best_solution.powers
-        lam = best_solution.multiplier
+        accepted = best_solution
         objective_prev = best_obj
         rounds += 1
         diagnostics.append((rounds, best_obj))

@@ -159,6 +159,8 @@ class TestSolve:
          "prior.covariance, for sensors[0], must keep 2**bits"),
         (("prior", "covariance"), [[1e308, 0.0], [0.0, 1e308]],
          "prior.covariance, for sensors[0], must keep gain' C gain finite"),
+        # A small sigma_n is named, not the generator's own tau beside it.
+        (("sensors", 4, "sigma_n"), 1e-6, "sensors[4].sigma_n must keep 2**bits"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):

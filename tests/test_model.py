@@ -204,17 +204,21 @@ class TestResolution:
 
     @pytest.mark.parametrize("bits", [1, 3, 8])
     def test_bound_takes_bits_into_account(self, bits):
+        # sigma_n is 0.5: at twice the bound the test passes at DEFAULT_SIGMA_N,
+        # so sigma_n is named; at four times, tau or the gain is.
         at_bound = 0.5 * model.MAX_RESOLUTION / 2 ** bits
         self._network(bits, at_bound)
-        with pytest.raises(ValueError, match=re.escape(
-                f"sensors[0].tau must keep 2**bits * tau / sigma_n at most "
-                f"{model.MAX_RESOLUTION}, got {2 * model.MAX_RESOLUTION}")):
-            self._network(bits, 2.0 * at_bound)
+        for scale, field in ((2, "sigma_n"), (4, "tau")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sensors[0].{field} must keep 2**bits * tau / sigma_n at most "
+                    f"{model.MAX_RESOLUTION}, got {scale * model.MAX_RESOLUTION}")):
+                self._network(bits, scale * at_bound)
         gain = (0.5 * model.MAX_RESOLUTION / 2 ** bits, 0.0)
         self._network(bits, 1.0, gain)
-        with pytest.raises(ValueError, match=re.escape(
-                "sensors[0].gain must keep 2**bits * sqrt(gain' C gain) / sigma_n at most")):
-            self._network(bits, 1.0, (2.0 * gain[0], 0.0))
+        for scale, field in ((2, "sigma_n"), (4, "gain")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"sensors[0].{field} must keep 2**bits * sqrt(gain' C gain) / sigma_n at most")):
+                self._network(bits, 1.0, (scale * gain[0], 0.0))
 
     def test_generators_and_kernels_apply_it(self):
         with pytest.raises(ValueError, match=re.escape("sensors[0].tau must keep 2**bits")):
@@ -446,7 +450,7 @@ class TestScenarioIO:
         (("sensors", 7, "sigma_n"), 1e-155, "(2 pi sigma_n ** 2) is finite, got 1e-155"),
         (("sensors", 0, "gain"), [1e150, 1e150], "sensors[0].gain must keep 2**bits * sqrt("),
         (("sensors", 0, "tau"), 1e300, "sensors[0].tau must keep 2**bits * tau / sigma_n"),
-        (("sensors", 4, "sigma_n"), 1e-6, "sensors[4].tau must keep 2**bits * tau / sigma_n"),
+        (("sensors", 4, "sigma_n"), 1e-6, "sensors[4].sigma_n must keep 2**bits * tau / sigma_n"),
         (("prior", "covariance"), [[1e20, 0.0], [0.0, 1e20]],
          "prior.covariance, for sensors[0], must keep 2**bits * sqrt(gain' C gain) / sigma_n"),
         (("prior", "covariance"), [[1e308, 0.0], [0.0, 1e308]],

@@ -183,8 +183,9 @@ class TestPowerAllocation:
         assert len({id(curve) for curve in curves}) == 1 + len(variants)
 
     def test_twins_split_in_closed_form(self, default_prior, monkeypatch):
-        # Six twins share one curve: each gets p_tot / 6 at multiplier
-        # t'(p_tot / 6), from that one t' call, with no refinement.
+        # Six twins share one curve: each gets p_tot / 6, with no refinement
+        # and no t' call.  The multiplier t'(p_tot / 6) is evaluated when
+        # first read, once.
         net = model.homogeneous_network(6)
         curve = solvers._shared_curves(net.sensors, default_prior, 12.0)[0]
         calls = []
@@ -197,9 +198,11 @@ class TestPowerAllocation:
         curve.t_prime = logged_t_prime
         monkeypatch.setattr(solvers._SlopeTable, "refine", _no_refine)
         solution = solvers._allocate_power_core([curve] * 6, 12.0)
-        assert solution.powers.tolist() == [2.0] * 6 and calls == [2.0]
-        assert (solution.multiplier, solution.kkt_residual, solution.iterations,
-                solution.slope_evaluations) == (t_prime(2.0), 0.0, 0, 1)
+        assert solution.powers.tolist() == [2.0] * 6 and calls == []
+        assert (solution.kkt_residual, solution.iterations, solution.slope_evaluations) \
+            == (0.0, 0, 0)
+        assert solution.multiplier == t_prime(2.0) and calls == [2.0]
+        assert solution.multiplier == t_prime(2.0) and calls == [2.0]
 
     def test_twins_take_one_residual_slope(self, default_prior, monkeypatch):
         # Three twins each of two sensors: each class shares one slope table
@@ -356,7 +359,7 @@ class TestPowerAllocation:
         assert solution.powers.tolist() == [share] * m
         assert solution.multiplier == a * b / (1.0 + b * share)
         assert (solution.kkt_residual, solution.iterations, solution.slope_evaluations) \
-            == (0.0, 0, 1)
+            == (0.0, 0, 0)
 
 
 def _log_curves(a, b, p_tot):
@@ -420,7 +423,7 @@ class TestSplitProperties:
             assert with_twins.powers.tolist() == [share] * m
             assert with_twins.multiplier == shared[c].t_prime(share)
             assert (with_twins.kkt_residual, with_twins.iterations,
-                    with_twins.slope_evaluations) == (0.0, 0, 1)
+                    with_twins.slope_evaluations) == (0.0, 0, 0)
             assert np.all(np.abs(apart.powers - share) <= solvers.BUDGET_RTOL * p_tot)
 
             def objective(powers):
@@ -606,6 +609,9 @@ _PRUNING_NETWORKS = {
     ("golden", 15.0, solvers.DEFAULT_EPS0),
     ("homogeneous-6", 12.0, 1e-6),
     ("homogeneous-10", 5.0, 1e-5),
+    # At the default eps0 a bound from the active twins stops greedy before
+    # all ten are on; without one the objective test must stop it there too.
+    pytest.param(("homogeneous-10", 5.0, solvers.DEFAULT_EPS0), id="homogeneous-10@5-eps0"),
     ("deployment-44-8", 20.0, solvers.DEFAULT_EPS0),
     ("deployment-46-8", 3.0, solvers.DEFAULT_EPS0),
     ("golden-twins", 15.0, 1e-6),
@@ -747,12 +753,14 @@ class TestGreedyPruning:
         assert endpoints == [solvers.POWER_FLOOR_SCALE * p_tot, p_tot]
 
     def test_homogeneous_10_roots_each_bound_term_once(self, monkeypatch):
-        # Ten twins at p = 5: each round's bound takes its one candidate's
-        # term from the active twins, so t' is evaluated only by the curve's
-        # endpoints and the splits, and each split of k > 1 twins is the
-        # closed form's one call: 2 + 9.  Rooting every candidate's term
-        # afresh took 97 t' calls and 18 checked t computations, and
-        # bisecting the twin splits took 49 t' calls.
+        # Ten twins at p = 5: every round's one candidate forms one twin class
+        # with the active set, so greedy takes no bound and reads no
+        # multiplier, and each round costs one checked t at its equal split.
+        # t' is evaluated only at the curve's two endpoints.  Bounding every
+        # round from the active twins' terms took 2 + 9 t' calls (each twin
+        # split's multiplier); rooting every candidate's term afresh took 97
+        # t' calls and 18 checked t computations, and bisecting the twin
+        # splits took 49 t' calls.
         fisher._kernel.cache_clear()
         slopes, checked = [0], [0]
         t_prime, ladder = fisher.InfoKernel.t_prime, fisher.InfoKernel._ladder
@@ -769,7 +777,7 @@ class TestGreedyPruning:
         monkeypatch.setattr(fisher.InfoKernel, "_ladder", counted_ladder)
         alloc = solvers.solve_greedy(model.homogeneous_network(10), 5.0, eps0=1e-5)
         assert alloc.num_selected == 10
-        assert slopes[0] <= 11 and checked[0] <= 10
+        assert (slopes[0], checked[0]) == (2, 10)
 
     @pytest.mark.parametrize("k", [2, 3, 7, 10])
     @pytest.mark.parametrize("p_tot", [5.0, 50.0, 1e3, 1e5])
@@ -784,21 +792,51 @@ class TestGreedyPruning:
         assert alloc.objective == uniform.objective
 
     def test_equal_objectives_go_to_the_lower_index(self, monkeypatch):
-        # Bounds that put higher indices first, and every candidate tied: the
-        # lowest index must still win, as when every candidate is solved in order.
+        # Bounds that put higher indices first, and every candidate of a round
+        # tied: the lowest index must still win, as when every candidate is
+        # solved in order.  Candidates improve on round 1 only in round 2, so
+        # both rounds' reversed bounds are read.
         monkeypatch.setattr(solvers, "_dual_bounds",
                             lambda curves, baseline, p_tot, lam, active, powers, candidates:
                             {j: 100.0 + j for j in candidates})
-        monkeypatch.setattr(solvers, "trace_fim", lambda powers, selection, network: 10.0)
+        monkeypatch.setattr(solvers, "_objective",
+                            lambda prior, terms: 10.0 * min(len(list(terms)), 2))
+        monkeypatch.setattr(solvers, "trace_fim", lambda powers, selection, network: 20.0)
         alloc = solvers.solve_greedy(model.generate_deployment(44, 4), 5.0)
-        assert alloc.selection.tolist() == [1, 0, 0, 0]
+        assert alloc.selection.tolist() == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("name", ["golden-twins", "golden-twin-slots"])
+    def test_mixed_splits_follow_their_rounds_bound(self, name, golden_network, monkeypatch):
+        # Only a round whose every candidate split is one twin class's closed
+        # form passes a NaN multiplier, which makes every bound infinite: a
+        # split over two or more distinct curves, which bisects, comes after
+        # its own round's bound at a finite multiplier, as on a network
+        # without twins.
+        network = _PRUNING_NETWORKS[name](golden_network)
+        bounded, mixed = [], []
+        bounds, core = solvers._dual_bounds, solvers._allocate_power_core
+
+        def logged_bounds(curves, baseline, p_tot, lam, active, powers, candidates):
+            bounded.append((len(active), math.isfinite(lam)))
+            return bounds(curves, baseline, p_tot, lam, active, powers, candidates)
+
+        def logged_core(curves, p_tot):
+            if len(set(curves)) > 1:
+                mixed.append(bounded[-1:] == [(len(curves) - 1, True)])
+            return core(curves, p_tot)
+
+        monkeypatch.setattr(solvers, "_dual_bounds", logged_bounds)
+        monkeypatch.setattr(solvers, "_allocate_power_core", logged_core)
+        alloc = solvers.solve_greedy(network, 15.0, 1e-6)
+        assert alloc.num_selected > 2
+        assert mixed and all(mixed)
 
 
 class TestSplitWork:
     @pytest.mark.parametrize("case, p_tot, most", [
         ("golden", 5.0, 60),
         ("golden", 50.0, 1000),
-        ("homogeneous-10", 5.0, 9),
+        ("homogeneous-10", 5.0, 0),
     ], ids=["golden@5", "golden@50", "homogeneous-10@5"])
     def test_slope_evaluations_within_the_aimed_ceiling(self, case, p_tot, most, golden_network,
                                                         monkeypatch):
@@ -807,8 +845,9 @@ class TestSplitWork:
         # refinement points at the budget band's edges, so most steps settle
         # with one call per curve: 42 calls at p = 5 and 848 at p = 50, where
         # refining at the false-position points alone takes 102 and 1,732.
-        # A split of k > 1 twins is the closed form's one call, so
-        # homogeneous-10 takes 9.
+        # A split of k > 1 twins is the closed form, which calls t' only when
+        # its multiplier is read, and greedy's twin rounds read none, so
+        # homogeneous-10 takes 0.
         if case == "golden":
             network, eps0 = golden_network, solvers.DEFAULT_EPS0
         else:
@@ -838,7 +877,7 @@ class TestSplitWork:
         solvers.solve_greedy(network, p_tot, eps0)
         assert all(isinstance(count, int) for count in reported)
         assert sum(reported) == made[0]
-        assert 0 < sum(reported) <= most
+        assert 0 < sum(reported) <= most if most else sum(reported) == 0
 
 
 class TestHighSnrGreedy:
