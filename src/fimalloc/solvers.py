@@ -20,24 +20,27 @@ to one call signature; the CLI's --alg choices are its keys.  `sweep`, which
 `fimalloc sweep` calls, runs algorithms over a list of budgets, largest first.
 
 The continuous subproblem (maximize the summed information of a fixed
-active set subject to the budget) is concave and separable; it is solved
-by bisection on the budget multiplier (`_Curve` raises ConcavityViolation
-for a sensor whose t' rises).  Each sensor's maximizer of t(P) - lam * P
-is an end of [floor, p_tot] or the root of t' = lam, bracketed by a
-`_SlopeTable` of the slopes already evaluated and refined only as far as
-the bisection's decision needs, at points placed to settle that decision
-(`_aim`) and kept for later steps; greedy's dual bound (`_dual_bounds`)
-sums the matching `_Curve.term`s, which root through the same table, so
-the clip-or-root rule is written once.  Twins (equal Sensors, which
-compare by value) share one curve (`_shared_curves`): greedy splits one
-candidate per twin slot, a split keeps one table per twin class, and a
-bound takes one term per curve, with results bit-identical to treating
-every sensor apart.  A split whose members are all one curve (one twin
-class) needs no bisection: equal marginal utility puts every member at
-p_tot / m, and its multiplier t'(p_tot / m) is taken only when read.  A
-greedy round whose every candidate split is such a closed form takes no
-dual bound and reads no multiplier, so it costs one kernel pass: its
-candidate's t at the equal split.
+active set subject to the budget) is concave and separable, a root in
+the budget multiplier (`_Curve` raises ConcavityViolation for a sensor
+whose t' rises), and every split spends the budget to rounding.  Each
+sensor's maximizer of t(P) - lam * P is an end of [floor, p_tot] or the
+root of t' = lam, bracketed by a `_SlopeTable` of the slopes already
+evaluated and refined only as far as deciding the multiplier's side
+needs, at points placed to settle that decision (`_aim`) and kept for
+later steps.  The next multiplier is a regula-falsi step on the spend
+the tables estimate at the multiplier bracket's ends.  Greedy's dual
+bound (`_dual_bounds`) sums the matching `_Curve.term`s, which root
+through the same table, so the clip-or-root rule is written once.  Twins
+(equal Sensors, which compare by value) share one curve
+(`_shared_curves`): greedy splits one candidate per twin slot, a split
+keeps one table per twin class, and a bound takes one term per curve,
+with results bit-identical to treating every sensor apart.  A split
+whose members are all one curve (one twin class) needs no search: equal
+marginal utility puts every member at p_tot / m, and its multiplier
+t'(p_tot / m) is taken only when read.  A greedy round whose every
+candidate split is such a closed form takes no dual bound and reads no
+multiplier, so it costs one kernel pass: its candidate's t at the equal
+split.
 """
 
 from __future__ import annotations
@@ -324,7 +327,9 @@ class _SlopeTable:
     BIT 1971); once it has stayed put through three, points bisect until
     the other end moves.  Without the bisection, brackets where t' falls by
     many orders of magnitude (the saturated high-SNR range) close a few
-    bits a step.
+    bits a step.  `estimate` is the plain false-position point, or the
+    maximizer where the bracket has closed: the term the split sums to
+    estimate its spend at a multiplier.
     """
 
     def __init__(self, curve: _Curve):
@@ -355,7 +360,16 @@ class _SlopeTable:
 
     def point(self, lam: float) -> float:
         """The safeguarded false-position point inside the open bracket at an interior lam."""
-        kept = self._kept if lam == self._lam else 0
+        return self._interpolate(lam, self._kept if lam == self._lam else 0)
+
+    def estimate(self, lam: float) -> float:
+        """The maximizer at lam as the table stands: its `ends` if they meet, else the plain
+        false-position point between them; no t' call."""
+        lo, hi = self.ends(lam)
+        return lo if lo == hi else self._interpolate(lam, 0)
+
+    def _interpolate(self, lam: float, kept: int) -> float:
+        """The false-position point, its gap halved or bisected after `kept` steps (see point)."""
         i = self._bracket(lam)
         lo, hi = self.powers[i - 1], self.powers[i]
         gap_lo, gap_hi = -self.keys[i - 1] - lam, lam + self.keys[i]  # both > 0
@@ -427,7 +441,7 @@ def _aim(lam: float, points: dict, ends: dict, members: Sequence[_SlopeTable],
 
 
 def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolution:
-    """Dual bisection on the budget multiplier over per-sensor curves.
+    """The budget split over per-sensor curves, by a safeguarded root search on its multiplier.
 
     Factored out so tests can exercise the solver on synthetic derivative
     functions; each curve has already checked its concavity.  A set whose
@@ -438,11 +452,11 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     with KKT residual 0, no iteration and no t' call: that slope is taken
     only when something reads the multiplier (see PowerSolution), and one
     sensor takes the whole budget at t'(p_tot), the endpoint slope its
-    curve already holds.  This holds wherever the bisection below would
+    curve already holds.  This holds wherever the search below would
     collapse too, such as a budget past every slope's saturation.
 
     Otherwise each distinct curve gets one `_SlopeTable` for this split, so each
-    bisection step at lam reads every sensor's bracket [lo, hi] around its
+    step at a multiplier lam reads every sensor's bracket [lo, hi] around its
     maximizer from the points earlier steps evaluated.  When the summed
     brackets, widened by m * x_tol, lie wholly above or below the budget
     band p_tot * (1 +- BUDGET_RTOL), the step takes that side with no new
@@ -457,19 +471,31 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     tabled, deciding at no cost every later multiplier whose roots lie
     beyond them.  Decisions still come only from bracket sums, and every
     point a root solve to x_tol could return lies within x_tol of its
-    bracket, so the decision is the one such a solve would make, and the
-    multiplier path is plain bisection's; only the final powers move,
-    within x_tol, with where the points fall.  Twins share one curve (see
-    _shared_curves) and hence one table; the split equals one curve per
-    sensor, byte for byte, because a table's points depend only on its
-    curve, the multipliers visited and sums over the members, which are the
-    same either way.  The bisection raises
-    NoConvergence as soon as the bracket's midpoint rounds to one of its
-    ends, so the tiny multipliers of large budgets (down to about 1e-17 at
-    p_tot = 1e3 and 1e-176 at 1e4 on golden) still resolve.  Where every
-    positive multiplier spends too little, as when each slope vanishes
-    short of the budget (golden greedy at p_tot = 1e5), that is the
-    bracket [0, 5e-324], after about 1,075 halvings.
+    bracket, so the decision is the one such a solve would make, and
+    [lam_lo, lam_hi] always brackets the multiplier.
+
+    Each side taken also records the spend the tables estimate at lam, from
+    tabled points alone (`_SlopeTable.estimate`, summed over the members, so
+    twins count once each), less p_tot and clamped to the side's sign; the
+    first estimates, at lam = 0 and at the largest floor slope (every member
+    at its floor), read only the endpoint slopes.  The next lam is the
+    regula-falsi root of the excesses at the bracket's ends, with the
+    Illinois rule (Dowell and Jarratt, BIT 1971): a step that keeps the same
+    end as the step before halves that end's excess.  A step that would not
+    land strictly inside the bracket, or that follows more than three steps
+    keeping the same end, takes the midpoint.  The split stops inside the
+    band and rescales the powers to spend p_tot to rounding, so where in the
+    band it stopped moves the objective only along its flat top.  Twins
+    share one curve (see _shared_curves) and hence one table; the split
+    equals one curve per sensor, byte for byte, because a table's points
+    depend only on its curve, the multipliers visited and sums over the
+    members, which are the same either way.  The search raises NoConvergence
+    as soon as the bracket's midpoint rounds to one of its ends, so the tiny
+    multipliers of large budgets (down to about 1e-17 at p_tot = 1e3 and
+    1e-176 at 1e4 on golden) still resolve.  Where every positive multiplier
+    spends too little, as when each slope vanishes short of the budget
+    (golden greedy at p_tot = 1e5), that is the bracket [0, 5e-324], after
+    about 1,075 steps, nearly all midpoints.
     """
     m = len(curves)
     if m == 0:
@@ -491,20 +517,29 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     widen = sum(curve.x_tol for curve in curves)
     slack = BUDGET_RTOL * p_tot
     low_edge, high_edge = p_tot - slack - widen, p_tot + slack + widen
+
+    def excess(lam):
+        return sum(table.estimate(lam) for table in members) - p_tot
+
+    excess_lo, excess_hi = excess(lam_lo), excess(lam_hi)
+    kept = 0  # steps in a row that kept the low (< 0) or high (> 0) end of [lam_lo, lam_hi]
     iterations = 0
     while True:
         iterations += 1
         if iterations > MAX_ITER:
             raise NoConvergence(
-                f"budget bisection did not reach {BUDGET_RTOL:g} relative after "
+                f"budget split did not reach {BUDGET_RTOL:g} relative after "
                 f"{MAX_ITER} iterations"
             )
-        lam = 0.5 * (lam_lo + lam_hi)
-        if lam == lam_lo or lam == lam_hi:
-            raise NoConvergence(
-                f"no positive multiplier spends the budget: the multiplier bracket "
-                f"[{lam_lo!r}, {lam_hi!r}] collapsed before the budget matched"
-            )
+        drop = excess_lo - excess_hi
+        lam = lam_lo + (lam_hi - lam_lo) * (excess_lo / drop) if drop > 0.0 else math.nan
+        if abs(kept) > 3 or not lam_lo < lam < lam_hi:
+            lam = 0.5 * (lam_lo + lam_hi)
+            if lam == lam_lo or lam == lam_hi:
+                raise NoConvergence(
+                    f"no positive multiplier spends the budget: the multiplier bracket "
+                    f"[{lam_lo!r}, {lam_hi!r}] collapsed before the budget matched"
+                )
         side = None  # +1: the powers spend too much, -1: too little, 0: on budget
         while side is None:
             ends = {table: table.ends(lam) for table in tables.values()}
@@ -525,13 +560,18 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
                     side = 0 if abs(total - p_tot) <= slack else 1 if total > p_tot else -1
         if side == 0:
             break
+        kept = kept + side if kept * side > 0 else side
         if side > 0:
-            lam_lo = lam
+            lam_lo, excess_lo = lam, max(excess(lam), 0.0)
+            if kept >= 2:
+                excess_hi *= 0.5
         else:
-            lam_hi = lam
+            lam_hi, excess_hi = lam, min(excess(lam), 0.0)
+            if kept <= -2:
+                excess_lo *= 0.5
     # Stationarity holds for clipped sensors by the clip tests themselves;
     # check the interior coordinates against the final multiplier before the
-    # (at most 1e-8 relative) feasibility rescale below, once per distinct
+    # (about 1e-8 relative) rescale to the budget below, once per distinct
     # (curve, power) pair, so once per twin class.
     interior = [j for j, curve in enumerate(curves) if curve._endpoint(lam) is None]
     pairs = dict.fromkeys((curves[j], powers[j]) for j in interior)
@@ -541,7 +581,7 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
         raise NoConvergence(
             f"stationarity residual {residual:.3e} exceeds {KKT_RTOL:g} * multiplier"
         )
-    if total > p_tot:
+    if total != p_tot:
         powers *= p_tot / total
     return PowerSolution(powers, lambda: lam, residual, iterations, False, evaluations)
 
@@ -589,10 +629,11 @@ def solve_power_allocation(active_set, network: Network, p_tot: float) -> np.nda
     """Optimal budget split over a fixed active set, aligned with active_set.
 
     Maximizes the summed information of the active sensors subject to the
-    powers adding up to the budget.  Bisection on the budget multiplier
-    drives each sensor's derivative to the common value; the budget matches
-    within BUDGET_RTOL and the stationarity residual of interior sensors
-    stays within KKT_RTOL of the multiplier.
+    powers adding up to the budget.  A safeguarded regula-falsi search on
+    the budget multiplier drives each sensor's derivative to the common
+    value until the powers spend the budget within BUDGET_RTOL; they are
+    then rescaled to spend it to rounding, and the stationarity residual
+    of interior sensors stays within KKT_RTOL of the multiplier.
     """
     return _power_allocation_detailed(active_set, network, p_tot).powers
 

@@ -447,11 +447,13 @@ class TestSplitProperties:
         cut=st.floats(0.01, 2.0),
         p_tot=st.floats(0.1, 1e3),
     )
-    def test_aimed_refinement_keeps_the_multiplier_path(self, classes, pattern, cut, p_tot):
-        # `_aim` only moves where t' is evaluated: every side is still taken
-        # from exact bracket sums, so the multipliers are those of refining
-        # at the false-position points alone.  One curve's slope is 0 beyond
-        # cut * p_tot, as golden's are in the saturated range.
+    def test_aimed_and_plain_refinement_agree(self, classes, pattern, cut, p_tot):
+        # `_aim` only moves where t' is evaluated, and the multiplier steps
+        # read the points it leaves tabled, so aimed and plain refinement (at
+        # the false-position points alone) may stop at different multipliers
+        # inside the budget band.  Both must be solutions of the same split.
+        # One curve's slope is 0 beyond cut * p_tot, as golden's are in the
+        # saturated range.
         pattern = [c % len(classes) for c in pattern]
         a, b = zip(*classes)
 
@@ -463,14 +465,25 @@ class TestSplitProperties:
         aimed = solvers._allocate_power_core(curves(), p_tot)
         with mock.patch.object(solvers, "_aim", lambda lam, points, *rest: points):
             plain = solvers._allocate_power_core(curves(), p_tot)
-        assert (repr(aimed.multiplier), aimed.iterations) \
-            == (repr(plain.multiplier), plain.iterations)
-        # Each power is a midpoint of a bracket at most x_tol wide around the
-        # same root, so the two agree within x_tol before the final rescale
-        # to the budget, which moves each by its share of the totals' gap.
         x_tol, m = 1e-12 * p_tot, len(pattern) + 1
+        slack = solvers.BUDGET_RTOL * p_tot
+        for solution in (aimed, plain):
+            assert abs(solution.powers.sum() - p_tot) <= m * math.ulp(p_tot)
+            assert solution.kkt_residual <= solvers.KKT_RTOL * max(solution.multiplier, 1e-300)
+        # Where some curve is interior its slope pins the multiplier; where
+        # every curve sits at an end, any multiplier between the clip tests
+        # splits the same way.
+        if any(curve._endpoint(aimed.multiplier) is None for curve in curves()):
+            assert abs(aimed.multiplier - plain.multiplier) \
+                <= solvers.KKT_RTOL * max(aimed.multiplier, plain.multiplier)
+        # Each root sum at either multiplier is within the band, widened by
+        # m * x_tol, of the budget, and every root moves the same way with
+        # the multiplier, so no root moves by more than the two sums differ.
+        # Each power is within x_tol of its root before the rescale to the
+        # budget, which moves it by its share of the band.
         assert np.all(np.abs(aimed.powers - plain.powers)
-                      <= x_tol * (1.0 + m * plain.powers / p_tot) * (1.0 + 1e-9))
+                      <= ((m + 1) * x_tol + slack * (2.0 + (aimed.powers + plain.powers) / p_tot))
+                      * (1.0 + 1e-9))
 
 
 class TestGreedy:
@@ -834,17 +847,19 @@ class TestGreedyPruning:
 
 class TestSplitWork:
     @pytest.mark.parametrize("case, p_tot, most", [
-        ("golden", 5.0, 60),
-        ("golden", 50.0, 1000),
+        ("golden", 5.0, 30),
+        ("golden", 50.0, 600),
         ("homogeneous-10", 5.0, 0),
     ], ids=["golden@5", "golden@50", "homogeneous-10@5"])
     def test_slope_evaluations_within_the_aimed_ceiling(self, case, p_tot, most, golden_network,
                                                         monkeypatch):
         # slope_evaluations counts every t' call a split makes.  The slope
-        # tables carry brackets across bisection steps, and `_aim` puts their
+        # tables carry brackets across multiplier steps, `_aim` puts their
         # refinement points at the budget band's edges, so most steps settle
-        # with one call per curve: 42 calls at p = 5 and 848 at p = 50, where
-        # refining at the false-position points alone takes 102 and 1,732.
+        # with one call per curve, and each step's multiplier is the
+        # regula-falsi root of the spend the tables estimate at the
+        # bracket's ends: 22 calls at p = 5 and 507 at p = 50, where midpoint
+        # steps took 43 and 844.
         # A split of k > 1 twins is the closed form, which calls t' only when
         # its multiplier is read, and greedy's twin rounds read none, so
         # homogeneous-10 takes 0.
@@ -878,6 +893,52 @@ class TestSplitWork:
         assert all(isinstance(count, int) for count in reported)
         assert sum(reported) == made[0]
         assert 0 < sum(reported) <= most if most else sum(reported) == 0
+
+
+class TestExactSpend:
+    @staticmethod
+    def _cases(name, golden_network):
+        if name == "golden":
+            return [(golden_network, p_tot) for p_tot in (5.0, 15.0, 30.0, 50.0)]
+        if name == "homogeneous-7":
+            network = model.homogeneous_network(7)
+        else:
+            rng = np.random.default_rng(2028)
+            network = [random_network(rng) for _ in range(int(name[7:]) + 1)][-1]
+        return [(network, p_tot) for p_tot in (5.0, 20.0, 50.0)]
+
+    @pytest.mark.parametrize("name", ["golden", "homogeneous-7",
+                                      *(f"random-{i}" for i in range(20))])
+    def test_objectives_do_not_depend_on_the_band(self, name, golden_network):
+        # Every split spends the budget to rounding, so where inside the
+        # budget band its multiplier stops moves the powers only along the
+        # flat top of the objective: a band a thousand times narrower gives
+        # the same greedy to 1e-12.  Rescaling only an overspend leaves
+        # golden at p = 15 4.9e-9 relative below the narrow band's.
+        for network, p_tot in self._cases(name, golden_network):
+            alloc = solvers.solve_greedy(network, p_tot)
+            with mock.patch.object(solvers, "BUDGET_RTOL", 1e-11):
+                narrow = solvers.solve_greedy(network, p_tot)
+            assert alloc.selection.tolist() == narrow.selection.tolist(), p_tot
+            assert alloc.objective == pytest.approx(narrow.objective, rel=1e-12, abs=0.0), p_tot
+
+    @pytest.mark.parametrize("name", ["golden", "random-0", "random-1", "random-2"])
+    def test_bisected_splits_spend_the_budget(self, name, golden_network, monkeypatch):
+        bisected = []
+        core = solvers._allocate_power_core
+
+        def checked_core(curves, budget):
+            solution = core(curves, budget)
+            if solution.iterations:
+                bisected.append(solution)
+                assert abs(solution.powers.sum() - budget) \
+                    <= len(curves) * math.ulp(budget), solution.powers.tolist()
+            return solution
+
+        monkeypatch.setattr(solvers, "_allocate_power_core", checked_core)
+        for network, p_tot in self._cases(name, golden_network):
+            solvers.verify_allocation(solvers.solve_greedy(network, p_tot), network, p_tot)
+        assert bisected
 
 
 class TestHighSnrGreedy:
