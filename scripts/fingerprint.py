@@ -5,15 +5,20 @@
 
 `write` runs every solver in `solvers.SOLVERS` on golden at p = 5, 15, 30
 and 50, on `homogeneous_network(k)` for k = 2, 3, 5, 6, 7 and 10 at the
-same budgets, and on 30 seeded `random_network`s (tests/conftest.py) at
-p = 5, 20 and 50, and greedy on `homogeneous_network(10)` at p = 5 with
-eps0 = 1e-5 (the benchmark's `homog-k10` setting; every other case uses
-`DEFAULT_EPS0`).  Each case records the selection, the repr of every
-power, the repr of the objective and the iteration count, or the
-exception's type and message.  It also records the golden sweep CSV
-(`fimalloc sweep --alg ufa,usu,mckp`, default grid) without its
-`wall_time_ms` column, and the repr of `t_k` for every golden sensor at 26
-powers over [0, 50].  Everything runs in one process, in this order, so
+same budgets, on two networks of golden sensors with repeats, which mix
+twins with distinct sensors (tests/test_solvers.py's `golden-twins`,
+sensors 3, 0, 3, 5, 0, 7, 3, 11, 0, 15, 5, 5, and `golden-twin-slots`,
+sensors 1, 5, 3, 15, 0, 1), at the golden budgets, and on 30 seeded
+`random_network`s (tests/conftest.py) at p = 5, 20 and 50.  It also runs
+greedy on each twin network at the golden budgets with eps0 = 1e-6, and
+on `homogeneous_network(10)` at p = 5 with eps0 = 1e-5 (the benchmark's
+`homog-k10` setting); every other case uses `DEFAULT_EPS0`.  Each case
+records the selection, the repr of every power, the repr of the
+objective and the iteration count, or the exception's type and message.
+It also records the golden sweep CSV (`fimalloc sweep --alg
+ufa,usu,mckp`, default grid) without its `wall_time_ms` column, and the
+repr of `t_k` for every golden sensor at 26 powers over [0, 50].
+Everything runs in one process, in this order, so
 kernel memos carry over as they do in a sweep.  The sweep goes through
 `cli.main`, not `solvers.sweep`, so that `write` also runs on checkouts
 older than `solvers.sweep`, and the CSV covers the CLI's row formatting.
@@ -48,6 +53,9 @@ HOMOGENEOUS_K = (2, 3, 5, 6, 7, 10)
 RANDOM_SEED = 2024
 RANDOM_COUNT = 30
 HOMOG_K10_EPS0 = 1e-5
+TWIN_PICKS = {"golden-twins": (3, 0, 3, 5, 0, 7, 3, 11, 0, 15, 5, 5),
+              "golden-twin-slots": (1, 5, 3, 15, 0, 1)}
+TWIN_EPS0 = 1e-6
 
 
 def _solve(name, network, p_tot, eps0=None) -> dict:
@@ -66,6 +74,15 @@ def _solve(name, network, p_tot, eps0=None) -> dict:
     }
 
 
+def _twin_networks(golden) -> dict:
+    """Each TWIN_PICKS network: golden's sensors picked by index, with repeats."""
+    from fimalloc import model
+
+    return {label: model.Network(sensors=tuple(golden.sensors[i] for i in picks),
+                                 prior=golden.prior)
+            for label, picks in TWIN_PICKS.items()}
+
+
 def _networks():
     sys.path.insert(0, str(ROOT / "tests"))
     from conftest import random_network
@@ -75,6 +92,8 @@ def _networks():
     yield "golden", golden, BUDGETS
     for k in HOMOGENEOUS_K:
         yield f"homogeneous{k}", model.homogeneous_network(k), BUDGETS
+    for label, network in _twin_networks(golden).items():
+        yield label, network, BUDGETS
     rng = np.random.default_rng(RANDOM_SEED)
     for i in range(RANDOM_COUNT):
         yield f"random{i}", random_network(rng), RANDOM_BUDGETS
@@ -104,9 +123,13 @@ def fingerprint() -> dict:
         for p_tot in budgets:
             for name in solvers.SOLVERS:
                 cases[f"{label}/{name}@{p_tot:g}"] = _solve(name, network, p_tot)
+    golden = model.load_scenario(GOLDEN)
+    for label, network in _twin_networks(golden).items():
+        for p_tot in BUDGETS:
+            cases[f"{label}/greedy@{p_tot:g}/eps0={TWIN_EPS0:g}"] = _solve(
+                "greedy", network, p_tot, TWIN_EPS0)
     cases[f"homogeneous10/greedy@5/eps0={HOMOG_K10_EPS0:g}"] = _solve(
         "greedy", model.homogeneous_network(10), 5.0, HOMOG_K10_EPS0)
-    golden = model.load_scenario(GOLDEN)
     t_values = {}
     for i, sensor in enumerate(golden.sensors):
         for power in np.linspace(0.0, 50.0, 26):

@@ -63,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
-from .model import Network, Prior, Sensor, _check_resolution, _gain_form
+from .model import Network, Prior, Sensor, _sensor_form
 from .quantcomm import (
     _alpha_entries,
     _alpha_slope,
@@ -308,17 +308,14 @@ class InfoKernel:
     """
 
     def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
-        gain = sensor.gain
-        form = _gain_form(gain, prior, "sensor")
-        _check_resolution(sensor, form, "sensor")
-        self.sigma_s = sigma_s = math.sqrt(max(form, 0.0))
+        self.sigma_s = sigma_s = math.sqrt(max(_sensor_form(sensor, prior, "sensor"), 0.0))
         self.sensor = sensor
         self.prior = prior
         self.n_nodes = n_nodes
         self._finer: list = []
         self._checked: dict = {}
         self._powers: list = []  # the memo's powers, ascending
-        self.prefactor = float(gain @ gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
+        self.prefactor = float(sensor.gain @ sensor.gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
         if sigma_s == 0.0:
             self._weights = self._cells = self._check_cells = None
             self._gap_weights = self._kronrod_weights = None

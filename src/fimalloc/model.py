@@ -240,6 +240,16 @@ def _check_resolution(sensor, form: float, where: str) -> None:
                              f"{MAX_RESOLUTION}, got {value:.6g}")
 
 
+def _sensor_form(sensor, prior: Prior, where: str) -> float:
+    """gain' C gain for a checked sensor under prior, after every check that pairs the two:
+    `_gain_form`, `_noise_variance` and `_check_resolution`, each naming a field of
+    where, e.g. "sensors[3]"."""
+    form = _gain_form(sensor.gain, prior, where)
+    _noise_variance(sensor.gain, sensor.sigma_n, f"{where}.sigma_n")
+    _check_resolution(sensor, form, where)
+    return form
+
+
 def _check_fields(record) -> None:
     """Store every field of a frozen Sensor or Geometry as its rule reads it."""
     for name, value in _checked(**vars(record)).items():
@@ -324,9 +334,7 @@ class Network:
     def __post_init__(self):
         _checked(k=self.k)
         for i, sensor in enumerate(self.sensors):
-            form = _gain_form(sensor.gain, self.prior, f"sensors[{i}]")
-            _noise_variance(sensor.gain, sensor.sigma_n, f"sensors[{i}].sigma_n")
-            _check_resolution(sensor, form, f"sensors[{i}]")
+            _sensor_form(sensor, self.prior, f"sensors[{i}]")
         rows = self.k if self.geometry is None else self.geometry.sensor_positions.shape[0]
         if rows != self.k:
             raise DimensionMismatch(f"geometry.sensor_positions has {rows} rows for {self.k} sensors")

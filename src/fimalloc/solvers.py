@@ -32,15 +32,13 @@ the tables estimate at the multiplier bracket's ends.  Greedy's dual
 bound (`_dual_bounds`) sums the matching `_Curve.term`s, which root
 through the same table, so the clip-or-root rule is written once.  Twins
 (equal Sensors, which compare by value) share one curve
-(`_shared_curves`): greedy splits one candidate per twin slot, a split
-keeps one table per twin class, and a bound takes one term per curve,
-with results bit-identical to treating every sensor apart.  A split
-whose members are all one curve (one twin class) needs no search: equal
-marginal utility puts every member at p_tot / m, and its multiplier
-t'(p_tot / m) is taken only when read.  A greedy round whose every
-candidate split is such a closed form takes no dual bound and reads no
-multiplier, so it costs one kernel pass: its candidate's t at the equal
-split.
+(`_shared_curves`), which takes their endpoint slopes once, and greedy
+splits one candidate per twin slot.  A split whose members are all one
+curve (one twin class) needs no search: equal marginal utility puts
+every member at p_tot / m, and its multiplier t'(p_tot / m) is taken
+only when read.  A greedy round whose every candidate split is such a
+closed form takes no dual bound and reads no multiplier, so it costs one
+kernel pass: its candidate's t at the equal split.
 """
 
 from __future__ import annotations
@@ -262,7 +260,7 @@ class _Curve:
     maximizer of t(P) - lam * P is an end of the interval when an endpoint
     slope says so (`_endpoint`), and otherwise the root of t' = lam, found
     to x_tol by a `_SlopeTable`: the budget split keeps one table per
-    curve, and `term`, the per-sensor term of the Lagrangian bound, starts
+    member, and `term`, the per-sensor term of the Lagrangian bound, starts
     a fresh one.  `t` is needed only by `term` and greedy's candidate
     objectives.
     """
@@ -400,26 +398,24 @@ class _SlopeTable:
         self._kept = self._kept + kept if self._kept * kept > 0 else kept
 
 
-def _aim(lam: float, points: dict, ends: dict, members: Sequence[_SlopeTable],
-         low_edge: float, high_edge: float) -> dict:
+def _aim(lam: float, points: dict, ends: dict, low_edge: float, high_edge: float) -> dict:
     """Move the refinement points so that, if each lands on its side of its root, the step settles.
 
     points maps each open table to its `point` at this lam, the estimate of
-    its root; ends maps every table to its bracket (lo, hi), and members
-    lists the sensors' tables, twins repeated.  When the estimates, with
-    the midpoints of closed tables, sum above high_edge plus _AIM_MARGIN of
-    the band, each point moves the same fraction of the way down to its lo
-    so that the members' new points, with the closed tables' lo, sum to
-    that target: if every point lands below its root, the new lo sum
-    settles the step.  A sum below low_edge is handled the same way toward
-    each hi.  Otherwise the estimates are returned as they are: inside the
-    band, where some open bracket is `steep`, or where a point would not
-    move inside its bracket.
+    its root, and ends maps every table, one per sensor, to its bracket
+    (lo, hi).  When the estimates, with the midpoints of closed tables, sum
+    above high_edge plus _AIM_MARGIN of the band, each point moves the same
+    fraction of the way down to its lo so that the new points, with the
+    closed tables' lo, sum to that target: if every point lands below its
+    root, the new lo sum settles the step.  A sum below low_edge is handled
+    the same way toward each hi.  Otherwise the estimates are returned as
+    they are: inside the band, where some open bracket is `steep`, or where
+    a point would not move inside its bracket.
     """
     if any(table.steep(lam) for table in points):
         return points
     estimate = sum(points[table] if table in points else 0.5 * sum(ends[table])
-                   for table in members)
+                   for table in ends)
     margin = _AIM_MARGIN * (high_edge - low_edge)
     if estimate > high_edge + margin:
         side, target = 0, high_edge + margin  # toward each lo
@@ -427,8 +423,8 @@ def _aim(lam: float, points: dict, ends: dict, members: Sequence[_SlopeTable],
         side, target = 1, low_edge - margin  # toward each hi
     else:
         return points
-    base = sum(ends[table][side] for table in members)
-    room = sum(points[table] - ends[table][side] for table in members if table in points)
+    base = sum(ends[table][side] for table in ends)
+    room = sum(points[table] - ends[table][side] for table in ends if table in points)
     share = (target - base) / room
     if not 0.0 < share < 1.0:
         return points
@@ -455,7 +451,7 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     curve already holds.  This holds wherever the search below would
     collapse too, such as a budget past every slope's saturation.
 
-    Otherwise each distinct curve gets one `_SlopeTable` for this split, so each
+    Otherwise each member gets its own `_SlopeTable` for this split, so each
     step at a multiplier lam reads every sensor's bracket [lo, hi] around its
     maximizer from the points earlier steps evaluated.  When the summed
     brackets, widened by m * x_tol, lie wholly above or below the budget
@@ -467,7 +463,7 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     the brackets' false-position estimates sum beyond an edge of the
     (widened) band, `_aim` moves each point toward its bracket's end so
     that the points sum just past that edge.  If every point lands on its
-    side of its root, one evaluation per curve decides, and the points stay
+    side of its root, one evaluation per member decides, and the points stay
     tabled, deciding at no cost every later multiplier whose roots lie
     beyond them.  Decisions still come only from bracket sums, and every
     point a root solve to x_tol could return lies within x_tol of its
@@ -475,27 +471,23 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     [lam_lo, lam_hi] always brackets the multiplier.
 
     Each side taken also records the spend the tables estimate at lam, from
-    tabled points alone (`_SlopeTable.estimate`, summed over the members, so
-    twins count once each), less p_tot and clamped to the side's sign; the
-    first estimates, at lam = 0 and at the largest floor slope (every member
-    at its floor), read only the endpoint slopes.  The next lam is the
-    regula-falsi root of the excesses at the bracket's ends, with the
-    Illinois rule (Dowell and Jarratt, BIT 1971): a step that keeps the same
-    end as the step before halves that end's excess.  A step that would not
-    land strictly inside the bracket, or that follows more than three steps
-    keeping the same end, takes the midpoint.  The split stops inside the
-    band and rescales the powers to spend p_tot to rounding, so where in the
-    band it stopped moves the objective only along its flat top.  Twins
-    share one curve (see _shared_curves) and hence one table; the split
-    equals one curve per sensor, byte for byte, because a table's points
-    depend only on its curve, the multipliers visited and sums over the
-    members, which are the same either way.  The search raises NoConvergence
-    as soon as the bracket's midpoint rounds to one of its ends, so the tiny
-    multipliers of large budgets (down to about 1e-17 at p_tot = 1e3 and
-    1e-176 at 1e4 on golden) still resolve.  Where every positive multiplier
-    spends too little, as when each slope vanishes short of the budget
-    (golden greedy at p_tot = 1e5), that is the bracket [0, 5e-324], after
-    about 1,075 steps, nearly all midpoints.
+    tabled points alone (`_SlopeTable.estimate`, summed over the members),
+    less p_tot and clamped to the side's sign; the first estimates, at
+    lam = 0 and at the largest floor slope (every member at its floor), read
+    only the endpoint slopes.  The next lam is the regula-falsi root of the
+    excesses at the bracket's ends, with the Illinois rule (Dowell and
+    Jarratt, BIT 1971): a step that keeps the same end as the step before
+    halves that end's excess.  A step that would not land strictly inside
+    the bracket, or that follows more than three steps keeping the same
+    end, takes the midpoint.  The split stops inside the band and rescales
+    the powers to spend p_tot to rounding, so where in the band it stopped
+    moves the objective only along its flat top.  The search raises
+    NoConvergence as soon as the bracket's midpoint rounds to one of its
+    ends, so the tiny multipliers of large budgets (down to about 1e-17 at
+    p_tot = 1e3 and 1e-176 at 1e4 on golden) still resolve.  Where every
+    positive multiplier spends too little, as when each slope vanishes
+    short of the budget (golden greedy at p_tot = 1e5), that is the bracket
+    [0, 5e-324], after about 1,075 steps, nearly all midpoints.
     """
     m = len(curves)
     if m == 0:
@@ -512,14 +504,13 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
         # No sensor gains anything from power; split the budget evenly.
         return PowerSolution(np.full(m, p_tot / m), lambda: 0.0, 0.0, 0, False, 0)
     lam_lo = 0.0
-    tables = {curve: _SlopeTable(curve) for curve in curves}
-    members = [tables[curve] for curve in curves]
+    tables = [_SlopeTable(curve) for curve in curves]
     widen = sum(curve.x_tol for curve in curves)
     slack = BUDGET_RTOL * p_tot
     low_edge, high_edge = p_tot - slack - widen, p_tot + slack + widen
 
     def excess(lam):
-        return sum(table.estimate(lam) for table in members) - p_tot
+        return sum(table.estimate(lam) for table in tables) - p_tot
 
     excess_lo, excess_hi = excess(lam_lo), excess(lam_hi)
     kept = 0  # steps in a row that kept the low (< 0) or high (> 0) end of [lam_lo, lam_hi]
@@ -542,20 +533,19 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
                 )
         side = None  # +1: the powers spend too much, -1: too little, 0: on budget
         while side is None:
-            ends = {table: table.ends(lam) for table in tables.values()}
-            brackets = [ends[table] for table in members]
-            if sum(lo for lo, _ in brackets) - widen - p_tot > slack:
+            ends = {table: table.ends(lam) for table in tables}
+            if sum(lo for lo, _ in ends.values()) - widen - p_tot > slack:
                 side = 1
-            elif p_tot - sum(hi for _, hi in brackets) - widen > slack:
+            elif p_tot - sum(hi for _, hi in ends.values()) - widen > slack:
                 side = -1
             else:
                 points = {table: table.point(lam) for table, (lo, hi) in ends.items()
                           if hi - lo > table.curve.x_tol}
                 if points:
-                    for table, x in _aim(lam, points, ends, members, low_edge, high_edge).items():
+                    for table, x in _aim(lam, points, ends, low_edge, high_edge).items():
                         table.refine(lam, x)
                 else:
-                    powers = np.array([0.5 * (lo + hi) for lo, hi in brackets])
+                    powers = np.array([0.5 * (lo + hi) for lo, hi in ends.values()])
                     total = float(np.sum(powers))
                     side = 0 if abs(total - p_tot) <= slack else 1 if total > p_tot else -1
         if side == 0:
@@ -571,12 +561,11 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
                 excess_lo *= 0.5
     # Stationarity holds for clipped sensors by the clip tests themselves;
     # check the interior coordinates against the final multiplier before the
-    # (about 1e-8 relative) rescale to the budget below, once per distinct
-    # (curve, power) pair, so once per twin class.
-    interior = [j for j, curve in enumerate(curves) if curve._endpoint(lam) is None]
-    pairs = dict.fromkeys((curves[j], powers[j]) for j in interior)
-    residual = max((abs(curve.t_prime(power) - lam) for curve, power in pairs), default=0.0)
-    evaluations = len(pairs) + sum(table.evaluations for table in tables.values())
+    # (about 1e-8 relative) rescale to the budget below.
+    interior = [(curve, power) for curve, power in zip(curves, powers)
+                if curve._endpoint(lam) is None]
+    residual = max((abs(curve.t_prime(power) - lam) for curve, power in interior), default=0.0)
+    evaluations = len(interior) + sum(table.evaluations for table in tables)
     if residual > KKT_RTOL * max(lam, 1e-300):
         raise NoConvergence(
             f"stationarity residual {residual:.3e} exceeds {KKT_RTOL:g} * multiplier"
@@ -653,27 +642,15 @@ def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: f
     members' powers are their maximizers.  Every bound is infinite when
     lam is not a finite nonnegative number (the NaN greedy passes in a
     twin round), and a candidate whose bound comes out NaN gets an
-    infinite bound too.
-
-    Each distinct curve's term is evaluated once per bound.  Twins at the
-    same power share one term, summed once per member in index order.  A
-    candidate whose curve an active member or an earlier candidate holds
-    reuses that term (a split gives twins one power, so it is the very
-    float its active twins contribute); only a curve no member holds roots
-    t' = lam, with a fresh slope table.
+    infinite bound too.  A candidate has no split power, so its term roots
+    t' = lam with a fresh slope table where its maximizer is interior.
     """
     if not 0.0 <= lam < math.inf:
         return dict.fromkeys(candidates, math.inf)
-    pairs = [(curves[i], powers[i]) for i in active]
-    terms = {pair: pair[0].term(lam, pair[1]) for pair in dict.fromkeys(pairs)}
-    base = baseline + lam * p_tot + sum(terms[pair] for pair in pairs)
-    by_curve = {curve: term for (curve, _), term in terms.items()}
+    base = baseline + lam * p_tot + sum(curves[i].term(lam, powers[i]) for i in active)
     ub = {}
     for j in candidates:
-        curve = curves[j]
-        if curve not in by_curve:
-            by_curve[curve] = curve.term(lam)
-        u = base + by_curve[curve]
+        u = base + curves[j].term(lam)
         ub[j] = math.inf if math.isnan(u) else u
     return ub
 
@@ -703,9 +680,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     accepted set A split at multiplier lam (the split reports t'(p_tot)
     for a single sensor), weak duality bounds each candidate's objective by
     UB_j = prior + lam * p_tot + sum over i in A + j of max_P [t_i(P) - lam * P]
-    (see _dual_bounds), with one term per distinct curve: a candidate whose
-    twin is active, or is an earlier candidate, takes that twin's term and
-    roots nothing.  A round whose largest bound, widened by
+    (see _dual_bounds).  A round whose largest bound, widened by
     _BOUND_SLACK, improves on the accepted objective by at most eps0
     relative stops the loop at once.  Otherwise candidates are solved in
     order of decreasing bound, ties by index, until the next widened bound

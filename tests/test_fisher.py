@@ -158,6 +158,16 @@ class TestTk:
         for power in (0.0, 1.0, 50.0):
             assert fisher.t_k(power, sensor, default_prior) == 0.0
 
+    def test_bare_sensor_checked_as_network_checks_it(self, default_prior):
+        # sigma_n ** 2 underflows to 0: Network names sigma_n, and so must a
+        # bare sensor's kernel, not fail dividing by zero in its prefactor.
+        sensor = model.Sensor(gain=[0, 0], sigma_n=1e-300, h_mag=0.7, sigma_nu=1.0,
+                              bits=3, tau=1e-300)
+        with pytest.raises(ValueError, match=r"sensors\[0\]\.sigma_n must be such that"):
+            model.Network(sensors=(sensor,), prior=default_prior)
+        with pytest.raises(ValueError, match=r"sensor\.sigma_n must be such that"):
+            fisher.t_k(1.0, sensor, default_prior)
+
     def test_nonnegative_and_increasing(self, reference_sensor, default_prior):
         grid = np.linspace(0.0, 40.0, 15)
         values = [fisher.t_k(float(p), reference_sensor, default_prior) for p in grid]

@@ -159,8 +159,8 @@ class TestPowerAllocation:
             solvers.solve_power_allocation(active, network, 5.0)
 
     def test_twins_split_as_with_one_curve_per_sensor(self, golden_network):
-        # Twins share one curve, and a bisection step roots each twin class
-        # once; the split must still equal one curve per sensor, byte for byte.
+        # Twins share one curve, and each member keeps its own slope table;
+        # the split must equal one curve per sensor, byte for byte.
         network = _twin_network(golden_network)
         for active, p_tot in (([0, 2, 6, 1, 4], 15.0), (list(range(12)), 30.0)):
             shared = solvers._power_allocation_detailed(active, network, p_tot)
@@ -204,77 +204,52 @@ class TestPowerAllocation:
         assert solution.multiplier == t_prime(2.0) and calls == [2.0]
         assert solution.multiplier == t_prime(2.0) and calls == [2.0]
 
-    def test_twins_take_one_residual_slope(self, default_prior, monkeypatch):
-        # Three twins each of two sensors: each class shares one slope table
-        # and ends at one power, so the stationarity check after the last
-        # refinement evaluates t' once per class, not once per sensor.
+    def test_twin_classes_split_by_search_meet_kkt(self, default_prior, monkeypatch):
+        # Three twins each of two sensors: the split searches its multiplier,
+        # ends each class at one power and meets KKT_RTOL, and its slope
+        # evaluations are its refinements plus one stationarity check per
+        # interior member.
         sensor = model.homogeneous_network(1).sensors[0]
         odd = dataclasses.replace(sensor, h_mag=0.9)
         curves = solvers._shared_curves([sensor, odd], default_prior, 12.0)
-        events = []
+        steps = []
         refine = solvers._SlopeTable.refine
-        for curve in curves:
-            def logged_t_prime(x, t_prime=curve.t_prime):
-                events.append("t'")
-                return t_prime(x)
 
-            curve.t_prime = logged_t_prime
-
-        def logged_refine(table, lam, x):
+        def counted_refine(table, lam, x):
             refine(table, lam, x)
-            events.append("step")
+            steps.append(x)
 
-        monkeypatch.setattr(solvers._SlopeTable, "refine", logged_refine)
+        monkeypatch.setattr(solvers._SlopeTable, "refine", counted_refine)
         solution = solvers._allocate_power_core([curves[0]] * 3 + [curves[1]] * 3, 12.0)
+        assert solution.iterations > 0
         assert all(curve._endpoint(solution.multiplier) is None for curve in curves)
         assert len(set(solution.powers[:3].tolist())) == len(set(solution.powers[3:].tolist())) == 1
         assert solution.kkt_residual <= solvers.KKT_RTOL * solution.multiplier
-        assert events.count("step") == events.count("t'") - 2 == solution.slope_evaluations - 2
-        last_step = len(events) - 1 - events[::-1].index("step")
-        assert events[last_step + 1:] == ["t'", "t'"]
+        assert solution.slope_evaluations == len(steps) + 6
 
-    def test_twins_take_one_bound_term(self, default_prior):
-        net = model.homogeneous_network(5)
-        p_tot = 10.0
-        curve = solvers._shared_curves(net.sensors, default_prior, p_tot)[0]
-        solution = solvers._allocate_power_core([curve] * 5, p_tot)
-        calls = []
-        t = curve.t
-
-        def counted_t(x):
-            calls.append(x)
-            return t(x)
-
-        curve.t = counted_t
-        ub = solvers._dual_bounds([curve] * 5, 1.0, p_tot, solution.multiplier, range(5),
-                                  solution.powers, [])
-        assert ub == {} and len(calls) == 1
-        # The shared term still enters once per member, summed in index order.
+    def test_bound_sums_one_term_per_member(self, default_prior):
+        # A bound is baseline + lam * p_tot, plus one term per active member
+        # at its split power, summed in index order, plus the candidate's own
+        # term, bit for bit; a twin candidate's bound is at least its objective.
+        sensor = model.homogeneous_network(1).sensors[0]
+        odd = dataclasses.replace(sensor, h_mag=0.9)
+        other = dataclasses.replace(sensor, h_mag=0.8)
+        p_tot = 12.0
+        curves = solvers._shared_curves([sensor, odd, sensor, odd, sensor, other],
+                                        default_prior, p_tot)
+        active = [0, 1, 2, 3]
+        solution = solvers._allocate_power_core([curves[i] for i in active], p_tot)
         lam = solution.multiplier
-        each = curve.term(lam, solution.powers[0])
-        odd = dataclasses.replace(net.sensors[0], h_mag=0.9)
-
-        def fresh_odd_curve():
-            return solvers._shared_curves([odd], default_prior, p_tot)[0]
-
-        ub = solvers._dual_bounds([curve] * 5 + [fresh_odd_curve()], 1.0, p_tot, lam, range(5),
-                                  solution.powers, [5])
-        assert ub[5] == 1.0 + lam * p_tot + sum([each] * 5) + fresh_odd_curve().term(lam)
-        # A sixth twin as the candidate reuses its active twins' term: no t'
-        # call, and no t call past the one the active term takes.
-        slopes = []
-        t_prime = curve.t_prime
-
-        def counted_t_prime(x):
-            slopes.append(x)
-            return t_prime(x)
-
-        curve.t_prime = counted_t_prime
-        calls.clear()
-        ub = solvers._dual_bounds([curve] * 6, 1.0, p_tot, lam, range(5),
-                                  np.append(solution.powers, 0.0), [5])
-        assert ub == {5: 1.0 + lam * p_tot + sum([each] * 5) + each}
-        assert slopes == [] and len(calls) == 1
+        powers = np.append(solution.powers, [0.0, 0.0])
+        baseline = default_prior.inverse_trace
+        ub = solvers._dual_bounds(curves, baseline, p_tot, lam, active, powers, [4, 5])
+        members = sum(curves[i].term(lam, powers[i]) for i in active)
+        assert ub == {j: baseline + lam * p_tot + members + curves[j].term(lam) for j in (4, 5)}
+        candidate = active + [4]
+        split = solvers._allocate_power_core([curves[i] for i in candidate], p_tot)
+        objective = fisher._objective(default_prior, (curves[i].t(float(power)) for i, power
+                                                      in sorted(zip(candidate, split.powers))))
+        assert objective <= ub[4]
 
     def test_kkt_residual_within_tolerance(self, golden_network):
         solution = solvers._power_allocation_detailed([1, 3, 6, 9], golden_network, 30.0)
@@ -701,8 +676,8 @@ class TestGreedyPruning:
         self._assert_within_bounds(network, p_tot, history, curves)
 
     def test_every_candidate_within_its_shared_curve_bound(self, every_candidate):
-        # As greedy builds them: twins share one curve, so a twin candidate
-        # reuses the term of an active twin or an earlier candidate.
+        # As greedy builds them: twins share one curve, and every member and
+        # candidate takes its own term from it.
         network, p_tot, _, (_, history) = every_candidate
         curves = solvers._shared_curves(network.sensors, network.prior, p_tot)
         self._assert_within_bounds(network, p_tot, history, curves)
@@ -765,15 +740,11 @@ class TestGreedyPruning:
         assert sizes == list(range(1, 11))
         assert endpoints == [solvers.POWER_FLOOR_SCALE * p_tot, p_tot]
 
-    def test_homogeneous_10_roots_each_bound_term_once(self, monkeypatch):
+    def test_homogeneous_10_twin_rounds_take_no_bound(self, monkeypatch):
         # Ten twins at p = 5: every round's one candidate forms one twin class
         # with the active set, so greedy takes no bound and reads no
-        # multiplier, and each round costs one checked t at its equal split.
-        # t' is evaluated only at the curve's two endpoints.  Bounding every
-        # round from the active twins' terms took 2 + 9 t' calls (each twin
-        # split's multiplier); rooting every candidate's term afresh took 97
-        # t' calls and 18 checked t computations, and bisecting the twin
-        # splits took 49 t' calls.
+        # multiplier, and each round costs one checked t at its equal split:
+        # t' is evaluated only at the curve's two endpoints.
         fisher._kernel.cache_clear()
         slopes, checked = [0], [0]
         t_prime, ladder = fisher.InfoKernel.t_prime, fisher.InfoKernel._ladder
