@@ -25,13 +25,15 @@ around the boundaries, at Gauss-Legendre order n_nodes / 8 per panel
 (DEFAULT_NODES everywhere but in an explicit InfoKernel).  Each guarded
 value is checked against the Gauss-Kronrod extension of the same panels,
 which reuses the kernel values at the Gauss nodes and adds order + 1 nodes
-per panel; one eigen-solve gives both rules (`_gk_rule`).  An InfoKernel
-lays out both rules' nodes and tables in one pass when it is built, and a
-checked value is one kernel pass over both rules' nodes at once.  The
-check is local: each of the m panels may contribute 1/m of the tolerance.
-A value it flags walks the (n, 2n - 1, 4n - 3) ladder, which returns the
-coarsest rung that the next rung confirms.  The guard lives on InfoKernel
-(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
+per panel (`_gk_rule`).  At the default order both rules are QUADPACK's
+21-point rule, held as a fixed table; any other order's come from one
+eigen-solve that gives both.  An InfoKernel lays out both rules' nodes and
+tables in one pass when it is built, and a checked value is one kernel
+pass over both rules' nodes at once.  The check is local: each of the m
+panels may contribute 1/m of the tolerance.  A value it flags walks the
+(n, 2n - 1, 4n - 3) ladder, which returns the coarsest rung that the next
+rung confirms.  The guard lives on InfoKernel (`t_checked`), so `t_k`,
+`tabulate_t` and the solvers share one policy.
 
 Each kernel value is a sum over received levels of num^2 / den, where den
 mixes the cell probabilities by the confusion entries, and a term whose
@@ -126,20 +128,39 @@ def _legendre_slope(order: int, x: np.ndarray):
     return p, order * (x * p - p_prev) / (x * x - 1.0)
 
 
-@lru_cache(maxsize=64)
-def _gk_rule(order: int):
-    """The order-point Gauss-Legendre rule on [-1, 1] and its Gauss-Kronrod extension.
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., 1983), the order
+# of every DEFAULT_NODES kernel, as (x, w, wx, y, wy) copied bit for bit from
+# `_gk_solve(10)`, so a process that builds only default kernels solves for no rule.
+_GK21 = (
+    (-0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+     -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+     0.8650633666889845, 0.9739065285171717),
+    (0.06667134430868803, 0.14945134915058053, 0.21908636251598207, 0.2692667193099962,
+     0.2955242247147529, 0.2955242247147529, 0.2692667193099962, 0.21908636251598207,
+     0.14945134915058053, 0.06667134430868803),
+    (0.03255816230796463, 0.07503967481092, 0.10938715880229767, 0.1347092173114734,
+     0.14773910490133846, 0.14773910490133846, 0.1347092173114734, 0.10938715880229767,
+     0.07503967481092, 0.03255816230796463),
+    (-0.9956571630258082, -0.9301574913557084, -0.7808177265864169, -0.5627571346686047,
+     -0.29439286270146, 0.0, 0.29439286270146, 0.5627571346686047, 0.7808177265864169,
+     0.9301574913557084, 0.9956571630258082),
+    (0.011694638867371638, 0.054755896574351905, 0.09312545458369761, 0.12349197626206586,
+     0.14277593857706006, 0.149445554002917, 0.14277593857706006, 0.12349197626206586,
+     0.09312545458369761, 0.054755896574351905, 0.011694638867371638),
+)
 
-    Returns (x, w, wx, y, wy): the Gauss nodes and weights, the Kronrod
-    weights at the Gauss nodes, and the order + 1 Kronrod-only nodes and
-    their weights, nodes ascending; the 2 order + 1 point rule is exact to
-    degree 3 order + 1.  One eigen-solve gives both rules (Golub and Welsch,
-    Math. Comp. 23, 1969): Laurie's Jacobi matrix has the Kronrod-only nodes
-    and the Gauss nodes as its even- and odd-indexed eigenvalues.  A Gauss
-    node takes one Newton step on P_order, and the weight 2 / ((1 - x^2)
-    P_order'(x)^2); a Kronrod weight is the Christoffel number 1 / sum_k
-    q_k(z)^2 over the matrix's orthonormal polynomials.  Both node sets are
-    made symmetric about 0, and every later step keeps that exactly.
+
+def _gk_solve(order: int):
+    """The order-point Gauss-Legendre rule and its Gauss-Kronrod extension, by eigen-solve.
+
+    Returns `_gk_rule`'s (x, w, wx, y, wy), writable.  One eigen-solve gives
+    both rules (Golub and Welsch, Math. Comp. 23, 1969): Laurie's Jacobi
+    matrix has the Kronrod-only nodes and the Gauss nodes as its even- and
+    odd-indexed eigenvalues.  A Gauss node takes one Newton step on
+    P_order, and the weight 2 / ((1 - x^2) P_order'(x)^2); a Kronrod weight
+    is the Christoffel number 1 / sum_k q_k(z)^2 over the matrix's
+    orthonormal polynomials.  Both node sets are made symmetric about 0, and
+    every later step keeps that exactly.
     """
     root_b = np.sqrt(_kronrod_b(order))
     nodes = np.linalg.eigvalsh(np.diag(root_b[1:], 1) + np.diag(root_b[1:], -1))
@@ -155,7 +176,20 @@ def _gk_rule(order: int):
         q_prev, q = q, (z * q - root_b[k] * q_prev) / root_b[k + 1]
         total += q * q
     christoffel = 1.0 / total
-    rule = (x, w, christoffel[:order], y, christoffel[order:])
+    return x, w, christoffel[:order], y, christoffel[order:]
+
+
+@lru_cache(maxsize=64)
+def _gk_rule(order: int):
+    """The order-point Gauss-Legendre rule on [-1, 1] and its Gauss-Kronrod extension.
+
+    Returns (x, w, wx, y, wy), read-only: the Gauss nodes and weights, the
+    Kronrod weights at the Gauss nodes, and the order + 1 Kronrod-only nodes
+    and their weights, nodes ascending; the 2 order + 1 point rule is exact
+    to degree 3 order + 1.  Order 10, the DEFAULT_NODES order, is the fixed
+    table _GK21; every other order comes from `_gk_solve`.
+    """
+    rule = tuple(map(np.array, _GK21)) if order == len(_GK21[0]) else _gk_solve(order)
     for array in rule:
         array.setflags(write=False)
     return rule

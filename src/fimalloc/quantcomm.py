@@ -184,13 +184,16 @@ def make_quantizer(bits: int, tau: float) -> QuantizerSpec:
 
 @lru_cache(maxsize=32)
 def _hamming_matrix(bits: int) -> np.ndarray:
-    """Pairwise Hamming distances of the natural-binary codewords 0..2**bits-1."""
-    codes = np.arange(2 ** bits)
-    xor = codes[:, None] ^ codes[None, :]
-    dist = np.zeros_like(xor)
-    while np.any(xor):
-        dist += xor & 1
-        xor >>= 1
+    """Pairwise Hamming distances of the natural-binary codewords 0..2**bits-1.
+
+    The distance of two codewords is the weight of their XOR, itself a
+    codeword, so one table of the M code weights, indexed by the XOR
+    matrix, gives them all.
+    """
+    m = 2 ** bits
+    codes = np.arange(m)
+    weights = np.array([code.bit_count() for code in range(m)])
+    dist = weights[codes[:, None] ^ codes]
     dist.setflags(write=False)
     return dist
 

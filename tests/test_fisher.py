@@ -578,6 +578,29 @@ class TestGaussKronrodRule:
         assert np.max(np.abs(nodes[half] - QUADPACK_XGK21)) <= 1e-15
         assert np.max(np.abs(weights[half] - QUADPACK_WGK21)) <= 1e-15
 
+    def test_default_table_is_the_eigen_solve(self):
+        """The default order's fixed table is the eigen-solve's rule, to the rounding
+        another LAPACK may give it (1 ulp for nodes, 2 for weights), and read-only."""
+        order = fisher._resolution_to_order(fisher.DEFAULT_NODES)
+        table, solved = fisher._gk_rule(order), fisher._gk_solve(order)
+        for fixed, computed, ulps in zip(table, solved, (1.0, 2.0, 2.0, 1.0, 2.0)):
+            assert fixed.shape == computed.shape and fixed.dtype == np.float64
+            assert np.max(_ulps(fixed, computed)) <= ulps
+            assert not fixed.flags.writeable
+
+    def test_default_kernel_solves_for_no_rule(self, reference_sensor, default_prior,
+                                               monkeypatch):
+        expected = fisher.InfoKernel(reference_sensor, default_prior).t_checked(5.0)
+
+        def no_eigen_solve(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen_solve)
+        fisher._gk_rule.cache_clear()
+        assert fisher.InfoKernel(reference_sensor, default_prior).t_checked(5.0) == expected
+        with pytest.raises(AssertionError, match="eigvalsh"):
+            fisher._gk_rule(20)
+
 
 def _panel_edges_loop(boundaries, sigma_n, sigma_s, whole_line=False):
     """The panel layout written as loops, which fisher._panel_edges vectorizes.

@@ -277,6 +277,14 @@ class TestAlphaMatrix:
                 assert np.array_equal(quantcomm._alpha_slope(bits, p), rising - falling)
         assert not quantcomm._alpha_slope(3, 0.1).flags.writeable
 
+    def test_hamming_matrix_is_the_per_pair_popcount(self):
+        for bits in range(1, model.MAX_BITS + 1):
+            m = 2 ** bits
+            dist = quantcomm._hamming_matrix(bits)
+            reference = [[bin(i ^ j).count("1") for j in range(m)] for i in range(m)]
+            assert dist.dtype.kind == "i" and np.array_equal(dist, reference)
+            assert not dist.flags.writeable
+
     def test_matches_simulation(self, reference_sensor):
         trials = 50_000
         power = 3.0 / 0.49
