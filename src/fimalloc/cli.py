@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=sorted(verify.SUITES) + ["all"])
     ver.add_argument("--trials", type=_at_least(0), default=0,
                      help="override the suite's sample count (0 = default)")
-    ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    ver.add_argument("--seed", type=_at_least(0), default=verify.DEFAULT_SEED)
     ver.set_defaults(func=cmd_verify)
     return parser
 

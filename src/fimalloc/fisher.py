@@ -20,20 +20,19 @@ density weights doubled.
 The integrand concentrates in bumps of width sigma_n around the quantizer
 decision boundaries while the Gaussian density has width sigma_s, and the
 two scales separate badly for strong gains, so a plain Hermite rule stalls.
-The integral is therefore evaluated over Gauss-Legendre panels refined
-around the boundaries, at Gauss-Legendre order n_nodes / 8 per panel
-(DEFAULT_NODES everywhere but in an explicit InfoKernel).  Each guarded
-value is checked against the Gauss-Kronrod extension of the same panels,
-which reuses the kernel values at the Gauss nodes and adds order + 1 nodes
-per panel (`_gk_rule`).  At the default order both rules are QUADPACK's
-21-point rule, held as a fixed table; any other order's come from one
-eigen-solve that gives both.  An InfoKernel lays out both rules' nodes and
-tables in one pass when it is built, and a checked value is one kernel
-pass over both rules' nodes at once.  The check is local: each of the m
-panels may contribute 1/m of the tolerance.  A value it flags walks the
-(n, 2n - 1, 4n - 3) ladder, which returns the coarsest rung that the next
-rung confirms.  The guard lives on InfoKernel (`t_checked`), so `t_k`,
-`tabulate_t` and the solvers share one policy.
+The integral is therefore evaluated over panels refined around the
+boundaries, with one rule on every panel: QUADPACK's 21-point
+Gauss-Kronrod rule (Piessens et al., 1983), held as the fixed table
+`_GK21`.  A value is the 10-point Gauss sum; a guarded value is checked
+against the Kronrod extension of the same panels, which reuses the kernel
+values at the Gauss nodes and adds 11 nodes per panel.  An InfoKernel lays
+out both rules' nodes and tables in one pass when it is built, and a
+checked value is one kernel pass over both rules' nodes at once.  The
+check is local: each of the m panels may contribute 1/m of the tolerance.
+A value it flags walks a ladder of finer kernels, which cut every panel
+in 2 and then in 4 under the same rule, and the coarsest rung that the
+next rung confirms is returned.  The guard lives on InfoKernel
+(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
 
 Each kernel value is a sum over received levels of num^2 / den, where den
 mixes the cell probabilities by the confusion entries, and a term whose
@@ -86,52 +85,18 @@ _ZERO_SCALE = 1e-20
 _CHECKED_CAP = 4096
 
 
-def _kronrod_b(order: int) -> list:
-    """Recurrence coefficients b_0 .. b_2n of the 2n + 1 point Kronrod rule, n = order.
-
-    Laurie's algorithm (Math. Comp. 66, 1997) extends the monic Legendre
-    recurrence b_0 = 2, b_k = k^2 / (4 k^2 - 1) to the Jacobi matrix whose
-    eigenvalues are the Gauss-Kronrod nodes.  It is specialised here to the
-    symmetric Legendre weight, where every diagonal coefficient is zero.
-    s and t hold two consecutive rows of mixed moments, all Python floats.
-    """
-    n = order
-    b = [2.0] + [0.0] * (2 * n)
-    for k in range(1, (3 * n + 1) // 2 + 1):
-        b[k] = k * k / (4.0 * k * k - 1.0)
-    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        u = 0.0
-        for j in range((m + 1) // 2, -1, -1):
-            u += b[j + n + 1] * s[j] - b[m - j] * s[j + 1]
-            s[j + 1] = u
-        s, t = t, s
-    s[1:] = s[:-1]
-    for m in range(n - 1, 2 * n - 2):
-        u = 0.0
-        for j in range(m + 1 - n, (m - 1) // 2 + 1):
-            i = n - 1 - m + j
-            u += b[m - j] * s[i + 2] - b[j + n + 1] * s[i + 1]
-            s[i + 1] = u
-        if m % 2:
-            b[(m + 1) // 2 + n + 1] = s[i + 1] / s[i + 2]
-        s, t = t, s
-    return b
+def _read_only(values) -> np.ndarray:
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
 
 
-def _legendre_slope(order: int, x: np.ndarray):
-    """P_order(x) and its derivative, by the three-term recurrence (|x| < 1)."""
-    p_prev, p = np.ones_like(x), x
-    for k in range(1, order):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p, order * (x * p - p_prev) / (x * x - 1.0)
-
-
-# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., 1983), the order
-# of every DEFAULT_NODES kernel, as (x, w, wx, y, wy) copied bit for bit from
-# `_gk_solve(10)`, so a process that builds only default kernels solves for no rule.
-_GK21 = (
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., 1983), the rule on
+# every panel of every kernel, as read-only arrays (x, w, wx, y, wy) on
+# [-1, 1]: the 10 Gauss nodes and weights, the Kronrod weights at the Gauss
+# nodes, and the 11 Kronrod-only nodes and their weights, nodes ascending.
+# The 21-point rule is exact to degree 31.
+_GK21 = tuple(map(_read_only, (
     (-0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
      -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
      0.8650633666889845, 0.9739065285171717),
@@ -147,52 +112,7 @@ _GK21 = (
     (0.011694638867371638, 0.054755896574351905, 0.09312545458369761, 0.12349197626206586,
      0.14277593857706006, 0.149445554002917, 0.14277593857706006, 0.12349197626206586,
      0.09312545458369761, 0.054755896574351905, 0.011694638867371638),
-)
-
-
-def _gk_solve(order: int):
-    """The order-point Gauss-Legendre rule and its Gauss-Kronrod extension, by eigen-solve.
-
-    Returns `_gk_rule`'s (x, w, wx, y, wy), writable.  One eigen-solve gives
-    both rules (Golub and Welsch, Math. Comp. 23, 1969): Laurie's Jacobi
-    matrix has the Kronrod-only nodes and the Gauss nodes as its even- and
-    odd-indexed eigenvalues.  A Gauss node takes one Newton step on
-    P_order, and the weight 2 / ((1 - x^2) P_order'(x)^2); a Kronrod weight
-    is the Christoffel number 1 / sum_k q_k(z)^2 over the matrix's
-    orthonormal polynomials.  Both node sets are made symmetric about 0, and
-    every later step keeps that exactly.
-    """
-    root_b = np.sqrt(_kronrod_b(order))
-    nodes = np.linalg.eigvalsh(np.diag(root_b[1:], 1) + np.diag(root_b[1:], -1))
-    p, slope = _legendre_slope(order, nodes[1::2])
-    x, y = nodes[1::2] - p / slope, nodes[0::2]
-    x, y = 0.5 * (x - x[::-1]), 0.5 * (y - y[::-1])
-    slope = _legendre_slope(order, x)[1]
-    w = 2.0 / ((1.0 - x * x) * slope * slope)
-    z = np.concatenate((x, y))
-    q_prev, q = 0.0, np.full_like(z, 1.0 / root_b[0])
-    total = q * q
-    for k in range(2 * order):
-        q_prev, q = q, (z * q - root_b[k] * q_prev) / root_b[k + 1]
-        total += q * q
-    christoffel = 1.0 / total
-    return x, w, christoffel[:order], y, christoffel[order:]
-
-
-@lru_cache(maxsize=64)
-def _gk_rule(order: int):
-    """The order-point Gauss-Legendre rule on [-1, 1] and its Gauss-Kronrod extension.
-
-    Returns (x, w, wx, y, wy), read-only: the Gauss nodes and weights, the
-    Kronrod weights at the Gauss nodes, and the order + 1 Kronrod-only nodes
-    and their weights, nodes ascending; the 2 order + 1 point rule is exact
-    to degree 3 order + 1.  Order 10, the DEFAULT_NODES order, is the fixed
-    table _GK21; every other order comes from `_gk_solve`.
-    """
-    rule = tuple(map(np.array, _GK21)) if order == len(_GK21[0]) else _gk_solve(order)
-    for array in rule:
-        array.setflags(write=False)
-    return rule
+)))
 
 
 # Panel layout constants: extent of the density support kept, boundary
@@ -204,13 +124,15 @@ _ZONE_CAP_FEATURE = 6.0
 _CAP_DENSITY = 2.5
 
 
-def _panel_edges(boundaries: np.ndarray, sigma_n: float, sigma_s: float) -> np.ndarray:
+def _panel_edges(boundaries: np.ndarray, sigma_n: float, sigma_s: float,
+                 split: int = 1) -> np.ndarray:
     """Panel edges covering [0, 8.5 sigma_s], refined at the boundaries.
 
     The first edge is exactly 0 and the last 8.5 sigma_s (to rounding).  The
     refinement points are the interior boundaries and their offsets that
     fall inside, from both sides of zero, so the panels are the s >= 0 half
-    of the layout that the same rules make over the whole line.  Python
+    of the layout that the same rules make over the whole line.  With
+    `split`, each of those panels is cut into `split` equal ones.  Python
     floats: a sensor has a few dozen edges.
     """
     lim = _DENSITY_SPAN * sigma_s
@@ -227,18 +149,15 @@ def _panel_edges(boundaries: np.ndarray, sigma_n: float, sigma_s: float) -> np.n
     zone_hi = interior[-1] + _REFINE_OFFSETS[-1] * sigma_n if interior else -math.inf
     zone_cap = min(_ZONE_CAP_FEATURE * sigma_n, _CAP_DENSITY * sigma_s)
     # Split each gap into equal pieces no wider than its cap (at least one,
-    # as right > left); piece i of gap [left, right] ends at left + i * step.
+    # as right > left), each cut in `split`; piece i of gap [left, right]
+    # ends at left + i * step.
     refined = [0.0]
     for left, right in zip(edges, edges[1:]):
         cap = zone_cap if right > zone_lo and left < zone_hi else _CAP_DENSITY * sigma_s
-        pieces = math.ceil((right - left) / cap)
+        pieces = split * math.ceil((right - left) / cap)
         step = (right - left) / pieces
         refined += [left + i * step for i in range(1, pieces + 1)] if pieces > 1 else [left + step]
     return np.array(refined)
-
-
-def _resolution_to_order(n_nodes: int) -> int:
-    return max(4, int(round(n_nodes / 8)))
 
 
 def _panel_nodes(x: np.ndarray, w: np.ndarray, centers: np.ndarray, halves: np.ndarray,
@@ -307,20 +226,22 @@ def _kernel_sum(weights: np.ndarray, cells: np.ndarray,
 
 
 class InfoKernel:
-    """Per-sensor evaluator of t(P) and dt/dP at fixed node count.
+    """Per-sensor evaluator of t(P) and dt/dP on a fixed panel layout.
 
-    Builds the quadrature tables once and reuses them for every power, so
-    tabulating a power grid or iterating inside a solver costs one confusion
-    matrix per power instead of a fresh quadrature setup.  `t` and `t_prime`
-    perform no convergence check.  `t_checked` checks `t` against the
-    Gauss-Kronrod extension of the same panels (whose tables are built with
-    the Gauss ones) and sends a value that check flags up the (n, 2n - 1,
-    4n - 3) ladder, whose rungs the kernel builds when first needed and
-    keeps for later powers; it memoizes each value it returns, keyed by
-    power.  `t_prime` takes p and dp/dP from quantcomm, which owns the link.
-    The library shares one DEFAULT_NODES kernel per sensor and prior through
-    `_kernel`, the only cache of a sensor's tables; a kernel built directly
-    starts with an empty memo and builds its own tables.
+    The layout is `_panel_edges`' with each panel cut into `split` equal
+    ones, and every panel takes the `_GK21` rule.  Builds the quadrature
+    tables once and reuses them for every power, so tabulating a power grid
+    or iterating inside a solver costs one confusion matrix per power
+    instead of a fresh quadrature setup.  `t` and `t_prime` perform no
+    convergence check.  `t_checked` checks `t` against the Gauss-Kronrod
+    extension of the same panels (whose tables are built with the Gauss
+    ones) and sends a value that check flags up the ladder of kernels at
+    2 and 4 times the split, whose rungs the kernel builds when first
+    needed and keeps for later powers; it memoizes each value it returns,
+    keyed by power.  `t_prime` takes p and dp/dP from quantcomm, which owns
+    the link.  The library shares one split-1 kernel per sensor and prior
+    through `_kernel`, the only cache of a sensor's tables; a kernel built
+    directly starts with an empty memo and builds its own tables.
 
     The tables, all read-only and None at zero gain: `_weights` and `_cells`
     are the Gauss rule's n weights and the (2n, M) `_cell_tables` table at
@@ -341,11 +262,15 @@ class InfoKernel:
     sum is one matrix product per rule for all panels.
     """
 
-    def __init__(self, sensor: Sensor, prior: Prior, n_nodes: int = DEFAULT_NODES):
+    def __init__(self, sensor: Sensor, prior: Prior, split: int = 1):
         self.sigma_s = sigma_s = math.sqrt(max(_sensor_form(sensor, prior, "sensor"), 0.0))
         self.sensor = sensor
         self.prior = prior
-        self.n_nodes = n_nodes
+        self.split = split
+        # 81, 161 and 321 for split 1, 2 and 4: perfbench's tracer counts a
+        # kernel of 4 DEFAULT_NODES - 3 or more as an escalation.  Kept for it
+        # alone, until library-owned counters retire it (ROADMAP items 4, 5).
+        self.n_nodes = (DEFAULT_NODES - 1) * split + 1
         self._finer: list = []
         self._checked: dict = {}
         self._powers: list = []  # the memo's powers, ascending
@@ -354,10 +279,10 @@ class InfoKernel:
             self._weights = self._cells = self._check_cells = None
             self._gap_weights = self._kronrod_weights = None
             return
-        n = _resolution_to_order(n_nodes)
-        x, w, wx, y, wy = _gk_rule(n)
+        x, w, wx, y, wy = _GK21
+        n = x.size
         quantizer = make_quantizer(sensor.bits, sensor.tau)
-        edges = _panel_edges(quantizer.boundaries, sensor.sigma_n, sigma_s)
+        edges = _panel_edges(quantizer.boundaries, sensor.sigma_n, sigma_s, split)
         centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
         # Row i of s: panel i's Gauss nodes, then its Kronrod-only nodes;
         # weights: [Gauss | Kronrod] and Kronrod weights at both.
@@ -421,10 +346,11 @@ class InfoKernel:
         """t at `power`, checked by its Gauss-Kronrod extension or else by the ladder.
 
         Returns t itself when the Kronrod error estimate is within
-        _QUAD_RTOL relative.  Otherwise returns the coarsest rung of the
-        (n, 2n - 1, 4n - 3) ladder that the next rung confirms, and raises
-        QuadratureNotConverged when even the 4n - 3 rung moves by more than
-        _QUAD_RTOL relative from the 2n - 1 one.  A returned value is
+        _QUAD_RTOL relative.  Otherwise returns the coarsest of this kernel
+        and the ladder's rungs, which cut every panel in 2 and in 4 (times
+        this kernel's split), that the next rung confirms, and raises
+        QuadratureNotConverged when even the 4-way rung moves by more than
+        _QUAD_RTOL relative from the 2-way one.  A returned value is
         memoized by power (-0.0 and 0.0 share an entry, as they share p);
         a power that raises is never stored, so it raises on every call.
         The memo is emptied before it would grow past _CHECKED_CAP entries,
@@ -460,16 +386,16 @@ class InfoKernel:
         previous = self.prefactor * gauss
         if _within_tolerance(previous, self.prefactor * error):
             return previous
-        for rung, n in enumerate((2 * self.n_nodes - 1, 4 * self.n_nodes - 3)):
+        for rung, split in enumerate((2 * self.split, 4 * self.split)):
             if rung == len(self._finer):
-                self._finer.append(InfoKernel(self.sensor, self.prior, n))
+                self._finer.append(InfoKernel(self.sensor, self.prior, split))
             estimate = self.prefactor * self._finer[rung].expected_g(p)
             if _converged(previous, estimate):
                 return previous
             previous = estimate
         raise QuadratureNotConverged(
             f"t at power {power} still moved by more than {_QUAD_RTOL:g} relative "
-            f"after escalating to {4 * self.n_nodes - 3} nodes"
+            f"after splitting every panel in {4 * self.split}"
         )
 
     def t_prime(self, power: float) -> float:
@@ -500,7 +426,7 @@ def _within_tolerance(value: float, error: float) -> bool:
 
 @lru_cache(maxsize=512)
 def _kernel(sensor: Sensor, prior: Prior) -> InfoKernel:
-    """The shared DEFAULT_NODES InfoKernel of a sensor under a prior.
+    """The shared InfoKernel of a sensor under a prior, on the unsplit layout.
 
     Cached by value (Sensor and Prior compare by value), so equal sensors
     under equal priors get one kernel object, with its tables, its ladder
@@ -515,9 +441,10 @@ def t_k(power: float, sensor: Sensor, prior: Prior) -> float:
     """Per-sensor information contribution t(P), with a quadrature guard.
 
     The sensor's shared kernel (`_kernel`) evaluates `t_checked`: the
-    Gaussian expectation on the DEFAULT_NODES rung, checked against its
-    Gauss-Kronrod extension, and where that check flags it, up the
-    (n, 2n - 1, 4n - 3) ladder before raising QuadratureNotConverged.  The
+    Gaussian expectation on the unsplit panels, checked against its
+    Gauss-Kronrod extension, and where that check flags it, up the ladder
+    of kernels that cut every panel in 2 and in 4 before raising
+    QuadratureNotConverged.  The
     kernel memoizes the value, so a repeated power costs a dict lookup.
     Nonnegative, and exactly zero at P = 0 up to roundoff.
     """

@@ -161,7 +161,7 @@ def check_grad(trials: int = 20, seed: int = DEFAULT_SEED) -> List[CheckResult]:
         power = float(np.exp(rng.uniform(math.log(0.3), math.log(50.0))))
         analytic = fisher.t_k_derivative(power, sensor, prior)
         h = 1e-4 * power
-        kernel = fisher.InfoKernel(sensor, prior, 161)
+        kernel = fisher.InfoKernel(sensor, prior, split=2)
         fd = (kernel.t(power + h) - kernel.t(power - h)) / (2.0 * h)
         rel = abs(analytic - fd) / max(abs(fd), 1e-300)
         if rel > worst:

@@ -99,6 +99,8 @@ class TestSolve:
         ("--steps", ["sweep", "--ptot-min", "1", "--ptot-max", "5", "--steps", "0",
                      "--out", "x"]),
         ("--trials", ["verify", "--suite", "mckp", "--trials", "-1"]),
+        ("--seed", ["verify", "--suite", "grad", "--seed", "-1"]),
+        ("--seed", ["verify", "--suite", "all", "--seed", "-250"]),
     ])
     def test_bad_numeric_flag_exits_two(self, flag, argv, golden_scenario_path, capsys):
         if argv[0] != "verify":

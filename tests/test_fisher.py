@@ -208,14 +208,14 @@ class TestTk:
     def test_resolution_doubling_agreement(self, reference_sensor, default_prior):
         for power in np.geomspace(0.1, 100.0, 12):
             coarse = fisher.t_k(float(power), reference_sensor, default_prior)
-            fine = fisher.InfoKernel(reference_sensor, default_prior, 161).t_checked(float(power))
+            fine = fisher.InfoKernel(reference_sensor, default_prior, 2).t_checked(float(power))
             assert abs(coarse - fine) <= 1e-8 * max(abs(fine), 1e-30)
 
 
 class TestLadder:
     """InfoKernel.t_checked returns rung 0 when its Gauss-Kronrod check passes, and
-    otherwise the coarsest rung of the (n, 2n - 1, 4n - 3) ladder that the next
-    rung confirms."""
+    otherwise the coarsest of rung 0 and the rungs that cut every panel in 2 and
+    in 4 that the next rung confirms."""
 
     @pytest.fixture(autouse=True)
     def fresh_kernels(self):
@@ -226,7 +226,7 @@ class TestLadder:
 
     @staticmethod
     def fake_kernels(monkeypatch, error, values):
-        """Rung n reports values[n]; rung 0's Kronrod error estimate is `error`."""
+        """The rung of n_nodes n reports values[n]; rung 0's Kronrod error estimate is `error`."""
         seen = []
 
         def expected_g(self, p_bit, with_check=False):
@@ -241,9 +241,9 @@ class TestLadder:
         built = []
         init = fisher.InfoKernel.__init__
 
-        def counted(self, sensor, prior, n_nodes=fisher.DEFAULT_NODES):
-            built.append(n_nodes)
-            init(self, sensor, prior, n_nodes)
+        def counted(self, sensor, prior, split=1):
+            built.append(split)
+            init(self, sensor, prior, split)
 
         monkeypatch.setattr(fisher.InfoKernel, "__init__", counted)
         return built
@@ -254,7 +254,7 @@ class TestLadder:
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         assert kernel.t_checked(2.0) == kernel.prefactor * 1.0
         assert seen == [("check", 81)]
-        assert built == [81]
+        assert built == [1]
 
     @pytest.mark.parametrize("error, escalates", [(1.9e-6, False), (2.1e-6, True)])
     def test_kronrod_error_is_relative_to_rung_zero(self, monkeypatch, reference_sensor,
@@ -279,7 +279,7 @@ class TestLadder:
 
     def test_no_rung_confirms(self, monkeypatch, reference_sensor, default_prior):
         self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 3.0})
-        with pytest.raises(QuadratureNotConverged, match=r"power 2\.5 .* 321 nodes"):
+        with pytest.raises(QuadratureNotConverged, match=r"power 2\.5 .* every panel in 4$"):
             fisher.t_k(2.5, reference_sensor, default_prior)
 
     def test_each_finer_rung_built_once(self, monkeypatch, reference_sensor, default_prior):
@@ -288,15 +288,23 @@ class TestLadder:
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         for power in np.linspace(0.0, 50.0, 11):
             kernel.t_checked(float(power))
-        assert built == [81, 161, 321]
+        assert built == [1, 2, 4]
         # Twins share one cached kernel: a table over two of them builds one
         # kernel and its rungs, and a second table builds nothing.
         net = model.Network(sensors=(reference_sensor,) * 2, prior=default_prior)
         built.clear()
         fisher.tabulate_t(net, np.linspace(0.0, 50.0, 11))
-        assert built == [81, 161, 321]
+        assert built == [1, 2, 4]
         fisher.tabulate_t(net, np.linspace(0.0, 50.0, 11))
-        assert built == [81, 161, 321]
+        assert built == [1, 2, 4]
+
+    @pytest.mark.parametrize("split, n_nodes", [(1, 81), (2, 161), (4, 321)])
+    def test_rung_node_counts(self, reference_sensor, default_prior, split, n_nodes):
+        # perfbench/tracing.py:156 counts a kernel as an escalation when its
+        # n_nodes is at least 4 * DEFAULT_NODES - 3: the split-4 rung exactly.
+        kernel = fisher.InfoKernel(reference_sensor, default_prior, split)
+        assert kernel.n_nodes == n_nodes
+        assert (n_nodes >= 4 * fisher.DEFAULT_NODES - 3) == (split == 4)
 
     def test_gauss_value_is_expected_g(self, golden_network):
         for sensor in golden_network.sensors[:5]:
@@ -311,8 +319,7 @@ class TestLadder:
         """The estimate is at least |Gauss sum - Gauss-Kronrod sum| over all panels."""
         sensor, prior = golden_network.sensors[3], golden_network.prior
         kernel = fisher.InfoKernel(sensor, prior)
-        order = fisher._resolution_to_order(kernel.n_nodes)
-        x, _, wx, y, wy = fisher._gk_rule(order)
+        x, _, wx, y, wy = fisher._GK21
         quantizer = quantcomm.make_quantizer(sensor.bits, sensor.tau)
         edges = fisher._panel_edges(quantizer.boundaries, sensor.sigma_n, kernel.sigma_s)
         centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
@@ -329,12 +336,12 @@ class TestLadder:
             assert error > 0.0
 
     @staticmethod
-    def check_flags(network, powers, n_nodes=fisher.DEFAULT_NODES):
-        """Points where the doubled rung flags rung 0, and points where the Kronrod check does."""
+    def check_flags(network, powers):
+        """Points where the split-2 rung flags rung 0, and points where the Kronrod check does."""
         doubled_flags, kronrod_flags = set(), set()
         for i, sensor in enumerate(network.sensors):
-            kernel = fisher.InfoKernel(sensor, network.prior, n_nodes)
-            doubled = fisher.InfoKernel(sensor, network.prior, 2 * n_nodes - 1)
+            kernel = fisher.InfoKernel(sensor, network.prior)
+            doubled = fisher.InfoKernel(sensor, network.prior, 2)
             scale = kernel.prefactor
             for power in powers:
                 p = quantcomm.bit_error_prob(float(power), sensor)
@@ -345,28 +352,37 @@ class TestLadder:
                     kronrod_flags.add((i, float(power)))
         return doubled_flags, kronrod_flags
 
-    def test_flags_every_point_the_doubled_rung_flags(self, golden_network):
-        """Where rung 0 and the 2n - 1 rung disagree, the Kronrod check flags rung 0.
+    @staticmethod
+    def coarsen(monkeypatch):
+        """A deliberately coarse layout: refinement at 12 sigma_n only, zone panels capped
+        by the density alone."""
+        monkeypatch.setattr(fisher, "_REFINE_OFFSETS", (12.0,))
+        monkeypatch.setattr(fisher, "_ZONE_CAP_FEATURE", math.inf)
 
-        A deliberately coarse 33-node kernel supplies the disagreements
-        (about a thousand of the 3,280 golden points); the DEFAULT_NODES
-        kernel flags none of them, up to P = 1000.
+    def test_flags_every_point_the_doubled_rung_flags(self, monkeypatch, golden_network):
+        """Where rung 0 and the split-2 rung disagree, the Kronrod check flags rung 0.
+
+        A deliberately coarse layout supplies the disagreements (742 of the
+        3,280 golden points); the default layout flags none of them, up to
+        P = 1000.
         """
         log_grid = np.geomspace(50.0, 2e4, 120)
         powers = np.concatenate((0.5 * np.arange(1, 101), [100.0, 200.0, 400.0, 700.0],
                                  log_grid[log_grid <= 1000.0]))
-        doubled_flags, kronrod_flags = self.check_flags(golden_network, powers, 33)
+        with monkeypatch.context() as patch:
+            self.coarsen(patch)
+            doubled_flags, kronrod_flags = self.check_flags(golden_network, powers)
         assert len(doubled_flags) > 500
         assert doubled_flags <= kronrod_flags
         assert self.check_flags(golden_network, powers) == (set(), set())
 
-    def test_flags_every_point_the_doubled_rung_flags_fuzzed(self):
+    def test_flags_every_point_the_doubled_rung_flags_fuzzed(self, monkeypatch):
+        self.coarsen(monkeypatch)
         rng = np.random.default_rng(2024)
         doubled_total = 0
         for _ in range(40):
             net = random_network(rng)
-            doubled_flags, kronrod_flags = self.check_flags(net, np.geomspace(40.0, 1000.0, 24),
-                                                            33)
+            doubled_flags, kronrod_flags = self.check_flags(net, np.geomspace(40.0, 1000.0, 24))
             doubled_total += len(doubled_flags)
             assert doubled_flags <= kronrod_flags
         assert doubled_total > 0
@@ -538,14 +554,16 @@ def _ulps(values, reference) -> np.ndarray:
 
 
 class TestGaussKronrodRule:
-    @pytest.mark.parametrize("order", [4, 10, 20, 40])
+    """`_GK21`, the rule on every panel: order 10, the order each test's id names."""
+
+    @pytest.mark.parametrize("order", [10])
     def test_gauss_subset_is_the_gauss_legendre_rule(self, order):
         """Gauss nodes within 1 ulp of a 40-digit reference, and Gauss weights within
         2 ulp of leggauss's worst error; the Kronrod nodes interlace."""
         mpmath = pytest.importorskip("mpmath")
         from numpy.polynomial.legendre import leggauss
 
-        x, w, _, y, _ = fisher._gk_rule(order)
+        x, w, _, y, _ = fisher._GK21
         ref_x, ref_w = _gauss_legendre_reference(order, mpmath)
         assert x.shape == w.shape == (order,) and x.dtype == w.dtype == np.float64
         assert np.max(_ulps(x, ref_x)) <= 1.0
@@ -555,51 +573,34 @@ class TestGaussKronrodRule:
         assert np.array_equal(nodes[1::2], x)  # Kronrod nodes interlace
         assert np.all(np.abs(y) < 1.0)
 
-    @pytest.mark.parametrize("order", [4, 5, 10, 20, 40])
+    @pytest.mark.parametrize("order", [10])
     def test_symmetric_bit_for_bit(self, order):
-        x, w, wx, y, wy = fisher._gk_rule(order)
+        x, w, wx, y, wy = fisher._GK21
+        assert x.size == order
         for nodes in (x, y):
             assert np.array_equal(nodes, -nodes[::-1])
         for weights in (w, wx, wy):
             assert np.array_equal(weights, weights[::-1])
 
-    @pytest.mark.parametrize("order", [4, 10, 20])
+    @pytest.mark.parametrize("order", [10])
     def test_exact_on_monomials_to_degree_3n_plus_1(self, order):
-        x, _, wx, y, wy = fisher._gk_rule(order)
+        x, _, wx, y, wy = fisher._GK21
+        assert x.size == order
         for degree in range(3 * order + 2):
             exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
             assert wx @ x ** degree + wy @ y ** degree == pytest.approx(exact, abs=4e-15)
 
     def test_order_10_matches_quadpack(self):
-        x, _, wx, y, wy = fisher._gk_rule(10)
+        x, _, wx, y, wy = fisher._GK21
         nodes = np.concatenate((x, y))
         weights = np.concatenate((wx, wy))
         half = np.argsort(-nodes)[:11]
         assert np.max(np.abs(nodes[half] - QUADPACK_XGK21)) <= 1e-15
         assert np.max(np.abs(weights[half] - QUADPACK_WGK21)) <= 1e-15
 
-    def test_default_table_is_the_eigen_solve(self):
-        """The default order's fixed table is the eigen-solve's rule, to the rounding
-        another LAPACK may give it (1 ulp for nodes, 2 for weights), and read-only."""
-        order = fisher._resolution_to_order(fisher.DEFAULT_NODES)
-        table, solved = fisher._gk_rule(order), fisher._gk_solve(order)
-        for fixed, computed, ulps in zip(table, solved, (1.0, 2.0, 2.0, 1.0, 2.0)):
-            assert fixed.shape == computed.shape and fixed.dtype == np.float64
-            assert np.max(_ulps(fixed, computed)) <= ulps
-            assert not fixed.flags.writeable
-
-    def test_default_kernel_solves_for_no_rule(self, reference_sensor, default_prior,
-                                               monkeypatch):
-        expected = fisher.InfoKernel(reference_sensor, default_prior).t_checked(5.0)
-
-        def no_eigen_solve(*args, **kwargs):
-            raise AssertionError("numpy.linalg.eigvalsh called")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen_solve)
-        fisher._gk_rule.cache_clear()
-        assert fisher.InfoKernel(reference_sensor, default_prior).t_checked(5.0) == expected
-        with pytest.raises(AssertionError, match="eigvalsh"):
-            fisher._gk_rule(20)
+    def test_read_only(self):
+        assert all(array.dtype == np.float64 and not array.flags.writeable
+                   for array in fisher._GK21)
 
 
 def _panel_edges_loop(boundaries, sigma_n, sigma_s, whole_line=False):
@@ -658,6 +659,30 @@ class TestPanelEdges:
                     assert edges[-1] == pytest.approx(fisher._DENSITY_SPAN * args[2], rel=1e-15)
                     assert np.all(np.diff(edges) > 0.0)
 
+    @pytest.mark.parametrize("split", [2, 4, 32])
+    @pytest.mark.parametrize("which", ["golden", "fuzzed"])
+    def test_split_cuts_every_default_panel_evenly(self, which, split, golden_network):
+        if which == "golden":
+            networks = [golden_network]
+        else:
+            rng = np.random.default_rng(2024)
+            networks = [random_network(rng) for _ in range(30)]
+        for network in networks:
+            for sensor in network.sensors:
+                sigma_s = fisher.InfoKernel(sensor, network.prior).sigma_s
+                boundaries = quantcomm.make_quantizer(sensor.bits, sensor.tau).boundaries
+                args = (boundaries, sensor.sigma_n, sigma_s)
+                default, edges = fisher._panel_edges(*args), fisher._panel_edges(*args, split)
+                assert edges.size == split * (default.size - 1) + 1
+                assert edges[0] == 0.0
+                assert edges[-1] == pytest.approx(fisher._DENSITY_SPAN * sigma_s, rel=1e-15)
+                assert np.all(np.diff(edges) > 0.0)
+                # Every split-th edge is a default one, and the pieces between are equal.
+                atol = 1e-14 * edges[-1]
+                np.testing.assert_allclose(edges[::split], default, rtol=0.0, atol=atol)
+                np.testing.assert_allclose(np.diff(edges), np.repeat(np.diff(default) / split, split),
+                                           rtol=1e-12, atol=atol)
+
     def test_first_edge_is_zero_where_a_refinement_point_nearly_is(self):
         # A boundary 1e-12 above 0 is a near-duplicate of the edge at 0: the
         # filter drops the boundary and keeps 0.
@@ -681,9 +706,8 @@ class TestNodeTables:
         checked = 0
         for network in networks:
             for sensor in network.sensors:
-                for n_nodes in (fisher.DEFAULT_NODES, 2 * fisher.DEFAULT_NODES - 1,
-                                4 * fisher.DEFAULT_NODES - 3):  # rung 0 and the ladder's rungs
-                    kernel = fisher.InfoKernel(sensor, network.prior, n_nodes)
+                for split in (1, 2, 4):  # rung 0 and the ladder's rungs
+                    kernel = fisher.InfoKernel(sensor, network.prior, split)
                     for table in (kernel._cells, kernel._check_cells):
                         magnitudes = np.abs(table)
                         assert not np.any((magnitudes > 0.0) & (magnitudes < tiny))
@@ -691,12 +715,12 @@ class TestNodeTables:
         assert checked > 0
 
 
-def _whole_line_rule(sensor, prior, n_nodes=fisher.DEFAULT_NODES):
+def _whole_line_rule(sensor, prior):
     """Gauss weights and cell tables of the same rule over the whole line [-lim, lim]."""
-    sigma_s = fisher.InfoKernel(sensor, prior, n_nodes).sigma_s
+    sigma_s = fisher.InfoKernel(sensor, prior).sigma_s
     quantizer = quantcomm.make_quantizer(sensor.bits, sensor.tau)
     edges = _panel_edges_loop(quantizer.boundaries, sensor.sigma_n, sigma_s, whole_line=True)
-    x, w = fisher._gk_rule(fisher._resolution_to_order(n_nodes))[:2]
+    x, w = fisher._GK21[:2]
     s, weights = fisher._panel_nodes(x, w, 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges),
                                      sigma_s)
     # _panel_nodes doubles the density for the half line; the whole line takes it once.
@@ -762,7 +786,7 @@ class TestHalfLineFold:
 class TestHighSnr:
     def test_golden_sensor_15_matches_a_fine_rung(self, golden_network):
         sensor, prior = golden_network.sensors[15], golden_network.prior
-        fine = fisher.InfoKernel(sensor, prior, 2561).t(226.44)
+        fine = fisher.InfoKernel(sensor, prior, 32).t(226.44)
         value = fisher.InfoKernel(sensor, prior).t_checked(226.44)
         assert abs(value - fine) <= 1e-9 * fine
 
