@@ -37,10 +37,6 @@ class QuadratureNotConverged(FimallocError):
     """The quadrature guard's finest rungs still disagree by too much."""
 
 
-class BelowFloor(FimallocError):
-    """Power argument is below the derivative's admissible floor."""
-
-
 class ConcavityViolation(FimallocError):
     """Per-sensor information is not concave in power where assumed."""
 

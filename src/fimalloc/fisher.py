@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
+from .errors import DimensionMismatch, QuadratureNotConverged
 from .model import Network, Prior, Sensor, _sensor_form
 from .quantcomm import (
     _alpha_entries,
@@ -337,9 +337,7 @@ class InfoKernel:
                            _alpha_entries(bits, p_bit), _alpha_slope(bits, p_bit))
 
     def t(self, power: float) -> float:
-        """Information contribution at the given transmit power."""
-        if self.prefactor == 0.0:
-            return 0.0
+        """Information contribution at the given transmit power (0.0 at zero gain)."""
         return self.prefactor * self.expected_g(bit_error_prob(power, self.sensor))
 
     def t_checked(self, power: float) -> float:
@@ -379,9 +377,7 @@ class InfoKernel:
 
     def _ladder(self, power: float) -> float:
         """t_checked without the memo."""
-        p = bit_error_prob(power, self.sensor)  # a negative or NaN power raises, even at zero gain
-        if self.prefactor == 0.0:
-            return 0.0
+        p = bit_error_prob(power, self.sensor)
         gauss, error = self.expected_g(p, with_check=True)
         previous = self.prefactor * gauss
         if _within_tolerance(previous, self.prefactor * error):
@@ -399,11 +395,20 @@ class InfoKernel:
         )
 
     def t_prime(self, power: float) -> float:
-        """Derivative of the contribution with respect to power (power > 0)."""
-        if self.prefactor == 0.0:
+        """dt/dP; where p is 1/2 (at P = 0, or too close to move p), its P -> 0 limit
+        M (h_mag / sigma_nu)^2 / (2 pi L) E[|S @ alpha'(1/2)|^2]: to first order there, every
+        den is 1/M, num = (p - 1/2) S @ alpha'(1/2) (the slope rows S telescope) and
+        1/2 - p = z / sqrt(2 pi)."""
+        p = bit_error_prob(power, self.sensor)  # a negative or NaN power raises, even at zero gain
+        if self._weights is None:
             return 0.0
-        p = bit_error_prob(power, self.sensor)
-        return self.prefactor * self.expected_g_slope(p) * _bit_error_slope(power, self.sensor)
+        if p != 0.5:
+            return self.prefactor * self.expected_g_slope(p) * _bit_error_slope(power, self.sensor)
+        bits, m = self.sensor.bits, self.sensor.levels_count
+        num = self._cells[self._weights.size:] @ _alpha_slope(bits, 0.5)
+        return (self.prefactor * m / (2.0 * math.pi * bits)
+                * (self.sensor.h_mag / self.sensor.sigma_nu) ** 2
+                * float(self._weights @ ((num * num) @ _ones(m))))
 
 
 def _converged(coarse: float, fine: float) -> bool:
@@ -456,11 +461,9 @@ def t_k_derivative(power: float, sensor: Sensor, prior: Prior) -> float:
 
     The confusion entries are differentiated analytically in p and the same
     quadrature integrates the result; the bit-error slope supplies dp/dP.
-    Raises BelowFloor for nonpositive powers, where the 1/sqrt(P) factor in
-    dp/dP blows up.
+    At P = 0 it is the P -> 0 limit (see `InfoKernel.t_prime`); a negative
+    or NaN power raises ValueError, as t_k does.
     """
-    if power <= 0.0:
-        raise BelowFloor(f"power {power} is below the derivative floor 0.0")
     return _kernel(sensor, prior).t_prime(power)
 
 

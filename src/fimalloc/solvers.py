@@ -23,7 +23,7 @@ The continuous subproblem (maximize the summed information of a fixed
 active set subject to the budget) is concave and separable, a root in
 the budget multiplier (`_Curve` raises ConcavityViolation for a sensor
 whose t' rises), and every split spends the budget to rounding.  Each
-sensor's maximizer of t(P) - lam * P is an end of [floor, p_tot] or the
+sensor's maximizer of t(P) - lam * P is an end of [0, p_tot] or the
 root of t' = lam, bracketed by a `_SlopeTable` of the slopes already
 evaluated and refined only as far as deciding the multiplier's side
 needs, at points placed to settle that decision (`_aim`) and kept for
@@ -67,7 +67,6 @@ from .model import Network, Prior, Sensor, _integer
 BUDGET_RTOL = 1e-8
 KKT_RTOL = 1e-6
 MAX_ITER = 10_000
-POWER_FLOOR_SCALE = 1e-9
 DEFAULT_EPS0 = 1e-3
 DEFAULT_GRID_N = 100  # mckp's grid units per budget
 BRUTE_MAX_K = 6
@@ -251,18 +250,17 @@ class PowerSolution:
 
 
 class _Curve:
-    """One sensor's t and t' on [floor, p_tot] for one budget.
+    """One sensor's t and t' on [0, p_tot] for one budget.
 
-    Evaluates t' at the power floor (POWER_FLOOR_SCALE * p_tot) and at
-    p_tot once, when built, and raises ConcavityViolation when t' rises
-    between them (beyond 1e-12 relative) or either is NaN: the one
-    concavity check that the split and greedy's bound rest on.  The
-    maximizer of t(P) - lam * P is an end of the interval when an endpoint
-    slope says so (`_endpoint`), and otherwise the root of t' = lam, found
-    to x_tol by a `_SlopeTable`: the budget split keeps one table per
-    member, and `term`, the per-sensor term of the Lagrangian bound, starts
-    a fresh one.  `t` is needed only by `term` and greedy's candidate
-    objectives.
+    Evaluates t' at zero power (its P -> 0 limit) and at p_tot once, when
+    built, and raises ConcavityViolation when t' rises between them
+    (beyond 1e-12 relative) or either is NaN: the one concavity check that
+    the split and greedy's bound rest on.  The maximizer of t(P) - lam * P
+    is an end of the interval when an endpoint slope says so (`_endpoint`),
+    and otherwise the root of t' = lam, found to x_tol by a `_SlopeTable`:
+    the budget split keeps one table per member, and `term`, the
+    per-sensor term of the Lagrangian bound, starts a fresh one.  `t` is
+    needed only by `term` and greedy's candidate objectives.
     """
 
     def __init__(self, t_prime: Callable[[float], float], p_tot: float,
@@ -270,18 +268,17 @@ class _Curve:
         self.t_prime = t_prime
         self.t = t
         self.p_tot = p_tot
-        self.floor = POWER_FLOOR_SCALE * p_tot
         self.x_tol = 1e-12 * p_tot
-        self.at_floor = t_prime(self.floor)
+        self.at_zero = t_prime(0.0)
         self.at_top = t_prime(p_tot)
-        if not self.at_top <= self.at_floor + 1e-12 * abs(self.at_floor) + 1e-300:
-            raise ConcavityViolation(f"t' is {self.at_floor!r} at the power floor and "
+        if not self.at_top <= self.at_zero + 1e-12 * abs(self.at_zero) + 1e-300:
+            raise ConcavityViolation(f"t' is {self.at_zero!r} at zero power and "
                                      f"{self.at_top!r} at p_tot {p_tot!r}: t is not concave")
 
     def _endpoint(self, lam: float) -> float | None:
-        """The end of [floor, p_tot] where t(P) - lam * P peaks, or None if it peaks inside."""
-        if self.at_floor - lam <= 0.0:
-            return self.floor
+        """The end of [0, p_tot] where t(P) - lam * P peaks, or None if it peaks inside."""
+        if self.at_zero - lam <= 0.0:
+            return 0.0
         if self.at_top - lam >= 0.0:
             return self.p_tot
         return None
@@ -289,14 +286,10 @@ class _Curve:
     def term(self, lam: float, power: float | None = None) -> float:
         """Upper bound on max_P [t(P) - lam * P] over [0, p_tot], for concave t.
 
-        At the floor end the bound is t(floor), not t(floor) - lam * floor,
-        which can undershoot the max over [0, floor].  `power` is a known
-        interior maximizer, used as given; otherwise a fresh slope table
-        finds it.
+        `power` is a known interior maximizer, used as given; otherwise a
+        fresh slope table finds it.
         """
         end = self._endpoint(lam)
-        if end == self.floor:
-            return self.t(self.floor)
         if end is not None:
             power = end
         elif power is None:
@@ -332,8 +325,8 @@ class _SlopeTable:
 
     def __init__(self, curve: _Curve):
         self.curve = curve
-        self.powers = [curve.floor, curve.p_tot]
-        self.keys = [-curve.at_floor, -curve.at_top]  # -t', nondecreasing in P
+        self.powers = [0.0, curve.p_tot]
+        self.keys = [-curve.at_zero, -curve.at_top]  # -t', nondecreasing in P
         self.evaluations = 0
         self._lam = math.nan
         self._kept = 0  # steps in a row at _lam that kept the low (< 0) or high (> 0) end
@@ -343,7 +336,7 @@ class _SlopeTable:
         return bisect.bisect_left(self.keys, -lam, 1, len(self.keys) - 1)
 
     def ends(self, lam: float) -> tuple:
-        """(lo, hi) around the maximizer of t(P) - lam * P on [floor, p_tot].
+        """(lo, hi) around the maximizer of t(P) - lam * P on [0, p_tot].
 
         Both are the maximizer when it is an end of the interval or a
         tabled point where t' equals lam.
@@ -473,7 +466,7 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     Each side taken also records the spend the tables estimate at lam, from
     tabled points alone (`_SlopeTable.estimate`, summed over the members),
     less p_tot and clamped to the side's sign; the first estimates, at
-    lam = 0 and at the largest floor slope (every member at its floor), read
+    lam = 0 and at the largest zero-power slope (every member at 0), read
     only the endpoint slopes.  The next lam is the regula-falsi root of the
     excesses at the bracket's ends, with the Illinois rule (Dowell and
     Jarratt, BIT 1971): a step that keeps the same end as the step before
@@ -499,7 +492,7 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
         share = p_tot / m
         return PowerSolution(np.full(m, share), partial(curve.t_prime, share), 0.0, 0, False, 0)
 
-    lam_hi = float(np.max([curve.at_floor for curve in curves]))
+    lam_hi = float(np.max([curve.at_zero for curve in curves]))
     if lam_hi <= 0.0:
         # No sensor gains anything from power; split the budget evenly.
         return PowerSolution(np.full(m, p_tot / m), lambda: 0.0, 0.0, 0, False, 0)
@@ -622,7 +615,8 @@ def solve_power_allocation(active_set, network: Network, p_tot: float) -> np.nda
     the budget multiplier drives each sensor's derivative to the common
     value until the powers spend the budget within BUDGET_RTOL; they are
     then rescaled to spend it to rounding, and the stationarity residual
-    of interior sensors stays within KKT_RTOL of the multiplier.
+    of interior sensors stays within KKT_RTOL of the multiplier.  A sensor
+    whose zero-power slope is at most the multiplier gets power 0.0.
     """
     return _power_allocation_detailed(active_set, network, p_tot).powers
 
@@ -698,7 +692,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     objective it bounds (up to _BOUND_SLACK).  Such a round reads no
     multiplier, so a twin split's t'(p_tot / m) is taken only if a later
     round builds a bound from it, and a twin round costs one kernel pass,
-    its candidate's t.  A sensor whose t' rises between the power floor and
+    its candidate's t.  A sensor whose t' rises between zero power and
     p_tot raises ConcavityViolation when the curves are built, before any
     split.
     """

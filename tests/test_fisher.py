@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fimalloc import cli, fisher, model, quantcomm, solvers, verify
-from fimalloc.errors import BelowFloor, DimensionMismatch, QuadratureNotConverged
+from fimalloc.errors import DimensionMismatch, QuadratureNotConverged
 from conftest import random_network
 
 
@@ -157,6 +157,19 @@ class TestTk:
                               sigma_nu=1.0, bits=3, tau=3.0)
         for power in (0.0, 1.0, 50.0):
             assert fisher.t_k(power, sensor, default_prior) == 0.0
+            assert fisher.t_k_derivative(power, sensor, default_prior) == 0.0
+
+    @pytest.mark.parametrize("power", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_zero_gain_still_rejects_a_bad_power(self, power, default_prior):
+        # A zero gain's t and t' are 0 at every power, but a negative or NaN
+        # power raises, as in t_checked.
+        sensor = model.Sensor(gain=np.zeros(2), sigma_n=1.0, h_mag=0.7,
+                              sigma_nu=1.0, bits=3, tau=3.0)
+        kernel = fisher.InfoKernel(sensor, default_prior)
+        for call in (kernel.t, kernel.t_prime, kernel.t_checked,
+                     lambda p: fisher.t_k_derivative(p, sensor, default_prior)):
+            with pytest.raises(ValueError, match="power must be nonnegative"):
+                call(power)
 
     def test_bare_sensor_checked_as_network_checks_it(self, default_prior):
         # sigma_n ** 2 underflows to 0: Network names sigma_n, and so must a
@@ -801,10 +814,44 @@ class TestHighSnr:
             assert np.all(np.isfinite(slopes)) and np.all(np.diff(slopes) <= 0.0)
 
 
+class TestZeroSlope:
+    """t' at p = 1/2 is its P -> 0 limit, one product with the Gauss tables."""
+
+    @pytest.mark.parametrize("index, expected", [
+        (3, 2.3981934545), (0, 0.149214498463), (11, 2.05475017202),
+    ])
+    def test_golden_values(self, golden_network, index, expected):
+        kernel = fisher.InfoKernel(golden_network.sensors[index], golden_network.prior)
+        assert abs(kernel.t_prime(0.0) - expected) <= 1e-10
+
+    def test_limit_of_slopes_and_secants(self, golden_network):
+        # t' and t / P tend to the limit as P -> 0; at 1e-12 and 1e-9 the
+        # worst gap over golden is about 1.6e-10 relative.
+        for sensor in golden_network.sensors:
+            kernel = fisher.InfoKernel(sensor, golden_network.prior)
+            limit = kernel.t_prime(0.0)
+            for power in (1e-12, 1e-9):
+                assert abs(kernel.t_prime(power) / limit - 1.0) <= 1e-9
+                assert abs(kernel.t(power) / power / limit - 1.0) <= 1e-9
+
+    def test_split_kernel_agrees(self, golden_network):
+        sensor, prior = golden_network.sensors[3], golden_network.prior
+        coarse = fisher.InfoKernel(sensor, prior).t_prime(0.0)
+        assert abs(fisher.InfoKernel(sensor, prior, 4).t_prime(0.0) - coarse) <= 1e-9 * coarse
+
+    def test_exact_where_p_rounds_to_one_half(self, golden_network):
+        # At 1e-35 p is 1/2 in double precision, where the chain rule would be
+        # 0 times a huge dp/dP; the limit is returned instead.
+        kernel = fisher.InfoKernel(golden_network.sensors[3], golden_network.prior)
+        assert quantcomm.bit_error_prob(1e-35, kernel.sensor) == 0.5
+        assert kernel.t_prime(1e-35) == kernel.t_prime(0.0)
+
+
 class TestTkDerivative:
-    def test_below_floor(self, reference_sensor, default_prior):
-        with pytest.raises(BelowFloor):
-            fisher.t_k_derivative(0.0, reference_sensor, default_prior)
+    def test_zero_power_is_the_zero_slope(self, reference_sensor, default_prior):
+        kernel = fisher.InfoKernel(reference_sensor, default_prior)
+        assert fisher.t_k_derivative(0.0, reference_sensor, default_prior) \
+            == kernel.t_prime(0.0) > 0.0
 
     def test_finite_difference_reference_points(self, reference_sensor, default_prior):
         kernel = fisher.InfoKernel(reference_sensor, default_prior)

@@ -266,11 +266,11 @@ class TestPowerAllocation:
         # MAX_ITER bisection steps before a misleading NoConvergence.
         lambda p: math.nan if p == 8.0 else 2.0 / (1.0 + p),
         lambda p: 2.0 / (1.0 + p) if p == 8.0 else math.nan,
-    ], ids=["rising", "nan-at-p_tot", "nan-at-floor"])
+    ], ids=["rising", "nan-at-p_tot", "nan-at-zero"])
     def test_non_monotone_derivative_raises(self, t_prime):
         # The split and greedy's bound rest on t being concave; a curve whose
-        # t' rises, or is NaN, between the power floor and p_tot is refused
-        # when it is built.
+        # t' rises, or is NaN, between zero power and p_tot is refused when
+        # it is built.
         with pytest.raises(ConcavityViolation, match="t is not concave"):
             solvers._Curve(t_prime, 8.0)
 
@@ -698,9 +698,9 @@ class TestGreedyPruning:
 
     def test_each_endpoint_slope_evaluated_once(self, golden_network, monkeypatch):
         # The splits and the bound share one curve per sensor, so t' is taken
-        # at most once at the power floor and once at p_tot for each sensor.
+        # at most once at zero power and once at p_tot for each sensor.
         p_tot = 5.0
-        endpoints = (solvers.POWER_FLOOR_SCALE * p_tot, p_tot)
+        endpoints = (0.0, p_tot)
         seen = []
         t_prime = fisher.InfoKernel.t_prime
 
@@ -716,7 +716,7 @@ class TestGreedyPruning:
 
     def test_twin_class_splits_once_per_round(self, monkeypatch):
         # Ten twins: each round has one candidate slot, and the one shared
-        # curve takes t' once at the power floor and once at p_tot.
+        # curve takes t' once at zero power and once at p_tot.
         p_tot = 5.0
         sizes = []
         core = solvers._allocate_power_core
@@ -729,7 +729,7 @@ class TestGreedyPruning:
         t_prime = fisher.InfoKernel.t_prime
 
         def counted_t_prime(self, power):
-            if power in (solvers.POWER_FLOOR_SCALE * p_tot, p_tot):
+            if power in (0.0, p_tot):
                 endpoints.append(power)
             return t_prime(self, power)
 
@@ -738,7 +738,7 @@ class TestGreedyPruning:
         alloc = solvers.solve_greedy(model.homogeneous_network(10), p_tot, eps0=1e-5)
         assert alloc.num_selected == 10
         assert sizes == list(range(1, 11))
-        assert endpoints == [solvers.POWER_FLOOR_SCALE * p_tot, p_tot]
+        assert endpoints == [0.0, p_tot]
 
     def test_homogeneous_10_twin_rounds_take_no_bound(self, monkeypatch):
         # Ten twins at p = 5: every round's one candidate forms one twin class
@@ -943,6 +943,38 @@ class TestHighSnrGreedy:
         with pytest.raises(NoConvergence, match=r"no positive multiplier spends the budget: "
                                                 r"the multiplier bracket \[0\.0, 5e-324\]"):
             solvers.solve_greedy(golden_network, 1e5)
+
+
+class TestTinyBudgets:
+    """Every curve starts at zero power, with t' there the kernel's P -> 0 limit."""
+
+    @pytest.mark.parametrize("p_tot", [1e-9, 1e-35])
+    @pytest.mark.parametrize("which", ["golden", "homogeneous-7"])
+    def test_greedy_and_split_solve(self, which, p_tot, golden_network):
+        # At 1e-9, t' at powers far below the budget carries rounding near
+        # p = 1/2 above the concavity check's 1e-12 slack, so the check runs
+        # at the exact limit instead; at 1e-35, p is exactly 1/2 on [0, p_tot].
+        network = golden_network if which == "golden" else model.homogeneous_network(7)
+        alloc = solvers.solve_greedy(network, p_tot)
+        solvers.verify_allocation(alloc, network, p_tot)
+        assert alloc.num_selected == 1
+        powers = solvers.solve_power_allocation([0, 1], network, p_tot)
+        assert np.all(powers >= 0.0) and powers.sum() == pytest.approx(p_tot, rel=1e-12)
+
+    def test_weak_sensor_clipped_at_zero_stays_selected(self, golden_network):
+        # Sensor 0's slope at zero power is below sensor 3's at the whole
+        # budget, so sensor 0's maximizer is the lower end: exactly 0.0.
+        sensors, prior, p_tot = golden_network.sensors, golden_network.prior, 1.0
+        assert fisher.t_k_derivative(0.0, sensors[0], prior) \
+            < fisher.t_k_derivative(p_tot, sensors[3], prior)
+        powers = solvers.solve_power_allocation([3, 0], golden_network, p_tot)
+        assert powers.tolist() == [p_tot, 0.0]
+        selection, full = np.zeros(golden_network.k), np.zeros(golden_network.k)
+        selection[[3, 0]], full[[3, 0]] = 1, powers
+        alloc = solvers._finish(selection, full, fisher.trace_fim(full, selection, golden_network),
+                                "split", 1, ())
+        assert alloc.num_selected == 2 and alloc.powers[0] == 0.0
+        solvers.verify_allocation(alloc, golden_network, p_tot)
 
 
 class TestSharedKernels:
