@@ -8,9 +8,13 @@ and 50, on `homogeneous_network(k)` for k = 2, 3, 5, 6, 7 and 10 at the
 same budgets, on two networks of golden sensors with repeats, which mix
 twins with distinct sensors (tests/test_solvers.py's `golden-twins`,
 sensors 3, 0, 3, 5, 0, 7, 3, 11, 0, 15, 5, 5, and `golden-twin-slots`,
-sensors 1, 5, 3, 15, 0, 1), at the golden budgets, and on 30 seeded
-`random_network`s (tests/conftest.py) at p = 5, 20 and 50.  It also runs
-greedy on each twin network at the golden budgets with eps0 = 1e-6, and
+sensors 1, 5, 3, 15, 0, 1), at the golden budgets, on 30 seeded
+`random_network`s (tests/conftest.py) at p = 5, 20 and 50, and on
+`sharp3`, `homogeneous_network(3, sigma_n=0.001, bits=2)`, at the golden
+budgets: its sensor's Kronrod check flags 89 of the powers 0.5, 1.0, ...,
+79.5, so these cases fingerprint the values that the quadrature guard's
+split-2 kernel confirms.  It also runs greedy on each twin network at the
+golden budgets with eps0 = 1e-6, and
 on `homogeneous_network(10)` at p = 5 with eps0 = 1e-5 (the benchmark's
 `homog-k10` setting); every other case uses `DEFAULT_EPS0`.  Each case
 records the selection, the repr of every power, the repr of the
@@ -56,6 +60,7 @@ HOMOG_K10_EPS0 = 1e-5
 TWIN_PICKS = {"golden-twins": (3, 0, 3, 5, 0, 7, 3, 11, 0, 15, 5, 5),
               "golden-twin-slots": (1, 5, 3, 15, 0, 1)}
 TWIN_EPS0 = 1e-6
+SHARP = {"sigma_n": 0.001, "bits": 2}
 
 
 def _solve(name, network, p_tot, eps0=None) -> dict:
@@ -97,6 +102,7 @@ def _networks():
     rng = np.random.default_rng(RANDOM_SEED)
     for i in range(RANDOM_COUNT):
         yield f"random{i}", random_network(rng), RANDOM_BUDGETS
+    yield "sharp3", model.homogeneous_network(3, **SHARP), BUDGETS
 
 
 def _sweep_rows() -> list:

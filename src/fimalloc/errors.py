@@ -34,7 +34,7 @@ class SchemaVersionMismatch(FimallocError):
 
 
 class QuadratureNotConverged(FimallocError):
-    """The quadrature guard's finest rungs still disagree by too much."""
+    """A t the Kronrod check flagged moved past the tolerance when every panel was split in 2."""
 
 
 class ConcavityViolation(FimallocError):

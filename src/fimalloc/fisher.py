@@ -29,10 +29,8 @@ values at the Gauss nodes and adds 11 nodes per panel.  An InfoKernel lays
 out both rules' nodes and tables in one pass when it is built, and a
 checked value is one kernel pass over both rules' nodes at once.  The
 check is local: each of the m panels may contribute 1/m of the tolerance.
-A value it flags walks a ladder of finer kernels, which cut every panel
-in 2 and then in 4 under the same rule, and the coarsest rung that the
-next rung confirms is returned.  The guard lives on InfoKernel
-(`t_checked`), so `t_k`, `tabulate_t` and the solvers share one policy.
+What becomes of a value it flags is stated once, in `InfoKernel.t_checked`,
+whose guard `t_k`, `tabulate_t` and the solvers share.
 
 Each kernel value is a sum over received levels of num^2 / den, where den
 mixes the cell probabilities by the confusion entries, and a term whose
@@ -48,11 +46,11 @@ masked divide runs.  Either way the values are the same bits.
 `_kernel(sensor, prior)` is the one way the library gets a sensor's kernel,
 and the one cache of per-sensor objects: bounded and keyed by value, so
 equal sensors under equal priors share one InfoKernel, its tables, its
-ladder rungs and its memo of checked t values, and an evicted kernel frees
-them all.  `t_checked` is deterministic for a given kernel and power, so a
-budget sweep, whose grids repeat many powers, computes each power once,
-and `t_bound` gives mckp's certificate the memoized value at the nearest
-power at or above one it would otherwise compute.
+confirmation kernel and its memo of checked t values, and an evicted
+kernel frees them all.  `t_checked` is deterministic for a given kernel
+and power, so a budget sweep, whose grids repeat many powers, computes
+each power once, and `t_bound` gives mckp's certificate the memoized
+value at the nearest power at or above one it would otherwise compute.
 """
 
 from __future__ import annotations
@@ -74,6 +72,8 @@ from .quantcomm import (
     make_quantizer,
 )
 
+# Read only by perfbench's tracer, on every kernel build, for an escalation
+# count that no kernel now triggers; kept until that count is retired.
 DEFAULT_NODES = 81
 _QUAD_RTOL = 1e-6
 _DEN_FLOOR = 1e-300
@@ -233,15 +233,13 @@ class InfoKernel:
     tables once and reuses them for every power, so tabulating a power grid
     or iterating inside a solver costs one confusion matrix per power
     instead of a fresh quadrature setup.  `t` and `t_prime` perform no
-    convergence check.  `t_checked` checks `t` against the Gauss-Kronrod
-    extension of the same panels (whose tables are built with the Gauss
-    ones) and sends a value that check flags up the ladder of kernels at
-    2 and 4 times the split, whose rungs the kernel builds when first
-    needed and keeps for later powers; it memoizes each value it returns,
-    keyed by power.  `t_prime` takes p and dp/dP from quantcomm, which owns
-    the link.  The library shares one split-1 kernel per sensor and prior
-    through `_kernel`, the only cache of a sensor's tables; a kernel built
-    directly starts with an empty memo and builds its own tables.
+    convergence check.  `t_checked` is `t` under the quadrature guard
+    (whose Kronrod tables are built with the Gauss ones), and memoizes
+    each value it returns, keyed by power.  `t_prime` takes p and dp/dP
+    from quantcomm, which owns the link.  The library shares one split-1
+    kernel per sensor and prior through `_kernel`, the only cache of a
+    sensor's tables; a kernel built directly starts with an empty memo and
+    builds its own tables.
 
     The tables, all read-only and None at zero gain: `_weights` and `_cells`
     are the Gauss rule's n weights and the (2n, M) `_cell_tables` table at
@@ -267,11 +265,7 @@ class InfoKernel:
         self.sensor = sensor
         self.prior = prior
         self.split = split
-        # 81, 161 and 321 for split 1, 2 and 4: perfbench's tracer counts a
-        # kernel of 4 DEFAULT_NODES - 3 or more as an escalation.  Kept for it
-        # alone, until library-owned counters retire it (ROADMAP items 4, 5).
-        self.n_nodes = (DEFAULT_NODES - 1) * split + 1
-        self._finer: list = []
+        self._finer: InfoKernel | None = None
         self._checked: dict = {}
         self._powers: list = []  # the memo's powers, ascending
         self.prefactor = float(sensor.gain @ sensor.gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
@@ -341,23 +335,26 @@ class InfoKernel:
         return self.prefactor * self.expected_g(bit_error_prob(power, self.sensor))
 
     def t_checked(self, power: float) -> float:
-        """t at `power`, checked by its Gauss-Kronrod extension or else by the ladder.
+        """t at `power` under the quadrature guard, the one statement of its policy.
 
         Returns t itself when the Kronrod error estimate is within
-        _QUAD_RTOL relative.  Otherwise returns the coarsest of this kernel
-        and the ladder's rungs, which cut every panel in 2 and in 4 (times
-        this kernel's split), that the next rung confirms, and raises
-        QuadratureNotConverged when even the 4-way rung moves by more than
-        _QUAD_RTOL relative from the 2-way one.  A returned value is
-        memoized by power (-0.0 and 0.0 share an entry, as they share p);
-        a power that raises is never stored, so it raises on every call.
+        _QUAD_RTOL relative of it.  A value that check flags is returned
+        as it is when a kernel that cuts every panel in 2 (times this
+        kernel's split) moves it by no more than _QUAD_RTOL relative, the
+        same test with that move as the error; otherwise
+        QuadratureNotConverged is raised.  The split-2 kernel is built the
+        first time a value is flagged and kept for later powers.  Flags
+        are rare, and split 2 confirmed every one in the README's audit.  A
+        returned value is memoized by power (-0.0 and 0.0 share an entry,
+        as they share p); a power that raises is never stored, so it raises
+        on every call.
         The memo is emptied before it would grow past _CHECKED_CAP entries,
         which bounds the memory of the up to 512 cached kernels.  Its powers
         are also kept in ascending order, emptied with it, for `t_bound`.
         """
         value = self._checked.get(power)
         if value is None:
-            value = self._ladder(power)
+            value = self._guarded(power)
             if len(self._checked) >= _CHECKED_CAP:
                 self._checked.clear()
                 self._powers.clear()
@@ -375,23 +372,20 @@ class InfoKernel:
         i = bisect.bisect_left(self._powers, power)
         return self._checked[self._powers[i]] if i < len(self._powers) else None
 
-    def _ladder(self, power: float) -> float:
+    def _guarded(self, power: float) -> float:
         """t_checked without the memo."""
         p = bit_error_prob(power, self.sensor)
         gauss, error = self.expected_g(p, with_check=True)
-        previous = self.prefactor * gauss
-        if _within_tolerance(previous, self.prefactor * error):
-            return previous
-        for rung, split in enumerate((2 * self.split, 4 * self.split)):
-            if rung == len(self._finer):
-                self._finer.append(InfoKernel(self.sensor, self.prior, split))
-            estimate = self.prefactor * self._finer[rung].expected_g(p)
-            if _converged(previous, estimate):
-                return previous
-            previous = estimate
+        value = self.prefactor * gauss
+        if _within_tolerance(value, self.prefactor * error):
+            return value
+        if self._finer is None:
+            self._finer = InfoKernel(self.sensor, self.prior, 2 * self.split)
+        if _within_tolerance(value, abs(self.prefactor * self._finer.expected_g(p) - value)):
+            return value
         raise QuadratureNotConverged(
             f"t at power {power} still moved by more than {_QUAD_RTOL:g} relative "
-            f"after splitting every panel in {4 * self.split}"
+            f"after splitting every panel in {2 * self.split}"
         )
 
     def t_prime(self, power: float) -> float:
@@ -411,13 +405,6 @@ class InfoKernel:
                 * float(self._weights @ ((num * num) @ _ones(m))))
 
 
-def _converged(coarse: float, fine: float) -> bool:
-    scale = max(abs(coarse), abs(fine))
-    if scale < _ZERO_SCALE:
-        return True
-    return abs(fine - coarse) <= _QUAD_RTOL * scale
-
-
 def _within_tolerance(value: float, error: float) -> bool:
     """Whether an error estimate for value is within _QUAD_RTOL relative of it.
 
@@ -434,10 +421,10 @@ def _kernel(sensor: Sensor, prior: Prior) -> InfoKernel:
     """The shared InfoKernel of a sensor under a prior, on the unsplit layout.
 
     Cached by value (Sensor and Prior compare by value), so equal sensors
-    under equal priors get one kernel object, with its tables, its ladder
-    rungs and its memo of checked t values; no other cache holds a sensor's
-    tables.  A gain that does not match the prior raises DimensionMismatch
-    on every lookup.
+    under equal priors get one kernel object, with its tables, its
+    confirmation kernel (see `InfoKernel.t_checked`) and its memo of checked
+    t values; no other cache holds a sensor's tables.  A gain that does not
+    match the prior raises DimensionMismatch on every lookup.
     """
     return InfoKernel(sensor, prior)
 
@@ -446,11 +433,9 @@ def t_k(power: float, sensor: Sensor, prior: Prior) -> float:
     """Per-sensor information contribution t(P), with a quadrature guard.
 
     The sensor's shared kernel (`_kernel`) evaluates `t_checked`: the
-    Gaussian expectation on the unsplit panels, checked against its
-    Gauss-Kronrod extension, and where that check flags it, up the ladder
-    of kernels that cut every panel in 2 and in 4 before raising
-    QuadratureNotConverged.  The
-    kernel memoizes the value, so a repeated power costs a dict lookup.
+    Gaussian expectation on the unsplit panels, under the guard that
+    `InfoKernel.t_checked` states.  The kernel memoizes the value, so a
+    repeated power costs a dict lookup.
     Nonnegative, and exactly zero at P = 0 up to roundoff.
     """
     return _kernel(sensor, prior).t_checked(power)
@@ -498,9 +483,9 @@ def tabulate_t(network: Network, power_grid) -> np.ndarray:
     """Table of t values: entry (k, j) is sensor k's contribution at grid[j].
 
     Each entry equals t_k at that power: a row reads its sensor's shared
-    kernel (`_kernel`), so twins share one kernel, its tables and ladder
-    rungs are built once, and a power that an earlier table or solve
-    already checked is read from the kernel's memo.
+    kernel (`_kernel`), so twins share one kernel, its tables and
+    confirmation kernel are built once, and a power that an earlier table
+    or solve already checked is read from the kernel's memo.
     """
     grid = np.asarray(power_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -58,14 +58,13 @@ MAX_BITS = 8
 # a sensor may have.  The quadrature's panels near the quantizer boundaries
 # are 6 sigma_n wide, so a kernel's nodes grow with tau / sigma_n (up to the
 # density's reach, 8.5 sqrt(gain' C gain)), and its tables with that times
-# 2**bits.  At the bound, bits=3 and tau / sigma_n = 16,384 make 23,630
-# Gauss nodes and 10 MB of tables, and the build peaks 27 MB above the
-# 33 MB before it (111 MB for the ladder's split-4 rung, with 4 times the
-# nodes); bits=8 and tau / sigma_n = 512 peak at 400 MB.  There the
-# order-40 rung that split 4 replaced peaked at 1.45 GB (0.9 GB at
-# tau / sigma_n = 5); the split-4 rung, not measured at bits=8, holds 84
-# nodes per unsplit panel where that one held 81.  Golden's largest is
-# 919.  Far past the bound, z^2 overflows in the cell tables, and a large
+# 2**bits.  At the bound, with the gain scaled so that make_tau gives the
+# tau, a flagged checked t, which builds the kernel and its split-2 one,
+# peaks 66 MB above the 32 MB before it at bits=3 and tau / sigma_n =
+# 16,384 (23,620 Gauss nodes; 27 MB for the kernel alone), and 829 MB above
+# it at bits=8 and tau / sigma_n = 512 (334 MB alone), by
+# resource.getrusage in a fresh process.  Golden's largest is 919.  Far
+# past the bound, z^2 overflows in the cell tables, and a large
 # sqrt(gain' C gain) makes the panel layout drop every edge near 0 and
 # refine the whole support.
 MAX_RESOLUTION = 2 ** 17

@@ -226,9 +226,9 @@ class TestTk:
 
 
 class TestLadder:
-    """InfoKernel.t_checked returns rung 0 when its Gauss-Kronrod check passes, and
-    otherwise the coarsest of rung 0 and the rungs that cut every panel in 2 and
-    in 4 that the next rung confirms."""
+    """InfoKernel.t_checked returns rung 0 when its Gauss-Kronrod check passes or,
+    failing that, when the kernel that cuts every panel in 2 confirms it, and
+    raises otherwise."""
 
     @pytest.fixture(autouse=True)
     def fresh_kernels(self):
@@ -239,12 +239,12 @@ class TestLadder:
 
     @staticmethod
     def fake_kernels(monkeypatch, error, values):
-        """The rung of n_nodes n reports values[n]; rung 0's Kronrod error estimate is `error`."""
+        """The kernel of split n reports values[n]; rung 0's Kronrod error estimate is `error`."""
         seen = []
 
         def expected_g(self, p_bit, with_check=False):
-            seen.append(("check", self.n_nodes) if with_check else self.n_nodes)
-            return (values[self.n_nodes], error) if with_check else values[self.n_nodes]
+            seen.append(("check", self.split) if with_check else self.split)
+            return (values[self.split], error) if with_check else values[self.split]
 
         monkeypatch.setattr(fisher.InfoKernel, "expected_g", expected_g)
         return seen
@@ -262,62 +262,79 @@ class TestLadder:
         return built
 
     def test_kronrod_confirms_rung_zero(self, monkeypatch, reference_sensor, default_prior):
-        seen = self.fake_kernels(monkeypatch, 0.9e-6, {81: 1.0, 161: 5.0, 321: 5.0})
+        seen = self.fake_kernels(monkeypatch, 0.9e-6, {1: 1.0, 2: 5.0})
         built = self.count_builds(monkeypatch)
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         assert kernel.t_checked(2.0) == kernel.prefactor * 1.0
-        assert seen == [("check", 81)]
+        assert seen == [("check", 1)]
         assert built == [1]
 
     @pytest.mark.parametrize("error, escalates", [(1.9e-6, False), (2.1e-6, True)])
     def test_kronrod_error_is_relative_to_rung_zero(self, monkeypatch, reference_sensor,
                                                     default_prior, error, escalates):
-        seen = self.fake_kernels(monkeypatch, error, {81: 2.0, 161: 2.0, 321: 2.0})
+        seen = self.fake_kernels(monkeypatch, error, {1: 2.0, 2: 2.0})
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         kernel.t_checked(2.0)
-        assert seen == [("check", 81)] + [161] * escalates
+        assert seen == [("check", 1)] + [2] * escalates
 
     def test_rung_one_confirms_rung_zero(self, monkeypatch, reference_sensor, default_prior):
-        seen = self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 1.0 + 1e-7, 321: 5.0})
+        seen = self.fake_kernels(monkeypatch, 0.5, {1: 1.0, 2: 1.0 + 1e-7})
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         assert kernel.t_checked(2.0) == kernel.prefactor * 1.0
-        assert seen == [("check", 81), 161]
+        assert seen == [("check", 1), 2]
 
-    def test_only_rung_two_confirms_rung_one(self, monkeypatch, reference_sensor,
-                                             default_prior):
-        seen = self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 2.0 * (1.0 + 1e-7)})
+    @pytest.mark.parametrize("rung_zero, finer", [(1.0, 1.0 + 2e-6), (1.0, 1.0 - 2e-6),
+                                                  (0.0, 1e-18)],
+                             ids=["above", "below", "near-zero"])
+    def test_split_two_does_not_confirm(self, monkeypatch, reference_sensor, default_prior,
+                                        rung_zero, finer):
+        # The move is measured against rung 0 alone; near zero, the zero test
+        # counts the move too, so a value of 0 moved by 1e-18 is not confirmed.
+        seen = self.fake_kernels(monkeypatch, 0.5, {1: rung_zero, 2: finer})
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
-        assert kernel.t_checked(2.0) == kernel.prefactor * 2.0
-        assert seen == [("check", 81), 161, 321]
+        with pytest.raises(QuadratureNotConverged, match=r"power 2\.0 .* every panel in 2$"):
+            kernel.t_checked(2.0)
+        assert seen == [("check", 1), 2]
+        assert 2.0 not in kernel._checked
 
     def test_no_rung_confirms(self, monkeypatch, reference_sensor, default_prior):
-        self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 3.0})
-        with pytest.raises(QuadratureNotConverged, match=r"power 2\.5 .* every panel in 4$"):
+        self.fake_kernels(monkeypatch, 0.5, {1: 1.0, 2: 2.0})
+        with pytest.raises(QuadratureNotConverged, match=r"power 2\.5 .* every panel in 2$"):
             fisher.t_k(2.5, reference_sensor, default_prior)
 
     def test_each_finer_rung_built_once(self, monkeypatch, reference_sensor, default_prior):
-        self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 2.0})
+        self.fake_kernels(monkeypatch, 0.5, {1: 1.0, 2: 1.0})
         built = self.count_builds(monkeypatch)
         kernel = fisher.InfoKernel(reference_sensor, default_prior)
         for power in np.linspace(0.0, 50.0, 11):
             kernel.t_checked(float(power))
-        assert built == [1, 2, 4]
+        assert built == [1, 2]
         # Twins share one cached kernel: a table over two of them builds one
-        # kernel and its rungs, and a second table builds nothing.
+        # kernel and its split-2 kernel, and a second table builds nothing.
         net = model.Network(sensors=(reference_sensor,) * 2, prior=default_prior)
         built.clear()
         fisher.tabulate_t(net, np.linspace(0.0, 50.0, 11))
-        assert built == [1, 2, 4]
+        assert built == [1, 2]
         fisher.tabulate_t(net, np.linspace(0.0, 50.0, 11))
-        assert built == [1, 2, 4]
+        assert built == [1, 2]
 
-    @pytest.mark.parametrize("split, n_nodes", [(1, 81), (2, 161), (4, 321)])
-    def test_rung_node_counts(self, reference_sensor, default_prior, split, n_nodes):
-        # perfbench/tracing.py:156 counts a kernel as an escalation when its
-        # n_nodes is at least 4 * DEFAULT_NODES - 3: the split-4 rung exactly.
-        kernel = fisher.InfoKernel(reference_sensor, default_prior, split)
-        assert kernel.n_nodes == n_nodes
-        assert (n_nodes >= 4 * fisher.DEFAULT_NODES - 3) == (split == 4)
+    def test_split_two_confirms_a_sharp_sensor(self, monkeypatch):
+        """Real traffic, no faked values: sigma_n = 0.001 flags P = 10, and split 2
+        confirms it with one extra kernel (measured: a move of 2.43e-8 relative,
+        4.3e-14 from a split-32 kernel)."""
+        network = model.homogeneous_network(1, sigma_n=0.001, bits=2)
+        sensor, prior = network.sensors[0], network.prior
+        built = self.count_builds(monkeypatch)
+        kernel = fisher.InfoKernel(sensor, prior)
+        p = quantcomm.bit_error_prob(10.0, sensor)
+        gauss, error = kernel.expected_g(p, with_check=True)
+        assert not fisher._within_tolerance(gauss, error)
+        assert kernel.t_checked(10.0) == kernel.t(10.0)
+        assert built == [1, 2]
+        finer = kernel._finer.expected_g(p)
+        assert abs(finer - gauss) <= 1e-7 * gauss
+        fine = fisher.InfoKernel(sensor, prior, 32).expected_g(p)
+        assert abs(finer - fine) <= 1e-12 * fine
 
     def test_gauss_value_is_expected_g(self, golden_network):
         for sensor in golden_network.sensors[:5]:
@@ -350,7 +367,8 @@ class TestLadder:
 
     @staticmethod
     def check_flags(network, powers):
-        """Points where the split-2 rung flags rung 0, and points where the Kronrod check does."""
+        """Points where the split-2 kernel moves rung 0 past the tolerance, and points where
+        the Kronrod check flags it."""
         doubled_flags, kronrod_flags = set(), set()
         for i, sensor in enumerate(network.sensors):
             kernel = fisher.InfoKernel(sensor, network.prior)
@@ -359,9 +377,10 @@ class TestLadder:
             for power in powers:
                 p = quantcomm.bit_error_prob(float(power), sensor)
                 gauss, error = kernel.expected_g(p, with_check=True)
-                if not fisher._converged(scale * gauss, scale * doubled.expected_g(p)):
+                value = scale * gauss
+                if not fisher._within_tolerance(value, abs(scale * doubled.expected_g(p) - value)):
                     doubled_flags.add((i, float(power)))
-                if not fisher._within_tolerance(scale * gauss, scale * error):
+                if not fisher._within_tolerance(value, scale * error):
                     kronrod_flags.add((i, float(power)))
         return doubled_flags, kronrod_flags
 
@@ -401,15 +420,15 @@ class TestLadder:
         assert doubled_total > 0
 
     def test_high_snr_failure_still_raises(self, monkeypatch, golden_network):
-        """A ladder that no rung confirms raises through t_k at high SNR too.
+        """A flagged value that split 2 does not confirm raises through t_k at high SNR too.
 
         The real kernel converges at P = 700 (see `test_golden_high_snr_shape`),
-        so the failing ladder is faked.
+        so the failing confirmation is faked.
         """
         sensor, prior = golden_network.sensors[0], golden_network.prior
         assert math.isfinite(fisher.InfoKernel(sensor, prior).t_checked(700.0))
-        self.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 3.0})
-        with pytest.raises(QuadratureNotConverged, match=r"power 700\.0 "):
+        self.fake_kernels(monkeypatch, 0.5, {1: 1.0, 2: 2.0})
+        with pytest.raises(QuadratureNotConverged, match=r"power 700\.0 .* every panel in 2$"):
             fisher.t_k(700.0, sensor, prior)
 
 
@@ -424,8 +443,8 @@ class TestSharedKernel:
     def test_sweep_tables_equal_fresh_kernels(self, which, golden_network):
         # All ten sweep grids in sweep order, so later grids read earlier values
         # from the memo; each entry must equal a fresh kernel's memo-free value
-        # (`_ladder`), bit for bit.  One fresh kernel per sensor serves every
-        # grid: its tables and rungs are fixed, and `_ladder` reads no memo.
+        # (`_guarded`), bit for bit.  One fresh kernel per sensor serves every
+        # grid: its tables are fixed, and `_guarded` reads no memo.
         if which == "golden":
             networks = [golden_network]
         else:
@@ -437,7 +456,7 @@ class TestSharedKernel:
             kernels = [fisher.InfoKernel(sensor, prior) for sensor in network.sensors]
             for grid in self.sweep_grids():
                 table = fisher.tabulate_t(network, grid)
-                fresh = [[kernel._ladder(float(power)) for power in grid] for kernel in kernels]
+                fresh = [[kernel._guarded(float(power)) for power in grid] for kernel in kernels]
                 assert table.tolist() == fresh
             assert all(not kernel._checked for kernel in kernels)
             distinct = {float(power) for grid in self.sweep_grids() for power in grid}
@@ -488,8 +507,8 @@ class TestSharedKernel:
         sensor, prior = golden_network.sensors[1], golden_network.prior
         kernel = fisher._kernel(sensor, prior)
         kernel.t_checked(5.0)
-        # From here on no rung confirms another, at any power.
-        TestLadder.fake_kernels(monkeypatch, 0.5, {81: 1.0, 161: 2.0, 321: 3.0})
+        # From here on every value is flagged, and split 2 confirms none.
+        TestLadder.fake_kernels(monkeypatch, 0.5, {1: 1.0, 2: 2.0})
         for _ in range(2):
             with pytest.raises(QuadratureNotConverged, match=r"power 230\.0 "):
                 kernel.t_checked(230.0)
@@ -719,7 +738,7 @@ class TestNodeTables:
         checked = 0
         for network in networks:
             for sensor in network.sensors:
-                for split in (1, 2, 4):  # rung 0 and the ladder's rungs
+                for split in (1, 2):  # rung 0 and its confirmation kernel
                     kernel = fisher.InfoKernel(sensor, network.prior, split)
                     for table in (kernel._cells, kernel._check_cells):
                         magnitudes = np.abs(table)

@@ -747,18 +747,18 @@ class TestGreedyPruning:
         # t' is evaluated only at the curve's two endpoints.
         fisher._kernel.cache_clear()
         slopes, checked = [0], [0]
-        t_prime, ladder = fisher.InfoKernel.t_prime, fisher.InfoKernel._ladder
+        t_prime, guarded = fisher.InfoKernel.t_prime, fisher.InfoKernel._guarded
 
         def counted_t_prime(self, power):
             slopes[0] += 1
             return t_prime(self, power)
 
-        def counted_ladder(self, power):
+        def counted_guarded(self, power):
             checked[0] += 1
-            return ladder(self, power)
+            return guarded(self, power)
 
         monkeypatch.setattr(fisher.InfoKernel, "t_prime", counted_t_prime)
-        monkeypatch.setattr(fisher.InfoKernel, "_ladder", counted_ladder)
+        monkeypatch.setattr(fisher.InfoKernel, "_guarded", counted_guarded)
         alloc = solvers.solve_greedy(model.homogeneous_network(10), 5.0, eps0=1e-5)
         assert alloc.num_selected == 10
         assert (slopes[0], checked[0]) == (2, 10)
@@ -1125,7 +1125,7 @@ class TestMckp:
         # heap it read 2,118 and 1,601 (computing 1,173 and 909); with no
         # bound at all, 2,562.
         reads, computed = [], []
-        checked, ladder = fisher.InfoKernel.t_checked, fisher.InfoKernel._ladder
+        checked, guarded = fisher.InfoKernel.t_checked, fisher.InfoKernel._guarded
 
         def counted(self, power):
             reads.append(power)
@@ -1133,10 +1133,10 @@ class TestMckp:
 
         def computing(self, power):
             computed.append(power)
-            return ladder(self, power)
+            return guarded(self, power)
 
         monkeypatch.setattr(fisher.InfoKernel, "t_checked", counted)
-        monkeypatch.setattr(fisher.InfoKernel, "_ladder", computing)
+        monkeypatch.setattr(fisher.InfoKernel, "_guarded", computing)
         for largest_first, most_reads, most_computed in ((False, 2017, 1120), (True, 1469, 797)):
             fisher._kernel.cache_clear()
             reads.clear()
@@ -1365,7 +1365,7 @@ def _lazy_mckp(network, budgets, bounded, monkeypatch):
     """
     fisher._kernel.cache_clear()
     kernels = [fisher._kernel(sensor, network.prior) for sensor in network.sensors]
-    marginal, ladder, dp = solvers._mckp_marginal, fisher.InfoKernel._ladder, solvers.solve_mckp
+    marginal, guarded, dp = solvers._mckp_marginal, fisher.InfoKernel._guarded, solvers.solve_mckp
     runs, computed = [], set()
 
     def logged_marginal(value, *args):
@@ -1374,9 +1374,9 @@ def _lazy_mckp(network, budgets, bounded, monkeypatch):
             return value(row, j)
         return marginal(logged, *args)
 
-    def logged_ladder(kernel, power):
+    def logged_guarded(kernel, power):
         computed.add((kernels.index(kernel), power))
-        return ladder(kernel, power)
+        return guarded(kernel, power)
 
     def logged_dp(*args, **kwargs):
         runs[-1]["dp"] = True
@@ -1384,7 +1384,7 @@ def _lazy_mckp(network, budgets, bounded, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "_mckp_marginal", logged_marginal)
-        patch.setattr(fisher.InfoKernel, "_ladder", logged_ladder)
+        patch.setattr(fisher.InfoKernel, "_guarded", logged_guarded)
         patch.setattr(solvers, "solve_mckp", logged_dp)
         if not bounded:
             patch.setattr(fisher.InfoKernel, "t_bound", lambda kernel, power: None)
