@@ -26,11 +26,14 @@ Gauss-Kronrod rule (Piessens et al., 1983), held as the fixed table
 `_GK21`.  A value is the 10-point Gauss sum; a guarded value is checked
 against the Kronrod extension of the same panels, which reuses the kernel
 values at the Gauss nodes and adds 11 nodes per panel.  An InfoKernel lays
-out both rules' nodes and tables in one pass when it is built, and a
-checked value is one kernel pass over both rules' nodes at once.  The
-check is local: each of the m panels may contribute 1/m of the tolerance.
-What becomes of a value it flags is stated once, in `InfoKernel.t_checked`,
-whose guard `t_k`, `tabulate_t` and the solvers share.
+out the Gauss rule's nodes and table when it is built, and the Kronrod-only
+nodes' table the first time a checked value needs it, so a kernel that
+only ever gives t' and unchecked t (most of greedy's, whose bounds rule
+their sensors out) never builds the check's tables.  A checked value is
+one kernel pass over both rules' nodes at once.  The check is local: each
+of the m panels may contribute 1/m of the tolerance.  What becomes of a
+value it flags is stated once, in `InfoKernel.t_checked`, whose guard
+`t_k`, `tabulate_t` and the solvers share.
 
 Each kernel value is a sum over received levels of num^2 / den, where den
 mixes the cell probabilities by the confusion entries, and a term whose
@@ -234,12 +237,12 @@ class InfoKernel:
     or iterating inside a solver costs one confusion matrix per power
     instead of a fresh quadrature setup.  `t` and `t_prime` perform no
     convergence check.  `t_checked` is `t` under the quadrature guard
-    (whose Kronrod tables are built with the Gauss ones), and memoizes
-    each value it returns, keyed by power.  `t_prime` takes p and dp/dP
-    from quantcomm, which owns the link.  The library shares one split-1
-    kernel per sensor and prior through `_kernel`, the only cache of a
-    sensor's tables; a kernel built directly starts with an empty memo and
-    builds its own tables.
+    (whose Kronrod tables `_check_tables` builds on the first checked
+    value), and memoizes each value it returns, keyed by power.
+    `t_prime` takes p and dp/dP from quantcomm, which owns the link.  The
+    library shares one split-1 kernel per sensor and prior through
+    `_kernel`, the only cache of a sensor's tables; a kernel built directly
+    starts with an empty memo and builds its own tables.
 
     The tables, all read-only and None at zero gain: `_weights` and `_cells`
     are the Gauss rule's n weights and the (2n, M) `_cell_tables` table at
@@ -249,10 +252,11 @@ class InfoKernel:
     half-widths, so a weighted sum of kernel values approximates the
     expectation over the whole line: the kernel is even in s (see the
     module docstring), so the half-line rule is exact and does half the
-    work of a whole-line one.  `_check_cells` is the unsplit table of both
-    rules on the same panels, laid out as [probabilities at the n Gauss
-    nodes; at the Kronrod-only nodes; slopes at the Gauss nodes; at the
-    Kronrod-only nodes], so one kernel pass over it gives g at the Gauss
+    work of a whole-line one.  The check's tables are None until
+    `_check_tables` builds them.  `_check_cells` is the unsplit table of
+    both rules on the same panels, laid out as [probabilities at the n
+    Gauss nodes; at the Kronrod-only nodes; slopes at the Gauss nodes; at
+    the Kronrod-only nodes], so one kernel pass over it gives g at the Gauss
     nodes in its first n values and at the Kronrod-only nodes after them.
     `_gap_weights[i, 0]` holds the Gauss weights less the Kronrod weights at
     panel i's Gauss nodes and `_kronrod_weights[i, 0]` the Kronrod weights
@@ -269,32 +273,42 @@ class InfoKernel:
         self._checked: dict = {}
         self._powers: list = []  # the memo's powers, ascending
         self.prefactor = float(sensor.gain @ sensor.gain) / (2.0 * math.pi * sensor.sigma_n ** 2)
+        self._check_cells = self._gap_weights = self._kronrod_weights = None
         if sigma_s == 0.0:
-            self._weights = self._cells = self._check_cells = None
-            self._gap_weights = self._kronrod_weights = None
+            self._weights = self._cells = None
             return
-        x, w, wx, y, wy = _GK21
-        n = x.size
+        x, w, wx = _GK21[:3]
         quantizer = make_quantizer(sensor.bits, sensor.tau)
         edges = _panel_edges(quantizer.boundaries, sensor.sigma_n, sigma_s, split)
         centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-        # Row i of s: panel i's Gauss nodes, then its Kronrod-only nodes;
-        # weights: [Gauss | Kronrod] and Kronrod weights at both.
-        s, weights = _panel_nodes(np.concatenate((x, y)), np.concatenate(((w, wx), (wy, wy)), 1),
-                                  centers, halves, sigma_s)
-        s, (weights, kronrod) = s.reshape(centers.size, -1), weights.reshape(2, centers.size, -1)
-        self._weights = weights[:, :n].ravel()
-        self._gap_weights = (weights[:, :n] - kronrod[:, :n])[:, None, :]
-        self._kronrod_weights = np.ascontiguousarray(weights[:, n:])[:, None, :]
-        # One table for both rules (it is elementwise in s); the check keeps it
-        # whole, and the Gauss rule alone gets its probabilities over slopes.
-        gauss, total = s[:, :n].size, s.size
-        both = _cell_tables(np.concatenate((s[:, :n], s[:, n:]), axis=None), quantizer,
-                            sensor.sigma_n)
-        self._cells = np.concatenate((both[:gauss], both[total:total + gauss]))
-        self._check_cells = both
-        for table in (self._weights, self._gap_weights, self._kronrod_weights, self._cells, both):
-            table.setflags(write=False)
+        # The Gauss weights, and the Kronrod weights at the Gauss nodes, which
+        # the check alone reads: one density evaluation serves both.
+        s, (self._weights, kronrod_at_gauss) = _panel_nodes(x, np.stack((w, wx)), centers,
+                                                            halves, sigma_s)
+        self._cells = _cell_tables(s, quantizer, sensor.sigma_n)
+        self._cells.setflags(write=False)
+        self._check_inputs = (quantizer, centers, halves, kronrod_at_gauss)
+
+    def _check_tables(self):
+        """The check's table and weights (`_check_cells`, `_gap_weights`, `_kronrod_weights`).
+
+        Built on first use and kept: only the Kronrod-only nodes are new,
+        and `_cell_tables` is elementwise in s, so their table, spliced into
+        the Gauss one, is the same bits as one table over both rules' nodes.
+        """
+        if self._check_cells is None:
+            y, wy = _GK21[3:]
+            quantizer, centers, halves, kronrod_at_gauss = self._check_inputs
+            s, kronrod = _panel_nodes(y, wy, centers, halves, self.sigma_s)
+            extra = _cell_tables(s, quantizer, self.sensor.sigma_n)
+            n, panels = self._weights.size, centers.size
+            self._check_cells = np.concatenate((self._cells[:n], extra[:s.size],
+                                                self._cells[n:], extra[s.size:]))
+            self._gap_weights = (self._weights - kronrod_at_gauss).reshape(panels, 1, -1)
+            self._kronrod_weights = kronrod.reshape(panels, 1, -1)
+            for table in (self._check_cells, self._gap_weights):
+                table.setflags(write=False)
+        return self._check_cells, self._gap_weights, self._kronrod_weights
 
     def expected_g(self, p_bit: float, with_check: bool = False):
         """Gaussian expectation of the information kernel at bit-error rate p_bit.
@@ -316,10 +330,11 @@ class InfoKernel:
         alpha = _alpha_entries(self.sensor.bits, p_bit)
         if not with_check:
             return float(self._weights @ _kernel_values(self._cells, alpha))
-        g = _kernel_values(self._check_cells, alpha)
-        n, panels = self._weights.size, self._gap_weights.shape[0]
-        gaps = self._gap_weights @ g[:n].reshape(panels, -1, 1) \
-            - self._kronrod_weights @ g[n:].reshape(panels, -1, 1)
+        cells, gap_weights, kronrod_weights = self._check_tables()
+        g = _kernel_values(cells, alpha)
+        n, panels = self._weights.size, gap_weights.shape[0]
+        gaps = gap_weights @ g[:n].reshape(panels, -1, 1) \
+            - kronrod_weights @ g[n:].reshape(panels, -1, 1)
         return float(self._weights @ g[:n]), panels * float(np.abs(gaps).max())
 
     def expected_g_slope(self, p_bit: float) -> float:

@@ -36,9 +36,11 @@ through the same table, so the clip-or-root rule is written once.  Twins
 splits one candidate per twin slot.  A split whose members are all one
 curve (one twin class) needs no search: equal marginal utility puts
 every member at p_tot / m, and its multiplier t'(p_tot / m) is taken
-only when read.  A greedy round whose every candidate split is such a
-closed form takes no dual bound and reads no multiplier, so it costs one
-kernel pass: its candidate's t at the equal split.
+only when read.  A greedy round after the first whose every candidate
+split is such a closed form takes no dual bound and reads no multiplier,
+so it costs one kernel pass: its candidate's t at the equal split.  Round
+1 bounds each candidate by its own zero-power slope (t is concave), which
+needs no multiplier, so a candidate it rules out costs no checked t.
 """
 
 from __future__ import annotations
@@ -290,6 +292,10 @@ class _Curve:
         fresh slope table finds it.
         """
         end = self._endpoint(lam)
+        if end == 0.0:
+            # t(0) is 0 exactly: at p = 1/2 every confusion entry is 1/M and
+            # the slope rows telescope, so no kernel pass is needed.
+            return 0.0
         if end is not None:
             power = end
         elif power is None:
@@ -638,7 +644,14 @@ def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: f
     twin round), and a candidate whose bound comes out NaN gets an
     infinite bound too.  A candidate has no split power, so its term roots
     t' = lam with a fresh slope table where its maximizer is interior.
+
+    With `active` empty (greedy's round 1), lam is not read: each candidate
+    takes its own multiplier t'_j(0), at which its term peaks at P = 0 and
+    is exactly 0, so UB_j = baseline + t'_j(0) * p_tot, the tangent at zero
+    power of a concave t_j.  It costs no kernel pass.
     """
+    if not active:
+        return {j: baseline + curves[j].at_zero * p_tot for j in candidates}
     if not 0.0 <= lam < math.inf:
         return dict.fromkeys(candidates, math.inf)
     base = baseline + lam * p_tot + sum(curves[i].term(lam, powers[i]) for i in active)
@@ -670,9 +683,12 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     is split in closed form, p_tot / m each, so on a homogeneous network
     greedy that activates every sensor returns ufa's powers and objective.
 
-    Candidates that cannot win are skipped without a solve.  With the
-    accepted set A split at multiplier lam (the split reports t'(p_tot)
-    for a single sensor), weak duality bounds each candidate's objective by
+    Candidates that cannot win are skipped without a solve.  In round 1
+    (A empty) candidate j is bounded by UB_j = prior + t'_j(0) * p_tot,
+    weak duality at its own zero-power slope (see _dual_bounds), which the
+    curves already hold.  After it, with the accepted set A split at
+    multiplier lam (the split reports t'(p_tot) for a single sensor), weak
+    duality bounds each candidate's objective by
     UB_j = prior + lam * p_tot + sum over i in A + j of max_P [t_i(P) - lam * P]
     (see _dual_bounds).  A round whose largest bound, widened by
     _BOUND_SLACK, improves on the accepted objective by at most eps0
@@ -681,11 +697,11 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     falls below the best objective so far.  The result is the same as
     solving every candidate.
 
-    A round whose every candidate forms one twin class with A passes a
-    NaN multiplier, so every bound is infinite and nothing is skipped.  In
-    round 1 (A empty) there is no multiplier yet; in a later round (every
-    round on a homogeneous network) every candidate slot splits the same
-    list of curves in closed form, which takes no slope, and reads t at
+    A later round whose every candidate forms one twin class with A
+    passes a NaN multiplier, so every bound is infinite and nothing is
+    skipped.  In such a round (every round after the first on a
+    homogeneous network) every candidate slot splits the same list of
+    curves in closed form, which takes no slope, and reads t at
     the one power p_tot / m, so a bound could save no kernel pass.  Every
     candidate is solved, in index order, and the objective test stops the
     loop wherever a finite bound would have: a bound is never below the
@@ -713,7 +729,8 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
         for j in inactive:  # ascending, so each slot keeps its lowest twin
             slots.setdefault((curves[j], sum(i < j for i in active)), j)
         candidates = list(slots.values())
-        # A twin round's NaN multiplier makes every bound infinite, and reads no slope.
+        # A twin round's NaN multiplier makes every bound infinite, and reads no
+        # slope; round 1 (all() of nothing) bounds each candidate by its own slope.
         lam = (math.nan if all(curves[i] is curves[j] for j in candidates for i in active)
                else accepted.multiplier)
         ub = _dual_bounds(curves, network.prior.inverse_trace, p_tot, lam,

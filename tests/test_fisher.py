@@ -69,7 +69,7 @@ class TestGKernel:
         for sensor in (golden_network.sensors[i] for i in (0, 1, 3)):
             kernel = fisher.InfoKernel(sensor, golden_network.prior)
             w = kernel._weights
-            gap_weights, kronrod_weights = kernel._gap_weights, kernel._kronrod_weights
+            check_cells, gap_weights, kronrod_weights = kernel._check_tables()
             panels, n = gap_weights.shape[0], w.size
             for p in p_values:
                 p = float(p)
@@ -77,7 +77,7 @@ class TestGKernel:
                 slope = quantcomm._alpha_slope(sensor.bits, p)
                 g, dg, kept = kernel_rows(kernel._cells, alpha, slope)
                 # The check's table holds both rules; the Kronrod-only rows follow the n Gauss rows.
-                gk = kernel_rows(kernel._check_cells, alpha, slope)[0][n:]
+                gk = kernel_rows(check_cells, alpha, slope)[0][n:]
                 floored += not kept
                 gaps = [gap_weights[i, 0] @ g_i - kronrod_weights[i, 0] @ gk_i
                         for i, (g_i, gk_i) in enumerate(zip(np.split(g, panels),
@@ -115,7 +115,7 @@ class TestGKernel:
         sensor = model.Sensor(gain=np.array(gain), sigma_n=sigma_n, h_mag=1.0, sigma_nu=1.0,
                               bits=bits, tau=tau)
         kernel = fisher.InfoKernel(sensor, prior)
-        for cells in (kernel._cells, kernel._check_cells):
+        for cells in (kernel._cells, kernel._check_tables()[0]):
             den = np.split(cells, 2)[0] @ alpha
             assert den.min() >= p ** bits * (1.0 - 1e-15)
 
@@ -724,27 +724,100 @@ class TestPanelEdges:
         assert edges[-1] == pytest.approx(fisher._DENSITY_SPAN, rel=1e-15)
 
 
+def _table_networks(which, golden_network):
+    if which == "golden":
+        return [golden_network]
+    rng = np.random.default_rng(2024)
+    return [random_network(rng) for _ in range(30)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestNodeTables:
     @pytest.mark.parametrize("which", ["golden", "fuzzed"])
     def test_no_table_holds_a_subnormal(self, which, golden_network):
         # Subnormal operands put a product on the processor's slow path;
         # golden sensor 9's Gauss table held 62 before `_cell_tables` flushed them.
-        if which == "golden":
-            networks = [golden_network]
-        else:
-            rng = np.random.default_rng(2024)
-            networks = [random_network(rng) for _ in range(30)]
+        networks = _table_networks(which, golden_network)
         tiny = np.finfo(float).tiny
         checked = 0
         for network in networks:
             for sensor in network.sensors:
                 for split in (1, 2):  # rung 0 and its confirmation kernel
                     kernel = fisher.InfoKernel(sensor, network.prior, split)
-                    for table in (kernel._cells, kernel._check_cells):
+                    for table in (kernel._cells, kernel._check_tables()[0]):
                         magnitudes = np.abs(table)
                         assert not np.any((magnitudes > 0.0) & (magnitudes < tiny))
                         checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("which", ["golden", "fuzzed"])
+    def test_check_tables_are_one_table_over_both_rules(self, which, golden_network):
+        # The check's table and weights, built after the Gauss ones, are the
+        # bits of one `_panel_nodes` and one `_cell_tables` call over both
+        # rules' nodes: [probabilities at the Gauss nodes; at the Kronrod-only
+        # nodes; slopes at the Gauss nodes; at the Kronrod-only nodes].
+        x, w, wx, y, wy = fisher._GK21
+        n = x.size
+        checked = 0
+        for network in _table_networks(which, golden_network):
+            for sensor in network.sensors:
+                for split in (1, 2):
+                    kernel = fisher.InfoKernel(sensor, network.prior, split)
+                    quantizer = quantcomm.make_quantizer(sensor.bits, sensor.tau)
+                    edges = fisher._panel_edges(quantizer.boundaries, sensor.sigma_n,
+                                                kernel.sigma_s, split)
+                    centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+                    s, weights = fisher._panel_nodes(
+                        np.concatenate((x, y)), np.concatenate(((w, wx), (wy, wy)), 1),
+                        centers, halves, kernel.sigma_s)
+                    s, (gauss, kronrod) = (s.reshape(centers.size, -1),
+                                           weights.reshape(2, centers.size, -1))
+                    both = fisher._cell_tables(np.concatenate((s[:, :n], s[:, n:]), axis=None),
+                                               quantizer, sensor.sigma_n)
+                    nodes, total = s[:, :n].size, s.size
+                    cells, gap_weights, kronrod_weights = kernel._check_tables()
+                    assert _same_bits(kernel._weights, gauss[:, :n].ravel())
+                    assert _same_bits(kernel._cells, np.concatenate(
+                        (both[:nodes], both[total:total + nodes])))
+                    assert _same_bits(cells, both)
+                    assert _same_bits(gap_weights, (gauss[:, :n] - kronrod[:, :n])[:, None, :])
+                    assert _same_bits(kronrod_weights, gauss[:, n:][:, None, :])
+                    checked += 1
+        assert checked > 0
+
+    def test_check_tables_built_once_on_the_first_checked_value(self, golden_network,
+                                                                monkeypatch):
+        # Only a checked value reads the Kronrod-only nodes: a fresh kernel
+        # has no check table, t, t' and the slope kernel build none, and the
+        # first checked value builds it with one more `_cell_tables` call.
+        sensor = golden_network.sensors[3]
+        built = []
+        cell_tables = fisher._cell_tables
+
+        def counted(s, quantizer, sigma_n):
+            built.append(s.size)
+            return cell_tables(s, quantizer, sigma_n)
+
+        monkeypatch.setattr(fisher, "_cell_tables", counted)
+        kernel = fisher.InfoKernel(sensor, golden_network.prior)
+        gauss = kernel._weights.size
+        assert built == [gauss]
+        for power in (0.0, 0.5, 5.0, 50.0):
+            kernel.t(power)
+            kernel.t_prime(power)
+            kernel.expected_g_slope(quantcomm.bit_error_prob(power, sensor))
+        assert built == [gauss]
+        assert kernel._check_cells is kernel._gap_weights is kernel._kronrod_weights is None
+        kernel.t_checked(5.0)
+        tables = kernel._check_tables()
+        assert built == [gauss, gauss // 10 * 11]
+        for power in (0.0, 0.5, 50.0):
+            kernel.t_checked(power)
+        assert built == [gauss, gauss // 10 * 11]
+        assert all(a is b for a, b in zip(kernel._check_tables(), tables))
 
 
 def _whole_line_rule(sensor, prior):

@@ -274,6 +274,17 @@ class TestPowerAllocation:
         with pytest.raises(ConcavityViolation, match="t is not concave"):
             solvers._Curve(t_prime, 8.0)
 
+    def test_term_at_a_zero_power_end_is_exactly_zero(self):
+        # Where t(P) - lam * P peaks at P = 0, the term is t(0), which is 0
+        # exactly (p = 1/2 there), so no t is taken.
+        def t(power):
+            raise AssertionError(f"term took t at {power}")
+
+        curve = solvers._Curve(lambda p: 2.0 / (1.0 + p), 8.0, t)
+        for lam, power in ((2.0, None), (3.0, None), (1e300, None), (2.0, 0.0)):
+            term = curve.term(lam, power)
+            assert term == 0.0 and math.copysign(1.0, term) == 1.0
+
     def test_synthetic_concave_exact(self):
         # Two closed-form concave objectives: t_i(p) = a_i * log(1 + p).
         # Stationarity a_i / (1 + p_i) = lam with the budget gives a linear
@@ -602,6 +613,9 @@ _PRUNING_NETWORKS = {
     pytest.param(("homogeneous-10", 5.0, solvers.DEFAULT_EPS0), id="homogeneous-10@5-eps0"),
     ("deployment-44-8", 20.0, solvers.DEFAULT_EPS0),
     ("deployment-46-8", 3.0, solvers.DEFAULT_EPS0),
+    # Tiny budgets, where t_j(p_tot) comes closest to round 1's bound t'_j(0) * p_tot.
+    ("golden", 1e-8, solvers.DEFAULT_EPS0),
+    ("deployment-46-8", 1e-9, solvers.DEFAULT_EPS0),
     ("golden-twins", 15.0, 1e-6),
     ("golden-twin-slots", 15.0, 1e-6),
 ], ids=lambda case: f"{case[0]}@{case[1]:g}")
@@ -659,7 +673,7 @@ class TestGreedyPruning:
     @staticmethod
     def _assert_within_bounds(network, p_tot, history, curves):
         checked = 0
-        for active, powers, lam, objectives in history[1:]:
+        for active, powers, lam, objectives in history:
             ub = solvers._dual_bounds(curves, network.prior.inverse_trace, p_tot, lam,
                                       active, powers, list(objectives))
             assert set(ub) == set(objectives)
@@ -682,8 +696,13 @@ class TestGreedyPruning:
         curves = solvers._shared_curves(network.sensors, network.prior, p_tot)
         self._assert_within_bounds(network, p_tot, history, curves)
 
-    def test_golden_p5_solves_one_candidate_after_round_one(self, golden_network,
-                                                           monkeypatch):
+    @pytest.mark.parametrize("bounded", [True, False], ids=["bounds", "no-bounds"])
+    def test_golden_p5_solves_two_candidates_in_round_one_and_one_after(
+            self, bounded, golden_network, monkeypatch):
+        # Round 1's bounds, tr(C^-1) + t'_j(0) * p_tot, leave two of the
+        # 20 candidates to solve, and round 2's one.  Every bound, round 1's
+        # too, comes from `_dual_bounds`: with it infinite, every candidate
+        # of every round is solved.
         sizes = []
         core = solvers._allocate_power_core
 
@@ -692,9 +711,13 @@ class TestGreedyPruning:
             return core(curves, p_tot)
 
         monkeypatch.setattr(solvers, "_allocate_power_core", counted)
+        if not bounded:
+            monkeypatch.setattr(solvers, "_dual_bounds",
+                                lambda curves, baseline, p_tot, lam, active, powers, candidates:
+                                dict.fromkeys(candidates, math.inf))
         alloc = solvers.solve_greedy(golden_network, 5.0)
         assert alloc.num_selected == 2
-        assert sizes == [1] * 20 + [2]
+        assert sizes == ([1, 1, 2] if bounded else [1] * 20 + [2] * 19 + [3] * 18)
 
     def test_each_endpoint_slope_evaluated_once(self, golden_network, monkeypatch):
         # The splits and the bound share one curve per sensor, so t' is taken
