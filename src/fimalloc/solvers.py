@@ -14,8 +14,9 @@ by its bounded increment and reads the entry only when the row reaches
 the top, and the certificate clears entries with them.  A budget it
 cannot certify falls back to tabulating every entry and the dynamic
 program (`solve_mckp`), so the answer is always the program's optimum.
-A brute-force enumerator over the same discretization serves as the
-reference oracle for small instances.  SOLVERS maps each algorithm's name
+One exhaustive enumerator over the same discretization
+(`enumerate_mckp_table`) serves as brute force and as the reference
+oracle for small instances.  SOLVERS maps each algorithm's name
 to one call signature; the CLI's --alg choices are its keys.  `sweep`, which
 `fimalloc sweep` calls, runs algorithms over a list of budgets, largest first.
 
@@ -36,11 +37,11 @@ through the same table, so the clip-or-root rule is written once.  Twins
 splits one candidate per twin slot.  A split whose members are all one
 curve (one twin class) needs no search: equal marginal utility puts
 every member at p_tot / m, and its multiplier t'(p_tot / m) is taken
-only when read.  A greedy round after the first whose every candidate
-split is such a closed form takes no dual bound and reads no multiplier,
-so it costs one kernel pass: its candidate's t at the equal split.  Round
-1 bounds each candidate by its own zero-power slope (t is concave), which
-needs no multiplier, so a candidate it rules out costs no checked t.
+only when read.  A greedy round with one candidate slot (every round on
+a homogeneous network) has nothing to rank, so it takes no dual bound
+and reads no multiplier.  Round 1 bounds each candidate by its own
+zero-power slope (t is concave), which needs no multiplier, so a
+candidate it rules out costs no checked t.
 """
 
 from __future__ import annotations
@@ -631,7 +632,7 @@ def solve_power_allocation(active_set, network: Network, p_tot: float) -> np.nda
 # Greedy activation with continuous re-optimization.
 # ---------------------------------------------------------------------------
 
-def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: float,
+def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: float | None,
                  active: Sequence[int], powers: np.ndarray, candidates: Sequence[int]) -> dict:
     """Lagrangian upper bound UB_j on greedy's objective for each candidate j.
 
@@ -639,27 +640,19 @@ def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: f
     budget over a set S by baseline + lam * p_tot + sum over i in S of
     max_P [t_i(P) - lam * P], each max taken over [0, p_tot] and bounded by
     `_Curve.term`.  `active` is split as `powers` at `lam`, so its interior
-    members' powers are their maximizers.  Every bound is infinite when
-    lam is not a finite nonnegative number (the NaN greedy passes in a
-    twin round), and a candidate whose bound comes out NaN gets an
-    infinite bound too.  A candidate has no split power, so its term roots
-    t' = lam with a fresh slope table where its maximizer is interior.
+    members' powers are their maximizers.  A candidate has no split power,
+    so its term roots t' = lam with a fresh slope table where its maximizer
+    is interior.
 
-    With `active` empty (greedy's round 1), lam is not read: each candidate
-    takes its own multiplier t'_j(0), at which its term peaks at P = 0 and
-    is exactly 0, so UB_j = baseline + t'_j(0) * p_tot, the tangent at zero
-    power of a concave t_j.  It costs no kernel pass.
+    With `active` empty (greedy's round 1), lam is not read and may be
+    None: each candidate takes its own multiplier t'_j(0), at which its term
+    peaks at P = 0 and is exactly 0, so UB_j = baseline + t'_j(0) * p_tot,
+    the tangent at zero power of a concave t_j.  It costs no kernel pass.
     """
     if not active:
         return {j: baseline + curves[j].at_zero * p_tot for j in candidates}
-    if not 0.0 <= lam < math.inf:
-        return dict.fromkeys(candidates, math.inf)
     base = baseline + lam * p_tot + sum(curves[i].term(lam, powers[i]) for i in active)
-    ub = {}
-    for j in candidates:
-        u = base + curves[j].term(lam)
-        ub[j] = math.inf if math.isnan(u) else u
-    return ub
+    return {j: base + curves[j].term(lam) for j in candidates}
 
 
 def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> Allocation:
@@ -697,20 +690,15 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     falls below the best objective so far.  The result is the same as
     solving every candidate.
 
-    A later round whose every candidate forms one twin class with A
-    passes a NaN multiplier, so every bound is infinite and nothing is
-    skipped.  In such a round (every round after the first on a
-    homogeneous network) every candidate slot splits the same list of
-    curves in closed form, which takes no slope, and reads t at
-    the one power p_tot / m, so a bound could save no kernel pass.  Every
-    candidate is solved, in index order, and the objective test stops the
-    loop wherever a finite bound would have: a bound is never below the
-    objective it bounds (up to _BOUND_SLACK).  Such a round reads no
-    multiplier, so a twin split's t'(p_tot / m) is taken only if a later
-    round builds a bound from it, and a twin round costs one kernel pass,
-    its candidate's t.  A sensor whose t' rises between zero power and
-    p_tot raises ConcavityViolation when the curves are built, before any
-    split.
+    A round with one candidate slot has nothing to rank and nothing to
+    skip, so it takes no bound and reads no multiplier: its candidate is
+    solved, and the objective test stops the loop wherever the bound test
+    would have, since no objective exceeds its bound by more than
+    _BOUND_SLACK.  Every round on a homogeneous network is such a round,
+    so a twin split's t'(p_tot / m) is never taken there, and each round
+    costs one kernel pass, its candidate's t at p_tot / m.  A sensor whose
+    t' rises between zero power and p_tot raises ConcavityViolation when
+    the curves are built, before any split.
     """
     _check_budget(p_tot)
     if not 0.0 < eps0 < math.inf:
@@ -729,12 +717,12 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
         for j in inactive:  # ascending, so each slot keeps its lowest twin
             slots.setdefault((curves[j], sum(i < j for i in active)), j)
         candidates = list(slots.values())
-        # A twin round's NaN multiplier makes every bound infinite, and reads no
-        # slope; round 1 (all() of nothing) bounds each candidate by its own slope.
-        lam = (math.nan if all(curves[i] is curves[j] for j in candidates for i in active)
-               else accepted.multiplier)
-        ub = _dual_bounds(curves, network.prior.inverse_trace, p_tot, lam,
-                          active, accepted_powers, candidates)
+        if len(candidates) == 1:
+            ub = {candidates[0]: math.inf}  # one slot: nothing to rank or skip
+        else:
+            ub = _dual_bounds(curves, network.prior.inverse_trace, p_tot,
+                              accepted.multiplier if active else None,
+                              active, accepted_powers, candidates)
         if (max(ub.values()) * (1.0 + _BOUND_SLACK) - objective_prev) / objective_prev <= eps0:
             break
         best_obj = -math.inf
@@ -986,6 +974,31 @@ def solve_mckp_network(network: Network, p_tot: float, n: int = DEFAULT_GRID_N) 
                           lambda row, j: kernels[row].t_bound(powers[j]))
 
 
+def enumerate_mckp_table(value_table: np.ndarray) -> tuple:
+    """Exhaustive search of the discretized problem on a (k, n + 1) value table.
+
+    Every assignment of one column per row whose columns sum to at most n
+    is tried.  Returns (picks, total, feasible): the best assignment's
+    column per row (the lexicographically smallest among ties), its total,
+    the picked entries added from 0.0 in row order, and how many
+    assignments fit.
+    """
+    k, n1 = value_table.shape
+    value = np.zeros((n1,) * k)
+    units = np.zeros((n1,) * k, dtype=int)
+    for row in range(k):
+        shape = [1] * k
+        shape[row] = n1
+        j_axis = np.arange(n1).reshape(shape)
+        value = value + value_table[row, j_axis]
+        units = units + j_axis
+    feasible = units < n1
+    value = np.where(feasible, value, -np.inf)
+    flat = int(np.argmax(value))  # C order: lexicographically smallest tie wins
+    picks = np.array(np.unravel_index(flat, value.shape))
+    return picks, float(value.flat[flat]), int(np.sum(feasible))
+
+
 def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation:
     """Exhaustive search over every discretized assignment; small cases only."""
     k = network.k
@@ -997,23 +1010,9 @@ def solve_bruteforce(network: Network, p_tot: float, n_small: int) -> Allocation
     if n_small < 1:
         raise ValueError(f"n_small must be >= 1, got {n_small}")
     samples = make_power_grid(p_tot, n_small)
-    table = tabulate_t(network, samples)
-    n1 = n_small + 1
-    value = np.zeros((n1,) * k)
-    units = np.zeros((n1,) * k, dtype=int)
-    for row in range(k):
-        shape = [1] * k
-        shape[row] = n1
-        j_axis = np.arange(n1).reshape(shape)
-        value = value + table[row, j_axis]
-        units = units + j_axis
-    feasible = units <= n_small
-    value = np.where(feasible, value, -np.inf)
-    flat = int(np.argmax(value))  # C order: lexicographically smallest tie wins
-    picks = np.array(np.unravel_index(flat, value.shape))
-    objective = network.prior.inverse_trace + float(value.flat[flat])
-    return _finish(picks > 0, samples[picks], objective, "brute",
-                   int(np.sum(feasible)), ())
+    picks, total, feasible = enumerate_mckp_table(tabulate_t(network, samples))
+    return _finish(picks > 0, samples[picks], network.prior.inverse_trace + total, "brute",
+                   feasible, ())
 
 
 # Every algorithm behind one signature; the lambdas look each solver up at

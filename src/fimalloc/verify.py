@@ -13,7 +13,6 @@ The CLI's verify command and the acceptance tests both run these.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List
@@ -179,18 +178,8 @@ def check_grad(trials: int = 20, seed: int = DEFAULT_SEED) -> List[CheckResult]:
 
 
 def enumerate_mckp(value_table: np.ndarray, n: int) -> float:
-    """Best discretized objective by full enumeration (left-fold sums)."""
-    k = value_table.shape[0]
-    best = -math.inf
-    for assignment in itertools.product(range(n + 1), repeat=k):
-        if sum(assignment) > n:
-            continue
-        total = 0.0
-        for row in range(k):
-            total = total + value_table[row, assignment[row]]
-        if total > best:
-            best = total
-    return best
+    """Best discretized objective over columns 0..n by full enumeration (row-order sums)."""
+    return solvers.enumerate_mckp_table(value_table[:, :n + 1])[1]
 
 
 def mckp_marginal_on_table(table: np.ndarray, on_fallback=None) -> solvers.Allocation:

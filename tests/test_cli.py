@@ -258,6 +258,19 @@ class TestSweep:
         assert code == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--ptot-min", "5"], "sweep needs both --ptot-min and --ptot-max"),
+        (["--ptot-min", "50", "--ptot-max", "5"], "sweep grid must be ascending"),
+        (["--alg", "ufa,nope"], "unknown algorithm 'nope'"),
+    ], ids=["min-without-max", "descending", "unknown-algorithm"])
+    def test_bad_sweep_request_exits_two(self, argv, message, small_scenario, tmp_path,
+                                         capsys):
+        out = tmp_path / "sweep.csv"
+        code = run(["sweep", "--scenario", str(small_scenario), *argv, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_data_columns(self, small_scenario, tmp_path):
         outs = []
         for name in ("one.csv", "two.csv"):

@@ -158,6 +158,7 @@ class TestTk:
         for power in (0.0, 1.0, 50.0):
             assert fisher.t_k(power, sensor, default_prior) == 0.0
             assert fisher.t_k_derivative(power, sensor, default_prior) == 0.0
+        assert fisher.InfoKernel(sensor, default_prior).expected_g_slope(0.25) == 0.0
 
     @pytest.mark.parametrize("power", [math.nan, -1.0], ids=["nan", "negative"])
     def test_zero_gain_still_rejects_a_bad_power(self, power, default_prior):

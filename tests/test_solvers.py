@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from fimalloc import cli, fisher, model, solvers, verify
-from fimalloc.errors import ConcavityViolation, GridMismatch, NoConvergence, TooLarge
+from fimalloc.errors import (ConcavityViolation, DimensionMismatch, GridMismatch, NoConvergence,
+                             TooLarge)
 from conftest import make_slope_rise, random_network
 
 
@@ -74,6 +75,24 @@ class TestBudgetCheck:
         alloc = solvers.solve_ufa(golden_network, 50.0)
         with pytest.raises(ValueError, match="p_tot must be positive and finite"):
             solvers.verify_allocation(alloc, golden_network, p_tot)
+
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda sel, pw: (np.append(sel, 0), np.append(pw, 0.0)), DimensionMismatch,
+         "allocation vectors do not match the network size"),
+        (lambda sel, pw: (sel, pw - np.eye(1, pw.size, 1)[0] * (pw[1] + 1e-3)), ValueError,
+         "allocation has a negative power"),
+        (lambda sel, pw: (sel, pw * (1.0 + 2e-9)), ValueError, "allocation spends"),
+        (lambda sel, pw: (sel * (np.arange(sel.size) != 2), pw), ValueError,
+         "unselected sensor carries nonzero power"),
+    ], ids=["shape", "negative", "overspend", "unselected-power"])
+    def test_verify_allocation_rejects_an_infeasible_allocation(self, change, error, message):
+        network = model.generate_deployment(11, 4)
+        alloc = solvers.solve_ufa(network, 8.0)
+        solvers.verify_allocation(alloc, network, 8.0)
+        selection, powers = change(alloc.selection, alloc.powers)
+        bad = dataclasses.replace(alloc, selection=selection, powers=powers)
+        with pytest.raises(error, match=message):
+            solvers.verify_allocation(bad, network, 8.0)
 
 
 class TestUfa:
@@ -250,6 +269,17 @@ class TestPowerAllocation:
         objective = fisher._objective(default_prior, (curves[i].t(float(power)) for i, power
                                                       in sorted(zip(candidate, split.powers))))
         assert objective <= ub[4]
+
+    def test_sensors_that_gain_nothing_split_evenly(self, default_prior):
+        # Two distinct zero-gain sensors: every slope is 0, so no multiplier
+        # is positive and the budget is split evenly at multiplier 0.
+        sensors = tuple(model.Sensor(gain=np.zeros(2), sigma_n=sigma_n, h_mag=0.7,
+                                     sigma_nu=1.0, bits=3, tau=3.0) for sigma_n in (1.0, 2.0))
+        network = model.Network(sensors=sensors, prior=default_prior)
+        solution = solvers._power_allocation_detailed([0, 1], network, 6.0)
+        assert solution.powers.tolist() == [3.0, 3.0]
+        assert (solution.multiplier, solution.iterations) == (0.0, 0)
+        assert solvers.solve_power_allocation([0, 1], network, 6.0).tolist() == [3.0, 3.0]
 
     def test_kkt_residual_within_tolerance(self, golden_network):
         solution = solvers._power_allocation_detailed([1, 3, 6, 9], golden_network, 30.0)
@@ -540,14 +570,15 @@ def _greedy_every_candidate(network, p_tot, eps0):
     of one twin class takes the closed form, as greedy's splits do.
 
     Returns the allocation and, per round, the accepted set, its powers, its
-    multiplier (t'(p_tot) for one sensor) and every candidate's objective.
+    multiplier (t'(p_tot) for one sensor; None before the first acceptance)
+    and every candidate's objective.
     """
     k = network.k
     active = []
     inactive = list(range(k))
     objective_prev = 1e-12
     accepted_powers = np.zeros(k)
-    lam = math.nan
+    lam = None
     diagnostics = []
     rounds = 0
     history = []
@@ -608,10 +639,14 @@ _PRUNING_NETWORKS = {
     ("golden", 15.0, solvers.DEFAULT_EPS0),
     ("homogeneous-6", 12.0, 1e-6),
     ("homogeneous-10", 5.0, 1e-5),
-    # At the default eps0 a bound from the active twins stops greedy before
-    # all ten are on; without one the objective test must stop it there too.
+    # At the default eps0 a bound from the active twins would stop greedy
+    # before all ten are on; a one-slot round takes none, so the objective
+    # test must stop it there too.
     pytest.param(("homogeneous-10", 5.0, solvers.DEFAULT_EPS0), id="homogeneous-10@5-eps0"),
     ("deployment-44-8", 20.0, solvers.DEFAULT_EPS0),
+    # Every sensor joins, so round 8 has one candidate slot on a network
+    # without twins, and takes no bound.
+    ("deployment-44-8", 1e3, 1e-12),
     ("deployment-46-8", 3.0, solvers.DEFAULT_EPS0),
     # Tiny budgets, where t_j(p_tot) comes closest to round 1's bound t'_j(0) * p_tot.
     ("golden", 1e-8, solvers.DEFAULT_EPS0),
@@ -764,10 +799,10 @@ class TestGreedyPruning:
         assert endpoints == [0.0, p_tot]
 
     def test_homogeneous_10_twin_rounds_take_no_bound(self, monkeypatch):
-        # Ten twins at p = 5: every round's one candidate forms one twin class
-        # with the active set, so greedy takes no bound and reads no
-        # multiplier, and each round costs one checked t at its equal split:
-        # t' is evaluated only at the curve's two endpoints.
+        # Ten twins at p = 5: every round has one candidate slot, so greedy
+        # takes no bound and reads no multiplier, and each round costs one
+        # checked t at its equal split: t' is evaluated only at the curve's
+        # two endpoints.
         fisher._kernel.cache_clear()
         slopes, checked = [0], [0]
         t_prime, guarded = fisher.InfoKernel.t_prime, fisher.InfoKernel._guarded
@@ -812,19 +847,38 @@ class TestGreedyPruning:
         alloc = solvers.solve_greedy(model.generate_deployment(44, 4), 5.0)
         assert alloc.selection.tolist() == [1, 1, 0, 0]
 
+    @pytest.mark.parametrize("network, p_tot, eps0, rounds", [
+        (model.generate_deployment(44, 8), 1e3, 1e-12, 8),
+        (model.homogeneous_network(10), 5.0, 1e-5, 10),
+    ], ids=["deployment-44-8@1e3", "homogeneous-10@5"])
+    def test_one_slot_rounds_take_no_bound(self, network, p_tot, eps0, rounds, monkeypatch):
+        # A round with one candidate slot has nothing to rank or skip, so it
+        # calls no `_dual_bounds`: deployment-44-8's eight distinct sensors
+        # bound rounds 1 to 7 only, and the ten twins bound none.
+        calls = []
+        bounds = solvers._dual_bounds
+
+        def logged_bounds(curves, baseline, p_tot, lam, active, powers, candidates):
+            calls.append((len(active), len(candidates)))
+            return bounds(curves, baseline, p_tot, lam, active, powers, candidates)
+
+        monkeypatch.setattr(solvers, "_dual_bounds", logged_bounds)
+        alloc = solvers.solve_greedy(network, p_tot, eps0)
+        assert alloc.num_selected == alloc.iterations == rounds == network.k
+        distinct = len(set(network.sensors))
+        assert calls == [(r, network.k - r) for r in range(distinct - 1)]
+
     @pytest.mark.parametrize("name", ["golden-twins", "golden-twin-slots"])
     def test_mixed_splits_follow_their_rounds_bound(self, name, golden_network, monkeypatch):
-        # Only a round whose every candidate split is one twin class's closed
-        # form passes a NaN multiplier, which makes every bound infinite: a
-        # split over two or more distinct curves, which bisects, comes after
-        # its own round's bound at a finite multiplier, as on a network
-        # without twins.
+        # Twins change no bound: a split over two or more distinct curves,
+        # which bisects, comes after its own round's bound at the accepted
+        # split's finite multiplier, as on a network without twins.
         network = _PRUNING_NETWORKS[name](golden_network)
         bounded, mixed = [], []
         bounds, core = solvers._dual_bounds, solvers._allocate_power_core
 
         def logged_bounds(curves, baseline, p_tot, lam, active, powers, candidates):
-            bounded.append((len(active), math.isfinite(lam)))
+            bounded.append((len(active), lam is not None and math.isfinite(lam)))
             return bounds(curves, baseline, p_tot, lam, active, powers, candidates)
 
         def logged_core(curves, p_tot):
@@ -855,7 +909,7 @@ class TestSplitWork:
         # bracket's ends: 22 calls at p = 5 and 507 at p = 50, where midpoint
         # steps took 43 and 844.
         # A split of k > 1 twins is the closed form, which calls t' only when
-        # its multiplier is read, and greedy's twin rounds read none, so
+        # its multiplier is read, and greedy's one-slot rounds read none, so
         # homogeneous-10 takes 0.
         if case == "golden":
             network, eps0 = golden_network, solvers.DEFAULT_EPS0
@@ -1041,6 +1095,16 @@ def _no_dp(*args, **kwargs):
 
 
 class TestMckp:
+    def test_stops_at_a_nonpositive_increment(self):
+        # Row 0 takes one unit, row 1 the next; every further increment is 0,
+        # so marginal analysis stops with a unit left over, and the
+        # certificate at multiplier 0 clears both rows.
+        table = np.array([[0.0, 1.0, 1.0, 1.0], [0.0, 0.5, 0.5, 0.5]])
+        lazy = verify.mckp_marginal_on_table(table, _no_dp)
+        dp = solvers.solve_mckp(table, solvers.make_power_grid(3.0, 3), 3.0)
+        assert lazy.objective == dp.objective == verify.enumerate_mckp(table, 3) == 1.5
+        assert lazy.powers.tolist() == dp.powers.tolist() == [1.0, 1.0]
+
     def test_all_zero_table_selects_nothing(self):
         grid = solvers.make_power_grid(10.0, 5)
         table = np.zeros((3, 6))
