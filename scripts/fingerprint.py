@@ -22,8 +22,13 @@ objective and the iteration count, or the exception's type and message.
 It also records the golden sweep CSV (`fimalloc sweep --alg
 ufa,usu,mckp`, default grid) without its `wall_time_ms` column, and the
 repr of `t_k` for every golden sensor at 26 powers over [0, 50].
-Everything runs in one process, in this order, so
-kernel memos carry over as they do in a sweep.  The sweep goes through
+Everything runs in one process, in this order.
+Kernel memos carry over only within one network: every solve of a network
+runs on one Network object, budget after budget, as in a sweep, and a new
+network (the twin networks, the second golden load, the sweep's) starts
+with none.  Checkouts that cached kernels process-wide by value also
+carried memos between networks with equal sensors; no output depends on
+either.  The sweep goes through
 `cli.main`, not `solvers.sweep`, so that `write` also runs on checkouts
 older than `solvers.sweep`, and the CSV covers the CLI's row formatting.
 

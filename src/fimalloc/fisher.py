@@ -46,14 +46,16 @@ When that entry clears twice the floor, no term can be skipped, and a
 plain divide gives exactly what the masked one would; otherwise the
 masked divide runs.  Either way the values are the same bits.
 
-`_kernel(sensor, prior)` is the one way the library gets a sensor's kernel,
-and the one cache of per-sensor objects: bounded and keyed by value, so
-equal sensors under equal priors share one InfoKernel, its tables, its
-confirmation kernel and its memo of checked t values, and an evicted
-kernel frees them all.  `t_checked` is deterministic for a given kernel
-and power, so a budget sweep, whose grids repeat many powers, computes
-each power once, and `t_bound` gives mckp's certificate the memoized
-value at the nearest power at or above one it would otherwise compute.
+A Network owns its kernels: `_kernels(network, sensors)` is the one way
+the library gets a sensor's kernel, built on the network's first request
+and kept in the network for as long as it lives.  Twins (equal sensors)
+share one InfoKernel, its tables, its confirmation kernel and its memo of
+checked t values.  Nothing else holds a sensor's tables, so unrelated
+networks share nothing, and a network's kernels are freed with it.
+`t_checked` is deterministic for a given kernel and power, so a budget
+sweep over one network, whose grids repeat many powers, computes each
+power once, and `t_bound` gives mckp's certificate the memoized value at
+the nearest power at or above one it would otherwise compute.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ _DEN_FLOOR = 1e-300
 # Estimates below this are numerically zero (the true scale of nonzero t
 # values is many orders larger); skip the relative convergence test there.
 _ZERO_SCALE = 1e-20
-# Entries a kernel's memo of checked t values holds before it starts over;
-# far above the ~100 distinct powers a solve or budget sweep checks.
+# Entries a kernel's memo of checked t values holds before it starts over:
+# far above the ~100 distinct powers a solve or budget sweep checks, it
+# bounds the memo of a kernel that a long-lived network keeps.
 _CHECKED_CAP = 4096
 
 
@@ -240,9 +243,9 @@ class InfoKernel:
     (whose Kronrod tables `_check_tables` builds on the first checked
     value), and memoizes each value it returns, keyed by power.
     `t_prime` takes p and dp/dP from quantcomm, which owns the link.  The
-    library shares one split-1 kernel per sensor and prior through
-    `_kernel`, the only cache of a sensor's tables; a kernel built directly
-    starts with an empty memo and builds its own tables.
+    library keeps one split-1 kernel per distinct sensor of a network in
+    the network (`_kernels`); a kernel built directly starts with an empty
+    memo and builds its own tables.
 
     The tables, all read-only and None at zero gain: `_weights` and `_cells`
     are the Gauss rule's n weights and the (2n, M) `_cell_tables` table at
@@ -364,8 +367,8 @@ class InfoKernel:
         as they share p); a power that raises is never stored, so it raises
         on every call.
         The memo is emptied before it would grow past _CHECKED_CAP entries,
-        which bounds the memory of the up to 512 cached kernels.  Its powers
-        are also kept in ascending order, emptied with it, for `t_bound`.
+        which bounds the memory of a kernel a long-lived network keeps.  Its
+        powers are also kept in ascending order, emptied with it, for `t_bound`.
         """
         value = self._checked.get(power)
         if value is None:
@@ -431,46 +434,53 @@ def _within_tolerance(value: float, error: float) -> bool:
     return error <= _QUAD_RTOL * abs(value)
 
 
-@lru_cache(maxsize=512)
-def _kernel(sensor: Sensor, prior: Prior) -> InfoKernel:
-    """The shared InfoKernel of a sensor under a prior, on the unsplit layout.
+def _kernels(network: Network, sensors) -> list:
+    """The network's InfoKernel of each of sensors, on the unsplit layout.
 
-    Cached by value (Sensor and Prior compare by value), so equal sensors
-    under equal priors get one kernel object, with its tables, its
-    confirmation kernel (see `InfoKernel.t_checked`) and its memo of checked
-    t values; no other cache holds a sensor's tables.  A gain that does not
-    match the prior raises DimensionMismatch on every lookup.
+    Each is built the first time the network is asked for it and kept in
+    the network, keyed by value (Sensor compares by value), so twins get
+    one kernel object, with its tables, its confirmation kernel (see
+    `InfoKernel.t_checked`) and its memo of checked t values.  Only the
+    kernels asked for are built.
     """
-    return InfoKernel(sensor, prior)
+    owned = network._kernels
+    for sensor in sensors:
+        if sensor not in owned:
+            owned[sensor] = InfoKernel(sensor, network.prior)
+    return [owned[sensor] for sensor in sensors]
 
 
 def t_k(power: float, sensor: Sensor, prior: Prior) -> float:
     """Per-sensor information contribution t(P), with a quadrature guard.
 
-    The sensor's shared kernel (`_kernel`) evaluates `t_checked`: the
-    Gaussian expectation on the unsplit panels, under the guard that
-    `InfoKernel.t_checked` states.  The kernel memoizes the value, so a
-    repeated power costs a dict lookup.
-    Nonnegative, and exactly zero at P = 0 up to roundoff.
+    `InfoKernel.t_checked` of a kernel built for this call: the Gaussian
+    expectation on the unsplit panels, under the guard it states.  Each
+    call builds the kernel's tables afresh, so for many powers of one
+    sensor use `tabulate_t`, or keep an InfoKernel, whose memo serves a
+    repeated power.  Nonnegative, and exactly zero at P = 0 up to roundoff.
     """
-    return _kernel(sensor, prior).t_checked(power)
+    return InfoKernel(sensor, prior).t_checked(power)
 
 
 def t_k_derivative(power: float, sensor: Sensor, prior: Prior) -> float:
     """dt/dP via the chain rule through the bit-error rate.
 
-    The confusion entries are differentiated analytically in p and the same
-    quadrature integrates the result; the bit-error slope supplies dp/dP.
-    At P = 0 it is the P -> 0 limit (see `InfoKernel.t_prime`); a negative
-    or NaN power raises ValueError, as t_k does.
+    `InfoKernel.t_prime` of a kernel built for this call (for many powers
+    of one sensor, keep an InfoKernel): the confusion entries are
+    differentiated analytically in p and the same quadrature integrates
+    the result; the bit-error slope supplies dp/dP.  At P = 0 it is the
+    P -> 0 limit (see `InfoKernel.t_prime`); a negative or NaN power
+    raises ValueError, as t_k does.
     """
-    return _kernel(sensor, prior).t_prime(power)
+    return InfoKernel(sensor, prior).t_prime(power)
 
 
 def trace_fim(powers, selection, network: Network) -> float:
     """Objective value: prior baseline plus the selected sensors' contributions.
 
-    Unselected sensors contribute nothing regardless of their power entry.
+    Each is its network kernel's `t_checked` (the value t_k gives), and
+    unselected sensors contribute nothing regardless of their power entry;
+    only the selected sensors' kernels are built.
     """
     powers = np.asarray(powers, dtype=float)
     selection = np.asarray(selection)
@@ -481,8 +491,9 @@ def trace_fim(powers, selection, network: Network) -> float:
         )
     if np.any(powers < 0.0):
         raise ValueError("powers must be nonnegative")
-    return _objective(network.prior, (t_k(float(powers[i]), sensor, network.prior)
-                                      for i, sensor in enumerate(network.sensors) if selection[i]))
+    chosen = np.flatnonzero(selection)
+    kernels = _kernels(network, [network.sensors[i] for i in chosen])
+    return _objective(network.prior, map(InfoKernel.t_checked, kernels, powers[chosen].tolist()))
 
 
 def _objective(prior: Prior, terms) -> float:
@@ -497,10 +508,11 @@ def _objective(prior: Prior, terms) -> float:
 def tabulate_t(network: Network, power_grid) -> np.ndarray:
     """Table of t values: entry (k, j) is sensor k's contribution at grid[j].
 
-    Each entry equals t_k at that power: a row reads its sensor's shared
-    kernel (`_kernel`), so twins share one kernel, its tables and
-    confirmation kernel are built once, and a power that an earlier table
-    or solve already checked is read from the kernel's memo.
+    Each entry equals t_k at that power: a row reads its sensor's network
+    kernel (`_kernels`), so twins share one kernel, its tables and
+    confirmation kernel are built once per network, and a power that an
+    earlier table or solve on the network already checked is read from the
+    kernel's memo.
     """
     grid = np.asarray(power_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -508,8 +520,7 @@ def tabulate_t(network: Network, power_grid) -> np.ndarray:
     if np.any(np.diff(grid) < 0.0) or grid[0] < 0.0:
         raise ValueError("power grid must be ascending and nonnegative")
     table = np.zeros((network.k, grid.size))
-    for row, sensor in enumerate(network.sensors):
-        kernel = _kernel(sensor, network.prior)
+    for row, kernel in enumerate(_kernels(network, network.sensors)):
         for j, power in enumerate(grid):
             table[row, j] = kernel.t_checked(float(power))
     return table

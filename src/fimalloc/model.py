@@ -26,8 +26,8 @@ import inspect
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -75,24 +75,34 @@ DEFAULT_D_MIN = 0.1
 _SPD_RTOL = 1e-12
 
 
+class _ValueRecord:
+    """Compares and hashes by its fields' values, arrays by their bytes (so -0.0 and
+    0.0 differ); a frozen dataclass with eq=False inherits both.  The key is taken
+    once, on first use: the fields are frozen and the arrays read-only."""
+
+    @cached_property
+    def _key(self) -> tuple:
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(self).values())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
 @dataclass(frozen=True, eq=False)
-class Prior:
+class Prior(_ValueRecord):
     """Zero-mean Gaussian prior: covariance, its inverse, and the inverse trace.
 
-    Priors compare and hash by value, keyed on the covariance's bytes (the
-    matrix is square, and the inverse and its trace follow from it), as
-    Sensor is keyed on its gain, so a (sensor, prior) pair can key a cache.
+    Priors compare and hash by value, as Sensor and Geometry do, so networks
+    compare and hash by value; make_prior's inverse and trace follow from
+    the covariance, so equal covariances make equal priors.
     """
 
     covariance: np.ndarray
     inverse: np.ndarray
     inverse_trace: float
-
-    def __eq__(self, other):
-        return isinstance(other, Prior) and self.covariance.tobytes() == other.covariance.tobytes()
-
-    def __hash__(self):
-        return hash(self.covariance.tobytes())
 
     @property
     def q(self) -> int:
@@ -258,8 +268,20 @@ def _check_fields(record) -> None:
         object.__setattr__(record, name, value)
 
 
+def _check_link(sensor) -> None:
+    """Reject a checked sensor whose (h_mag / sigma_nu) ** 2, the link SNR scale of
+    t' at zero power, is not finite, naming the field: sigma_nu where the square
+    is finite at DEFAULT_SIGMA_NU, else h_mag."""
+    # Products, which overflow to inf where a float's ** 2 raises.
+    squares = [(sensor.h_mag / s) * (sensor.h_mag / s) for s in (sensor.sigma_nu, DEFAULT_SIGMA_NU)]
+    if not math.isfinite(squares[0]):
+        culprit = "sigma_nu" if math.isfinite(squares[1]) else "h_mag"
+        raise ValueError(f"{culprit} must keep (h_mag / sigma_nu) ** 2 finite, got h_mag "
+                         f"{sensor.h_mag} and sigma_nu {sensor.sigma_nu}")
+
+
 @dataclass(frozen=True, eq=False)
-class Sensor:
+class Sensor(_ValueRecord):
     """One sensor: observation gain and noise, channel, and quantizer range.
 
     gain      length-q observation gain vector
@@ -271,9 +293,10 @@ class Sensor:
     tau       quantizer half-range (> 0)
 
     The four physical fields are stored as Python floats and gain as a
-    read-only float vector; booleans, strings and None are rejected.
-    Sensors compare and hash by value (gain by its bytes, so -0.0 and 0.0
-    differ): equal sensors are twins, with equal t and t' at every power.
+    read-only float vector; booleans, strings and None are rejected, and so
+    is a link whose (h_mag / sigma_nu) ** 2 overflows.  Sensors compare and
+    hash by value (gain by its bytes, so -0.0 and 0.0 differ): equal
+    sensors are twins, with equal t and t' at every power.
     """
 
     gain: np.ndarray
@@ -285,27 +308,20 @@ class Sensor:
 
     def __post_init__(self):
         _check_fields(self)
-
-    def _key(self) -> tuple:
-        return (self.gain.tobytes(), self.sigma_n, self.h_mag, self.sigma_nu, self.bits, self.tau)
-
-    def __eq__(self, other):
-        return isinstance(other, Sensor) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        _check_link(self)
 
     @property
     def levels_count(self) -> int:
         return 2 ** self.bits
 
 
-@dataclass(frozen=True)
-class Geometry:
+@dataclass(frozen=True, eq=False)
+class Geometry(_ValueRecord):
     """Deployment metadata; carried along so scenario files round-trip.
 
     Stores seed as an int, the three scalars as Python floats and the
-    positions as read-only float arrays, with the same value rules as Sensor.
+    positions as read-only float arrays, with the same value rules as
+    Sensor, and compares and hashes by value as Sensor does.
     The fields take the rules generate_deployment applies before it uses
     them: seed nonnegative, field_half_width and d_min positive and finite,
     decay_exponent finite, two finite sources inside or on the field, and K
@@ -327,11 +343,18 @@ class Geometry:
 
 @dataclass(frozen=True)
 class Network:
-    """Ordered sensors plus the shared prior, with optional deployment metadata."""
+    """Ordered sensors plus the shared prior, with optional deployment metadata.
+
+    Networks compare and hash by value.  A network also owns its sensors'
+    information kernels (fisher._kernels fills `_kernels`, one per distinct
+    sensor, on first use), which it keeps while it lives and which take no
+    part in comparison.
+    """
 
     sensors: tuple
     prior: Prior
     geometry: Optional[Geometry] = None
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _checked(k=self.k)

@@ -64,8 +64,8 @@ from .errors import (
     NoConvergence,
     TooLarge,
 )
-from .fisher import _kernel, _objective, t_k, tabulate_t, trace_fim
-from .model import Network, Prior, Sensor, _integer
+from .fisher import InfoKernel, _kernels, _objective, tabulate_t, trace_fim
+from .model import Network, _integer
 
 BUDGET_RTOL = 1e-8
 KKT_RTOL = 1e-6
@@ -196,10 +196,8 @@ def solve_usu(network: Network, p_tot: float) -> Allocation:
     """
     _check_budget(p_tot)
     k = network.k
-    prior = network.prior
-    t_uniform = np.array(
-        [t_k(p_tot / k, s, prior) for s in network.sensors]
-    )
+    kernels = _kernels(network, network.sensors)
+    t_uniform = np.array([kernel.t_checked(p_tot / k) for kernel in kernels])
     order = np.argsort(-t_uniform, kind="stable")
     diagnostics = []
     best = None
@@ -207,9 +205,7 @@ def solve_usu(network: Network, p_tot: float) -> Allocation:
     for i in range(1, k + 1):
         chosen = order[:i]
         share = p_tot / i
-        objective = prior.inverse_trace + sum(
-            t_k(share, network.sensors[j], prior) for j in chosen
-        )
+        objective = network.prior.inverse_trace + sum(kernels[j].t_checked(share) for j in chosen)
         diagnostics.append((i, objective))
         if objective <= objective_prev:
             break
@@ -575,18 +571,18 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     return PowerSolution(powers, lambda: lam, residual, iterations, False, evaluations)
 
 
-def _shared_curves(sensors: Sequence[Sensor], prior: Prior, p_tot: float) -> list:
-    """One _Curve per sensor, with twins sharing one kernel and one curve.
+def _shared_curves(kernels: Sequence[InfoKernel], p_tot: float) -> list:
+    """One _Curve per kernel, with twins sharing one kernel and one curve.
 
-    Twins are equal Sensors (Sensor compares by value), so fisher's kernel
-    lookup gives them one kernel object, and their t and t' agree at every
-    power: one curve per kernel takes each endpoint slope once, and a set
-    of one twin class is one curve repeated, which `_allocate_power_core`
-    splits in closed form.  `t` is the guarded, memoized
-    `InfoKernel.t_checked` that trace_fim reads through t_k, so a bound, a
-    candidate's objective and trace_fim share one quadrature.
+    Twins are equal Sensors (Sensor compares by value), so a network's
+    kernels (fisher._kernels) give them one kernel object, and their t and
+    t' agree at every power: one curve per kernel takes each endpoint slope
+    once, and a set of one twin class is one curve repeated, which
+    `_allocate_power_core` splits in closed form.  `t` is the guarded,
+    memoized `InfoKernel.t_checked` that trace_fim reads from the same
+    kernels, so a bound, a candidate's objective and trace_fim share one
+    quadrature.
     """
-    kernels = [_kernel(sensor, prior) for sensor in sensors]
     curves = {kernel: _Curve(kernel.t_prime, p_tot, kernel.t_checked)
               for kernel in dict.fromkeys(kernels)}
     return [curves[kernel] for kernel in kernels]
@@ -610,7 +606,7 @@ def _check_active_set(active_set, k: int) -> list:
 def _power_allocation_detailed(active_set, network: Network, p_tot: float) -> PowerSolution:
     _check_budget(p_tot)
     active = _check_active_set(active_set, network.k)
-    curves = _shared_curves([network.sensors[j] for j in active], network.prior, p_tot)
+    curves = _shared_curves(_kernels(network, [network.sensors[j] for j in active]), p_tot)
     return _allocate_power_core(curves, p_tot)
 
 
@@ -704,7 +700,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     if not 0.0 < eps0 < math.inf:
         raise ValueError(f"eps0 must be positive and finite, got {eps0}")
     k = network.k
-    curves = _shared_curves(network.sensors, network.prior, p_tot)
+    curves = _shared_curves(_kernels(network, network.sensors), p_tot)
     active: list = []
     inactive = list(range(k))
     objective_prev = 1e-12
@@ -950,7 +946,7 @@ def _mckp_marginal(value: Callable[[int, int], float], k: int, samples: np.ndarr
 def solve_mckp_network(network: Network, p_tot: float, n: int = DEFAULT_GRID_N) -> Allocation:
     """solve_mckp's optimum on a fresh grid, reading t only where marginal analysis needs it.
 
-    Each entry is the sensor's shared kernel's `t_checked` at the grid
+    Each entry is the sensor's network kernel's `t_checked` at the grid
     power (taken from samples as Python floats), the value tabulate_t would
     store; `_mckp_marginal` reads a row at most one grid point past the
     level it assigns, plus the few entries its certificate needs.  t is
@@ -967,7 +963,7 @@ def solve_mckp_network(network: Network, p_tot: float, n: int = DEFAULT_GRID_N) 
     """
     samples = make_power_grid(p_tot, n)
     powers = samples.tolist()
-    kernels = [_kernel(sensor, network.prior) for sensor in network.sensors]
+    kernels = _kernels(network, network.sensors)
     return _mckp_marginal(lambda row, j: kernels[row].t_checked(powers[j]),
                           network.k, samples, p_tot, network.prior.inverse_trace,
                           lambda: tabulate_t(network, samples),
@@ -1033,7 +1029,8 @@ def sweep(network: Network, budgets: Sequence[float], algorithms: Sequence[str],
     algorithm: result is SOLVERS[algorithm]'s Allocation (looked up at call time) or the
     FimallocError it raised, and seconds times that call alone.  Budgets are solved largest
     first, so mckp's certificates at the smaller ones find bounds among the t values the
-    larger ones memoized; each result is a lone solve's, bit for bit."""
+    larger ones memoized in the network's kernels; each result is a lone solve's, bit for
+    bit."""
     cells = []
     for p_tot in sorted(map(float, budgets), reverse=True):
         for name in algorithms:

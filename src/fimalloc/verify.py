@@ -275,8 +275,7 @@ def check_p3(seed: int = DEFAULT_SEED, grid_steps: int = 2000) -> List[CheckResu
     network = model.Network(sensors=sensors, prior=prior)
     p_tot = 10.0
     powers = solvers.solve_power_allocation([0, 1], network, p_tot)
-    kern0 = fisher.InfoKernel(sensors[0], prior)
-    kern1 = fisher.InfoKernel(sensors[1], prior)
+    kern0, kern1 = fisher._kernels(network, sensors)  # the kernels the split read
     achieved = kern0.t(float(powers[0])) + kern1.t(float(powers[1]))
 
     grid = np.arange(grid_steps + 1) * (p_tot / grid_steps)

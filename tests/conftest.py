@@ -35,6 +35,14 @@ def golden_scenario_path():
 
 @pytest.fixture(scope="session")
 def golden_network(golden_scenario_path):
+    """Golden, shared by every test: its kernels and their memos carry from test to test."""
+    return model.load_scenario(golden_scenario_path)
+
+
+@pytest.fixture
+def fresh_golden(golden_scenario_path):
+    """A golden network of the test's own, whose kernels no other test has built or
+    memoized: for tests that count reads, builds or computed values."""
     return model.load_scenario(golden_scenario_path)
 
 

@@ -163,6 +163,11 @@ class TestSolve:
          "prior.covariance, for sensors[0], must keep gain' C gain finite"),
         # A small sigma_n is named, not the generator's own tau beside it.
         (("sensors", 4, "sigma_n"), 1e-6, "sensors[4].sigma_n must keep 2**bits"),
+        # A link whose (h_mag / sigma_nu) ** 2 overflows: greedy once exited 1
+        # with an OverflowError from t' at zero power, and ufa solved it.
+        (("sensors", 0, "h_mag"), 1e300, "sensors[0].h_mag must keep (h_mag / sigma_nu) ** 2"),
+        (("sensors", 0, "sigma_nu"), 1e-300,
+         "sensors[0].sigma_nu must keep (h_mag / sigma_nu) ** 2"),
     ])
     def test_bad_scenario_value_exits_three(self, keys, value, where, golden_scenario_path,
                                             tmp_path, capsys):
@@ -172,6 +177,16 @@ class TestSolve:
         assert code == 3
         err = capsys.readouterr().err
         assert "cannot load scenario" in err and where in err
+
+    @pytest.mark.parametrize("alg", ["ufa", "usu", "greedy", "mckp", "brute"])
+    def test_strong_link_exits_three_for_every_algorithm(self, alg, golden_scenario_path,
+                                                         tmp_path, capsys):
+        path = tmp_path / "strong.json"
+        path.write_text(json.dumps(golden_with(golden_scenario_path, ("sensors", 0, "h_mag"),
+                                               1e300)))
+        code = run(["solve", "--scenario", str(path), "--alg", alg, "--ptot", "5"])
+        assert code == 3
+        assert "sensors[0].h_mag must keep" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [b"\xff\xfe\x00", b"[" * 100_000],
                              ids=["not-utf8", "nested-100000-deep"])

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import hypothesis
 import hypothesis.strategies as st
@@ -231,13 +233,6 @@ class TestLadder:
     failing that, when the kernel that cuts every panel in 2 confirms it, and
     raises otherwise."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_kernels(self):
-        """No shared kernel or memo crosses into or out of these tests, which fake the kernel."""
-        fisher._kernel.cache_clear()
-        yield
-        fisher._kernel.cache_clear()
-
     @staticmethod
     def fake_kernels(monkeypatch, error, values):
         """The kernel of split n reports values[n]; rung 0's Kronrod error estimate is `error`."""
@@ -310,7 +305,7 @@ class TestLadder:
         for power in np.linspace(0.0, 50.0, 11):
             kernel.t_checked(float(power))
         assert built == [1, 2]
-        # Twins share one cached kernel: a table over two of them builds one
+        # Twins share one network kernel: a table over two of them builds one
         # kernel and its split-2 kernel, and a second table builds nothing.
         net = model.Network(sensors=(reference_sensor,) * 2, prior=default_prior)
         built.clear()
@@ -434,24 +429,24 @@ class TestLadder:
 
 
 class TestSharedKernel:
-    """t_k, tabulate_t and the solvers read one cached kernel per sensor, with a memo."""
+    """tabulate_t, trace_fim and the solvers read the network's kernel of each sensor,
+    with a memo; t_k builds a kernel of its own."""
 
     @staticmethod
     def sweep_grids():
         return [solvers.make_power_grid(p_tot, 100) for p_tot in cli.DEFAULT_SWEEP_GRID]
 
     @pytest.mark.parametrize("which", ["golden", "fuzzed"])
-    def test_sweep_tables_equal_fresh_kernels(self, which, golden_network):
+    def test_sweep_tables_equal_fresh_kernels(self, which, fresh_golden):
         # All ten sweep grids in sweep order, so later grids read earlier values
         # from the memo; each entry must equal a fresh kernel's memo-free value
         # (`_guarded`), bit for bit.  One fresh kernel per sensor serves every
         # grid: its tables are fixed, and `_guarded` reads no memo.
         if which == "golden":
-            networks = [golden_network]
+            networks = [fresh_golden]
         else:
             rng = np.random.default_rng(77)
             networks = [random_network(rng) for _ in range(3)]
-        fisher._kernel.cache_clear()
         for network in networks:
             prior = network.prior
             kernels = [fisher.InfoKernel(sensor, prior) for sensor in network.sensors]
@@ -461,8 +456,8 @@ class TestSharedKernel:
                 assert table.tolist() == fresh
             assert all(not kernel._checked for kernel in kernels)
             distinct = {float(power) for grid in self.sweep_grids() for power in grid}
-            for sensor in network.sensors:
-                assert set(fisher._kernel(sensor, prior)._checked) == distinct
+            for kernel in fisher._kernels(network, network.sensors):
+                assert set(kernel._checked) == distinct
         assert len(distinct) == 493
 
     def test_memo_is_capped(self, reference_sensor, default_prior):
@@ -495,18 +490,46 @@ class TestSharedKernel:
         assert kernel.t_bound(2.5) == kernel.t_bound(8.0) == values[8.0]
         assert kernel.t_bound(-0.0) == kernel.t_bound(2.0) == values[2.0]
 
-    def test_equal_sensors_and_priors_share_one_kernel(self, reference_sensor, default_prior):
+    def test_twins_share_one_kernel_within_a_network_only(self, reference_sensor,
+                                                          default_prior):
         twin = model.homogeneous_network(1).sensors[0]
-        same_prior = model.make_prior(model.DEFAULT_COVARIANCE)
-        assert twin is not reference_sensor and same_prior is not default_prior
-        kernel = fisher._kernel(reference_sensor, default_prior)
-        assert fisher._kernel(twin, same_prior) is kernel
-        assert fisher._kernel(reference_sensor, model.make_prior(np.eye(2))) is not kernel
+        assert twin is not reference_sensor and twin == reference_sensor
+        network = model.Network(sensors=(reference_sensor, twin), prior=default_prior)
+        kernels = fisher._kernels(network, network.sensors)
+        assert kernels[0] is kernels[1] and len(network._kernels) == 1
+        assert fisher._kernels(network, [twin])[0] is kernels[0]
+        other = model.Network(sensors=(twin,), prior=default_prior)
+        assert other == model.Network(sensors=(reference_sensor,), prior=default_prior)
+        assert fisher._kernels(other, other.sensors)[0] is not kernels[0]
+
+    def test_only_the_kernels_asked_for_are_built(self, fresh_golden):
+        selection, powers = np.zeros(fresh_golden.k), np.zeros(fresh_golden.k)
+        selection[[3, 11]], powers[[3, 11]] = 1, 2.5
+        fisher.trace_fim(powers, selection, fresh_golden)
+        assert set(fresh_golden._kernels) == {fresh_golden.sensors[i] for i in (3, 11)}
+        solvers.solve_power_allocation([0, 3], fresh_golden, 5.0)
+        assert set(fresh_golden._kernels) == {fresh_golden.sensors[i] for i in (0, 3, 11)}
+
+    def test_kernels_are_freed_with_their_network(self, golden_scenario_path):
+        network = model.load_scenario(golden_scenario_path)
+        solvers.solve_usu(network, 5.0)
+        refs = [weakref.ref(kernel) for kernel in fisher._kernels(network, network.sensors)]
+        assert all(ref() is not None for ref in refs)
+        del network
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_bare_t_k_equals_the_network_kernel(self, fresh_golden):
+        kernels = fisher._kernels(fresh_golden, fresh_golden.sensors)
+        for sensor, kernel in zip(fresh_golden.sensors, kernels):
+            for power in (0.0, 0.37, 5.0, 50.0):
+                bare = fisher.t_k(power, sensor, fresh_golden.prior)
+                assert repr(bare) == repr(kernel.t_checked(power))
+            assert fisher.t_k_derivative(0.37, sensor, fresh_golden.prior) == kernel.t_prime(0.37)
 
     def test_not_converged_raises_on_every_call(self, monkeypatch, golden_network):
-        fisher._kernel.cache_clear()  # so no earlier test has memoized 230.0
         sensor, prior = golden_network.sensors[1], golden_network.prior
-        kernel = fisher._kernel(sensor, prior)
+        kernel = fisher.InfoKernel(sensor, prior)
         kernel.t_checked(5.0)
         # From here on every value is flagged, and split 2 confirms none.
         TestLadder.fake_kernels(monkeypatch, 0.5, {1: 1.0, 2: 2.0})
@@ -520,7 +543,7 @@ class TestSharedKernel:
     @pytest.mark.parametrize("power", [math.nan, -1.0, -math.inf], ids=["nan", "negative", "-inf"])
     def test_bad_power_raises_after_values_are_memoized(self, power, reference_sensor,
                                                         default_prior):
-        kernel = fisher._kernel(reference_sensor, default_prior)
+        kernel = fisher.InfoKernel(reference_sensor, default_prior)
         for good in (0.0, 1.0, 7.5):
             kernel.t_checked(good)
         for _ in range(2):

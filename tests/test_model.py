@@ -542,6 +542,59 @@ class TestSensorEquality:
         assert len({reference_sensor, twin}) == 1
 
 
+class TestStrongLink:
+    """(h_mag / sigma_nu) ** 2, the link scale of t' at zero power, must be finite."""
+
+    @pytest.mark.parametrize("change, field", [
+        ({"h_mag": 1e300}, "h_mag"),
+        ({"sigma_nu": 1e-300}, "sigma_nu"),
+        ({"h_mag": 1e100, "sigma_nu": 1e-200}, "sigma_nu"),
+        ({"h_mag": 1e300, "sigma_nu": 1e-300}, "h_mag"),
+    ], ids=["h_mag", "sigma_nu", "both-sigma_nu", "both-h_mag"])
+    def test_overflowing_square_names_the_field(self, reference_sensor, change, field):
+        with pytest.raises(ValueError, match=rf"^{field} must keep \(h_mag / sigma_nu\) \*\* 2 "
+                                             r"finite"):
+            dataclasses.replace(reference_sensor, **change)
+
+    @pytest.mark.parametrize("change", [{"h_mag": 1e154}, {"sigma_nu": 1e-154},
+                                        {"h_mag": 1e-300}, {"sigma_nu": 1e300}])
+    def test_finite_square_is_kept(self, reference_sensor, default_prior, change):
+        sensor = dataclasses.replace(reference_sensor, **change)
+        assert math.isfinite(fisher.InfoKernel(sensor, default_prior).t_prime(0.0))
+
+
+class TestNetworkEquality:
+    def test_equal_deployments_compare_and_hash_equal(self):
+        a, b = model.generate_deployment(42, 20), model.generate_deployment(42, 20)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) and hash(a.geometry) == hash(b.geometry)
+        assert {a: 1}[b] == 1
+
+    def test_a_moved_sensor_is_unequal(self):
+        a = model.generate_deployment(42, 20)
+        positions = a.geometry.sensor_positions.copy()
+        positions[7, 1] = np.nextafter(positions[7, 1], 2.0)
+        b = dataclasses.replace(a, geometry=dataclasses.replace(a.geometry,
+                                                                sensor_positions=positions))
+        assert a.sensors == b.sensors and a.geometry != b.geometry and a != b
+
+    def test_scenario_round_trip_is_equal(self, golden_network, golden_scenario_path, tmp_path):
+        path = tmp_path / "again.json"
+        model.save_scenario(golden_network, path)
+        again = model.load_scenario(path)
+        assert again == golden_network == model.load_scenario(golden_scenario_path)
+        assert hash(again) == hash(golden_network)
+        assert model.homogeneous_network(3) == model.homogeneous_network(3)
+
+    def test_built_kernels_take_no_part(self, fresh_golden, golden_scenario_path):
+        fresh = model.load_scenario(golden_scenario_path)
+        before = hash(fresh_golden)
+        solvers.solve_usu(fresh_golden, 5.0)
+        assert len(fresh_golden._kernels) == 20 and not fresh._kernels
+        assert fresh_golden == fresh and hash(fresh_golden) == hash(fresh) == before
+        assert "_kernels" not in repr(fresh_golden)
+
+
 class TestPriorEquality:
     def test_equal_covariances_are_equal_priors(self, default_prior):
         again = model.make_prior([[4.0, 0.5], [0.5, 0.25]])
@@ -607,10 +660,11 @@ def test_generators_take_integral_floats_for_seed_and_k():
 # ---------------------------------------------------------------------------
 # One-leaf fuzz of the scenario reader: every field of golden, and every number
 # inside an array field, mutated alone.  Finite but extreme magnitudes come from
-# scaling every number of a leaf by 1e20 or 1e300, which the range rules
-# (MAX_RESOLUTION, a finite gain' C gain) must pin on that leaf; a large prior
-# covariance, which the first sensor's gain once took the blame for, is always
-# among the examples.
+# scaling every number of a leaf by 1e20, 1e300 or 1e-300, which the range rules
+# (MAX_RESOLUTION, a finite gain' C gain, a finite (h_mag / sigma_nu) ** 2) must
+# pin on that leaf; a large prior covariance, which the first sensor's gain once
+# took the blame for, and a strong link from either side are always among the
+# examples.
 # ---------------------------------------------------------------------------
 
 GOLDEN = json.loads((FIXTURES / "golden_k20_seed42.json").read_text())
@@ -662,6 +716,7 @@ _NUMBER_OPS = {
     "-inf": lambda x: -math.inf,
     "times-1e20": lambda x: 1e20 * x,
     "times-1e300": lambda x: 1e300 * x,
+    "times-1e-300": lambda x: 1e-300 * x,
 }
 MUTATIONS = st.one_of(
     st.tuples(st.just("value"), st.one_of(st.booleans(), st.text(max_size=3), st.none())),
@@ -698,6 +753,8 @@ def _mutated(path, mutation):
 @hypothesis.given(path=st.sampled_from(_leaves(GOLDEN)), mutation=MUTATIONS)
 @hypothesis.example(path=("prior", "covariance"), mutation=("each", "times-1e20"))
 @hypothesis.example(path=("prior", "covariance"), mutation=("each", "times-1e300"))
+@hypothesis.example(path=("sensors", 0, "h_mag"), mutation=("each", "times-1e300"))
+@hypothesis.example(path=("sensors", 0, "sigma_nu"), mutation=("each", "times-1e-300"))
 def test_one_leaf_mutation_is_named_or_solved(path, mutation):
     """Either the load fails naming exactly the mutated field, or ufa solves the network."""
     payload, name = _mutated(path, mutation)

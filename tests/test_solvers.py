@@ -16,6 +16,12 @@ from fimalloc.errors import (ConcavityViolation, DimensionMismatch, GridMismatch
 from conftest import make_slope_rise, random_network
 
 
+def _curves(sensors, prior, p_tot):
+    """_shared_curves over the kernels of a network of these sensors, as greedy builds them."""
+    network = model.Network(sensors=tuple(sensors), prior=prior)
+    return solvers._shared_curves(fisher._kernels(network, network.sensors), p_tot)
+
+
 class TestPowerGrid:
     def test_samples_are_exact_multiples(self):
         grid = solvers.make_power_grid(30.0, 100)
@@ -197,7 +203,7 @@ class TestPowerAllocation:
         variants = [dataclasses.replace(reference_sensor, **{name: value})
                     for name, value in changes.items()]
         copy = dataclasses.replace(reference_sensor, gain=reference_sensor.gain.copy())
-        curves = solvers._shared_curves([reference_sensor, copy] + variants, default_prior, 5.0)
+        curves = _curves([reference_sensor, copy] + variants, default_prior, 5.0)
         assert curves[1] is curves[0]
         assert len({id(curve) for curve in curves}) == 1 + len(variants)
 
@@ -206,7 +212,7 @@ class TestPowerAllocation:
         # and no t' call.  The multiplier t'(p_tot / 6) is evaluated when
         # first read, once.
         net = model.homogeneous_network(6)
-        curve = solvers._shared_curves(net.sensors, default_prior, 12.0)[0]
+        curve = _curves(net.sensors, default_prior, 12.0)[0]
         calls = []
         t_prime = curve.t_prime
 
@@ -230,7 +236,7 @@ class TestPowerAllocation:
         # interior member.
         sensor = model.homogeneous_network(1).sensors[0]
         odd = dataclasses.replace(sensor, h_mag=0.9)
-        curves = solvers._shared_curves([sensor, odd], default_prior, 12.0)
+        curves = _curves([sensor, odd], default_prior, 12.0)
         steps = []
         refine = solvers._SlopeTable.refine
 
@@ -254,8 +260,7 @@ class TestPowerAllocation:
         odd = dataclasses.replace(sensor, h_mag=0.9)
         other = dataclasses.replace(sensor, h_mag=0.8)
         p_tot = 12.0
-        curves = solvers._shared_curves([sensor, odd, sensor, odd, sensor, other],
-                                        default_prior, p_tot)
+        curves = _curves([sensor, odd, sensor, odd, sensor, other], default_prior, p_tot)
         active = [0, 1, 2, 3]
         solution = solvers._allocate_power_core([curves[i] for i in active], p_tot)
         lam = solution.multiplier
@@ -728,7 +733,7 @@ class TestGreedyPruning:
         # As greedy builds them: twins share one curve, and every member and
         # candidate takes its own term from it.
         network, p_tot, _, (_, history) = every_candidate
-        curves = solvers._shared_curves(network.sensors, network.prior, p_tot)
+        curves = solvers._shared_curves(fisher._kernels(network, network.sensors), p_tot)
         self._assert_within_bounds(network, p_tot, history, curves)
 
     @pytest.mark.parametrize("bounded", [True, False], ids=["bounds", "no-bounds"])
@@ -803,7 +808,6 @@ class TestGreedyPruning:
         # takes no bound and reads no multiplier, and each round costs one
         # checked t at its equal split: t' is evaluated only at the curve's
         # two endpoints.
-        fisher._kernel.cache_clear()
         slopes, checked = [0], [0]
         t_prime, guarded = fisher.InfoKernel.t_prime, fisher.InfoKernel._guarded
 
@@ -899,7 +903,7 @@ class TestSplitWork:
         ("golden", 50.0, 600),
         ("homogeneous-10", 5.0, 0),
     ], ids=["golden@5", "golden@50", "homogeneous-10@5"])
-    def test_slope_evaluations_within_the_aimed_ceiling(self, case, p_tot, most, golden_network,
+    def test_slope_evaluations_within_the_aimed_ceiling(self, case, p_tot, most, fresh_golden,
                                                         monkeypatch):
         # slope_evaluations counts every t' call a split makes.  The slope
         # tables carry brackets across multiplier steps, `_aim` puts their
@@ -912,10 +916,9 @@ class TestSplitWork:
         # its multiplier is read, and greedy's one-slot rounds read none, so
         # homogeneous-10 takes 0.
         if case == "golden":
-            network, eps0 = golden_network, solvers.DEFAULT_EPS0
+            network, eps0 = fresh_golden, solvers.DEFAULT_EPS0
         else:
             network, eps0 = model.homogeneous_network(10), 1e-5
-        fisher._kernel.cache_clear()
         reported = []
         depth = [0]
         made = [0]
@@ -1055,7 +1058,7 @@ class TestTinyBudgets:
 
 
 class TestSharedKernels:
-    """Solvers read each sensor's kernel from fisher's one bounded, value-keyed lookup."""
+    """Solvers read each sensor's kernel from its network, one per distinct sensor."""
 
     @pytest.mark.parametrize("which", ["relabelled-golden", "homogeneous"])
     def test_twins_share_one_curve_and_one_kernel(self, which, golden_network):
@@ -1064,24 +1067,32 @@ class TestSharedKernels:
         else:
             picks = tuple(np.random.default_rng(8).permutation(20)) + (4, 11, 4, 0)
             network = _twin_network(golden_network, picks)
-        curves = solvers._shared_curves(network.sensors, network.prior, 15.0)
+        curves = solvers._shared_curves(fisher._kernels(network, network.sensors), 15.0)
         for i, sensor in enumerate(network.sensors):
-            kernel = fisher._kernel(sensor, network.prior)
+            kernel = network._kernels[sensor]
             assert curves[i].t_prime.__self__ is kernel and curves[i].t.__self__ is kernel
             for j, other in enumerate(network.sensors):
                 assert (curves[i] is curves[j]) == (sensor == other)
-        assert len({id(curve) for curve in curves}) == len(set(network.sensors))
+        assert len({id(curve) for curve in curves}) == len(network._kernels) \
+            == len(set(network.sensors))
 
-    def test_kernels_stay_bounded(self, default_prior):
-        base = model.homogeneous_network(1).sensors[0]
-        sensors = [dataclasses.replace(base, sigma_nu=1.0 + i / 1000) for i in range(600)]
-        kernels = [fisher._kernel(sensor, default_prior) for sensor in sensors]
-        assert len(set(map(id, kernels))) == 600
-        info = fisher._kernel.cache_info()
-        assert info.maxsize == 512 and info.currsize <= 512
-        # An evicted sensor gets a new kernel with the same values.
-        assert fisher._kernel(sensors[0], default_prior) is not kernels[0]
-        assert fisher.t_k(3.0, sensors[0], default_prior) == kernels[0].t_checked(3.0)
+    def test_usu_sweep_builds_each_kernel_once(self, monkeypatch):
+        # 600 distinct sensors over three budgets: each kernel is built on
+        # the first budget and kept by the network for the next two (the
+        # process-wide 512-entry cache this replaced built 1,786).
+        network = model.generate_deployment(42, 600)
+        assert len(set(network.sensors)) == 600
+        built = []
+        init = fisher.InfoKernel.__init__
+
+        def counted(self, sensor, prior, split=1):
+            built.append(split)
+            init(self, sensor, prior, split)
+
+        monkeypatch.setattr(fisher.InfoKernel, "__init__", counted)
+        for p_tot in (50.0, 45.0, 40.0):
+            solvers.solve_usu(network, p_tot)
+        assert built == [1] * 600
 
 
 def _dp_on_network(network, p_tot, n=100):
@@ -1186,7 +1197,7 @@ class TestMckp:
         # and T_0 - 0 <= T_1 - lam * 1 fails by T_0 (about 3e-33): only the
         # increment form of the prefix check clears the row.
         samples = solvers.make_power_grid(30.0, 100)
-        kernel = fisher._kernel(golden_network.sensors[16], golden_network.prior)
+        kernel = fisher._kernels(golden_network, [golden_network.sensors[16]])[0]
         t0, t1 = kernel.t_checked(0.0), kernel.t_checked(float(samples[1]))
         assert not t0 <= t1 - (t1 - t0)
         seen = []
@@ -1202,7 +1213,7 @@ class TestMckp:
         assert alloc.powers[16] == samples[1]
         assert len(seen) == golden_network.k and set(seen) == {t1 - t0}
 
-    def test_golden_sweep_reads(self, golden_network, monkeypatch):
+    def test_golden_sweep_reads(self, golden_scenario_path, monkeypatch):
         # From fresh kernels, marginal analysis plus the certificate's chain
         # read 2,017 entries over the 10 default budgets in ascending order,
         # and 1,469 largest first, as `fimalloc sweep` runs them, computing
@@ -1225,56 +1236,53 @@ class TestMckp:
         monkeypatch.setattr(fisher.InfoKernel, "t_checked", counted)
         monkeypatch.setattr(fisher.InfoKernel, "_guarded", computing)
         for largest_first, most_reads, most_computed in ((False, 2017, 1120), (True, 1469, 797)):
-            fisher._kernel.cache_clear()
+            network = model.load_scenario(golden_scenario_path)
             reads.clear()
             computed.clear()
             if largest_first:
-                solvers.sweep(golden_network, cli.DEFAULT_SWEEP_GRID, ["mckp"])
+                solvers.sweep(network, cli.DEFAULT_SWEEP_GRID, ["mckp"])
             else:
                 for p_tot in cli.DEFAULT_SWEEP_GRID:
-                    solvers.solve_mckp_network(golden_network, p_tot)
+                    solvers.solve_mckp_network(network, p_tot)
             assert len(reads) <= most_reads
             assert len(computed) <= most_computed
 
-    def test_memoized_t_is_nondecreasing_in_power(self, golden_network):
+    def test_memoized_t_is_nondecreasing_in_power(self, fresh_golden):
         # The certificate's bounds take a memoized t at a larger power as an
         # upper bound, which holds only while computed t is nondecreasing
         # in P: after the golden sweep (938 memoized values) and after
         # mckp on 60 fuzzed networks (19,195), no memo falls anywhere.
-        fisher._kernel.cache_clear()
-        solvers.sweep(golden_network, cli.DEFAULT_SWEEP_GRID, ["mckp", "ufa", "usu"])
-        networks = [golden_network]
+        solvers.sweep(fresh_golden, cli.DEFAULT_SWEEP_GRID, ["mckp", "ufa", "usu"])
+        networks = [fresh_golden]
         for seed in range(2024, 2084):
             network = random_network(np.random.default_rng(seed))
             for p_tot in (50.0, 20.0, 5.0):
                 solvers.solve_mckp_network(network, p_tot)
             networks.append(network)
         for network in networks:
-            for sensor in network.sensors:
-                kernel = fisher._kernel(sensor, network.prior)
+            for kernel in fisher._kernels(network, network.sensors):
                 memo = [kernel._checked[power] for power in kernel._powers]
                 assert len(memo) > 1 and all(a <= b for a, b in zip(memo, memo[1:]))
 
-    def test_golden_sweep_is_order_independent(self, golden_network):
+    def test_golden_sweep_is_order_independent(self, golden_scenario_path):
         # mckp's bounds depend on what earlier budgets memoized, but never
         # its allocations; nor do any other solver's.  A sweep's errors fill
         # their cells: brute refuses K = 20.
         def solve_each(budgets, fresh=False):
+            network = model.load_scenario(golden_scenario_path)
             out = {}
             for p_tot in budgets:
                 for name in ("mckp", "ufa", "usu", "greedy"):
                     if fresh:
-                        fisher._kernel.cache_clear()
-                    alloc = solvers.SOLVERS[name](golden_network, p_tot, 100,
-                                                  solvers.DEFAULT_EPS0)
+                        network = model.load_scenario(golden_scenario_path)
+                    alloc = solvers.SOLVERS[name](network, p_tot, 100, solvers.DEFAULT_EPS0)
                     out[p_tot, name] = (repr(alloc.powers.tolist()), repr(alloc.objective))
             return out
 
         grid = cli.DEFAULT_SWEEP_GRID
-        fisher._kernel.cache_clear()
         ascending = solve_each(grid)
-        fisher._kernel.cache_clear()
-        cells = solvers.sweep(golden_network, grid, ("mckp", "ufa", "brute", "usu", "greedy"))
+        cells = solvers.sweep(model.load_scenario(golden_scenario_path), grid,
+                              ("mckp", "ufa", "brute", "usu", "greedy"))
         assert [p_tot for p_tot, _, result, _ in cells if isinstance(result, TooLarge)] == grid
         assert {(p_tot, name): (repr(alloc.powers.tolist()), repr(alloc.objective))
                 for p_tot, name, alloc, _ in cells if name != "brute"} == ascending
@@ -1412,7 +1420,7 @@ def _eager_mckp(network, p_tot, n=100):
     reference for a lazy run with no bounds, which must read the same set.
     """
     samples = solvers.make_power_grid(p_tot, n)
-    kernels = [fisher._kernel(sensor, network.prior) for sensor in network.sensors]
+    kernels = fisher._kernels(network, network.sensors)
     reads = set()
 
     def value(row, j):
@@ -1450,8 +1458,8 @@ def _lazy_mckp(network, budgets, bounded, monkeypatch):
     sent it to the DP; and the set of
     (kernel's first row, power) pairs computed over the whole run.
     """
-    fisher._kernel.cache_clear()
-    kernels = [fisher._kernel(sensor, network.prior) for sensor in network.sensors]
+    network = dataclasses.replace(network)  # a copy that has built no kernels
+    kernels = fisher._kernels(network, network.sensors)
     marginal, guarded, dp = solvers._mckp_marginal, fisher.InfoKernel._guarded, solvers.solve_mckp
     runs, computed = [], set()
 
