@@ -248,6 +248,12 @@ def _link_snr(power: float, sensor: Sensor) -> float:
     return sensor.h_mag * math.sqrt(power / sensor.bits) / sensor.sigma_nu
 
 
+def _unit_snr_power(sensor: Sensor) -> float:
+    """The power at which _link_snr's z is 1 (inf where that overflows)."""
+    ratio = sensor.sigma_nu / sensor.h_mag
+    return sensor.bits * ratio * ratio
+
+
 def bit_error_prob(power: float, sensor: Sensor) -> float:
     """Per-bit error probability of coherent BPSK at the given transmit power.
 

@@ -30,18 +30,15 @@ evaluated and refined only as far as deciding the multiplier's side
 needs, at points placed to settle that decision (`_aim`) and kept for
 later steps.  The next multiplier is a regula-falsi step on the spend
 the tables estimate at the multiplier bracket's ends.  Greedy's dual
-bound (`_dual_bounds`) sums the matching `_Curve.term`s, which root
-through the same table, so the clip-or-root rule is written once.  Twins
-(equal Sensors, which compare by value) share one curve
-(`_shared_curves`), which takes their endpoint slopes once, and greedy
-splits one candidate per twin slot.  A split whose members are all one
-curve (one twin class) needs no search: equal marginal utility puts
-every member at p_tot / m, and its multiplier t'(p_tot / m) is taken
-only when read.  A greedy round with one candidate slot (every round on
-a homogeneous network) has nothing to rank, so it takes no dual bound
-and reads no multiplier.  Round 1 bounds each candidate by its own
-zero-power slope (t is concave), which needs no multiplier, so a
-candidate it rules out costs no checked t.
+bound (`_dual_bounds`) adds the candidate's `_Curve.term`, which roots
+through the same table, to the accepted objective, so the clip-or-root
+rule is written once.  Twins (equal Sensors, which compare by value)
+share one curve (`_shared_curves`), which takes their endpoint slopes
+once, and greedy splits one candidate per twin slot.  A split whose
+members are all one curve (one twin class) needs no search: equal
+marginal utility puts every member at p_tot / m, and its multiplier
+t'(p_tot / m) is taken only when read (see solve_greedy for the rounds
+that take no bound and read no multiplier).
 """
 
 from __future__ import annotations
@@ -66,6 +63,7 @@ from .errors import (
 )
 from .fisher import InfoKernel, _kernels, _objective, tabulate_t, trace_fim
 from .model import Network, _integer
+from .quantcomm import _unit_snr_power
 
 BUDGET_RTOL = 1e-8
 KKT_RTOL = 1e-6
@@ -86,6 +84,10 @@ _BOUND_SLACK = 1e-9
 # t' falls hundreds of orders of magnitude) its estimate says little.
 _AIM_MARGIN = 0.05
 _AIM_SPREAD = 1e3
+# A curve roots t' = lam to 1e-12 of the smaller of p_tot and this multiple of its
+# sensor's unit-SNR power: a strong link's roots sit far below p_tot.  Past the
+# multiple z > 31, so a root there is still resolved to 1e-12 relative.
+_ROOT_SCALE_SNR = 1e3
 
 
 @dataclass(frozen=True)
@@ -256,18 +258,18 @@ class _Curve:
     (beyond 1e-12 relative) or either is NaN: the one concavity check that
     the split and greedy's bound rest on.  The maximizer of t(P) - lam * P
     is an end of the interval when an endpoint slope says so (`_endpoint`),
-    and otherwise the root of t' = lam, found to x_tol by a `_SlopeTable`:
-    the budget split keeps one table per member, and `term`, the
-    per-sensor term of the Lagrangian bound, starts a fresh one.  `t` is
-    needed only by `term` and greedy's candidate objectives.
+    and otherwise the root of t' = lam, found to x_tol (1e-12 of the
+    smaller of p_tot and the sensor's power `scale`) by a `_SlopeTable`:
+    the budget split keeps one table per member, and `term`, a candidate's
+    term of greedy's bound, starts a fresh one.  Only `term` reads `t`.
     """
 
     def __init__(self, t_prime: Callable[[float], float], p_tot: float,
-                 t: Callable[[float], float] | None = None):
+                 t: Callable[[float], float] | None = None, scale: float = math.inf):
         self.t_prime = t_prime
         self.t = t
         self.p_tot = p_tot
-        self.x_tol = 1e-12 * p_tot
+        self.x_tol = 1e-12 * min(p_tot, scale)
         self.at_zero = t_prime(0.0)
         self.at_top = t_prime(p_tot)
         if not self.at_top <= self.at_zero + 1e-12 * abs(self.at_zero) + 1e-300:
@@ -282,27 +284,20 @@ class _Curve:
             return self.p_tot
         return None
 
-    def term(self, lam: float, power: float | None = None) -> float:
-        """Upper bound on max_P [t(P) - lam * P] over [0, p_tot], for concave t.
-
-        `power` is a known interior maximizer, used as given; otherwise a
-        fresh slope table finds it.
-        """
-        end = self._endpoint(lam)
-        if end == 0.0:
-            # t(0) is 0 exactly: at p = 1/2 every confusion entry is 1/M and
-            # the slope rows telescope, so no kernel pass is needed.
-            return 0.0
-        if end is not None:
-            power = end
-        elif power is None:
-            table = _SlopeTable(self)
+    def term(self, lam: float) -> float:
+        """max_P [t(P) - lam * P] over [0, p_tot], for concave t; a fresh slope table
+        finds an interior maximizer."""
+        table = _SlopeTable(self)
+        lo, hi = table.ends(lam)
+        while hi - lo > self.x_tol:
+            table.refine(lam, table.point(lam))
             lo, hi = table.ends(lam)
-            while hi - lo > self.x_tol:
-                table.refine(lam, table.point(lam))
-                lo, hi = table.ends(lam)
-            power = 0.5 * (lo + hi)
-        return self.t(power) - lam * power
+        power = 0.5 * (lo + hi)
+        # At P = 0 the term is t(0), which is 0: p = 1/2 there, every confusion
+        # entry is 1/M and the slope rows telescope.  A computed t(0) is that
+        # sum's rounding (up to 3.1e-33 on golden), far inside _BOUND_SLACK, so
+        # no kernel pass is taken.
+        return self.t(power) - lam * power if power > 0.0 else 0.0
 
 
 class _SlopeTable:
@@ -578,12 +573,13 @@ def _shared_curves(kernels: Sequence[InfoKernel], p_tot: float) -> list:
     kernels (fisher._kernels) give them one kernel object, and their t and
     t' agree at every power: one curve per kernel takes each endpoint slope
     once, and a set of one twin class is one curve repeated, which
-    `_allocate_power_core` splits in closed form.  `t` is the guarded,
-    memoized `InfoKernel.t_checked` that trace_fim reads from the same
-    kernels, so a bound, a candidate's objective and trace_fim share one
-    quadrature.
+    `_allocate_power_core` splits in closed form.  `t` is the unchecked
+    `InfoKernel.t`, which only greedy's bound terms read (`t_checked` has
+    its bits or raises), so a candidate its bound rules out builds no check
+    tables.  A curve's root scale is _ROOT_SCALE_SNR unit-SNR powers.
     """
-    curves = {kernel: _Curve(kernel.t_prime, p_tot, kernel.t_checked)
+    curves = {kernel: _Curve(kernel.t_prime, p_tot, kernel.t,
+                             _ROOT_SCALE_SNR * _unit_snr_power(kernel.sensor))
               for kernel in dict.fromkeys(kernels)}
     return [curves[kernel] for kernel in kernels]
 
@@ -628,27 +624,26 @@ def solve_power_allocation(active_set, network: Network, p_tot: float) -> np.nda
 # Greedy activation with continuous re-optimization.
 # ---------------------------------------------------------------------------
 
-def _dual_bounds(curves: Sequence[_Curve], baseline: float, p_tot: float, lam: float | None,
-                 active: Sequence[int], powers: np.ndarray, candidates: Sequence[int]) -> dict:
+def _dual_bounds(curves: Sequence[_Curve], objective: float, p_tot: float, lam: float | None,
+                 candidates: Sequence[int]) -> dict:
     """Lagrangian upper bound UB_j on greedy's objective for each candidate j.
 
-    For any multiplier lam >= 0, weak duality bounds every split of the
-    budget over a set S by baseline + lam * p_tot + sum over i in S of
-    max_P [t_i(P) - lam * P], each max taken over [0, p_tot] and bounded by
-    `_Curve.term`.  `active` is split as `powers` at `lam`, so its interior
-    members' powers are their maximizers.  A candidate has no split power,
-    so its term roots t' = lam with a fresh slope table where its maximizer
-    is interior.
+    For any lam >= 0, weak duality bounds every split of the budget over a
+    set S by tr(C^-1) + lam * p_tot + sum over i in S of max_P [t_i(P) -
+    lam * P] over [0, p_tot].  For S the accepted set A plus j at A's split
+    multiplier lam, A's members sit at their maximizers and spend p_tot, so
+    all but j's term sum to A's `objective`: UB_j = objective + term_j(lam)
+    (`_Curve.term`).  A member on a flat stretch of t' short of p_tot, where
+    the clip rule would put it at p_tot, differs by rounding, inside _BOUND_SLACK.
 
-    With `active` empty (greedy's round 1), lam is not read and may be
-    None: each candidate takes its own multiplier t'_j(0), at which its term
-    peaks at P = 0 and is exactly 0, so UB_j = baseline + t'_j(0) * p_tot,
-    the tangent at zero power of a concave t_j.  It costs no kernel pass.
+    In round 1 (A empty), lam is None and `objective` is tr(C^-1): candidate
+    j takes its own multiplier t'_j(0), where its term is 0 at P = 0, so
+    UB_j = tr(C^-1) + t'_j(0) * p_tot, the tangent at zero power of a
+    concave t_j.  It costs no kernel pass.
     """
-    if not active:
-        return {j: baseline + curves[j].at_zero * p_tot for j in candidates}
-    base = baseline + lam * p_tot + sum(curves[i].term(lam, powers[i]) for i in active)
-    return {j: base + curves[j].term(lam) for j in candidates}
+    if lam is None:
+        return {j: objective + curves[j].at_zero * p_tot for j in candidates}
+    return {j: objective + curves[j].term(lam) for j in candidates}
 
 
 def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> Allocation:
@@ -666,7 +661,7 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     index is a candidate: a higher twin's split is the same list of curves,
     so its powers are bit-identical, and the objective, which adds in index
     order, puts its term in the same place, so its objective ties and the
-    lower index wins.  A candidate's objective is its curves' t values at
+    lower index wins.  A candidate's objective is its kernels' checked t at
     its split, summed by fisher._objective as trace_fim sums them, so it
     has the bits trace_fim would give.  A candidate set of one twin class
     is split in closed form, p_tot / m each, so on a homogeneous network
@@ -677,8 +672,8 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     weak duality at its own zero-power slope (see _dual_bounds), which the
     curves already hold.  After it, with the accepted set A split at
     multiplier lam (the split reports t'(p_tot) for a single sensor), weak
-    duality bounds each candidate's objective by
-    UB_j = prior + lam * p_tot + sum over i in A + j of max_P [t_i(P) - lam * P]
+    duality bounds each candidate's objective by the accepted objective
+    plus the candidate's own term, UB_j = J_A + max_P [t_j(P) - lam * P]
     (see _dual_bounds).  A round whose largest bound, widened by
     _BOUND_SLACK, improves on the accepted objective by at most eps0
     relative stops the loop at once.  Otherwise candidates are solved in
@@ -700,14 +695,13 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     if not 0.0 < eps0 < math.inf:
         raise ValueError(f"eps0 must be positive and finite, got {eps0}")
     k = network.k
-    curves = _shared_curves(_kernels(network, network.sensors), p_tot)
+    kernels = _kernels(network, network.sensors)
+    curves = _shared_curves(kernels, p_tot)
     active: list = []
     inactive = list(range(k))
     objective_prev = 1e-12
-    accepted_powers = np.zeros(k)
     accepted = None  # the accepted set's PowerSolution
-    diagnostics = []
-    rounds = 0
+    diagnostics = []  # (round, objective) per accepted sensor
     while inactive:
         slots: dict = {}
         for j in inactive:  # ascending, so each slot keeps its lowest twin
@@ -716,9 +710,8 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
         if len(candidates) == 1:
             ub = {candidates[0]: math.inf}  # one slot: nothing to rank or skip
         else:
-            ub = _dual_bounds(curves, network.prior.inverse_trace, p_tot,
-                              accepted.multiplier if active else None,
-                              active, accepted_powers, candidates)
+            ub = _dual_bounds(curves, objective_prev if active else network.prior.inverse_trace,
+                              p_tot, accepted.multiplier if active else None, candidates)
         if (max(ub.values()) * (1.0 + _BOUND_SLACK) - objective_prev) / objective_prev <= eps0:
             break
         best_obj = -math.inf
@@ -729,8 +722,8 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
                 break
             candidate = active + [j]
             solution = _allocate_power_core([curves[i] for i in candidate], p_tot)
-            objective = _objective(network.prior, (curves[i].t(float(power)) for i, power
-                                                   in sorted(zip(candidate, solution.powers))))
+            pairs = sorted(zip(candidate, solution.powers.tolist()))
+            objective = _objective(network.prior, (kernels[i].t_checked(p) for i, p in pairs))
             if objective > best_obj or (objective == best_obj and j < best_j):
                 best_obj = objective
                 best_j = j
@@ -739,16 +732,15 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
             break
         active.append(best_j)
         inactive.remove(best_j)
-        accepted_powers = np.zeros(k)
-        accepted_powers[active] = best_solution.powers
         accepted = best_solution
         objective_prev = best_obj
-        rounds += 1
-        diagnostics.append((rounds, best_obj))
-    selection = np.zeros(k)
+        diagnostics.append((len(active), best_obj))
+    selection, powers = np.zeros(k), np.zeros(k)
     selection[active] = 1
-    return _finish(selection, accepted_powers, trace_fim(accepted_powers, selection, network),
-                   "greedy", rounds, diagnostics)
+    if accepted is not None:
+        powers[active] = accepted.powers
+    return _finish(selection, powers, trace_fim(powers, selection, network),
+                   "greedy", len(active), diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import heapq
 import inspect
 import math
 import re
+import sys
 from unittest import mock
 
 import hypothesis
@@ -252,28 +253,30 @@ class TestPowerAllocation:
         assert solution.kkt_residual <= solvers.KKT_RTOL * solution.multiplier
         assert solution.slope_evaluations == len(steps) + 6
 
-    def test_bound_sums_one_term_per_member(self, default_prior):
-        # A bound is baseline + lam * p_tot, plus one term per active member
-        # at its split power, summed in index order, plus the candidate's own
-        # term, bit for bit; a twin candidate's bound is at least its objective.
+    def test_bound_is_the_accepted_objective_plus_the_candidates_term(self, default_prior):
+        # After round 1 a bound is the accepted objective plus the candidate's
+        # own term at the accepted multiplier, bit for bit; in round 1 it is
+        # the baseline plus the candidate's zero-power tangent.  A twin
+        # candidate's bound is at least its objective.
         sensor = model.homogeneous_network(1).sensors[0]
         odd = dataclasses.replace(sensor, h_mag=0.9)
         other = dataclasses.replace(sensor, h_mag=0.8)
         p_tot = 12.0
         curves = _curves([sensor, odd, sensor, odd, sensor, other], default_prior, p_tot)
-        active = [0, 1, 2, 3]
-        solution = solvers._allocate_power_core([curves[i] for i in active], p_tot)
+
+        def objective(members):
+            split = solvers._allocate_power_core([curves[i] for i in members], p_tot)
+            return split, fisher._objective(default_prior, (
+                curves[i].t(power) for i, power in sorted(zip(members, split.powers.tolist()))))
+
+        solution, accepted = objective([0, 1, 2, 3])
         lam = solution.multiplier
-        powers = np.append(solution.powers, [0.0, 0.0])
+        ub = solvers._dual_bounds(curves, accepted, p_tot, lam, [4, 5])
+        assert ub == {j: accepted + curves[j].term(lam) for j in (4, 5)}
+        assert objective([0, 1, 2, 3, 4])[1] <= ub[4]
         baseline = default_prior.inverse_trace
-        ub = solvers._dual_bounds(curves, baseline, p_tot, lam, active, powers, [4, 5])
-        members = sum(curves[i].term(lam, powers[i]) for i in active)
-        assert ub == {j: baseline + lam * p_tot + members + curves[j].term(lam) for j in (4, 5)}
-        candidate = active + [4]
-        split = solvers._allocate_power_core([curves[i] for i in candidate], p_tot)
-        objective = fisher._objective(default_prior, (curves[i].t(float(power)) for i, power
-                                                      in sorted(zip(candidate, split.powers))))
-        assert objective <= ub[4]
+        assert solvers._dual_bounds(curves, baseline, p_tot, None, [0, 1, 5]) \
+            == {j: baseline + curves[j].at_zero * p_tot for j in (0, 1, 5)}
 
     def test_sensors_that_gain_nothing_split_evenly(self, default_prior):
         # Two distinct zero-gain sensors: every slope is 0, so no multiplier
@@ -285,6 +288,15 @@ class TestPowerAllocation:
         assert solution.powers.tolist() == [3.0, 3.0]
         assert (solution.multiplier, solution.iterations) == (0.0, 0)
         assert solvers.solve_power_allocation([0, 1], network, 6.0).tolist() == [3.0, 3.0]
+
+    def test_a_kinked_slope_fails_the_stationarity_check(self):
+        # The split assumes a continuous t', which each curve checks only at
+        # its ends: a t' that steps from 2 to 0.5 at P = 1 passes, and its root
+        # at lam = 2/3 is the step itself, where no power meets t' = lam.
+        kinked = solvers._Curve(lambda p: 2.0 if p < 1.0 else 0.5, 3.0)
+        smooth = solvers._Curve(lambda p: 2.0 / (1.0 + p), 3.0)
+        with pytest.raises(NoConvergence, match="stationarity residual 1.333e"):
+            solvers._allocate_power_core([kinked, smooth], 3.0)
 
     def test_kkt_residual_within_tolerance(self, golden_network):
         solution = solvers._power_allocation_detailed([1, 3, 6, 9], golden_network, 30.0)
@@ -310,15 +322,24 @@ class TestPowerAllocation:
             solvers._Curve(t_prime, 8.0)
 
     def test_term_at_a_zero_power_end_is_exactly_zero(self):
-        # Where t(P) - lam * P peaks at P = 0, the term is t(0), which is 0
-        # exactly (p = 1/2 there), so no t is taken.
+        # Where t(P) - lam * P peaks at P = 0, the term is t(0), whose true
+        # value is 0 (p = 1/2 there), so it is returned as exactly 0.0 and no
+        # t is taken.
         def t(power):
             raise AssertionError(f"term took t at {power}")
 
         curve = solvers._Curve(lambda p: 2.0 / (1.0 + p), 8.0, t)
-        for lam, power in ((2.0, None), (3.0, None), (1e300, None), (2.0, 0.0)):
-            term = curve.term(lam, power)
+        for lam in (2.0, 3.0, 1e300):
+            term = curve.term(lam)
             assert term == 0.0 and math.copysign(1.0, term) == 1.0
+
+    def test_computed_t_at_zero_power_is_rounding(self, fresh_golden):
+        # The computed t(0) is the rounding of the telescoping slope rows, not
+        # 0 itself, on both the unchecked and the checked path: far inside
+        # _BOUND_SLACK, which is why a term at a zero-power end can be 0.0.
+        values = [value for kernel in fisher._kernels(fresh_golden, fresh_golden.sensors)
+                  for value in (kernel.t(0.0), kernel.t_checked(0.0))]
+        assert max(map(abs, values)) <= 1e-30
 
     def test_synthetic_concave_exact(self):
         # Two closed-form concave objectives: t_i(p) = a_i * log(1 + p).
@@ -575,8 +596,9 @@ def _greedy_every_candidate(network, p_tot, eps0):
     of one twin class takes the closed form, as greedy's splits do.
 
     Returns the allocation and, per round, the accepted set, its powers, its
-    multiplier (t'(p_tot) for one sensor; None before the first acceptance)
-    and every candidate's objective.
+    multiplier (t'(p_tot) for one sensor; None before the first acceptance),
+    its objective (the baseline before the first acceptance) and every
+    candidate's objective.
     """
     k = network.k
     active = []
@@ -608,7 +630,8 @@ def _greedy_every_candidate(network, p_tot, eps0):
                 best_obj = objective
                 best_j = j
                 best_solution = solution
-        history.append((list(active), accepted_powers, lam, objectives))
+        history.append((list(active), accepted_powers, lam,
+                        objective_prev if active else network.prior.inverse_trace, objectives))
         if (best_obj - objective_prev) / objective_prev <= eps0:
             break
         active.append(best_j)
@@ -713,9 +736,8 @@ class TestGreedyPruning:
     @staticmethod
     def _assert_within_bounds(network, p_tot, history, curves):
         checked = 0
-        for active, powers, lam, objectives in history:
-            ub = solvers._dual_bounds(curves, network.prior.inverse_trace, p_tot, lam,
-                                      active, powers, list(objectives))
+        for _, _, lam, accepted, objectives in history:
+            ub = solvers._dual_bounds(curves, accepted, p_tot, lam, list(objectives))
             assert set(ub) == set(objectives)
             assert all(math.isfinite(u) for u in ub.values())
             for j, objective in objectives.items():
@@ -726,7 +748,7 @@ class TestGreedyPruning:
     def test_every_candidate_within_its_bound(self, every_candidate):
         network, p_tot, _, (_, history) = every_candidate
         kernels = [fisher.InfoKernel(s, network.prior) for s in network.sensors]
-        curves = [solvers._Curve(kern.t_prime, p_tot, kern.t_checked) for kern in kernels]
+        curves = [solvers._Curve(kern.t_prime, p_tot, kern.t) for kern in kernels]
         self._assert_within_bounds(network, p_tot, history, curves)
 
     def test_every_candidate_within_its_shared_curve_bound(self, every_candidate):
@@ -735,6 +757,40 @@ class TestGreedyPruning:
         network, p_tot, _, (_, history) = every_candidate
         curves = solvers._shared_curves(fisher._kernels(network, network.sensors), p_tot)
         self._assert_within_bounds(network, p_tot, history, curves)
+
+    def test_bound_is_the_member_sum(self, every_candidate):
+        # Weak duality's sum, baseline + lam * p_tot plus one term per accepted
+        # member (its t at its split power less lam times it, or the clip
+        # rule's value at an end) plus the candidate's term, equals the
+        # accepted objective plus the candidate's term to rounding.
+        network, p_tot, _, (_, history) = every_candidate
+        curves = solvers._shared_curves(fisher._kernels(network, network.sensors), p_tot)
+
+        def member_term(curve, lam, power):
+            end = curve._endpoint(lam)
+            if end == 0.0:
+                return 0.0
+            power = power if end is None else end
+            return curve.t(power) - lam * power
+
+        checked = 0
+        for active, powers, lam, accepted, objectives in history[1:]:
+            ub = solvers._dual_bounds(curves, accepted, p_tot, lam, list(objectives))
+            members = sum(member_term(curves[i], lam, float(powers[i])) for i in active)
+            for j in objectives:
+                summed = network.prior.inverse_trace + lam * p_tot + members \
+                    + curves[j].term(lam)
+                assert abs(ub[j] - summed) <= 1e-12 * summed, (active, j)
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("p_tot, built", [(5.0, 2), (15.0, 4), (30.0, 7), (50.0, 9)])
+    def test_only_solved_candidates_build_check_tables(self, p_tot, built, fresh_golden):
+        # Bound terms read the unchecked t, so only kernels whose sensor is
+        # split as a candidate build the Kronrod check's tables.
+        solvers.solve_greedy(fresh_golden, p_tot)
+        kernels = fresh_golden._kernels.values()
+        assert sum(kernel._check_cells is not None for kernel in kernels) == built
 
     @pytest.mark.parametrize("bounded", [True, False], ids=["bounds", "no-bounds"])
     def test_golden_p5_solves_two_candidates_in_round_one_and_one_after(
@@ -753,7 +809,7 @@ class TestGreedyPruning:
         monkeypatch.setattr(solvers, "_allocate_power_core", counted)
         if not bounded:
             monkeypatch.setattr(solvers, "_dual_bounds",
-                                lambda curves, baseline, p_tot, lam, active, powers, candidates:
+                                lambda curves, objective, p_tot, lam, candidates:
                                 dict.fromkeys(candidates, math.inf))
         alloc = solvers.solve_greedy(golden_network, 5.0)
         assert alloc.num_selected == 2
@@ -843,7 +899,7 @@ class TestGreedyPruning:
         # solved in order.  Candidates improve on round 1 only in round 2, so
         # both rounds' reversed bounds are read.
         monkeypatch.setattr(solvers, "_dual_bounds",
-                            lambda curves, baseline, p_tot, lam, active, powers, candidates:
+                            lambda curves, objective, p_tot, lam, candidates:
                             {j: 100.0 + j for j in candidates})
         monkeypatch.setattr(solvers, "_objective",
                             lambda prior, terms: 10.0 * min(len(list(terms)), 2))
@@ -858,19 +914,20 @@ class TestGreedyPruning:
     def test_one_slot_rounds_take_no_bound(self, network, p_tot, eps0, rounds, monkeypatch):
         # A round with one candidate slot has nothing to rank or skip, so it
         # calls no `_dual_bounds`: deployment-44-8's eight distinct sensors
-        # bound rounds 1 to 7 only, and the ten twins bound none.
+        # bound rounds 1 to 7 only (round 1 with no multiplier), and the ten
+        # twins bound none.
         calls = []
         bounds = solvers._dual_bounds
 
-        def logged_bounds(curves, baseline, p_tot, lam, active, powers, candidates):
-            calls.append((len(active), len(candidates)))
-            return bounds(curves, baseline, p_tot, lam, active, powers, candidates)
+        def logged_bounds(curves, objective, p_tot, lam, candidates):
+            calls.append((lam is None, len(candidates)))
+            return bounds(curves, objective, p_tot, lam, candidates)
 
         monkeypatch.setattr(solvers, "_dual_bounds", logged_bounds)
         alloc = solvers.solve_greedy(network, p_tot, eps0)
         assert alloc.num_selected == alloc.iterations == rounds == network.k
         distinct = len(set(network.sensors))
-        assert calls == [(r, network.k - r) for r in range(distinct - 1)]
+        assert calls == [(r == 0, network.k - r) for r in range(distinct - 1)]
 
     @pytest.mark.parametrize("name", ["golden-twins", "golden-twin-slots"])
     def test_mixed_splits_follow_their_rounds_bound(self, name, golden_network, monkeypatch):
@@ -881,9 +938,10 @@ class TestGreedyPruning:
         bounded, mixed = [], []
         bounds, core = solvers._dual_bounds, solvers._allocate_power_core
 
-        def logged_bounds(curves, baseline, p_tot, lam, active, powers, candidates):
+        def logged_bounds(curves, objective, p_tot, lam, candidates):
+            active = inspect.currentframe().f_back.f_locals["active"]
             bounded.append((len(active), lam is not None and math.isfinite(lam)))
-            return bounds(curves, baseline, p_tot, lam, active, powers, candidates)
+            return bounds(curves, objective, p_tot, lam, candidates)
 
         def logged_core(curves, p_tot):
             if len(set(curves)) > 1:
@@ -1023,6 +1081,48 @@ class TestHighSnrGreedy:
         with pytest.raises(NoConvergence, match=r"no positive multiplier spends the budget: "
                                                 r"the multiplier bracket \[0\.0, 5e-324\]"):
             solvers.solve_greedy(golden_network, 1e5)
+
+
+class TestStrongLinks:
+    """Each curve roots t' = lam on its own link's power scale, however strong the link."""
+
+    @pytest.mark.parametrize("p_tot, saturated", [(5.0, 16.3951390167), (50.0, 50.4704834435)])
+    @pytest.mark.parametrize("link", [
+        {"h_mag": 1e2}, {"h_mag": 1e4}, {"h_mag": 1e16}, {"h_mag": 1e150},
+        {"sigma_nu": 1e-150}, "largest",
+    ], ids=lambda link: link if isinstance(link, str) else "{}={:g}".format(*next(iter(link.items()))))
+    def test_greedy_and_splits_meet_kkt(self, link, p_tot, saturated, golden_network,
+                                        monkeypatch):
+        # Sensor 0's link made stronger: its split power falls as
+        # (sigma_nu / h_mag) ** 2, to 2e-305 at the largest h_mag the link
+        # check admits, far below 1e-12 * p_tot.  With that absolute root
+        # tolerance greedy failed the stationarity check from h_mag = 1e4 on.
+        sensor = golden_network.sensors[0]
+        if link == "largest":
+            link = {"h_mag": math.sqrt(sys.float_info.max) * sensor.sigma_nu}
+            with pytest.raises(ValueError, match=re.escape("h_mag must keep")):
+                dataclasses.replace(sensor, h_mag=math.nextafter(link["h_mag"], math.inf))
+        strong = dataclasses.replace(sensor, **link)
+        network = model.Network(sensors=(strong,) + golden_network.sensors[1:],
+                                prior=golden_network.prior)
+        splits = []
+        core = solvers._allocate_power_core
+
+        def logged(curves, budget):
+            splits.append(core(curves, budget))
+            return splits[-1]
+
+        monkeypatch.setattr(solvers, "_allocate_power_core", logged)
+        alloc = solvers.solve_greedy(network, p_tot)
+        solvers.verify_allocation(alloc, network, p_tot)
+        assert alloc.selection[0] == 1
+        active = np.flatnonzero(alloc.selection).tolist()
+        splits += [solvers._power_allocation_detailed(members, network, p_tot)
+                   for members in (active, list(range(network.k)))]
+        for solution in splits:
+            assert solution.kkt_residual <= solvers.KKT_RTOL * solution.multiplier
+        if strong.h_mag / strong.sigma_nu >= 1e150:
+            assert alloc.objective == pytest.approx(saturated, rel=1e-9)
 
 
 class TestTinyBudgets:
