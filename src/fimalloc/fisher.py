@@ -120,6 +120,10 @@ _GK21 = tuple(map(_read_only, (
      0.09312545458369761, 0.054755896574351905, 0.011694638867371638),
 )))
 
+# The Gauss weights, and the Kronrod weights at the Gauss nodes, which the
+# check alone reads, stacked: a kernel build takes one density evaluation for both.
+_GAUSS_NODE_WEIGHTS = _read_only(_GK21[1:3])
+
 
 # Panel layout constants: extent of the density support kept, boundary
 # refinement offsets in units of sigma_n, and panel width caps in units of
@@ -280,14 +284,11 @@ class InfoKernel:
         if sigma_s == 0.0:
             self._weights = self._cells = None
             return
-        x, w, wx = _GK21[:3]
         quantizer = make_quantizer(sensor.bits, sensor.tau)
         edges = _panel_edges(quantizer.boundaries, sensor.sigma_n, sigma_s, split)
-        centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-        # The Gauss weights, and the Kronrod weights at the Gauss nodes, which
-        # the check alone reads: one density evaluation serves both.
-        s, (self._weights, kronrod_at_gauss) = _panel_nodes(x, np.stack((w, wx)), centers,
-                                                            halves, sigma_s)
+        centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        s, (self._weights, kronrod_at_gauss) = _panel_nodes(_GK21[0], _GAUSS_NODE_WEIGHTS,
+                                                            centers, halves, sigma_s)
         self._cells = _cell_tables(s, quantizer, sensor.sigma_n)
         self._cells.setflags(write=False)
         self._check_inputs = (quantizer, centers, halves, kronrod_at_gauss)

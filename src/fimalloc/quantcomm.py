@@ -116,11 +116,11 @@ def _half_erfcx(a: np.ndarray) -> np.ndarray:
     s = _TAIL_SCALE / (a + _TAIL_SHIFT)
     right = np.ceil(s)
     w = s - right
-    piece = right.astype(np.intp)
-    value = _TAIL[-1].take(piece)
-    for row in _TAIL[-2::-1]:
+    coefficients = _TAIL.take(right.astype(np.intp), axis=1)  # one gather for every row
+    value = coefficients[-1]
+    for row in coefficients[-2::-1]:
         value *= w
-        value += row.take(piece)
+        value += row
     return value
 
 
@@ -171,12 +171,9 @@ def make_quantizer(bits: int, tau: float) -> QuantizerSpec:
         raise ValueError(f"tau must be positive, got {tau}")
     m = 2 ** bits
     step = 2.0 * tau / (m - 1)
-    ell = np.arange(1, m + 1)
-    levels = (2 * ell - 1 - m) * step / 2.0
-    boundaries = np.empty(m + 1)
-    boundaries[0] = -np.inf
-    boundaries[-1] = np.inf
-    boundaries[1:-1] = (np.arange(1, m) - m / 2.0) * step
+    # Python floats round as numpy's float64 does; a quantizer has a few levels.
+    levels = np.array([(2 * ell - 1 - m) * step / 2.0 for ell in range(1, m + 1)])
+    boundaries = np.array([-math.inf, *((i - m / 2.0) * step for i in range(1, m)), math.inf])
     levels.setflags(write=False)
     boundaries.setflags(write=False)
     return QuantizerSpec(bits=bits, levels=levels, step=step, boundaries=boundaries)

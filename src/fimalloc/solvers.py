@@ -29,9 +29,13 @@ root of t' = lam, bracketed by a `_SlopeTable` of the slopes already
 evaluated and refined only as far as deciding the multiplier's side
 needs, at points placed to settle that decision (`_aim`) and kept for
 later steps.  The next multiplier is a regula-falsi step on the spend
-the tables estimate at the multiplier bracket's ends.  Greedy's dual
-bound (`_dual_bounds`) adds the candidate's `_Curve.term`, which roots
-through the same table, to the accepted objective, so the clip-or-root
+the tables estimate at the multiplier bracket's ends.  Greedy ranks a
+round's candidates lazily, as mckp's heap does (Minoux, 1978): each is
+keyed by its zero-power tangent above the accepted multiplier, an upper
+bound that costs no kernel pass, and only a key that reaches the top of
+the heap while it could still decide the round is replaced by the exact
+dual bound (`_dual_bounds`), the accepted objective plus the candidate's
+`_Curve.term`, which roots through the same table, so the clip-or-root
 rule is written once.  Twins (equal Sensors, which compare by value)
 share one curve (`_shared_curves`), which takes their endpoint slopes
 once, and greedy splits one candidate per twin slot.  A split whose
@@ -624,26 +628,31 @@ def solve_power_allocation(active_set, network: Network, p_tot: float) -> np.nda
 # Greedy activation with continuous re-optimization.
 # ---------------------------------------------------------------------------
 
-def _dual_bounds(curves: Sequence[_Curve], objective: float, p_tot: float, lam: float | None,
-                 candidates: Sequence[int]) -> dict:
-    """Lagrangian upper bound UB_j on greedy's objective for each candidate j.
+def _dual_bounds(curves: Sequence[_Curve], objective: float, p_tot: float, lam: float,
+                 candidates: Sequence[int], exact: bool = False) -> dict:
+    """Upper bound on greedy's objective for each candidate j: its tangent key, or if
+    `exact`, its Lagrangian bound.
 
     For any lam >= 0, weak duality bounds every split of the budget over a
     set S by tr(C^-1) + lam * p_tot + sum over i in S of max_P [t_i(P) -
     lam * P] over [0, p_tot].  For S the accepted set A plus j at A's split
     multiplier lam, A's members sit at their maximizers and spend p_tot, so
-    all but j's term sum to A's `objective`: UB_j = objective + term_j(lam)
-    (`_Curve.term`).  A member on a flat stretch of t' short of p_tot, where
-    the clip rule would put it at p_tot, differs by rounding, inside _BOUND_SLACK.
+    all but j's term sum to A's `objective`: the exact bound is
+    objective + term_j(lam) (`_Curve.term`), which roots t'_j = lam.  A
+    member on a flat stretch of t' short of p_tot, where the clip rule would
+    put it at p_tot, differs by rounding, inside _BOUND_SLACK.
 
-    In round 1 (A empty), lam is None and `objective` is tr(C^-1): candidate
-    j takes its own multiplier t'_j(0), where its term is 0 at P = 0, so
-    UB_j = tr(C^-1) + t'_j(0) * p_tot, the tangent at zero power of a
-    concave t_j.  It costs no kernel pass.
+    The key, objective + max(t'_j(0) - lam, 0) * p_tot, costs no kernel
+    pass.  It is at least the exact bound, since t_j(P) <= t'_j(0) * P for a
+    concave t_j with t_j(0) = 0, and equals it, bit for bit, where
+    t'_j(0) <= lam: the term peaks at P = 0 there, where it is 0.  In round
+    1 (A empty) `objective` is tr(C^-1) and lam is 0: candidate j takes
+    its own multiplier t'_j(0), where its term is 0, so the key
+    tr(C^-1) + t'_j(0) * p_tot, the tangent at zero power, is its bound.
     """
-    if lam is None:
-        return {j: objective + curves[j].at_zero * p_tot for j in candidates}
-    return {j: objective + curves[j].term(lam) for j in candidates}
+    if exact:
+        return {j: objective + curves[j].term(lam) for j in candidates}
+    return {j: objective + max(curves[j].at_zero - lam, 0.0) * p_tot for j in candidates}
 
 
 def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> Allocation:
@@ -674,12 +683,20 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     multiplier lam (the split reports t'(p_tot) for a single sensor), weak
     duality bounds each candidate's objective by the accepted objective
     plus the candidate's own term, UB_j = J_A + max_P [t_j(P) - lam * P]
-    (see _dual_bounds).  A round whose largest bound, widened by
-    _BOUND_SLACK, improves on the accepted objective by at most eps0
-    relative stops the loop at once.  Otherwise candidates are solved in
-    order of decreasing bound, ties by index, until the next widened bound
-    falls below the best objective so far.  The result is the same as
-    solving every candidate.
+    (see _dual_bounds), whose maximizer roots t'_j = lam.  A round keys
+    its candidates by their zero-power tangents J_A + max(t'_j(0) - lam, 0)
+    * p_tot (round 1's are its bounds), which cost no kernel pass, are at
+    least UB_j for a concave t_j, and are UB_j itself where t'_j(0) <= lam,
+    and holds them in a heap by decreasing key, ties to the lower index.  A
+    key at the top of the heap that is not yet UB_j is replaced by UB_j,
+    one root, and goes back.  A round
+    whose top key, widened by _BOUND_SLACK, improves on the accepted
+    objective by at most eps0 relative stops the loop at once; every UB_j
+    is at most that key, so the test stops where the largest UB_j would.
+    Otherwise exact tops are solved, in order of decreasing UB_j, ties by
+    index, until the top widened key falls below the best objective so
+    far.  So candidates are solved and skipped as if every UB_j were
+    rooted first, and the result is the same as solving every candidate.
 
     A round with one candidate slot has nothing to rank and nothing to
     skip, so it takes no bound and reads no multiplier: its candidate is
@@ -708,18 +725,28 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
             slots.setdefault((curves[j], sum(i < j for i in active)), j)
         candidates = list(slots.values())
         if len(candidates) == 1:
-            ub = {candidates[0]: math.inf}  # one slot: nothing to rank or skip
+            heap = [(-math.inf, candidates[0], True)]  # one slot: nothing to rank or skip
         else:
-            ub = _dual_bounds(curves, objective_prev if active else network.prior.inverse_trace,
-                              p_tot, accepted.multiplier if active else None, candidates)
-        if (max(ub.values()) * (1.0 + _BOUND_SLACK) - objective_prev) / objective_prev <= eps0:
-            break
+            base, lam = (objective_prev, accepted.multiplier) if active \
+                else (network.prior.inverse_trace, 0.0)
+            keys = _dual_bounds(curves, base, p_tot, lam, candidates)
+            # (-key, index, whether the key is the exact bound)
+            heap = [(-keys[j], j, not active or curves[j].at_zero <= lam) for j in candidates]
+            heapq.heapify(heap)
         best_obj = -math.inf
         best_j = None
         best_solution = None
-        for j in sorted(ub, key=lambda j: (-ub[j], j)):
-            if ub[j] * (1.0 + _BOUND_SLACK) < best_obj:
+        while heap:
+            neg_key, j, exact = heap[0]
+            widened = -neg_key * (1.0 + _BOUND_SLACK)
+            if widened < best_obj or (best_j is None
+                                      and (widened - objective_prev) / objective_prev <= eps0):
                 break
+            if not exact:
+                bound = _dual_bounds(curves, base, p_tot, lam, [j], exact=True)[j]
+                heapq.heapreplace(heap, (-bound, j, True))
+                continue
+            heapq.heappop(heap)
             candidate = active + [j]
             solution = _allocate_power_core([curves[i] for i in candidate], p_tot)
             pairs = sorted(zip(candidate, solution.powers.tolist()))

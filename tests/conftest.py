@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fimalloc import fisher, model
+from fimalloc import fisher, model, quantcomm
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -91,3 +91,30 @@ def make_slope_rise(monkeypatch, sensor):
     t_prime = fisher.InfoKernel.t_prime
     monkeypatch.setattr(fisher.InfoKernel, "t_prime", lambda kernel, power: (
         1.0 + 0.1 * power if kernel.sensor == sensor else t_prime(kernel, power)))
+
+
+def half_erfcx_by_rows(a):
+    """`quantcomm._half_erfcx` with one gather per coefficient row: the reference
+    its single gather of every row must match bit for bit."""
+    s = quantcomm._TAIL_SCALE / (a + quantcomm._TAIL_SHIFT)
+    right = np.ceil(s)
+    w = s - right
+    piece = right.astype(np.intp)
+    value = quantcomm._TAIL[-1].take(piece)
+    for row in quantcomm._TAIL[-2::-1]:
+        value *= w
+        value += row.take(piece)
+    return value
+
+
+def numpy_quantizer(bits, tau):
+    """`quantcomm.make_quantizer` with levels and boundaries from numpy's array
+    arithmetic: the reference its Python-float build must match bit for bit."""
+    m = 2 ** bits
+    step = 2.0 * tau / (m - 1)
+    levels = (2 * np.arange(1, m + 1) - 1 - m) * step / 2.0
+    boundaries = np.empty(m + 1)
+    boundaries[0] = -np.inf
+    boundaries[-1] = np.inf
+    boundaries[1:-1] = (np.arange(1, m) - m / 2.0) * step
+    return quantcomm.QuantizerSpec(bits=bits, levels=levels, step=step, boundaries=boundaries)

@@ -9,7 +9,7 @@ import pytest
 
 from fimalloc import cli, fisher, model, quantcomm, solvers, verify
 from fimalloc.errors import DimensionMismatch, QuadratureNotConverged
-from conftest import random_network
+from conftest import half_erfcx_by_rows, numpy_quantizer, random_network
 
 
 def single_node_g(s, alpha, quantizer, sigma_n):
@@ -809,6 +809,47 @@ class TestNodeTables:
                     assert _same_bits(cells, both)
                     assert _same_bits(gap_weights, (gauss[:, :n] - kronrod[:, :n])[:, None, :])
                     assert _same_bits(kronrod_weights, gauss[:, n:][:, None, :])
+                    checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("which", ["golden", "fuzzed", "sharp3"])
+    def test_tables_are_the_array_build(self, which, golden_network, monkeypatch):
+        # The build takes the quantizer from Python floats, the stacked weights
+        # from a constant, the half-widths by subtraction and erfcx by one
+        # gather: every table has the bits of the build written with numpy's
+        # quantizer formulas, np.diff, np.stack and a gather per erfcx row.
+        if which == "sharp3":
+            networks = [model.homogeneous_network(3, sigma_n=0.001, bits=2)]
+        else:
+            networks = _table_networks(which, golden_network)
+        x, w, wx, y, wy = fisher._GK21
+        checked = 0
+        for network in networks:
+            for sensor in dict.fromkeys(network.sensors):
+                for split in (1, 2):
+                    kernel = fisher.InfoKernel(sensor, network.prior, split)
+                    quantizer = numpy_quantizer(sensor.bits, sensor.tau)
+                    edges = fisher._panel_edges(quantizer.boundaries, sensor.sigma_n,
+                                                kernel.sigma_s, split)
+                    centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+                    s, (weights, kronrod_at_gauss) = fisher._panel_nodes(
+                        x, np.stack((w, wx)), centers, halves, kernel.sigma_s)
+                    t, kronrod = fisher._panel_nodes(y, wy, centers, halves, kernel.sigma_s)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(quantcomm, "_half_erfcx", half_erfcx_by_rows)
+                        cells = quantcomm._cell_tables(s, quantizer, sensor.sigma_n)
+                        extra = quantcomm._cell_tables(t, quantizer, sensor.sigma_n)
+                    n, m, panels = s.size, t.size, centers.size
+                    check_cells, gap_weights, kronrod_weights = kernel._check_tables()
+                    assert _same_bits(kernel._weights, weights)
+                    assert _same_bits(kernel._cells, cells)
+                    assert _same_bits(kernel._check_inputs[1], centers)
+                    assert _same_bits(kernel._check_inputs[2], halves)
+                    assert _same_bits(check_cells, np.concatenate(
+                        (cells[:n], extra[:m], cells[n:], extra[m:])))
+                    assert _same_bits(gap_weights,
+                                      (weights - kronrod_at_gauss).reshape(panels, 1, -1))
+                    assert _same_bits(kronrod_weights, kronrod.reshape(panels, 1, -1))
                     checked += 1
         assert checked > 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fimalloc import model, quantcomm
-from conftest import random_network
+from conftest import half_erfcx_by_rows, numpy_quantizer, random_network
 
 
 def binomial_sigma(p, trials):
@@ -45,6 +45,20 @@ class TestMakeQuantizer:
         nearest = np.argmin(np.abs(x[:, None] - q.levels[None, :]), axis=1)
         interval = np.searchsorted(q.boundaries[1:-1], x, side="right")
         np.testing.assert_array_equal(nearest, interval)
+
+    def test_levels_and_boundaries_are_the_numpy_formulas(self):
+        # Built from Python floats, which round as float64 arrays do.
+        rng = np.random.default_rng(38)
+        taus = np.concatenate((10.0 ** rng.uniform(-3.0, 3.0, 8), rng.uniform(0.1, 30.0, 8)))
+        for bits in range(1, 11):
+            for tau in taus.tolist():
+                q, reference = quantcomm.make_quantizer(bits, tau), numpy_quantizer(bits, tau)
+                assert q.step == reference.step
+                for got, want in ((q.levels, reference.levels),
+                                  (q.boundaries, reference.boundaries)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (bits, tau)
+                    assert not got.flags.writeable
 
 
 class TestBeta:
@@ -181,6 +195,21 @@ class TestPhi:
                     assert abs(value - exact) <= 1e-13 * exact, point
                 else:
                     assert 0.0 <= value <= 1e-300, point
+
+    @pytest.mark.parametrize("shape", [(), (7000,), (7, 1000)])
+    def test_half_erfcx_is_the_per_row_horner_form(self, shape):
+        # One gather of every coefficient row, then Horner on the rows: the
+        # same bits as a gather per row, at 0, huge values and inf too.
+        rng = np.random.default_rng(39)
+        a = np.concatenate((rng.uniform(0.0, 40.0, 3000), 10.0 ** rng.uniform(-300.0, 300.0, 3000),
+                            rng.uniform(0.0, 2.0, 988),
+                            [0.0, 5e-324, 1e-300, 1.0, 1e10, 1e300, np.finfo(float).max, np.inf,
+                             0.0, 37.0, 200.0, np.inf]))
+        a = a[:1] if shape == () else a
+        a = a.reshape(shape)
+        got, want = quantcomm._half_erfcx(a), half_erfcx_by_rows(a)
+        assert np.shape(got) == np.shape(want) == shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_zero_is_one_half(self):
         assert quantcomm._phi(0.0) == 0.5

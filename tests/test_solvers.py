@@ -254,10 +254,12 @@ class TestPowerAllocation:
         assert solution.slope_evaluations == len(steps) + 6
 
     def test_bound_is_the_accepted_objective_plus_the_candidates_term(self, default_prior):
-        # After round 1 a bound is the accepted objective plus the candidate's
-        # own term at the accepted multiplier, bit for bit; in round 1 it is
-        # the baseline plus the candidate's zero-power tangent.  A twin
-        # candidate's bound is at least its objective.
+        # After round 1 an exact bound is the accepted objective plus the
+        # candidate's own term at the accepted multiplier, bit for bit, and a
+        # key is the accepted objective plus its zero-power tangent above the
+        # multiplier, at least the bound; in round 1 (multiplier 0) the key is
+        # the bound, the baseline plus the candidate's zero-power tangent.  A
+        # twin candidate's bound is at least its objective.
         sensor = model.homogeneous_network(1).sensors[0]
         odd = dataclasses.replace(sensor, h_mag=0.9)
         other = dataclasses.replace(sensor, h_mag=0.8)
@@ -271,11 +273,14 @@ class TestPowerAllocation:
 
         solution, accepted = objective([0, 1, 2, 3])
         lam = solution.multiplier
-        ub = solvers._dual_bounds(curves, accepted, p_tot, lam, [4, 5])
+        ub = solvers._dual_bounds(curves, accepted, p_tot, lam, [4, 5], exact=True)
         assert ub == {j: accepted + curves[j].term(lam) for j in (4, 5)}
         assert objective([0, 1, 2, 3, 4])[1] <= ub[4]
+        keys = solvers._dual_bounds(curves, accepted, p_tot, lam, [4, 5])
+        assert keys == {j: accepted + max(curves[j].at_zero - lam, 0.0) * p_tot for j in (4, 5)}
+        assert all(keys[j] >= ub[j] for j in (4, 5))
         baseline = default_prior.inverse_trace
-        assert solvers._dual_bounds(curves, baseline, p_tot, None, [0, 1, 5]) \
+        assert solvers._dual_bounds(curves, baseline, p_tot, 0.0, [0, 1, 5]) \
             == {j: baseline + curves[j].at_zero * p_tot for j in (0, 1, 5)}
 
     def test_sensors_that_gain_nothing_split_evenly(self, default_prior):
@@ -734,10 +739,17 @@ class TestGreedyPruning:
         assert alloc.algorithm == reference.algorithm
 
     @staticmethod
-    def _assert_within_bounds(network, p_tot, history, curves):
+    def _bounds(curves, p_tot, lam, accepted, candidates):
+        """The bounds greedy ranks a round by: round 1's keys (lam None), else exact bounds."""
+        if lam is None:
+            return solvers._dual_bounds(curves, accepted, p_tot, 0.0, candidates)
+        return solvers._dual_bounds(curves, accepted, p_tot, lam, candidates, exact=True)
+
+    @classmethod
+    def _assert_within_bounds(cls, network, p_tot, history, curves):
         checked = 0
         for _, _, lam, accepted, objectives in history:
-            ub = solvers._dual_bounds(curves, accepted, p_tot, lam, list(objectives))
+            ub = cls._bounds(curves, p_tot, lam, accepted, list(objectives))
             assert set(ub) == set(objectives)
             assert all(math.isfinite(u) for u in ub.values())
             for j, objective in objectives.items():
@@ -758,6 +770,25 @@ class TestGreedyPruning:
         curves = solvers._shared_curves(fisher._kernels(network, network.sensors), p_tot)
         self._assert_within_bounds(network, p_tot, history, curves)
 
+    def test_keys_bound_the_exact_bounds_and_objectives(self, every_candidate):
+        # A key, the accepted objective plus the zero-power tangent above the
+        # multiplier, needs no kernel pass: it is at least the exact bound, so
+        # rooting only the keys that reach the top of the heap skips no
+        # candidate the exact bounds would solve, and bounds every objective.
+        network, p_tot, _, (_, history) = every_candidate
+        curves = solvers._shared_curves(fisher._kernels(network, network.sensors), p_tot)
+        checked = 0
+        for _, _, lam, accepted, objectives in history:
+            candidates = list(objectives)
+            keys = solvers._dual_bounds(curves, accepted, p_tot, 0.0 if lam is None else lam,
+                                        candidates)
+            bounds = self._bounds(curves, p_tot, lam, accepted, candidates)
+            for j, objective in objectives.items():
+                assert keys[j] >= bounds[j], j
+                assert objective <= keys[j] * (1.0 + 1e-12), j
+                checked += 1
+        assert checked > 0
+
     def test_bound_is_the_member_sum(self, every_candidate):
         # Weak duality's sum, baseline + lam * p_tot plus one term per accepted
         # member (its t at its split power less lam times it, or the clip
@@ -775,7 +806,7 @@ class TestGreedyPruning:
 
         checked = 0
         for active, powers, lam, accepted, objectives in history[1:]:
-            ub = solvers._dual_bounds(curves, accepted, p_tot, lam, list(objectives))
+            ub = solvers._dual_bounds(curves, accepted, p_tot, lam, list(objectives), exact=True)
             members = sum(member_term(curves[i], lam, float(powers[i])) for i in active)
             for j in objectives:
                 summed = network.prior.inverse_trace + lam * p_tot + members \
@@ -792,13 +823,33 @@ class TestGreedyPruning:
         kernels = fresh_golden._kernels.values()
         assert sum(kernel._check_cells is not None for kernel in kernels) == built
 
+    @pytest.mark.parametrize("p_tot, slopes, terms, checked", [
+        (5.0, 70, 1, 4), (15.0, 251, 6, 16), (30.0, 451, 22, 19), (50.0, 1062, 44, 44)])
+    def test_golden_kernel_passes(self, p_tot, slopes, terms, checked, fresh_golden,
+                                  monkeypatch):
+        # Only keys that reach the top of a round's heap root their exact
+        # bound, so golden greedy takes these t' calls, unchecked t (bound
+        # terms at an interior maximizer) and checked-t misses; rooting every
+        # candidate's bound took 86/3, 295/11, 518/29 and 1,162/53.
+        counts = {"t_prime": 0, "t": 0, "_guarded": 0}
+        for name in counts:
+            method = getattr(fisher.InfoKernel, name)
+
+            def counted(kernel, power, name=name, method=method):
+                counts[name] += 1
+                return method(kernel, power)
+
+            monkeypatch.setattr(fisher.InfoKernel, name, counted)
+        solvers.solve_greedy(fresh_golden, p_tot)
+        assert (counts["t_prime"], counts["t"], counts["_guarded"]) == (slopes, terms, checked)
+
     @pytest.mark.parametrize("bounded", [True, False], ids=["bounds", "no-bounds"])
     def test_golden_p5_solves_two_candidates_in_round_one_and_one_after(
             self, bounded, golden_network, monkeypatch):
         # Round 1's bounds, tr(C^-1) + t'_j(0) * p_tot, leave two of the
-        # 20 candidates to solve, and round 2's one.  Every bound, round 1's
-        # too, comes from `_dual_bounds`: with it infinite, every candidate
-        # of every round is solved.
+        # 20 candidates to solve, and round 2's one.  Every key and exact
+        # bound, round 1's too, comes from `_dual_bounds`: with them infinite,
+        # every candidate of every round is solved.
         sizes = []
         core = solvers._allocate_power_core
 
@@ -809,7 +860,7 @@ class TestGreedyPruning:
         monkeypatch.setattr(solvers, "_allocate_power_core", counted)
         if not bounded:
             monkeypatch.setattr(solvers, "_dual_bounds",
-                                lambda curves, objective, p_tot, lam, candidates:
+                                lambda curves, objective, p_tot, lam, candidates, exact=False:
                                 dict.fromkeys(candidates, math.inf))
         alloc = solvers.solve_greedy(golden_network, 5.0)
         assert alloc.num_selected == 2
@@ -894,12 +945,12 @@ class TestGreedyPruning:
         assert alloc.objective == uniform.objective
 
     def test_equal_objectives_go_to_the_lower_index(self, monkeypatch):
-        # Bounds that put higher indices first, and every candidate of a round
-        # tied: the lowest index must still win, as when every candidate is
-        # solved in order.  Candidates improve on round 1 only in round 2, so
-        # both rounds' reversed bounds are read.
+        # Keys and exact bounds that put higher indices first, and every
+        # candidate of a round tied: the lowest index must still win, as when
+        # every candidate is solved in order.  Candidates improve on round 1
+        # only in round 2, so both rounds' reversed bounds are read.
         monkeypatch.setattr(solvers, "_dual_bounds",
-                            lambda curves, objective, p_tot, lam, candidates:
+                            lambda curves, objective, p_tot, lam, candidates, exact=False:
                             {j: 100.0 + j for j in candidates})
         monkeypatch.setattr(solvers, "_objective",
                             lambda prior, terms: 10.0 * min(len(list(terms)), 2))
@@ -914,20 +965,23 @@ class TestGreedyPruning:
     def test_one_slot_rounds_take_no_bound(self, network, p_tot, eps0, rounds, monkeypatch):
         # A round with one candidate slot has nothing to rank or skip, so it
         # calls no `_dual_bounds`: deployment-44-8's eight distinct sensors
-        # bound rounds 1 to 7 only (round 1 with no multiplier), and the ten
-        # twins bound none.
-        calls = []
+        # key rounds 1 to 7 only, each once over its candidates, and root
+        # exact bounds (one candidate a call) in those rounds alone; the ten
+        # twins call it in no round.
+        keyed, rooted = [], []
         bounds = solvers._dual_bounds
 
-        def logged_bounds(curves, objective, p_tot, lam, candidates):
-            calls.append((lam is None, len(candidates)))
-            return bounds(curves, objective, p_tot, lam, candidates)
+        def logged_bounds(curves, objective, p_tot, lam, candidates, exact=False):
+            active = inspect.currentframe().f_back.f_locals["active"]
+            (rooted if exact else keyed).append((len(active), len(candidates)))
+            return bounds(curves, objective, p_tot, lam, candidates, exact)
 
         monkeypatch.setattr(solvers, "_dual_bounds", logged_bounds)
         alloc = solvers.solve_greedy(network, p_tot, eps0)
         assert alloc.num_selected == alloc.iterations == rounds == network.k
         distinct = len(set(network.sensors))
-        assert calls == [(r == 0, network.k - r) for r in range(distinct - 1)]
+        assert keyed == [(r, network.k - r) for r in range(distinct - 1)]
+        assert all(0 < r < distinct - 1 and size == 1 for r, size in rooted)
 
     @pytest.mark.parametrize("name", ["golden-twins", "golden-twin-slots"])
     def test_mixed_splits_follow_their_rounds_bound(self, name, golden_network, monkeypatch):
@@ -938,10 +992,10 @@ class TestGreedyPruning:
         bounded, mixed = [], []
         bounds, core = solvers._dual_bounds, solvers._allocate_power_core
 
-        def logged_bounds(curves, objective, p_tot, lam, candidates):
+        def logged_bounds(curves, objective, p_tot, lam, candidates, exact=False):
             active = inspect.currentframe().f_back.f_locals["active"]
-            bounded.append((len(active), lam is not None and math.isfinite(lam)))
-            return bounds(curves, objective, p_tot, lam, candidates)
+            bounded.append((len(active), math.isfinite(lam)))
+            return bounds(curves, objective, p_tot, lam, candidates, exact)
 
         def logged_core(curves, p_tot):
             if len(set(curves)) > 1:
