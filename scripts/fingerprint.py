@@ -18,7 +18,9 @@ golden budgets with eps0 = 1e-6, and
 on `homogeneous_network(10)` at p = 5 with eps0 = 1e-5 (the benchmark's
 `homog-k10` setting); every other case uses `DEFAULT_EPS0`.  Each case
 records the selection, the repr of every power, the repr of the
-objective and the iteration count, or the exception's type and message.
+objective, the iteration count and the diagnostics (each (iteration,
+objective) pair as the iteration and the objective's repr), or the
+exception's type and message.
 It also records the golden sweep CSV (`fimalloc sweep --alg
 ufa,usu,mckp`, default grid) without its `wall_time_ms` column, and the
 repr of `t_k` for every golden sensor at 26 powers over [0, 50].
@@ -36,10 +38,10 @@ older than `solvers.sweep`, and the CSV covers the CLI's row formatting.
 relative difference among numeric fields that differ; it exits 1 if any
 field differs.  With `--rtol R`, objectives, powers, `t_k` values and the
 sweep CSV's numbers within R relative count as matching (and are counted
-apart); selections, iteration counts and error messages must still match
-exactly.  Run `write` with PYTHONPATH pointing at each version's `src/`
-to compare two versions (`diff` needs no fimalloc).  This is a tool, not
-a test.
+apart); selections, iteration counts, diagnostics and error messages
+must still match exactly.  Run `write` with PYTHONPATH pointing at each
+version's `src/` to compare two versions (`diff` needs no fimalloc).
+This is a tool, not a test.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ def _solve(name, network, p_tot, eps0=None) -> dict:
         "powers": [repr(float(p)) for p in alloc.powers],
         "objective": repr(float(alloc.objective)),
         "iterations": int(alloc.iterations),
+        "diagnostics": [[int(i), repr(float(value))] for i, value in alloc.diagnostics],
     }
 
 
@@ -169,9 +172,10 @@ def _worst(differences) -> float:
 
 
 def _largest(x, y) -> float:
-    """Largest relative difference between two values, or two equal-length lists of them."""
+    """Largest relative difference between two values, or two equal-length (nested) lists
+    of them."""
     if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
-        return _worst(_relative(u, v) for u, v in zip(x, y))
+        return _worst(_largest(u, v) for u, v in zip(x, y))
     return _relative(x, y)
 
 
@@ -188,7 +192,7 @@ def _row_difference(x: str, y: str) -> float:
 
 
 # The numeric fields of a case that --rtol lets differ; selections,
-# iteration counts and error messages must always match exactly.
+# iteration counts, diagnostics and error messages must always match exactly.
 _RTOL_FIELDS = ("objective", "powers")
 
 

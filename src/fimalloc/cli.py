@@ -124,27 +124,15 @@ def cmd_gen(args) -> int:
     try:
         if args.k is None:
             args.k = 10 if args.homogeneous else 20
+        link = dict(sigma_n=args.sigma_n, sigma_nu=args.sigma_nu, h_mag=args.h_mag,
+                    bits=args.bits)
         if args.homogeneous:
-            network = model.homogeneous_network(
-                args.k,
-                gain=args.gain if args.gain is not None else model.DEFAULT_GAIN,
-                sigma_n=args.sigma_n,
-                sigma_nu=args.sigma_nu,
-                h_mag=args.h_mag,
-                bits=args.bits,
-            )
+            gain = args.gain if args.gain is not None else model.DEFAULT_GAIN
+            network = model.homogeneous_network(args.k, gain=gain, **link)
         else:
             network = model.generate_deployment(
-                args.seed,
-                args.k,
-                field_half_width=args.field_half_width,
-                decay_exponent=args.decay_exponent,
-                d_min=args.d_min,
-                sigma_n=args.sigma_n,
-                sigma_nu=args.sigma_nu,
-                h_mag=args.h_mag,
-                bits=args.bits,
-            )
+                args.seed, args.k, field_half_width=args.field_half_width,
+                decay_exponent=args.decay_exponent, d_min=args.d_min, **link)
         model.save_scenario(network, args.out)
     except (FimallocError, OSError, ValueError) as exc:
         print(f"generation failed: {exc}", file=sys.stderr)

@@ -52,7 +52,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,13 +127,17 @@ def make_power_grid(p_tot: float, n: int) -> np.ndarray:
     at least 1.  Each sample is j * p_tot divided by n, so it is correctly
     rounded whenever j * p_tot is exact: equal powers on grids of different
     budgets are equal floats, as is p_tot / i for i dividing n, so a
-    kernel's memo serves them all.
+    kernel's memo serves them all.  Where n * p_tot overflows, p_tot is
+    first scaled by a power of two, which is exact, so every sample still
+    takes the same two roundings.
     """
     _check_budget(p_tot)
-    n = _integer(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    samples = np.arange(n + 1) * p_tot / n
+    n = _integer(n, "n", 1)
+    if math.isinf(n * p_tot):
+        scale = 2.0 ** -n.bit_length()
+        samples = np.arange(n + 1) * (p_tot * scale) / n / scale
+    else:
+        samples = np.arange(n + 1) * p_tot / n
     samples.setflags(write=False)
     return samples
 
@@ -198,32 +202,30 @@ def solve_usu(network: Network, p_tot: float) -> Allocation:
     sensors, ties going to the lower index.  For i = 1, 2, ... the top-i
     sensors get uniform power P/i; the sweep stops at the first i whose
     objective does not improve, or at i = K, and the best configuration
-    seen is returned.
+    seen is returned.  Each objective is summed once, by fisher._objective
+    over the chosen indices in ascending order, as trace_fim sums them, so
+    the returned one has trace_fim's bits.
     """
     _check_budget(p_tot)
     k = network.k
     kernels = _kernels(network, network.sensors)
     t_uniform = np.array([kernel.t_checked(p_tot / k) for kernel in kernels])
-    order = np.argsort(-t_uniform, kind="stable")
+    order = np.argsort(-t_uniform, kind="stable").tolist()
     diagnostics = []
-    best = None
-    objective_prev = 0.0
+    best = (0.0, [], 0.0)  # (objective, chosen, share)
     for i in range(1, k + 1):
-        chosen = order[:i]
+        chosen = sorted(order[:i])
         share = p_tot / i
-        objective = network.prior.inverse_trace + sum(kernels[j].t_checked(share) for j in chosen)
+        objective = _objective(network.prior, (kernels[j].t_checked(share) for j in chosen))
         diagnostics.append((i, objective))
-        if objective <= objective_prev:
+        if objective <= best[0]:
             break
-        best = (i, chosen, share)
-        objective_prev = objective
-    i, chosen, share = best
-    selection = np.zeros(k)
+        best = (objective, chosen, share)
+    objective, chosen, share = best
+    selection, powers = np.zeros(k), np.zeros(k)
     selection[chosen] = 1
-    powers = np.zeros(k)
     powers[chosen] = share
-    return _finish(selection, powers, trace_fim(powers, selection, network), "usu",
-                   len(diagnostics), diagnostics)
+    return _finish(selection, powers, objective, "usu", len(diagnostics), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +242,16 @@ class PowerSolution:
     takes no slope at all.  slope_evaluations counts the t' calls the split
     made itself: bracket refinements and the stationarity check, not the
     endpoint slopes its curves were built with, nor a deferred multiplier.
+    A closed form passes only the powers and the multiplier; its residual,
+    iterations and evaluations are 0.
     """
 
     powers: np.ndarray
     _multiplier: Callable[[], float]
-    kkt_residual: float
-    iterations: int
-    fallback: bool  # always False; the benchmark tracer's power_split.fallbacks reads it
-    slope_evaluations: int
+    kkt_residual: float = 0.0
+    iterations: int = 0
+    slope_evaluations: int = 0
+    fallback = False  # a class constant: the benchmark tracer's power_split.fallbacks reads it
 
     @cached_property
     def multiplier(self) -> float:
@@ -441,10 +445,10 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
     one budget have equal marginal utility at the equal split (Patriksson,
     EJOR 2008), so each member gets p_tot / m at multiplier t'(p_tot / m),
     with KKT residual 0, no iteration and no t' call: that slope is taken
-    only when something reads the multiplier (see PowerSolution), and one
-    sensor takes the whole budget at t'(p_tot), the endpoint slope its
-    curve already holds.  This holds wherever the search below would
-    collapse too, such as a budget past every slope's saturation.
+    only when something reads the multiplier (see PowerSolution), and for
+    one sensor (m = 1) it is t'(p_tot), the endpoint slope its curve
+    already holds.  This holds wherever the search below would collapse
+    too, such as a budget past every slope's saturation.
 
     Otherwise each member gets its own `_SlopeTable` for this split, so each
     step at a multiplier lam reads every sensor's bracket [lo, hi] around its
@@ -489,15 +493,14 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
         raise ValueError("active set must be nonempty")
     curve = curves[0]
     if all(other is curve for other in curves):
-        if m == 1:
-            return PowerSolution(np.array([p_tot]), lambda: curve.at_top, 0.0, 0, False, 0)
         share = p_tot / m
-        return PowerSolution(np.full(m, share), partial(curve.t_prime, share), 0.0, 0, False, 0)
+        return PowerSolution(np.full(m, share),
+                             lambda: curve.at_top if m == 1 else curve.t_prime(share))
 
     lam_hi = float(np.max([curve.at_zero for curve in curves]))
     if lam_hi <= 0.0:
         # No sensor gains anything from power; split the budget evenly.
-        return PowerSolution(np.full(m, p_tot / m), lambda: 0.0, 0.0, 0, False, 0)
+        return PowerSolution(np.full(m, p_tot / m), lambda: 0.0)
     lam_lo = 0.0
     tables = [_SlopeTable(curve) for curve in curves]
     widen = sum(curve.x_tol for curve in curves)
@@ -567,7 +570,7 @@ def _allocate_power_core(curves: Sequence[_Curve], p_tot: float) -> PowerSolutio
         )
     if total != p_tot:
         powers *= p_tot / total
-    return PowerSolution(powers, lambda: lam, residual, iterations, False, evaluations)
+    return PowerSolution(powers, lambda: lam, residual, iterations, evaluations)
 
 
 def _shared_curves(kernels: Sequence[InfoKernel], p_tot: float) -> list:
@@ -672,9 +675,11 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     order, puts its term in the same place, so its objective ties and the
     lower index wins.  A candidate's objective is its kernels' checked t at
     its split, summed by fisher._objective as trace_fim sums them, so it
-    has the bits trace_fim would give.  A candidate set of one twin class
-    is split in closed form, p_tot / m each, so on a homogeneous network
-    greedy that activates every sensor returns ufa's powers and objective.
+    has the bits trace_fim would give, and the result keeps the last
+    accepted one (tr(C^-1) if none was accepted).  A candidate set of one
+    twin class is split in closed form, p_tot / m each, so on a homogeneous
+    network greedy that activates every sensor returns ufa's powers and
+    objective.
 
     Candidates that cannot win are skipped without a solve.  In round 1
     (A empty) candidate j is bounded by UB_j = prior + t'_j(0) * p_tot,
@@ -766,20 +771,20 @@ def solve_greedy(network: Network, p_tot: float, eps0: float = DEFAULT_EPS0) -> 
     selection[active] = 1
     if accepted is not None:
         powers[active] = accepted.powers
-    return _finish(selection, powers, trace_fim(powers, selection, network),
-                   "greedy", len(active), diagnostics)
+    objective = objective_prev if active else network.prior.inverse_trace
+    return _finish(selection, powers, objective, "greedy", len(active), diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # Discretized formulation: one power level per sensor, shared capacity.
 # ---------------------------------------------------------------------------
 
-def solve_mckp(value_table, samples: np.ndarray, p_tot: float, *,
-               baseline: float = 0.0) -> Allocation:
+def solve_mckp(value_table, p_tot: float, *, baseline: float = 0.0) -> Allocation:
     """Exact optimum of the discretized problem by dynamic programming.
 
-    value_table[k, j] is sensor k's contribution at samples[j], which must
-    be make_power_grid(p_tot, n) to 1e-9 relative, with n + 1 columns; the
+    value_table[k, j] is sensor k's contribution at sample j of
+    make_power_grid(p_tot, n), for a table of n + 1 columns, so each pick's
+    power is that grid's sample and no assignment spends past p_tot.  The
     zero-power column, whose entries must be zero, lets the program leave a
     sensor out, which marks it unselected in the result.  Every entry must
     be finite.  Capacity runs over integer grid units, so the program is
@@ -788,13 +793,11 @@ def solve_mckp(value_table, samples: np.ndarray, p_tot: float, *,
     """
     _check_budget(p_tot)
     table = np.asarray(value_table, dtype=float)
-    samples = np.asarray(samples, dtype=float)
     if table.ndim != 2:
         raise GridMismatch(f"value table must be 2-D, got shape {table.shape}")
     k, cols = table.shape
-    if cols < 2 or samples.shape != (cols,):
-        raise GridMismatch(f"value table has {cols} columns and grid shape {samples.shape}: "
-                           "each column needs one sample, and there must be at least 2")
+    if cols < 2:
+        raise GridMismatch(f"value table has {cols} columns: there must be at least 2")
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         row, j = bad[0]
@@ -802,12 +805,7 @@ def solve_mckp(value_table, samples: np.ndarray, p_tot: float, *,
     if np.any(np.abs(table[:, 0]) > 1e-12):
         raise GridMismatch("value table's zero-power column must be zero")
     n = cols - 1
-    expected = make_power_grid(p_tot, n)
-    off = np.flatnonzero(~(np.abs(samples - expected) <= 1e-9 * max(p_tot, 1.0)))
-    if off.size:
-        j = int(off[0])
-        raise GridMismatch(f"grid sample {j} is {float(samples[j])!r}, "
-                           f"not {float(expected[j])!r} = {j} * {p_tot!r} / {n}")
+    samples = make_power_grid(p_tot, n)
 
     capacities = np.arange(n + 1)
     best = np.zeros(n + 1)
@@ -868,16 +866,11 @@ def _row_certified(value: Callable[[int], float], prefix: list, level: int, n: i
             return True
         if not rise <= lam * (b - level):
             return False
-        # The bound clears (m, b] from m = level - 1 + rise / lam up.  The
-        # quotient, clamped to the interval before math.ceil sees it, lands
-        # within a step of the smallest such m, and the bound's own float
-        # comparison settles m, so no rounding enters the verdict.
-        m = min(max(level - 1 + math.ceil(min(rise / lam, b - level)), a + 1), b - 1)
-        while m > a + 1 and rise <= lam * (m - level):
-            m -= 1
-        while not rise <= lam * (m + 1 - level):
-            m += 1
-        b = m
+        # The smallest m in (a, b) that the bound clears (m, b] from, by
+        # bisection over the bound's own float comparison, which is monotone
+        # in m and true at m = b - 1, so no rounding enters the verdict.
+        b = bisect.bisect_left(range(a + 1, b), True,
+                               key=lambda m: rise <= lam * (m + 1 - level)) + a + 1
     return True
 
 
@@ -953,7 +946,7 @@ def _mckp_marginal(value: Callable[[int, int], float], k: int, samples: np.ndarr
                 continue
             read(row)
         if not certified(row, prefixes[row]):
-            return solve_mckp(tabulate(), samples, p_tot, baseline=baseline)
+            return solve_mckp(tabulate(), p_tot, baseline=baseline)
     total = 0.0
     for row in range(k):
         total += prefixes[row][levels[row]]

@@ -60,6 +60,28 @@ class TestPowerGrid:
         assert grid.tolist() == solvers.make_power_grid(5.0, np.int64(4)).tolist() \
             == [0.0, 1.25, 2.5, 3.75, 5.0]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p_tot, n", [(1e307, 100), (1.7e308, 8), (sys.float_info.max, 100)])
+    def test_a_budget_past_dbl_max_over_n_stays_finite(self, p_tot, n):
+        # n * p_tot overflows here: j * p_tot once overflowed to inf for most j.
+        grid = solvers.make_power_grid(p_tot, n)
+        assert np.all(np.isfinite(grid)) and grid[-1] == p_tot
+        # Scaling by any power of two is exact, so the samples are j * p_tot / n
+        # with the same two roundings.
+        assert grid.tolist() == (np.arange(n + 1) * (p_tot / 1024.0) / n * 1024.0).tolist()
+
+    def test_budgets_whose_top_product_is_finite_keep_their_bits(self):
+        # Up to the largest budget whose n * p_tot is finite (DBL_MAX / n
+        # itself overflows at n = 3), the samples are j * p_tot / n, also
+        # where a scaled budget would be subnormal (1e-307 / 128).
+        for n in (1, 3, 8, 100):
+            largest = sys.float_info.max / n
+            while math.isinf(n * largest):
+                largest = math.nextafter(largest, 0.0)
+            for p_tot in (5.0, 1e-307, largest):
+                assert solvers.make_power_grid(p_tot, n).tolist() == \
+                    (np.arange(n + 1) * p_tot / n).tolist()
+
 
 class TestBudgetCheck:
     @pytest.mark.parametrize("p_tot", [math.nan, math.inf, 0.0, -1.0])
@@ -74,7 +96,7 @@ class TestBudgetCheck:
         with pytest.raises(ValueError, match="p_tot must be positive and finite"):
             solvers.solve_power_allocation([0, 1], model.generate_deployment(11, 3), p_tot)
         with pytest.raises(ValueError, match="p_tot must be positive and finite"):
-            solvers.solve_mckp(np.zeros((3, 6)), solvers.make_power_grid(10.0, 5), p_tot)
+            solvers.solve_mckp(np.zeros((3, 6)), p_tot)
 
     @pytest.mark.parametrize("p_tot", [math.nan, math.inf, 0.0, -1.0])
     def test_verify_allocation_rejects_a_bad_budget(self, golden_network, p_tot):
@@ -533,7 +555,37 @@ class TestSplitProperties:
                       * (1.0 + 1e-9))
 
 
+class TestStoredObjective:
+    @pytest.mark.parametrize("name", ["golden", "homogeneous-7", "golden-twins", "fuzzed"])
+    @pytest.mark.parametrize("algorithm", ["ufa", "usu", "greedy"])
+    def test_objective_is_trace_fim(self, algorithm, name, golden_network):
+        # ufa calls trace_fim, and usu and greedy keep the objective they
+        # summed: each must be trace_fim's bits for the allocation returned.
+        if name == "fuzzed":
+            rng = np.random.default_rng(39)
+            networks = [random_network(rng) for _ in range(20)]
+        elif name == "homogeneous-7":
+            networks = [model.homogeneous_network(7)]
+        else:
+            networks = [_PRUNING_NETWORKS[name](golden_network)]
+        for network in networks:
+            for p_tot in (5.0, 20.0, 50.0):
+                alloc = solvers.SOLVERS[algorithm](network, p_tot, solvers.DEFAULT_GRID_N,
+                                                   solvers.DEFAULT_EPS0)
+                recomputed = fisher.trace_fim(alloc.powers, alloc.selection, network)
+                assert repr(alloc.objective) == repr(recomputed), (network.k, p_tot)
+
+
 class TestGreedy:
+    def test_no_accepted_round_returns_the_prior(self, golden_network):
+        # No candidate improves by eps0 = 1e300, so nothing is accepted and
+        # the objective is tr(C^-1).
+        alloc = solvers.solve_greedy(golden_network, 5.0, eps0=1e300)
+        assert alloc.num_selected == alloc.iterations == 0
+        assert alloc.powers.tolist() == [0.0] * golden_network.k
+        assert alloc.objective == golden_network.prior.inverse_trace
+        assert alloc.diagnostics == ()
+
     @pytest.mark.parametrize("eps0", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_a_bad_eps0(self, golden_network, eps0):
         # A NaN eps0 once switched the stopping rule off, and an infinite one
@@ -954,7 +1006,6 @@ class TestGreedyPruning:
                             {j: 100.0 + j for j in candidates})
         monkeypatch.setattr(solvers, "_objective",
                             lambda prior, terms: 10.0 * min(len(list(terms)), 2))
-        monkeypatch.setattr(solvers, "trace_fim", lambda powers, selection, network: 20.0)
         alloc = solvers.solve_greedy(model.generate_deployment(44, 4), 5.0)
         assert alloc.selection.tolist() == [1, 1, 0, 0]
 
@@ -1251,7 +1302,7 @@ class TestSharedKernels:
 
 def _dp_on_network(network, p_tot, n=100):
     samples = solvers.make_power_grid(p_tot, n)
-    return solvers.solve_mckp(fisher.tabulate_t(network, samples), samples, p_tot,
+    return solvers.solve_mckp(fisher.tabulate_t(network, samples), p_tot,
                               baseline=network.prior.inverse_trace)
 
 
@@ -1266,14 +1317,13 @@ class TestMckp:
         # certificate at multiplier 0 clears both rows.
         table = np.array([[0.0, 1.0, 1.0, 1.0], [0.0, 0.5, 0.5, 0.5]])
         lazy = verify.mckp_marginal_on_table(table, _no_dp)
-        dp = solvers.solve_mckp(table, solvers.make_power_grid(3.0, 3), 3.0)
-        assert lazy.objective == dp.objective == verify.enumerate_mckp(table, 3) == 1.5
+        dp = solvers.solve_mckp(table, 3.0)
+        assert lazy.objective == dp.objective == solvers.enumerate_mckp_table(table)[1] == 1.5
         assert lazy.powers.tolist() == dp.powers.tolist() == [1.0, 1.0]
 
     def test_all_zero_table_selects_nothing(self):
-        grid = solvers.make_power_grid(10.0, 5)
         table = np.zeros((3, 6))
-        alloc = solvers.solve_mckp(table, grid, 10.0, baseline=17.0 / 3.0)
+        alloc = solvers.solve_mckp(table, 10.0, baseline=17.0 / 3.0)
         assert alloc.num_selected == 0
         assert alloc.objective == pytest.approx(17.0 / 3.0)
         np.testing.assert_array_equal(alloc.powers, np.zeros(3))
@@ -1283,35 +1333,37 @@ class TestMckp:
         assert all(r.passed for r in results), [r.line() for r in results]
 
     def test_grid_mismatch(self):
-        grid = solvers.make_power_grid(10.0, 5)
         with pytest.raises(GridMismatch):
-            solvers.solve_mckp(np.zeros((3, 7)), grid, 10.0)
-        with pytest.raises(GridMismatch):
-            solvers.solve_mckp(np.ones((3, 6)), grid, 10.0)  # nonzero first column
-        with pytest.raises(GridMismatch):
-            solvers.solve_mckp(np.zeros((3, 6)), grid, 11.0)  # wrong budget
+            solvers.solve_mckp(np.ones((3, 6)), 10.0)  # nonzero first column
 
-    @pytest.mark.parametrize("table, samples, message", [
-        # Ends on the grid, middle off it: this once returned powers
-        # [1.9, 1.9], which spend 3.8 of a 2.0 budget.
-        ([[0, 1, 1.05], [0, 1, 1.05]], [0, 1.9, 2.0],
-         "grid sample 1 is 1.9, not 1.0 = 1 * 2.0 / 2"),
-        ([[0, 1, 1.05]], [0, 1.0, math.nan], "grid sample 2 is nan, not 2.0 = 2 * 2.0 / 2"),
-        ([[0, math.nan, 1.05]], [0, 1.0, 2.0], "value table entry [0, 1] is nan, not finite"),
-        ([[0, 1, 1.05], [0, 1, math.inf]], [0, 1.0, 2.0],
-         "value table entry [1, 2] is inf, not finite"),
-        ([[0.0], [0.0]], [0.0], "there must be at least 2"),
-        ([[0, 1, 1.05]], [[0, 1.0, 2.0]], "value table has 3 columns and grid shape (1, 3)"),
-    ], ids=["off-grid-sample", "nan-sample", "nan-entry", "inf-entry", "one-column",
-            "2-d-grid"])
-    def test_rejects_what_the_program_cannot_solve(self, table, samples, message):
+    @pytest.mark.parametrize("table, message", [
+        ([[0, math.nan, 1.05]], "value table entry [0, 1] is nan, not finite"),
+        ([[0, 1, 1.05], [0, 1, math.inf]], "value table entry [1, 2] is inf, not finite"),
+        ([[0.0], [0.0]], "there must be at least 2"),
+        ([0, 1, 1.05], "value table must be 2-D, got shape (3,)"),
+    ], ids=["nan-entry", "inf-entry", "one-column", "1-d-table"])
+    def test_rejects_what_the_program_cannot_solve(self, table, message):
         with pytest.raises(GridMismatch, match=re.escape(message)):
-            solvers.solve_mckp(table, samples, 2.0)
+            solvers.solve_mckp(table, 2.0)
 
-    def test_accepts_a_list_grid(self):
-        # A list once failed with an AttributeError on `samples.size`.
-        alloc = solvers.solve_mckp([[0, 1, 1.05], [0, 1, 1.05]], [0.0, 1.0, 2.0], 2.0)
+    def test_accepts_a_list_table(self):
+        alloc = solvers.solve_mckp([[0, 1, 1.05], [0, 1, 1.05]], 2.0)
         assert alloc.powers.tolist() == [1.0, 1.0] and alloc.objective == 2.0
+
+    def test_powers_are_the_budgets_grid_at_the_picks(self):
+        # The DP derives its grid from the table's width, so every power is
+        # make_power_grid(p_tot, n) at the enumerated optimum's picks: no
+        # power can sit off the grid or spend past the budget.
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            k, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            p_tot = float(rng.uniform(0.1, 50.0))
+            table = np.sort(rng.uniform(0.0, 1.0, size=(k, n + 1)), axis=1)
+            table[:, 0] = 0.0
+            picks, total, _ = solvers.enumerate_mckp_table(table)
+            alloc = solvers.solve_mckp(table, p_tot)
+            assert alloc.objective == total
+            assert alloc.powers.tolist() == solvers.make_power_grid(p_tot, n)[picks].tolist()
 
     def test_budget_respected(self, golden_network):
         alloc = solvers.solve_mckp_network(golden_network, 30.0, 100)
@@ -1325,9 +1377,8 @@ class TestMckp:
     def test_tie_prefers_smaller_grid_index(self):
         # Flat rows make every assignment optimal; the backtrack must then
         # choose zero power everywhere.
-        grid = solvers.make_power_grid(4.0, 4)
         table = np.zeros((2, 5))
-        alloc = solvers.solve_mckp(table, grid, 4.0)
+        alloc = solvers.solve_mckp(table, 4.0)
         np.testing.assert_array_equal(alloc.powers, np.zeros(2))
 
     def test_equals_the_dp_on_the_golden_sweep(self, golden_network):
@@ -1537,7 +1588,7 @@ class TestMckp:
                 lambda row, j: float(table[row, j]), k, grid, float(n), 0.0,
                 lambda: bounded_fallbacks.append(1) or table,
                 lambda row, j: float(table[row, min(j + 1, n)]))
-            dp = solvers.solve_mckp(table, grid, float(n))
+            dp = solvers.solve_mckp(table, float(n))
             assert lazy.objective == bounded.objective == dp.objective
             np.testing.assert_array_equal(lazy.powers, dp.powers)
             np.testing.assert_array_equal(bounded.powers, dp.powers)
@@ -1552,7 +1603,7 @@ class TestMckp:
             steps = -np.sort(-rng.uniform(0.0, 1.0, size=(k, n)), axis=1)
             table = np.hstack([np.zeros((k, 1)), np.cumsum(steps, axis=1)])
             lazy = verify.mckp_marginal_on_table(table, _no_dp)
-            assert lazy.objective == verify.enumerate_mckp(table, n)
+            assert lazy.objective == solvers.enumerate_mckp_table(table)[1]
 
     @pytest.mark.parametrize("p_tot", [20.0, 50.0])
     def test_twins_give_the_dp_objective(self, p_tot):
@@ -1700,8 +1751,7 @@ class TestBruteforce:
             brute = solvers.solve_bruteforce(net, p_tot, n)
             grid = solvers.make_power_grid(p_tot, n)
             table = fisher.tabulate_t(net, grid)
-            dp = solvers.solve_mckp(table, grid, p_tot,
-                                    baseline=net.prior.inverse_trace)
+            dp = solvers.solve_mckp(table, p_tot, baseline=net.prior.inverse_trace)
             assert brute.objective == dp.objective
 
     def test_discretized_below_continuous(self, reference_sensor, default_prior):
